@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .config import parse_config
 from .errors import ResourceCapError, ValidationError
-from .runner import run_experiment
+from .runner import artifact_paths, run_experiment
 from .suites import SUITES, run_suite
 
 EXIT_OK = 0
@@ -57,6 +57,18 @@ def _load(path: str, mode: str, seed_override):
     return cfg
 
 
+def _check_distinct_artifacts(paths, cfgs, outdir: Path) -> None:
+    """Reject a batch in which two artifacts resolve to the same file."""
+    owner = {}
+    for path, cfg in zip(paths, cfgs):
+        for art in artifact_paths(cfg, outdir):
+            key = art.resolve()
+            if key in owner:
+                raise ValidationError(
+                    f"{owner[key]} and {path} both write {art}")
+            owner[key] = path
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
@@ -64,6 +76,7 @@ def main(argv=None) -> int:
             return EXIT_OK if run_suite(args.name) else 1
         cfgs = [_load(p, args.command, args.seed) for p in args.config]
         outdir = Path(args.out)
+        _check_distinct_artifacts(args.config, cfgs, outdir)
         workers = args.threads if args.threads > 0 else None
         if len(cfgs) == 1 or args.threads == 1:
             summaries = [run_experiment(c, outdir) for c in cfgs]

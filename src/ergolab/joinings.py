@@ -10,10 +10,21 @@ construction with one start.  Clouds are stored as explicit point arrays
 (never binned) so that integrating a tensor product of characters against a
 fiber cloud reproduces the streamed multilinear average bit for bit: the
 points come from the same anchored orbit generator, the per-n products are
-multiplied in the same factor order, and the accumulation is the same
-chunked-fsum mean.  Integration against a multi-start cloud is the mean of
-the per-start means, which makes the barycenter identity (joining integral =
-average of fiber integrals) an exact regrouping rather than a tolerance.
+multiplied in the same factor order, and each start's mean is the same
+chunked-fsum mean (fsum per CHUNK-anchored block, fsum across blocks,
+divided by N).
+
+Integration works on slabs of starts: for each anchored block of `cnt`
+orbit indices, up to (CHUNK - 1) // cnt starts are evaluated together, so
+each factor costs one `evaluate` call per slab rather than one per start,
+and each start's block sum is an exact `math.fsum` over its row.  Slabs
+stay below CHUNK points because `evaluate`'s bits depend on the block
+length (see its docstring); a full-chunk block is taken one start at a
+time, exactly as the streamed average takes it.
+
+Integration against a multi-start cloud is the mean of the per-start means,
+which makes the barycenter identity (joining integral = average of fiber
+integrals) an exact regrouping rather than a tolerance.
 
 For an ergodic rotation the weak limit of the cloud is Haar measure on the
 arithmetic-progression subtorus {(y, y+b, ..., y+(d-1)b)}, so the limit of a
@@ -68,6 +79,18 @@ class EmpiricalMeasure:
         return self.points.shape[0] * self.points.shape[1]
 
 
+def _orbit_tuples(system, starts: np.ndarray, d: int, n0: int, count: int,
+                  coords: str = "state") -> np.ndarray:
+    """(S, count, d, dim) array of T^{jn} x_s for n in [n0, n0+count)."""
+    dim = system.dim if coords == "state" else system.obs_dim
+    pts = np.empty((starts.shape[0], count, d, dim))
+    for s in range(starts.shape[0]):
+        for j in range(1, d + 1):
+            pts[s, :, j - 1, :] = orbit_points(system, starts[s], j, n0, count,
+                                               coords=coords)
+    return pts
+
+
 def _build_cloud(system, starts: np.ndarray, d: int, N: int,
                  scheme: str, seed: int | None) -> EmpiricalMeasure:
     S = starts.shape[0]
@@ -75,11 +98,7 @@ def _build_cloud(system, starts: np.ndarray, d: int, N: int,
         raise ResourceCapError(
             f"cloud of {S * N} tuples exceeds the {CLOUD_CAP} cap; "
             "use self_joining_tensor_integral for streaming integration")
-    pts = np.empty((S, N, d, system.dim))
-    for s in range(S):
-        for j in range(1, d + 1):
-            pts[s, :, j - 1, :] = orbit_points(system, starts[s], j, 0, N,
-                                               coords="state")
+    pts = _orbit_tuples(system, starts, d, 0, N)
     prov = CloudProvenance(scheme, system_to_kv(system), d, N, seed, S)
     return EmpiricalMeasure(pts, prov)
 
@@ -103,31 +122,47 @@ def fiber_measure(system: DynamicalSystem, x, d: int, N: int) -> EmpiricalMeasur
     return _build_cloud(system, x[None, :], d, N, "fiber-orbit", None)
 
 
-def _block_mean(block: np.ndarray, fs: Sequence[Observable]) -> complex:
-    """Mean over n of prod_j f_j(block[n, j]); same chunking and factor
-    order as the streamed multilinear average."""
-    N = block.shape[0]
-    acc = MeanAccumulator()
+def _start_means(block, S: int, N: int,
+                 fs: Sequence[Observable]) -> list[complex]:
+    """Per-start means over n < N of prod_j f_j(x_j), where block(s0, s1, n0,
+    cnt) returns the (s1 - s0, cnt, d, dim) tuples of starts s0..s1-1.
+
+    Same anchored chunks, factor order and fsum-per-chunk mean as the
+    streamed multilinear average.  A slab of `rows` starts shares one
+    `evaluate` call per factor; rows * cnt stays below CHUNK (or is one row
+    of a full chunk), which keeps every call on the same side of numpy's
+    temporary-reuse threshold as a single-start call and so keeps its bits."""
+    re_sums: list[list[float]] = []     # per chunk, one sum per start
+    im_sums: list[list[float]] = []
     for n0, cnt in chunk_ranges(0, N, CHUNK):
-        vals = np.ones(cnt, dtype=np.complex128)
-        for j, f in enumerate(fs):
-            vals *= evaluate(f, block[n0:n0 + cnt, j])
-        acc.add(vals)
+        rows = max(1, (CHUNK - 1) // cnt)
+        re_c: list[float] = []
+        im_c: list[float] = []
+        for s0 in range(0, S, rows):
+            s1 = min(S, s0 + rows)
+            pts = block(s0, s1, n0, cnt)
+            vals = np.ones((s1 - s0, cnt), dtype=np.complex128)
+            for j, f in enumerate(fs):
+                vals *= evaluate(f, pts[:, :, j])
+            re_c += map(math.fsum, vals.real.tolist())
+            im_c += map(math.fsum, vals.imag.tolist())
+        re_sums.append(re_c)
+        im_sums.append(im_c)
+    return [complex(math.fsum(re) / N, math.fsum(im) / N)
+            for re, im in zip(zip(*re_sums), zip(*im_sums))]
+
+
+def _mean(values: Sequence[complex]) -> complex:
+    acc = MeanAccumulator()
+    for v in values:
+        acc.add_scalar(v)
     return acc.mean()
 
 
 def integrate_tensor(m: EmpiricalMeasure, fs: Sequence[Observable]) -> complex:
     """Integral of f_1(x_1)...f_d(x_d) against the cloud: the mean over
     starts of the per-start orbit means."""
-    if len(fs) != m.arity:
-        raise DimensionMismatchError(
-            f"{len(fs)} observables for arity-{m.arity} cloud")
-    per_start = [_block_mean(m.points[s], fs)
-                 for s in range(m.points.shape[0])]
-    acc = MeanAccumulator()
-    for v in per_start:
-        acc.add_scalar(v)
-    return acc.mean()
+    return _mean(fiber_integrals(m, fs))
 
 
 def fiber_integrals(m: EmpiricalMeasure, fs: Sequence[Observable]) -> list[complex]:
@@ -135,7 +170,9 @@ def fiber_integrals(m: EmpiricalMeasure, fs: Sequence[Observable]) -> list[compl
     if len(fs) != m.arity:
         raise DimensionMismatchError(
             f"{len(fs)} observables for arity-{m.arity} cloud")
-    return [_block_mean(m.points[s], fs) for s in range(m.points.shape[0])]
+    S, N = m.points.shape[:2]
+    return _start_means(lambda s0, s1, n0, cnt: m.points[s0:s1, n0:n0 + cnt],
+                        S, N, fs)
 
 
 def self_joining_tensor_integral(system: DynamicalSystem, d: int,
@@ -143,20 +180,15 @@ def self_joining_tensor_integral(system: DynamicalSystem, d: int,
                                  rng: SplitMix64,
                                  fs: Sequence[Observable]) -> complex:
     """integrate_tensor(empirical_self_joining(...), fs) without holding the
-    cloud in memory; for tuple counts beyond the cap."""
+    cloud in memory; for tuple counts beyond the cap.  Each slab's orbit
+    block is built on demand, so memory stays within CHUNK tuples."""
+    if len(fs) != d:
+        raise DimensionMismatchError(f"{len(fs)} observables for arity {d}")
     starts = system.haar_block(rng, x_sample_count)
-    outer = MeanAccumulator()
-    for s in range(x_sample_count):
-        acc = MeanAccumulator()
-        for n0, cnt in chunk_ranges(0, N, CHUNK):
-            vals = np.ones(cnt, dtype=np.complex128)
-            for j, f in enumerate(fs):
-                pts = orbit_points(system, starts[s], j + 1, n0, cnt,
-                                   coords="obs")
-                vals *= evaluate(f, pts)
-            acc.add(vals)
-        outer.add_scalar(acc.mean())
-    return outer.mean()
+    return _mean(_start_means(
+        lambda s0, s1, n0, cnt: _orbit_tuples(system, starts[s0:s1], d, n0,
+                                              cnt, coords="obs"),
+        x_sample_count, N, fs))
 
 
 def marginal(m: EmpiricalMeasure, j: int) -> EmpiricalMeasure:
@@ -294,14 +326,17 @@ def decomposition_consistency(system: DynamicalSystem, x_sample_count: int,
     dispersion exhibits the non-ergodicity of the self-joining under the
     staggered diagonal action that the fiber decomposition resolves."""
     cloud = empirical_self_joining(system, d, x_sample_count, N, rng)
-    joint = integrate_tensor(cloud, fs)
+    return decompose_cloud(cloud, fs)
+
+
+def decompose_cloud(cloud: EmpiricalMeasure,
+                    fs: Sequence[Observable]) -> DecompositionReport:
+    """decomposition_consistency for an existing cloud."""
     fibers = fiber_integrals(cloud, fs)
-    acc = MeanAccumulator()
-    for v in fibers:
-        acc.add_scalar(v)
-    bary = acc.mean()
-    meanv = bary
-    disp = math.sqrt(math.fsum(abs(v - meanv) ** 2 for v in fibers)
+    # integrate_tensor(cloud, fs) is by definition the mean of these
+    # per-start means, so it and the barycenter are the same number.
+    joint = bary = _mean(fibers)
+    disp = math.sqrt(math.fsum(abs(v - bary) ** 2 for v in fibers)
                      / len(fibers))
     return DecompositionReport(joint, bary, joint == bary, tuple(fibers), disp)
 

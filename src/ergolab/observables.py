@@ -103,7 +103,14 @@ def evaluate(f: Observable, points) -> np.ndarray | complex:
     """f at one point (dim,) or a batch (..., d) with d >= f.dim.
 
     Extra trailing coordinates (the Heisenberg central coordinate) are
-    ignored; characters only read the first f.dim coordinates."""
+    ignored; characters only read the first f.dim coordinates.
+
+    The last bit of each value can depend on the batch size: numpy reuses
+    a temporary of at least 256 KiB (16,384 complex values, one CHUNK) as
+    the output of `c * exp(...)`, which then runs as exp(...) * c, and
+    numpy's complex multiply is not bitwise commutative.  Callers that must
+    reproduce another path's bits keep their batches on the same side of
+    that size (see joinings.py)."""
     pts = np.asarray(points, dtype=np.float64)
     scalar = pts.ndim == 1
     if pts.shape[-1] < f.dim:

@@ -132,25 +132,6 @@ def chunk_ranges(n0: int, count: int, chunk: int = CHUNK) -> Iterator[tuple[int,
         n = stop
 
 
-def ap_frac_block(base_at, step: float, n0: int, count: int,
-                  chunk: int = CHUNK) -> np.ndarray:
-    """frac(base(n) ) for n in [n0, n0+count) where base(n) = B + n*step mod 1.
-
-    `base_at(n)` must return the exact reduction of B + n*step for the chunk
-    anchors; within a chunk only offset*step with offset < chunk is formed in
-    floating point.
-    """
-    out = np.empty(count, dtype=np.float64)
-    pos = 0
-    for start, cnt in chunk_ranges(n0, count, chunk):
-        anchor = (start // chunk) * chunk
-        base = base_at(anchor)
-        offs = np.arange(start - anchor, start - anchor + cnt, dtype=np.float64)
-        out[pos:pos + cnt] = frac(base + offs * step)
-        pos += cnt
-    return out
-
-
 class MeanAccumulator:
     """Streaming mean of complex values with exact per-chunk summation."""
 
@@ -184,9 +165,3 @@ class MeanAccumulator:
             raise ZeroDivisionError("mean of empty accumulator")
         t = self.total()
         return complex(t.real / self._n, t.imag / self._n)
-
-
-def fsum_mean(values: np.ndarray) -> complex:
-    acc = MeanAccumulator()
-    acc.add(values)
-    return acc.mean()

@@ -18,9 +18,8 @@ from .averaging import (FolnerBox, IteratedMap, cube_average,
                         square_trajectory)
 from .config import ExperimentConfig
 from .errors import ValidationError
-from .joinings import (ap_subtorus_integral, character_box,
-                       decomposition_consistency, dump_cloud,
-                       empirical_self_joining, integrate_tensor)
+from .joinings import (ap_subtorus_integral, character_box, decompose_cloud,
+                       dump_cloud, empirical_self_joining, integrate_tensor)
 from .observables import format_observable
 from .rng import SplitMix64
 from .seminorms import hk_seminorm, van_der_corput_check
@@ -59,6 +58,26 @@ def _json_text(payload) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
+# mode -> (config field naming the artifact, default file name)
+_ARTIFACTS = {
+    "orbit": ("out_csv", "orbit.csv"),
+    "average": ("out_csv", "averages.csv"),
+    "seminorm": ("out_json", "seminorms.json"),
+    "vdc": ("out_json", "vdc.json"),
+    "joining": ("out_json", "joining.json"),
+    "certify": ("out_json", "certificate.json"),
+}
+
+
+def artifact_paths(cfg: ExperimentConfig, outdir: Path) -> list[Path]:
+    """The files run_experiment(cfg, outdir) writes, main artifact first."""
+    field, default = _ARTIFACTS[cfg.mode]
+    paths = [Path(outdir) / (getattr(cfg, field) or default)]
+    if cfg.mode == "joining" and cfg.out_bin:
+        paths.append(Path(outdir) / cfg.out_bin)
+    return paths
+
+
 def run_experiment(cfg: ExperimentConfig, outdir: Path) -> dict:
     """Run one experiment; returns a summary dict with artifact paths."""
     cfg.validate()
@@ -86,7 +105,7 @@ def _run_orbit(cfg, outdir, rng):
     rows = ["n," + ",".join(f"x{i+1}" for i in range(pts.shape[1]))]
     for i in range(n):
         rows.append(str(i) + "," + ",".join(_fmt(v) for v in pts[i]))
-    path = _write(outdir / (cfg.out_csv or "orbit.csv"), "\n".join(rows) + "\n")
+    path = _write(artifact_paths(cfg, outdir)[0], "\n".join(rows) + "\n")
     return {"mode": "orbit", "rows": n, "csv": str(path)}
 
 
@@ -124,8 +143,7 @@ def _run_average(cfg, outdir, rng):
     for i, (n, v) in enumerate(traj.checkpoints):
         osc = _tail_oscillation(vs, ns, i, cfg.tail_fraction)
         rows.append(f"{traj.scheme},{n},{_fmt(v.real)},{_fmt(v.imag)},{_fmt(osc)}")
-    path = _write(outdir / (cfg.out_csv or "averages.csv"),
-                  "\n".join(rows) + "\n")
+    path = _write(artifact_paths(cfg, outdir)[0], "\n".join(rows) + "\n")
     return {"mode": "average", "scheme": traj.scheme,
             "checkpoints": len(ns), "csv": str(path)}
 
@@ -144,8 +162,7 @@ def _run_seminorm(cfg, outdir, rng):
             "system": system_to_kv(cfg.system),
             "observable": format_observable(f),
         })
-    path = _write(outdir / (cfg.out_json or "seminorms.json"),
-                  _json_text(reports))
+    path = _write(artifact_paths(cfg, outdir)[0], _json_text(reports))
     return {"mode": "seminorm", "count": len(reports), "json": str(path)}
 
 
@@ -157,7 +174,7 @@ def _run_vdc(cfg, outdir):
     rep = van_der_corput_check(seq, cfg.outer_h)
     payload = {"family": cfg.vdc_family, "lhs": rep.lhs, "rhs": rep.rhs,
                "margin": rep.margin, "N": rep.n_used, "H": rep.outer_h}
-    path = _write(outdir / (cfg.out_json or "vdc.json"), _json_text(payload))
+    path = _write(artifact_paths(cfg, outdir)[0], _json_text(payload))
     return {"mode": "vdc", "margin": rep.margin, "json": str(path)}
 
 
@@ -191,8 +208,7 @@ def _run_joining(cfg, outdir, rng):
     else:
         tensor_fs = [Observable.character((1,) + (0,) * (cfg.system.obs_dim - 1))
                      ] * cfg.d
-    rep = decomposition_consistency(cfg.system, cfg.sample_count, cfg.d, n,
-                                    tensor_fs, SplitMix64(cfg.seed + 1))
+    rep = decompose_cloud(cloud, tensor_fs)
     payload = {
         "d": cfg.d, "starts": cfg.sample_count, "n": n,
         "tensor_integrals": rows,
@@ -200,11 +216,12 @@ def _run_joining(cfg, outdir, rng):
                        "exact_match": rep.exact_match,
                        "dispersion": rep.dispersion},
     }
-    path = _write(outdir / (cfg.out_json or "joining.json"), _json_text(payload))
+    json_path, *bin_path = artifact_paths(cfg, outdir)
+    path = _write(json_path, _json_text(payload))
     summary = {"mode": "joining", "json": str(path)}
-    if cfg.out_bin:
-        dump_cloud(cloud, outdir / cfg.out_bin)
-        summary["bin"] = str(outdir / cfg.out_bin)
+    if bin_path:
+        dump_cloud(cloud, bin_path[0])
+        summary["bin"] = str(bin_path[0])
     return summary
 
 
@@ -212,6 +229,5 @@ def _run_certify(cfg, outdir):
     cert = ergodicity_certificate(cfg.system, cfg.search_bound)
     payload = {"system": system_to_kv(cfg.system), "verdict": cert.verdict,
                "witness": cert.witness, "search_bound": cert.search_bound}
-    path = _write(outdir / (cfg.out_json or "certificate.json"),
-                  _json_text(payload))
+    path = _write(artifact_paths(cfg, outdir)[0], _json_text(payload))
     return {"mode": "certify", "verdict": cert.verdict, "json": str(path)}

@@ -1,14 +1,20 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ergolab
 from ergolab.averaging import square_trajectory
 from ergolab.config import format_config, parse_config
 from ergolab.errors import ValidationError
+from ergolab.joinings import empirical_self_joining, fiber_integrals
 from ergolab.observables import Observable
+from ergolab.phases import MeanAccumulator
+from ergolab.rng import SplitMix64
 from ergolab.runner import run_experiment
 from ergolab.seminorms import hk_seminorm
 from ergolab.systems import cat_map
@@ -32,8 +38,13 @@ out_csv = sq.csv
 
 
 def run_cli(*args):
+    # the subprocess imports the same ergolab as this test process
+    src = str(Path(ergolab.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
     return subprocess.run([sys.executable, "-m", "ergolab", *args],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
 
 
 # ---------------------------------------------------------------------------
@@ -328,3 +339,98 @@ def test_cli_suite_command():
     assert proc.returncode == 0, proc.stderr
     assert "criterion 9" in proc.stdout
     assert "PASS" in proc.stdout and "FAIL" not in proc.stdout
+
+
+def test_cli_batch_rejects_shared_artifact(tmp_path):
+    paths = []
+    for i, k in enumerate((1, 2, 3, 4)):
+        p = tmp_path / f"c{i}.cfg"
+        p.write_text(f"""[system]
+kind = rotation
+alpha = 0.61803398874989479
+[observables]
+f1 = 1,0:{k}
+[run]
+mode = average
+scheme = birkhoff
+checkpoints = 100
+start = 0.25
+""")
+        paths += ["--config", str(p)]
+    out = tmp_path / "out"
+    for threads in ("1", "2"):
+        proc = run_cli("average", *paths, "--out", str(out),
+                       "--threads", threads)
+        assert proc.returncode == 2
+        assert "both write" in proc.stderr and "averages.csv" in proc.stderr
+        assert proc.stdout == ""
+        assert not out.exists()
+
+
+def test_cli_rejects_one_file_named_two_ways(tmp_path):
+    paths = []
+    for i, name in enumerate(("x.json", "sub/../x.json")):
+        p = tmp_path / f"v{i}.cfg"
+        p.write_text(f"""[system]
+kind = rotation
+alpha = 0.61803398874989479
+[run]
+mode = vdc
+vdc_family = linear
+inner_n = 100
+outer_h = 5
+out_json = {name}
+""")
+        paths += ["--config", str(p)]
+    proc = run_cli("vdc", *paths, "--out", str(tmp_path / "out"))
+    assert proc.returncode == 2
+    assert "both write" in proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_rejects_joining_json_and_bin_on_one_file(tmp_path):
+    p = tmp_path / "j.cfg"
+    p.write_text("""[system]
+kind = rotation
+alpha = 0.61803398874989479
+[run]
+mode = joining
+d = 2
+sample_count = 4
+checkpoints = 10
+seed = 1
+freq_box = 1
+out_json = cloud.out
+out_bin = cloud.out
+""")
+    proc = run_cli("joining", "--config", str(p), "--out", str(tmp_path / "o"))
+    assert proc.returncode == 2
+    assert "both write" in proc.stderr
+    assert not (tmp_path / "o").exists()
+
+
+def test_joining_barycenter_is_of_the_written_cloud(tmp_path):
+    text = """[system]
+kind = rotation
+alpha = 0.61803398874989479
+[observables]
+f1 = 1,0:-2
+f2 = 0.5,0.25:1
+[run]
+mode = joining
+d = 2
+sample_count = 30
+checkpoints = 80
+seed = 19
+freq_box = 1
+"""
+    cfg = parse_config(text)
+    run_experiment(cfg, tmp_path)
+    bary = json.loads((tmp_path / "joining.json").read_text())["barycenter"]
+    cloud = empirical_self_joining(cfg.system, 2, 30, 80, SplitMix64(19))
+    acc = MeanAccumulator()
+    for v in fiber_integrals(cloud, list(cfg.observables)):
+        acc.add_scalar(v)
+    expect = acc.mean()
+    assert (bary["re"], bary["im"]) == (expect.real, expect.imag)
+    assert bary["exact_match"] is True
