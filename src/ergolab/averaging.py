@@ -10,11 +10,12 @@ folner     (1/|B|) sum_{(n,m) in B} f(S1^n S2^m x)
 
 Each scheme has a streamed numerical path (orbit points generated
 incrementally in anchored chunks, products evaluated pointwise, chunk sums
-via math.fsum).  On phase-linear systems the square and cube grids factorize
-exactly per term tuple into one-dimensional geometric sums, and the streamed
-path then streams those geometric sums; a literal grid walk is kept for every
-system below a cost cap and cross-checked against the factorized path in the
-test suite.  Closed-form values live in exact.py and share no arithmetic with
+by phases.exact_sum, which returns math.fsum's correctly rounded bits).  On
+phase-linear systems the square and cube grids factorize exactly per term
+tuple into one-dimensional geometric sums, and the streamed path then
+streams those geometric sums; a literal grid walk is kept for every system
+below a cost cap and cross-checked against the factorized path in the test
+suite.  Closed-form values live in exact.py and share no arithmetic with
 the streaming here.
 
 The one-dimensional linear path and the empirical-measure integration in
@@ -33,7 +34,8 @@ import numpy as np
 from .errors import (CommutationError, ResourceCapError, ValidationError)
 from .exact import term_tuples, character_at, obs_coords, _vec_sum
 from .observables import Observable, evaluate
-from .phases import CHUNK, MeanAccumulator, PhaseForm, chunk_ranges, frac, e
+from .phases import (CHUNK, MeanAccumulator, PhaseForm, chunk_ranges,
+                     exact_sum, frac, e)
 from .systems import DynamicalSystem, orbit_points, phase_form, probe_points
 
 GRID_CAP = 1 << 24        # direct grid walks refuse beyond this many terms
@@ -240,8 +242,8 @@ def _square_direct(system, fs, x, N) -> complex:
         for j, f in enumerate(fs):
             pts = orbit_points(system, x, 1, j * m, N, coords="obs")
             vals *= evaluate(f, pts)
-        row_sums_re.append(math.fsum(vals.real))
-        row_sums_im.append(math.fsum(vals.imag))
+        row_sums_re.append(exact_sum(vals.real))
+        row_sums_im.append(exact_sum(vals.imag))
     return complex(math.fsum(row_sums_re) / (N * N),
                    math.fsum(row_sums_im) / (N * N))
 
@@ -326,8 +328,8 @@ def _cube_direct(system, fs_by_eps, x, N) -> complex:
             else:
                 pt = orbit_points(system, x, 1, offset, 1, coords="obs")
                 vals *= evaluate(fs_by_eps[eps], pt)[0]
-        sums_re.append(math.fsum(vals.real))
-        sums_im.append(math.fsum(vals.imag))
+        sums_re.append(exact_sum(vals.real))
+        sums_im.append(exact_sum(vals.imag))
     total = complex(math.fsum(sums_re), math.fsum(sums_im))
     return total / float(N ** k)
 
@@ -447,8 +449,8 @@ def folner_average(action, f: Observable, x, box: FolnerBox) -> complex:
     for m in range(box.n2):
         y = m2.step(x, m)
         vals = evaluate(f, m1.orbit(y, 0, box.n1))
-        sums_re.append(math.fsum(vals.real))
-        sums_im.append(math.fsum(vals.imag))
+        sums_re.append(exact_sum(vals.real))
+        sums_im.append(exact_sum(vals.imag))
     return complex(math.fsum(sums_re) / box.size,
                    math.fsum(sums_im) / box.size)
 

@@ -22,9 +22,10 @@ stay below CHUNK points because `evaluate`'s bits depend on the block
 length (see its docstring); a full-chunk block is taken one start at a
 time, exactly as the streamed average takes it.
 
-Integration against a multi-start cloud is the mean of the per-start means,
-which makes the barycenter identity (joining integral = average of fiber
-integrals) an exact regrouping rather than a tolerance.
+Integration against a multi-start cloud is the mean of the per-start means.
+The barycenter identity (joining integral = average of fiber integrals) is
+checked against an independent joint side: one exact sum over all S*N tuple
+products, compared within a stated rounding bound (`decompose_cloud`).
 
 For an ergodic rotation the weak limit of the cloud is Haar measure on the
 arithmetic-progression subtorus {(y, y+b, ..., y+(d-1)b)}, so the limit of a
@@ -43,7 +44,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, ResourceCapError, ValidationError
 from .observables import Observable, evaluate
-from .phases import CHUNK, MeanAccumulator, chunk_ranges, e
+from .phases import CHUNK, MeanAccumulator, chunk_ranges, e, exact_sum
 from .rng import SplitMix64
 from .systems import DynamicalSystem, orbit_points, system_to_kv
 
@@ -122,16 +123,22 @@ def fiber_measure(system: DynamicalSystem, x, d: int, N: int) -> EmpiricalMeasur
     return _build_cloud(system, x[None, :], d, N, "fiber-orbit", None)
 
 
-def _start_means(block, S: int, N: int,
-                 fs: Sequence[Observable]) -> list[complex]:
+def _start_means(block, S: int, N: int, fs: Sequence[Observable],
+                 products: np.ndarray | None = None) -> list[complex]:
     """Per-start means over n < N of prod_j f_j(x_j), where block(s0, s1, n0,
-    cnt) returns the (s1 - s0, cnt, d, dim) tuples of starts s0..s1-1.
+    cnt) returns the (s1 - s0, cnt, d, dim) tuples of starts s0..s1-1.  If
+    given, `products` (shape (S, N)) receives every tuple's product.
 
     Same anchored chunks, factor order and fsum-per-chunk mean as the
     streamed multilinear average.  A slab of `rows` starts shares one
     `evaluate` call per factor; rows * cnt stays below CHUNK (or is one row
     of a full chunk), which keeps every call on the same side of numpy's
-    temporary-reuse threshold as a single-start call and so keeps its bits."""
+    temporary-reuse threshold as a single-start call and so keeps its bits.
+
+    Rows are summed with math.fsum, not exact_sum: they hold cnt <= N points,
+    100 in the joining workloads, far below exact_sum's crossover, and a
+    segmented (row x exponent) superaccumulator measured slower than per-row
+    fsum on 163 x 100 slabs."""
     re_sums: list[list[float]] = []     # per chunk, one sum per start
     im_sums: list[list[float]] = []
     for n0, cnt in chunk_ranges(0, N, CHUNK):
@@ -144,6 +151,8 @@ def _start_means(block, S: int, N: int,
             vals = np.ones((s1 - s0, cnt), dtype=np.complex128)
             for j, f in enumerate(fs):
                 vals *= evaluate(f, pts[:, :, j])
+            if products is not None:
+                products[s0:s1, n0:n0 + cnt] = vals
             re_c += map(math.fsum, vals.real.tolist())
             im_c += map(math.fsum, vals.imag.tolist())
         re_sums.append(re_c)
@@ -167,12 +176,17 @@ def integrate_tensor(m: EmpiricalMeasure, fs: Sequence[Observable]) -> complex:
 
 def fiber_integrals(m: EmpiricalMeasure, fs: Sequence[Observable]) -> list[complex]:
     """Per-start tensor integrals (the fiber values behind the barycenter)."""
+    return _cloud_means(m, fs)
+
+
+def _cloud_means(m: EmpiricalMeasure, fs: Sequence[Observable],
+                 products: np.ndarray | None = None) -> list[complex]:
     if len(fs) != m.arity:
         raise DimensionMismatchError(
             f"{len(fs)} observables for arity-{m.arity} cloud")
     S, N = m.points.shape[:2]
     return _start_means(lambda s0, s1, n0, cnt: m.points[s0:s1, n0:n0 + cnt],
-                        S, N, fs)
+                        S, N, fs, products)
 
 
 def self_joining_tensor_integral(system: DynamicalSystem, d: int,
@@ -304,11 +318,22 @@ def character_box(d: int, kmax: int, dim: int = 1) -> list[tuple]:
 
 @dataclass(frozen=True)
 class DecompositionReport:
-    joining_integral: complex
-    barycenter: complex
-    exact_match: bool
+    joining_integral: complex  # pooled: one exact sum over all S*N tuples
+    barycenter: complex        # mean of the per-start fiber integrals
     fiber_values: tuple[complex, ...]
     dispersion: float          # population std of the fiber integrals
+    bound: float               # rounding bound on |joint - barycenter| per part
+
+    @property
+    def gap(self) -> float:
+        d = self.joining_integral - self.barycenter
+        return float(np.max(np.abs([d.real, d.imag])))   # nan propagates
+
+    @property
+    def exact_match(self) -> bool:
+        """The two sides agree up to rounding, i.e. their exact values are
+        equal."""
+        return self.gap <= self.bound
 
     @property
     def start_count(self) -> int:
@@ -319,8 +344,8 @@ def decomposition_consistency(system: DynamicalSystem, x_sample_count: int,
                               d: int, N: int, fs: Sequence[Observable],
                               rng: SplitMix64) -> DecompositionReport:
     """Check that the cloud integral equals the average of its per-start
-    fiber integrals (exact regrouping), and report how the fiber integrals
-    disperse across starts.
+    fiber integrals, and report how the fiber integrals disperse across
+    starts.
 
     Zero dispersion is the ergodic (start-independent) situation; large
     dispersion exhibits the non-ergodicity of the self-joining under the
@@ -331,14 +356,32 @@ def decomposition_consistency(system: DynamicalSystem, x_sample_count: int,
 
 def decompose_cloud(cloud: EmpiricalMeasure,
                     fs: Sequence[Observable]) -> DecompositionReport:
-    """decomposition_consistency for an existing cloud."""
-    fibers = fiber_integrals(cloud, fs)
-    # integrate_tensor(cloud, fs) is by definition the mean of these
-    # per-start means, so it and the barycenter are the same number.
-    joint = bary = _mean(fibers)
+    """decomposition_consistency for an existing cloud.
+
+    The barycenter is the mean of the per-start fiber integrals (chunk fsum,
+    fsum across chunks, / N, then fsum over starts, / S).  The joint side
+    sums the same S*N tuple products v in one exact_sum and divides by S*N.
+    Exactly, both equal sum(v) / (S*N).  With u = 2**-53 and A = sum |v|,
+    each correctly rounded step adds at most u times its operand's bound:
+    the per-start chain 3u A_s / N, the sum over starts and the division by
+    S 2u A / (S*N), the pooled sum and its division 2u A / (S*N); below the
+    normal range each of these seven steps adds at most 2**-1075.  So per
+    real and imaginary part
+
+        |joint - barycenter| <= 7u mean|v| + O(u**2) + 7 * 2**-1075,
+
+    and the check allows 8u mean|v| + 2**-1072, which also covers the
+    rounding of mean|v| itself."""
+    S, N = cloud.points.shape[:2]
+    products = np.zeros((S, N), dtype=np.complex128)
+    fibers = _cloud_means(cloud, fs, products)
+    bary = _mean(fibers)
+    joint = complex(exact_sum(products.real) / (S * N),
+                    exact_sum(products.imag) / (S * N))
+    bound = 2.0 ** -50 * float(np.abs(products).mean()) + 2.0 ** -1072
     disp = math.sqrt(math.fsum(abs(v - bary) ** 2 for v in fibers)
                      / len(fibers))
-    return DecompositionReport(joint, bary, joint == bary, tuple(fibers), disp)
+    return DecompositionReport(joint, bary, tuple(fibers), disp, bound)
 
 
 # ---------------------------------------------------------------------------

@@ -68,9 +68,6 @@ class Observable:
         """sum |c_k|, an upper bound for the sup norm."""
         return math.fsum(abs(c) for _, c in self.terms)
 
-    def is_zero_mean(self) -> bool:
-        return all(any(k) for k, _ in self.terms)
-
     def coefficient(self, k) -> complex:
         key = _freq_key(k)
         for kk, c in self.terms:
@@ -85,10 +82,6 @@ class Observable:
         for k, c in other.terms:
             acc[k] = acc.get(k, 0.0) + c
         return Observable.from_dict(self.dim, acc)
-
-    def scale(self, c: complex) -> "Observable":
-        return Observable.from_dict(self.dim,
-                                    {k: c * v for k, v in self.terms})
 
     def __repr__(self):
         return f"Observable({format_observable(self)!r})"

@@ -14,9 +14,10 @@ all precision once the product outgrows the mantissa.  The strategy here:
   error stays ~1e-12 over arbitrarily long orbits.  Because bases are
   recomputed from absolute indices, the emitted floats are a pure function of
   the index, independent of how callers slice their requests.
-* Sums of orbit values use math.fsum per chunk and math.fsum across chunk
-  sums (Shewchuk exact summation), which is deterministic and exceeds the
-  accuracy of running Kahan compensation.
+* Sums of orbit values are exact per chunk (`exact_sum`, an exponent-bucket
+  superaccumulator that returns math.fsum's correctly rounded bits at numpy
+  speed) and math.fsum across chunk sums, which is deterministic and exceeds
+  the accuracy of running Kahan compensation.
 """
 
 from __future__ import annotations
@@ -97,9 +98,6 @@ class PhaseForm:
         self.coeffs = tuple(int(c) for c in coeffs)
         self.basis = tuple(float(b) for b in basis)
 
-    def scaled(self, n: int) -> "PhaseForm":
-        return PhaseForm(tuple(n * c for c in self.coeffs), self.basis)
-
     def fraction(self) -> Fraction:
         return combo_fraction(zip(self.coeffs, self.basis))
 
@@ -115,9 +113,6 @@ class PhaseForm:
         """True iff theta is exactly an integer (as a rational)."""
         return self.fraction().denominator == 1
 
-    def is_zero_form(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
     def __repr__(self):
         return f"PhaseForm({self.coeffs}, {self.basis})"
 
@@ -132,6 +127,59 @@ def chunk_ranges(n0: int, count: int, chunk: int = CHUNK) -> Iterator[tuple[int,
         n = stop
 
 
+# exact_sum: below this length math.fsum over a list is faster (crossover
+# ~800 unit-modulus values on a 2-vCPU x86-64 host, Python 3.11, numpy 2.4;
+# 7 us against 19 us at 256 values); both give the same bits.
+_SUM_CUTOFF = 1 << 10
+_SUM_LIMIT = 2.0 ** 960      # larger magnitudes keep fsum's overflow handling
+_EXP_LOW = 1073              # -(smallest frexp exponent), that of 2**-1074
+_SUM_SCALE = 1 << (_EXP_LOW + 53)
+
+
+def _bucket_total(x: np.ndarray) -> int:
+    """sum(x) * 2**1126 as an exact int, for finite |x| < 2**960 and at most
+    CHUNK elements.
+
+    Each x = m * 2**e (np.frexp) has the 53-bit integer mantissa m * 2**53,
+    split into a signed high part of 26 bits and a low part of 27 bits.  One
+    bincount per part, keyed by exponent, sums them in float64; every partial
+    sum is an integer below 2**41, so it is exact."""
+    m, ex = np.frexp(x)
+    key = ex.astype(np.intp)
+    key += _EXP_LOW
+    hi = np.floor(m * 2.0 ** 26)
+    m *= 2.0 ** 53
+    m -= hi * 2.0 ** 27                         # low part, in [0, 2**27)
+    hs = np.bincount(key, weights=hi)
+    ls = np.bincount(key, weights=m)
+    used = np.flatnonzero(hs.astype(bool) | ls.astype(bool))
+    total = 0
+    for k, h, lo in zip(used.tolist(), hs[used].tolist(), ls[used].tolist()):
+        total += ((int(h) << 27) + int(lo)) << k
+    return total
+
+
+def exact_sum(x) -> float:
+    """The correctly rounded sum of a float64 array: math.fsum's bits.
+
+    An exact superaccumulator (Neal, arXiv:1505.05571): exponent buckets
+    summed CHUNK elements at a time, combined as one Python int and rounded
+    once by int true division.  Short inputs, non-finite values (inf, nan and
+    fsum's ValueError for inf - inf), magnitudes of 2**960 or more (fsum's
+    intermediate overflow) and all-zero inputs (the sign of zero) go to
+    math.fsum itself."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 1:
+        x = x.ravel()
+    if x.size < _SUM_CUTOFF:
+        return math.fsum(x.tolist())
+    top = np.abs(x).max()
+    if not 0.0 < top < _SUM_LIMIT:
+        return math.fsum(x.tolist())
+    return sum(_bucket_total(x[i:i + CHUNK])
+               for i in range(0, x.size, CHUNK)) / _SUM_SCALE
+
+
 class MeanAccumulator:
     """Streaming mean of complex values with exact per-chunk summation."""
 
@@ -144,8 +192,8 @@ class MeanAccumulator:
 
     def add(self, values: np.ndarray) -> None:
         v = np.asarray(values)
-        self._re.append(math.fsum(v.real))
-        self._im.append(math.fsum(v.imag))
+        self._re.append(exact_sum(v.real))
+        self._im.append(exact_sum(v.imag))
         self._n += v.size
 
     def add_scalar(self, value: complex) -> None:

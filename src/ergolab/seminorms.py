@@ -29,7 +29,7 @@ import numpy as np
 from .errors import ResourceCapError, ValidationError
 from .observables import (Observable, compose_with_power, conjugate,
                           evaluate, integral_haar, multiply)
-from .phases import MeanAccumulator, chunk_ranges, CHUNK
+from .phases import MeanAccumulator, chunk_ranges, exact_sum, CHUNK
 from .rng import SplitMix64
 from .systems import DynamicalSystem, orbit_points
 
@@ -180,15 +180,15 @@ def van_der_corput_check(seq, H: int) -> VdcReport:
     if H >= L:
         raise ValidationError(f"H={H} must be smaller than the sequence length {L}")
     N = L - H
-    mean = np.array([complex(math.fsum(xs[:N, c].real) / N,
-                             math.fsum(xs[:N, c].imag) / N)
+    mean = np.array([complex(exact_sum(xs[:N, c].real) / N,
+                             exact_sum(xs[:N, c].imag) / N)
                      for c in range(xs.shape[1])])
     lhs = float(np.sum(np.abs(mean) ** 2))
     terms = []
     for h in range(1, H + 1):
         inner = np.sum(xs[:N] * np.conj(xs[h:h + N]), axis=1)
-        terms.append(abs(complex(math.fsum(inner.real) / N,
-                                 math.fsum(inner.imag) / N)))
+        terms.append(abs(complex(exact_sum(inner.real) / N,
+                                 exact_sum(inner.imag) / N)))
     rhs = math.fsum(terms) / H
     return VdcReport(lhs, rhs, N, H)
 
@@ -240,7 +240,7 @@ def multilinear_norm_bound_check(system: DynamicalSystem,
         for j in range(d):
             cursors[j] = system.step(cursors[j], j + 1)
     avg = sums / N
-    lhs = math.sqrt(math.fsum(np.abs(avg) ** 2) / sample_count)
+    lhs = math.sqrt(exact_sum(np.abs(avg) ** 2) / sample_count)
     sem = tuple(hk_seminorm(system, f, d, outer_h).value for f in fs)
     rhs = min((l + 1) * s for l, s in enumerate(sem))
     return BoundCheck(lhs, rhs, sem, sample_count, N)

@@ -327,14 +327,15 @@ def criterion_joining_oracle(starts: int = 1000, n: int = 100,
             worst = max(worst, abs(v - ap_subtorus_integral(ks)))
     out.append(_check(f"joining vs oracle, box {kmax}, {starts * n} tuples",
                       worst, 0.05, f"max err {worst:.4f}"))
-    # barycenter identity is an exact regrouping
+    # barycenter identity: the pooled joint sum and the mean of the fiber
+    # integrals agree within the rounding bound of their summation orders
     rep = decomposition_consistency(system, 40, 2, 256,
                                     [Observable.character(-2),
                                      Observable.character(1)],
                                     SplitMix64(SEED_JOINING + 1))
-    out.append(CheckResult("joining barycenter identity exact",
-                           rep.exact_match, 0.0,
-                           f"dispersion {rep.dispersion:.3f}"))
+    out.append(_check("joining barycenter identity to rounding", rep.gap,
+                      rep.bound, f"gap {rep.gap:.1e} bound {rep.bound:.1e} "
+                      f"dispersion {rep.dispersion:.3f}"))
     # fiber integrals reproduce the start-dependent phase exactly
     worst = 0.0
     for x0 in (0.0, 0.3, 0.711):

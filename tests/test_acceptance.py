@@ -59,7 +59,8 @@ def test_criterion_6_van_der_corput():
 
 
 def test_criterion_7_joining_decomposition():
-    """Barycenter identity exact; self-joining tensor integrals within 0.05
+    """Barycenter identity to rounding (pooled joint sum vs mean of fiber
+    integrals, within their stated bound); self-joining tensor integrals within 0.05
     of the progression-subtorus oracle on the ||k||<=3 box at 1e5 tuples;
     fiber integrals reproduce the start-dependent phase to 1e-9."""
     _drive(7)

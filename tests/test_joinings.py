@@ -4,6 +4,7 @@ import pytest
 from ergolab.averaging import multilinear_average_linear
 from ergolab.errors import (DimensionMismatchError, ResourceCapError,
                             ValidationError)
+from ergolab import joinings
 from ergolab.joinings import (CloudProvenance, DiagonalAction,
                               EmpiricalMeasure, ap_fiber_integral,
                               ap_subtorus_integral,
@@ -13,7 +14,8 @@ from ergolab.joinings import (CloudProvenance, DiagonalAction,
                               marginal, self_joining_tensor_integral,
                               shift_cloud)
 from ergolab.observables import Observable, evaluate
-from ergolab.phases import CHUNK, MeanAccumulator, chunk_ranges, e
+from ergolab.phases import (CHUNK, MeanAccumulator, chunk_ranges, e,
+                            exact_sum)
 from ergolab.rng import SplitMix64
 from ergolab.systems import (GOLDEN, cat_map, default_heisenberg,
                              golden_rotation, orbit_points, standard_skew,
@@ -198,6 +200,29 @@ def test_barycenter_identity_exact_and_dispersion():
     # barycenter near 0
     assert rep.dispersion > 0.8
     assert abs(rep.barycenter) < 0.3
+
+
+def test_barycenter_check_fails_if_pooled_side_drops_a_start(monkeypatch):
+    fs = [Observable.character(-2), Observable.character(1)]
+    rep = decomposition_consistency(G, 40, 2, 256, fs, SplitMix64(8))
+    assert rep.exact_match and rep.gap <= rep.bound < 1e-14
+    # mutation: the pooled sum skips start 0 (the (S, N) array's first row)
+    monkeypatch.setattr(joinings, "exact_sum",
+                        lambda x: exact_sum(np.asarray(x)[1:]))
+    bad = decomposition_consistency(G, 40, 2, 256, fs, SplitMix64(8))
+    assert bad.barycenter == rep.barycenter
+    assert not bad.exact_match
+    assert bad.gap > 1e6 * bad.bound
+
+
+@pytest.mark.parametrize("S,N", [(1, 1), (7, 100), (3, CHUNK + 37)])
+def test_barycenter_gap_within_bound(S, N):
+    fs = [Observable.from_dict(1, {(1,): 0.5 + 0.25j, (-3,): 1.0}),
+          Observable.from_dict(1, {(2,): 1.0 - 1.0j, (0,): 0.75})]
+    rep = decomposition_consistency(G, S, 2, N, fs, SplitMix64(S + N))
+    assert rep.exact_match and 0.0 < rep.bound < 1e-14
+    assert rep.barycenter == integrate_tensor(
+        empirical_self_joining(G, 2, S, N, SplitMix64(S + N)), fs)
 
 
 def test_barycenter_fibers_match_phase_rule():

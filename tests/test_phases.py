@@ -1,0 +1,173 @@
+"""exact_sum against math.fsum, bit for bit, and the call sites that use it."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from ergolab.phases import CHUNK, MeanAccumulator, _SUM_CUTOFF, exact_sum
+from ergolab.seminorms import VdcReport, van_der_corput_check
+
+TINY = 2.2250738585072014e-308          # smallest normal double
+LENGTHS = [0, 1, 2, _SUM_CUTOFF - 1, _SUM_CUTOFF, _SUM_CUTOFF + 1,
+           CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5]
+
+
+def _outcome(fn, x):
+    """fn(x) as ("value", hex) or ("raises", exception type)."""
+    try:
+        return "value", float(fn(x)).hex()
+    except (ValueError, OverflowError) as exc:
+        return "raises", type(exc)
+
+
+def _same_as_fsum(x):
+    assert _outcome(exact_sum, x) == _outcome(math.fsum, x)
+
+
+magnitudes = st.one_of(
+    st.floats(-1.0, 1.0),
+    st.floats(-TINY, TINY),                             # subnormals and +-0
+    st.floats(1e-300, 1e300),
+    st.floats(-1e300, -1e-300),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.0 ** 960, -2.0 ** 960,
+                     2.0 ** 959 * 1.5, 1.7976931348623157e308]),
+)
+
+
+@st.composite
+def arrays(draw):
+    """A float64 array of a drawn length, filled from a small drawn pool,
+    optionally with every value's negation appended (exact cancellation)."""
+    n = draw(st.sampled_from(LENGTHS))
+    pool = np.array(draw(st.lists(magnitudes, min_size=1, max_size=40)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    x = pool[rng.integers(0, pool.size, size=n)]
+    if draw(st.booleans()):
+        x = rng.permutation(np.concatenate([x, -x]))
+    return x
+
+
+@settings(max_examples=300)
+@given(arrays())
+def test_exact_sum_matches_fsum(x):
+    _same_as_fsum(x)
+
+
+@settings(max_examples=150)
+@given(arrays(), st.floats(-1.0, 1.0))
+def test_exact_sum_matches_fsum_on_strided_views(x, c):
+    z = np.empty(x.size, dtype=np.complex128)
+    z.real = x
+    z.imag = x[::-1] * c
+    _same_as_fsum(z.real)
+    _same_as_fsum(z.imag)
+
+
+@settings(max_examples=150)
+@given(arrays(), st.lists(st.sampled_from([math.inf, -math.inf, math.nan]),
+                          min_size=1, max_size=3),
+       st.integers(0, 2 ** 32 - 1))
+def test_exact_sum_nonfinite_follows_fsum(x, bad, seed):
+    x = np.concatenate([x, np.ones(_SUM_CUTOFF)])
+    pos = np.random.default_rng(seed).integers(0, x.size, size=len(bad))
+    x[pos] = bad
+    _same_as_fsum(x)
+
+
+@pytest.mark.parametrize("n", LENGTHS)
+@pytest.mark.parametrize("zero", [0.0, -0.0])
+def test_exact_sum_all_zero_sign(n, zero):
+    x = np.full(n, zero)
+    _same_as_fsum(x)
+    x[::2] = -zero
+    _same_as_fsum(x)
+
+
+def test_exact_sum_cancellation_is_positive_zero():
+    x = np.random.default_rng(3).standard_normal(CHUNK)
+    got = exact_sum(np.concatenate([x, -x]))
+    assert got.hex() == math.fsum(np.concatenate([x, -x])).hex() == "0x0.0p+0"
+
+
+def test_exact_sum_overflow_is_fsums_own():
+    x = np.full(2 * _SUM_CUTOFF, 2.0 ** 1023)
+    with pytest.raises(OverflowError):
+        math.fsum(x)
+    with pytest.raises(OverflowError):
+        exact_sum(x)
+    x[1::2] = -x[1::2]
+    _same_as_fsum(x)
+
+
+def test_exact_sum_bucket_whose_high_parts_cancel():
+    # 0.5 + 2**-27 and -0.5 share an exponent; their 26-bit high parts
+    # cancel and only the low parts carry the sum
+    x = np.tile([0.5 + 2.0 ** -27, -0.5], _SUM_CUTOFF)
+    _same_as_fsum(x)
+    assert exact_sum(x) == _SUM_CUTOFF * 2.0 ** -27
+
+
+def test_exact_sum_wide_and_subnormal_blocks():
+    rng = np.random.default_rng(11)
+    wide = rng.standard_normal(3 * CHUNK) * 10.0 ** rng.integers(-300, 300,
+                                                                 3 * CHUNK)
+    _same_as_fsum(wide)
+    _same_as_fsum(rng.standard_normal(CHUNK) * 5e-324 * 1000)
+    _same_as_fsum(np.concatenate([wide, -wide[:-1]]))
+
+
+# ---------------------------------------------------------------------------
+# Call sites against references written with plain math.fsum
+
+BLOCKS = [("full chunk", CHUNK), ("chunk tail", 5000),
+          ("below crossover", _SUM_CUTOFF // 3)]
+
+
+def _unit_values(n, seed):
+    rng = np.random.default_rng(seed)
+    return np.exp(2j * np.pi * rng.random(n)) * (1 + 1e-9 * rng.random(n))
+
+
+@pytest.mark.parametrize("name,n", BLOCKS)
+def test_mean_accumulator_bits_match_fsum_reference(name, n):
+    blocks = [_unit_values(n, 1), _unit_values(CHUNK, 2), _unit_values(n, 3)]
+    acc = MeanAccumulator()
+    for b in blocks:
+        acc.add(b)
+    re = [math.fsum(b.real) for b in blocks]
+    im = [math.fsum(b.imag) for b in blocks]
+    total = sum(b.size for b in blocks)
+    expect = complex(math.fsum(re) / total, math.fsum(im) / total)
+    assert (acc.mean().real.hex(), acc.mean().imag.hex()) == \
+        (expect.real.hex(), expect.imag.hex())
+
+
+def _vdc_reference(xs, H):
+    """van_der_corput_check with every sum a plain math.fsum."""
+    xs = np.asarray(xs, dtype=np.complex128)
+    if xs.ndim == 1:
+        xs = xs[:, None]
+    N = xs.shape[0] - H
+    mean = np.array([complex(math.fsum(xs[:N, c].real) / N,
+                             math.fsum(xs[:N, c].imag) / N)
+                     for c in range(xs.shape[1])])
+    lhs = float(np.sum(np.abs(mean) ** 2))
+    terms = []
+    for h in range(1, H + 1):
+        inner = np.sum(xs[:N] * np.conj(xs[h:h + N]), axis=1)
+        terms.append(abs(complex(math.fsum(inner.real) / N,
+                                 math.fsum(inner.imag) / N)))
+    return VdcReport(lhs, math.fsum(terms) / H, N, H)
+
+
+@pytest.mark.parametrize("name,n", BLOCKS)
+@pytest.mark.parametrize("cols", [1, 2])
+def test_vdc_report_bits_match_fsum_reference(name, n, cols):
+    H = 7
+    seq = _unit_values((n + H) * cols, 4).reshape(n + H, cols)
+    seq = seq[:, 0] if cols == 1 else seq
+    got, ref = van_der_corput_check(seq, H), _vdc_reference(seq, H)
+    assert got == ref
+    assert (got.lhs.hex(), got.rhs.hex()) == (ref.lhs.hex(), ref.rhs.hex())
