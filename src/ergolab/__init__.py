@@ -36,7 +36,7 @@ from .systems import (GOLDEN, SQRT2_M1, SQRT3_M1, DynamicalSystem,
                       default_heisenberg, ergodicity_certificate,
                       golden_rotation, haar_sample, heisenberg_inv,
                       heisenberg_mul, orbit_points, reduce_mod_lattice,
-                      standard_skew, step, step_pow, system_from_kv,
+                      standard_skew, step, system_from_kv,
                       system_to_kv)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -35,7 +35,7 @@ from .errors import (CommutationError, ResourceCapError, ValidationError)
 from .exact import term_tuples, character_at, obs_coords, _vec_sum
 from .observables import Observable, evaluate
 from .phases import (CHUNK, MeanAccumulator, PhaseForm, chunk_ranges,
-                     exact_sum, frac, e)
+                     exact_sum, progression)
 from .systems import DynamicalSystem, orbit_points, phase_form, probe_points
 
 GRID_CAP = 1 << 24        # direct grid walks refuse beyond this many terms
@@ -85,18 +85,27 @@ def geometric_checkpoints(n_max: int, start: int = 1000, ratio: int = 2) -> tupl
     return tuple(out)
 
 
+def tail_oscillation(checkpoints: Sequence[tuple[int, complex]],
+                     tail_fraction: float) -> tuple[float, list[complex]]:
+    """(max pairwise distance, values) of the checkpoint values in the tail
+    window N >= (1 - tail_fraction) * N_last; the distance is 0.0 when the
+    window holds fewer than 2 values."""
+    cut = (1.0 - tail_fraction) * checkpoints[-1][0]
+    tail = [v for n, v in checkpoints if n >= cut]
+    return max((abs(a - b) for i, a in enumerate(tail) for b in tail[i + 1:]),
+               default=0.0), tail
+
+
 def convergence_diagnostic(traj: AverageTrajectory,
                            tail_fraction: float) -> Diagnostic:
     """Max pairwise distance of checkpoint values in the tail window
     N >= (1 - tail_fraction) * N_max."""
     if not 0.0 < tail_fraction <= 1.0:
         raise ValidationError("tail_fraction must lie in (0, 1]")
-    cut = (1.0 - tail_fraction) * traj.n_max
-    tail = [v for n, v in traj.checkpoints if n >= cut]
+    osc, tail = tail_oscillation(traj.checkpoints, tail_fraction)
     if len(tail) < 3:
         raise ValidationError(
             f"need >= 3 checkpoints in the tail window, found {len(tail)}")
-    osc = max(abs(a - b) for i, a in enumerate(tail) for b in tail[i + 1:])
     return Diagnostic(osc, tail[-1], len(tail), osc == 0.0)
 
 
@@ -201,10 +210,8 @@ def geometric_mean_streamed(form: PhaseForm, checkpoints: Sequence[int]) -> dict
     prev = 0
     for cp in checkpoints:
         for n0, cnt in chunk_ranges(prev, cp - prev, CHUNK):
-            anchor = (n0 // CHUNK) * CHUNK
-            base = form.frac_times(anchor)
-            offs = np.arange(n0 - anchor, n0 - anchor + cnt, dtype=np.float64)
-            acc.add(np.exp((2j * np.pi) * frac(base + offs * stepf)))
+            acc.add(np.exp((2j * np.pi)
+                           * progression(form.frac_times, stepf, n0, cnt)))
         out[cp] = acc.mean()
         prev = cp
     return out

@@ -58,7 +58,6 @@ class ExperimentConfig:
     vdc_family: str | None = None
     box: tuple[int, int] | None = None
     powers: tuple[int, int] = (1, 2)
-    tolerances: tuple[tuple[str, float], ...] = ()
     out_csv: str | None = None
     out_json: str | None = None
     out_bin: str | None = None
@@ -163,11 +162,6 @@ def parse_config(text: str) -> ExperimentConfig:
         if len(parts) != 2:
             raise ValidationError("powers needs two integers")
         powers = (parts[0], parts[1])
-    tolerances = tuple(sorted(
-        (k[len("tol_"):], float(v)) for k, v in list(run.items())
-        if k.startswith("tol_")))
-    for k, _ in tolerances:
-        run.pop("tol_" + k)
     cfg = ExperimentConfig(
         system=system,
         mode=mode,
@@ -187,7 +181,6 @@ def parse_config(text: str) -> ExperimentConfig:
         vdc_family=run.pop("vdc_family", None),
         box=box,
         powers=powers,
-        tolerances=tolerances,
         out_csv=run.pop("out_csv", None),
         out_json=run.pop("out_json", None),
         out_bin=run.pop("out_bin", None),
@@ -232,8 +225,6 @@ def format_config(cfg: ExperimentConfig) -> str:
         lines.append(f"box = {cfg.box[0]} {cfg.box[1]}")
     if cfg.powers != (1, 2):
         lines.append(f"powers = {cfg.powers[0]} {cfg.powers[1]}")
-    for k, v in cfg.tolerances:
-        lines.append(f"tol_{k} = {format_real(v)}")
     for key in ("out_csv", "out_json", "out_bin"):
         val = getattr(cfg, key)
         if val is not None:

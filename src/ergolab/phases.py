@@ -13,7 +13,10 @@ all precision once the product outgrows the mantissa.  The strategy here:
   products (offset * step, offset <= chunk) occur, so the worst-case phase
   error stays ~1e-12 over arbitrarily long orbits.  Because bases are
   recomputed from absolute indices, the emitted floats are a pure function of
-  the index, independent of how callers slice their requests.
+  the index, independent of how callers slice their requests.  One kernel
+  does the anchoring: `anchored_chunks` yields each chunk's anchor and float
+  offsets, and `progression` builds frac(base(anchor) + offset * step) on it.
+  Every orbit and phase stream in the library goes through these two.
 * Sums of orbit values are exact per chunk (`exact_sum`, an exponent-bucket
   superaccumulator that returns math.fsum's correctly rounded bits at numpy
   speed) and math.fsum across chunk sums, which is deterministic and exceeds
@@ -125,6 +128,37 @@ def chunk_ranges(n0: int, count: int, chunk: int = CHUNK) -> Iterator[tuple[int,
         stop = min(end, (n // chunk + 1) * chunk)
         yield n, stop - n
         n = stop
+
+
+def anchored_chunks(n0: int, count: int, chunk: int = CHUNK
+                    ) -> Iterator[tuple[int, int, np.ndarray]]:
+    """Split [n0, n0+count) at absolute multiples of `chunk` and yield
+    (pos, anchor, t): request position pos + i holds index anchor + t[i],
+    with t the float64 in-chunk offsets.  The only place anchors are set."""
+    for start, cnt in chunk_ranges(n0, count, chunk):
+        anchor = (start // chunk) * chunk
+        yield start - n0, anchor, np.arange(start - anchor, start - anchor + cnt,
+                                            dtype=np.float64)
+
+
+def progression(base_at, step: float, n0: int, count: int, chunk: int = CHUNK,
+                out: np.ndarray | None = None) -> np.ndarray:
+    """frac(base_at(anchor) + t * step) over [n0, n0+count), chunk by chunk
+    (see anchored_chunks); base_at(anchor) is the exactly reduced phase at
+    the anchor.  Writes into `out` when given and returns it."""
+    off = n0 % chunk
+    if 0 < count <= chunk - off:      # one chunk: no generator per call
+        vals = frac(base_at(n0 - off)
+                    + np.arange(off, off + count, dtype=np.float64) * step)
+        if out is None:
+            return vals
+        out[:] = vals
+        return out
+    if out is None:
+        out = np.empty(count)
+    for pos, anchor, t in anchored_chunks(n0, count, chunk):
+        out[pos:pos + t.size] = frac(base_at(anchor) + t * step)
+    return out
 
 
 # exact_sum: below this length math.fsum over a list is faster (crossover

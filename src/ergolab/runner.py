@@ -15,15 +15,14 @@ import numpy as np
 
 from .averaging import (FolnerBox, IteratedMap, cube_average,
                         cube_eps_index, folner_average, linear_trajectory,
-                        square_trajectory)
+                        square_trajectory, tail_oscillation)
 from .config import ExperimentConfig
 from .errors import ValidationError
 from .joinings import (ap_subtorus_integral, character_box, decompose_cloud,
                        dump_cloud, empirical_self_joining, integrate_tensor)
 from .observables import format_observable
 from .rng import SplitMix64
-from .seminorms import hk_seminorm, van_der_corput_check
-from .suites import vdc_family
+from .seminorms import hk_seminorm, van_der_corput_check, vdc_family
 from .systems import ergodicity_certificate, orbit_points, system_to_kv
 
 
@@ -37,15 +36,6 @@ def _resolve_start(cfg: ExperimentConfig, rng: SplitMix64 | None) -> np.ndarray:
             raise ValidationError("haar start needs a seed")
         return cfg.system.haar_block(rng, 1)[0]
     return cfg.system.check_point(np.asarray(cfg.start, dtype=np.float64))
-
-
-def _tail_oscillation(values: list[complex], ns: list[int], i: int,
-                      tail_fraction: float) -> float:
-    cut = (1.0 - tail_fraction) * ns[i]
-    tail = [v for n, v in zip(ns[: i + 1], values[: i + 1]) if n >= cut]
-    if len(tail) < 2:
-        return 0.0
-    return max(abs(a - b) for p, a in enumerate(tail) for b in tail[p + 1:])
 
 
 def _write(path: Path, text: str) -> Path:
@@ -137,15 +127,13 @@ def _run_average(cfg, outdir, rng):
         traj = AverageTrajectory("folner", tuple(vals))
     else:
         raise ValidationError(f"unknown scheme {cfg.scheme!r}")
-    ns = [n for n, _ in traj.checkpoints]
-    vs = [v for _, v in traj.checkpoints]
     rows = ["scheme,N,value_re,value_im,oscillation"]
     for i, (n, v) in enumerate(traj.checkpoints):
-        osc = _tail_oscillation(vs, ns, i, cfg.tail_fraction)
+        osc, _ = tail_oscillation(traj.checkpoints[:i + 1], cfg.tail_fraction)
         rows.append(f"{traj.scheme},{n},{_fmt(v.real)},{_fmt(v.imag)},{_fmt(osc)}")
     path = _write(artifact_paths(cfg, outdir)[0], "\n".join(rows) + "\n")
     return {"mode": "average", "scheme": traj.scheme,
-            "checkpoints": len(ns), "csv": str(path)}
+            "checkpoints": len(traj.checkpoints), "csv": str(path)}
 
 
 def _run_seminorm(cfg, outdir, rng):

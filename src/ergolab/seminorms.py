@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -29,9 +30,10 @@ import numpy as np
 from .errors import ResourceCapError, ValidationError
 from .observables import (Observable, compose_with_power, conjugate,
                           evaluate, integral_haar, multiply)
-from .phases import MeanAccumulator, chunk_ranges, exact_sum, CHUNK
+from .phases import (MeanAccumulator, anchored_chunks, chunk_ranges,
+                     exact_sum, frac, frac_fraction, CHUNK)
 from .rng import SplitMix64
-from .systems import DynamicalSystem, orbit_points
+from .systems import GOLDEN, DynamicalSystem, orbit_points
 
 DEFAULT_OUTER_H = 30
 
@@ -191,6 +193,31 @@ def van_der_corput_check(seq, H: int) -> VdcReport:
                                  exact_sum(inner.imag) / N)))
     rhs = math.fsum(terms) / H
     return VdcReport(lhs, rhs, N, H)
+
+
+def quadratic_phase_block(a: float, length: int, chunk: int = 256) -> np.ndarray:
+    """frac(n^2 a) for n < length, chunk-exact (no drift)."""
+    out = np.empty(length)
+    fa = Fraction(a)
+    for pos, anchor, t in anchored_chunks(0, length, chunk):
+        b0 = frac_fraction(anchor * anchor * fa)
+        b1 = frac_fraction(2 * anchor * fa)
+        out[pos:pos + t.size] = frac(b0 + t * b1 + (t * t) * a)
+    return out
+
+
+def vdc_family(name: str, n: int, h: int, alpha: float = GOLDEN) -> np.ndarray:
+    """The n + h terms of a van der Corput test sequence: constant,
+    e(n alpha) or e(n^2 alpha)."""
+    length = n + h
+    if name == "constant":
+        return np.ones(length, dtype=np.complex128)
+    if name == "linear":
+        idx = np.arange(length, dtype=np.float64)
+        return np.exp(2j * np.pi * frac(idx * alpha))
+    if name == "quadratic":
+        return np.exp(2j * np.pi * quadratic_phase_block(alpha, length))
+    raise ValueError(f"unknown family {name!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -26,10 +26,10 @@ from .joinings import (ap_fiber_integral, ap_subtorus_integral, character_box,
                        decomposition_consistency, empirical_self_joining,
                        fiber_measure, integrate_tensor)
 from .observables import Observable, integral_haar
-from .phases import PhaseForm, e, frac, frac_fraction, chunk_ranges
+from .phases import PhaseForm, e
 from .rng import SplitMix64
 from .seminorms import (hk_seminorm, multilinear_norm_bound_check,
-                        van_der_corput_check)
+                        van_der_corput_check, vdc_family)
 from .systems import (GOLDEN, HeisenbergTranslation, Rotation, cat_map,
                       default_heisenberg, ergodicity_certificate,
                       golden_rotation, orbit_points, standard_skew)
@@ -259,34 +259,6 @@ def criterion_multilinear_bound(sample_count: int = 1000,
 
 # ---------------------------------------------------------------------------
 # Criterion 6: van der Corput diagnostic families
-
-
-def quadratic_phase_block(a: float, length: int, chunk: int = 256) -> np.ndarray:
-    """frac(n^2 a) for n < length, chunk-exact (no drift)."""
-    from fractions import Fraction
-    out = np.empty(length)
-    fa = Fraction(a)
-    pos = 0
-    for n0, cnt in chunk_ranges(0, length, chunk):
-        anchor = (n0 // chunk) * chunk
-        b0 = frac_fraction(anchor * anchor * fa)
-        b1 = frac_fraction(2 * anchor * fa)
-        t = np.arange(n0 - anchor, n0 - anchor + cnt, dtype=np.float64)
-        out[pos:pos + cnt] = frac(b0 + t * b1 + (t * t) * a)
-        pos += cnt
-    return out
-
-
-def vdc_family(name: str, n: int, h: int, alpha: float = GOLDEN) -> np.ndarray:
-    length = n + h
-    if name == "constant":
-        return np.ones(length, dtype=np.complex128)
-    if name == "linear":
-        idx = np.arange(length, dtype=np.float64)
-        return np.exp(2j * np.pi * frac(idx * alpha))
-    if name == "quadratic":
-        return np.exp(2j * np.pi * quadratic_phase_block(alpha, length))
-    raise ValueError(f"unknown family {name!r}")
 
 
 def criterion_vdc_families(n: int = 10 ** 5, h: int = 100) -> list[CheckResult]:

@@ -33,8 +33,8 @@ from typing import Sequence, Union
 import numpy as np
 
 from .errors import DimensionMismatchError, ValidationError
-from .phases import (CHUNK, PhaseForm, chunk_ranges, format_real, frac,
-                     frac_combo, frac_fraction)
+from .phases import (PhaseForm, anchored_chunks, format_real, frac,
+                     frac_combo, frac_fraction, progression)
 from .rng import SplitMix64
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -151,15 +151,8 @@ class Rotation:
         x = self.check_point(x)
         out = np.empty((count, self.dim))
         for c, (xc, ac) in enumerate(zip(x, self.alpha)):
-            stepf = frac_combo([(stride, ac)])
-            pos = 0
-            for start, cnt in chunk_ranges(n0, count, CHUNK):
-                anchor = (start // CHUNK) * CHUNK
-                base = frac_combo([(1, xc), (stride * anchor, ac)])
-                offs = np.arange(start - anchor, start - anchor + cnt,
-                                 dtype=np.float64)
-                out[pos:pos + cnt, c] = frac(base + offs * stepf)
-                pos += cnt
+            progression(lambda a: frac_combo([(1, xc), (stride * a, ac)]),
+                        frac_combo([(stride, ac)]), n0, count, out=out[:, c])
         return out
 
     def haar_block(self, rng: SplitMix64, count: int) -> np.ndarray:
@@ -255,20 +248,12 @@ class SkewProduct:
         out = np.empty((count, self.dim))
         chunk = _quad_chunk(stride)
         for c, (yc, ac) in enumerate(zip(y, self.base_alpha)):
-            stepf = frac_combo([(stride, ac)])
-            pos = 0
-            for start, cnt in chunk_ranges(n0, count, chunk):
-                anchor = (start // chunk) * chunk
-                base = frac_combo([(1, yc), (stride * anchor, ac)])
-                offs = np.arange(start - anchor, start - anchor + cnt,
-                                 dtype=np.float64)
-                out[pos:pos + cnt, c] = frac(base + offs * stepf)
-                pos += cnt
+            progression(lambda a: frac_combo([(1, yc), (stride * a, ac)]),
+                        frac_combo([(stride, ac)]), n0, count, chunk,
+                        out=out[:, c])
         for f in range(self.fiber_dim):
             col = self.base_dim + f
-            pos = 0
-            for start, cnt in chunk_ranges(n0, count, chunk):
-                anchor = (start // chunk) * chunk
+            for pos, anchor, t in anchored_chunks(n0, count, chunk):
                 s0 = stride * anchor
                 # g_f(s0 + u) = Bg0 + u*Bg1 + C(u,2)*ab  (mod 1), u = stride*t
                 fr0 = Fraction(float(g[f]))
@@ -286,12 +271,9 @@ class SkewProduct:
                 bg0 = frac_fraction(fr0)
                 bg1 = frac_fraction(fr1)
                 abf = frac_fraction(frab)
-                t = np.arange(start - anchor, start - anchor + cnt,
-                              dtype=np.float64)
                 u = stride * t
-                out[pos:pos + cnt, col] = frac(bg0 + u * bg1
-                                               + (u * (u - 1.0) / 2.0) * abf)
-                pos += cnt
+                out[pos:pos + t.size, col] = frac(bg0 + u * bg1
+                                                  + (u * (u - 1.0) / 2.0) * abf)
         return out
 
     def haar_block(self, rng: SplitMix64, count: int) -> np.ndarray:
@@ -544,31 +526,23 @@ class HeisenbergTranslation:
         # floats (integration against stored clouds relies on this).
         stepa = frac_combo([(stride, self.alpha)])
         stepb = frac_combo([(stride, self.beta)])
-        pos = 0
-        for start, cnt in chunk_ranges(n0, count, CHUNK):
-            anchor = (start // CHUNK) * CHUNK
-            s0 = stride * anchor
-            basea = frac_fraction(fx + s0 * fa)
-            baseb = frac_fraction(fy + s0 * fb)
-            t = np.arange(start - anchor, start - anchor + cnt, dtype=np.float64)
-            out[pos:pos + cnt, 0] = frac(basea + t * stepa)
-            out[pos:pos + cnt, 1] = frac(baseb + t * stepb)
-            pos += cnt
+
+        def x_at(a):
+            return frac_fraction(fx + stride * a * fa)
+        progression(x_at, stepa, n0, count, out=out[:, 0])
+        progression(lambda a: frac_fraction(fy + stride * a * fb), stepb,
+                    n0, count, out=out[:, 1])
         if ncols == 3:
             # z(s0+u) reduced: frac(raw_z - raw_x * floor(raw_y)), split so
             # every floating product stays small (u = stride * t <= ~1024).
             chunk = _quad_chunk(stride)
-            pos = 0
-            for start, cnt in chunk_ranges(n0, count, chunk):
-                anchor = (start // chunk) * chunk
+            for pos, anchor, t in anchored_chunks(n0, count, chunk):
                 s0 = stride * anchor
-                t = np.arange(start - anchor, start - anchor + cnt,
-                              dtype=np.float64)
                 u = stride * t
                 # x re-derived at this finer anchoring: differs from the
                 # stored column only by float noise, and the tighter in-chunk
                 # products keep the xs*gt error ~1e-10 even at large n
-                xs = frac(frac_fraction(fx + s0 * fa) + t * stepa)
+                xs = progression(x_at, stepa, n0 + pos, t.size, chunk)
                 f0 = fy + s0 * fb
                 bigF0 = f0.numerator // f0.denominator
                 yf0 = frac_fraction(f0)
@@ -582,8 +556,7 @@ class HeisenbergTranslation:
                 # so xs * gt matches raw_x * gt mod 1
                 zraw = (bz0 + u * bz1 + (u * (u - 1.0) / 2.0) * abf
                         - bx0 - u * bx1 - xs * gt)
-                out[pos:pos + cnt, 2] = frac(zraw)
-                pos += cnt
+                out[pos:pos + t.size, 2] = frac(zraw)
         return out
 
     def haar_block(self, rng: SplitMix64, count: int) -> np.ndarray:
@@ -611,12 +584,8 @@ DynamicalSystem = Union[Rotation, SkewProduct, ToralAutomorphism,
 
 
 def step(system: DynamicalSystem, p, n: int = 1) -> np.ndarray:
-    """T^n applied to p (default one forward step), reduced."""
-    return system.step(p, n)
-
-
-def step_pow(system: DynamicalSystem, p, n: int) -> np.ndarray:
-    """Closed-form T^n p; equals n-fold composition of step."""
+    """T^n applied to p (default one forward step), reduced; a closed form
+    for every integer n, equal to n-fold composition of one step."""
     return system.step(p, n)
 
 

@@ -100,7 +100,6 @@ scheme = birkhoff
 checkpoints = 100 1000
 start = haar
 seed = 5
-tol_oracle = 1e-09
 """,
     ]
     for text in texts:
@@ -150,6 +149,30 @@ def test_csv_matches_direct_library_call(tmp_path):
         _, ncol, re, im, _ = row.split(",")
         assert int(ncol) == n
         assert float(re) == v.real and float(im) == v.imag
+
+
+@pytest.mark.parametrize("checkpoints,tail_fraction", [
+    ("1000", "0.5"), ("1000 2000", "0.5"), ("1000 2000", "0.25")])
+def test_average_csv_oscillation_column(tmp_path, checkpoints, tail_fraction):
+    # row i holds the max pairwise distance of the values at N >= (1 - tail)
+    # * N_i among the first i + 1 checkpoints, and 0 below two such values
+    text = BASE_CFG.replace("checkpoints = 1000 10000 100000",
+                            f"checkpoints = {checkpoints}\n"
+                            f"tail_fraction = {tail_fraction}")
+    cfg = parse_config(text)
+    run_experiment(cfg, tmp_path)
+    fs = [Observable.character(1), Observable.character(-1)]
+    ns = cfg.checkpoints
+    vals = [v for _, v in square_trajectory(cfg.system, fs, np.array([0.25]),
+                                            ns).checkpoints]
+    osc = [0.0] * len(vals)
+    if len(vals) == 2 and tail_fraction == "0.5":
+        osc[1] = abs(vals[0] - vals[1])
+        assert osc[1] > 0.0
+    expect = ["scheme,N,value_re,value_im,oscillation"] + [
+        f"square,{n},{v.real:.17g},{v.imag:.17g},{o:.17g}"
+        for n, v, o in zip(ns, vals, osc)]
+    assert (tmp_path / "sq.csv").read_text() == "\n".join(expect) + "\n"
 
 
 def test_seminorm_json_fields(tmp_path):
@@ -227,6 +250,16 @@ def test_cli_validation_exit_code(tmp_path):
     proc = run_cli("average", "--config", str(cfg), "--out", str(tmp_path))
     assert proc.returncode == 2
     assert "seed" in proc.stderr
+
+
+def test_cli_rejects_tol_keys(tmp_path):
+    # tol_* keys are unknown run keys like any other: exit 2, nothing written
+    cfg = tmp_path / "tol.cfg"
+    cfg.write_text(BASE_CFG + "tol_oracle = 1e-09\n")
+    proc = run_cli("average", "--config", str(cfg), "--out", str(tmp_path))
+    assert proc.returncode == 2
+    assert "tol_oracle" in proc.stderr
+    assert [f.name for f in tmp_path.iterdir()] == ["tol.cfg"]
 
 
 def test_cli_resource_cap_exit_code(tmp_path):

@@ -13,7 +13,7 @@ from ergolab.observables import (Observable, compose_with_power, conjugate,
 from ergolab.phases import e
 from ergolab.rng import SplitMix64
 from ergolab.systems import (cat_map, default_heisenberg, golden_rotation,
-                             standard_skew, step_pow)
+                             standard_skew, step)
 
 coeffs = st.complex_numbers(max_magnitude=2.0, allow_nan=False,
                             allow_infinity=False)
@@ -142,7 +142,7 @@ def test_compose_matches_orbit_eval(system):
         for _ in range(3):
             p = system.haar_block(rng, 1)[0]
             lhs = evaluate(compose_with_power(f, system, n), p)
-            rhs = evaluate(f, step_pow(system, p, n))
+            rhs = evaluate(f, step(system, p, n))
             assert abs(lhs - rhs) <= 1e-10
 
 

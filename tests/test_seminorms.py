@@ -8,8 +8,8 @@ from ergolab.observables import Observable, integral_haar
 from ergolab.phases import e
 from ergolab.rng import SplitMix64
 from ergolab.seminorms import (hk_seminorm, multilinear_norm_bound_check,
-                               seminorm_ladder, van_der_corput_check)
-from ergolab.suites import quadratic_phase_block, vdc_family
+                               quadratic_phase_block, seminorm_ladder,
+                               van_der_corput_check, vdc_family)
 from ergolab.systems import (GOLDEN, cat_map, default_heisenberg,
                              golden_rotation, standard_skew)
 

@@ -14,7 +14,7 @@ from ergolab.systems import (GOLDEN, HeisenbergTranslation, Rotation,
                              golden_rotation, haar_sample, heisenberg_inv,
                              heisenberg_mul, lattice_translate_witness,
                              orbit_points, reduce_mod_lattice, standard_skew,
-                             step, step_pow, system_from_kv, system_to_kv)
+                             step, system_from_kv, system_to_kv)
 from conftest import circle_dist
 
 unit = st.floats(min_value=0.0, max_value=1.0, exclude_max=True,
@@ -34,7 +34,7 @@ def rand_point(system, seed=13):
 
 
 # ---------------------------------------------------------------------------
-# step / step_pow
+# step, one step and closed-form powers
 
 
 def test_rotation_step_examples():
@@ -53,7 +53,7 @@ def test_heisenberg_step_of_identity():
 def test_step_pow_identity_at_zero():
     for s in all_systems():
         p = rand_point(s)
-        assert np.array_equal(step_pow(s, p, 0), p)
+        assert np.array_equal(step(s, p, 0), p)
 
 
 def test_heisenberg_cube_power_closed_form():
@@ -81,10 +81,10 @@ def test_rotation_pow_example():
 def test_step_pow_consistency_and_inverse(system):
     p = rand_point(system, seed=3)
     for n in range(-15, 16):
-        lhs = step_pow(system, p, n + 1)
-        rhs = step(system, step_pow(system, p, n))
+        lhs = step(system, p, n + 1)
+        rhs = step(system, step(system, p, n))
         assert circle_dist(lhs, rhs) <= 1e-12
-    assert circle_dist(step(system, step_pow(system, p, -1)), p) <= 1e-12
+    assert circle_dist(step(system, step(system, p, -1)), p) <= 1e-12
 
 
 def test_dimension_mismatch_raises():
@@ -162,7 +162,7 @@ def test_orbit_matches_closed_powers(system):
     for stride in (1, 2, 3):
         pts = orbit_points(system, x, stride, 7, 20)
         for i, n in enumerate(range(7, 27)):
-            assert circle_dist(pts[i], step_pow(system, x, stride * n)) <= 1e-10
+            assert circle_dist(pts[i], step(system, x, stride * n)) <= 1e-10
 
 
 def test_rotation_incremental_vs_closed_form_long_orbit():
@@ -175,7 +175,7 @@ def test_rotation_incremental_vs_closed_form_long_orbit():
     for _ in range(n):
         seq = seq + alpha
         seq -= np.floor(seq)
-    closed = step_pow(g, x, n)
+    closed = step(g, x, n)
     chunked = orbit_points(g, x, 1, n, 1)[0]
     assert circle_dist(seq, closed) <= 1e-9
     assert circle_dist(chunked, closed) <= 1e-11
