@@ -34,7 +34,7 @@ from .systems import (GOLDEN, SQRT2_M1, SQRT3_M1, DynamicalSystem,
                       ErgodicityCertificate, HeisenbergTranslation, Rotation,
                       SkewProduct, ToralAutomorphism, cat_map,
                       default_heisenberg, ergodicity_certificate,
-                      golden_rotation, haar_sample, heisenberg_inv,
+                      golden_rotation, heisenberg_inv,
                       heisenberg_mul, orbit_points, reduce_mod_lattice,
                       standard_skew, step, system_from_kv,
                       system_to_kv)

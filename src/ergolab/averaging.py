@@ -25,7 +25,6 @@ integrating a stored fiber cloud reproduces the streamed average bit for bit.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -35,8 +34,9 @@ from .errors import (CommutationError, ResourceCapError, ValidationError)
 from .exact import term_tuples, character_at, obs_coords, _vec_sum
 from .observables import Observable, evaluate
 from .phases import (CHUNK, MeanAccumulator, PhaseForm, chunk_ranges,
-                     exact_sum, progression)
-from .systems import DynamicalSystem, orbit_points, phase_form, probe_points
+                     progression)
+from .rng import SplitMix64
+from .systems import DynamicalSystem, orbit_points, phase_form
 
 GRID_CAP = 1 << 24        # direct grid walks refuse beyond this many terms
 MAX_CUBE_ORDER = 4
@@ -233,43 +233,81 @@ class _GeometricCache:
 
 
 # ---------------------------------------------------------------------------
-# Square averages
+# Grid averages: (1/N^k) sum_{n in [0,N)^k} prod_j f_j(T^{c_j . n} x)
+#
+# The square average is the grid [0,N)^2 with c_j = (1, j); the cube
+# average is [0,N)^k with c_eps = eps.  Every c_j[0] is 0 or 1.
 
 
-def _square_direct(system, fs, x, N) -> complex:
-    d = len(fs)
-    if d * N * N > GRID_CAP:
-        raise ResourceCapError(
-            f"direct square grid {N}x{N} (d={d}) exceeds the cost cap; "
-            "use a phase-linear system for the factorized path")
-    row_sums_re: list[float] = []
-    row_sums_im: list[float] = []
-    for m in range(N):
-        vals = np.ones(N, dtype=np.complex128)
-        for j, f in enumerate(fs):
-            pts = orbit_points(system, x, 1, j * m, N, coords="obs")
-            vals *= evaluate(f, pts)
-        row_sums_re.append(exact_sum(vals.real))
-        row_sums_im.append(exact_sum(vals.imag))
-    return complex(math.fsum(row_sums_re) / (N * N),
-                   math.fsum(row_sums_im) / (N * N))
+def _grid_direct(system, fs, coeffs, x, N) -> complex:
+    """Literal grid walk: one row of the first coordinate per outer index,
+    streamed when c_j[0] = 1 and a single point when c_j[0] = 0."""
+    k = len(coeffs[0])
+    acc = MeanAccumulator()
+    for outer in np.ndindex((N,) * (k - 1)):
+        row = np.ones(N, dtype=np.complex128)
+        for f, c in zip(fs, coeffs):
+            offset = sum(o * ci for o, ci in zip(outer, c[1:]))
+            if c[0]:
+                row *= evaluate(f, orbit_points(system, x, 1, offset, N,
+                                                coords="obs"))
+            else:
+                row *= evaluate(f, orbit_points(system, x, 1, offset, 1,
+                                                coords="obs"))[0]
+        acc.add(row)
+    return acc.mean()
 
 
-def _square_factorized(system, fs, x, checkpoints) -> list[tuple[int, complex]]:
+def _grid_factorized(system, fs, coeffs, x, checkpoints) -> list[tuple[int, complex]]:
+    """The grid mean of one term tuple (coeff, ks) is coeff e(K.x), K the
+    sum of the k_j, times one streamed geometric mean per grid axis i, at
+    the rate sum_j c_j[i] k_j."""
     xo = obs_coords(system, x)
     cache = _GeometricCache(system, checkpoints)
-    pieces = []  # (coeff * e(K.x), K, M)
+    pieces = []  # (coeff * e(K.x), per-axis rates)
     for coeff, ks in term_tuples(list(fs)):
         K = _vec_sum(ks, [1] * len(ks))
-        M = _vec_sum(ks, list(range(len(ks))))
-        pieces.append((coeff * character_at(K, xo), K, M))
+        rates = [_vec_sum(ks, [c[i] for c in coeffs])
+                 for i in range(len(coeffs[0]))]
+        pieces.append((coeff * character_at(K, xo), rates))
     out = []
     for cp in checkpoints:
         total = 0.0 + 0.0j
-        for amp, K, M in pieces:
-            total += amp * cache.get(K)[cp] * cache.get(M)[cp]
+        for amp, rates in pieces:
+            val = amp
+            for r in rates:
+                val *= cache.get(r)[cp]
+            total += val
         out.append((cp, total))
     return out
+
+
+def _grid_means(system, fs, coeffs, x, checkpoints, mode, check_cap):
+    """([(checkpoint, grid mean), ...], path taken) for one of the modes
+    documented on multilinear_average_square; check_cap(N) raises when the
+    direct walk at N exceeds the cost cap."""
+    if mode not in ("auto", "direct", "factorized"):
+        raise ValidationError(f"unknown mode {mode!r}")
+    if mode == "factorized" or (mode == "auto"
+                                and system.phase_basis() is not None):
+        return _grid_factorized(system, fs, coeffs, x, checkpoints), "factorized"
+    out = []
+    for cp in checkpoints:
+        check_cap(cp)
+        out.append((cp, _grid_direct(system, fs, coeffs, x, cp)))
+    return out, "direct"
+
+
+def _square_grid(system, fs, x, checkpoints, mode):
+    d = len(fs)
+
+    def check_cap(N):
+        if d * N * N > GRID_CAP:
+            raise ResourceCapError(
+                f"direct square grid {N}x{N} (d={d}) exceeds the cost cap; "
+                "use a phase-linear system for the factorized path")
+    return _grid_means(system, list(fs), [(1, j) for j in range(d)], x,
+                       list(checkpoints), mode, check_cap)
 
 
 def multilinear_average_square(system: DynamicalSystem, fs: Sequence[Observable],
@@ -284,29 +322,15 @@ def multilinear_average_square(system: DynamicalSystem, fs: Sequence[Observable]
         raise ValidationError("need at least one observable")
     if N < 1:
         raise ValidationError("N must be >= 1")
-    if mode not in ("auto", "direct", "factorized"):
-        raise ValidationError(f"unknown mode {mode!r}")
-    linear_ok = system.phase_basis() is not None
-    if mode == "factorized" or (mode == "auto" and linear_ok):
-        return _square_factorized(system, fs, x, [N])[0][1]
-    return _square_direct(system, fs, x, N)
+    vals, _ = _square_grid(system, fs, x, [N], mode)
+    return vals[0][1]
 
 
 def square_trajectory(system, fs, x, checkpoints, mode="auto",
                       params=None) -> AverageTrajectory:
-    linear_ok = system.phase_basis() is not None
-    if mode == "factorized" or (mode == "auto" and linear_ok):
-        vals = _square_factorized(system, fs, x, list(checkpoints))
-        path = "factorized"
-    else:
-        vals = [(cp, _square_direct(system, fs, x, cp)) for cp in checkpoints]
-        path = "direct"
+    vals, path = _square_grid(system, fs, x, checkpoints, mode)
     return AverageTrajectory("square", tuple(vals),
                              params or _traj_params(system, fs, x, path))
-
-
-# ---------------------------------------------------------------------------
-# Cube averages
 
 
 def cube_eps_index(k: int) -> list[tuple[int, ...]]:
@@ -315,52 +339,6 @@ def cube_eps_index(k: int) -> list[tuple[int, ...]]:
     for mask in range(1, 1 << k):
         out.append(tuple((mask >> i) & 1 for i in range(k)))
     return sorted(out)
-
-
-def _cube_direct(system, fs_by_eps, x, N) -> complex:
-    eps_list = sorted(fs_by_eps)
-    k = len(eps_list[0])
-    if N ** k > GRID_CAP:
-        raise ResourceCapError(f"direct cube grid N^{k} exceeds the cost cap")
-    outer_shape = (N,) * (k - 1)
-    sums_re: list[float] = []
-    sums_im: list[float] = []
-    for outer in np.ndindex(outer_shape):
-        vals = np.ones(N, dtype=np.complex128)
-        for eps in eps_list:
-            offset = sum(o * e_i for o, e_i in zip(outer, eps[1:]))
-            if eps[0]:
-                pts = orbit_points(system, x, 1, offset, N, coords="obs")
-                vals *= evaluate(fs_by_eps[eps], pts)
-            else:
-                pt = orbit_points(system, x, 1, offset, 1, coords="obs")
-                vals *= evaluate(fs_by_eps[eps], pt)[0]
-        sums_re.append(exact_sum(vals.real))
-        sums_im.append(exact_sum(vals.imag))
-    total = complex(math.fsum(sums_re), math.fsum(sums_im))
-    return total / float(N ** k)
-
-
-def _cube_factorized(system, fs_by_eps, x, checkpoints) -> list[tuple[int, complex]]:
-    eps_list = sorted(fs_by_eps)
-    k = len(eps_list[0])
-    xo = obs_coords(system, x)
-    cache = _GeometricCache(system, checkpoints)
-    pieces = []
-    for coeff, ks in term_tuples([fs_by_eps[eps] for eps in eps_list]):
-        K = _vec_sum(ks, [1] * len(ks))
-        rates = [_vec_sum(ks, [eps[i] for eps in eps_list]) for i in range(k)]
-        pieces.append((coeff * character_at(K, xo), rates))
-    out = []
-    for cp in checkpoints:
-        total = 0.0 + 0.0j
-        for amp, rates in pieces:
-            val = amp
-            for r in rates:
-                val *= cache.get(r)[cp]
-            total += val
-        out.append((cp, total))
-    return out
 
 
 def cube_average(system: DynamicalSystem,
@@ -383,12 +361,14 @@ def cube_average(system: DynamicalSystem,
             "cube observables must cover {0,1}^k minus the origin exactly")
     if N < 1:
         raise ValidationError("N must be >= 1")
-    if mode not in ("auto", "direct", "factorized"):
-        raise ValidationError(f"unknown mode {mode!r}")
-    linear_ok = system.phase_basis() is not None
-    if mode == "factorized" or (mode == "auto" and linear_ok):
-        return _cube_factorized(system, fs_by_eps, x, [N])[0][1]
-    return _cube_direct(system, fs_by_eps, x, N)
+
+    def check_cap(n):
+        if n ** k > GRID_CAP:
+            raise ResourceCapError(f"direct cube grid N^{k} exceeds the cost cap")
+    eps_list = sorted(fs_by_eps)
+    vals, _ = _grid_means(system, [fs_by_eps[eps] for eps in eps_list],
+                          eps_list, x, [N], mode, check_cap)
+    return vals[0][1]
 
 
 # ---------------------------------------------------------------------------
@@ -433,8 +413,7 @@ def check_commutation(m1: IteratedMap, m2: IteratedMap, tol: float = 1e-10) -> N
     """Verify S1 S2 = S2 S1 on deterministic sample points."""
     if m1.system.dim != m2.system.dim:
         raise CommutationError("maps act on different state spaces")
-    pts = probe_points(m1.system, 5)
-    for p in pts:
+    for p in m1.system.haar_block(SplitMix64(0xF01DAB1E), 5):
         a = m1.step(m2.step(p))
         b = m2.step(m1.step(p))
         d = np.abs(a - b)
@@ -451,15 +430,10 @@ def folner_average(action, f: Observable, x, box: FolnerBox) -> complex:
     if box.size > GRID_CAP:
         raise ResourceCapError(f"box of {box.size} points exceeds the cost cap")
     x = m1.system.check_point(np.asarray(x, dtype=np.float64))
-    sums_re: list[float] = []
-    sums_im: list[float] = []
+    acc = MeanAccumulator()
     for m in range(box.n2):
-        y = m2.step(x, m)
-        vals = evaluate(f, m1.orbit(y, 0, box.n1))
-        sums_re.append(exact_sum(vals.real))
-        sums_im.append(exact_sum(vals.imag))
-    return complex(math.fsum(sums_re) / box.size,
-                   math.fsum(sums_im) / box.size)
+        acc.add(evaluate(f, m1.orbit(m2.step(x, m), 0, box.n1)))
+    return acc.mean()
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,8 @@ from dataclasses import dataclass
 from .errors import ValidationError
 from .phases import format_real
 from .observables import Observable, format_observable, parse_observable
-from .systems import DynamicalSystem, system_from_kv, system_to_kv
+from .systems import (DynamicalSystem, parse_number, parse_numbers,
+                      system_from_kv, system_to_kv)
 
 MODES = ("orbit", "average", "seminorm", "vdc", "joining", "certify")
 SCHEMES = ("birkhoff", "linear", "square", "cube", "folner")
@@ -133,10 +134,18 @@ def parse_config(text: str) -> ExperimentConfig:
     run = dict(sections["run"])
 
     def pop_int(key):
-        return int(run.pop(key)) if key in run else None
+        return parse_number(key, run.pop(key), int) if key in run else None
 
     def pop_float(key, default=None):
-        return float(run.pop(key)) if key in run else default
+        return parse_number(key, run.pop(key)) if key in run else default
+
+    def pop_pair(key, what):
+        if key not in run:
+            return None
+        parts = parse_numbers(key, run.pop(key), int)
+        if len(parts) != 2:
+            raise ValidationError(f"{key} needs two {what}")
+        return (parts[0], parts[1])
 
     obs = tuple(parse_observable(v, system.obs_dim)
                 for _, v in sorted(sections.get("observables", {}).items()))
@@ -144,24 +153,13 @@ def parse_config(text: str) -> ExperimentConfig:
     if mode is None:
         raise ValidationError("run section needs a mode")
     scheme = run.pop("scheme", None)
-    checkpoints = tuple(int(v) for v in run.pop("checkpoints", "").split())
+    checkpoints = tuple(parse_numbers("checkpoints", run.pop("checkpoints", ""),
+                                      int))
     start_raw = run.pop("start", "haar")
     start = "haar" if start_raw == "haar" else tuple(
-        float(v) for v in start_raw.split())
-    box_raw = run.pop("box", None)
-    box = None
-    if box_raw is not None:
-        parts = [int(v) for v in box_raw.split()]
-        if len(parts) != 2:
-            raise ValidationError("box needs two side lengths")
-        box = (parts[0], parts[1])
-    powers_raw = run.pop("powers", None)
-    powers = (1, 2)
-    if powers_raw is not None:
-        parts = [int(v) for v in powers_raw.split()]
-        if len(parts) != 2:
-            raise ValidationError("powers needs two integers")
-        powers = (parts[0], parts[1])
+        parse_numbers("start", start_raw))
+    box = pop_pair("box", "side lengths")
+    powers = pop_pair("powers", "integers") or (1, 2)
     cfg = ExperimentConfig(
         system=system,
         mode=mode,

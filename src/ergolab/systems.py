@@ -1,6 +1,7 @@
 """Concrete invertible measure-preserving systems on explicit state spaces.
 
-Four kinds are provided, all with coordinates stored as doubles in [0, 1):
+Four kinds of the one `DynamicalSystem` protocol are provided, all with
+coordinates stored as doubles in [0, 1):
 
 * ``Rotation``           -- x |-> x + alpha on the m-torus.
 * ``SkewProduct``        -- (y, g) |-> (y + alpha, g + B y + c) on a base
@@ -28,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
@@ -47,18 +48,32 @@ _QUAD_CHUNK_SPAN = 1024
 
 
 def _as_float_tuple(v) -> tuple[float, ...]:
-    if np.isscalar(v):
-        return (float(v),)
-    return tuple(float(x) for x in v)
+    out = (float(v),) if np.isscalar(v) else tuple(float(x) for x in v)
+    _check_finite(out, "system parameter")
+    return out
 
 
 def _as_int_matrix(m) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(int(x) for x in row) for row in m)
 
 
-def _check_finite(arr) -> None:
+def _check_finite(arr, what: str = "coordinate") -> None:
     if not np.all(np.isfinite(arr)):
-        raise ValidationError("non-finite coordinate")
+        raise ValidationError(f"non-finite {what}")
+
+
+def parse_number(key: str, text: str, conv=float):
+    """One number of a config value; malformed text is a ValidationError
+    naming the key."""
+    try:
+        return conv(text)
+    except ValueError:
+        raise ValidationError(f"{key}: malformed number {text!r}") from None
+
+
+def parse_numbers(key: str, text: str, conv=float) -> list:
+    """The whitespace-separated numbers of a config value."""
+    return [parse_number(key, v, conv) for v in text.split()]
 
 
 def _quad_chunk(stride: int) -> int:
@@ -116,10 +131,46 @@ def lattice_translate_witness(raw) -> tuple[int, int, int]:
 # System kinds
 
 
+class DynamicalSystem:
+    """The protocol every system kind implements.
+
+    A kind declares its config name `kind`, its state dimension `dim`,
+    `step` and `orbit_points` (the closed-form powers), `compose_term` (the
+    action on one character), `kv_items` / `from_kv` (its config keys) and
+    `certify` (its ergodicity decision).  Adding a kind takes one subclass
+    and one `_KINDS` entry.
+    """
+
+    kind: str
+
+    @property
+    def obs_dim(self) -> int:
+        """Number of coordinates observables read."""
+        return self.dim
+
+    def check_point(self, p) -> np.ndarray:
+        p = np.asarray(p, dtype=np.float64)
+        if p.shape[-1:] != (self.dim,):
+            raise DimensionMismatchError(
+                f"point dim {p.shape[-1:]} != {self.kind} dim {self.dim}")
+        _check_finite(p)
+        return p
+
+    def haar_block(self, rng: SplitMix64, count: int) -> np.ndarray:
+        """count points of the invariant measure as rows; advances rng."""
+        return rng.unit_block(count * self.dim).reshape(count, self.dim)
+
+    def phase_basis(self) -> tuple[float, ...] | None:
+        """Rotation rates of the characters when composition with T^n keeps
+        the frequency and multiplies by a phase linear in n; None otherwise."""
+        return None
+
+
 @dataclass(frozen=True)
-class Rotation:
+class Rotation(DynamicalSystem):
     """Translation by a fixed vector on the m-torus, Haar = Lebesgue."""
 
+    kind = "rotation"
     alpha: tuple[float, ...]
 
     def __init__(self, alpha):
@@ -128,18 +179,6 @@ class Rotation:
     @property
     def dim(self) -> int:
         return len(self.alpha)
-
-    @property
-    def obs_dim(self) -> int:
-        return self.dim
-
-    def check_point(self, p) -> np.ndarray:
-        p = np.asarray(p, dtype=np.float64)
-        if p.shape[-1:] != (self.dim,):
-            raise DimensionMismatchError(
-                f"point dim {p.shape[-1:]} != rotation dim {self.dim}")
-        _check_finite(p)
-        return p
 
     def step(self, p, n: int = 1) -> np.ndarray:
         p = self.check_point(p)
@@ -155,9 +194,6 @@ class Rotation:
                         frac_combo([(stride, ac)]), n0, count, out=out[:, c])
         return out
 
-    def haar_block(self, rng: SplitMix64, count: int) -> np.ndarray:
-        return rng.unit_block(count * self.dim).reshape(count, self.dim)
-
     def phase_basis(self) -> tuple[float, ...]:
         return self.alpha
 
@@ -167,12 +203,24 @@ class Rotation:
         return k, e(ph)
 
     def kv_items(self):
-        return [("kind", "rotation"),
-                ("alpha", " ".join(format_real(a) for a in self.alpha))]
+        return [("alpha", " ".join(format_real(a) for a in self.alpha))]
+
+    @classmethod
+    def from_kv(cls, kv):
+        return cls(parse_numbers("alpha", kv["alpha"]))
+
+    def certify(self, bound: int) -> tuple[str, str]:
+        """Ergodic iff no integer vector k with ||k||_inf <= bound has
+        k . alpha integral (tolerance 1e-12, confirmed in exact arithmetic)."""
+        k = _rotation_resonance(self.alpha, bound)
+        if k is None:
+            return ("ergodic",
+                    f"no integer relation k.alpha in Z with ||k||inf <= {bound}")
+        return "non-ergodic", f"resonant frequency k={k}"
 
 
 @dataclass(frozen=True)
-class SkewProduct:
+class SkewProduct(DynamicalSystem):
     """Affine cocycle extension of a torus rotation.
 
     T(y, g) = (y + alpha, g + B y + c) with B an integer matrix
@@ -180,6 +228,7 @@ class SkewProduct:
     (x, y) |-> (x + alpha, y + x) is SkewProduct((alpha,), ((1,),), (0.0,)).
     """
 
+    kind = "skew"
     base_alpha: tuple[float, ...]
     linear: tuple[tuple[int, ...], ...]
     const: tuple[float, ...]
@@ -206,18 +255,6 @@ class SkewProduct:
     @property
     def dim(self) -> int:
         return self.base_dim + self.fiber_dim
-
-    @property
-    def obs_dim(self) -> int:
-        return self.dim
-
-    def check_point(self, p) -> np.ndarray:
-        p = np.asarray(p, dtype=np.float64)
-        if p.shape[-1:] != (self.dim,):
-            raise DimensionMismatchError(
-                f"point dim {p.shape[-1:]} != skew dim {self.dim}")
-        _check_finite(p)
-        return p
 
     def _fiber_shift_terms(self, y, n: int, f: int):
         """Exact Fraction terms of the f-th fiber coordinate shift for T^n."""
@@ -276,12 +313,6 @@ class SkewProduct:
                                                   + (u * (u - 1.0) / 2.0) * abf)
         return out
 
-    def haar_block(self, rng: SplitMix64, count: int) -> np.ndarray:
-        return rng.unit_block(count * self.dim).reshape(count, self.dim)
-
-    def phase_basis(self):
-        return None  # frequencies move under composition; not phase-linear
-
     def compose_term(self, k: tuple[int, ...], n: int) -> tuple[tuple[int, ...], complex]:
         from .phases import e
         p = k[:self.base_dim]
@@ -297,21 +328,41 @@ class SkewProduct:
             terms.append((n * q[f], self.const[f]))
         return new_p + q, e(frac_combo(terms))
 
-    def project_to_base(self, f):
-        """Conditional expectation onto the base factor: drop every term with
-        a nonzero fiber frequency (its fiber integral vanishes)."""
-        from .observables import Observable
-        kept = {}
-        for k, cf in f.terms:
-            if all(c == 0 for c in k[self.base_dim:]):
-                kept[k[:self.base_dim]] = kept.get(k[:self.base_dim], 0) + cf
-        return Observable.from_dict(self.base_dim, kept)
-
     def kv_items(self):
-        return [("kind", "skew"),
-                ("base_alpha", " ".join(format_real(a) for a in self.base_alpha)),
+        return [("base_alpha", " ".join(format_real(a) for a in self.base_alpha)),
                 ("cocycle_linear", " ".join(str(x) for row in self.linear for x in row)),
                 ("cocycle_const", " ".join(format_real(a) for a in self.const))]
+
+    @classmethod
+    def from_kv(cls, kv):
+        base = tuple(parse_numbers("base_alpha", kv["base_alpha"]))
+        flat = parse_numbers("cocycle_linear", kv["cocycle_linear"], int)
+        if len(flat) % len(base):
+            raise ValidationError("cocycle linear part shape mismatch")
+        fdim = len(flat) // len(base)
+        linear = tuple(tuple(flat[i * len(base):(i + 1) * len(base)])
+                       for i in range(fdim))
+        const = parse_numbers("cocycle_const", kv.get("cocycle_const", ""))
+        return cls(base, linear, const or None)
+
+    def certify(self, bound: int) -> tuple[str, str]:
+        """A resonant base rotation is a non-ergodic factor.  Over an ergodic
+        base, an obstruction needs a character e(p.y + q.g) with B^T q = 0 and
+        p.alpha + q.c integral: none exists for one fiber coordinate with a
+        nonzero slope, and a zero cocycle slope leaves the product rotation
+        (alpha, c).  Other cocycle shapes stay undetermined."""
+        verdict, witness = Rotation(self.base_alpha).certify(bound)
+        if verdict == "non-ergodic":
+            return verdict, f"base rotation: {witness}"
+        if self.fiber_dim == 1 and any(self.linear[0]):
+            return ("ergodic",
+                    "ergodic base rotation with nonzero integer cocycle slope")
+        if all(not any(row) for row in self.linear):
+            k = _rotation_resonance(self.base_alpha + self.const, bound)
+            if k is None:
+                return "ergodic", "product rotation with no joint resonance found"
+            return "non-ergodic", f"product-rotation resonance k={k}"
+        return "undetermined", "cocycle shape outside the certified cases"
 
 
 def _int_mat_mul(a, b):
@@ -366,9 +417,10 @@ def _int_mat_inverse(a):
 
 
 @dataclass(frozen=True)
-class ToralAutomorphism:
+class ToralAutomorphism(DynamicalSystem):
     """x |-> A x mod 1 with A integer and |det A| = 1 (Haar-preserving)."""
 
+    kind = "automorphism"
     matrix: tuple[tuple[int, ...], ...]
 
     def __init__(self, matrix):
@@ -382,18 +434,6 @@ class ToralAutomorphism:
     @property
     def dim(self) -> int:
         return len(self.matrix)
-
-    @property
-    def obs_dim(self) -> int:
-        return self.dim
-
-    def check_point(self, p) -> np.ndarray:
-        p = np.asarray(p, dtype=np.float64)
-        if p.shape[-1:] != (self.dim,):
-            raise DimensionMismatchError(
-                f"point dim {p.shape[-1:]} != automorphism dim {self.dim}")
-        _check_finite(p)
-        return p
 
     def _apply_exact(self, mat, p: np.ndarray) -> np.ndarray:
         out = np.empty(self.dim)
@@ -427,12 +467,6 @@ class ToralAutomorphism:
             mat = _int_mat_mul(mstride, mat)
         return out
 
-    def haar_block(self, rng: SplitMix64, count: int) -> np.ndarray:
-        return rng.unit_block(count * self.dim).reshape(count, self.dim)
-
-    def phase_basis(self):
-        return None
-
     def compose_term(self, k: tuple[int, ...], n: int) -> tuple[tuple[int, ...], complex]:
         from .errors import FrequencyOverflowError
         mat = _int_mat_pow(self.matrix, n)
@@ -447,12 +481,38 @@ class ToralAutomorphism:
         return new_k, 1.0 + 0.0j
 
     def kv_items(self):
-        return [("kind", "automorphism"),
-                ("matrix", " ".join(str(x) for row in self.matrix for x in row))]
+        return [("matrix", " ".join(str(x) for row in self.matrix for x in row))]
+
+    @classmethod
+    def from_kv(cls, kv):
+        flat = parse_numbers("matrix", kv["matrix"], int)
+        dim = math.isqrt(len(flat))
+        if dim * dim != len(flat):
+            raise ValidationError("matrix entries do not form a square")
+        return cls(tuple(tuple(flat[i * dim:(i + 1) * dim]) for i in range(dim)))
+
+    def certify(self, bound: int) -> tuple[str, str]:
+        """Certainly ergodic when no eigenvalue sits on the unit circle;
+        non-ergodic iff some power A^n (n <= bound) has eigenvalue 1 as an
+        integer matrix; undetermined otherwise."""
+        eigs = np.linalg.eigvals(np.array(self.matrix, dtype=np.float64))
+        if not np.any(np.abs(np.abs(eigs) - 1.0) < 1e-9):
+            return "ergodic", "no eigenvalue on the unit circle (hyperbolic)"
+        power = self.matrix
+        for n in range(1, bound + 1):
+            shifted = tuple(tuple(power[i][j] - (1 if i == j else 0)
+                                  for j in range(self.dim))
+                            for i in range(self.dim))
+            if _int_det(shifted) == 0:
+                return ("non-ergodic",
+                        f"A^{n} has eigenvalue 1 (root-of-unity spectrum)")
+            power = _int_mat_mul(power, self.matrix)
+        return ("undetermined",
+                f"unit-modulus eigenvalue but no root of unity of order <= {bound}")
 
 
 @dataclass(frozen=True)
-class HeisenbergTranslation:
+class HeisenbergTranslation(DynamicalSystem):
     """Left translation by t = (alpha, beta, 0) on the Heisenberg nilmanifold.
 
     t^n = (n a, n b, C(n,2) a b); applied to p = (x, y, z) this gives the
@@ -461,12 +521,14 @@ class HeisenbergTranslation:
     (x, y) base coordinates only, so obs_dim = 2.
     """
 
+    kind = "heisenberg"
     alpha: float
     beta: float
 
     def __init__(self, alpha: float, beta: float):
-        object.__setattr__(self, "alpha", float(alpha))
-        object.__setattr__(self, "beta", float(beta))
+        alpha, beta = _as_float_tuple((alpha, beta))
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "beta", beta)
 
     @property
     def dim(self) -> int:
@@ -475,18 +537,6 @@ class HeisenbergTranslation:
     @property
     def obs_dim(self) -> int:
         return 2
-
-    def check_point(self, p) -> np.ndarray:
-        p = np.asarray(p, dtype=np.float64)
-        if p.shape[-1:] != (3,):
-            raise DimensionMismatchError("Heisenberg point needs 3 coordinates")
-        _check_finite(p)
-        return p
-
-    def translation(self, n: int = 1) -> tuple[float, float, float]:
-        """t^n in exact-reduction-friendly (unreduced) coordinates."""
-        return (n * self.alpha, n * self.beta,
-                float(binom2(n) * Fraction(self.alpha) * Fraction(self.beta)))
 
     def step(self, p, n: int = 1) -> np.ndarray:
         p = self.check_point(p)
@@ -559,9 +609,6 @@ class HeisenbergTranslation:
                 out[pos:pos + t.size, 2] = frac(zraw)
         return out
 
-    def haar_block(self, rng: SplitMix64, count: int) -> np.ndarray:
-        return rng.unit_block(count * 3).reshape(count, 3)
-
     def phase_basis(self) -> tuple[float, float]:
         return (self.alpha, self.beta)
 
@@ -570,28 +617,29 @@ class HeisenbergTranslation:
         ph = frac_combo([(n * k[0], self.alpha), (n * k[1], self.beta)])
         return k, e(ph)
 
-    def base_rotation(self) -> Rotation:
-        return Rotation((self.alpha, self.beta))
-
     def kv_items(self):
-        return [("kind", "heisenberg"),
-                ("alpha", format_real(self.alpha)),
+        return [("alpha", format_real(self.alpha)),
                 ("beta", format_real(self.beta))]
 
+    @classmethod
+    def from_kv(cls, kv):
+        return cls(parse_number("alpha", kv["alpha"]),
+                   parse_number("beta", kv["beta"]))
 
-DynamicalSystem = Union[Rotation, SkewProduct, ToralAutomorphism,
-                        HeisenbergTranslation]
+    def certify(self, bound: int) -> tuple[str, str]:
+        """The verdict of the induced base rotation (alpha, beta)."""
+        verdict, witness = Rotation((self.alpha, self.beta)).certify(bound)
+        return verdict, f"base rotation: {witness}"
+
+
+_KINDS = {cls.kind: cls for cls in (Rotation, SkewProduct, ToralAutomorphism,
+                                    HeisenbergTranslation)}
 
 
 def step(system: DynamicalSystem, p, n: int = 1) -> np.ndarray:
     """T^n applied to p (default one forward step), reduced; a closed form
     for every integer n, equal to n-fold composition of one step."""
     return system.step(p, n)
-
-
-def haar_sample(system: DynamicalSystem, rng: SplitMix64) -> np.ndarray:
-    """One uniform point of the invariant measure; advances rng."""
-    return system.haar_block(rng, 1)[0]
 
 
 def orbit_points(system: DynamicalSystem, x, stride: int, n0: int,
@@ -613,12 +661,6 @@ def phase_form(system: DynamicalSystem, k: Sequence[int]) -> PhaseForm | None:
     if basis is None:
         return None
     return PhaseForm(tuple(int(v) for v in k), basis)
-
-
-def probe_points(system: DynamicalSystem, count: int = 5) -> np.ndarray:
-    """Deterministic sample points used by internal sanity checks."""
-    rng = SplitMix64(0xF01DAB1E)
-    return system.haar_block(rng, count)
 
 
 # ---------------------------------------------------------------------------
@@ -674,80 +716,12 @@ def _rotation_resonance(alpha: tuple[float, ...], bound: int):
 
 def ergodicity_certificate(system: DynamicalSystem,
                            search_bound: int) -> ErgodicityCertificate:
-    """Decide ergodicity within a declared finite search.
-
-    Rotations: ergodic iff no integer vector k with ||k||_inf <= bound has
-    k . alpha integral (tolerance 1e-12, confirmed in exact arithmetic).
-    Heisenberg translations follow the verdict of the induced base rotation
-    (alpha, beta).  Automorphisms are non-ergodic iff some power A^n (n <=
-    bound) has eigenvalue 1 as an integer matrix, certainly ergodic when no
-    eigenvalue sits on the unit circle, undetermined otherwise.
-    """
+    """Decide ergodicity within a declared finite search; each kind's
+    `certify` states its criterion."""
     if search_bound < 1:
         raise ValidationError("search_bound must be >= 1")
-    if isinstance(system, Rotation):
-        k = _rotation_resonance(system.alpha, search_bound)
-        if k is None:
-            return ErgodicityCertificate(
-                system, "ergodic",
-                f"no integer relation k.alpha in Z with ||k||inf <= {search_bound}",
-                search_bound)
-        return ErgodicityCertificate(
-            system, "non-ergodic", f"resonant frequency k={k}", search_bound)
-    if isinstance(system, HeisenbergTranslation):
-        base = ergodicity_certificate(system.base_rotation(), search_bound)
-        return ErgodicityCertificate(
-            system, base.verdict, f"base rotation: {base.witness}", search_bound)
-    if isinstance(system, ToralAutomorphism):
-        eigs = np.linalg.eigvals(np.array(system.matrix, dtype=np.float64))
-        on_circle = np.abs(np.abs(eigs) - 1.0) < 1e-9
-        if not np.any(on_circle):
-            return ErgodicityCertificate(
-                system, "ergodic",
-                "no eigenvalue on the unit circle (hyperbolic)", search_bound)
-        power = tuple(tuple(row) for row in system.matrix)
-        for n in range(1, search_bound + 1):
-            shifted = tuple(tuple(power[i][j] - (1 if i == j else 0)
-                                  for j in range(system.dim))
-                            for i in range(system.dim))
-            if _int_det(shifted) == 0:
-                return ErgodicityCertificate(
-                    system, "non-ergodic",
-                    f"A^{n} has eigenvalue 1 (root-of-unity spectrum)",
-                    search_bound)
-            power = _int_mat_mul(power, system.matrix)
-        return ErgodicityCertificate(
-            system, "undetermined",
-            f"unit-modulus eigenvalue but no root of unity of order <= {search_bound}",
-            search_bound)
-    if isinstance(system, SkewProduct):
-        base = ergodicity_certificate(Rotation(system.base_alpha), search_bound)
-        if base.verdict == "non-ergodic":
-            return ErgodicityCertificate(
-                system, "non-ergodic", f"base rotation: {base.witness}",
-                search_bound)
-        # base ergodic: obstruction requires a character e(p.y + q.g) with
-        # B^T q = 0 and p.alpha + q.c integral
-        if system.fiber_dim == 1 and any(system.linear[0]):
-            return ErgodicityCertificate(
-                system, "ergodic",
-                "ergodic base rotation with nonzero integer cocycle slope",
-                search_bound)
-        if all(not any(row) for row in system.linear):
-            k = _rotation_resonance(system.base_alpha + system.const,
-                                    search_bound)
-            if k is None:
-                return ErgodicityCertificate(
-                    system, "ergodic",
-                    "product rotation with no joint resonance found",
-                    search_bound)
-            return ErgodicityCertificate(
-                system, "non-ergodic", f"product-rotation resonance k={k}",
-                search_bound)
-        return ErgodicityCertificate(
-            system, "undetermined",
-            "cocycle shape outside the certified cases", search_bound)
-    raise ValidationError(f"unknown system {system!r}")
+    verdict, witness = system.certify(search_bound)
+    return ErgodicityCertificate(system, verdict, witness, search_bound)
 
 
 # ---------------------------------------------------------------------------
@@ -755,34 +729,17 @@ def ergodicity_certificate(system: DynamicalSystem,
 
 
 def system_to_kv(system: DynamicalSystem) -> dict[str, str]:
-    return dict(system.kv_items())
+    return {"kind": system.kind, **dict(system.kv_items())}
 
 
 def system_from_kv(kv: dict[str, str]) -> DynamicalSystem:
-    kind = kv.get("kind")
-    if kind == "rotation":
-        return Rotation(tuple(float(v) for v in kv["alpha"].split()))
-    if kind == "heisenberg":
-        return HeisenbergTranslation(float(kv["alpha"]), float(kv["beta"]))
-    if kind == "automorphism":
-        flat = [int(v) for v in kv["matrix"].split()]
-        dim = math.isqrt(len(flat))
-        if dim * dim != len(flat):
-            raise ValidationError("matrix entries do not form a square")
-        return ToralAutomorphism(tuple(tuple(flat[i * dim:(i + 1) * dim])
-                                       for i in range(dim)))
-    if kind == "skew":
-        base = tuple(float(v) for v in kv["base_alpha"].split())
-        flat = [int(v) for v in kv["cocycle_linear"].split()]
-        if len(flat) % len(base):
-            raise ValidationError("cocycle linear part shape mismatch")
-        fdim = len(flat) // len(base)
-        linear = tuple(tuple(flat[i * len(base):(i + 1) * len(base)])
-                       for i in range(fdim))
-        const = tuple(float(v) for v in kv.get("cocycle_const", "").split()) \
-            or (0.0,) * fdim
-        return SkewProduct(base, linear, const)
-    raise ValidationError(f"unknown system kind {kind!r}")
+    cls = _KINDS.get(kv.get("kind"))
+    if cls is None:
+        raise ValidationError(f"unknown system kind {kv.get('kind')!r}")
+    try:
+        return cls.from_kv(kv)
+    except KeyError as exc:
+        raise ValidationError(f"{cls.kind} system needs key {exc}") from None
 
 
 def cat_map() -> ToralAutomorphism:

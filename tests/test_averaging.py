@@ -7,20 +7,22 @@ from hypothesis import strategies as st
 
 from ergolab import exact
 from ergolab.averaging import (AverageTrajectory, FolnerBox, IteratedMap,
-                               birkhoff_average, convergence_diagnostic,
-                               cube_average, cube_eps_index, folner_average,
+                               _grid_direct, birkhoff_average,
+                               convergence_diagnostic, cube_average,
+                               cube_eps_index, folner_average,
                                geometric_checkpoints, is_tempered,
                                linear_trajectory, multilinear_average_linear,
                                multilinear_average_square,
-                               product_difference_bound,
+                               product_difference_bound, square_trajectory,
                                temperedness_margins, union_of_difference_sets)
 from ergolab.errors import (CommutationError, ResourceCapError,
                             ValidationError)
 from ergolab.observables import Observable, compose_with_power, evaluate
-from ergolab.phases import e
+from ergolab.phases import e, exact_sum
 from ergolab.rng import SplitMix64
-from ergolab.systems import (GOLDEN, Rotation, cat_map, default_heisenberg,
-                             golden_rotation, standard_skew, step)
+from ergolab.systems import (GOLDEN, Rotation, SkewProduct, cat_map,
+                             default_heisenberg, golden_rotation,
+                             orbit_points, standard_skew, step)
 
 G = golden_rotation()
 X = np.array([0.3])
@@ -242,6 +244,86 @@ def test_square_direct_cost_guard():
                                    [Observable.character((1, 0))],
                                    np.array([0.1, 0.2]), 10 ** 5,
                                    mode="direct")
+
+
+def test_square_trajectory_rejects_unknown_mode():
+    with pytest.raises(ValidationError, match="bogus"):
+        square_trajectory(standard_skew(), [Observable.character((1, 0))],
+                          np.array([0.1, 0.2]), [4, 8], mode="bogus")
+
+
+# Frozen copies of the separate square and cube grid walks that _grid_direct
+# replaced; the shared walk must reproduce their bits.
+
+
+def _frozen_square_direct(system, fs, x, N):
+    row_sums_re, row_sums_im = [], []
+    for m in range(N):
+        vals = np.ones(N, dtype=np.complex128)
+        for j, f in enumerate(fs):
+            pts = orbit_points(system, x, 1, j * m, N, coords="obs")
+            vals *= evaluate(f, pts)
+        row_sums_re.append(exact_sum(vals.real))
+        row_sums_im.append(exact_sum(vals.imag))
+    return complex(math.fsum(row_sums_re) / (N * N),
+                   math.fsum(row_sums_im) / (N * N))
+
+
+def _frozen_cube_direct(system, fs_by_eps, x, N):
+    eps_list = sorted(fs_by_eps)
+    k = len(eps_list[0])
+    sums_re, sums_im = [], []
+    for outer in np.ndindex((N,) * (k - 1)):
+        vals = np.ones(N, dtype=np.complex128)
+        for eps in eps_list:
+            offset = sum(o * e_i for o, e_i in zip(outer, eps[1:]))
+            if eps[0]:
+                pts = orbit_points(system, x, 1, offset, N, coords="obs")
+                vals *= evaluate(fs_by_eps[eps], pts)
+            else:
+                pt = orbit_points(system, x, 1, offset, 1, coords="obs")
+                vals *= evaluate(fs_by_eps[eps], pt)[0]
+        sums_re.append(exact_sum(vals.real))
+        sums_im.append(exact_sum(vals.imag))
+    return complex(math.fsum(sums_re), math.fsum(sums_im)) / float(N ** k)
+
+
+def _bits(v: complex) -> bytes:
+    return np.complex128(v).tobytes()
+
+
+def _pinning_observables(count, seed):
+    rng = SplitMix64(seed)
+    out = []
+    for _ in range(count):
+        terms = {}
+        for _ in range(2):
+            k = tuple(int(rng.next_u64() % 5) - 2 for _ in range(2))
+            terms[k] = complex(rng.unit_block(1)[0] - 0.5,
+                               rng.unit_block(1)[0] - 0.5)
+        out.append(Observable.from_dict(2, terms))
+    return out
+
+
+@pytest.mark.parametrize("system", [cat_map(),
+                                    SkewProduct((0.3,), ((2,),), (0.125,))],
+                         ids=["cat_map", "skew"])
+def test_grid_direct_bits_match_frozen_walks(system):
+    x = system.haar_block(SplitMix64(17), 1)[0]
+    for d in (1, 2, 3):
+        fs = _pinning_observables(d, 100 + d)
+        coeffs = [(1, j) for j in range(d)]
+        for n in (1, 2, 5, 17, 33):
+            assert _bits(_grid_direct(system, fs, coeffs, x, n)) == \
+                _bits(_frozen_square_direct(system, fs, x, n))
+    for k in (1, 2, 3):
+        eps_list = cube_eps_index(k)
+        fs_by_eps = dict(zip(eps_list,
+                             _pinning_observables(len(eps_list), 200 + k)))
+        for n in (1, 3, 8, 13):
+            assert _bits(_grid_direct(system, [fs_by_eps[eps] for eps in eps_list],
+                                      eps_list, x, n)) == \
+                _bits(_frozen_cube_direct(system, fs_by_eps, x, n))
 
 
 # ---------------------------------------------------------------------------

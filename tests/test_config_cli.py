@@ -360,6 +360,56 @@ out_csv = out{i}.csv
     assert (tmp_path / "out0.csv").exists() and (tmp_path / "out1.csv").exists()
 
 
+CERTIFY_CFG = """[system]
+{system}
+[run]
+mode = certify
+search_bound = {bound}
+out_json = cert.json
+"""
+
+
+def _certify(system, bound="5"):
+    return CERTIFY_CFG.format(system=system, bound=bound)
+
+
+# (subcommand, config text, key that holds the malformed number)
+MALFORMED_NUMBERS = [
+    ("average", BASE_CFG.replace("alpha = 0.61803398874989479", "alpha = abc"),
+     "alpha"),
+    ("certify", _certify("kind = automorphism\nmatrix = 2 1 x 1"), "matrix"),
+    ("certify", _certify("kind = skew\nbase_alpha = 0.5\ncocycle_linear = 1\n"
+                         "cocycle_const = zz"), "cocycle_const"),
+    ("certify", _certify("kind = rotation\nalpha = 0.5", bound="five"),
+     "search_bound"),
+    ("average", BASE_CFG.replace("checkpoints = 1000 10000 100000",
+                                 "checkpoints = 10 x"), "checkpoints"),
+    ("average", BASE_CFG.replace("start = 0.25", "start = 0.1 zz"), "start"),
+    ("average", BASE_CFG + "tail_fraction = abc\n", "tail_fraction"),
+]
+
+
+@pytest.mark.parametrize("command,text,key", MALFORMED_NUMBERS,
+                         ids=[case[2] for case in MALFORMED_NUMBERS])
+def test_cli_malformed_number_names_key(tmp_path, command, text, key):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    proc = run_cli(command, "--config", str(cfg), "--out", str(tmp_path))
+    assert proc.returncode == 2, proc.stderr
+    assert key in proc.stderr and "Traceback" not in proc.stderr
+    assert [f.name for f in tmp_path.iterdir()] == ["bad.cfg"]
+
+
+def test_cli_rejects_nonfinite_system_parameter(tmp_path):
+    # 1e400 parses to inf; a NaN alpha used to certify as ergodic
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(_certify("kind = rotation\nalpha = nan 1e400"))
+    proc = run_cli("certify", "--config", str(cfg), "--out", str(tmp_path))
+    assert proc.returncode == 2, proc.stderr
+    assert "non-finite" in proc.stderr
+    assert [f.name for f in tmp_path.iterdir()] == ["bad.cfg"]
+
+
 def test_cli_wrong_mode_for_subcommand(tmp_path):
     cfg = tmp_path / "avg.cfg"
     cfg.write_text(BASE_CFG)

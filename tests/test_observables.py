@@ -185,20 +185,6 @@ def test_automorphism_overflow_names_power():
     assert "T^200" in str(info.value)
 
 
-def test_skew_projection_to_base():
-    # conditional expectation onto the base factor drops fiber frequencies
-    s = standard_skew()
-    f = Observable.from_dict(2, {(2, 0): 1.5, (1, 1): 1.0, (0, -2): 3.0j,
-                                 (0, 0): 0.25})
-    proj = s.project_to_base(f)
-    assert proj.dim == 1
-    assert proj.coefficient(2) == 1.5
-    assert proj.coefficient(0) == 0.25
-    assert proj.coefficient(1) == 0.0
-    # projection preserves the Haar integral
-    assert integral_haar(proj) == integral_haar(f)
-
-
 def test_monte_carlo_integral_consistency():
     f = Observable.from_dict(1, {(0,): 0.25, (1,): 1.0, (-3,): 0.5j})
     pts = golden_rotation().haar_block(SplitMix64(31), 100_000)

@@ -8,13 +8,14 @@ from hypothesis import strategies as st
 
 from ergolab.errors import DimensionMismatchError, ValidationError
 from ergolab.rng import SplitMix64
-from ergolab.systems import (GOLDEN, HeisenbergTranslation, Rotation,
-                             SkewProduct, ToralAutomorphism, cat_map,
-                             default_heisenberg, ergodicity_certificate,
-                             golden_rotation, haar_sample, heisenberg_inv,
-                             heisenberg_mul, lattice_translate_witness,
-                             orbit_points, reduce_mod_lattice, standard_skew,
-                             step, system_from_kv, system_to_kv)
+from ergolab.systems import (GOLDEN, SQRT2_M1, HeisenbergTranslation,
+                             Rotation, SkewProduct, ToralAutomorphism,
+                             cat_map, default_heisenberg,
+                             ergodicity_certificate, golden_rotation,
+                             heisenberg_inv, heisenberg_mul,
+                             lattice_translate_witness, orbit_points,
+                             reduce_mod_lattice, standard_skew, step,
+                             system_from_kv, system_to_kv)
 from conftest import circle_dist
 
 unit = st.floats(min_value=0.0, max_value=1.0, exclude_max=True,
@@ -87,11 +88,33 @@ def test_step_pow_consistency_and_inverse(system):
     assert circle_dist(step(system, step(system, p, -1)), p) <= 1e-12
 
 
-def test_dimension_mismatch_raises():
+@pytest.mark.parametrize("system", all_systems(),
+                         ids=lambda s: type(s).__name__)
+def test_dimension_mismatch_raises(system):
     with pytest.raises(DimensionMismatchError):
-        golden_rotation().step(np.array([0.1, 0.2]))
+        system.step(np.full(system.dim + 1, 0.1))
     with pytest.raises(DimensionMismatchError):
-        cat_map().step(np.array([0.1]))
+        system.step(np.full(system.dim - 1, 0.1))
+    with pytest.raises(ValidationError):
+        system.step(np.full(system.dim, np.nan))
+
+
+# One constructor per kind with real parameters (an automorphism has
+# integer entries only), with a chosen parameter replaced.
+_PARAM_SLOTS = {
+    "rotation": lambda v: Rotation((GOLDEN, v)),
+    "skew_base": lambda v: SkewProduct((v,), ((1,),), (0.0,)),
+    "skew_const": lambda v: SkewProduct((GOLDEN,), ((1,),), (v,)),
+    "heisenberg_alpha": lambda v: HeisenbergTranslation(v, 0.25),
+    "heisenberg_beta": lambda v: HeisenbergTranslation(0.25, v),
+}
+
+
+@pytest.mark.parametrize("slot", sorted(_PARAM_SLOTS))
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_nonfinite_parameters_rejected(slot, value):
+    with pytest.raises(ValidationError):
+        _PARAM_SLOTS[slot](value)
 
 
 # ---------------------------------------------------------------------------
@@ -195,8 +218,8 @@ def test_heisenberg_obs_and_state_columns_agree():
 
 def test_haar_sampling_deterministic():
     s = default_heisenberg()
-    a = haar_sample(s, SplitMix64(99))
-    b = haar_sample(s, SplitMix64(99))
+    a = s.haar_block(SplitMix64(99), 1)[0]
+    b = s.haar_block(SplitMix64(99), 1)[0]
     assert np.array_equal(a, b)
 
 
@@ -264,6 +287,55 @@ def test_certificate_skew():
                                   10).verdict == "non-ergodic"
 
 
+# (system, search bound, verdict, witness): one row per branch of each kind's
+# certify, with the strings the certificate emitted before the per-kind
+# methods replaced the type dispatch.
+CERTIFICATE_GOLDEN = [
+    (Rotation((0.5,)), 10, "non-ergodic", "resonant frequency k=(2,)"),
+    (golden_rotation(), 50, "ergodic",
+     "no integer relation k.alpha in Z with ||k||inf <= 50"),
+    (Rotation((GOLDEN, 1 - GOLDEN)), 3, "non-ergodic",
+     "resonant frequency k=(-1, -1)"),
+    (Rotation((GOLDEN, SQRT2_M1)), 20, "ergodic",
+     "no integer relation k.alpha in Z with ||k||inf <= 20"),
+    (default_heisenberg(), 100, "ergodic",
+     "base rotation: no integer relation k.alpha in Z with ||k||inf <= 100"),
+    (HeisenbergTranslation(GOLDEN, GOLDEN), 10, "non-ergodic",
+     "base rotation: resonant frequency k=(-1, 1)"),
+    (cat_map(), 20, "ergodic", "no eigenvalue on the unit circle (hyperbolic)"),
+    (ToralAutomorphism(((0, -1), (1, 0))), 10, "non-ergodic",
+     "A^4 has eigenvalue 1 (root-of-unity spectrum)"),
+    (ToralAutomorphism(((1, 1), (0, 1))), 5, "non-ergodic",
+     "A^1 has eigenvalue 1 (root-of-unity spectrum)"),
+    (ToralAutomorphism(((0, 1), (-1, 1))), 3, "undetermined",
+     "unit-modulus eigenvalue but no root of unity of order <= 3"),
+    (SkewProduct((0.5,), ((1,),)), 10, "non-ergodic",
+     "base rotation: resonant frequency k=(2,)"),
+    (standard_skew(), 50, "ergodic",
+     "ergodic base rotation with nonzero integer cocycle slope"),
+    (SkewProduct((GOLDEN,), ((0,),), (1 - GOLDEN,)), 10, "non-ergodic",
+     "product-rotation resonance k=(-1, -1)"),
+    (SkewProduct((GOLDEN,), ((0,),), (SQRT2_M1,)), 20, "ergodic",
+     "product rotation with no joint resonance found"),
+    (SkewProduct((GOLDEN,), ((1,), (2,)), (0.0, 0.0)), 10, "undetermined",
+     "cocycle shape outside the certified cases"),
+]
+
+
+@pytest.mark.parametrize("system,bound,verdict,witness", CERTIFICATE_GOLDEN,
+                         ids=[f"{type(r[0]).__name__}-{r[2]}-{i}"
+                              for i, r in enumerate(CERTIFICATE_GOLDEN)])
+def test_certificate_golden(system, bound, verdict, witness):
+    cert = ergodicity_certificate(system, bound)
+    assert (cert.verdict, cert.witness) == (verdict, witness)
+    assert cert.system is system and cert.search_bound == bound
+
+
+def test_certificate_rejects_bound_below_one():
+    with pytest.raises(ValidationError):
+        ergodicity_certificate(golden_rotation(), 0)
+
+
 def test_unimodularity_enforced():
     with pytest.raises(ValidationError):
         ToralAutomorphism(((2, 0), (0, 1)))
@@ -276,4 +348,15 @@ def test_unimodularity_enforced():
 @pytest.mark.parametrize("system", all_systems(),
                          ids=lambda s: type(s).__name__)
 def test_system_kv_roundtrip(system):
-    assert system_from_kv(system_to_kv(system)) == system
+    kv = system_to_kv(system)
+    assert next(iter(kv)) == "kind"
+    assert system_from_kv(kv) == system
+
+
+def test_system_from_kv_rejects_bad_entries():
+    with pytest.raises(ValidationError, match="unknown system kind"):
+        system_from_kv({"kind": "torus"})
+    with pytest.raises(ValidationError, match="alpha"):
+        system_from_kv({"kind": "rotation"})
+    with pytest.raises(ValidationError, match="matrix"):
+        system_from_kv({"kind": "automorphism", "matrix": "2 1 x 1"})
