@@ -10,9 +10,10 @@ from __future__ import annotations
 import argparse
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
-from .config import parse_config
+from .config import MODES, parse_config
 from .errors import ResourceCapError, ValidationError
 from .runner import artifact_paths, run_experiment
 from .suites import SUITES, run_suite
@@ -21,15 +22,13 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_RESOURCE = 3
 
-_CONFIG_MODES = ("orbit", "average", "seminorm", "vdc", "joining", "certify")
-
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ergolab",
         description="Ergodic-average experiments with exact character oracles")
     sub = parser.add_subparsers(dest="command", required=True)
-    for mode in _CONFIG_MODES:
+    for mode in MODES:
         p = sub.add_parser(mode, help=f"run a config in {mode} mode")
         p.add_argument("--config", action="append", required=True,
                        metavar="PATH", help="config file (repeatable)")
@@ -51,7 +50,6 @@ def _load(path: str, mode: str, seed_override):
         raise ValidationError(
             f"config {path} has mode {cfg.mode!r}, expected {mode!r}")
     if seed_override is not None:
-        from dataclasses import replace
         cfg = replace(cfg, seed=seed_override)
         cfg.validate()
     return cfg

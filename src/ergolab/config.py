@@ -14,19 +14,49 @@ The format is sections of `key = value` lines:
     mode = average
     scheme = square
     checkpoints = 1000 10000 100000
-    start = haar
     seed = 42
 
-Blank lines and `#` comments are ignored.  All reals are written with 17
-significant digits so that parse -> serialize -> parse is the identity.
-Randomized runs (start = haar, joining modes, Monte Carlo seminorms) must
-carry an explicit seed; a missing seed is a validation error, never a
+Blank lines and `#` comments are ignored, and a key may appear once per
+section.  `format_config` writes reals with 17 significant digits and omits
+every run key that holds its default, so parse -> format -> parse is the
+identity.
+
+Each run key is one row of `_RUN_KEYS`, named like its `ExperimentConfig`
+field.  The row holds the key's parser, the range `validate` checks and the
+runs that must set it; the default is the field's.  Randomized runs must
+carry an explicit seed: a missing seed is a validation error, never a
 silent default.
+
+    mode: orbit | average | seminorm | vdc | joining | certify; required for
+        every run
+    scheme: birkhoff | linear | square | cube | folner; required for average
+    checkpoints: integers >= 1; required for orbit, average, joining
+    start = haar: haar or coordinates
+    seed: 0 <= seed < 2^64; required for joining, orbit with start=haar,
+        average with start=haar, seminorm with start=haar
+    order: >= 1, and 2^order - 1 observables for cube; required for
+        seminorm, cube
+    outer_h: >= 1; required for seminorm, vdc
+    inner_n: >= 1; required for vdc
+    sample_count: >= 1; required for joining
+    search_bound: >= 1; required for certify
+    d: >= 1; required for joining
+    freq_box = 3: >= 1, and (2 freq_box + 1)^(dim d) <= 20000 for joining
+    tail_fraction = 0.5: 0 < tail_fraction <= 1
+    vdc_family: constant | linear | quadratic; required for vdc
+    box: two side lengths >= 1; required for folner
+    powers = 1 2: two integers
+    out_csv: file name
+    out_json: file name
+    out_bin: file name
+
+Average and seminorm runs also need at least one observable.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import Callable
 
 from .errors import ValidationError
 from .phases import format_real
@@ -37,6 +67,8 @@ from .systems import (DynamicalSystem, parse_number, parse_numbers,
 MODES = ("orbit", "average", "seminorm", "vdc", "joining", "certify")
 SCHEMES = ("birkhoff", "linear", "square", "cube", "folner")
 VDC_FAMILIES = ("constant", "linear", "quadratic")
+# Tensor characters a joining run integrates at most.
+_JOINING_BOX_CAP = 20_000
 
 
 @dataclass(frozen=True)
@@ -63,46 +95,109 @@ class ExperimentConfig:
     out_json: str | None = None
     out_bin: str | None = None
 
-    def needs_seed(self) -> bool:
-        if self.mode in ("joining",):
-            return True
-        if self.start == "haar" and self.mode in ("orbit", "average", "seminorm"):
-            return True
-        return False
-
     def validate(self) -> None:
-        if self.mode not in MODES:
-            raise ValidationError(f"unknown mode {self.mode!r}")
-        if self.mode == "average":
-            if self.scheme not in SCHEMES:
-                raise ValidationError(f"average mode needs a scheme from {SCHEMES}")
-            if not self.observables:
-                raise ValidationError("average mode needs observables")
-            if not self.checkpoints:
-                raise ValidationError("average mode needs checkpoints")
-        if self.mode == "seminorm":
-            if not self.observables or self.order is None or self.outer_h is None:
+        """Check every run key against its row of `_RUN_KEYS`, in order."""
+        tags = {"every run", self.mode, self.scheme, f"start={self.start}"}
+        for key, row in _RUN_KEYS.items():
+            value = getattr(self, key)
+            if value is None or value == ():
+                need = [r for r in row.required_for
+                        if tags.issuperset(r.split(" with "))]
+                if need:
+                    raise ValidationError(f"{key} is required for {need[0]}")
+            elif row.ok is not None and not row.ok(value, self):
                 raise ValidationError(
-                    "seminorm mode needs an observable, order and outer_h")
-        if self.mode == "vdc":
-            if self.vdc_family not in VDC_FAMILIES:
-                raise ValidationError(
-                    f"vdc mode needs vdc_family from {VDC_FAMILIES}")
-            if self.inner_n is None or self.outer_h is None:
-                raise ValidationError("vdc mode needs inner_n and outer_h")
-        if self.mode == "joining":
-            if self.d is None or self.sample_count is None or not self.checkpoints:
-                raise ValidationError(
-                    "joining mode needs d, sample_count and checkpoints")
-        if self.mode == "certify" and self.search_bound is None:
-            raise ValidationError("certify mode needs search_bound")
-        if self.mode == "orbit" and not self.checkpoints:
-            raise ValidationError("orbit mode needs checkpoints (orbit length)")
-        if self.needs_seed() and self.seed is None:
-            raise ValidationError(
-                "this experiment draws random samples and must declare a seed")
-        if self.scheme == "folner" and self.box is None:
-            raise ValidationError("folner scheme needs a box")
+                    f"{key} = {_format_value(value)} is out of range "
+                    f"({row.rule})")
+        if self.mode in ("average", "seminorm") and not self.observables:
+            raise ValidationError(f"{self.mode} mode needs observables")
+
+
+@dataclass(frozen=True)
+class _RunKey:
+    parse: Callable             # (key, text) -> value
+    rule: str                   # the range, as documented
+    ok: Callable | None = None  # (value, config) -> value is in range
+    required_for: tuple[str, ...] = ()   # modes or schemes, "X with Y" = both
+
+
+def _int(key, text):
+    return parse_number(key, text, int)
+
+
+def _ints(key, text):
+    return tuple(parse_numbers(key, text, int))
+
+
+def _start(key, text):
+    return text if text == "haar" else tuple(parse_numbers(key, text))
+
+
+def _text(key, text):
+    return text
+
+
+def _int_row(*required_for):
+    return _RunKey(_int, ">= 1", lambda v, c: v >= 1, required_for)
+
+
+def _choice_row(choices, *required_for):
+    return _RunKey(_text, " | ".join(choices), lambda v, c: v in choices,
+                   required_for)
+
+
+def _order_ok(order, cfg):
+    # min() keeps the power small; no config has 2^64 observables
+    return order >= 1 and (cfg.scheme != "cube" or
+                           len(cfg.observables) == 2 ** min(order, 64) - 1)
+
+
+def _freq_box_ok(freq_box, cfg):
+    if freq_box < 1 or cfg.mode != "joining":
+        return freq_box >= 1
+    # d is checked first; 3^15 already exceeds the cap, so min() keeps the
+    # power small
+    chars = (2 * freq_box + 1) ** min(cfg.system.obs_dim * cfg.d, 15)
+    return chars <= _JOINING_BOX_CAP
+
+
+_RUN_KEYS = {
+    "mode": _choice_row(MODES, "every run"),
+    "scheme": _choice_row(SCHEMES, "average"),
+    "checkpoints": _RunKey(_ints, "integers >= 1", lambda v, c: min(v) >= 1,
+                           ("orbit", "average", "joining")),
+    "start": _RunKey(_start, "haar or coordinates"),
+    "seed": _RunKey(_int, "0 <= seed < 2^64",
+                    lambda v, c: 0 <= v < 2 ** 64,
+                    ("joining", "orbit with start=haar",
+                     "average with start=haar", "seminorm with start=haar")),
+    "order": _RunKey(_int, ">= 1, and 2^order - 1 observables for cube",
+                     _order_ok, ("seminorm", "cube")),
+    "outer_h": _int_row("seminorm", "vdc"),
+    "inner_n": _int_row("vdc"),
+    "sample_count": _int_row("joining"),
+    "search_bound": _int_row("certify"),
+    "d": _int_row("joining"),
+    "freq_box": _RunKey(_int,
+                        ">= 1, and (2 freq_box + 1)^(dim d) <= "
+                        f"{_JOINING_BOX_CAP} for joining", _freq_box_ok),
+    "tail_fraction": _RunKey(parse_number, "0 < tail_fraction <= 1",
+                             lambda v, c: 0 < v <= 1),
+    "vdc_family": _choice_row(VDC_FAMILIES, "vdc"),
+    "box": _RunKey(_ints, "two side lengths >= 1",
+                   lambda v, c: len(v) == 2 and min(v) >= 1, ("folner",)),
+    "powers": _RunKey(_ints, "two integers", lambda v, c: len(v) == 2),
+    "out_csv": _RunKey(_text, "file name"),
+    "out_json": _RunKey(_text, "file name"),
+    "out_bin": _RunKey(_text, "file name"),
+}
+_DEFAULTS = {f.name: f.default for f in fields(ExperimentConfig)}
+
+
+def _format_value(value) -> str:
+    if isinstance(value, tuple):
+        return " ".join(_format_value(v) for v in value)
+    return format_real(value) if isinstance(value, float) else str(value)
 
 
 def _parse_sections(text: str) -> dict[str, dict[str, str]]:
@@ -119,8 +214,11 @@ def _parse_sections(text: str) -> dict[str, dict[str, str]]:
         if "=" not in line or current is None:
             raise ValidationError(f"config line {lineno}: expected key = value "
                                   f"inside a [section], got {raw!r}")
-        key, val = line.split("=", 1)
-        current[key.strip()] = val.strip()
+        key, val = (part.strip() for part in line.split("=", 1))
+        if key in current:
+            raise ValidationError(
+                f"config line {lineno}: {key} repeats in [{name}]")
+        current[key] = val
     if "system" not in sections:
         raise ValidationError("config needs a [system] section")
     if "run" not in sections:
@@ -131,100 +229,26 @@ def _parse_sections(text: str) -> dict[str, dict[str, str]]:
 def parse_config(text: str) -> ExperimentConfig:
     sections = _parse_sections(text)
     system = system_from_kv(sections["system"])
-    run = dict(sections["run"])
-
-    def pop_int(key):
-        return parse_number(key, run.pop(key), int) if key in run else None
-
-    def pop_float(key, default=None):
-        return parse_number(key, run.pop(key)) if key in run else default
-
-    def pop_pair(key, what):
-        if key not in run:
-            return None
-        parts = parse_numbers(key, run.pop(key), int)
-        if len(parts) != 2:
-            raise ValidationError(f"{key} needs two {what}")
-        return (parts[0], parts[1])
-
+    run = sections["run"]
+    unknown = sorted(set(run) - set(_RUN_KEYS))
+    if unknown:
+        raise ValidationError(f"unknown run keys: {unknown}")
     obs = tuple(parse_observable(v, system.obs_dim)
                 for _, v in sorted(sections.get("observables", {}).items()))
-    mode = run.pop("mode", None)
-    if mode is None:
-        raise ValidationError("run section needs a mode")
-    scheme = run.pop("scheme", None)
-    checkpoints = tuple(parse_numbers("checkpoints", run.pop("checkpoints", ""),
-                                      int))
-    start_raw = run.pop("start", "haar")
-    start = "haar" if start_raw == "haar" else tuple(
-        parse_numbers("start", start_raw))
-    box = pop_pair("box", "side lengths")
-    powers = pop_pair("powers", "integers") or (1, 2)
-    cfg = ExperimentConfig(
-        system=system,
-        mode=mode,
-        observables=obs,
-        scheme=scheme,
-        checkpoints=checkpoints,
-        start=start,
-        seed=pop_int("seed"),
-        order=pop_int("order"),
-        outer_h=pop_int("outer_h"),
-        inner_n=pop_int("inner_n"),
-        sample_count=pop_int("sample_count"),
-        search_bound=pop_int("search_bound"),
-        freq_box=pop_int("freq_box") or 3,
-        d=pop_int("d"),
-        tail_fraction=pop_float("tail_fraction", 0.5),
-        vdc_family=run.pop("vdc_family", None),
-        box=box,
-        powers=powers,
-        out_csv=run.pop("out_csv", None),
-        out_json=run.pop("out_json", None),
-        out_bin=run.pop("out_bin", None),
-    )
-    if run:
-        raise ValidationError(f"unknown run keys: {sorted(run)}")
+    values = {key: _RUN_KEYS[key].parse(key, val) for key, val in run.items()}
+    cfg = ExperimentConfig(system, values.pop("mode", None), obs, **values)
     cfg.validate()
     return cfg
 
 
 def format_config(cfg: ExperimentConfig) -> str:
     lines = ["[system]"]
-    for k, v in system_to_kv(cfg.system).items():
-        lines.append(f"{k} = {v}")
+    lines += [f"{k} = {v}" for k, v in system_to_kv(cfg.system).items()]
     if cfg.observables:
-        lines.append("")
-        lines.append("[observables]")
-        for i, f in enumerate(cfg.observables, start=1):
-            lines.append(f"f{i} = {format_observable(f)}")
-    lines.append("")
-    lines.append("[run]")
-    lines.append(f"mode = {cfg.mode}")
-    if cfg.scheme is not None:
-        lines.append(f"scheme = {cfg.scheme}")
-    if cfg.checkpoints:
-        lines.append("checkpoints = " + " ".join(str(n) for n in cfg.checkpoints))
-    if cfg.start == "haar":
-        lines.append("start = haar")
-    else:
-        lines.append("start = " + " ".join(format_real(v) for v in cfg.start))
-    for key in ("seed", "order", "outer_h", "inner_n", "sample_count",
-                "search_bound", "d"):
-        val = getattr(cfg, key)
-        if val is not None:
-            lines.append(f"{key} = {val}")
-    if cfg.freq_box != 3:
-        lines.append(f"freq_box = {cfg.freq_box}")
-    lines.append(f"tail_fraction = {format_real(cfg.tail_fraction)}")
-    if cfg.vdc_family is not None:
-        lines.append(f"vdc_family = {cfg.vdc_family}")
-    if cfg.box is not None:
-        lines.append(f"box = {cfg.box[0]} {cfg.box[1]}")
-    if cfg.powers != (1, 2):
-        lines.append(f"powers = {cfg.powers[0]} {cfg.powers[1]}")
-    for key in ("out_csv", "out_json", "out_bin"):
-        val = getattr(cfg, key)
-        if val is not None:
-            lines.append(f"{key} = {val}")
+        lines += ["", "[observables]"]
+        lines += [f"f{i} = {format_observable(f)}"
+                  for i, f in enumerate(cfg.observables, start=1)]
+    lines += ["", "[run]"]
+    lines += [f"{key} = {_format_value(getattr(cfg, key))}"
+              for key in _RUN_KEYS if getattr(cfg, key) != _DEFAULTS[key]]
     return "\n".join(lines) + "\n"

@@ -335,10 +335,6 @@ class DecompositionReport:
         equal."""
         return self.gap <= self.bound
 
-    @property
-    def start_count(self) -> int:
-        return len(self.fiber_values)
-
 
 def decomposition_consistency(system: DynamicalSystem, x_sample_count: int,
                               d: int, N: int, fs: Sequence[Observable],

@@ -13,17 +13,18 @@ from pathlib import Path
 
 import numpy as np
 
-from .averaging import (FolnerBox, IteratedMap, cube_average,
-                        cube_eps_index, folner_average, linear_trajectory,
-                        square_trajectory, tail_oscillation)
+from .averaging import (AverageTrajectory, FolnerBox, IteratedMap,
+                        cube_average, cube_eps_index, folner_average,
+                        linear_trajectory, square_trajectory, tail_oscillation)
 from .config import ExperimentConfig
 from .errors import ValidationError
 from .joinings import (ap_subtorus_integral, character_box, decompose_cloud,
                        dump_cloud, empirical_self_joining, integrate_tensor)
-from .observables import format_observable
+from .observables import Observable, format_observable
 from .rng import SplitMix64
 from .seminorms import hk_seminorm, van_der_corput_check, vdc_family
-from .systems import ergodicity_certificate, orbit_points, system_to_kv
+from .systems import (Rotation, ergodicity_certificate, orbit_points,
+                      system_to_kv)
 
 
 def _fmt(x: float) -> str:
@@ -32,8 +33,6 @@ def _fmt(x: float) -> str:
 
 def _resolve_start(cfg: ExperimentConfig, rng: SplitMix64 | None) -> np.ndarray:
     if cfg.start == "haar":
-        if rng is None:
-            raise ValidationError("haar start needs a seed")
         return cfg.system.haar_block(rng, 1)[0]
     return cfg.system.check_point(np.asarray(cfg.start, dtype=np.float64))
 
@@ -48,58 +47,40 @@ def _json_text(payload) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-# mode -> (config field naming the artifact, default file name)
-_ARTIFACTS = {
-    "orbit": ("out_csv", "orbit.csv"),
-    "average": ("out_csv", "averages.csv"),
-    "seminorm": ("out_json", "seminorms.json"),
-    "vdc": ("out_json", "vdc.json"),
-    "joining": ("out_json", "joining.json"),
-    "certify": ("out_json", "certificate.json"),
-}
-
-
 def artifact_paths(cfg: ExperimentConfig, outdir: Path) -> list[Path]:
     """The files run_experiment(cfg, outdir) writes, main artifact first."""
-    field, default = _ARTIFACTS[cfg.mode]
-    paths = [Path(outdir) / (getattr(cfg, field) or default)]
+    _, field, default = _MODES[cfg.mode]
+    names = [getattr(cfg, field) or default]
     if cfg.mode == "joining" and cfg.out_bin:
-        paths.append(Path(outdir) / cfg.out_bin)
-    return paths
+        names.append(cfg.out_bin)
+    return [Path(outdir) / name for name in names]
 
 
 def run_experiment(cfg: ExperimentConfig, outdir: Path) -> dict:
-    """Run one experiment; returns a summary dict with artifact paths."""
+    """Run one experiment; returns a summary dict with artifact paths.
+
+    The mode's writer returns the main artifact's text and its summary
+    entries; extra artifacts (the joining cloud dump) it writes itself."""
     cfg.validate()
-    outdir = Path(outdir)
     rng = SplitMix64(cfg.seed) if cfg.seed is not None else None
-    if cfg.mode == "orbit":
-        return _run_orbit(cfg, outdir, rng)
-    if cfg.mode == "average":
-        return _run_average(cfg, outdir, rng)
-    if cfg.mode == "seminorm":
-        return _run_seminorm(cfg, outdir, rng)
-    if cfg.mode == "vdc":
-        return _run_vdc(cfg, outdir)
-    if cfg.mode == "joining":
-        return _run_joining(cfg, outdir, rng)
-    if cfg.mode == "certify":
-        return _run_certify(cfg, outdir)
-    raise ValidationError(f"unknown mode {cfg.mode!r}")
+    writer, field, _ = _MODES[cfg.mode]
+    path, *extra = artifact_paths(cfg, outdir)
+    text, summary = writer(cfg, rng, *extra)
+    _write(path, text)
+    return {"mode": cfg.mode, field.removeprefix("out_"): str(path), **summary}
 
 
-def _run_orbit(cfg, outdir, rng):
+def _run_orbit(cfg, rng):
     x = _resolve_start(cfg, rng)
     n = cfg.checkpoints[-1]
     pts = orbit_points(cfg.system, x, 1, 0, n, coords="state")
     rows = ["n," + ",".join(f"x{i+1}" for i in range(pts.shape[1]))]
     for i in range(n):
         rows.append(str(i) + "," + ",".join(_fmt(v) for v in pts[i]))
-    path = _write(artifact_paths(cfg, outdir)[0], "\n".join(rows) + "\n")
-    return {"mode": "orbit", "rows": n, "csv": str(path)}
+    return "\n".join(rows) + "\n", {"rows": n}
 
 
-def _run_average(cfg, outdir, rng):
+def _run_average(cfg, rng):
     x = _resolve_start(cfg, rng)
     fs = list(cfg.observables)
     if cfg.scheme in ("birkhoff", "linear"):
@@ -107,36 +88,25 @@ def _run_average(cfg, outdir, rng):
     elif cfg.scheme == "square":
         traj = square_trajectory(cfg.system, fs, x, cfg.checkpoints)
     elif cfg.scheme == "cube":
-        k = cfg.order
-        if k is None:
-            raise ValidationError("cube scheme needs order (the cube dimension)")
-        eps = cube_eps_index(k)
-        if len(fs) != len(eps):
-            raise ValidationError(
-                f"cube of order {k} needs {len(eps)} observables, got {len(fs)}")
+        eps = cube_eps_index(cfg.order)
         vals = [(n, cube_average(cfg.system, dict(zip(eps, fs)), x, n))
                 for n in cfg.checkpoints]
-        from .averaging import AverageTrajectory
         traj = AverageTrajectory("cube", tuple(vals))
-    elif cfg.scheme == "folner":
+    else:
         maps = (IteratedMap(cfg.system, cfg.powers[0]),
                 IteratedMap(cfg.system, cfg.powers[1]))
         box = FolnerBox(*cfg.box)
         vals = [(box.size, folner_average(maps, fs[0], x, box))]
-        from .averaging import AverageTrajectory
         traj = AverageTrajectory("folner", tuple(vals))
-    else:
-        raise ValidationError(f"unknown scheme {cfg.scheme!r}")
     rows = ["scheme,N,value_re,value_im,oscillation"]
     for i, (n, v) in enumerate(traj.checkpoints):
         osc, _ = tail_oscillation(traj.checkpoints[:i + 1], cfg.tail_fraction)
         rows.append(f"{traj.scheme},{n},{_fmt(v.real)},{_fmt(v.imag)},{_fmt(osc)}")
-    path = _write(artifact_paths(cfg, outdir)[0], "\n".join(rows) + "\n")
-    return {"mode": "average", "scheme": traj.scheme,
-            "checkpoints": len(traj.checkpoints), "csv": str(path)}
+    return "\n".join(rows) + "\n", {"scheme": traj.scheme,
+                                     "checkpoints": len(traj.checkpoints)}
 
 
-def _run_seminorm(cfg, outdir, rng):
+def _run_seminorm(cfg, rng):
     reports = []
     for f in cfg.observables:
         est = hk_seminorm(cfg.system, f, cfg.order, cfg.outer_h,
@@ -150,11 +120,10 @@ def _run_seminorm(cfg, outdir, rng):
             "system": system_to_kv(cfg.system),
             "observable": format_observable(f),
         })
-    path = _write(artifact_paths(cfg, outdir)[0], _json_text(reports))
-    return {"mode": "seminorm", "count": len(reports), "json": str(path)}
+    return _json_text(reports), {"count": len(reports)}
 
 
-def _run_vdc(cfg, outdir):
+def _run_vdc(cfg, rng):
     basis = cfg.system.phase_basis()
     if basis is None:
         raise ValidationError("vdc families are built from a rotation number")
@@ -162,22 +131,29 @@ def _run_vdc(cfg, outdir):
     rep = van_der_corput_check(seq, cfg.outer_h)
     payload = {"family": cfg.vdc_family, "lhs": rep.lhs, "rhs": rep.rhs,
                "margin": rep.margin, "N": rep.n_used, "H": rep.outer_h}
-    path = _write(artifact_paths(cfg, outdir)[0], _json_text(payload))
-    return {"mode": "vdc", "margin": rep.margin, "json": str(path)}
+    return _json_text(payload), {"margin": rep.margin}
 
 
-def _run_joining(cfg, outdir, rng):
-    from .observables import Observable
-    from .systems import Rotation
+def _has_subtorus_oracle(cfg) -> bool:
+    """Whether `ap_subtorus_integral` is the limit of every character in the
+    box.  For a rotation by alpha the cloud integrates
+    e(sum_j k_j . (x + j n alpha)); over Haar x it vanishes unless
+    K = sum_j k_j = 0, and then the mean over n of e(n M . alpha), with
+    M = sum_j (j - 1) k_j, tends to 1 if M . alpha is an integer and to 0
+    otherwise.  The oracle assumes the latter for every M != 0.  Each
+    coordinate of M is at most freq_box * (0 + 1 + ... + (d - 1)) =
+    freq_box * d (d - 1) / 2 in absolute value, so an `ergodic` certificate
+    at that search bound (at least 1) proves the oracle for the whole box."""
+    if not isinstance(cfg.system, Rotation):
+        return False
+    bound = max(1, cfg.freq_box * cfg.d * (cfg.d - 1) // 2)
+    return ergodicity_certificate(cfg.system, bound).verdict == "ergodic"
 
+
+def _run_joining(cfg, rng, bin_path=None):
     n = cfg.checkpoints[-1]
     cloud = empirical_self_joining(cfg.system, cfg.d, cfg.sample_count, n, rng)
-    has_oracle = isinstance(cfg.system, Rotation)
-    n_tuples = (2 * cfg.freq_box + 1) ** (cfg.system.obs_dim * cfg.d)
-    if n_tuples > 20000:
-        raise ValidationError(
-            f"frequency box of {n_tuples} tensor characters is too large; "
-            "reduce freq_box")
+    has_oracle = _has_subtorus_oracle(cfg)
     rows = []
     for ks in character_box(cfg.d, cfg.freq_box, dim=cfg.system.obs_dim):
         fs = [Observable.character(k) for k in ks]
@@ -189,14 +165,10 @@ def _run_joining(cfg, outdir, rng):
             row["oracle"] = o.real
             row["abs_error"] = abs(v - o)
         rows.append(row)
-    if cfg.observables:
-        tensor_fs = list(cfg.observables)[: cfg.d]
-        while len(tensor_fs) < cfg.d:
-            tensor_fs.append(tensor_fs[-1])
-    else:
-        tensor_fs = [Observable.character((1,) + (0,) * (cfg.system.obs_dim - 1))
-                     ] * cfg.d
-    rep = decompose_cloud(cloud, tensor_fs)
+    # the first d observables, padded with the last (default e(x_1))
+    fs = list(cfg.observables) or [
+        Observable.character((1,) + (0,) * (cfg.system.obs_dim - 1))]
+    rep = decompose_cloud(cloud, (fs + fs[-1:] * cfg.d)[:cfg.d])
     payload = {
         "d": cfg.d, "starts": cfg.sample_count, "n": n,
         "tensor_integrals": rows,
@@ -204,18 +176,26 @@ def _run_joining(cfg, outdir, rng):
                        "exact_match": rep.exact_match,
                        "dispersion": rep.dispersion},
     }
-    json_path, *bin_path = artifact_paths(cfg, outdir)
-    path = _write(json_path, _json_text(payload))
-    summary = {"mode": "joining", "json": str(path)}
-    if bin_path:
-        dump_cloud(cloud, bin_path[0])
-        summary["bin"] = str(bin_path[0])
-    return summary
+    if bin_path is None:
+        return _json_text(payload), {}
+    bin_path.parent.mkdir(parents=True, exist_ok=True)
+    dump_cloud(cloud, bin_path)
+    return _json_text(payload), {"bin": str(bin_path)}
 
 
-def _run_certify(cfg, outdir):
+def _run_certify(cfg, rng):
     cert = ergodicity_certificate(cfg.system, cfg.search_bound)
     payload = {"system": system_to_kv(cfg.system), "verdict": cert.verdict,
                "witness": cert.witness, "search_bound": cert.search_bound}
-    path = _write(artifact_paths(cfg, outdir)[0], _json_text(payload))
-    return {"mode": "certify", "verdict": cert.verdict, "json": str(path)}
+    return _json_text(payload), {"verdict": cert.verdict}
+
+
+# mode -> (writer, config field naming the artifact, default file name)
+_MODES = {
+    "orbit": (_run_orbit, "out_csv", "orbit.csv"),
+    "average": (_run_average, "out_csv", "averages.csv"),
+    "seminorm": (_run_seminorm, "out_json", "seminorms.json"),
+    "vdc": (_run_vdc, "out_json", "vdc.json"),
+    "joining": (_run_joining, "out_json", "joining.json"),
+    "certify": (_run_certify, "out_json", "certificate.json"),
+}

@@ -72,7 +72,9 @@ def parse_number(key: str, text: str, conv=float):
 
 
 def parse_numbers(key: str, text: str, conv=float) -> list:
-    """The whitespace-separated numbers of a config value."""
+    """The whitespace-separated numbers of a config value; at least one."""
+    if not text.split():
+        raise ValidationError(f"{key}: empty number list")
     return [parse_number(key, v, conv) for v in text.split()]
 
 
@@ -342,8 +344,10 @@ class SkewProduct(DynamicalSystem):
         fdim = len(flat) // len(base)
         linear = tuple(tuple(flat[i * len(base):(i + 1) * len(base)])
                        for i in range(fdim))
-        const = parse_numbers("cocycle_const", kv.get("cocycle_const", ""))
-        return cls(base, linear, const or None)
+        const = kv.get("cocycle_const")
+        if const is not None:
+            const = parse_numbers("cocycle_const", const)
+        return cls(base, linear, const)
 
     def certify(self, bound: int) -> tuple[str, str]:
         """A resonant base rotation is a non-ergodic factor.  Over an ergodic
@@ -673,10 +677,6 @@ class ErgodicityCertificate:
     verdict: str                 # "ergodic" | "non-ergodic" | "undetermined"
     witness: str
     search_bound: int
-
-    @property
-    def is_ergodic(self) -> bool:
-        return self.verdict == "ergodic"
 
 
 _RESONANCE_TOL = 1e-12

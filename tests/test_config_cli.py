@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -8,8 +9,9 @@ import numpy as np
 import pytest
 
 import ergolab
+from ergolab import cli, config, runner
 from ergolab.averaging import square_trajectory
-from ergolab.config import format_config, parse_config
+from ergolab.config import MODES, format_config, parse_config
 from ergolab.errors import ValidationError
 from ergolab.joinings import empirical_self_joining, fiber_integrals
 from ergolab.observables import Observable
@@ -517,3 +519,255 @@ freq_box = 1
     expect = acc.mean()
     assert (bary["re"], bary["im"]) == (expect.real, expect.imag)
     assert bary["exact_match"] is True
+
+
+# ---------------------------------------------------------------------------
+# The run-key table: ranges, requirements, round trips, docs
+
+JOINING_CFG = """[system]
+kind = rotation
+alpha = {alpha}
+[run]
+mode = joining
+d = 2
+sample_count = 50
+checkpoints = 100
+seed = 3
+freq_box = {freq_box}
+"""
+
+ORBIT_CFG = """[system]
+kind = rotation
+alpha = 0.61803398874989479
+[run]
+mode = orbit
+checkpoints = {checkpoints}
+start = haar
+seed = {seed}
+"""
+
+VDC_CFG = """[system]
+kind = rotation
+alpha = 0.61803398874989479
+[run]
+mode = vdc
+vdc_family = {family}
+inner_n = {inner_n}
+outer_h = {outer_h}
+"""
+
+FOLNER_CFG = """[system]
+kind = rotation
+alpha = 0.61803398874989479
+[observables]
+f1 = 1,0:1
+[run]
+mode = average
+scheme = folner
+box = {box}
+powers = {powers}
+checkpoints = 1
+start = 0.25
+"""
+
+CUBE_CFG = """[system]
+kind = rotation
+alpha = 0.61803398874989479
+[observables]
+f1 = 1,0:1
+f2 = 1,0:-2
+{f3}
+[run]
+mode = average
+scheme = cube
+{order}
+checkpoints = 10 40
+start = 0.25
+"""
+
+
+def _joining(alpha="0.61803398874989479", freq_box="1", extra=""):
+    return JOINING_CFG.format(alpha=alpha, freq_box=freq_box) + extra
+
+
+def _orbit(checkpoints="5", seed="1"):
+    return ORBIT_CFG.format(checkpoints=checkpoints, seed=seed)
+
+
+def _vdc(family="linear", inner_n="100", outer_h="5"):
+    return VDC_CFG.format(family=family, inner_n=inner_n, outer_h=outer_h)
+
+
+def _seminorm(order):
+    return f"""[system]
+kind = automorphism
+matrix = 2 1 1 1
+[observables]
+f1 = 1,0:1,0
+[run]
+mode = seminorm
+order = {order}
+outer_h = 30
+start = 0.5 0.5
+"""
+
+
+HAAR_AVG = BASE_CFG.replace("start = 0.25", "start = haar\nseed = 3")
+
+# (id, subcommand, config text, key named on stderr, extra CLI arguments)
+REJECTED_INPUTS = [
+    ("freq_box=0", "joining", _joining(freq_box="0"), "freq_box", ()),
+    ("freq_box=-1", "joining", _joining(freq_box="-1"), "freq_box", ()),
+    ("freq_box=100", "joining", _joining(freq_box="100"), "freq_box", ()),
+    ("tail_fraction=nan", "average", BASE_CFG + "tail_fraction = nan\n",
+     "tail_fraction", ()),
+    ("tail_fraction=0", "average", BASE_CFG + "tail_fraction = 0\n",
+     "tail_fraction", ()),
+    ("tail_fraction=7", "average", BASE_CFG + "tail_fraction = 7\n",
+     "tail_fraction", ()),
+    ("checkpoints=0", "orbit", _orbit(checkpoints="0"), "checkpoints", ()),
+    ("checkpoints=-3", "orbit", _orbit(checkpoints="-3"), "checkpoints", ()),
+    ("seed=2^64+1", "orbit", _orbit(seed=str(2 ** 64 + 1)), "seed", ()),
+    ("seed=-1", "orbit", _orbit(seed="-1"), "seed", ()),
+    ("--seed -1", "average", HAAR_AVG, "seed", ("--seed", "-1")),
+    ("--seed 2^64", "average", HAAR_AVG, "seed", ("--seed", str(2 ** 64))),
+    ("mode", "average", BASE_CFG.replace("mode = average", "mode = sideways"),
+     "mode", ()),
+    ("scheme", "average",
+     BASE_CFG.replace("scheme = square", "scheme = spiral"), "scheme", ()),
+    ("order=0", "seminorm", _seminorm("0"), "order", ()),
+    ("cube observables", "average", CUBE_CFG.format(f3="", order="order = 2"),
+     "order", ()),
+    ("cube without order", "average",
+     CUBE_CFG.format(f3="f3 = 1,0:1", order=""), "order", ()),
+    ("outer_h=0", "vdc", _vdc(outer_h="0"), "outer_h", ()),
+    ("inner_n=0", "vdc", _vdc(inner_n="0"), "inner_n", ()),
+    ("vdc_family", "vdc", _vdc(family="cubic"), "vdc_family", ()),
+    ("sample_count=0", "joining",
+     _joining().replace("sample_count = 50", "sample_count = 0"),
+     "sample_count", ()),
+    ("d=0", "joining", _joining().replace("d = 2", "d = 0"), "d", ()),
+    ("search_bound=0", "certify",
+     _certify("kind = rotation\nalpha = 0.5", "0"), "search_bound", ()),
+    ("box=5", "average", FOLNER_CFG.format(box="5", powers="1 2"), "box", ()),
+    ("box=0 5", "average", FOLNER_CFG.format(box="0 5", powers="1 2"), "box",
+     ()),
+    ("powers", "average", FOLNER_CFG.format(box="5 5", powers="1 2 3"),
+     "powers", ()),
+    # parse-level defects: empty number lists and repeated keys
+    ("alpha=", "certify", _certify("kind = rotation\nalpha ="), "alpha", ()),
+    ("base_alpha=", "certify",
+     _certify("kind = skew\nbase_alpha =\ncocycle_linear = 1"), "base_alpha",
+     ()),
+    ("scheme twice", "average", BASE_CFG + "scheme = birkhoff\n", "scheme",
+     ()),
+    ("alpha twice", "certify",
+     _certify("kind = rotation\nalpha = 0.5\nalpha = 0.25"), "alpha", ()),
+]
+
+
+REJECTED_IDS = [r[0] for r in REJECTED_INPUTS]
+REJECTED_CASES = [r[1:] for r in REJECTED_INPUTS]
+
+
+@pytest.mark.parametrize("command,text,key,extra", REJECTED_CASES,
+                         ids=REJECTED_IDS)
+def test_cli_rejects_out_of_range_input(tmp_path, capsys, command, text, key,
+                                         extra):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", str(cfg), "--out", str(out),
+                     *extra]) == 2
+    err = capsys.readouterr().err
+    assert key in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command,text,key,extra", REJECTED_CASES,
+                         ids=REJECTED_IDS)
+def test_validate_rejects_out_of_range(command, text, key, extra):
+    # the library entry points reject what the CLI rejects, before any run
+    with pytest.raises(ValidationError, match=key):
+        cfg = parse_config(text)
+        if extra:
+            dataclasses.replace(cfg, seed=int(extra[1])).validate()
+
+
+ROUNDTRIP_CASES = {
+    "cube": CUBE_CFG.format(f3="f3 = 0.5,0:1", order="order = 2"),
+    "folner": FOLNER_CFG.format(box="30 40", powers="1 3"),
+    "joining": _joining(freq_box="2", extra="out_bin = cloud.bin\n"),
+    "orbit seed 0": _orbit(seed="0"),
+    "orbit seed 2^64-1": _orbit(seed=str(2 ** 64 - 1)),
+    "tail_fraction": BASE_CFG + "tail_fraction = 1\n",
+}
+
+
+@pytest.mark.parametrize("text", ROUNDTRIP_CASES.values(),
+                         ids=ROUNDTRIP_CASES.keys())
+def test_roundtrip_run_keys(text):
+    cfg = parse_config(text)
+    formatted = format_config(cfg)
+    assert parse_config(formatted) == cfg
+    # a key holding its default is omitted
+    for key, default in (("start", "haar"), ("freq_box", 3),
+                         ("tail_fraction", 0.5), ("powers", (1, 2))):
+        assert (f"\n{key} = " in formatted) == (getattr(cfg, key) != default)
+
+
+@pytest.mark.parametrize("seed", ["0", str(2 ** 64 - 1)])
+def test_cli_seed_bounds_accepted(tmp_path, seed):
+    cfg = tmp_path / "o.cfg"
+    cfg.write_text(_orbit())
+    assert cli.main(["orbit", "--config", str(cfg), "--out", str(tmp_path),
+                     "--seed", seed]) == 0
+    assert len((tmp_path / "orbit.csv").read_text().splitlines()) == 6
+
+
+def test_one_mode_list():
+    # the runner's writers and the CLI's subcommands follow config.MODES
+    assert tuple(runner._MODES) == MODES
+    parser = cli._build_parser()
+    for mode in MODES:
+        assert parser.parse_args([mode, "--config", "c"]).command == mode
+
+
+def _doc_line(key, row):
+    default = config._DEFAULTS[key]
+    line = key
+    if default not in (None, (), dataclasses.MISSING):
+        shown = " ".join(map(str, default)) if isinstance(default, tuple) \
+            else str(default)
+        line += f" = {shown}"
+    line += f": {row.rule}"
+    if row.required_for:
+        line += "; required for " + ", ".join(row.required_for)
+    return line
+
+
+def test_docs_list_every_run_key():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    for doc in (config.__doc__, readme.read_text()):
+        flat = " ".join(doc.split())
+        for key, row in config._RUN_KEYS.items():
+            assert _doc_line(key, row) in flat, key
+
+
+def _joining_rows(out, alpha):
+    out.mkdir()
+    cfg = out / "j.cfg"
+    cfg.write_text(_joining(alpha=alpha, freq_box="2"))
+    assert cli.main(["joining", "--config", str(cfg), "--out", str(out)]) == 0
+    return json.loads((out / "joining.json").read_text())["tensor_integrals"]
+
+
+def test_joining_oracle_only_for_certified_rotations(tmp_path):
+    # alpha = 1/2: k = (2, -2) has M = -2 and M alpha is an integer, so its
+    # integral is 1, not the subtorus oracle's 0; no oracle may be written
+    rows = _joining_rows(tmp_path / "half", "0.5")
+    (row,) = [r for r in rows if r["k"] == [2, -2]]
+    assert abs(row["value_re"] - 1.0) < 1e-12
+    assert not any("oracle" in r or "abs_error" in r for r in rows)
+    rows = _joining_rows(tmp_path / "golden", "0.61803398874989479")
+    assert all(r["abs_error"] < 0.5 for r in rows)
