@@ -17,9 +17,12 @@ The format is sections of `key = value` lines:
     seed = 42
 
 Blank lines and `#` comments are ignored, and a key may appear once per
-section.  `format_config` writes reals with 17 significant digits and omits
-every run key that holds its default, so parse -> format -> parse is the
-identity.
+section.  These three sections are the only ones, and each rejects a key
+it does not read: `[system]` holds `kind` and that kind's keys,
+`[observables]` holds keys f<i> (i >= 1, no leading zero), ordered by the
+integer i, so f2 comes before f10.  `format_config` writes reals with 17
+significant digits and omits every run key that holds its default, so
+parse -> format -> parse is the identity.
 
 Each run key is one row of `_RUN_KEYS`, named like its `ExperimentConfig`
 field.  The row holds the key's parser, the range `validate` checks and the
@@ -55,6 +58,7 @@ Average and seminorm runs also need at least one observable.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, fields
 from typing import Callable
 
@@ -67,6 +71,7 @@ from .systems import (DynamicalSystem, parse_number, parse_numbers,
 MODES = ("orbit", "average", "seminorm", "vdc", "joining", "certify")
 SCHEMES = ("birkhoff", "linear", "square", "cube", "folner")
 VDC_FAMILIES = ("constant", "linear", "quadratic")
+_SECTIONS = ("system", "observables", "run")
 # Tensor characters a joining run integrates at most.
 _JOINING_BOX_CAP = 20_000
 
@@ -200,6 +205,14 @@ def _format_value(value) -> str:
     return format_real(value) if isinstance(value, float) else str(value)
 
 
+def _observable_index(key: str) -> int:
+    """i of an [observables] key f<i>; observables run in the order of i."""
+    if re.fullmatch(r"f[1-9][0-9]*", key) is None:
+        raise ValidationError(
+            f"[observables] key {key!r} is not f<i> with an integer i >= 1")
+    return int(key[1:])
+
+
 def _parse_sections(text: str) -> dict[str, dict[str, str]]:
     sections: dict[str, dict[str, str]] = {}
     current: dict[str, str] | None = None
@@ -209,6 +222,10 @@ def _parse_sections(text: str) -> dict[str, dict[str, str]]:
             continue
         if line.startswith("[") and line.endswith("]"):
             name = line[1:-1].strip()
+            if name not in _SECTIONS:
+                raise ValidationError(
+                    f"config line {lineno}: unknown section [{name}]; "
+                    "expected [system], [observables] or [run]")
             current = sections.setdefault(name, {})
             continue
         if "=" not in line or current is None:
@@ -233,8 +250,9 @@ def parse_config(text: str) -> ExperimentConfig:
     unknown = sorted(set(run) - set(_RUN_KEYS))
     if unknown:
         raise ValidationError(f"unknown run keys: {unknown}")
-    obs = tuple(parse_observable(v, system.obs_dim)
-                for _, v in sorted(sections.get("observables", {}).items()))
+    given = sections.get("observables", {})
+    obs = tuple(parse_observable(given[key], system.obs_dim)
+                for key in sorted(given, key=_observable_index))
     values = {key: _RUN_KEYS[key].parse(key, val) for key, val in run.items()}
     cfg = ExperimentConfig(system, values.pop("mode", None), obs, **values)
     cfg.validate()

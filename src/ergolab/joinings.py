@@ -12,15 +12,18 @@ fiber cloud reproduces the streamed multilinear average bit for bit: the
 points come from the same anchored orbit generator, the per-n products are
 multiplied in the same factor order, and each start's mean is the same
 chunked-fsum mean (fsum per CHUNK-anchored block, fsum across blocks,
-divided by N).
+divided by N).  Clouds are built one stride at a time for all starts at
+once (`orbit_block`, batched for rotations), bit-equal to one orbit per
+start.
 
 Integration works on slabs of starts: for each anchored block of `cnt`
 orbit indices, up to (CHUNK - 1) // cnt starts are evaluated together, so
 each factor costs one `evaluate` call per slab rather than one per start,
-and each start's block sum is an exact `math.fsum` over its row.  Slabs
-stay below CHUNK points because `evaluate`'s bits depend on the block
-length (see its docstring); a full-chunk block is taken one start at a
-time, exactly as the streamed average takes it.
+and each start's block sum is its row's `math.fsum`, computed for the whole
+slab at once by `exact_row_sums`.  Slabs stay below CHUNK points because
+`evaluate`'s bits depend on the block length (see its docstring); a
+full-chunk block is taken one start at a time, exactly as the streamed
+average takes it.
 
 Integration against a multi-start cloud is the mean of the per-start means.
 The barycenter identity (joining integral = average of fiber integrals) is
@@ -44,9 +47,10 @@ import numpy as np
 
 from .errors import DimensionMismatchError, ResourceCapError, ValidationError
 from .observables import Observable, evaluate
-from .phases import CHUNK, MeanAccumulator, chunk_ranges, e, exact_sum
+from .phases import (CHUNK, MeanAccumulator, chunk_ranges, e, exact_row_sums,
+                     exact_sum)
 from .rng import SplitMix64
-from .systems import DynamicalSystem, orbit_points, system_to_kv
+from .systems import DynamicalSystem, system_to_kv
 
 CLOUD_CAP = 10 ** 7   # tuples; beyond this, use the streaming integral
 
@@ -82,13 +86,12 @@ class EmpiricalMeasure:
 
 def _orbit_tuples(system, starts: np.ndarray, d: int, n0: int, count: int,
                   coords: str = "state") -> np.ndarray:
-    """(S, count, d, dim) array of T^{jn} x_s for n in [n0, n0+count)."""
+    """(S, count, d, dim) array of T^{jn} x_s for n in [n0, n0+count): one
+    `orbit_block` per stride j."""
     dim = system.dim if coords == "state" else system.obs_dim
     pts = np.empty((starts.shape[0], count, d, dim))
-    for s in range(starts.shape[0]):
-        for j in range(1, d + 1):
-            pts[s, :, j - 1, :] = orbit_points(system, starts[s], j, n0, count,
-                                               coords=coords)
+    for j in range(1, d + 1):
+        system.orbit_block(starts, j, n0, count, coords, out=pts[:, :, j - 1])
     return pts
 
 
@@ -135,10 +138,8 @@ def _start_means(block, S: int, N: int, fs: Sequence[Observable],
     of a full chunk), which keeps every call on the same side of numpy's
     temporary-reuse threshold as a single-start call and so keeps its bits.
 
-    Rows are summed with math.fsum, not exact_sum: they hold cnt <= N points,
-    100 in the joining workloads, far below exact_sum's crossover, and a
-    segmented (row x exponent) superaccumulator measured slower than per-row
-    fsum on 163 x 100 slabs."""
+    Each slab's real and imaginary rows are summed in one `exact_row_sums`
+    call, which returns every row's math.fsum bits."""
     re_sums: list[list[float]] = []     # per chunk, one sum per start
     im_sums: list[list[float]] = []
     for n0, cnt in chunk_ranges(0, N, CHUNK):
@@ -153,8 +154,9 @@ def _start_means(block, S: int, N: int, fs: Sequence[Observable],
                 vals *= evaluate(f, pts[:, :, j])
             if products is not None:
                 products[s0:s1, n0:n0 + cnt] = vals
-            re_c += map(math.fsum, vals.real.tolist())
-            im_c += map(math.fsum, vals.imag.tolist())
+            sums = exact_row_sums(np.concatenate((vals.real, vals.imag)))
+            re_c += sums[:s1 - s0].tolist()
+            im_c += sums[s1 - s0:].tolist()
         re_sums.append(re_c)
         im_sums.append(im_c)
     return [complex(math.fsum(re) / N, math.fsum(im) / N)

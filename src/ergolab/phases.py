@@ -6,8 +6,9 @@ those incrementally in doubles drifts, and reducing n * alpha directly loses
 all precision once the product outgrows the mantissa.  The strategy here:
 
 * Inputs (alpha, beta, starting coordinates) are doubles, hence exact binary
-  rationals.  Integer combinations of them are reduced mod 1 *exactly* with
-  `fractions.Fraction`, then rounded once to a double.
+  rationals.  Integer combinations of them are reduced mod 1 *exactly*, then
+  rounded once to a double: `frac_combo` sums them as one integer over a
+  power of two, and rational expressions go through `fractions.Fraction`.
 * Orbits are generated in chunks anchored at absolute multiples of a fixed
   chunk size.  The chunk base is reduced exactly; within a chunk only small
   products (offset * step, offset <= chunk) occur, so the worst-case phase
@@ -20,7 +21,10 @@ all precision once the product outgrows the mantissa.  The strategy here:
 * Sums of orbit values are exact per chunk (`exact_sum`, an exponent-bucket
   superaccumulator that returns math.fsum's correctly rounded bits at numpy
   speed) and math.fsum across chunk sums, which is deterministic and exceeds
-  the accuracy of running Kahan compensation.
+  the accuracy of running Kahan compensation.  Many short rows at once (the
+  slabs of a joining cloud) go through `exact_row_sums`, Rump-Ogita-Oishi
+  error-free extraction that certifies each row's math.fsum bits in numpy
+  and hands the rows it cannot certify to math.fsum.
 """
 
 from __future__ import annotations
@@ -47,10 +51,12 @@ def format_real(x: float) -> str:
 def frac(x):
     """x - floor(x), elementwise, post-corrected so the result is always in
     [0, 1).  (For tiny negative x the raw difference rounds to exactly 1.0.)"""
-    out = x - np.floor(x)
+    out = np.floor(x)
     if isinstance(out, np.ndarray):
+        np.subtract(x, out, out=out)      # x - floor(x) with one allocation
         out[out >= 1.0] -= 1.0
         return out
+    out = x - out
     return out - 1.0 if out >= 1.0 else out
 
 
@@ -70,12 +76,23 @@ def frac_fraction(q: Fraction) -> float:
 
 
 def frac_combo(terms: Iterable[tuple[int, float]]) -> float:
-    """Exact frac(sum of n_i * x_i) for integer n_i and double x_i."""
-    acc = Fraction(0)
+    """Exact frac(sum of n_i * x_i) for integer n_i and double x_i, rounded
+    once to double in [0, 1): frac_fraction of the Fraction sum, bit for bit.
+
+    A double is m / 2**k, so the sum is an integer over the largest 2**k;
+    its residue mod 1 is one mask, and int true division rounds it
+    correctly, as Fraction's float() does."""
+    num = shift = 0                       # the sum is num / 2**shift
     for n, x in terms:
         if n:
-            acc += n * Fraction(x)
-    return frac_fraction(acc)
+            m, d = x.as_integer_ratio()
+            k = d.bit_length() - 1
+            if k > shift:
+                num <<= k - shift
+                shift = k
+            num += int(n) * m << (shift - k)
+    out = (num & ((1 << shift) - 1)) / (1 << shift)
+    return 0.0 if out >= 1.0 else out
 
 
 def combo_fraction(terms: Iterable[tuple[int, float]]) -> Fraction:
@@ -145,19 +162,21 @@ def progression(base_at, step: float, n0: int, count: int, chunk: int = CHUNK,
                 out: np.ndarray | None = None) -> np.ndarray:
     """frac(base_at(anchor) + t * step) over [n0, n0+count), chunk by chunk
     (see anchored_chunks); base_at(anchor) is the exactly reduced phase at
-    the anchor.  Writes into `out` when given and returns it."""
+    the anchor.  Writes into `out` when given and returns it.  When
+    base_at returns a column of S bases, out is an (S, count) block with
+    one progression per row."""
     off = n0 % chunk
     if 0 < count <= chunk - off:      # one chunk: no generator per call
         vals = frac(base_at(n0 - off)
                     + np.arange(off, off + count, dtype=np.float64) * step)
         if out is None:
             return vals
-        out[:] = vals
+        out[...] = vals
         return out
     if out is None:
         out = np.empty(count)
     for pos, anchor, t in anchored_chunks(n0, count, chunk):
-        out[pos:pos + t.size] = frac(base_at(anchor) + t * step)
+        out[..., pos:pos + t.size] = frac(base_at(anchor) + t * step)
     return out
 
 
@@ -212,6 +231,85 @@ def exact_sum(x) -> float:
         return math.fsum(x.tolist())
     return sum(_bucket_total(x[i:i + CHUNK])
                for i in range(0, x.size, CHUNK)) / _SUM_SCALE
+
+
+_ROW_LIMIT = 2.0 ** 900      # rows with max |v| outside [2**-900, 2**900)
+_ROW_FLOOR = 2.0 ** -900     # go to math.fsum
+
+
+def exact_row_sums(x) -> np.ndarray:
+    """math.fsum of every row of a 2-D float64 array, bit for bit.
+
+    Two levels of error-free extraction (Rump, Ogita and Oishi, "Accurate
+    floating-point summation I/II", SIAM J. Sci. Comput. 31, 2008).  For a
+    row v of length n with max|v| < 2**E (np.frexp), take L = ceil(log2(n+2)),
+    sigma1 = 2**(L + E) and sigma2 = sigma1 * 2**(L - 52), and split
+
+        q1 = (sigma1 + v) - sigma1,  r1 = v - q1,
+        q2 = (sigma2 + r1) - sigma2, r2 = r1 - q2.
+
+    With |p| <= 2**-L sigma, fl(sigma + p) lies in [sigma/2, 2 sigma), so
+    it is a multiple of u sigma (u = 2**-53), the subtraction of sigma is
+    exact (Sterbenz) and so is p - q; |p - q| <= u sigma.  Hence
+    |r1| <= u sigma1 < 2**-L sigma2, which licenses the second level, and
+    |r2| <= u sigma2.  The q of one level are multiples of u sigma with
+    sum |q| <= n 2**-L sigma < sigma = 2**53 u sigma, so every partial sum
+    is representable and tau1 = sum q1, tau2 = sum q2 are exact in any
+    summation order.  The exact row sum is
+
+        T = tau1 + tau2 + sum r2 = s + e + rho + delta,
+
+    with s = fl(tau1 + tau2) and e its TwoSum error (exact), rho = fl(sum r2)
+    and, for any summation order, |delta| <= gamma_(n-1) sum |r2|
+    <= (n-1) u/(1 - (n-1) u) * n u sigma2 < 1.001 * 2**(3L - 158) sigma1.
+    Take B = 2**(3L - 157) sigma1, twice that, and let w = fl(e + rho), so
+    |e + rho| <= |w| (1 + 2u).  T rounds to s (round to nearest) whenever
+    |T - s| < h, half the smaller spacing between s and its two neighbours.
+    The row is accepted when, summed in any order,
+
+        fl(|w| + fl(2**-50 |w|) + B + 2**-1022) < h.
+
+    Each addition loses at most a factor (1 - u); the product 2**-50 |w|
+    can underflow by at most 2**-1075, which the 2**-1022 term absorbs.  So
+    the computed left side is at least
+    |w| (1 + 2**-50)(1 - u)**3 + B (1 - u)**3 >= |w| (1 + 2u) + |delta|:
+    acceptance implies |T - s| < h, and s is math.fsum's result.  Ties
+    (|T - s| = h) and s = 0 (spacing 0, so the sign of zero stays fsum's)
+    are never accepted.
+
+    Every other row goes to math.fsum itself: rows whose max is zero,
+    non-finite (fsum's inf, nan or ValueError), at least 2**900 (fsum's
+    intermediate overflow) or below 2**-900 (where u sigma2 would leave the
+    normal range), and rows the test above does not certify."""
+    x = np.asarray(x, dtype=np.float64)
+    rows, n = x.shape
+    if n == 0:
+        return np.zeros(rows)
+    with np.errstate(invalid="ignore", over="ignore"):
+        top = np.maximum(x.max(axis=1), -x.min(axis=1))
+        ok = (top >= _ROW_FLOOR) & (top < _ROW_LIMIT)
+        L = (n + 1).bit_length()               # ceil(log2(n + 2))
+        sig1 = np.ldexp(1.0, np.frexp(np.where(ok, top, 1.0))[1] + L)[:, None]
+        sig2 = sig1 * 2.0 ** (L - 52)
+        q = x + sig1
+        q -= sig1
+        r = x - q
+        tau1 = q.sum(axis=1)
+        np.add(r, sig2, out=q)
+        q -= sig2
+        r -= q
+        tau2 = q.sum(axis=1)
+        rho = r.sum(axis=1)
+        s = tau1 + tau2
+        bb = s - tau1
+        w = np.abs((tau1 - (s - bb)) + (tau2 - bb) + rho)
+        w += w * 2.0 ** -50 + (sig1[:, 0] * 2.0 ** (3 * L - 157) + 2.0 ** -1022)
+        a = np.abs(s)
+        gap = np.minimum(a - np.nextafter(a, 0.0), np.nextafter(a, np.inf) - a)
+        ok &= 2.0 * w < gap
+    for i in np.flatnonzero(~ok).tolist():
+        s[i] = math.fsum(x[i].tolist())
+    return s
 
 
 class MeanAccumulator:

@@ -34,7 +34,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionMismatchError, ValidationError
-from .phases import (PhaseForm, anchored_chunks, format_real, frac,
+from .phases import (CHUNK, PhaseForm, anchored_chunks, format_real, frac,
                      frac_combo, frac_fraction, progression)
 from .rng import SplitMix64
 
@@ -137,13 +137,15 @@ class DynamicalSystem:
     """The protocol every system kind implements.
 
     A kind declares its config name `kind`, its state dimension `dim`,
-    `step` and `orbit_points` (the closed-form powers), `compose_term` (the
-    action on one character), `kv_items` / `from_kv` (its config keys) and
-    `certify` (its ergodicity decision).  Adding a kind takes one subclass
-    and one `_KINDS` entry.
+    `step` and `orbit_points` (the closed-form powers; `orbit_block` takes
+    many starts, one orbit each unless the kind batches them),
+    `compose_term` (the action on one character), `kv_items` / `from_kv`
+    (its config keys, all listed in `keys`) and `certify` (its ergodicity
+    decision).  Adding a kind takes one subclass and one `_KINDS` entry.
     """
 
     kind: str
+    keys: tuple[str, ...]
 
     @property
     def obs_dim(self) -> int:
@@ -167,12 +169,25 @@ class DynamicalSystem:
         the frequency and multiplies by a phase linear in n; None otherwise."""
         return None
 
+    def orbit_block(self, starts, stride: int, n0: int, count: int,
+                    coords: str = "state", out: np.ndarray | None = None
+                    ) -> np.ndarray:
+        """orbit_points of every start row, as an (S, count, columns) array;
+        writes into `out` when given and returns it."""
+        if out is None:
+            cols = self.dim if coords == "state" else self.obs_dim
+            out = np.empty((len(starts), count, cols))
+        for s, x in enumerate(starts):
+            out[s] = self.orbit_points(x, stride, n0, count, coords=coords)
+        return out
+
 
 @dataclass(frozen=True)
 class Rotation(DynamicalSystem):
     """Translation by a fixed vector on the m-torus, Haar = Lebesgue."""
 
     kind = "rotation"
+    keys = ("alpha",)
     alpha: tuple[float, ...]
 
     def __init__(self, alpha):
@@ -189,11 +204,30 @@ class Rotation(DynamicalSystem):
 
     def orbit_points(self, x, stride: int, n0: int, count: int,
                      coords: str = "state") -> np.ndarray:
-        x = self.check_point(x)
-        out = np.empty((count, self.dim))
-        for c, (xc, ac) in enumerate(zip(x, self.alpha)):
-            progression(lambda a: frac_combo([(1, xc), (stride * a, ac)]),
-                        frac_combo([(stride, ac)]), n0, count, out=out[:, c])
+        return self.orbit_block(self.check_point(x)[None], stride, n0,
+                                count)[0]
+
+    def orbit_block(self, starts, stride: int, n0: int, count: int,
+                    coords: str = "state", out: np.ndarray | None = None
+                    ) -> np.ndarray:
+        """The orbits of all start rows at once: one `progression` per slab
+        of starts and coordinate, with the stride phase reduced once per
+        coordinate and one exact base reduction per (start, anchor,
+        coordinate), so every row is bit-equal to the one-start orbit.
+        Slabs keep each temporary within CHUNK elements."""
+        starts = self.check_point(starts)
+        if out is None:
+            out = np.empty((starts.shape[0], count, self.dim))
+        rows = CHUNK // min(max(count, 1), CHUNK)
+        for c, a in enumerate(self.alpha):
+            step = frac_combo([(stride, a)])
+            xs = starts[:, c].tolist()
+            for s0 in range(0, len(xs), rows):
+                slab = xs[s0:s0 + rows]
+                progression(lambda anchor: np.array(
+                    [frac_combo([(1, x), (stride * anchor, a)])
+                     for x in slab])[:, None],
+                    step, n0, count, out=out[s0:s0 + rows, :, c])
         return out
 
     def phase_basis(self) -> tuple[float, ...]:
@@ -231,6 +265,7 @@ class SkewProduct(DynamicalSystem):
     """
 
     kind = "skew"
+    keys = ("base_alpha", "cocycle_linear", "cocycle_const")
     base_alpha: tuple[float, ...]
     linear: tuple[tuple[int, ...], ...]
     const: tuple[float, ...]
@@ -425,6 +460,7 @@ class ToralAutomorphism(DynamicalSystem):
     """x |-> A x mod 1 with A integer and |det A| = 1 (Haar-preserving)."""
 
     kind = "automorphism"
+    keys = ("matrix",)
     matrix: tuple[tuple[int, ...], ...]
 
     def __init__(self, matrix):
@@ -526,6 +562,7 @@ class HeisenbergTranslation(DynamicalSystem):
     """
 
     kind = "heisenberg"
+    keys = ("alpha", "beta")
     alpha: float
     beta: float
 
@@ -736,6 +773,11 @@ def system_from_kv(kv: dict[str, str]) -> DynamicalSystem:
     cls = _KINDS.get(kv.get("kind"))
     if cls is None:
         raise ValidationError(f"unknown system kind {kv.get('kind')!r}")
+    for key in kv:
+        if key != "kind" and key not in cls.keys:
+            raise ValidationError(
+                f"unknown [system] key {key!r} for kind {cls.kind} "
+                f"(it reads {', '.join(cls.keys)})")
     try:
         return cls.from_kv(kv)
     except KeyError as exc:

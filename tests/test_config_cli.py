@@ -663,6 +663,19 @@ REJECTED_INPUTS = [
      ()),
     ("alpha twice", "certify",
      _certify("kind = rotation\nalpha = 0.5\nalpha = 0.25"), "alpha", ()),
+    # keys and sections the parser does not read
+    ("[system] beta for rotation", "certify",
+     _certify("kind = rotation\nalpha = 0.5\nbeta = 3"), "beta", ()),
+    ("[system] misspelt cocycle_const", "certify",
+     _certify("kind = skew\nbase_alpha = 0.5\ncocycle_linear = 1\n"
+              "cocycle_cnst = 0.25"), "cocycle_cnst", ()),
+    ("[observables] key g2", "average",
+     BASE_CFG.replace("f2 = ", "g2 = "), "g2", ()),
+    ("[observables] key f02", "average",
+     BASE_CFG.replace("f2 = ", "f02 = "), "f02", ()),
+    ("[observable] section", "joining",
+     _joining().replace("[run]", "[observable]\nf1 = 1,0:1\n[run]"),
+     "observable]", ()),
 ]
 
 
@@ -771,3 +784,18 @@ def test_joining_oracle_only_for_certified_rotations(tmp_path):
     assert not any("oracle" in r or "abs_error" in r for r in rows)
     rows = _joining_rows(tmp_path / "golden", "0.61803398874989479")
     assert all(r["abs_error"] < 0.5 for r in rows)
+
+
+def test_observables_ordered_by_index():
+    # f1..f15 written out of order: the integer i of f<i> orders them, so f2
+    # comes before f10, and format -> parse gives the config back
+    order = [10, 2, 15, 1, 11, 3, 9, 4, 14, 5, 12, 6, 13, 7, 8]
+    text = ("[system]\nkind = rotation\nalpha = 0.61803398874989479\n"
+            "[observables]\n"
+            + "".join(f"f{i} = 1:{i}\n" for i in order)
+            + "[run]\nmode = average\nscheme = cube\norder = 4\n"
+              "checkpoints = 10\nstart = 0.25\n")
+    cfg = parse_config(text)
+    assert [f.terms[0][0] for f in cfg.observables] == \
+        [(i,) for i in range(1, 16)]
+    assert parse_config(format_config(cfg)) == cfg

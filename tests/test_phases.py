@@ -1,4 +1,5 @@
-"""exact_sum against math.fsum, bit for bit, and the call sites that use it."""
+"""exact_sum and exact_row_sums against math.fsum, bit for bit, and the call
+sites that use them."""
 
 import math
 
@@ -6,7 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ergolab.phases import CHUNK, MeanAccumulator, _SUM_CUTOFF, exact_sum
+from ergolab.phases import (CHUNK, MeanAccumulator, _SUM_CUTOFF, exact_row_sums,
+                            exact_sum)
 from ergolab.seminorms import VdcReport, van_der_corput_check
 
 TINY = 2.2250738585072014e-308          # smallest normal double
@@ -116,6 +118,125 @@ def test_exact_sum_wide_and_subnormal_blocks():
     _same_as_fsum(wide)
     _same_as_fsum(rng.standard_normal(CHUNK) * 5e-324 * 1000)
     _same_as_fsum(np.concatenate([wide, -wide[:-1]]))
+
+
+# ---------------------------------------------------------------------------
+# exact_row_sums: every row against math.fsum
+
+ROW_LENGTHS = [1, 2, 100, CHUNK - 1]
+
+row_values = st.one_of(
+    magnitudes,
+    # TwoSum ties (2**53 + 1, 1 + 2**-53) and the 2**900 fallback edge
+    st.sampled_from([2.0 ** 53, 1.0, -1.0, 0.5, 2.0 ** -53, 1.5 * 2.0 ** -53,
+                     2.0 ** -54, 2.0 ** 900, -2.0 ** 900, 2.0 ** 899 * 1.5,
+                     2.0 ** -900, 1e300, -1e-300]),
+)
+
+
+def _same_rows_as_fsum(x):
+    """exact_row_sums(x) row by row against math.fsum: the same hex, or, when
+    some row raises, the first such row's exception type."""
+    want = [_outcome(math.fsum, row) for row in x]
+    raised = [kind for outcome, kind in want if outcome == "raises"]
+    if raised:
+        with pytest.raises(raised[0]):
+            exact_row_sums(x)
+        got = [_outcome(lambda r: exact_row_sums(r[None])[0], row) for row in x]
+    else:
+        got = [("value", v.hex()) for v in exact_row_sums(x).tolist()]
+    assert got == want
+
+
+@st.composite
+def row_blocks(draw):
+    """A 2-D array of drawn row length, filled from a small drawn pool; each
+    row optionally cancels exactly (its second half negates its first) and
+    one row is optionally all -0.0."""
+    n = draw(st.sampled_from(ROW_LENGTHS))
+    rows = draw(st.integers(1, 2 if n == CHUNK - 1 else 8))
+    pool = np.array(draw(st.lists(row_values, min_size=1, max_size=40)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    x = pool[rng.integers(0, pool.size, size=(rows, n))]
+    if draw(st.booleans()):
+        half = n // 2
+        x[:, half:2 * half] = -x[:, :half]
+    if draw(st.booleans()):
+        x[rng.integers(0, rows)] = -0.0
+    return rng.permuted(x, axis=1)
+
+
+def _near_midpoint_rows(rng, rows, n, span):
+    """Rows (n >= 3) whose exact sum lies at, or 2**-k of a spacing either
+    side of, the midpoint above a short-mantissa s, under cancelling pairs of
+    magnitudes up to 2**span |s|.  Summing the leftovers of one extraction
+    level in floats misrounds some of them, and with span 40 so does
+    dropping the bound on the second level's rounding error."""
+    s = (1 + rng.integers(0, 1024, rows) / 1024) \
+        * 2.0 ** rng.integers(-40, 40, rows)
+    h = np.spacing(s) / 2
+    delta = h * 2.0 ** -rng.integers(1, 60, rows) \
+        * rng.choice([-1.0, 0.0, 1.0, 1.0], rows)
+    k = (n - 3) // 2
+    mags = 2.0 ** rng.integers(-60, span, (rows, k)) * rng.random((rows, k)) \
+        * s[:, None]
+    x = np.zeros((rows, n))
+    x[:, :3 + 2 * k] = np.column_stack([s, h, delta, mags, -mags])
+    return rng.permuted(x, axis=1)
+
+
+@settings(max_examples=300)
+@given(row_blocks())
+def test_exact_row_sums_match_fsum(x):
+    _same_rows_as_fsum(x)
+
+
+@settings(max_examples=100)
+@given(row_blocks(), st.floats(-1.0, 1.0))
+def test_exact_row_sums_match_fsum_on_strided_views(x, c):
+    z = np.empty(x.shape, dtype=np.complex128)
+    z.real = x
+    z.imag = x[::-1] * c
+    _same_rows_as_fsum(z.real)
+    _same_rows_as_fsum(z.imag)
+    _same_rows_as_fsum(z.real[:, ::-1])
+
+
+@settings(max_examples=150)
+@given(row_blocks(), st.lists(st.sampled_from([math.inf, -math.inf, math.nan]),
+                              min_size=1, max_size=3),
+       st.integers(0, 2 ** 32 - 1))
+def test_exact_row_sums_nonfinite_follows_fsum(x, bad, seed):
+    rng = np.random.default_rng(seed)
+    for v in bad:
+        x[rng.integers(0, x.shape[0]), rng.integers(0, x.shape[1])] = v
+    _same_rows_as_fsum(x)
+
+
+@settings(max_examples=60)
+@given(st.sampled_from([3, 7, 100, 1000]), st.sampled_from([4, 40]),
+       st.integers(0, 2 ** 32 - 1))
+def test_exact_row_sums_near_midpoints(n, span, seed):
+    _same_rows_as_fsum(_near_midpoint_rows(np.random.default_rng(seed), 64, n,
+                                           span))
+
+
+@pytest.mark.parametrize("span", [4, 40])
+def test_exact_row_sums_near_midpoints_fixed(span):
+    # fixed draws of the rows above, on which one level of extraction, or
+    # the second level without its error bound, misrounds some rows
+    _same_rows_as_fsum(_near_midpoint_rows(np.random.default_rng(0), 3000,
+                                           100, span))
+
+
+def test_exact_row_sums_shapes_and_edges():
+    assert exact_row_sums(np.empty((3, 0))).tolist() == [0.0, 0.0, 0.0]
+    assert exact_row_sums(np.empty((0, 5))).shape == (0,)
+    edges = np.array([[2.0 ** 53, 1.0], [1.0, 2.0 ** -53], [-0.0, -0.0],
+                      [0.0, -0.0], [5e-324, 5e-324], [1e300, -1e300],
+                      [2.0 ** 1023, 2.0 ** 1023 * -0.5],
+                      [2.0 ** -900, -2.0 ** -953]])
+    _same_rows_as_fsum(edges)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ergolab.averaging import geometric_mean_streamed
 from ergolab.phases import (CHUNK, MeanAccumulator, PhaseForm,
@@ -269,3 +270,86 @@ def test_progression_one_chunk_and_many_chunks_agree():
     progression(base_at, step, 10, 300, chunk=64, out=out[:, 1])
     _same_bits(np.ascontiguousarray(out[:, 1]), whole)
     assert np.isnan(out[:, 0]).all()
+
+
+# ---------------------------------------------------------------------------
+# The batched rotation kernel against the per-start loop it replaced
+
+
+def ref_rotation_progression(system, x, stride, n0, count):
+    """Rotation.orbit_points before orbit_block: one progression per
+    coordinate, both phases reduced per call."""
+    out = np.empty((count, system.dim))
+    for c, (xc, ac) in enumerate(zip(x, system.alpha)):
+        progression(lambda a: frac_combo([(1, xc), (stride * a, ac)]),
+                    frac_combo([(stride, ac)]), n0, count, out=out[:, c])
+    return out
+
+
+def ref_orbit_tuples(system, starts, d, n0, count):
+    """joinings._orbit_tuples before orbit_block: one orbit per start and
+    stride."""
+    pts = np.empty((starts.shape[0], count, d, system.dim))
+    for s in range(starts.shape[0]):
+        for j in range(1, d + 1):
+            pts[s, :, j - 1, :] = ref_rotation_progression(system, starts[s],
+                                                           j, n0, count)
+    return pts
+
+
+ROTATIONS = {"1-D": golden_rotation(), "2-D": Rotation((GOLDEN, SQRT2_M1))}
+# (n0, count, starts): from zero, past CHUNK, across a CHUNK anchor, and one
+# long request; 400 starts span three slabs of 100-point rows
+BLOCK_WINDOWS = ((0, 1, 400), (0, 100, 400), (CHUNK + 5, 60, 400),
+                 (CHUNK - 50, 120, 400), (3, CHUNK + 10, 3))
+
+
+def _block_starts(dim, count):
+    starts = np.random.default_rng(5).random((count, dim))
+    starts[0] = 0.0
+    starts[1] = 5e-324
+    return starts
+
+
+@pytest.mark.parametrize("name", ROTATIONS)
+@pytest.mark.parametrize("coords", ["state", "obs"])
+def test_orbit_block_bits_match_frozen_per_start_loop(name, coords):
+    from ergolab.joinings import _orbit_tuples
+    system = ROTATIONS[name]
+    for n0, count, rows in BLOCK_WINDOWS:
+        starts = _block_starts(system.dim, rows)
+        for stride in (1, 2, 3):
+            ref = np.stack([ref_rotation_progression(system, x, stride, n0,
+                                                     count) for x in starts])
+            _same_bits(system.orbit_block(starts, stride, n0, count, coords),
+                       ref)
+            _same_bits(system.orbit_points(starts[2], stride, n0, count,
+                                           coords), ref[2])
+        _same_bits(_orbit_tuples(system, starts, 3, n0, count, coords),
+                   ref_orbit_tuples(system, starts, 3, n0, count))
+
+
+def ref_frac_combo(terms):
+    """frac_combo before it summed in integers: one Fraction per term."""
+    acc = Fraction(0)
+    for n, x in terms:
+        if n:
+            acc += n * Fraction(x)
+    return frac_fraction(acc)
+
+
+combo_reals = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(-1.0, 1.0),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1 - 2.0 ** -53, GOLDEN,
+                     2.2250738585072014e-308, 1.7976931348623157e308]))
+combo_ints = st.one_of(st.integers(-10, 10), st.integers(-2 ** 80, 2 ** 80),
+                       st.integers(-2 ** 62, 2 ** 62).map(np.int64))
+
+
+@settings(max_examples=500)
+@given(st.lists(st.tuples(combo_ints, combo_reals), max_size=4))
+def test_frac_combo_bits_match_fraction_reference(terms):
+    got = frac_combo(terms)
+    assert type(got) is float
+    assert got.hex() == ref_frac_combo(terms).hex()

@@ -353,6 +353,15 @@ def test_system_kv_roundtrip(system):
     assert system_from_kv(kv) == system
 
 
+@pytest.mark.parametrize("system", all_systems(),
+                         ids=lambda s: type(s).__name__)
+def test_system_from_kv_rejects_unknown_key(system):
+    # a key the kind does not read is an error, not silently dropped
+    kv = {**system_to_kv(system), "cocycle_cnst": "0.25"}
+    with pytest.raises(ValidationError, match="cocycle_cnst"):
+        system_from_kv(kv)
+
+
 def test_system_from_kv_rejects_bad_entries():
     with pytest.raises(ValidationError, match="unknown system kind"):
         system_from_kv({"kind": "torus"})
