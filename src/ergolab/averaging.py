@@ -10,13 +10,13 @@ folner     (1/|B|) sum_{(n,m) in B} f(S1^n S2^m x)
 
 Each scheme has a streamed numerical path (orbit points generated
 incrementally in anchored chunks, products evaluated pointwise, chunk sums
-by phases.exact_sum, which returns math.fsum's correctly rounded bits).  On
-phase-linear systems the square and cube grids factorize exactly per term
-tuple into one-dimensional geometric sums, and the streamed path then
-streams those geometric sums; a literal grid walk is kept for every system
-below a cost cap and cross-checked against the factorized path in the test
-suite.  Closed-form values live in exact.py and share no arithmetic with
-the streaming here.
+by phases.exact_sum, the one-row case of phases.exact_row_sums, which
+returns math.fsum's correctly rounded bits).  On phase-linear systems the
+square and cube grids factorize exactly per term tuple into one-dimensional
+geometric sums, and the streamed path then streams those geometric sums; a
+literal grid walk is kept for every system below a cost cap and
+cross-checked against the factorized path in the test suite.  Closed-form
+values live in exact.py and share no arithmetic with the streaming here.
 
 The one-dimensional linear path and the empirical-measure integration in
 joinings.py deliberately share the chunk layout and accumulation order, so

@@ -18,13 +18,13 @@ all precision once the product outgrows the mantissa.  The strategy here:
   does the anchoring: `anchored_chunks` yields each chunk's anchor and float
   offsets, and `progression` builds frac(base(anchor) + offset * step) on it.
   Every orbit and phase stream in the library goes through these two.
-* Sums of orbit values are exact per chunk (`exact_sum`, an exponent-bucket
-  superaccumulator that returns math.fsum's correctly rounded bits at numpy
-  speed) and math.fsum across chunk sums, which is deterministic and exceeds
-  the accuracy of running Kahan compensation.  Many short rows at once (the
-  slabs of a joining cloud) go through `exact_row_sums`, Rump-Ogita-Oishi
-  error-free extraction that certifies each row's math.fsum bits in numpy
-  and hands the rows it cannot certify to math.fsum.
+* Sums of orbit values are exact per chunk and math.fsum across chunk
+  sums, which is deterministic and exceeds the accuracy of running Kahan
+  compensation.  One kernel sums exactly: `exact_row_sums`, Rump-Ogita-Oishi
+  error-free extraction over column blocks of CHUNK, certifies math.fsum's
+  bits for every row of a 2-D array in numpy and hands the rows it cannot
+  certify to math.fsum.  `exact_sum` is its one-row case (math.fsum itself
+  on short inputs); the slabs of a joining cloud call it with many rows.
 """
 
 from __future__ import annotations
@@ -180,57 +180,26 @@ def progression(base_at, step: float, n0: int, count: int, chunk: int = CHUNK,
     return out
 
 
-# exact_sum: below this length math.fsum over a list is faster (crossover
-# ~800 unit-modulus values on a 2-vCPU x86-64 host, Python 3.11, numpy 2.4;
-# 7 us against 19 us at 256 values); both give the same bits.
+# exact_sum: math.fsum over a list below this length (the same bits).  The
+# crossover against the one-row exact_row_sums is 1,500-2,000 unit-modulus
+# values on a 2-vCPU x86-64 host, Python 3.11, numpy 2.4 (fsum 45 us against
+# 60-75 us at 1,024 values, 120-160 us against 95-105 us at 3,072); from
+# 1,024 to the crossover the two differ by under 30 us per call.
 _SUM_CUTOFF = 1 << 10
-_SUM_LIMIT = 2.0 ** 960      # larger magnitudes keep fsum's overflow handling
-_EXP_LOW = 1073              # -(smallest frexp exponent), that of 2**-1074
-_SUM_SCALE = 1 << (_EXP_LOW + 53)
-
-
-def _bucket_total(x: np.ndarray) -> int:
-    """sum(x) * 2**1126 as an exact int, for finite |x| < 2**960 and at most
-    CHUNK elements.
-
-    Each x = m * 2**e (np.frexp) has the 53-bit integer mantissa m * 2**53,
-    split into a signed high part of 26 bits and a low part of 27 bits.  One
-    bincount per part, keyed by exponent, sums them in float64; every partial
-    sum is an integer below 2**41, so it is exact."""
-    m, ex = np.frexp(x)
-    key = ex.astype(np.intp)
-    key += _EXP_LOW
-    hi = np.floor(m * 2.0 ** 26)
-    m *= 2.0 ** 53
-    m -= hi * 2.0 ** 27                         # low part, in [0, 2**27)
-    hs = np.bincount(key, weights=hi)
-    ls = np.bincount(key, weights=m)
-    used = np.flatnonzero(hs.astype(bool) | ls.astype(bool))
-    total = 0
-    for k, h, lo in zip(used.tolist(), hs[used].tolist(), ls[used].tolist()):
-        total += ((int(h) << 27) + int(lo)) << k
-    return total
 
 
 def exact_sum(x) -> float:
     """The correctly rounded sum of a float64 array: math.fsum's bits.
 
-    An exact superaccumulator (Neal, arXiv:1505.05571): exponent buckets
-    summed CHUNK elements at a time, combined as one Python int and rounded
-    once by int true division.  Short inputs, non-finite values (inf, nan and
-    fsum's ValueError for inf - inf), magnitudes of 2**960 or more (fsum's
-    intermediate overflow) and all-zero inputs (the sign of zero) go to
-    math.fsum itself."""
+    Short inputs go to math.fsum itself; longer ones are the one-row case of
+    exact_row_sums, which hands back to math.fsum whatever it cannot
+    certify."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1:
         x = x.ravel()
     if x.size < _SUM_CUTOFF:
         return math.fsum(x.tolist())
-    top = np.abs(x).max()
-    if not 0.0 < top < _SUM_LIMIT:
-        return math.fsum(x.tolist())
-    return sum(_bucket_total(x[i:i + CHUNK])
-               for i in range(0, x.size, CHUNK)) / _SUM_SCALE
+    return float(exact_row_sums(x.reshape(1, -1))[0])
 
 
 _ROW_LIMIT = 2.0 ** 900      # rows with max |v| outside [2**-900, 2**900)
@@ -255,17 +224,28 @@ def exact_row_sums(x) -> np.ndarray:
     |r2| <= u sigma2.  The q of one level are multiples of u sigma with
     sum |q| <= n 2**-L sigma < sigma = 2**53 u sigma, so every partial sum
     is representable and tau1 = sum q1, tau2 = sum q2 are exact in any
-    summation order.  The exact row sum is
+    summation order.  The split runs over column blocks of CHUNK, so no
+    temporary exceeds rows * CHUNK elements, and each block's sums are
+    added to tau1, tau2 and rho.  The exact row sum is
 
         T = tau1 + tau2 + sum r2 = s + e + rho + delta,
 
     with s = fl(tau1 + tau2) and e its TwoSum error (exact), rho = fl(sum r2)
-    and, for any summation order, |delta| <= gamma_(n-1) sum |r2|
-    <= (n-1) u/(1 - (n-1) u) * n u sigma2 < 1.001 * 2**(3L - 158) sigma1.
-    Take B = 2**(3L - 157) sigma1, twice that, and let w = fl(e + rho), so
-    |e + rho| <= |w| (1 + 2u).  T rounds to s (round to nearest) whenever
-    |T - s| < h, half the smaller spacing between s and its two neighbours.
-    The row is accepted when, summed in any order,
+    and, for any summation order (the block split is one), |delta| <=
+    gamma_(n-1) sum |r2| <= (n-1) u/(1 - (n-1) u) * n u sigma2
+    < 1.001 * 2**(3L - 158) sigma1.
+
+    A row whose r2 are all zero is accepted outright: T = tau1 + tau2, and
+    s is its round-half-even rounding, ties included, which is what fsum
+    returns.  Such a row has a nonzero element, so s = 0 means T = 0, where
+    fsum returns +0.0; so does s, since no q is -0.0 (an exact zero
+    difference or sum of nonzero terms is +0.0).
+
+    Otherwise take B = 2**(3L - 157) sigma1, twice the bound on delta, and
+    let w = fl(e + rho), so |e + rho| <= |w| (1 + 2u).  T rounds to s
+    (round to nearest) whenever |T - s| < h, half the smaller spacing
+    between s and its two neighbours.  The row is accepted when, summed in
+    any order,
 
         fl(|w| + fl(2**-50 |w|) + B + 2**-1022) < h.
 
@@ -274,13 +254,12 @@ def exact_row_sums(x) -> np.ndarray:
     the computed left side is at least
     |w| (1 + 2**-50)(1 - u)**3 + B (1 - u)**3 >= |w| (1 + 2u) + |delta|:
     acceptance implies |T - s| < h, and s is math.fsum's result.  Ties
-    (|T - s| = h) and s = 0 (spacing 0, so the sign of zero stays fsum's)
-    are never accepted.
+    (|T - s| = h) and s = 0 (spacing 0) never pass this test.
 
     Every other row goes to math.fsum itself: rows whose max is zero,
     non-finite (fsum's inf, nan or ValueError), at least 2**900 (fsum's
     intermediate overflow) or below 2**-900 (where u sigma2 would leave the
-    normal range), and rows the test above does not certify."""
+    normal range), and rows neither test certifies."""
     x = np.asarray(x, dtype=np.float64)
     rows, n = x.shape
     if n == 0:
@@ -291,22 +270,27 @@ def exact_row_sums(x) -> np.ndarray:
         L = (n + 1).bit_length()               # ceil(log2(n + 2))
         sig1 = np.ldexp(1.0, np.frexp(np.where(ok, top, 1.0))[1] + L)[:, None]
         sig2 = sig1 * 2.0 ** (L - 52)
-        q = x + sig1
-        q -= sig1
-        r = x - q
-        tau1 = q.sum(axis=1)
-        np.add(r, sig2, out=q)
-        q -= sig2
-        r -= q
-        tau2 = q.sum(axis=1)
-        rho = r.sum(axis=1)
+        tau1, tau2, rho = np.zeros(rows), np.zeros(rows), np.zeros(rows)
+        exact = np.ones(rows, dtype=bool)      # every r2 so far is zero
+        for i in range(0, n, CHUNK):
+            v = x[:, i:i + CHUNK]
+            q = v + sig1
+            q -= sig1
+            r = v - q
+            tau1 += q.sum(axis=1)
+            np.add(r, sig2, out=q)
+            q -= sig2
+            r -= q
+            tau2 += q.sum(axis=1)
+            rho += r.sum(axis=1)
+            exact &= ~r.any(axis=1)
         s = tau1 + tau2
         bb = s - tau1
         w = np.abs((tau1 - (s - bb)) + (tau2 - bb) + rho)
         w += w * 2.0 ** -50 + (sig1[:, 0] * 2.0 ** (3 * L - 157) + 2.0 ** -1022)
         a = np.abs(s)
         gap = np.minimum(a - np.nextafter(a, 0.0), np.nextafter(a, np.inf) - a)
-        ok &= 2.0 * w < gap
+        ok &= exact | (2.0 * w < gap)
     for i in np.flatnonzero(~ok).tolist():
         s[i] = math.fsum(x[i].tolist())
     return s
@@ -333,15 +317,8 @@ class MeanAccumulator:
         self._im.append(value.imag)
         self._n += 1
 
-    @property
-    def count(self) -> int:
-        return self._n
-
-    def total(self) -> complex:
-        return complex(math.fsum(self._re), math.fsum(self._im))
-
     def mean(self) -> complex:
         if self._n == 0:
             raise ZeroDivisionError("mean of empty accumulator")
-        t = self.total()
-        return complex(t.real / self._n, t.imag / self._n)
+        return complex(math.fsum(self._re) / self._n,
+                       math.fsum(self._im) / self._n)

@@ -2,11 +2,14 @@
 sites that use them."""
 
 import math
+import tracemalloc
+import types
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ergolab import phases
 from ergolab.phases import (CHUNK, MeanAccumulator, _SUM_CUTOFF, exact_row_sums,
                             exact_sum)
 from ergolab.seminorms import VdcReport, van_der_corput_check
@@ -104,8 +107,8 @@ def test_exact_sum_overflow_is_fsums_own():
 
 
 def test_exact_sum_bucket_whose_high_parts_cancel():
-    # 0.5 + 2**-27 and -0.5 share an exponent; their 26-bit high parts
-    # cancel and only the low parts carry the sum
+    # 0.5 + 2**-27 and -0.5 share an exponent and cancel in their top 26
+    # bits; only the low bits carry the sum
     x = np.tile([0.5 + 2.0 ** -27, -0.5], _SUM_CUTOFF)
     _same_as_fsum(x)
     assert exact_sum(x) == _SUM_CUTOFF * 2.0 ** -27
@@ -123,7 +126,7 @@ def test_exact_sum_wide_and_subnormal_blocks():
 # ---------------------------------------------------------------------------
 # exact_row_sums: every row against math.fsum
 
-ROW_LENGTHS = [1, 2, 100, CHUNK - 1]
+ROW_LENGTHS = [1, 2, 100, CHUNK - 1, CHUNK + 1]
 
 row_values = st.one_of(
     magnitudes,
@@ -154,7 +157,7 @@ def row_blocks(draw):
     row optionally cancels exactly (its second half negates its first) and
     one row is optionally all -0.0."""
     n = draw(st.sampled_from(ROW_LENGTHS))
-    rows = draw(st.integers(1, 2 if n == CHUNK - 1 else 8))
+    rows = draw(st.integers(1, 2 if n >= CHUNK - 1 else 8))
     pool = np.array(draw(st.lists(row_values, min_size=1, max_size=40)))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     x = pool[rng.integers(0, pool.size, size=(rows, n))]
@@ -237,6 +240,46 @@ def test_exact_row_sums_shapes_and_edges():
                       [2.0 ** 1023, 2.0 ** 1023 * -0.5],
                       [2.0 ** -900, -2.0 ** -953]])
     _same_rows_as_fsum(edges)
+
+
+def test_exact_row_sums_certify_exact_remainders_without_fsum(monkeypatch):
+    # Rows whose second-level remainders are all zero are certified without
+    # fsum: exact rounding ties (round half to even) and exact cancellation
+    # beside -0.0 (fsum's +0.0).  The last row's one nonzero remainder,
+    # 2**-80 (above half the spacing at its s = 2**-30), lies in its first
+    # column block, so that row must still go to fsum.
+    mid = _near_midpoint_rows(np.random.default_rng(1), 256, 3, 4)
+    late = np.zeros((1, CHUNK + 1))
+    late[0, :4] = [1.0, -1.0, 2.0 ** -30, 2.0 ** -80]
+    blocks = [mid[(mid == 0.0).any(axis=1)], np.array([[1.0, 2.0 ** -53]]),
+              np.array([[1.0, -1.0, -0.0], [-0.0, 2.0 ** -53, -2.0 ** -53]]),
+              late]
+    want = [[math.fsum(row).hex() for row in b] for b in blocks]
+    sent = []
+
+    def spy(values):
+        sent.append(len(values))
+        return math.fsum(values)
+
+    monkeypatch.setattr(phases, "math", types.SimpleNamespace(fsum=spy))
+    assert len(blocks[0]) > 40
+    assert [[v.hex() for v in exact_row_sums(b).tolist()] for b in blocks] \
+        == want
+    assert sent == [CHUNK + 1]
+
+
+def test_exact_sum_temporaries_stay_within_column_blocks():
+    z = np.exp(2j * np.pi * np.random.default_rng(5).random(10 ** 6))
+    for x in (np.ascontiguousarray(z.imag), z.imag):
+        want = math.fsum(x)
+        tracemalloc.start()
+        try:
+            got = exact_sum(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.hex() == want.hex()
+        assert peak < 1 << 20
 
 
 # ---------------------------------------------------------------------------
