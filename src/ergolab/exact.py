@@ -34,8 +34,11 @@ def geometric_mean_closed(form: PhaseForm, N: int) -> complex:
         raise ValidationError("N must be >= 1")
     if form.is_integral():
         return 1.0 + 0.0j
-    num = 1.0 - e(form.frac_times(N))
-    den = N * (1.0 - e(form.frac()))
+    theta, theta_n = form.frac(), form.frac_times(N)
+    if theta == 0.0:      # a residue just below 1 rounded up: take it signed
+        theta, theta_n = (form.nearest_residue_times(n) for n in (1, N))
+    num = 1.0 - e(theta_n)
+    den = N * (1.0 - e(theta))
     return num / den
 
 

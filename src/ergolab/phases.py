@@ -6,9 +6,10 @@ those incrementally in doubles drifts, and reducing n * alpha directly loses
 all precision once the product outgrows the mantissa.  The strategy here:
 
 * Inputs (alpha, beta, starting coordinates) are doubles, hence exact binary
-  rationals.  Integer combinations of them are reduced mod 1 *exactly*, then
-  rounded once to a double: `frac_combo` sums them as one integer over a
-  power of two, and rational expressions go through `fractions.Fraction`.
+  rationals.  Integer combinations of them and of their pairwise products
+  are reduced mod 1 *exactly*, then rounded once to a double: `dyadic_combo`
+  sums them as one integer over a power of two, the library's one exact
+  reducer, and `frac_combo` rounds that sum's residue.
 * Orbits are generated in chunks anchored at absolute multiples of a fixed
   chunk size.  The chunk base is reduced exactly; within a chunk only small
   products (offset * step, offset <= chunk) occur, so the worst-case phase
@@ -30,7 +31,6 @@ all precision once the product outgrows the mantissa.  The strategy here:
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -66,8 +66,9 @@ def e(x):
         else complex(math.cos(TWO_PI * x), math.sin(TWO_PI * x))
 
 
-def frac_fraction(q: Fraction) -> float:
-    """Exact q mod 1, rounded once to double, guaranteed in [0, 1)."""
+def frac_fraction(q) -> float:
+    """Exact q mod 1 for a fractions.Fraction q, rounded once to double,
+    guaranteed in [0, 1)."""
     r = q - (q.numerator // q.denominator)
     out = float(r)
     if out >= 1.0:  # rounding of a fraction just below 1
@@ -75,32 +76,34 @@ def frac_fraction(q: Fraction) -> float:
     return out
 
 
-def frac_combo(terms: Iterable[tuple[int, float]]) -> float:
-    """Exact frac(sum of n_i * x_i) for integer n_i and double x_i, rounded
-    once to double in [0, 1): frac_fraction of the Fraction sum, bit for bit.
-
-    A double is m / 2**k, so the sum is an integer over the largest 2**k;
-    its residue mod 1 is one mask, and int true division rounds it
-    correctly, as Fraction's float() does."""
-    num = shift = 0                       # the sum is num / 2**shift
-    for n, x in terms:
+def dyadic_combo(terms: Iterable[tuple]) -> tuple[int, int]:
+    """The exact sum of terms n * x and n * x * y, given as (n, x) and
+    (n, x, y) for integer n and doubles x, y, as (num, shift) with sum =
+    num / 2**shift (so num >> shift is its floor): doubles are dyadic."""
+    num = shift = 0
+    for t in terms:
+        n = t[0]
         if n:
-            m, d = x.as_integer_ratio()
+            m, d = t[1].as_integer_ratio()
+            if len(t) == 3:
+                m2, d2 = t[2].as_integer_ratio()
+                m *= m2
+                d *= d2
             k = d.bit_length() - 1
             if k > shift:
                 num <<= k - shift
                 shift = k
             num += int(n) * m << (shift - k)
+    return num, shift
+
+
+def frac_combo(terms: Iterable[tuple]) -> float:
+    """Exact frac of the dyadic_combo sum, rounded once to double in [0, 1):
+    frac_fraction of the same rational, bit for bit (its residue mod 1 is
+    one mask, and int true division rounds it correctly)."""
+    num, shift = dyadic_combo(terms)
     out = (num & ((1 << shift) - 1)) / (1 << shift)
     return 0.0 if out >= 1.0 else out
-
-
-def combo_fraction(terms: Iterable[tuple[int, float]]) -> Fraction:
-    acc = Fraction(0)
-    for n, x in terms:
-        if n:
-            acc += n * Fraction(x)
-    return acc
 
 
 class PhaseForm:
@@ -118,9 +121,6 @@ class PhaseForm:
         self.coeffs = tuple(int(c) for c in coeffs)
         self.basis = tuple(float(b) for b in basis)
 
-    def fraction(self) -> Fraction:
-        return combo_fraction(zip(self.coeffs, self.basis))
-
     def frac(self) -> float:
         """theta mod 1 as a double."""
         return frac_combo(zip(self.coeffs, self.basis))
@@ -130,8 +130,16 @@ class PhaseForm:
         return frac_combo((n * c, b) for c, b in zip(self.coeffs, self.basis))
 
     def is_integral(self) -> bool:
-        """True iff theta is exactly an integer (as a rational)."""
-        return self.fraction().denominator == 1
+        """True iff theta is exactly an integer: its exact residue is zero
+        (frac() can round a residue just below 1 to 0.0)."""
+        num, shift = dyadic_combo(zip(self.coeffs, self.basis))
+        return (num & ((1 << shift) - 1)) == 0
+
+    def nearest_residue_times(self, n: int) -> float:
+        """n * theta minus its nearest integer, in [-1/2, 1/2], rounded once."""
+        num, shift = dyadic_combo((n * c, b) for c, b in zip(self.coeffs, self.basis))
+        r = num & ((1 << shift) - 1)
+        return (r - (1 << shift) if 2 * r > 1 << shift else r) / (1 << shift)
 
     def __repr__(self):
         return f"PhaseForm({self.coeffs}, {self.basis})"

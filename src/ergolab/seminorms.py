@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -31,7 +30,7 @@ from .errors import ResourceCapError, ValidationError
 from .observables import (Observable, compose_with_power, conjugate,
                           evaluate, integral_haar, multiply)
 from .phases import (MeanAccumulator, anchored_chunks, chunk_ranges,
-                     exact_sum, frac, frac_fraction, CHUNK)
+                     exact_sum, frac, frac_combo, CHUNK)
 from .rng import SplitMix64
 from .systems import GOLDEN, DynamicalSystem, orbit_points
 
@@ -198,10 +197,9 @@ def van_der_corput_check(seq, H: int) -> VdcReport:
 def quadratic_phase_block(a: float, length: int, chunk: int = 256) -> np.ndarray:
     """frac(n^2 a) for n < length, chunk-exact (no drift)."""
     out = np.empty(length)
-    fa = Fraction(a)
     for pos, anchor, t in anchored_chunks(0, length, chunk):
-        b0 = frac_fraction(anchor * anchor * fa)
-        b1 = frac_fraction(2 * anchor * fa)
+        b0 = frac_combo([(anchor * anchor, a)])
+        b1 = frac_combo([(2 * anchor, a)])
         out[pos:pos + t.size] = frac(b0 + t * b1 + (t * t) * a)
     return out
 

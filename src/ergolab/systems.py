@@ -17,25 +17,24 @@ coordinates stored as doubles in [0, 1):
 Every map reduces back into the fundamental domain after each arithmetic
 step.  Powers T^n use closed forms (rotation: x + n*alpha; automorphism:
 exact integer matrix powers; Heisenberg: t^n = (n a, n b, C(n,2) a b)),
-reduced exactly via rational arithmetic so that arbitrarily large n loses no
-precision.  Orbit segments are generated in chunks anchored at absolute
-indices (see phases.py), which makes the emitted floats a pure function of
-the orbit index -- two callers asking for overlapping ranges get bit-equal
-points.
+reduced exactly by phases.dyadic_combo (a double is an integer over a power
+of two) so that arbitrarily large n loses no precision.  Orbit segments are
+generated in chunks anchored at absolute indices (see phases.py), which
+makes the emitted floats a pure function of the orbit index -- two callers
+asking for overlapping ranges get bit-equal points.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
 from .errors import DimensionMismatchError, ValidationError
-from .phases import (CHUNK, PhaseForm, anchored_chunks, format_real, frac,
-                     frac_combo, frac_fraction, progression)
+from .phases import (CHUNK, PhaseForm, anchored_chunks, dyadic_combo,
+                     format_real, frac, frac_combo, progression)
 from .rng import SplitMix64
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -294,7 +293,8 @@ class SkewProduct(DynamicalSystem):
         return self.base_dim + self.fiber_dim
 
     def _fiber_shift_terms(self, y, n: int, f: int):
-        """Exact Fraction terms of the f-th fiber coordinate shift for T^n."""
+        """The frac_combo terms of the f-th fiber coordinate shift for T^n:
+        sum_b B[f][b] (n y_b + C(n,2) alpha_b) + n c_f."""
         terms = []
         for b in range(self.base_dim):
             B = self.linear[f][b]
@@ -327,24 +327,15 @@ class SkewProduct(DynamicalSystem):
                         out=out[:, c])
         for f in range(self.fiber_dim):
             col = self.base_dim + f
+            row = [(B, a) for B, a in zip(self.linear[f], self.base_alpha)]
+            abf = frac_combo(row)
             for pos, anchor, t in anchored_chunks(n0, count, chunk):
                 s0 = stride * anchor
                 # g_f(s0 + u) = Bg0 + u*Bg1 + C(u,2)*ab  (mod 1), u = stride*t
-                fr0 = Fraction(float(g[f]))
-                fr1 = Fraction(self.const[f])
-                frab = Fraction(0)
-                for b in range(self.base_dim):
-                    B = self.linear[f][b]
-                    if B:
-                        fa = Fraction(self.base_alpha[b])
-                        fy = Fraction(float(y[b]))
-                        fr0 += B * (s0 * fy + binom2(s0) * fa)
-                        fr1 += B * (fy + s0 * fa)
-                        frab += B * fa
-                fr0 += s0 * Fraction(self.const[f])
-                bg0 = frac_fraction(fr0)
-                bg1 = frac_fraction(fr1)
-                abf = frac_fraction(frab)
+                bg0 = frac_combo([(1, float(g[f]))]
+                                 + self._fiber_shift_terms(y, s0, f))
+                bg1 = frac_combo(self._fiber_shift_terms(y, 1, f)
+                                 + [(B * s0, a) for B, a in row])
                 u = stride * t
                 out[pos:pos + t.size, col] = frac(bg0 + u * bg1
                                                   + (u * (u - 1.0) / 2.0) * abf)
@@ -404,23 +395,25 @@ class SkewProduct(DynamicalSystem):
         return "undetermined", "cocycle shape outside the certified cases"
 
 
-def _int_mat_mul(a, b):
+def _int_mat_mul(a, b, mod: int = 0):
+    """a b, every entry reduced into [0, mod) when mod is nonzero."""
     n, k, m = len(a), len(b), len(b[0])
-    return tuple(tuple(sum(a[i][t] * b[t][j] for t in range(k))
-                       for j in range(m)) for i in range(n))
+    out = tuple(tuple(sum(a[i][t] * b[t][j] for t in range(k))
+                      for j in range(m)) for i in range(n))
+    return tuple(tuple(v % mod for v in row) for row in out) if mod else out
 
 
-def _int_mat_pow(a, n: int):
+def _int_mat_pow(a, n: int, mod: int = 0):
     dim = len(a)
     if n < 0:
-        return _int_mat_pow(_int_mat_inverse(a), -n)
+        return _int_mat_pow(_int_mat_inverse(a), -n, mod)
     result = tuple(tuple(1 if i == j else 0 for j in range(dim))
                    for i in range(dim))
     base = a
     while n:
         if n & 1:
-            result = _int_mat_mul(result, base)
-        base = _int_mat_mul(base, base)
+            result = _int_mat_mul(result, base, mod)
+        base = _int_mat_mul(base, base, mod)
         n >>= 1
     return result
 
@@ -476,11 +469,7 @@ class ToralAutomorphism(DynamicalSystem):
         return len(self.matrix)
 
     def _apply_exact(self, mat, p: np.ndarray) -> np.ndarray:
-        out = np.empty(self.dim)
-        for i in range(self.dim):
-            out[i] = frac_combo((mat[i][j], float(p[j]))
-                                for j in range(self.dim))
-        return out
+        return np.array([frac_combo(zip(row, p.tolist())) for row in mat])
 
     def step(self, p, n: int = 1) -> np.ndarray:
         p = self.check_point(p)
@@ -496,15 +485,19 @@ class ToralAutomorphism(DynamicalSystem):
                      coords: str = "state") -> np.ndarray:
         # Hyperbolicity amplifies float rounding by |lambda| per step, so a
         # plain float stream is garbage after ~30 steps.  Positions are
-        # computed from exact integer matrix powers instead; the integers grow
-        # like lambda^n, which keeps this path honest but O(n log n)-bit.
+        # computed from exact integer matrix powers instead.  The start is an
+        # integer vector over 2**K (K its largest dyadic exponent), so
+        # A^n x mod 1 only needs A^n mod 2**K: the entries stay below 2**K
+        # for every n, and `step` keeps the unreduced powers as a reference.
         x = self.check_point(x)
         out = np.empty((count, self.dim))
-        mstride = _int_mat_pow(self.matrix, stride)
-        mat = _int_mat_pow(self.matrix, stride * n0)
+        mod = 1 << max(float(v).as_integer_ratio()[1].bit_length() - 1
+                       for v in x)
+        mstride = _int_mat_pow(self.matrix, stride, mod)
+        mat = _int_mat_pow(self.matrix, stride * n0, mod)
         for t in range(count):
             out[t] = self._apply_exact(mat, x)
-            mat = _int_mat_mul(mstride, mat)
+            mat = _int_mat_mul(mstride, mat, mod)
         return out
 
     def compose_term(self, k: tuple[int, ...], n: int) -> tuple[tuple[int, ...], complex]:
@@ -583,10 +576,10 @@ class HeisenbergTranslation(DynamicalSystem):
         p = self.check_point(p)
         if p.ndim > 1:
             if abs(n) <= 8:
-                fa, fb = Fraction(self.alpha), Fraction(self.beta)
                 gx = n * self.alpha
                 gy = n * self.beta
-                gz = float(binom2(n) * fa * fb)
+                num, shift = dyadic_combo([(binom2(n), self.alpha, self.beta)])
+                gz = num / (1 << shift)
                 raw = np.stack([gx + p[..., 0], gy + p[..., 1],
                                 gz + p[..., 2] + gx * p[..., 1]], axis=-1)
                 return reduce_mod_lattice(raw)
@@ -594,39 +587,39 @@ class HeisenbergTranslation(DynamicalSystem):
         return self._power_point(p, n)
 
     def _power_point(self, p: np.ndarray, s: int) -> np.ndarray:
-        """Exact T^s p via rational reduction (any integer s)."""
-        fa, fb = Fraction(self.alpha), Fraction(self.beta)
-        fx, fy, fz = Fraction(float(p[0])), Fraction(float(p[1])), Fraction(float(p[2]))
-        rx = fx + s * fa
-        ry = fy + s * fb
-        rz = fz + binom2(s) * fa * fb + s * fa * fy
-        fl = ry.numerator // ry.denominator
-        return np.array([frac_fraction(rx), frac_fraction(ry),
-                         frac_fraction(rz - rx * fl)])
+        """Exact T^s p (any integer s): frac of rx, ry and rz - rx floor(ry)."""
+        x, y, z = (float(v) for v in p)
+        a, b = self.alpha, self.beta
+        num, shift = dyadic_combo([(1, y), (s, b)])
+        fl = num >> shift
+        return np.array([frac_combo([(1, x), (s, a)]),
+                         frac_combo([(1, y), (s, b)]),
+                         frac_combo([(1, z), (binom2(s), a, b), (s, a, y),
+                                     (-fl, x), (-fl * s, a)])])
 
     def orbit_points(self, x, stride: int, n0: int, count: int,
                      coords: str = "state") -> np.ndarray:
         x = self.check_point(x)
         ncols = 2 if coords == "obs" else 3
         out = np.empty((count, ncols))
-        fa, fb = Fraction(self.alpha), Fraction(self.beta)
-        fx, fy, fz = (Fraction(float(x[0])), Fraction(float(x[1])),
-                      Fraction(float(x[2])))
+        a, b = self.alpha, self.beta
+        x0, y0, z0 = (float(v) for v in x)
         # The base coordinates are plain rotation orbits and use the standard
         # chunking, so obs- and state-coordinate requests emit identical
         # floats (integration against stored clouds relies on this).
-        stepa = frac_combo([(stride, self.alpha)])
-        stepb = frac_combo([(stride, self.beta)])
+        stepa = frac_combo([(stride, a)])
+        stepb = frac_combo([(stride, b)])
 
-        def x_at(a):
-            return frac_fraction(fx + stride * a * fa)
+        def x_at(anchor):
+            return frac_combo([(1, x0), (stride * anchor, a)])
         progression(x_at, stepa, n0, count, out=out[:, 0])
-        progression(lambda a: frac_fraction(fy + stride * a * fb), stepb,
-                    n0, count, out=out[:, 1])
+        progression(lambda anchor: frac_combo([(1, y0), (stride * anchor, b)]),
+                    stepb, n0, count, out=out[:, 1])
         if ncols == 3:
             # z(s0+u) reduced: frac(raw_z - raw_x * floor(raw_y)), split so
             # every floating product stays small (u = stride * t <= ~1024).
             chunk = _quad_chunk(stride)
+            abf = frac_combo([(1, a, b)])
             for pos, anchor, t in anchored_chunks(n0, count, chunk):
                 s0 = stride * anchor
                 u = stride * t
@@ -634,15 +627,14 @@ class HeisenbergTranslation(DynamicalSystem):
                 # stored column only by float noise, and the tighter in-chunk
                 # products keep the xs*gt error ~1e-10 even at large n
                 xs = progression(x_at, stepa, n0 + pos, t.size, chunk)
-                f0 = fy + s0 * fb
-                bigF0 = f0.numerator // f0.denominator
-                yf0 = frac_fraction(f0)
+                num, shift = dyadic_combo([(1, y0), (s0, b)])
+                bigF0 = num >> shift
+                yf0 = frac_combo([(1, y0), (s0, b)])
                 gt = np.floor(yf0 + u * self.beta)
-                bz0 = frac_fraction(fz + binom2(s0) * fa * fb + s0 * fa * fy)
-                bz1 = frac_fraction(s0 * fa * fb + fa * fy)
-                abf = frac_fraction(fa * fb)
-                bx0 = frac_fraction((fx + s0 * fa) * bigF0)
-                bx1 = frac_fraction(fa * bigF0)
+                bz0 = frac_combo([(1, z0), (binom2(s0), a, b), (s0, a, y0)])
+                bz1 = frac_combo([(s0, a, b), (1, a, y0)])
+                bx0 = frac_combo([(bigF0, x0), (s0 * bigF0, a)])
+                bx1 = frac_combo([(bigF0, a)])
                 # xs differs from raw_x by an integer, and gt is an integer,
                 # so xs * gt matches raw_x * gt mod 1
                 zraw = (bz0 + u * bz1 + (u * (u - 1.0) / 2.0) * abf
@@ -728,8 +720,7 @@ def _rotation_resonance(alpha: tuple[float, ...], bound: int):
         d = np.abs(frac(k * alpha[0] + 0.5) - 0.5)
         for idx in np.nonzero(d <= 1e-9)[0]:
             kk = int(idx) + 1
-            exact = abs(frac_fraction(kk * Fraction(alpha[0]) + Fraction(1, 2)) - 0.5)
-            if exact <= _RESONANCE_TOL:
+            if abs(frac_combo([(kk, alpha[0]), (1, 0.5)]) - 0.5) <= _RESONANCE_TOL:
                 return (kk,)
         return None
     if (2 * bound + 1) ** m > 4_000_000:
@@ -743,10 +734,7 @@ def _rotation_resonance(alpha: tuple[float, ...], bound: int):
     for idx in order:
         if d[idx] <= 1e-9:
             kk = tuple(int(v) for v in ks[idx])
-            q = Fraction(0)
-            for c, a in zip(kk, alpha):
-                q += c * Fraction(a)
-            if abs(frac_fraction(q + Fraction(1, 2)) - 0.5) <= _RESONANCE_TOL:
+            if abs(frac_combo([*zip(kk, alpha), (1, 0.5)]) - 0.5) <= _RESONANCE_TOL:
                 return kk
     return None
 

@@ -523,3 +523,24 @@ def test_product_difference_telescopes(a, data):
 def test_product_difference_length_mismatch():
     with pytest.raises(ValidationError):
         product_difference_bound([1], [1, 2])
+
+
+def test_closed_forms_follow_streams_when_a_rate_rounds_to_an_integer():
+    # k . alpha = 1 - 2**-54 is not an integer, but its residue rounds to
+    # 1.0, so PhaseForm.frac() is 0.0; the closed forms then use the signed
+    # residue instead of dividing by 1 - e(0)
+    rot = Rotation((0.5, 0.49999999999999994))
+    f = Observable.character((1, 1))
+    x = np.array([0.1, 0.2])
+    for N in (1, 2, 1000, 50_000):
+        closed = exact.birkhoff_closed(rot, f, x, N)
+        assert abs(closed - birkhoff_average(rot, f, x, N)) <= 1e-9
+        assert abs(closed - e(0.3)) <= 1e-9
+        assert abs(exact.linear_closed(rot, [f], x, N)
+                   - multilinear_average_linear(rot, [f], x, N)) <= 1e-9
+    # the square pattern's rates here are (2, 1) . alpha = 1.5 - 2**-54 and
+    # (1, 1) . alpha
+    fs = [Observable.character((1, 0)), f]
+    for N in (1, 7, 300):
+        streamed = multilinear_average_square(rot, fs, x, N, mode="factorized")
+        assert abs(exact.square_closed(rot, fs, x, N) - streamed) <= 1e-9

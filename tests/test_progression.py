@@ -17,8 +17,8 @@ from hypothesis import given, settings, strategies as st
 
 from ergolab.averaging import geometric_mean_streamed
 from ergolab.phases import (CHUNK, MeanAccumulator, PhaseForm,
-                            anchored_chunks, chunk_ranges, frac, frac_combo,
-                            frac_fraction, progression)
+                            anchored_chunks, chunk_ranges, dyadic_combo, frac,
+                            frac_combo, frac_fraction, progression)
 from ergolab.seminorms import quadratic_phase_block
 from ergolab.systems import (GOLDEN, SQRT2_M1, SQRT3_M1, Rotation,
                              SkewProduct, _quad_chunk, binom2,
@@ -353,3 +353,45 @@ def test_frac_combo_bits_match_fraction_reference(terms):
     got = frac_combo(terms)
     assert type(got) is float
     assert got.hex() == ref_frac_combo(terms).hex()
+
+
+def ref_dyadic(terms):
+    """The exact sum of n * x and n * x * y terms, one Fraction per term."""
+    acc = Fraction(0)
+    for n, *xs in terms:
+        q = Fraction(int(n))
+        for x in xs:
+            q *= Fraction(x)
+        acc += q
+    return acc
+
+
+combo_terms = st.one_of(st.tuples(combo_ints, combo_reals),
+                        st.tuples(combo_ints, combo_reals, combo_reals))
+
+
+@settings(max_examples=500)
+@given(st.lists(combo_terms, max_size=4))
+def test_dyadic_combo_product_terms_match_fraction_reference(terms):
+    ref = ref_dyadic(terms)
+    num, shift = dyadic_combo(terms)
+    assert Fraction(num, 1 << shift) == ref
+    assert num >> shift == math.floor(ref)
+    got = frac_combo(terms)
+    assert type(got) is float
+    assert got.hex() == frac_fraction(ref).hex()
+
+
+def test_phase_form_integrality_reads_the_exact_residue():
+    # theta = 1 - 2**-54 rounds to 1.0, so its double residue is 0.0, yet
+    # theta is not an integer; its signed residue keeps the sign
+    form = PhaseForm((1, 1), (0.5, 0.5 - 2.0 ** -54))
+    assert form.frac() == 0.0
+    assert not form.is_integral()
+    assert form.nearest_residue_times(1) == -2.0 ** -54
+    assert form.nearest_residue_times(3) == -3 * 2.0 ** -54
+    assert PhaseForm((1, 1), (0.5, 0.5)).is_integral()
+    assert PhaseForm((2, 0), (0.5, 5e-324)).is_integral()
+    assert not PhaseForm((1,), (5e-324,)).is_integral()
+    assert PhaseForm((1,), (0.25,)).nearest_residue_times(2) == 0.5
+    assert PhaseForm((1,), (0.75,)).nearest_residue_times(1) == -0.25

@@ -369,3 +369,55 @@ def test_system_from_kv_rejects_bad_entries():
         system_from_kv({"kind": "rotation"})
     with pytest.raises(ValidationError, match="matrix"):
         system_from_kv({"kind": "automorphism", "matrix": "2 1 x 1"})
+
+
+# ---------------------------------------------------------------------------
+# Automorphism orbits on A^n mod 2**K against unreduced powers
+
+AUTOMORPHISMS = {"cat": cat_map(),
+                 "3x3": ToralAutomorphism(((2, 1, 1), (1, 1, 0), (1, 0, 0)))}
+
+
+def _automorphism_starts(system):
+    return [np.full(system.dim, v) for v in (0.0, 5e-324, 2.0 ** -12,
+                                              1 - 2.0 ** -53)] \
+        + [rand_point(system, seed=9)]
+
+
+@pytest.mark.parametrize("name", AUTOMORPHISMS)
+def test_automorphism_orbit_bits_match_unreduced_step(name):
+    system = AUTOMORPHISMS[name]
+    for x in _automorphism_starts(system):
+        for stride in (1, -1, 3, -3):
+            for n0 in (0, 7, -25, 10 ** 4):
+                pts = system.orbit_points(x, stride, n0, 6)
+                ref = np.stack([system.step(x, stride * n)
+                                for n in range(n0, n0 + 6)])
+                assert pts.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("name", AUTOMORPHISMS)
+def test_automorphism_orbit_windows_agree_far_out(monkeypatch, name):
+    # at n0 = 10**6 the unreduced powers have ~700,000-bit entries; the
+    # orbit carries A^n mod 2**K, whose entries stay below 2**K
+    system = AUTOMORPHISMS[name]
+    seen = []
+    apply_exact = ToralAutomorphism._apply_exact
+    monkeypatch.setattr(ToralAutomorphism, "_apply_exact",
+                        lambda self, mat, p: seen.append(mat)
+                        or apply_exact(self, mat, p))
+    for x in _automorphism_starts(system)[1:]:
+        K = max(float(v).as_integer_ratio()[1].bit_length() - 1 for v in x)
+        for stride in (1, -3):
+            a = system.orbit_points(x, stride, 10 ** 6, 100)
+            b = system.orbit_points(x, stride, 10 ** 6 + 37, 100)
+            assert a[37:].tobytes() == b[:63].tobytes()
+        assert len(seen) == 400
+        assert all(0 <= v < 1 << K for mat in seen for row in mat
+                   for v in row)
+        seen.clear()
+    monkeypatch.undo()
+    # the unreduced reference, as far out as it stays cheap
+    x = _automorphism_starts(system)[-1]
+    assert system.orbit_points(x, 1, 10 ** 5, 1)[0].tobytes() \
+        == system.step(x, 10 ** 5).tobytes()
