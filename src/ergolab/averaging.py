@@ -11,12 +11,14 @@ folner     (1/|B|) sum_{(n,m) in B} f(S1^n S2^m x)
 Each scheme has a streamed numerical path (orbit points generated
 incrementally in anchored chunks, products evaluated pointwise, chunk sums
 by phases.exact_sum, the one-row case of phases.exact_row_sums, which
-returns math.fsum's correctly rounded bits).  On phase-linear systems the
-square and cube grids factorize exactly per term tuple into one-dimensional
-geometric sums, and the streamed path then streams those geometric sums; a
-literal grid walk is kept for every system below a cost cap and
-cross-checked against the factorized path in the test suite.  Closed-form
-values live in exact.py and share no arithmetic with the streaming here.
+returns math.fsum's correctly rounded bits).  Where a term tuple's pattern
+phase (exact.pattern_phase) is linear, the square and cube grids factorize
+exactly into one-dimensional geometric sums, and the factorized path then
+streams those geometric sums; a literal grid walk is kept for every system
+below a cost cap and cross-checked against the factorized path in the test
+suite.  The factorized path shares the pattern phase with exact.py and
+streams the geometric sums that exact.py evaluates in closed form; the
+orbit streams and the grid walk share no arithmetic with exact.py.
 
 The one-dimensional linear path and the empirical-measure integration in
 joinings.py deliberately share the chunk layout and accumulation order, so
@@ -25,18 +27,19 @@ integrating a stored fiber cloud reproduces the streamed average bit for bit.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from .errors import (CommutationError, ResourceCapError, ValidationError)
-from .exact import term_tuples, character_at, obs_coords, _vec_sum
+from .exact import character_at, obs_coords, pattern_phase, term_tuples
 from .observables import Observable, evaluate
 from .phases import (CHUNK, MeanAccumulator, PhaseForm, chunk_ranges,
                      progression)
 from .rng import SplitMix64
-from .systems import DynamicalSystem, orbit_points, phase_form
+from .systems import DynamicalSystem, orbit_points
 
 GRID_CAP = 1 << 24        # direct grid walks refuse beyond this many terms
 MAX_CUBE_ORDER = 4
@@ -217,21 +220,6 @@ def geometric_mean_streamed(form: PhaseForm, checkpoints: Sequence[int]) -> dict
     return out
 
 
-class _GeometricCache:
-    def __init__(self, system, checkpoints):
-        self.system = system
-        self.checkpoints = list(checkpoints)
-        self._cache: dict[tuple[int, ...], dict[int, complex]] = {}
-
-    def get(self, k: tuple[int, ...]) -> dict[int, complex]:
-        if k not in self._cache:
-            form = phase_form(self.system, k)
-            if form is None:
-                raise ValidationError("factorized path needs a phase-linear system")
-            self._cache[k] = geometric_mean_streamed(form, self.checkpoints)
-        return self._cache[k]
-
-
 # ---------------------------------------------------------------------------
 # Grid averages: (1/N^k) sum_{n in [0,N)^k} prod_j f_j(T^{c_j . n} x)
 #
@@ -259,24 +247,25 @@ def _grid_direct(system, fs, coeffs, x, N) -> complex:
 
 
 def _grid_factorized(system, fs, coeffs, x, checkpoints) -> list[tuple[int, complex]]:
-    """The grid mean of one term tuple (coeff, ks) is coeff e(K.x), K the
-    sum of the k_j, times one streamed geometric mean per grid axis i, at
-    the rate sum_j c_j[i] k_j."""
+    """The grid mean of one term tuple (coeff, ks) is coeff e(K.x) times one
+    streamed geometric mean per grid axis, at that axis's rate in the
+    pattern phase (exact.pattern_phase); tuples with equal rates share a
+    stream."""
     xo = obs_coords(system, x)
-    cache = _GeometricCache(system, checkpoints)
-    pieces = []  # (coeff * e(K.x), per-axis rates)
+    stream = functools.cache(
+        lambda key: geometric_mean_streamed(PhaseForm(*key), checkpoints))
+    pieces = []  # (coeff * e(K.x), per-axis streams)
     for coeff, ks in term_tuples(list(fs)):
-        K = _vec_sum(ks, [1] * len(ks))
-        rates = [_vec_sum(ks, [c[i] for c in coeffs])
-                 for i in range(len(coeffs[0]))]
-        pieces.append((coeff * character_at(K, xo), rates))
+        K, forms = pattern_phase(system, ks, coeffs, xo)
+        pieces.append((coeff * character_at(K, xo),
+                       [stream((form.coeffs, form.basis)) for form in forms]))
     out = []
     for cp in checkpoints:
         total = 0.0 + 0.0j
-        for amp, rates in pieces:
+        for amp, gs in pieces:
             val = amp
-            for r in rates:
-                val *= cache.get(r)[cp]
+            for g in gs:
+                val *= g[cp]
             total += val
         out.append((cp, total))
     return out
@@ -315,8 +304,10 @@ def multilinear_average_square(system: DynamicalSystem, fs: Sequence[Observable]
     """(1/N^2) sum_{n,m in [0,N)} prod_j f_j(T^{n+(j-1)m} x).
 
     mode="direct" walks the grid (any system, cost-capped); mode="factorized"
-    streams the per-term geometric sums (phase-linear systems, any N);
-    "auto" prefers factorized when available.
+    streams the per-term geometric sums (any N) where exact.pattern_phase is
+    linear: every rotation and Heisenberg tuple, and skew tuples whose
+    C(t,2) fiber terms sum to integers; it raises ValidationError otherwise.
+    "auto" is factorized when the system has a phase_basis, else direct.
     """
     if not fs:
         raise ValidationError("need at least one observable")

@@ -72,6 +72,8 @@ def main(argv=None) -> int:
     try:
         if args.command == "suite":
             return EXIT_OK if run_suite(args.name) else 1
+        if args.threads < 0:
+            raise ValidationError(f"--threads must be >= 0, got {args.threads}")
         cfgs = [_load(p, args.command, args.seed) for p in args.config]
         outdir = Path(args.out)
         _check_distinct_artifacts(args.config, cfgs, outdir)

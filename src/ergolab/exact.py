@@ -1,17 +1,22 @@
-"""Closed-form values of character averages on phase-linear systems.
+"""Closed-form values of character averages on polynomial systems.
 
-For rotations (and Heisenberg base characters) composition multiplies a
-character by e(n * theta) with a rate theta that is an integer combination of
-the rotation numbers.  Averages of products of characters then collapse, term
-tuple by term tuple, into products of normalized geometric sums
+Rotations, skew products and Heisenberg base characters move a character
+by a polynomial phase (DynamicalSystem.character_action), so along a grid
+pattern a character tuple has phase K.x + sum_i n_i theta_i whenever its
+quadratic part has integer coefficients: on every rotation and Heisenberg
+tuple, and on the skew tuples whose C(t,2) fiber terms sum to integers.
+`pattern_phase` builds that phase with exact rates, and each average
+collapses, tuple by tuple, into e(K.x) times one normalized geometric sum
+per grid axis
 
     G_N(theta) = (1/N) sum_{n<N} e(n*theta)
                = 1                                   if theta is an integer
                = (1 - e(N*theta)) / (N * (1 - e(theta)))  otherwise,
 
-with N*theta reduced mod 1 in exact rational arithmetic.  These values are
-the independent oracle against which the streamed numerical paths are
-validated; nothing here shares arithmetic with the streaming code.
+with N*theta reduced mod 1 exactly.  The factorized grid path in
+averaging.py reads the same pattern phase and streams G_N; here G_N is the
+closed form.  The orbit streams and the direct grid walk share neither, so
+they are the independent side.  The automorphism has no closed form here.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ import numpy as np
 from .errors import ResourceCapError, ValidationError
 from .observables import Observable
 from .phases import PhaseForm, e
-from .systems import DynamicalSystem, phase_form
+from .systems import DynamicalSystem, binom2
 
 TUPLE_CAP = 10 ** 6
 
@@ -70,60 +75,72 @@ def term_tuples(fs: list[Observable], cap: int = TUPLE_CAP):
         yield coeff, ks
 
 
-def _vec_sum(ks, weights) -> tuple[int, ...]:
-    dim = len(ks[0])
-    return tuple(sum(w * k[c] for w, k in zip(weights, ks))
-                 for c in range(dim))
-
-
-def _require_form(system: DynamicalSystem, k) -> PhaseForm:
-    form = phase_form(system, k)
-    if form is None:
-        raise ValidationError(
-            "closed-form averages need a phase-linear system "
-            "(rotation or Heisenberg translation)")
-    return form
-
-
 def obs_coords(system: DynamicalSystem, x) -> np.ndarray:
     x = system.check_point(np.asarray(x, dtype=np.float64))
     return x[: system.obs_dim]
 
 
-def birkhoff_closed(system: DynamicalSystem, f: Observable, x, N: int) -> complex:
-    """Closed form of (1/N) sum_n f(T^n x)."""
+def _add(acc: dict, w: int, terms) -> None:
+    for m, b in terms:
+        acc[b] = acc.get(b, 0) + w * m
+
+
+def _form(acc: dict) -> PhaseForm:
+    """A {double: int} sum as a PhaseForm, nonzero terms sorted by double."""
+    items = sorted((b, m) for b, m in acc.items() if m)
+    return PhaseForm([m for _, m in items], [b for b, _ in items])
+
+
+def pattern_phase(system: DynamicalSystem, ks, coeffs, x
+                  ) -> tuple[tuple[int, ...], list[PhaseForm]]:
+    """(K, forms) for prod_j chi_{k_j}(T^{c_j . n} x), n in Z^r, x in
+    observable coordinates: K = sum_j k_j and forms[i] the exact rate of
+    axis i, so the phase is K.x + sum_i n_i forms[i].  As C(c.n, 2) =
+    sum_i (c_i^2 C(n_i,2) + C(c_i,2) n_i) + sum_{i<l} c_i c_l n_i n_l, that
+    holds when every coefficient of C(n_i,2) and n_i n_l is an integer;
+    otherwise this raises ValidationError."""
+    r = len(coeffs[0])
+    rates, quad = [{} for _ in range(r)], {}
+    for k, c in zip(ks, coeffs):
+        f, theta, kappa = system.character_action(k)
+        moved = list(zip(f, map(float, x))) + theta
+        for i, ci in enumerate(c):
+            _add(rates[i], ci, moved)
+            _add(rates[i], binom2(ci), kappa)
+            for l in range(i, r):
+                _add(quad.setdefault((i, l), {}), ci * c[l], kappa)
+    if not all(_form(acc).is_integral() for acc in quad.values()):
+        raise ValidationError("quadratic pattern phase: no closed form")
+    return tuple(map(sum, zip(*ks))), [_form(acc) for acc in rates]
+
+
+def _grid_closed(system: DynamicalSystem, fs: list[Observable], coeffs, x,
+                 N: int) -> complex:
+    """(1/N^r) sum_{n in [0,N)^r} prod_j f_j(T^{c_j . n} x) in closed form."""
     xo = obs_coords(system, x)
     total = 0.0 + 0.0j
-    for k, c in f.terms:
-        total += c * character_at(k, xo) * geometric_mean_closed(
-            _require_form(system, k), N)
+    for coeff, ks in term_tuples(fs):
+        K, forms = pattern_phase(system, ks, coeffs, xo)
+        val = coeff * character_at(K, xo)
+        for form in forms:
+            val *= geometric_mean_closed(form, N)
+        total += val
     return total
+
+
+def birkhoff_closed(system: DynamicalSystem, f: Observable, x, N: int) -> complex:
+    """Closed form of (1/N) sum_n f(T^n x)."""
+    return _grid_closed(system, [f], [(1,)], x, N)
 
 
 def linear_closed(system: DynamicalSystem, fs: list[Observable], x, N: int) -> complex:
     """Closed form of (1/N) sum_n prod_j f_j(T^{j n} x)."""
-    xo = obs_coords(system, x)
-    total = 0.0 + 0.0j
-    for coeff, ks in term_tuples(fs):
-        K = _vec_sum(ks, [1] * len(ks))
-        rate = _vec_sum(ks, list(range(1, len(ks) + 1)))
-        total += coeff * character_at(K, xo) * geometric_mean_closed(
-            _require_form(system, rate), N)
-    return total
+    return _grid_closed(system, fs, [(j,) for j in range(1, len(fs) + 1)], x, N)
 
 
 def square_closed(system: DynamicalSystem, fs: list[Observable], x, N: int) -> complex:
-    """Closed form of (1/N^2) sum_{n,m} prod_j f_j(T^{n+(j-1)m} x);
-    factorizes as e(K.x) G_N(K) G_N(M) per term tuple."""
-    xo = obs_coords(system, x)
-    total = 0.0 + 0.0j
-    for coeff, ks in term_tuples(fs):
-        K = _vec_sum(ks, [1] * len(ks))
-        M = _vec_sum(ks, list(range(len(ks))))
-        total += (coeff * character_at(K, xo)
-                  * geometric_mean_closed(_require_form(system, K), N)
-                  * geometric_mean_closed(_require_form(system, M), N))
-    return total
+    """Closed form of (1/N^2) sum_{n,m} prod_j f_j(T^{n+(j-1)m} x)."""
+    return _grid_closed(system, fs, [(1, j) for j in range(len(fs))], x, N)
 
 
 def cube_closed(system: DynamicalSystem,
@@ -131,18 +148,9 @@ def cube_closed(system: DynamicalSystem,
                 x, N: int) -> complex:
     """Closed form of the k-cube average (1/N^k) sum_{n in [0,N)^k}
     prod_eps f_eps(T^{n . eps} x)."""
-    xo = obs_coords(system, x)
     eps_list = sorted(fs_by_eps)
-    k = len(eps_list[0])
-    total = 0.0 + 0.0j
-    for coeff, ks in term_tuples([fs_by_eps[eps] for eps in eps_list]):
-        K = _vec_sum(ks, [1] * len(ks))
-        val = coeff * character_at(K, xo)
-        for i in range(k):
-            rate = _vec_sum(ks, [eps[i] for eps in eps_list])
-            val *= geometric_mean_closed(_require_form(system, rate), N)
-        total += val
-    return total
+    return _grid_closed(system, [fs_by_eps[eps] for eps in eps_list],
+                        eps_list, x, N)
 
 
 def box_closed(rates: tuple, f: Observable, x, n1: int, n2: int) -> complex:

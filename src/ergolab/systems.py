@@ -28,13 +28,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .errors import DimensionMismatchError, ValidationError
-from .phases import (CHUNK, PhaseForm, anchored_chunks, dyadic_combo,
-                     format_real, frac, frac_combo, progression)
+from .phases import (CHUNK, anchored_chunks, dyadic_combo, e, format_real,
+                     frac, frac_combo, progression)
 from .rng import SplitMix64
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -137,10 +136,13 @@ class DynamicalSystem:
 
     A kind declares its config name `kind`, its state dimension `dim`,
     `step` and `orbit_points` (the closed-form powers; `orbit_block` takes
-    many starts, one orbit each unless the kind batches them),
-    `compose_term` (the action on one character), `kv_items` / `from_kv`
-    (its config keys, all listed in `keys`) and `certify` (its ergodicity
-    decision).  Adding a kind takes one subclass and one `_KINDS` entry.
+    many starts, one orbit each unless the kind batches them), its action
+    on one character, `kv_items` / `from_kv` (its config keys, all listed
+    in `keys`) and `certify` (its ergodicity decision).  Adding a kind
+    takes one subclass and one `_KINDS` entry.  A polynomial kind states
+    its character action once, in `character_action`, which `compose_term`
+    and the closed forms and factorized grids read; the automorphism
+    overrides `compose_term` instead.
     """
 
     kind: str
@@ -167,6 +169,24 @@ class DynamicalSystem:
         """Rotation rates of the characters when composition with T^n keeps
         the frequency and multiplies by a phase linear in n; None otherwise."""
         return None
+
+    def character_action(self, k: tuple[int, ...]) -> tuple[tuple[int, ...], list, list]:
+        """(f, theta, kappa) with chi_k(T^t x) = e(k.x + t (f.x + theta)
+        + C(t,2) kappa) for every integer t: f an integer vector, theta and
+        kappa dyadic_combo term lists.  Here f = 0 and kappa = [], from
+        phase_basis; a kind without a polynomial action raises."""
+        basis = self.phase_basis()
+        if basis is None:
+            raise ValidationError(
+                f"the {self.kind} system has no polynomial character action")
+        return (0,) * self.obs_dim, list(zip(k, basis)), []
+
+    def compose_term(self, k: tuple[int, ...], n: int) -> tuple[tuple[int, ...], complex]:
+        """chi_k o T^n = e(phase) chi_{k + n f}, as (k + n f, e(phase))."""
+        f, theta, kappa = self.character_action(k)
+        phase = frac_combo([(n * m, b) for m, b in theta]
+                           + [(binom2(n) * m, b) for m, b in kappa])
+        return tuple(ki + n * fi for ki, fi in zip(k, f)), e(phase)
 
     def orbit_block(self, starts, stride: int, n0: int, count: int,
                     coords: str = "state", out: np.ndarray | None = None
@@ -231,11 +251,6 @@ class Rotation(DynamicalSystem):
 
     def phase_basis(self) -> tuple[float, ...]:
         return self.alpha
-
-    def compose_term(self, k: tuple[int, ...], n: int) -> tuple[tuple[int, ...], complex]:
-        from .phases import e
-        ph = frac_combo((n * ki, a) for ki, a in zip(k, self.alpha))
-        return k, e(ph)
 
     def kv_items(self):
         return [("alpha", " ".join(format_real(a) for a in self.alpha))]
@@ -341,20 +356,15 @@ class SkewProduct(DynamicalSystem):
                                                   + (u * (u - 1.0) / 2.0) * abf)
         return out
 
-    def compose_term(self, k: tuple[int, ...], n: int) -> tuple[tuple[int, ...], complex]:
-        from .phases import e
-        p = k[:self.base_dim]
-        q = k[self.base_dim:]
-        btq = tuple(sum(self.linear[f][b] * q[f] for f in range(self.fiber_dim))
+    def character_action(self, k: tuple[int, ...]) -> tuple[tuple[int, ...], list, list]:
+        """For k = (p, q): the fiber moves by B y + c and by C(t,2) B alpha,
+        so f = (B^T q, 0), theta = p.alpha + q.c and kappa = (B^T q).alpha."""
+        p, q = k[:self.base_dim], k[self.base_dim:]
+        btq = tuple(sum(row[b] * qf for row, qf in zip(self.linear, q))
                     for b in range(self.base_dim))
-        new_p = tuple(pi + n * bi for pi, bi in zip(p, btq))
-        terms = []
-        for b in range(self.base_dim):
-            terms.append((n * p[b], self.base_alpha[b]))
-            terms.append((binom2(n) * btq[b], self.base_alpha[b]))
-        for f in range(self.fiber_dim):
-            terms.append((n * q[f], self.const[f]))
-        return new_p + q, e(frac_combo(terms))
+        return (btq + (0,) * self.fiber_dim,
+                list(zip(p, self.base_alpha)) + list(zip(q, self.const)),
+                list(zip(btq, self.base_alpha)))
 
     def kv_items(self):
         return [("base_alpha", " ".join(format_real(a) for a in self.base_alpha)),
@@ -645,11 +655,6 @@ class HeisenbergTranslation(DynamicalSystem):
     def phase_basis(self) -> tuple[float, float]:
         return (self.alpha, self.beta)
 
-    def compose_term(self, k: tuple[int, ...], n: int) -> tuple[tuple[int, ...], complex]:
-        from .phases import e
-        ph = frac_combo([(n * k[0], self.alpha), (n * k[1], self.beta)])
-        return k, e(ph)
-
     def kv_items(self):
         return [("alpha", format_real(self.alpha)),
                 ("beta", format_real(self.beta))]
@@ -685,15 +690,6 @@ def orbit_points(system: DynamicalSystem, x, stride: int, n0: int,
     if coords == "obs" and pts.shape[1] != system.obs_dim:
         pts = pts[:, :system.obs_dim]
     return pts
-
-
-def phase_form(system: DynamicalSystem, k: Sequence[int]) -> PhaseForm | None:
-    """Rotation rate of the character with frequency k, when composition is
-    frequency-preserving with a phase linear in n; None otherwise."""
-    basis = system.phase_basis()
-    if basis is None:
-        return None
-    return PhaseForm(tuple(int(v) for v in k), basis)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,392 @@
+"""The character action and the pattern phase behind every closed form.
+
+Each polynomial kind states once how T moves a character
+(`character_action`); `compose_term`, the closed forms in `exact` and the
+factorized grid path read it.  Frozen copies of the per-kind code that this
+replaced pin the bits on the kinds it covered (rotations, Heisenberg base
+characters, skew `compose_term`).  On skew products, where the closed forms
+are new, they are checked against the orbit streams and the direct grid
+walk, which share no arithmetic with the pattern phase.
+"""
+
+import numpy as np
+import pytest
+
+from ergolab import exact
+from ergolab.averaging import (GRID_CAP, cube_average, cube_eps_index,
+                               geometric_mean_streamed,
+                               multilinear_average_linear,
+                               multilinear_average_square,
+                               square_trajectory)
+from ergolab.errors import ValidationError
+from ergolab.observables import Observable, compose_with_power
+from ergolab.phases import PhaseForm, e, frac_combo
+from ergolab.rng import SplitMix64
+from ergolab.systems import (GOLDEN, SQRT2_M1, SQRT3_M1,
+                             HeisenbergTranslation, Rotation, SkewProduct,
+                             binom2, cat_map, default_heisenberg,
+                             golden_rotation, standard_skew)
+
+ROT3 = Rotation((GOLDEN, SQRT2_M1, SQRT3_M1))
+# fiber 1 is the golden skew; fiber 2 rides on the base rotation by 1/2 with
+# slope 2, so its C(t,2) drift is an integer and every fiber-2 tuple is linear
+SKEW22 = SkewProduct((GOLDEN, 0.5), ((1, 0), (0, 2)), (SQRT2_M1, SQRT3_M1 / 2))
+POWERS = (0, 1, -1, 7, -13, 10 ** 9 + 7, -10 ** 15)
+
+
+def _hex(v: complex) -> tuple[str, str]:
+    return complex(v).real.hex(), complex(v).imag.hex()
+
+
+def _observables(dim, count, seed, box=2, nterms=2):
+    rng = SplitMix64(seed)
+    out = []
+    for _ in range(count):
+        terms = {}
+        for _ in range(nterms):
+            k = tuple(int(rng.next_u64() % (2 * box + 1)) - box
+                      for _ in range(dim))
+            terms[k] = complex(rng.unit_block(1)[0] - 0.5,
+                               rng.unit_block(1)[0] - 0.5)
+        out.append(Observable.from_dict(dim, terms))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# compose_term against the per-kind bodies it replaced
+
+
+def _frozen_compose_term(system, k, n):
+    if isinstance(system, Rotation):
+        ph = frac_combo((n * ki, a) for ki, a in zip(k, system.alpha))
+        return k, e(ph)
+    if isinstance(system, HeisenbergTranslation):
+        ph = frac_combo([(n * k[0], system.alpha), (n * k[1], system.beta)])
+        return k, e(ph)
+    p = k[:system.base_dim]
+    q = k[system.base_dim:]
+    btq = tuple(sum(system.linear[f][b] * q[f] for f in range(system.fiber_dim))
+                for b in range(system.base_dim))
+    new_p = tuple(pi + n * bi for pi, bi in zip(p, btq))
+    terms = []
+    for b in range(system.base_dim):
+        terms.append((n * p[b], system.base_alpha[b]))
+        terms.append((binom2(n) * btq[b], system.base_alpha[b]))
+    for f in range(system.fiber_dim):
+        terms.append((n * q[f], system.const[f]))
+    return new_p + q, e(frac_combo(terms))
+
+
+def _frozen_compose_with_power(f, system, n):
+    acc = {}
+    for k, c in f.terms:
+        nk, mult = _frozen_compose_term(system, k, n)
+        acc[nk] = acc.get(nk, 0.0) + c * mult
+    return Observable.from_dict(f.dim, acc)
+
+
+@pytest.mark.parametrize("system", [golden_rotation(), ROT3, default_heisenberg(),
+                                    standard_skew(), SKEW22],
+                         ids=["rot1", "rot3", "heisenberg", "skew", "skew22"])
+def test_compose_with_power_bits_match_frozen_bodies(system):
+    for f in _observables(system.obs_dim, 4, 41, box=3, nterms=3):
+        for n in POWERS:
+            got = compose_with_power(f, system, n)
+            want = _frozen_compose_with_power(f, system, n)
+            assert [(k, _hex(c)) for k, c in got.terms] == \
+                [(k, _hex(c)) for k, c in want.terms]
+
+
+# ---------------------------------------------------------------------------
+# Closed forms and factorized grids against the loops they replaced
+
+
+def _vec_sum(ks, weights):
+    return tuple(sum(w * k[c] for w, k in zip(weights, ks))
+                 for c in range(len(ks[0])))
+
+
+def _rate(system, k):
+    return PhaseForm(k, system.phase_basis())
+
+
+def _frozen_birkhoff(system, f, x, N):
+    xo = exact.obs_coords(system, x)
+    total = 0.0 + 0.0j
+    for k, c in f.terms:
+        total += c * exact.character_at(k, xo) * exact.geometric_mean_closed(
+            _rate(system, k), N)
+    return total
+
+
+def _frozen_linear(system, fs, x, N):
+    xo = exact.obs_coords(system, x)
+    total = 0.0 + 0.0j
+    for coeff, ks in exact.term_tuples(fs):
+        K = _vec_sum(ks, [1] * len(ks))
+        rate = _vec_sum(ks, list(range(1, len(ks) + 1)))
+        total += coeff * exact.character_at(K, xo) * exact.geometric_mean_closed(
+            _rate(system, rate), N)
+    return total
+
+
+def _frozen_square(system, fs, x, N):
+    xo = exact.obs_coords(system, x)
+    total = 0.0 + 0.0j
+    for coeff, ks in exact.term_tuples(fs):
+        K = _vec_sum(ks, [1] * len(ks))
+        M = _vec_sum(ks, list(range(len(ks))))
+        total += (coeff * exact.character_at(K, xo)
+                  * exact.geometric_mean_closed(_rate(system, K), N)
+                  * exact.geometric_mean_closed(_rate(system, M), N))
+    return total
+
+
+def _frozen_cube(system, fs_by_eps, x, N):
+    xo = exact.obs_coords(system, x)
+    eps_list = sorted(fs_by_eps)
+    k = len(eps_list[0])
+    total = 0.0 + 0.0j
+    for coeff, ks in exact.term_tuples([fs_by_eps[eps] for eps in eps_list]):
+        K = _vec_sum(ks, [1] * len(ks))
+        val = coeff * exact.character_at(K, xo)
+        for i in range(k):
+            rate = _vec_sum(ks, [eps[i] for eps in eps_list])
+            val *= exact.geometric_mean_closed(_rate(system, rate), N)
+        total += val
+    return total
+
+
+def _frozen_grid_factorized(system, fs, coeffs, x, checkpoints):
+    xo = exact.obs_coords(system, x)
+    cache = {}
+    pieces = []
+    for coeff, ks in exact.term_tuples(list(fs)):
+        K = _vec_sum(ks, [1] * len(ks))
+        rates = [_vec_sum(ks, [c[i] for c in coeffs])
+                 for i in range(len(coeffs[0]))]
+        pieces.append((coeff * exact.character_at(K, xo), rates))
+    out = []
+    for cp in checkpoints:
+        total = 0.0 + 0.0j
+        for amp, rates in pieces:
+            val = amp
+            for r in rates:
+                if r not in cache:
+                    cache[r] = geometric_mean_streamed(_rate(system, r),
+                                                       checkpoints)
+                val *= cache[r][cp]
+            total += val
+        out.append((cp, total))
+    return out
+
+
+PINNED = [golden_rotation(), ROT3, Rotation((0.5,)),
+          Rotation((0.5, 0.49999999999999994)), default_heisenberg()]
+PINNED_IDS = ["rot1", "rot3", "rot_half", "rot_near_half", "heisenberg"]
+
+
+@pytest.mark.parametrize("system", PINNED, ids=PINNED_IDS)
+def test_closed_forms_bits_match_frozen_loops(system):
+    dim = system.obs_dim
+    x = system.haar_block(SplitMix64(29), 1)[0]
+    ones = (1,) * dim
+    singles = [Observable.character(ones, 0.5 - 0.25j),
+               Observable.constant(-0.75j, dim)] + _observables(dim, 2, 51)
+    for N in (1, 7, 1000, 10 ** 6, 10 ** 12 + 3):
+        for f in singles:
+            assert _hex(exact.birkhoff_closed(system, f, x, N)) == \
+                _hex(_frozen_birkhoff(system, f, x, N))
+        for d in (1, 2, 3, 4):
+            fs = _observables(dim, d, 60 + d)
+            if d == 2:
+                fs = [Observable.character(ones), Observable.character(ones)]
+            assert _hex(exact.linear_closed(system, fs, x, N)) == \
+                _hex(_frozen_linear(system, fs, x, N))
+            assert _hex(exact.square_closed(system, fs, x, N)) == \
+                _hex(_frozen_square(system, fs, x, N))
+        for k in (1, 2, 3):
+            eps = cube_eps_index(k)
+            fs_by_eps = dict(zip(eps, _observables(dim, len(eps), 70 + k)))
+            assert _hex(exact.cube_closed(system, fs_by_eps, x, N)) == \
+                _hex(_frozen_cube(system, fs_by_eps, x, N))
+
+
+@pytest.mark.parametrize("system", PINNED, ids=PINNED_IDS)
+def test_factorized_grids_bits_match_frozen_loop(system):
+    dim = system.obs_dim
+    x = system.haar_block(SplitMix64(31), 1)[0]
+    checkpoints = [1, 7, 300]
+    for d in (1, 2, 3):
+        fs = _observables(dim, d, 80 + d, nterms=3)
+        got = square_trajectory(system, fs, x, checkpoints, mode="factorized")
+        want = _frozen_grid_factorized(system, fs, [(1, j) for j in range(d)],
+                                       x, checkpoints)
+        assert [(n, _hex(v)) for n, v in got.checkpoints] == \
+            [(n, _hex(v)) for n, v in want]
+    for k in (1, 2, 3):
+        eps = cube_eps_index(k)
+        fs = _observables(dim, len(eps), 90 + k)
+        for N in checkpoints:
+            got = cube_average(system, dict(zip(eps, fs)), x, N, mode="factorized")
+            assert _hex(got) == \
+                _hex(_frozen_grid_factorized(system, fs, eps, x, [N])[0][1])
+
+
+# ---------------------------------------------------------------------------
+# The skew-product oracle: closed forms against streams and the grid walk
+#
+# On the pattern c_j = j, write P_i = sum_j j^i p_j and Q_i = sum_j j^i q_j
+# for characters k_j = (p_j, q_j).  Class (i): Q_1 = Q_2 = P_1 = 0, so the
+# average is the constant e(P_0.y + Q_0.g).  Class (ii): Q_2 = 0, a linear
+# phase whose rate carries the fiber through B^T Q_1 y + Q_1 c.  Class
+# (iii), B^T Q_2 . alpha not an integer, is quadratic and has no closed form.
+
+def _chars(*ks):
+    return [Observable.character(k) for k in ks]
+
+
+LINEAR_CASES = [
+    # class (i): e(g), and e(g_1) on SKEW22
+    (standard_skew(), _chars((1, 3), (-2, -3), (1, 1))),
+    (SKEW22, _chars((1, 0, 3, 0), (-2, 0, -3, 0), (1, 0, 1, 0))),
+    # class (ii)
+    (standard_skew(), _chars((1, 4), (1, -1))),
+    (standard_skew(), _chars((1, 4), (1, -1), (-2, 0))),
+    (standard_skew(), _chars((1, 8), (-2, -2), (1, 0))),
+    (SKEW22, _chars((1, 0, 4, 0), (0, 1, -1, 0), (0, 0, 0, 0))),
+    # fiber 2: linear for every q
+    (SKEW22, _chars((0, 1, 0, 1), (1, 0, 0, -1), (0, 0, 0, 3))),
+    (SKEW22, [Observable.from_dict(4, {(0, 0, 0, 1): 0.5, (1, 0, 0, -1): 0.25j}),
+              Observable.from_dict(4, {(0, 1, 0, 2): 1.0, (0, 0, 0, 0): -0.5})]),
+]
+
+
+@pytest.mark.parametrize("system,fs", LINEAR_CASES)
+def test_skew_linear_closed_forms_follow_the_streams(system, fs):
+    N = 10 ** 5
+    for seed in (1, 2):
+        x = system.haar_block(SplitMix64(seed), 1)[0]
+        closed = exact.linear_closed(system, fs, x, N)
+        assert abs(closed - multilinear_average_linear(system, fs, x, N)) <= 1e-9
+
+
+BIRKHOFF_CASES = [
+    (standard_skew(), Observable.from_dict(2, {(1, 0): 1.0, (-2, 0): 0.5j})),
+    # rate 2 . 1/2: class (i), e(2 y_2)
+    (SKEW22, Observable.character((0, 2, 0, 0))),
+    # the fiber-2 rate 2 q y_2 + q c_2 + p . alpha
+    (SKEW22, Observable.from_dict(4, {(0, 0, 0, 1): 0.5, (1, 1, 0, -3): 0.25j})),
+]
+
+
+@pytest.mark.parametrize("system,f", BIRKHOFF_CASES)
+def test_skew_birkhoff_closed_form_follows_the_stream(system, f):
+    N = 10 ** 5
+    for seed in (1, 2):
+        x = system.haar_block(SplitMix64(seed), 1)[0]
+        assert abs(exact.birkhoff_closed(system, f, x, N)
+                   - multilinear_average_linear(system, [f], x, N)) <= 1e-9
+
+
+
+
+GRID_CASES = [
+    # square: fiber-2 characters with the second difference of q; rates
+    # 2 . 1/2 on both axes are integers (class (i)), value e(2 y_2)
+    (SKEW22, _chars((0, 2, 0, 1), (0, 0, 0, -2), (0, 0, 0, 1))),
+    # square, class (ii): the fiber enters both rates through 2 q y_2 + q c_2
+    (SKEW22, _chars((1, 0, 0, 1), (0, 0, 0, 3))),
+    (SKEW22, [Observable.from_dict(4, {(0, 0, 0, 1): 0.5, (1, 0, 0, -1): 0.25j}),
+              Observable.from_dict(4, {(0, 1, 0, 2): 1.0, (0, 0, 0, 0): -0.5}),
+              Observable.character((0, 0, 0, -1))]),
+    # square, class (ii) on the golden skew: q the third difference
+    (standard_skew(), _chars((1, 1), (0, -3), (0, 3), (-1, -1))),
+]
+
+
+@pytest.mark.parametrize("system,fs", GRID_CASES)
+def test_skew_grid_closed_forms_follow_the_direct_walk(system, fs):
+    x = system.haar_block(SplitMix64(4), 1)[0]
+    for N in (1, 7, 40):
+        assert len(fs) * N * N <= GRID_CAP
+        direct = multilinear_average_square(system, fs, x, N, mode="direct")
+        assert abs(exact.square_closed(system, fs, x, N) - direct) <= 1e-9
+        factorized = multilinear_average_square(system, fs, x, N,
+                                                mode="factorized")
+        assert abs(factorized - direct) <= 1e-9
+
+
+def test_skew_class_i_tuples_are_constant():
+    s, fs = LINEAR_CASES[0]
+    x = s.haar_block(SplitMix64(3), 1)[0]
+    for N in (1, 7, 10 ** 6):
+        assert abs(exact.linear_closed(s, fs, x, N) - e(x[1])) <= 1e-12
+    s, fs = GRID_CASES[0]
+    x = s.haar_block(SplitMix64(4), 1)[0]
+    for N in (1, 7, 10 ** 6):
+        assert abs(exact.square_closed(s, fs, x, N) - e(2 * x[1])) <= 1e-12
+
+
+def test_skew_cube_closed_form_follows_the_direct_walk():
+    # fiber-2 characters only: every tuple of the cube is linear on SKEW22
+    for k, N in ((1, 50), (2, 20), (3, 6)):
+        eps = cube_eps_index(k)
+        rng = SplitMix64(7 + k)
+        fs_by_eps = {}
+        for ep in eps:
+            terms = {(int(rng.next_u64() % 3) - 1, 0, 0,
+                      int(rng.next_u64() % 5) - 2): 1.0 - 0.5j,
+                     (0, 1, 0, int(rng.next_u64() % 5) - 2): 0.25}
+            fs_by_eps[ep] = Observable.from_dict(4, terms)
+        x = SKEW22.haar_block(rng, 1)[0]
+        direct = cube_average(SKEW22, fs_by_eps, x, N, mode="direct")
+        assert abs(exact.cube_closed(SKEW22, fs_by_eps, x, N) - direct) <= 1e-9
+        assert abs(cube_average(SKEW22, fs_by_eps, x, N, mode="factorized")
+                   - direct) <= 1e-9
+
+
+def test_quadratic_tuples_and_the_cat_map_have_no_closed_form():
+    s, x = standard_skew(), np.array([0.1, 0.2])
+    fiber = Observable.character((0, 1))
+    with pytest.raises(ValidationError, match="quadratic"):
+        exact.birkhoff_closed(s, fiber, x, 100)
+    # class (iii): Q_2 = 5 and 4
+    for fs in (_chars((0, 1), (0, 1)), _chars((1, 0), (0, 1))):
+        with pytest.raises(ValidationError, match="quadratic"):
+            exact.linear_closed(s, fs, x, 100)
+        with pytest.raises(ValidationError, match="quadratic"):
+            exact.square_closed(s, fs, x, 100)
+        with pytest.raises(ValidationError, match="quadratic"):
+            multilinear_average_square(s, fs, x, 10, mode="factorized")
+    eps = cube_eps_index(2)
+    with pytest.raises(ValidationError, match="quadratic"):
+        exact.cube_closed(s, {ep: fiber for ep in eps}, x, 10)
+    # a linear tuple next to a quadratic one still raises
+    mixed = Observable.from_dict(2, {(1, 0): 1.0, (0, 1): 1.0})
+    with pytest.raises(ValidationError, match="quadratic"):
+        exact.birkhoff_closed(s, mixed, x, 100)
+    cm, f = cat_map(), Observable.character((1, 0))
+    with pytest.raises(ValidationError, match="automorphism"):
+        exact.birkhoff_closed(cm, f, x, 100)
+    with pytest.raises(ValidationError, match="automorphism"):
+        multilinear_average_square(cm, [f, f], x, 10, mode="factorized")
+
+
+def test_pattern_phase_is_the_composed_phase():
+    # e(K.x + sum_i n_i theta_i) = prod_j chi_{k_j}(T^{c_j . n} x), the
+    # right side from compose_with_power, on linear skew tuples
+    x = SKEW22.haar_block(SplitMix64(9), 1)[0]
+    ks = [(0, 2, 0, 1), (1, 0, 0, -2), (0, 0, 0, 1)]
+    coeffs = [(1, 0), (1, 1), (1, 2)]
+    K, forms = exact.pattern_phase(SKEW22, ks, coeffs, x)
+    assert K == (1, 2, 0, 0)
+    for n in ((0, 0), (3, 5), (1001, 7)):
+        lhs = exact.character_at(K, x) * np.prod(
+            [e(form.frac_times(ni)) for form, ni in zip(forms, n)])
+        rhs = 1.0 + 0.0j
+        for k, c in zip(ks, coeffs):
+            g = compose_with_power(Observable.character(k), SKEW22,
+                                   c[0] * n[0] + c[1] * n[1])
+            rhs *= sum(cf * exact.character_at(kk, x) for kk, cf in g.terms)
+        assert abs(lhs - rhs) <= 1e-9

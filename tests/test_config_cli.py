@@ -681,10 +681,16 @@ REJECTED_INPUTS = [
 
 REJECTED_IDS = [r[0] for r in REJECTED_INPUTS]
 REJECTED_CASES = [r[1:] for r in REJECTED_INPUTS]
+# rows for options only the CLI reads
+CLI_REJECTED_INPUTS = [
+    ("--threads -3", "average", BASE_CFG, "--threads", ("--threads", "-3")),
+]
 
 
-@pytest.mark.parametrize("command,text,key,extra", REJECTED_CASES,
-                         ids=REJECTED_IDS)
+@pytest.mark.parametrize(
+    "command,text,key,extra",
+    REJECTED_CASES + [r[1:] for r in CLI_REJECTED_INPUTS],
+    ids=REJECTED_IDS + [r[0] for r in CLI_REJECTED_INPUTS])
 def test_cli_rejects_out_of_range_input(tmp_path, capsys, command, text, key,
                                          extra):
     cfg = tmp_path / "bad.cfg"
