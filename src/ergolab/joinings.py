@@ -19,16 +19,19 @@ start.
 Integration works on slabs of starts: for each anchored block of `cnt`
 orbit indices, up to (CHUNK - 1) // cnt starts are evaluated together, so
 each factor costs one `evaluate` call per slab rather than one per start,
-and each start's block sum is its row's `math.fsum`, computed for the whole
-slab at once by `exact_row_sums`.  Slabs stay below CHUNK points because
-`evaluate`'s bits depend on the block length (see its docstring); a
-full-chunk block is taken one start at a time, exactly as the streamed
-average takes it.
+and each start's block sum is its row's `math.fsum` (per part), computed
+for the whole slab at once by one complex `exact_row_sums` call.  Slabs
+stay below CHUNK points because `evaluate`'s bits depend on the block
+length (see its docstring); a full-chunk block is taken one start at a
+time, exactly as the streamed average takes it.
 
-Integration against a multi-start cloud is the mean of the per-start means.
-The barycenter identity (joining integral = average of fiber integrals) is
-checked against an independent joint side: one exact sum over all S*N tuple
-products, compared within a stated rounding bound (`decompose_cloud`).
+Block sums fill one (starts, chunks) complex array; one more
+`exact_row_sums` call folds each start's row (the fsum across blocks), and
+the integral against a multi-start cloud is the mean of the per-start
+means, math.fsum over starts of each part.  The barycenter identity
+(joining integral = average of fiber integrals) is checked against an
+independent joint side: one exact sum over all S*N tuple products,
+compared within a stated rounding bound (`decompose_cloud`).
 
 For an ergodic rotation the weak limit of the cloud is Haar measure on the
 arithmetic-progression subtorus {(y, y+b, ..., y+(d-1)b)}, so the limit of a
@@ -47,8 +50,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, ResourceCapError, ValidationError
 from .observables import Observable, evaluate
-from .phases import (CHUNK, MeanAccumulator, chunk_ranges, e, exact_row_sums,
-                     exact_sum)
+from .phases import CHUNK, chunk_ranges, e, exact_row_sums, exact_sum
 from .rng import SplitMix64
 from .systems import DynamicalSystem, system_to_kv
 
@@ -127,10 +129,11 @@ def fiber_measure(system: DynamicalSystem, x, d: int, N: int) -> EmpiricalMeasur
 
 
 def _start_means(block, S: int, N: int, fs: Sequence[Observable],
-                 products: np.ndarray | None = None) -> list[complex]:
-    """Per-start means over n < N of prod_j f_j(x_j), where block(s0, s1, n0,
-    cnt) returns the (s1 - s0, cnt, d, dim) tuples of starts s0..s1-1.  If
-    given, `products` (shape (S, N)) receives every tuple's product.
+                 products: np.ndarray | None = None) -> np.ndarray:
+    """Per-start means over n < N of prod_j f_j(x_j), as an (S,) complex
+    array, where block(s0, s1, n0, cnt) returns the (s1 - s0, cnt, d, dim)
+    tuples of starts s0..s1-1.  If given, `products` (shape (S, N))
+    receives every tuple's product.
 
     Same anchored chunks, factor order and fsum-per-chunk mean as the
     streamed multilinear average.  A slab of `rows` starts shares one
@@ -138,14 +141,13 @@ def _start_means(block, S: int, N: int, fs: Sequence[Observable],
     of a full chunk), which keeps every call on the same side of numpy's
     temporary-reuse threshold as a single-start call and so keeps its bits.
 
-    Each slab's real and imaginary rows are summed in one `exact_row_sums`
-    call, which returns every row's math.fsum bits."""
-    re_sums: list[list[float]] = []     # per chunk, one sum per start
-    im_sums: list[list[float]] = []
-    for n0, cnt in chunk_ranges(0, N, CHUNK):
+    Each slab's rows are summed (math.fsum's bits per part) by one
+    `exact_row_sums` call into one column of an (S, chunks) array, and one
+    more call folds each start's chunk sums; each part is divided by N."""
+    spans = list(chunk_ranges(0, N, CHUNK))
+    sums = np.empty((S, len(spans)), dtype=np.complex128)
+    for c, (n0, cnt) in enumerate(spans):
         rows = max(1, (CHUNK - 1) // cnt)
-        re_c: list[float] = []
-        im_c: list[float] = []
         for s0 in range(0, S, rows):
             s1 = min(S, s0 + rows)
             pts = block(s0, s1, n0, cnt)
@@ -154,35 +156,31 @@ def _start_means(block, S: int, N: int, fs: Sequence[Observable],
                 vals *= evaluate(f, pts[:, :, j])
             if products is not None:
                 products[s0:s1, n0:n0 + cnt] = vals
-            sums = exact_row_sums(np.concatenate((vals.real, vals.imag)))
-            re_c += sums[:s1 - s0].tolist()
-            im_c += sums[s1 - s0:].tolist()
-        re_sums.append(re_c)
-        im_sums.append(im_c)
-    return [complex(math.fsum(re) / N, math.fsum(im) / N)
-            for re, im in zip(zip(*re_sums), zip(*im_sums))]
+            sums[s0:s1, c] = exact_row_sums(vals)
+    means = exact_row_sums(sums)
+    means.real /= N
+    means.imag /= N
+    return means
 
 
-def _mean(values: Sequence[complex]) -> complex:
-    acc = MeanAccumulator()
-    for v in values:
-        acc.add_scalar(v)
-    return acc.mean()
+def _mean(values: np.ndarray) -> complex:
+    return complex(math.fsum(values.real.tolist()) / len(values),
+                   math.fsum(values.imag.tolist()) / len(values))
 
 
 def integrate_tensor(m: EmpiricalMeasure, fs: Sequence[Observable]) -> complex:
     """Integral of f_1(x_1)...f_d(x_d) against the cloud: the mean over
     starts of the per-start orbit means."""
-    return _mean(fiber_integrals(m, fs))
+    return _mean(_cloud_means(m, fs))
 
 
 def fiber_integrals(m: EmpiricalMeasure, fs: Sequence[Observable]) -> list[complex]:
     """Per-start tensor integrals (the fiber values behind the barycenter)."""
-    return _cloud_means(m, fs)
+    return _cloud_means(m, fs).tolist()
 
 
 def _cloud_means(m: EmpiricalMeasure, fs: Sequence[Observable],
-                 products: np.ndarray | None = None) -> list[complex]:
+                 products: np.ndarray | None = None) -> np.ndarray:
     if len(fs) != m.arity:
         raise DimensionMismatchError(
             f"{len(fs)} observables for arity-{m.arity} cloud")
@@ -372,11 +370,12 @@ def decompose_cloud(cloud: EmpiricalMeasure,
     rounding of mean|v| itself."""
     S, N = cloud.points.shape[:2]
     products = np.zeros((S, N), dtype=np.complex128)
-    fibers = _cloud_means(cloud, fs, products)
-    bary = _mean(fibers)
-    joint = complex(exact_sum(products.real) / (S * N),
-                    exact_sum(products.imag) / (S * N))
+    means = _cloud_means(cloud, fs, products)
+    bary = _mean(means)
+    pooled = exact_sum(products)
+    joint = complex(pooled.real / (S * N), pooled.imag / (S * N))
     bound = 2.0 ** -50 * float(np.abs(products).mean()) + 2.0 ** -1072
+    fibers = means.tolist()
     disp = math.sqrt(math.fsum(abs(v - bary) ** 2 for v in fibers)
                      / len(fibers))
     return DecompositionReport(joint, bary, tuple(fibers), disp, bound)

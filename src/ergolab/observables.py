@@ -103,24 +103,30 @@ def evaluate(f: Observable, points) -> np.ndarray | complex:
     the output of `c * exp(...)`, which then runs as exp(...) * c, and
     numpy's complex multiply is not bitwise commutative.  Callers that must
     reproduce another path's bits keep their batches on the same side of
-    that size (see joinings.py)."""
+    that size (see joinings.py).
+
+    Adding the terms to 0.0 gives a zeros buffer's bits; a 1-D phase x * k
+    is the dot product x @ (k,), up to a zero's sign, which exp loses."""
     pts = np.asarray(points, dtype=np.float64)
     scalar = pts.ndim == 1
     if pts.shape[-1] < f.dim:
         raise DimensionMismatchError(
             f"point dim {pts.shape[-1]} < observable dim {f.dim}")
     pts = pts[..., :f.dim]
-    out = np.zeros(pts.shape[:-1], dtype=np.complex128)
+    out = 0.0
     for k, c in f.terms:
-        if max((abs(v) for v in k), default=0) <= _FLOAT_FREQ_LIMIT:
-            phase = pts @ np.asarray(k, dtype=np.float64)
-        else:
+        if max((abs(v) for v in k), default=0) > _FLOAT_FREQ_LIMIT:
             flat = pts.reshape(-1, f.dim)
             phase = np.fromiter(
                 (frac_combo(zip(k, row)) for row in flat),
                 dtype=np.float64, count=flat.shape[0]).reshape(pts.shape[:-1])
-        out += c * np.exp((TWO_PI * 1j) * phase)
-    return complex(out) if scalar else out
+        else:
+            phase = (pts[..., 0] * float(k[0]) if f.dim == 1
+                     else pts @ np.asarray(k, dtype=np.float64))
+        out = c * np.exp((TWO_PI * 1j) * phase) + out
+    if scalar or f.terms:
+        return complex(out) if scalar else out
+    return np.zeros(pts.shape[:-1], dtype=np.complex128)
 
 
 def integral_haar(f: Observable) -> complex:

@@ -23,9 +23,10 @@ all precision once the product outgrows the mantissa.  The strategy here:
   sums, which is deterministic and exceeds the accuracy of running Kahan
   compensation.  One kernel sums exactly: `exact_row_sums`, Rump-Ogita-Oishi
   error-free extraction over column blocks of CHUNK, certifies math.fsum's
-  bits for every row of a 2-D array in numpy and hands the rows it cannot
-  certify to math.fsum.  `exact_sum` is its one-row case (math.fsum itself
-  on short inputs); the slabs of a joining cloud call it with many rows.
+  bits for every row of a 2-D array (each part of each complex row) in
+  numpy, at one extraction level where it can and two where it must, and
+  hands the rows it cannot certify to math.fsum.  `exact_sum` is its one-row
+  case (math.fsum itself on short inputs); cloud slabs call it with many.
 """
 
 from __future__ import annotations
@@ -188,39 +189,71 @@ def progression(base_at, step: float, n0: int, count: int, chunk: int = CHUNK,
     return out
 
 
-# exact_sum: math.fsum over a list below this length (the same bits).  The
-# crossover against the one-row exact_row_sums is 1,500-2,000 unit-modulus
-# values on a 2-vCPU x86-64 host, Python 3.11, numpy 2.4 (fsum 45 us against
-# 60-75 us at 1,024 values, 120-160 us against 95-105 us at 3,072); from
-# 1,024 to the crossover the two differ by under 30 us per call.
-_SUM_CUTOFF = 1 << 10
+# exact_sum: math.fsum below this many float64 values, a complex one counting
+# two.  Crossover with the kernel's flat 52-54 us: about 1,400 real or 770
+# complex values (fsum 47 and 59 us at 1,280 and 1,536 reals, two fsums 53 us
+# at 768 complex; 2-vCPU x86-64 host, Python 3.11, numpy 2.4).
+_SUM_CUTOFF = 1536
 
 
-def exact_sum(x) -> float:
-    """The correctly rounded sum of a float64 array: math.fsum's bits.
-
-    Short inputs go to math.fsum itself; longer ones are the one-row case of
-    exact_row_sums, which hands back to math.fsum whatever it cannot
-    certify."""
-    x = np.asarray(x, dtype=np.float64)
+def exact_sum(x):
+    """math.fsum's bits for the sum of a float64 array; for a complex array,
+    the complex whose parts have them.  Short inputs go to math.fsum itself,
+    longer ones are the one-row case of exact_row_sums."""
+    x = np.asarray(x)
+    x = x.astype(np.complex128 if np.iscomplexobj(x) else np.float64,
+                 copy=False)
     if x.ndim != 1:
         x = x.ravel()
-    if x.size < _SUM_CUTOFF:
+    if x.nbytes >= 8 * _SUM_CUTOFF:
+        return exact_row_sums(x[None])[0].item()
+    if x.dtype == np.float64:
         return math.fsum(x.tolist())
-    return float(exact_row_sums(x.reshape(1, -1))[0])
+    return complex(math.fsum(x.real.tolist()), math.fsum(x.imag.tolist()))
 
 
 _ROW_LIMIT = 2.0 ** 900      # rows with max |v| outside [2**-900, 2**900)
 _ROW_FLOOR = 2.0 ** -900     # go to math.fsum
 
 
-def exact_row_sums(x) -> np.ndarray:
-    """math.fsum of every row of a 2-D float64 array, bit for bit.
+def _extract(blocks, sigs):
+    """Extraction at one level per per-row sigma column in sigs: each level's
+    exact q sums, the float remainder sums, and (two levels) if r2 is zero."""
+    taus, rho, zero = [0.0] * len(sigs), 0.0, True
+    for v in blocks:
+        r = v
+        for k, sig in enumerate(sigs):
+            q = r + sig
+            q -= sig
+            taus[k] = taus[k] + q.sum(axis=1)
+            r = np.subtract(r, q, out=q if k == 0 else r)   # v stays intact
+        rho = rho + r.sum(axis=1)
+        if len(sigs) > 1:
+            zero = zero & ~r.any(axis=1)
+        del q, r          # before the next block is built
+    return taus, rho, zero
 
-    Two levels of error-free extraction (Rump, Ogita and Oishi, "Accurate
-    floating-point summation I/II", SIAM J. Sci. Comput. 31, 2008).  For a
-    row v of length n with max|v| < 2**E (np.frexp), take L = ceil(log2(n+2)),
-    sigma1 = 2**(L + E) and sigma2 = sigma1 * 2**(L - 52), and split
+
+def _round_test(hi, lo, rest, bound):
+    """s = fl(hi + lo) and the acceptance test of exact_row_sums."""
+    s = hi + lo
+    bb = s - hi
+    w = np.abs((hi - (s - bb)) + (lo - bb) + rest)
+    w += w * 2.0 ** -50 + (bound + 2.0 ** -1022)
+    a = np.abs(s)
+    return s, 2.0 * w < a - np.nextafter(a, 0.0)    # the smaller spacing
+
+
+def exact_row_sums(x) -> np.ndarray:
+    """math.fsum of every row of a 2-D float64 array, bit for bit; for a
+    complex array, complex sums whose parts carry math.fsum's bits (its real
+    and imaginary rows are summed as one (2 * rows, CHUNK) block).
+
+    Error-free extraction (Rump, Ogita and Oishi, "Accurate floating-point
+    summation I/II", SIAM J. Sci. Comput. 31, 2008), one level first and a
+    second only for the rows the first leaves.  For a row v of length n with
+    max|v| < 2**E (np.frexp), take L = ceil(log2(n+2)), sigma1 = 2**(L + E),
+    sigma2 = sigma1 * 2**(L - 52), and split
 
         q1 = (sigma1 + v) - sigma1,  r1 = v - q1,
         q2 = (sigma2 + r1) - sigma2, r2 = r1 - q2.
@@ -230,78 +263,84 @@ def exact_row_sums(x) -> np.ndarray:
     exact (Sterbenz) and so is p - q; |p - q| <= u sigma.  Hence
     |r1| <= u sigma1 < 2**-L sigma2, which licenses the second level, and
     |r2| <= u sigma2.  The q of one level are multiples of u sigma with
-    sum |q| <= n 2**-L sigma < sigma = 2**53 u sigma, so every partial sum
-    is representable and tau1 = sum q1, tau2 = sum q2 are exact in any
-    summation order.  The split runs over column blocks of CHUNK, so no
-    temporary exceeds rows * CHUNK elements, and each block's sums are
-    added to tau1, tau2 and rho.  The exact row sum is
+    sum |q| <= n 2**-L sigma < sigma = 2**53 u sigma, so tau1 = sum q1 and
+    tau2 = sum q2 are exact in any summation order, column blocks of CHUNK
+    included (they cap every temporary at rows * CHUNK elements).
 
-        T = tau1 + tau2 + sum r2 = s + e + rho + delta,
+    Level one: T = tau1 + sum r1 = s + e + delta, with rho = fl(sum r1),
+    s = fl(tau1 + rho), e its TwoSum error (exact) and, in any order,
+    |delta| <= gamma_(n-1) n u sigma1 < 1.001 * 2**(2L - 106) sigma1 = B/2.
+    If every nonzero |v| (zeros are left out explicitly) is at least
+    2**(2L + E - 54), delta = 0: those v and the q1 are multiples of
+    g = 2**(2L + E - 106), so are the r1, and their partial sums stay below
+    n u sigma1 < 2**53 g.  s is then T rounded half-even, ties included, as
+    fsum rounds it (T = 0 gives +0.0 from both: tau1 starts at +0.0).
+    Level two: T = tau1 + tau2 + sum r2 = s + e + rho + delta, with
+    s = fl(tau1 + tau2), rho = fl(sum r2), |delta| < 1.001 * 2**(3L - 158)
+    sigma1 = B/2; if every r2 is zero, T = tau1 + tau2 and s rounds it.
 
-    with s = fl(tau1 + tau2) and e its TwoSum error (exact), rho = fl(sum r2)
-    and, for any summation order (the block split is one), |delta| <=
-    gamma_(n-1) sum |r2| <= (n-1) u/(1 - (n-1) u) * n u sigma2
-    < 1.001 * 2**(3L - 158) sigma1.
-
-    A row whose r2 are all zero is accepted outright: T = tau1 + tau2, and
-    s is its round-half-even rounding, ties included, which is what fsum
-    returns.  Such a row has a nonzero element, so s = 0 means T = 0, where
-    fsum returns +0.0; so does s, since no q is -0.0 (an exact zero
-    difference or sum of nonzero terms is +0.0).
-
-    Otherwise take B = 2**(3L - 157) sigma1, twice the bound on delta, and
-    let w = fl(e + rho), so |e + rho| <= |w| (1 + 2u).  T rounds to s
-    (round to nearest) whenever |T - s| < h, half the smaller spacing
-    between s and its two neighbours.  The row is accepted when, summed in
-    any order,
-
-        fl(|w| + fl(2**-50 |w|) + B + 2**-1022) < h.
-
-    Each addition loses at most a factor (1 - u); the product 2**-50 |w|
-    can underflow by at most 2**-1075, which the 2**-1022 term absorbs.  So
-    the computed left side is at least
-    |w| (1 + 2**-50)(1 - u)**3 + B (1 - u)**3 >= |w| (1 + 2u) + |delta|:
-    acceptance implies |T - s| < h, and s is math.fsum's result.  Ties
-    (|T - s| = h) and s = 0 (spacing 0) never pass this test.
+    Otherwise let w = e (level one) or fl(e + rho) (level two), so that
+    |T - s| <= |w| (1 + 2u) + |delta|.  The row is accepted when, summed in
+    any order, fl(|w| + fl(2**-50 |w|) + B + 2**-1022) < h, half the smaller
+    spacing around s.  Each addition loses at most a factor (1 - u), and the
+    product's underflow, at most 2**-1075, is absorbed by 2**-1022; so the
+    left side is at least |w| (1 + 2**-50)(1 - u)**3 + B (1 - u)**3 >=
+    |w| (1 + 2u) + |delta|, and acceptance means |T - s| < h: s is fsum's
+    rounding.  Ties (|T - s| = h) and s = 0 (spacing 0) never pass.
 
     Every other row goes to math.fsum itself: rows whose max is zero,
     non-finite (fsum's inf, nan or ValueError), at least 2**900 (fsum's
     intermediate overflow) or below 2**-900 (where u sigma2 would leave the
-    normal range), and rows neither test certifies."""
-    x = np.asarray(x, dtype=np.float64)
+    normal range), and rows neither level certifies."""
+    x = np.asarray(x)
+    x = x.astype(np.complex128 if np.iscomplexobj(x) else np.float64,
+                 copy=False)
+    parts = (x.real, x.imag) if x.dtype == np.complex128 else (x,)
     rows, n = x.shape
-    if n == 0:
-        return np.zeros(rows)
-    with np.errstate(invalid="ignore", over="ignore"):
-        top = np.maximum(x.max(axis=1), -x.min(axis=1))
-        ok = (top >= _ROW_FLOOR) & (top < _ROW_LIMIT)
-        L = (n + 1).bit_length()               # ceil(log2(n + 2))
-        sig1 = np.ldexp(1.0, np.frexp(np.where(ok, top, 1.0))[1] + L)[:, None]
-        sig2 = sig1 * 2.0 ** (L - 52)
-        tau1, tau2, rho = np.zeros(rows), np.zeros(rows), np.zeros(rows)
-        exact = np.ones(rows, dtype=bool)      # every r2 so far is zero
+    R = len(parts) * rows
+
+    def block(i):
+        """Columns i to i + CHUNK of the stacked rows: real, then imaginary."""
+        return parts[0][:, i:i + CHUNK] if len(parts) == 1 else \
+            np.concatenate([p[:, i:i + CHUNK] for p in parts])
+
+    one = block(0) if 0 < n <= CHUNK else None     # built once for all passes
+
+    def blocks(sel=slice(None)):
         for i in range(0, n, CHUNK):
-            v = x[:, i:i + CHUNK]
-            q = v + sig1
-            q -= sig1
-            r = v - q
-            tau1 += q.sum(axis=1)
-            np.add(r, sig2, out=q)
-            q -= sig2
-            r -= q
-            tau2 += q.sum(axis=1)
-            rho += r.sum(axis=1)
-            exact &= ~r.any(axis=1)
-        s = tau1 + tau2
-        bb = s - tau1
-        w = np.abs((tau1 - (s - bb)) + (tau2 - bb) + rho)
-        w += w * 2.0 ** -50 + (sig1[:, 0] * 2.0 ** (3 * L - 157) + 2.0 ** -1022)
-        a = np.abs(s)
-        gap = np.minimum(a - np.nextafter(a, 0.0), np.nextafter(a, np.inf) - a)
-        ok &= exact | (2.0 * w < gap)
-    for i in np.flatnonzero(~ok).tolist():
-        s[i] = math.fsum(x[i].tolist())
-    return s
+            yield (block(i) if one is None else one)[sel]
+
+    s, fine, top = np.zeros(R), np.full(R, n == 0), np.zeros(R)
+    L = (n + 1).bit_length()               # ceil(log2(n + 2))
+    with np.errstate(invalid="ignore", over="ignore"):
+        for v in blocks():
+            np.maximum(top, np.abs(v).max(axis=1), out=top)
+        ok = (top >= _ROW_FLOOR) & (top < _ROW_LIMIT)
+        if n and ok.any():
+            sig1 = np.ldexp(1.0, np.frexp(np.where(ok, top, 1.0))[1] + L)
+            (tau1,), rho, _ = _extract(blocks(), [sig1[:, None]])
+            s, fine = _round_test(tau1, rho, 0.0, sig1 * 2.0 ** (2 * L - 105))
+            fine &= ok
+            sel = (ok & ~fine).nonzero()[0]
+            if sel.size:       # is every nonzero |v| at least 2**(2L+E-54)?
+                low = np.min([np.where(v != 0, abs(v), np.inf).min(axis=1)
+                              for v in blocks(sel)], axis=0)
+                fine[sel] = low >= sig1[sel] * 2.0 ** (L - 54)
+                sel = sel[~fine[sel]]
+            if sel.size:
+                sig = sig1[sel, None]
+                (tau1, tau2), rho, zero = _extract(
+                    blocks(sel), [sig, sig * 2.0 ** (L - 52)])
+                s[sel], cert = _round_test(tau1, tau2, rho,
+                                           sig[:, 0] * 2.0 ** (3 * L - 157))
+                fine[sel] = zero | cert
+    for i in (~fine).nonzero()[0].tolist():
+        s[i] = math.fsum(parts[i // rows][i % rows].tolist())
+    if len(parts) == 1:
+        return s
+    out = np.empty(rows, dtype=np.complex128)
+    out.real, out.imag = s[:rows], s[rows:]
+    return out
 
 
 class MeanAccumulator:
@@ -315,15 +354,10 @@ class MeanAccumulator:
         self._n = 0
 
     def add(self, values: np.ndarray) -> None:
-        v = np.asarray(values)
-        self._re.append(exact_sum(v.real))
-        self._im.append(exact_sum(v.imag))
-        self._n += v.size
-
-    def add_scalar(self, value: complex) -> None:
-        self._re.append(value.real)
-        self._im.append(value.imag)
-        self._n += 1
+        total = complex(exact_sum(values))      # one call for both parts
+        self._re.append(total.real)
+        self._im.append(total.imag)
+        self._n += np.size(values)
 
     def mean(self) -> complex:
         if self._n == 0:

@@ -74,9 +74,9 @@ def _run_orbit(cfg, rng):
     x = _resolve_start(cfg, rng)
     n = cfg.checkpoints[-1]
     pts = orbit_points(cfg.system, x, 1, 0, n, coords="state")
+    row = "%d" + ",%.17g" * pts.shape[1]       # _fmt's digits, one template
     rows = ["n," + ",".join(f"x{i+1}" for i in range(pts.shape[1]))]
-    for i in range(n):
-        rows.append(str(i) + "," + ",".join(_fmt(v) for v in pts[i]))
+    rows += [row % (i, *p) for i, p in enumerate(pts.tolist())]
     return "\n".join(rows) + "\n", {"rows": n}
 
 

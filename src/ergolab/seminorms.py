@@ -181,16 +181,15 @@ def van_der_corput_check(seq, H: int) -> VdcReport:
     if H >= L:
         raise ValidationError(f"H={H} must be smaller than the sequence length {L}")
     N = L - H
-    mean = np.array([complex(exact_sum(xs[:N, c].real) / N,
-                             exact_sum(xs[:N, c].imag) / N)
-                     for c in range(xs.shape[1])])
-    lhs = float(np.sum(np.abs(mean) ** 2))
-    terms = []
-    for h in range(1, H + 1):
-        inner = np.sum(xs[:N] * np.conj(xs[h:h + N]), axis=1)
-        terms.append(abs(complex(exact_sum(inner.real) / N,
-                                 exact_sum(inner.imag) / N)))
-    rhs = math.fsum(terms) / H
+
+    def mean(v) -> complex:
+        t = exact_sum(v)
+        return complex(t.real / N, t.imag / N)
+
+    means = np.array([mean(xs[:N, c]) for c in range(xs.shape[1])])
+    lhs = float(np.sum(np.abs(means) ** 2))
+    rhs = math.fsum(abs(mean(np.sum(xs[:N] * np.conj(xs[h:h + N]), axis=1)))
+                    for h in range(1, H + 1)) / H
     return VdcReport(lhs, rhs, N, H)
 
 

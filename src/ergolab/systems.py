@@ -519,8 +519,9 @@ class ToralAutomorphism(DynamicalSystem):
         limit = (1 << 63) - 1
         if any(abs(v) > limit for v in new_k):
             raise FrequencyOverflowError(
-                f"character frequency overflow composing with T^{n}: "
-                f"{k} -> {new_k} exceeds 63-bit range", n)
+                f"character frequency overflow composing with T^{n}: {k} -> "
+                f"a frequency of {max(abs(v) for v in new_k).bit_length()} "
+                "bits exceeds the 63-bit range", n)
         return new_k, 1.0 + 0.0j
 
     def kv_items(self):

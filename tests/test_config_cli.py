@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -15,7 +16,6 @@ from ergolab.config import MODES, format_config, parse_config
 from ergolab.errors import ValidationError
 from ergolab.joinings import empirical_self_joining, fiber_integrals
 from ergolab.observables import Observable
-from ergolab.phases import MeanAccumulator
 from ergolab.rng import SplitMix64
 from ergolab.runner import run_experiment
 from ergolab.seminorms import hk_seminorm
@@ -232,6 +232,43 @@ start = 0 0 0
     rows = (tmp_path / "orbit.csv").read_text().strip().splitlines()
     assert rows[0] == "n,x1,x2,x3"
     assert len(rows) == 26
+
+
+ORBIT_KINDS = [
+    ("kind = rotation\nalpha = 0.61803398874989479 0.41421356237309515",
+     "0.25 0"),
+    ("kind = heisenberg\nalpha = 0.41421356237309515\n"
+     "beta = 0.73205080756887719", "0 0.5 0.125"),
+    ("kind = automorphism\nmatrix = 2 1 1 1", "0.3 0.7"),
+]
+ORBIT_SPECIAL = [0.0, -0.0, 5e-324, 1.0 - 2.0 ** -53]
+
+
+@pytest.mark.parametrize("system,start", ORBIT_KINDS)
+def test_orbit_csv_bytes_match_per_value_formatting(tmp_path, monkeypatch,
+                                                    system, start):
+    """The orbit CSV's one row template gives the bytes of formatting each
+    value with f"{v:.17g}", on the orbit and on special values."""
+    cfg = parse_config(f"[system]\n{system}\n[run]\nmode = orbit\n"
+                       f"checkpoints = 300\nstart = {start}\n")
+    orbit = runner.orbit_points
+
+    def special(*args, **kwargs):
+        pts = orbit(*args, **kwargs).copy()
+        for i, v in enumerate(ORBIT_SPECIAL):
+            pts[i] = v
+            pts[len(ORBIT_SPECIAL) + i, i % pts.shape[1]] = v
+        return pts
+
+    for name, fn in (("orbit", orbit), ("special", special)):
+        monkeypatch.setattr(runner, "orbit_points", fn)
+        run_experiment(cfg, tmp_path / name)
+        pts = fn(cfg.system, np.asarray(cfg.start), 1, 0, 300, coords="state")
+        want = ["n," + ",".join(f"x{i + 1}" for i in range(pts.shape[1]))]
+        want += [str(i) + "," + ",".join(f"{v:.17g}" for v in pts[i])
+                 for i in range(300)]
+        assert (tmp_path / name / "orbit.csv").read_bytes() == \
+            ("\n".join(want) + "\n").encode()
 
 
 # ---------------------------------------------------------------------------
@@ -513,10 +550,9 @@ freq_box = 1
     run_experiment(cfg, tmp_path)
     bary = json.loads((tmp_path / "joining.json").read_text())["barycenter"]
     cloud = empirical_self_joining(cfg.system, 2, 30, 80, SplitMix64(19))
-    acc = MeanAccumulator()
-    for v in fiber_integrals(cloud, list(cfg.observables)):
-        acc.add_scalar(v)
-    expect = acc.mean()
+    fibers = fiber_integrals(cloud, list(cfg.observables))
+    expect = complex(math.fsum(v.real for v in fibers) / len(fibers),
+                     math.fsum(v.imag for v in fibers) / len(fibers))
     assert (bary["re"], bary["im"]) == (expect.real, expect.imag)
     assert bary["exact_match"] is True
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -319,10 +321,8 @@ def _reference_cloud_means(points, fs):
 
 
 def _mean_of(values):
-    acc = MeanAccumulator()
-    for v in values:
-        acc.add_scalar(v)
-    return acc.mean()
+    return complex(math.fsum(v.real for v in values) / len(values),
+                   math.fsum(v.imag for v in values) / len(values))
 
 
 def _tensor_factors(d, dim):

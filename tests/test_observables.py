@@ -10,7 +10,7 @@ from ergolab.errors import (DimensionMismatchError, FrequencyOverflowError,
 from ergolab.observables import (Observable, compose_with_power, conjugate,
                                  evaluate, format_observable, integral_haar,
                                  multiply, parse_observable)
-from ergolab.phases import e
+from ergolab.phases import CHUNK, TWO_PI, e, frac_combo
 from ergolab.rng import SplitMix64
 from ergolab.systems import (cat_map, default_heisenberg, golden_rotation,
                              standard_skew, step)
@@ -185,6 +185,15 @@ def test_automorphism_overflow_names_power():
     assert "T^200" in str(info.value)
 
 
+def test_automorphism_overflow_far_past_int_str_limit():
+    # the frequency has about 1.4e5 bits (over 4e4 decimal digits): the
+    # message gives its bit length, not its digits
+    with pytest.raises(FrequencyOverflowError) as info:
+        compose_with_power(Observable.character((1, 0)), cat_map(), 10 ** 5)
+    assert info.value.power == 10 ** 5
+    assert "T^100000" in str(info.value) and len(str(info.value)) < 200
+
+
 def test_monte_carlo_integral_consistency():
     f = Observable.from_dict(1, {(0,): 0.25, (1,): 1.0, (-3,): 0.5j})
     pts = golden_rotation().haar_block(SplitMix64(31), 100_000)
@@ -217,3 +226,63 @@ def test_parse_rejects_bad_terms():
         parse_observable("nope", 1)
     with pytest.raises(ValidationError):
         parse_observable("", 1)
+
+
+# ---------------------------------------------------------------------------
+# evaluate against its zeros-buffer, matmul-phase formulation, bit for bit
+
+
+def _evaluate_reference(f, points):
+    """evaluate written with a zeros buffer that every term is added to and
+    every phase a matmul: the reference for its bits."""
+    pts = np.asarray(points, dtype=np.float64)
+    scalar = pts.ndim == 1
+    pts = pts[..., :f.dim]
+    out = np.zeros(pts.shape[:-1], dtype=np.complex128)
+    for k, c in f.terms:
+        if max(abs(v) for v in k) <= 1 << 16:
+            phase = pts @ np.asarray(k, dtype=np.float64)
+        else:
+            flat = pts.reshape(-1, f.dim)
+            phase = np.fromiter(
+                (frac_combo(zip(k, row)) for row in flat),
+                dtype=np.float64, count=flat.shape[0]).reshape(pts.shape[:-1])
+        out += c * np.exp((TWO_PI * 1j) * phase)
+    return complex(out) if scalar else out
+
+
+# with a -0.0 part, a coefficient can leave a -0.0 in a product at phase 0,
+# which the zeros buffer turned into +0.0
+EVAL_COEFFS = [1.0, -1.0, 1j, -1j, complex(0.5, -0.0), complex(-1.0, -0.0),
+               complex(-0.0, 1.0)]
+EVAL_SHAPES = [(), (1,), (CHUNK - 1,), (CHUNK,), (163, 100)]
+
+
+def _eval_observables(dim):
+    ks = [(-3,), (2,), (0,)] if dim == 1 else \
+        [(-3, 2, -1)[:dim], (1,) * dim, (0, -2, 5)[:dim]]
+    big = ((1 << 16) + 3,) + (-1,) * (dim - 1)
+    out = [Observable.from_dict(dim, {ks[0]: c}) for c in EVAL_COEFFS]
+    out.append(Observable.from_dict(dim, dict(zip(ks, EVAL_COEFFS))))
+    out.append(Observable.from_dict(dim, {ks[0]: 1.0, big: -1j}))
+    return out
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("shape", EVAL_SHAPES)
+def test_evaluate_bits_match_zeros_buffer_matmul(dim, shape):
+    rng = np.random.default_rng(dim * 1000 + len(shape))
+    pts = rng.random(shape + (dim + 1,))     # a trailing coordinate ignored
+    flat = pts.reshape(-1, dim + 1)
+    special = [0.0, 5e-324, 1.0 - 2.0 ** -53]
+    for i in range(min(len(flat), 3 * len(special))):
+        flat[i, :] = special[i % 3]
+        flat[i, i % dim] = special[(i // 3) % 3]
+    for f in _eval_observables(dim):
+        got, want = evaluate(f, pts), _evaluate_reference(f, pts)
+        if not shape:
+            assert isinstance(got, complex)
+            got, want = np.array([got]), np.array([want])
+        assert got.shape == want.shape
+        assert got.real.tobytes() == want.real.tobytes()
+        assert got.imag.tobytes() == want.imag.tobytes()

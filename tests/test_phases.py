@@ -4,6 +4,7 @@ sites that use them."""
 import math
 import tracemalloc
 import types
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,7 +13,11 @@ from hypothesis import given, settings, strategies as st
 from ergolab import phases
 from ergolab.phases import (CHUNK, MeanAccumulator, _SUM_CUTOFF, exact_row_sums,
                             exact_sum)
+from ergolab.joinings import empirical_self_joining, integrate_tensor
+from ergolab.observables import Observable
+from ergolab.rng import SplitMix64
 from ergolab.seminorms import VdcReport, van_der_corput_check
+from ergolab.systems import golden_rotation
 
 TINY = 2.2250738585072014e-308          # smallest normal double
 LENGTHS = [0, 1, 2, _SUM_CUTOFF - 1, _SUM_CUTOFF, _SUM_CUTOFF + 1,
@@ -268,18 +273,179 @@ def test_exact_row_sums_certify_exact_remainders_without_fsum(monkeypatch):
     assert sent == [CHUNK + 1]
 
 
+def _hex(v):
+    """float.hex of a float, or of both parts of a complex."""
+    v = complex(v) if isinstance(v, (complex, np.complexfloating)) else v
+    return (v.real.hex(), v.imag.hex()) if isinstance(v, complex) else v.hex()
+
+
+def _fsum_hex(x):
+    """math.fsum's bits for a real array, or for each part of a complex one."""
+    if np.iscomplexobj(x):
+        return math.fsum(x.real).hex(), math.fsum(x.imag).hex()
+    return math.fsum(x).hex()
+
+
 def test_exact_sum_temporaries_stay_within_column_blocks():
     z = np.exp(2j * np.pi * np.random.default_rng(5).random(10 ** 6))
-    for x in (np.ascontiguousarray(z.imag), z.imag):
-        want = math.fsum(x)
+    for x in (np.ascontiguousarray(z.imag), z.imag, z):
+        want = _fsum_hex(x)
         tracemalloc.start()
         try:
             got = exact_sum(x)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert got.hex() == want.hex()
+        assert _hex(got) == want
         assert peak < 1 << 20
+
+
+# ---------------------------------------------------------------------------
+# Complex input: one call, each part math.fsum's bits
+
+
+@pytest.mark.parametrize("n", LENGTHS + [_SUM_CUTOFF // 2 - 1,
+                                         _SUM_CUTOFF // 2])
+def test_exact_sum_complex_parts_match_fsum(n):
+    rng = np.random.default_rng(n)
+    z = np.exp(2j * np.pi * rng.random(n)) * 10.0 ** rng.integers(-5, 5, n)
+    z[::7] = -0.0 + 0.0j
+    got = exact_sum(z)
+    assert isinstance(got, complex)
+    assert _hex(got) == _fsum_hex(z)
+    assert _hex(exact_sum(z[::-2])) == _fsum_hex(z[::-2])
+
+
+@settings(max_examples=150)
+@given(row_blocks(), row_blocks(), st.booleans())
+def test_exact_row_sums_complex_parts_match_fsum(x, y, strided):
+    rows = min(x.shape[0], y.shape[0])
+    n = min(x.shape[1], y.shape[1])
+    z = np.empty((rows, n), dtype=np.complex128)
+    z.real, z.imag = x[:rows, :n], y[:rows, :n]
+    if strided:
+        z = z[:, ::-1]
+    # real rows first, then imaginary rows: the first to raise decides
+    raised = [kind for outcome, kind in (_outcome(math.fsum, r)
+                                         for r in [*z.real, *z.imag])
+              if outcome == "raises"]
+    if raised:
+        with pytest.raises(raised[0]):
+            exact_row_sums(z)
+        return
+    got = exact_row_sums(z)
+    assert got.dtype == np.complex128 and got.shape == (rows,)
+    assert [_hex(v) for v in got.tolist()] == [_fsum_hex(r) for r in z]
+
+
+# ---------------------------------------------------------------------------
+# Level one: which rows it certifies, and which it must leave
+
+
+def _count_levels(monkeypatch):
+    """Counts, from here on, the rows that reach the second extraction level
+    and the rows that reach math.fsum."""
+    seen = {"level2": 0, "fsum": 0}
+    extract = phases._extract
+
+    def spy_extract(blocks, sigs):
+        out = extract(blocks, sigs)
+        if len(sigs) > 1:
+            seen["level2"] += len(out[1])
+        return out
+
+    def spy_fsum(values):
+        seen["fsum"] += 1
+        return math.fsum(values)
+
+    monkeypatch.setattr(phases, "_extract", spy_extract)
+    monkeypatch.setattr(phases, "math", types.SimpleNamespace(fsum=spy_fsum))
+    return seen
+
+
+def _coarse_tie_rows(rng, rows, n):
+    """Rows (n >= 4) whose exact sum is a rounding tie, from a coarse grid:
+    values in {5/8, 6/8, 7/8}, one exact zero, one value exactly
+    2**(2L - 54) (L = ceil(log2(n + 2)); every row's max lies in [1/2, 1),
+    so E = 0), and one value in [1/2, 1) that puts the sum on a midpoint.
+    Level one certifies them only through its exactness case, whose bound
+    the least nonzero value meets with no margin."""
+    L = (n + 1).bit_length()
+    x = np.zeros((rows, n))
+    x[:, :n - 3] = rng.integers(5, 8, (rows, n - 3)) / 8
+    x[:, n - 3] = 2.0 ** (2 * L - 54)
+    for row in x:
+        base = math.fsum(row)                  # exact: a coarse grid
+        half = np.spacing(base + 0.75) / 2
+        row[n - 1] = (np.floor((base + 0.75) / (2 * half)) * 2 * half
+                      - base) + half
+        assert 0.5 <= row[n - 1] < 1.0
+        assert abs(sum(map(Fraction, row)) - Fraction(math.fsum(row))) \
+            == Fraction(half)
+    return rng.permuted(x, axis=1)
+
+
+@pytest.mark.parametrize("n", [4, 100, CHUNK + 1])
+def test_exact_row_sums_certify_coarse_ties_at_level_one(monkeypatch, n):
+    rng = np.random.default_rng(n)
+    x = _coarse_tie_rows(rng, 2 if n > CHUNK else 40, n)
+    z = np.empty(x.shape, dtype=np.complex128)
+    z.real, z.imag = x, _coarse_tie_rows(rng, x.shape[0], n)
+    want_x = [math.fsum(r).hex() for r in x]
+    want_z = [_fsum_hex(r) for r in z]
+    seen = _count_levels(monkeypatch)
+    assert [v.hex() for v in exact_row_sums(x).tolist()] == want_x
+    assert [_hex(v) for v in exact_row_sums(z).tolist()] == want_z
+    assert seen == {"level2": 0, "fsum": 0}
+
+
+def test_exact_row_sums_fine_remainders_go_past_level_one(monkeypatch):
+    # n = 6, so L = 3; the max lies in [1/2, 1), so E = 0 and the exactness
+    # bound is 2**-48.  The last value, 2**-49 + 2**-101, sits below it: its
+    # remainder 2**-101 is lost when the remainders are summed in floats
+    # (their partial sums reach [2**-48, 2**-47), spaced 2**-100), which puts
+    # fl(tau1 + rho) on a midpoint that rounds to even, below math.fsum's
+    # result.  The row must go past level one (level two leaves it to
+    # math.fsum in turn: tau1 + tau2 is that midpoint, and 2**-101 an r2).
+    row = [0.5 + m * 2.0 ** -49 + r * 2.0 ** -53
+           for m, r in zip([3, 5, 9, 2, 7], [7, 7, 7, 7, 6])]
+    row.append(2.0 ** -49 + 2.0 ** -101)
+    x = np.array([row, row[::-1], row[1:] + row[:1]])
+    want = [math.fsum(r).hex() for r in x]
+    seen = _count_levels(monkeypatch)
+    assert [v.hex() for v in exact_row_sums(x).tolist()] == want
+    assert seen == {"level2": 3, "fsum": 3}
+
+
+def test_cloud_slab_rows_certify_at_level_one(monkeypatch):
+    # Every slab row of a 5,000 x 100 golden-rotation cloud, and every
+    # start's fold across chunks, is certified at level one.
+    cloud = empirical_self_joining(golden_rotation(), 2, 5000, 100,
+                                   SplitMix64(2024))
+    fs = [Observable.from_dict(1, {(2,): 0.75 - 0.5j, (-1,): 1.0}),
+          Observable.character(-3)]
+    want = integrate_tensor(cloud, fs)
+    seen = _count_levels(monkeypatch)
+    calls = []
+    extract = phases._extract
+    monkeypatch.setattr(phases, "_extract",
+                        lambda b, sigs: calls.append(1) or extract(b, sigs))
+    assert _hex(integrate_tensor(cloud, fs)) == _hex(want)
+    assert len(calls) > 30 and seen == {"level2": 0, "fsum": 0}
+
+
+@pytest.mark.parametrize("row", [
+    [1.0, 5e-324, 0.0, 2.0 ** -53],            # subnormal minimum, a tie
+    [1.0, -5e-324, 2.0 ** -53, 2.0 ** -53],
+    [0.75, 5e-324, -5e-324, 0.0, 2.0 ** -54],
+    [2.0 ** -1022, 5e-324, 2.0 ** -1022, 0.0],  # below the 2**-900 floor
+])
+def test_exact_row_sums_subnormal_minima(row):
+    x = np.array([row, row[::-1]])
+    _same_rows_as_fsum(x)
+    z = x[:, ::-1] + 1j * x
+    assert [_hex(v) for v in exact_row_sums(z).tolist()] == \
+        [_fsum_hex(r) for r in z]
 
 
 # ---------------------------------------------------------------------------
