@@ -20,8 +20,10 @@ from ergolab.seminorms import VdcReport, van_der_corput_check
 from ergolab.systems import golden_rotation
 
 TINY = 2.2250738585072014e-308          # smallest normal double
-LENGTHS = [0, 1, 2, _SUM_CUTOFF - 1, _SUM_CUTOFF, _SUM_CUTOFF + 1,
-           CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5]
+# 1023-1025 straddle the earlier 1 << 10 crossover; they stay as lengths the
+# fsum side must still get right.
+LENGTHS = [0, 1, 2, 1023, 1024, 1025, _SUM_CUTOFF - 1, _SUM_CUTOFF,
+           _SUM_CUTOFF + 1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5]
 
 
 def _outcome(fn, x):
@@ -452,7 +454,8 @@ def test_exact_row_sums_subnormal_minima(row):
 # Call sites against references written with plain math.fsum
 
 BLOCKS = [("full chunk", CHUNK), ("chunk tail", 5000),
-          ("below crossover", _SUM_CUTOFF // 3)]
+          ("below crossover", 341)]
+assert 341 * 2 < _SUM_CUTOFF            # a complex block of 341 takes fsum
 
 
 def _unit_values(n, seed):
