@@ -8,21 +8,21 @@ square     (1/N^2) sum_{n,m}       prod_j f_j(T^{n+(j-1)m} x)
 cube       (1/N^k) sum_{n in box}  prod_eps f_eps(T^{n . eps} x)
 folner     (1/|B|) sum_{(n,m) in B} f(S1^n S2^m x)
 
-Each scheme has a streamed numerical path (orbit points generated
-incrementally in anchored chunks, products evaluated pointwise, chunk sums
-by phases.exact_sum, the one-row case of phases.exact_row_sums, which
-returns math.fsum's correctly rounded bits).  Where a term tuple's pattern
-phase (exact.pattern_phase) is linear, the square and cube grids factorize
-exactly into one-dimensional geometric sums, and the factorized path then
-streams those geometric sums; a literal grid walk is kept for every system
-below a cost cap and cross-checked against the factorized path in the test
-suite.  The factorized path shares the pattern phase with exact.py and
-streams the geometric sums that exact.py evaluates in closed form; the
-orbit streams and the grid walk share no arithmetic with exact.py.
-
-The one-dimensional linear path and the empirical-measure integration in
-joinings.py deliberately share the chunk layout and accumulation order, so
-integrating a stored fiber cloud reproduces the streamed average bit for bit.
+Each scheme has a streamed numerical path: orbit points generated in
+anchored chunks, products evaluated pointwise, and means taken by the one
+chunked-mean kernel, phases.chunk_means (math.fsum's correctly rounded bits
+per chunk and across chunks).  The birkhoff and linear streams are the
+one-start case of the streaming self-joining in joinings.py, so integrating
+a stored fiber cloud reproduces the streamed average bit for bit.  Where a
+term tuple's pattern phase (exact.pattern_phase) is linear, the square and
+cube grids factorize exactly into one-dimensional geometric sums, and the
+factorized path then streams those geometric sums through the same kernel;
+a literal grid walk (row by row, with phases.MeanAccumulator) is kept for
+every system below a cost cap and cross-checked against the factorized
+path in the test suite.  The factorized path shares the pattern phase with
+exact.py and streams the geometric sums that exact.py evaluates in closed
+form; the orbit streams and the grid walk share no arithmetic with
+exact.py.
 """
 
 from __future__ import annotations
@@ -36,8 +36,8 @@ import numpy as np
 from .errors import (CommutationError, ResourceCapError, ValidationError)
 from .exact import character_at, obs_coords, pattern_phase, term_tuples
 from .observables import Observable, evaluate
-from .phases import (CHUNK, MeanAccumulator, PhaseForm, chunk_ranges,
-                     progression)
+from .joinings import _streamed_start_means
+from .phases import MeanAccumulator, PhaseForm, chunk_means, progression
 from .rng import SplitMix64
 from .systems import DynamicalSystem, orbit_points
 
@@ -140,30 +140,15 @@ def product_difference_bound(a: Sequence[complex],
 
 
 # ---------------------------------------------------------------------------
-# Streamed product-of-orbits engine (birkhoff / linear)
+# Streamed products of orbits (birkhoff / linear)
 
 
-def _product_block(system, fs, strides, x, n0, count) -> np.ndarray:
-    vals = np.ones(count, dtype=np.complex128)
-    for f, j in zip(fs, strides):
-        pts = orbit_points(system, x, j, n0, count, coords="obs")
-        vals *= evaluate(f, pts)
-    return vals
-
-
-def _streamed_means(system, fs, strides, x, checkpoints) -> list[tuple[int, complex]]:
-    """Partial means of prod_j f_j(T^{strides_j * n} x) at each checkpoint."""
-    acc = MeanAccumulator()
-    out = []
-    prev = 0
-    for cp in checkpoints:
-        if cp <= prev:
-            raise ValidationError("checkpoints must be strictly increasing")
-        for n0, cnt in chunk_ranges(prev, cp - prev, CHUNK):
-            acc.add(_product_block(system, fs, strides, x, n0, cnt))
-        out.append((cp, acc.mean()))
-        prev = cp
-    return out
+def _streamed_means(system, fs, x, checkpoints) -> list[tuple[int, complex]]:
+    """Partial means of prod_j f_j(T^{jn} x) at each checkpoint: the
+    one-start streaming self-joining."""
+    starts = system.check_point(x)[None]
+    means = _streamed_start_means(system, starts, list(fs), checkpoints)[:, 0]
+    return list(zip(checkpoints, means.tolist()))
 
 
 def multilinear_average_linear(system: DynamicalSystem, fs: Sequence[Observable],
@@ -174,8 +159,7 @@ def multilinear_average_linear(system: DynamicalSystem, fs: Sequence[Observable]
         raise ValidationError("need at least one observable")
     if N < 1:
         raise ValidationError("N must be >= 1")
-    strides = list(range(1, len(fs) + 1))
-    return _streamed_means(system, list(fs), strides, x, [N])[0][1]
+    return _streamed_means(system, fs, x, [N])[0][1]
 
 
 def birkhoff_average(system: DynamicalSystem, f: Observable, x, N: int) -> complex:
@@ -193,8 +177,7 @@ def _traj_params(system, fs, x, mode: str) -> dict:
 
 
 def linear_trajectory(system, fs, x, checkpoints, params=None) -> AverageTrajectory:
-    vals = _streamed_means(system, list(fs), list(range(1, len(fs) + 1)),
-                           x, list(checkpoints))
+    vals = _streamed_means(system, fs, x, list(checkpoints))
     return AverageTrajectory("linear" if len(fs) > 1 else "birkhoff",
                              tuple(vals),
                              params or _traj_params(system, fs, x, "streamed"))
@@ -207,17 +190,11 @@ def linear_trajectory(system, fs, x, checkpoints, params=None) -> AverageTraject
 def geometric_mean_streamed(form: PhaseForm, checkpoints: Sequence[int]) -> dict[int, complex]:
     """(1/N) sum_{n<N} e(n*theta) by literal summation, emitted at each
     checkpoint.  Chunk bases are reduced exactly, so no drift at any N."""
-    acc = MeanAccumulator()
-    out = {}
     stepf = form.frac()
-    prev = 0
-    for cp in checkpoints:
-        for n0, cnt in chunk_ranges(prev, cp - prev, CHUNK):
-            acc.add(np.exp((2j * np.pi)
-                           * progression(form.frac_times, stepf, n0, cnt)))
-        out[cp] = acc.mean()
-        prev = cp
-    return out
+    means = chunk_means(lambda r0, r1, n0, cnt: np.exp(
+        (2j * np.pi) * progression(form.frac_times, stepf, n0, cnt))[None],
+        1, checkpoints)
+    return dict(zip(checkpoints, means[:, 0].tolist()))
 
 
 # ---------------------------------------------------------------------------

@@ -7,31 +7,23 @@ The d-fold self-joining of a system is approximated by the tuple cloud
 
 over Haar-sampled starts x_s; the fiber measure over a single x is the same
 construction with one start.  Clouds are stored as explicit point arrays
-(never binned) so that integrating a tensor product of characters against a
-fiber cloud reproduces the streamed multilinear average bit for bit: the
-points come from the same anchored orbit generator, the per-n products are
-multiplied in the same factor order, and each start's mean is the same
-chunked-fsum mean (fsum per CHUNK-anchored block, fsum across blocks,
-divided by N).  Clouds are built one stride at a time for all starts at
-once (`orbit_block`, batched for rotations), bit-equal to one orbit per
-start.
+(never binned), built one stride at a time for all starts at once
+(`orbit_block`, batched for rotations), bit-equal to one orbit per start.
 
-Integration works on slabs of starts: for each anchored block of `cnt`
-orbit indices, up to (CHUNK - 1) // cnt starts are evaluated together, so
-each factor costs one `evaluate` call per slab rather than one per start,
-and each start's block sum is its row's `math.fsum` (per part), computed
-for the whole slab at once by one complex `exact_row_sums` call.  Slabs
-stay below CHUNK points because `evaluate`'s bits depend on the block
-length (see its docstring); a full-chunk block is taken one start at a
-time, exactly as the streamed average takes it.
-
-Block sums fill one (starts, chunks) complex array; one more
-`exact_row_sums` call folds each start's row (the fsum across blocks), and
-the integral against a multi-start cloud is the mean of the per-start
-means, math.fsum over starts of each part.  The barycenter identity
-(joining integral = average of fiber integrals) is checked against an
-independent joint side: one exact sum over all S*N tuple products,
-compared within a stated rounding bound (`decompose_cloud`).
+One kernel integrates: `phases.chunk_means` walks CHUNK-anchored spans of
+orbit indices and asks for slabs of starts, each factor costing one
+`evaluate` call per slab rather than one per start.  Each start's span sum
+is its row's `math.fsum` (per part), one more `exact_row_sums` call folds
+the span sums, and each part is divided by N.  A stored cloud reads its
+slabs from the point array; the streaming integral builds them on demand
+from `_orbit_tuples`, and the streamed multilinear averages of
+averaging.py are its one-start case, so integrating a fiber cloud
+reproduces the streamed average bit for bit.  The integral against a
+multi-start cloud is the mean of the per-start means, math.fsum over starts
+of each part.  The barycenter identity (joining integral = average of fiber
+integrals) is checked against an independent joint side: one exact sum over
+all S*N tuple products, compared within a stated rounding bound
+(`decompose_cloud`).
 
 For an ergodic rotation the weak limit of the cloud is Haar measure on the
 arithmetic-progression subtorus {(y, y+b, ..., y+(d-1)b)}, so the limit of a
@@ -50,7 +42,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, ResourceCapError, ValidationError
 from .observables import Observable, evaluate
-from .phases import CHUNK, chunk_ranges, e, exact_row_sums, exact_sum
+from .phases import chunk_means, e, exact_sum
 from .rng import SplitMix64
 from .systems import DynamicalSystem, system_to_kv
 
@@ -128,39 +120,26 @@ def fiber_measure(system: DynamicalSystem, x, d: int, N: int) -> EmpiricalMeasur
     return _build_cloud(system, x[None, :], d, N, "fiber-orbit", None)
 
 
-def _start_means(block, S: int, N: int, fs: Sequence[Observable],
-                 products: np.ndarray | None = None) -> np.ndarray:
-    """Per-start means over n < N of prod_j f_j(x_j), as an (S,) complex
-    array, where block(s0, s1, n0, cnt) returns the (s1 - s0, cnt, d, dim)
-    tuples of starts s0..s1-1.  If given, `products` (shape (S, N))
-    receives every tuple's product.
+def _tensor_values(fs: Sequence[Observable], pts: np.ndarray) -> np.ndarray:
+    """prod_j f_j(x_j) over an (S, count, d, dim) tuple block, factor by
+    factor."""
+    vals = np.ones(pts.shape[:2], dtype=np.complex128)
+    for j, f in enumerate(fs):
+        vals *= evaluate(f, pts[:, :, j])
+    return vals
 
-    Same anchored chunks, factor order and fsum-per-chunk mean as the
-    streamed multilinear average.  A slab of `rows` starts shares one
-    `evaluate` call per factor; rows * cnt stays below CHUNK (or is one row
-    of a full chunk), which keeps every call on the same side of numpy's
-    temporary-reuse threshold as a single-start call and so keeps its bits.
 
-    Each slab's rows are summed (math.fsum's bits per part) by one
-    `exact_row_sums` call into one column of an (S, chunks) array, and one
-    more call folds each start's chunk sums; each part is divided by N."""
-    spans = list(chunk_ranges(0, N, CHUNK))
-    sums = np.empty((S, len(spans)), dtype=np.complex128)
-    for c, (n0, cnt) in enumerate(spans):
-        rows = max(1, (CHUNK - 1) // cnt)
-        for s0 in range(0, S, rows):
-            s1 = min(S, s0 + rows)
-            pts = block(s0, s1, n0, cnt)
-            vals = np.ones((s1 - s0, cnt), dtype=np.complex128)
-            for j, f in enumerate(fs):
-                vals *= evaluate(f, pts[:, :, j])
-            if products is not None:
-                products[s0:s1, n0:n0 + cnt] = vals
-            sums[s0:s1, c] = exact_row_sums(vals)
-    means = exact_row_sums(sums)
-    means.real /= N
-    means.imag /= N
-    return means
+def _streamed_start_means(system, starts: np.ndarray, fs: Sequence[Observable],
+                          checkpoints: Sequence[int]) -> np.ndarray:
+    """(checkpoints, S) means over n < N of prod_j f_j(T^{jn} x_s): the
+    streaming self-joining, whose slabs are built on demand, so memory
+    stays within CHUNK tuples."""
+    d = len(fs)
+
+    def values_at(s0, s1, n0, cnt):
+        return _tensor_values(fs, _orbit_tuples(system, starts[s0:s1], d, n0,
+                                                cnt, coords="obs"))
+    return chunk_means(values_at, starts.shape[0], checkpoints)
 
 
 def _mean(values: np.ndarray) -> complex:
@@ -181,12 +160,19 @@ def fiber_integrals(m: EmpiricalMeasure, fs: Sequence[Observable]) -> list[compl
 
 def _cloud_means(m: EmpiricalMeasure, fs: Sequence[Observable],
                  products: np.ndarray | None = None) -> np.ndarray:
+    """Per-start means, as an (S,) complex array; if given, `products`
+    (shape (S, N)) receives every tuple's product."""
     if len(fs) != m.arity:
         raise DimensionMismatchError(
             f"{len(fs)} observables for arity-{m.arity} cloud")
     S, N = m.points.shape[:2]
-    return _start_means(lambda s0, s1, n0, cnt: m.points[s0:s1, n0:n0 + cnt],
-                        S, N, fs, products)
+
+    def values_at(s0, s1, n0, cnt):
+        vals = _tensor_values(fs, m.points[s0:s1, n0:n0 + cnt])
+        if products is not None:
+            products[s0:s1, n0:n0 + cnt] = vals
+        return vals
+    return chunk_means(values_at, S, [N])[0]
 
 
 def self_joining_tensor_integral(system: DynamicalSystem, d: int,
@@ -194,15 +180,11 @@ def self_joining_tensor_integral(system: DynamicalSystem, d: int,
                                  rng: SplitMix64,
                                  fs: Sequence[Observable]) -> complex:
     """integrate_tensor(empirical_self_joining(...), fs) without holding the
-    cloud in memory; for tuple counts beyond the cap.  Each slab's orbit
-    block is built on demand, so memory stays within CHUNK tuples."""
+    cloud in memory; for tuple counts beyond the cap."""
     if len(fs) != d:
         raise DimensionMismatchError(f"{len(fs)} observables for arity {d}")
     starts = system.haar_block(rng, x_sample_count)
-    return _mean(_start_means(
-        lambda s0, s1, n0, cnt: _orbit_tuples(system, starts[s0:s1], d, n0,
-                                              cnt, coords="obs"),
-        x_sample_count, N, fs))
+    return _mean(_streamed_start_means(system, starts, fs, [N])[0])
 
 
 def marginal(m: EmpiricalMeasure, j: int) -> EmpiricalMeasure:

@@ -1,4 +1,4 @@
-"""Exact mod-1 phase arithmetic and compensated accumulation.
+"""Exact mod-1 phase arithmetic, anchored chunks and exact chunked means.
 
 Every coordinate in this library lives on the half-open unit interval, and
 long orbits need phases like frac(n * alpha) for n up to 1e8.  Accumulating
@@ -19,22 +19,27 @@ all precision once the product outgrows the mantissa.  The strategy here:
   does the anchoring: `anchored_chunks` yields each chunk's anchor and float
   offsets, and `progression` builds frac(base(anchor) + offset * step) on it.
   Every orbit and phase stream in the library goes through these two.
-* Sums of orbit values are exact per chunk and math.fsum across chunk
-  sums, which is deterministic and exceeds the accuracy of running Kahan
-  compensation.  One kernel sums exactly: `exact_row_sums`, Rump-Ogita-Oishi
-  error-free extraction over column blocks of CHUNK, certifies math.fsum's
-  bits for every row of a 2-D array (each part of each complex row) in
-  numpy, at one extraction level where it can and two where it must, and
-  hands the rows it cannot certify to math.fsum.  `exact_sum` is its one-row
-  case (math.fsum itself on short inputs); cloud slabs call it with many.
+* One kernel sums exactly: `exact_row_sums`, Rump-Ogita-Oishi error-free
+  extraction over column blocks of CHUNK, certifies math.fsum's bits for
+  every row of a 2-D array (each part of each complex row) in numpy, at one
+  extraction level where it can and two where it must, and hands the rows
+  it cannot certify to math.fsum.  `exact_sum` is its one-row case
+  (math.fsum itself on short inputs).
+* One kernel turns streamed values into means: `chunk_means` sums each
+  CHUNK-anchored span of many rows (cloud starts; one row for a stream) with
+  `exact_row_sums`, folds the chunk sums with one more call per checkpoint
+  and divides by N.  Every streamed average, geometric stream and cloud
+  integral goes through it, so a stream is bit for bit the one-start cloud.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
+
+from .errors import ValidationError
 
 TWO_PI = 2.0 * math.pi
 
@@ -288,8 +293,12 @@ def exact_row_sums(x) -> np.ndarray:
     |w| (1 + 2u) + |delta|, and acceptance means |T - s| < h: s is fsum's
     rounding.  Ties (|T - s| = h) and s = 0 (spacing 0) never pass.
 
-    Every other row goes to math.fsum itself: rows whose max is zero,
-    non-finite (fsum's inf, nan or ValueError), at least 2**900 (fsum's
+    Rows whose max |v| is zero, empty rows included, are +0.0: fsum's
+    partials skip zeros (-0.0 too), so that is its value for all of them,
+    and their level-one s is +0.0 (every q1 is +0.0, and tau1 and rho start
+    at +0.0).
+    Every other row goes to math.fsum itself: rows that are non-finite
+    (fsum's inf, nan or ValueError), whose max is at least 2**900 (fsum's
     intermediate overflow) or below 2**-900 (where u sigma2 would leave the
     normal range), and rows neither level certifies."""
     x = np.asarray(x)
@@ -310,17 +319,18 @@ def exact_row_sums(x) -> np.ndarray:
         for i in range(0, n, CHUNK):
             yield (block(i) if one is None else one)[sel]
 
-    s, fine, top = np.zeros(R), np.full(R, n == 0), np.zeros(R)
+    s, top = np.zeros(R), np.zeros(R)
     L = (n + 1).bit_length()               # ceil(log2(n + 2))
     with np.errstate(invalid="ignore", over="ignore"):
         for v in blocks():
             np.maximum(top, np.abs(v).max(axis=1), out=top)
+        fine = top == 0                    # all-zero rows: fsum's +0.0
         ok = (top >= _ROW_FLOOR) & (top < _ROW_LIMIT)
-        if n and ok.any():
+        if ok.any():
             sig1 = np.ldexp(1.0, np.frexp(np.where(ok, top, 1.0))[1] + L)
             (tau1,), rho, _ = _extract(blocks(), [sig1[:, None]])
-            s, fine = _round_test(tau1, rho, 0.0, sig1 * 2.0 ** (2 * L - 105))
-            fine &= ok
+            s, cert = _round_test(tau1, rho, 0.0, sig1 * 2.0 ** (2 * L - 105))
+            fine |= ok & cert
             sel = (ok & ~fine).nonzero()[0]
             if sel.size:       # is every nonzero |v| at least 2**(2L+E-54)?
                 low = np.min([np.where(v != 0, abs(v), np.inf).min(axis=1)
@@ -341,6 +351,41 @@ def exact_row_sums(x) -> np.ndarray:
     out = np.empty(rows, dtype=np.complex128)
     out.real, out.imag = s[:rows], s[rows:]
     return out
+
+
+def chunk_means(values_at: Callable[[int, int, int, int], np.ndarray],
+                rows: int, checkpoints: Sequence[int]) -> np.ndarray:
+    """The means (1/N) sum_{n<N} v[r, n] of `rows` value streams at each
+    checkpoint N, as a (checkpoints, rows) complex array; values_at(r0, r1,
+    n0, cnt) returns v[r0:r1, n0:n0 + cnt].
+
+    Spans are anchored at multiples of CHUNK and split at every checkpoint.
+    A span of cnt values is requested in slabs of max(1, (CHUNK - 1) // cnt)
+    rows, so each block holds fewer than CHUNK values or is one row of a full
+    chunk: `evaluate`'s bits depend on which side of CHUNK a block lies (see
+    its docstring), and this keeps a slab on the side one row takes.  Each
+    slab's rows are summed by one `exact_row_sums` call into a (rows, spans)
+    array; at each checkpoint one more call folds the spans so far, and each
+    part is divided by N.  A mean is thus math.fsum over math.fsum'd spans,
+    per part, divided by N.  Non-increasing checkpoints raise."""
+    spans, ends, prev = [], [], 0
+    for cp in checkpoints:
+        if cp <= prev:
+            raise ValidationError("checkpoints must be strictly increasing")
+        spans += chunk_ranges(prev, cp - prev)
+        ends.append(len(spans))
+        prev = cp
+    sums = np.empty((rows, len(spans)), dtype=np.complex128)
+    for c, (n0, cnt) in enumerate(spans):
+        slab = max(1, (CHUNK - 1) // cnt)
+        for r0 in range(0, rows, slab):
+            r1 = min(rows, r0 + slab)
+            sums[r0:r1, c] = exact_row_sums(values_at(r0, r1, n0, cnt))
+    means = np.empty((len(ends), rows), dtype=np.complex128)
+    for m, cp, end in zip(means, checkpoints, ends):
+        folded = exact_row_sums(sums[:, :end])
+        m.real, m.imag = folded.real / cp, folded.imag / cp
+    return means
 
 
 class MeanAccumulator:

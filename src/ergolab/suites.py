@@ -2,7 +2,9 @@
 test module.
 
 Each criterion function returns a list of CheckResult rows; a check passes
-when its measured margin respects the declared tolerance.  All randomness is
+when its measured margin respects the declared tolerance.  `run_criterion`
+times each criterion against the runtime budget in its `CRITERIA` row and
+appends that check.  All randomness is
 pinned to the seeds below, so the suite is deterministic and its realized
 margins were verified once at those seeds.
 """
@@ -74,7 +76,6 @@ def _random_char(rng: SplitMix64, kmax: int = 6) -> Observable:
 
 def criterion_oracle_agreement(configs_per_scheme: int = 20,
                                n_big: int = 10 ** 6) -> list[CheckResult]:
-    t0 = time.time()
     system = golden_rotation()
     rng = SplitMix64(SEED_ORACLE)
     tol = 1e-9
@@ -105,9 +106,6 @@ def criterion_oracle_agreement(configs_per_scheme: int = 20,
         worst["cube"] = max(worst["cube"], err)
     for scheme, err in worst.items():
         out.append(_check(f"oracle-agreement {scheme} N={n_big}", err, tol))
-    elapsed = time.time() - t0
-    out.append(_check("oracle-agreement runtime", elapsed, 120.0,
-                      f"{elapsed:.1f}s of 120s"))
     return out
 
 
@@ -131,7 +129,6 @@ def _zero_constraint_freqs(rng: SplitMix64, d: int) -> list[int]:
 
 
 def criterion_square_limits(n_mod: int = 10 ** 5) -> list[CheckResult]:
-    t0 = time.time()
     system = golden_rotation()
     rng = SplitMix64(SEED_SQUARE)
     out = []
@@ -167,9 +164,6 @@ def criterion_square_limits(n_mod: int = 10 ** 5) -> list[CheckResult]:
         worst = max(worst, abs(v) - bound)
     out.append(_check(f"square geometric bound N={n_mod}", worst, 1e-12,
                       f"max |value|-bound = {worst:.3e}"))
-    elapsed = time.time() - t0
-    out.append(_check("square-limits runtime", elapsed, 60.0,
-                      f"{elapsed:.1f}s of 60s"))
     return out
 
 
@@ -178,7 +172,6 @@ def criterion_square_limits(n_mod: int = 10 ** 5) -> list[CheckResult]:
 
 
 def criterion_skew_tail(n_max: int = 10 ** 6, pairs: int = 8) -> list[CheckResult]:
-    t0 = time.time()
     system = standard_skew()
     rng = SplitMix64(SEED_SKEW)
     checkpoints = (n_max // 2, int(0.63 * n_max), int(0.8 * n_max), n_max)
@@ -196,12 +189,8 @@ def criterion_skew_tail(n_max: int = 10 ** 6, pairs: int = 8) -> list[CheckResul
         traj = linear_trajectory(system, fs, x, checkpoints)
         diag = convergence_diagnostic(traj, 0.5)
         worst = max(worst, diag.oscillation)
-    out = [_check(f"skew linear tail oscillation N={n_max}", worst, 1e-2,
-                  f"max oscillation {worst:.3e}")]
-    elapsed = time.time() - t0
-    out.append(_check("skew-tail runtime", elapsed, 120.0,
-                      f"{elapsed:.1f}s of 120s"))
-    return out
+    return [_check(f"skew linear tail oscillation N={n_max}", worst, 1e-2,
+                   f"max oscillation {worst:.3e}")]
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +198,6 @@ def criterion_skew_tail(n_max: int = 10 ** 6, pairs: int = 8) -> list[CheckResul
 
 
 def criterion_seminorm_identities() -> list[CheckResult]:
-    t0 = time.time()
     rot = golden_rotation()
     cm = cat_map()
     out = []
@@ -228,9 +216,6 @@ def criterion_seminorm_identities() -> list[CheckResult]:
     ex = all(hk_seminorm(rot, Observable.character(1), 2, 30).exact
              for _ in (0,))
     out.append(CheckResult("seminorm exact flags on character algebra", ex, 0.0))
-    elapsed = time.time() - t0
-    out.append(_check("seminorm runtime", elapsed, 10.0,
-                      f"{elapsed:.2f}s of 10s"))
     return out
 
 
@@ -240,21 +225,16 @@ def criterion_seminorm_identities() -> list[CheckResult]:
 
 def criterion_multilinear_bound(sample_count: int = 1000,
                                 n: int = 10 ** 4) -> list[CheckResult]:
-    t0 = time.time()
     cm = cat_map()
     fs = [Observable.character((1, 0)), Observable.character((0, 1))]
     bc = multilinear_norm_bound_check(cm, fs, sample_count, n,
                                       SplitMix64(SEED_BOUND))
-    out = [
+    return [
         CheckResult("bound rhs: min l*seminorm vanishes on cat map",
                     bc.rhs == 0.0, 0.0, f"rhs {bc.rhs}"),
         _check(f"bound lhs: L2 of average at N={n}", bc.lhs, 0.05,
                f"lhs {bc.lhs:.4f}"),
     ]
-    elapsed = time.time() - t0
-    out.append(_check("bound runtime", elapsed, 60.0,
-                      f"{elapsed:.1f}s of 60s"))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +242,6 @@ def criterion_multilinear_bound(sample_count: int = 1000,
 
 
 def criterion_vdc_families(n: int = 10 ** 5, h: int = 100) -> list[CheckResult]:
-    t0 = time.time()
     out = []
     rep = van_der_corput_check(vdc_family("constant", n, h), h)
     out.append(_check("vdc constant family equality", abs(rep.margin), 1e-9,
@@ -276,8 +255,6 @@ def criterion_vdc_families(n: int = 10 ** 5, h: int = 100) -> list[CheckResult]:
                       f"lhs {rep.lhs:.2e} rhs {rep.rhs:.2e}"))
     out.append(_check("vdc quadratic-phase both sides small",
                       max(rep.lhs, rep.rhs), 1e-2))
-    elapsed = time.time() - t0
-    out.append(_check("vdc runtime", elapsed, 30.0, f"{elapsed:.1f}s of 30s"))
     return out
 
 
@@ -287,7 +264,6 @@ def criterion_vdc_families(n: int = 10 ** 5, h: int = 100) -> list[CheckResult]:
 
 def criterion_joining_oracle(starts: int = 1000, n: int = 100,
                              kmax: int = 3) -> list[CheckResult]:
-    t0 = time.time()
     system = golden_rotation()
     out = []
     worst = 0.0
@@ -321,9 +297,6 @@ def criterion_joining_oracle(starts: int = 1000, n: int = 100,
                                     Observable.character(1)])
         worst = max(worst, abs(v3 - ap_fiber_integral([1, -2, 1], x0)))
     out.append(_check("fiber integral start-dependent phase", worst, 1e-9))
-    elapsed = time.time() - t0
-    out.append(_check("joining runtime", elapsed, 180.0,
-                      f"{elapsed:.1f}s of 180s"))
     return out
 
 
@@ -333,7 +306,6 @@ def criterion_joining_oracle(starts: int = 1000, n: int = 100,
 
 def criterion_nilsystem(n_pow: int = 10 ** 4, n_avg: int = 10 ** 6,
                         starts: int = 10) -> list[CheckResult]:
-    t0 = time.time()
     system = default_heisenberg()
     out = []
     # closed-form powers against the iterated group law, at every n
@@ -387,9 +359,6 @@ def criterion_nilsystem(n_pow: int = 10 ** 4, n_avg: int = 10 ** 6,
              for s, expect in cases)
     out.append(CheckResult("heisenberg certificates (3 ergodic, 3 resonant)",
                            ok, 0.0))
-    elapsed = time.time() - t0
-    out.append(_check("nilsystem runtime", elapsed, 120.0,
-                      f"{elapsed:.1f}s of 120s"))
     return out
 
 
@@ -398,7 +367,6 @@ def criterion_nilsystem(n_pow: int = 10 ** 4, n_avg: int = 10 ** 6,
 
 
 def criterion_folner(n_boxes: int = 1000) -> list[CheckResult]:
-    t0 = time.time()
     out = []
     squares = [FolnerBox(n, n) for n in range(1, n_boxes + 1)]
     out.append(CheckResult(f"squares [0,N)^2 tempered with C=4, N<={n_boxes}",
@@ -439,9 +407,6 @@ def criterion_folner(n_boxes: int = 1000) -> list[CheckResult]:
         worst = max(worst, abs(v - c))
     out.append(_check("box averages vs double-geometric closed form",
                       worst, 1e-9))
-    elapsed = time.time() - t0
-    out.append(_check("folner runtime", elapsed, 60.0,
-                      f"{elapsed:.1f}s of 60s"))
     return out
 
 
@@ -449,16 +414,17 @@ def criterion_folner(n_boxes: int = 1000) -> list[CheckResult]:
 # Suite registry
 
 
+# id -> (title, check function, runtime budget in seconds)
 CRITERIA = {
-    1: ("oracle agreement", criterion_oracle_agreement),
-    2: ("square-average limits", criterion_square_limits),
-    3: ("skew linear tail", criterion_skew_tail),
-    4: ("seminorm identities", criterion_seminorm_identities),
-    5: ("multilinear bound", criterion_multilinear_bound),
-    6: ("van der Corput families", criterion_vdc_families),
-    7: ("joining oracle", criterion_joining_oracle),
-    8: ("nilsystem", criterion_nilsystem),
-    9: ("folner machinery", criterion_folner),
+    1: ("oracle agreement", criterion_oracle_agreement, 120.0),
+    2: ("square-average limits", criterion_square_limits, 60.0),
+    3: ("skew linear tail", criterion_skew_tail, 120.0),
+    4: ("seminorm identities", criterion_seminorm_identities, 10.0),
+    5: ("multilinear bound", criterion_multilinear_bound, 60.0),
+    6: ("van der Corput families", criterion_vdc_families, 30.0),
+    7: ("joining oracle", criterion_joining_oracle, 180.0),
+    8: ("nilsystem", criterion_nilsystem, 120.0),
+    9: ("folner machinery", criterion_folner, 60.0),
 }
 
 SUITES = {
@@ -470,13 +436,24 @@ SUITES = {
 }
 
 
+def run_criterion(cid: int) -> tuple[str, list[CheckResult]]:
+    """(title, check rows) of criterion cid, the last row its runtime
+    against its budget."""
+    title, fn, budget = CRITERIA[cid]
+    t0 = time.time()
+    out = fn()
+    elapsed = time.time() - t0
+    out.append(_check(f"{title} runtime", elapsed, budget,
+                      f"{elapsed:.1f}s of {budget:.0f}s"))
+    return title, out
+
+
 def run_suite(name: str, printer=print) -> bool:
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
     all_ok = True
     for cid in SUITES[name]:
-        title, fn = CRITERIA[cid]
-        results = fn()
+        title, results = run_criterion(cid)
         ok = all(r.passed for r in results)
         all_ok &= ok
         printer(f"== criterion {cid}: {title} {'PASS' if ok else 'FAIL'}")

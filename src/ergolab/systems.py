@@ -687,10 +687,7 @@ def orbit_points(system: DynamicalSystem, x, stride: int, n0: int,
 
     coords="obs" returns only the coordinates observables read (drops the
     Heisenberg central coordinate)."""
-    pts = system.orbit_points(x, stride, n0, count, coords=coords)
-    if coords == "obs" and pts.shape[1] != system.obs_dim:
-        pts = pts[:, :system.obs_dim]
-    return pts
+    return system.orbit_points(x, stride, n0, count, coords=coords)
 
 
 # ---------------------------------------------------------------------------

@@ -7,12 +7,11 @@ were not loosened during development; the seeds there are fixed and the
 realized margins recorded in the detail strings.
 """
 
-from ergolab.suites import CRITERIA
+from ergolab.suites import run_criterion
 
 
 def _drive(cid: int):
-    title, fn = CRITERIA[cid]
-    results = fn()
+    title, results = run_criterion(cid)
     ok = all(r.passed for r in results)
     print(f"\ncriterion {cid} ({title}): {'PASS' if ok else 'FAIL'}")
     for r in results:

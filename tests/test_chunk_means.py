@@ -1,0 +1,195 @@
+"""phases.chunk_means, the one kernel that turns streamed values into means,
+against frozen copies of the chunk loops it replaced, bit for bit.
+
+The references below are the loops as they stood before `chunk_means` took
+over: the streamed product of orbits (`_product_block` and `_streamed_means`,
+a MeanAccumulator over checkpoint-split anchored chunks) and the streamed
+geometric sum.  Means are compared by float.hex of each part.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from ergolab.averaging import (birkhoff_average, geometric_mean_streamed,
+                               linear_trajectory, multilinear_average_linear,
+                               square_trajectory)
+from ergolab.errors import ValidationError
+from ergolab.observables import Observable, evaluate
+from ergolab.phases import (CHUNK, MeanAccumulator, PhaseForm, chunk_means,
+                            chunk_ranges, progression)
+from ergolab.rng import SplitMix64
+from ergolab.systems import (GOLDEN, SQRT2_M1, Rotation, cat_map,
+                             default_heisenberg, golden_rotation, orbit_points,
+                             standard_skew)
+
+# ---------------------------------------------------------------------------
+# Frozen reference loops
+
+
+def ref_product_block(system, fs, strides, x, n0, count) -> np.ndarray:
+    vals = np.ones(count, dtype=np.complex128)
+    for f, j in zip(fs, strides):
+        pts = orbit_points(system, x, j, n0, count, coords="obs")
+        vals *= evaluate(f, pts)
+    return vals
+
+
+def ref_streamed_means(system, fs, strides, x, checkpoints):
+    """Partial means of prod_j f_j(T^{strides_j * n} x) at each checkpoint."""
+    acc = MeanAccumulator()
+    out = []
+    prev = 0
+    for cp in checkpoints:
+        if cp <= prev:
+            raise ValidationError("checkpoints must be strictly increasing")
+        for n0, cnt in chunk_ranges(prev, cp - prev, CHUNK):
+            acc.add(ref_product_block(system, fs, strides, x, n0, cnt))
+        out.append((cp, acc.mean()))
+        prev = cp
+    return out
+
+
+def ref_geometric_mean_streamed(form, checkpoints):
+    acc = MeanAccumulator()
+    out = {}
+    stepf = form.frac()
+    prev = 0
+    for cp in checkpoints:
+        for n0, cnt in chunk_ranges(prev, cp - prev, CHUNK):
+            acc.add(np.exp((2j * np.pi)
+                           * progression(form.frac_times, stepf, n0, cnt)))
+        out[cp] = acc.mean()
+        prev = cp
+    return out
+
+
+def _hex(v: complex) -> tuple[str, str]:
+    v = complex(v)
+    return v.real.hex(), v.imag.hex()
+
+
+# ---------------------------------------------------------------------------
+# Streams of every kind against the frozen loop
+
+KINDS = {"rotation": golden_rotation(), "rotation-2d": Rotation((GOLDEN, SQRT2_M1)),
+         "skew": standard_skew(), "automorphism": cat_map(),
+         "heisenberg": default_heisenberg()}
+CHECKPOINT_SETS = [(1, 2, 3), (1000, CHUNK, CHUNK + 5, 2 * CHUNK + 1),
+                   (17, 5000, 40000, 100000)]
+LENGTHS = (1, CHUNK - 1, CHUNK, CHUNK + 1)
+
+
+def _factors(d, dim):
+    """d multi-term observables with complex coefficients, reading every
+    coordinate."""
+    out = []
+    for j in range(d):
+        k1 = (j + 1,) + (0,) * (dim - 1)
+        k2 = tuple(-(j + 2) if c % 2 else j - 1 for c in range(dim))
+        out.append(Observable.from_dict(dim, {k1: 0.75 - 0.5j,
+                                              k2: -0.3 + 1.1j}))
+    return out
+
+
+def _cases(name, d):
+    """(checkpoint sets, lengths) run for one kind and arity.  Exact cat-map
+    orbits cost about 20 us per point in Python integers, so the automorphism
+    runs orbits past a few points at d = 1 only, crossing one CHUNK anchor
+    (the 10**5 set and two of the lengths left out)."""
+    if name != "automorphism":
+        return CHECKPOINT_SETS, LENGTHS
+    if d > 1:
+        return CHECKPOINT_SETS[:1], LENGTHS[:1]
+    return CHECKPOINT_SETS[:2], (1, CHUNK + 1)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("name", KINDS)
+def test_streams_match_frozen_loop_bitwise(name, d):
+    system = KINDS[name]
+    x = system.haar_block(SplitMix64(40 + d), 1)[0]
+    fs = _factors(d, system.obs_dim)
+    strides = list(range(1, d + 1))
+    sets, lengths = _cases(name, d)
+    for cps in sets:
+        traj = linear_trajectory(system, fs, x, cps)
+        ref = ref_streamed_means(system, fs, strides, x, cps)
+        assert [n for n, _ in traj.checkpoints] == list(cps)
+        assert [_hex(v) for _, v in traj.checkpoints] == \
+            [_hex(v) for _, v in ref]
+    for N in lengths:
+        want = _hex(ref_streamed_means(system, fs, strides, x, [N])[0][1])
+        assert _hex(multilinear_average_linear(system, fs, x, N)) == want
+        if d == 1:
+            assert _hex(birkhoff_average(system, fs[0], x, N)) == want
+
+
+@pytest.mark.parametrize("form", [PhaseForm((1,), (GOLDEN,)),
+                                  PhaseForm((3, -2), (GOLDEN, SQRT2_M1)),
+                                  PhaseForm((7,), (5e-324,)),
+                                  PhaseForm((2,), (0.5,))],
+                         ids=["golden", "combo", "subnormal", "resonant"])
+def test_geometric_mean_streamed_matches_frozen_loop_bitwise(form):
+    for cps in CHECKPOINT_SETS + [(N,) for N in LENGTHS]:
+        got = geometric_mean_streamed(form, cps)
+        ref = ref_geometric_mean_streamed(form, cps)
+        assert list(got) == list(ref)
+        assert [_hex(got[cp]) for cp in cps] == [_hex(ref[cp]) for cp in cps]
+
+
+# ---------------------------------------------------------------------------
+# The kernel itself
+
+
+@pytest.mark.parametrize("rows,checkpoints", [
+    (1, (1,)), (1, (CHUNK - 1, CHUNK, CHUNK + 1)), (5, (3, 100)),
+    (300, (100, CHUNK + 3)), (3, (CHUNK + 37,)), (40, (17, 5000, 40000)),
+    (100, (256, CHUNK))])
+def test_chunk_means_slabs_spans_and_bits(rows, checkpoints):
+    rng = np.random.default_rng(rows)
+    N = checkpoints[-1]
+    v = rng.standard_normal((rows, N)) + 1j * rng.standard_normal((rows, N))
+    v[0, :5] = [-0.0, 1e300, -1e300, 5e-324, 0.0][:N]
+    calls = []
+
+    def values_at(r0, r1, n0, cnt):
+        calls.append((r0, r1, n0, cnt))
+        return v[r0:r1, n0:n0 + cnt]
+
+    means = chunk_means(values_at, rows, checkpoints)
+    assert means.shape == (len(checkpoints), rows)
+    seen = np.zeros((rows, N), dtype=int)
+    for r0, r1, n0, cnt in calls:
+        assert 1 <= r1 - r0 <= max(1, (CHUNK - 1) // cnt)
+        # a span lies in one CHUNK-anchored chunk and between checkpoints
+        assert n0 // CHUNK == (n0 + cnt - 1) // CHUNK
+        assert not any(n0 < cp < n0 + cnt for cp in checkpoints)
+        seen[r0:r1, n0:n0 + cnt] += 1
+    assert (seen == 1).all()
+    # fsum per span, fsum across spans, divided by N, per part
+    spans = [s for a, b in zip((0,) + checkpoints, checkpoints)
+             for s in chunk_ranges(a, b - a)]
+    for m, cp in zip(means, checkpoints):
+        for r in range(rows):
+            sums = [complex(math.fsum(v[r, n0:n0 + cnt].real),
+                            math.fsum(v[r, n0:n0 + cnt].imag))
+                    for n0, cnt in spans if n0 < cp]
+            want = (math.fsum(s.real for s in sums) / cp,
+                    math.fsum(s.imag for s in sums) / cp)
+            assert _hex(m[r]) == (want[0].hex(), want[1].hex())
+
+
+@pytest.mark.parametrize("checkpoints", [(5, 5), (10, 3), (0, 4), (-1,)])
+def test_non_increasing_checkpoints_raise(checkpoints):
+    with pytest.raises(ValidationError):
+        chunk_means(lambda r0, r1, n0, cnt: np.zeros((r1 - r0, cnt)), 1,
+                    checkpoints)
+    G = golden_rotation()
+    f = Observable.character(1)
+    with pytest.raises(ValidationError):
+        linear_trajectory(G, [f, f], np.array([0.3]), checkpoints)
+    with pytest.raises(ValidationError):
+        square_trajectory(G, [f, f], np.array([0.3]), checkpoints,
+                          mode="factorized")

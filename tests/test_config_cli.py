@@ -841,3 +841,21 @@ def test_observables_ordered_by_index():
     assert [f.terms[0][0] for f in cfg.observables] == \
         [(i,) for i in range(1, 16)]
     assert parse_config(format_config(cfg)) == cfg
+
+
+def test_suite_runtime_budget_fails_the_criterion(monkeypatch):
+    # run_criterion appends the runtime row from the CRITERIA budget, so a
+    # criterion past its budget fails the suite however its checks went
+    from ergolab import suites
+    passing = suites.CheckResult("a check", True, 1.0)
+    monkeypatch.setitem(suites.CRITERIA, 99, ("slow", lambda: [passing], -1.0))
+    monkeypatch.setitem(suites.SUITES, "slow", (99,))
+    title, rows = suites.run_criterion(99)
+    assert title == "slow" and rows[0] is passing
+    assert rows[-1].name == "slow runtime" and not rows[-1].passed
+    lines = []
+    assert suites.run_suite("slow", lines.append) is False
+    assert lines[0] == "== criterion 99: slow FAIL"
+    budgets = {cid: row[2] for cid, row in suites.CRITERIA.items()}
+    assert budgets == {1: 120.0, 2: 60.0, 3: 120.0, 4: 10.0, 5: 60.0,
+                       6: 30.0, 7: 180.0, 8: 120.0, 9: 60.0, 99: -1.0}

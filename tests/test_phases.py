@@ -275,6 +275,29 @@ def test_exact_row_sums_certify_exact_remainders_without_fsum(monkeypatch):
     assert sent == [CHUNK + 1]
 
 
+@pytest.mark.parametrize("n", [0, 1, 7, CHUNK + 1])
+def test_exact_row_sums_all_zero_rows_are_plus_zero_without_fsum(
+        monkeypatch, n):
+    # fsum's partials skip zeros, -0.0 included, so it sums every all-zero
+    # row, and every empty one, to +0.0; such rows are certified in numpy,
+    # beside a row that is not all zero.
+    mixed = np.zeros(n)
+    mixed[::2] = -0.0
+    x = np.stack([np.zeros(n), np.full(n, -0.0), mixed,
+                  np.full(n, 0.5), mixed[::-1]])
+    z = np.empty((4, n), dtype=np.complex128)
+    z.real = x[[0, 1, 2, 3]]
+    z.imag = x[[1, 2, 0, 4]]
+    want_x = [math.fsum(r).hex() for r in x]
+    want_z = [_fsum_hex(r) for r in z]
+    assert want_x[:3] == ["0x0.0p+0"] * 3
+    seen = _count_levels(monkeypatch)
+    assert [v.hex() for v in exact_row_sums(x).tolist()] == want_x
+    assert [_hex(v) for v in exact_row_sums(z).tolist()] == want_z
+    assert [_hex(v) for v in exact_row_sums(z[:3]).tolist()] == want_z[:3]
+    assert seen == {"level2": 0, "fsum": 0}
+
+
 def _hex(v):
     """float.hex of a float, or of both parts of a complex."""
     v = complex(v) if isinstance(v, (complex, np.complexfloating)) else v
@@ -421,19 +444,23 @@ def test_exact_row_sums_fine_remainders_go_past_level_one(monkeypatch):
 
 def test_cloud_slab_rows_certify_at_level_one(monkeypatch):
     # Every slab row of a 5,000 x 100 golden-rotation cloud, and every
-    # start's fold across chunks, is certified at level one.
+    # start's fold across chunks, is certified at level one; for a constant
+    # tuple, whose imaginary rows are all zero, in numpy too.
     cloud = empirical_self_joining(golden_rotation(), 2, 5000, 100,
                                    SplitMix64(2024))
-    fs = [Observable.from_dict(1, {(2,): 0.75 - 0.5j, (-1,): 1.0}),
-          Observable.character(-3)]
-    want = integrate_tensor(cloud, fs)
+    tuples = [[Observable.from_dict(1, {(2,): 0.75 - 0.5j, (-1,): 1.0}),
+               Observable.character(-3)],
+              [Observable.constant(1.0, 1)] * 2]
+    want = [integrate_tensor(cloud, fs) for fs in tuples]
     seen = _count_levels(monkeypatch)
     calls = []
     extract = phases._extract
     monkeypatch.setattr(phases, "_extract",
                         lambda b, sigs: calls.append(1) or extract(b, sigs))
-    assert _hex(integrate_tensor(cloud, fs)) == _hex(want)
-    assert len(calls) > 30 and seen == {"level2": 0, "fsum": 0}
+    assert [_hex(integrate_tensor(cloud, fs)) for fs in tuples] == \
+        [_hex(v) for v in want]
+    assert want[1] == 1.0
+    assert len(calls) > 60 and seen == {"level2": 0, "fsum": 0}
 
 
 @pytest.mark.parametrize("row", [
