@@ -8,7 +8,7 @@ The d-fold self-joining of a system is approximated by the tuple cloud
 over Haar-sampled starts x_s; the fiber measure over a single x is the same
 construction with one start.  Clouds are stored as explicit point arrays
 (never binned), built one stride at a time for all starts at once
-(`orbit_block`, batched for rotations), bit-equal to one orbit per start.
+(`orbit_block`, batched on every kind), bit-equal to one orbit per start.
 
 One kernel integrates: `phases.chunk_means` walks CHUNK-anchored spans of
 orbit indices and asks for slabs of starts, each factor costing one
@@ -381,12 +381,13 @@ def dump_cloud(m: EmpiricalMeasure, path) -> None:
 
 
 def load_cloud(path) -> tuple[np.ndarray, dict]:
+    """A dump's (count, d, dim) points and header; a short header, a zero d
+    or count, or a body of no whole dim >= 1 is a ValidationError."""
     with open(path, "rb") as fh:
-        head = fh.read(32)
-        d, N, count, seed = struct.unpack("<4Q", head)
-        body = np.frombuffer(fh.read(), dtype="<f8")
-    if count == 0 or body.size % (count * d):
+        raw = fh.read()
+    d, N, count, seed = struct.unpack("<4Q", raw[:32].ljust(32, b"\0"))
+    row = 8 * count * d                  # body bytes per state coordinate
+    if row == 0 or len(raw) <= 32 or (len(raw) - 32) % row:
         raise ValidationError("corrupt cloud dump")
-    dim = body.size // (count * d)
-    pts = body.reshape(count, d, dim)
+    pts = np.frombuffer(raw, dtype="<f8", offset=32).reshape(count, d, -1)
     return pts, {"d": d, "n": N, "count": count, "seed": seed}

@@ -17,8 +17,8 @@ all precision once the product outgrows the mantissa.  The strategy here:
   recomputed from absolute indices, the emitted floats are a pure function of
   the index, independent of how callers slice their requests.  One kernel
   does the anchoring: `anchored_chunks` yields each chunk's anchor and float
-  offsets, and `progression` builds frac(base(anchor) + offset * step) on it.
-  Every orbit and phase stream in the library goes through these two.
+  offsets, and every orbit and phase stream in the library is built on it
+  (`progression` is frac(base(anchor) + offset * step) for one stream).
 * One kernel sums exactly: `exact_row_sums`, Rump-Ogita-Oishi error-free
   extraction over column blocks of CHUNK, certifies math.fsum's bits for
   every row of a 2-D array (each part of each complex row) in numpy, at one
@@ -176,9 +176,7 @@ def progression(base_at, step: float, n0: int, count: int, chunk: int = CHUNK,
                 out: np.ndarray | None = None) -> np.ndarray:
     """frac(base_at(anchor) + t * step) over [n0, n0+count), chunk by chunk
     (see anchored_chunks); base_at(anchor) is the exactly reduced phase at
-    the anchor.  Writes into `out` when given and returns it.  When
-    base_at returns a column of S bases, out is an (S, count) block with
-    one progression per row."""
+    the anchor.  Writes into `out` when given and returns it."""
     off = n0 % chunk
     if 0 < count <= chunk - off:      # one chunk: no generator per call
         vals = frac(base_at(n0 - off)
@@ -190,7 +188,7 @@ def progression(base_at, step: float, n0: int, count: int, chunk: int = CHUNK,
     if out is None:
         out = np.empty(count)
     for pos, anchor, t in anchored_chunks(n0, count, chunk):
-        out[..., pos:pos + t.size] = frac(base_at(anchor) + t * step)
+        out[pos:pos + t.size] = frac(base_at(anchor) + t * step)
     return out
 
 

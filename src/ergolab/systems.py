@@ -22,6 +22,12 @@ of two) so that arbitrarily large n loses no precision.  Orbit segments are
 generated in chunks anchored at absolute indices (see phases.py), which
 makes the emitted floats a pure function of the orbit index -- two callers
 asking for overlapping ranges get bit-equal points.
+
+Orbits have one entry point, `DynamicalSystem.orbit_block`: a kind
+implements `_orbits`, which fills the rows of all starts at once, and
+`orbit_points` is the one-start case (each kind binds it in its class body,
+where perfbench's tracer wraps it per kind).  `_rotate` builds every
+rotation-type column.
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, ValidationError
 from .phases import (CHUNK, anchored_chunks, dyadic_combo, e, format_real,
-                     frac, frac_combo, progression)
+                     frac, frac_combo)
 from .rng import SplitMix64
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -135,14 +141,15 @@ class DynamicalSystem:
     """The protocol every system kind implements.
 
     A kind declares its config name `kind`, its state dimension `dim`,
-    `step` and `orbit_points` (the closed-form powers; `orbit_block` takes
-    many starts, one orbit each unless the kind batches them), its action
-    on one character, `kv_items` / `from_kv` (its config keys, all listed
-    in `keys`) and `certify` (its ergodicity decision).  Adding a kind
-    takes one subclass and one `_KINDS` entry.  A polynomial kind states
-    its character action once, in `character_action`, which `compose_term`
-    and the closed forms and factorized grids read; the automorphism
-    overrides `compose_term` instead.
+    `step` and `_orbits` (the closed-form powers, for all starts at once,
+    reached through `orbit_block`; each class body also binds
+    `orbit_points`, its one-start case, which perfbench's tracer wraps per
+    kind), its action on one character, `kv_items` / `from_kv` (its config
+    keys, all listed in `keys`) and `certify` (its ergodicity decision).
+    Adding a kind takes one subclass and one `_KINDS` entry.  A polynomial
+    kind states its character action once, in `character_action`, which
+    `compose_term` and the closed forms and factorized grids read; the
+    automorphism overrides `compose_term` instead.
     """
 
     kind: str
@@ -191,14 +198,46 @@ class DynamicalSystem:
     def orbit_block(self, starts, stride: int, n0: int, count: int,
                     coords: str = "state", out: np.ndarray | None = None
                     ) -> np.ndarray:
-        """orbit_points of every start row, as an (S, count, columns) array;
-        writes into `out` when given and returns it."""
+        """T^{stride*n} x for n in [n0, n0+count) and each start row x, as an
+        (S, count, columns) array filled by the kind's `_orbits`; writes
+        into `out` when given and returns it."""
+        starts = self.check_point(starts)
         if out is None:
             cols = self.dim if coords == "state" else self.obs_dim
-            out = np.empty((len(starts), count, cols))
-        for s, x in enumerate(starts):
-            out[s] = self.orbit_points(x, stride, n0, count, coords=coords)
+            out = np.empty((starts.shape[0], count, cols))
+        self._orbits(starts, stride, n0, count, coords, out)
         return out
+
+    def orbit_points(self, x, stride: int, n0: int, count: int,
+                     coords: str = "state") -> np.ndarray:
+        """The one-start case of orbit_block, as a (count, columns) array."""
+        return self.orbit_block(self.check_point(x)[None], stride, n0, count,
+                                coords)[0]
+
+
+def _slabs(starts, n0: int, count: int, chunk: int):
+    """(rows, cols, anchor, t, pts) for each slab of start rows and each
+    anchored chunk of [n0, n0+count): out[rows, cols] is the part to fill
+    and pts the slab's starts.  Slabs keep temporaries within CHUNK values."""
+    rows = CHUNK // min(max(count, 1), chunk)
+    for r0 in range(0, len(starts), rows):
+        pts = starts[r0:r0 + rows].tolist()
+        for pos, anchor, t in anchored_chunks(n0, count, chunk):
+            yield (slice(r0, r0 + rows), slice(pos, pos + t.size), anchor, t,
+                   pts)
+
+
+def _rotate(starts, alpha, stride: int, n0: int, count: int, out,
+            chunk: int = CHUNK) -> None:
+    """Rotation-type columns, out[:, i, c] = frac(starts[:, c] + (n0 + i)
+    * stride * alpha[c]): the stride phase is reduced once per coordinate
+    and each chunk base once per (start, anchor, coordinate), so a row's
+    bits do not depend on the other starts."""
+    steps = [frac_combo([(stride, a)]) for a in alpha]
+    for rows, cols, anchor, t, pts in _slabs(starts, n0, count, chunk):
+        for c, (a, step) in enumerate(zip(alpha, steps)):
+            base = [frac_combo([(1, x[c]), (stride * anchor, a)]) for x in pts]
+            out[rows, cols, c] = frac(np.array(base)[:, None] + t * step)
 
 
 @dataclass(frozen=True)
@@ -221,33 +260,10 @@ class Rotation(DynamicalSystem):
         shift = np.array([frac_combo([(n, a)]) for a in self.alpha])
         return frac(p + shift)
 
-    def orbit_points(self, x, stride: int, n0: int, count: int,
-                     coords: str = "state") -> np.ndarray:
-        return self.orbit_block(self.check_point(x)[None], stride, n0,
-                                count)[0]
+    orbit_points = DynamicalSystem.orbit_points
 
-    def orbit_block(self, starts, stride: int, n0: int, count: int,
-                    coords: str = "state", out: np.ndarray | None = None
-                    ) -> np.ndarray:
-        """The orbits of all start rows at once: one `progression` per slab
-        of starts and coordinate, with the stride phase reduced once per
-        coordinate and one exact base reduction per (start, anchor,
-        coordinate), so every row is bit-equal to the one-start orbit.
-        Slabs keep each temporary within CHUNK elements."""
-        starts = self.check_point(starts)
-        if out is None:
-            out = np.empty((starts.shape[0], count, self.dim))
-        rows = CHUNK // min(max(count, 1), CHUNK)
-        for c, a in enumerate(self.alpha):
-            step = frac_combo([(stride, a)])
-            xs = starts[:, c].tolist()
-            for s0 in range(0, len(xs), rows):
-                slab = xs[s0:s0 + rows]
-                progression(lambda anchor: np.array(
-                    [frac_combo([(1, x), (stride * anchor, a)])
-                     for x in slab])[:, None],
-                    step, n0, count, out=out[s0:s0 + rows, :, c])
-        return out
+    def _orbits(self, starts, stride, n0, count, coords, out):
+        _rotate(starts, self.alpha, stride, n0, count, out)
 
     def phase_basis(self) -> tuple[float, ...]:
         return self.alpha
@@ -330,31 +346,29 @@ class SkewProduct(DynamicalSystem):
             return np.concatenate([ny, ng])
         return np.stack([self.step(q, n) for q in p])
 
-    def orbit_points(self, x, stride: int, n0: int, count: int,
-                     coords: str = "state") -> np.ndarray:
-        x = self.check_point(x)
-        y, g = x[:self.base_dim], x[self.base_dim:]
-        out = np.empty((count, self.dim))
+    orbit_points = DynamicalSystem.orbit_points
+
+    def _orbits(self, starts, stride, n0, count, coords, out):
         chunk = _quad_chunk(stride)
-        for c, (yc, ac) in enumerate(zip(y, self.base_alpha)):
-            progression(lambda a: frac_combo([(1, yc), (stride * a, ac)]),
-                        frac_combo([(stride, ac)]), n0, count, chunk,
-                        out=out[:, c])
+        _rotate(starts, self.base_alpha, stride, n0, count,
+                out[:, :, :self.base_dim], chunk)
         for f in range(self.fiber_dim):
             col = self.base_dim + f
             row = [(B, a) for B, a in zip(self.linear[f], self.base_alpha)]
             abf = frac_combo(row)
-            for pos, anchor, t in anchored_chunks(n0, count, chunk):
+            for rows, cols, anchor, t, pts in _slabs(starts, n0, count, chunk):
                 s0 = stride * anchor
-                # g_f(s0 + u) = Bg0 + u*Bg1 + C(u,2)*ab  (mod 1), u = stride*t
-                bg0 = frac_combo([(1, float(g[f]))]
-                                 + self._fiber_shift_terms(y, s0, f))
-                bg1 = frac_combo(self._fiber_shift_terms(y, 1, f)
-                                 + [(B * s0, a) for B, a in row])
+                # g_f(s0 + u) = Bg0 + u*Bg1 + C(u,2)*ab  (mod 1), u = stride*t,
+                # with Bg0 and Bg1 exact per start
+                bg0, bg1 = np.array([
+                    (frac_combo([(1, x[col])]
+                                + self._fiber_shift_terms(x, s0, f)),
+                     frac_combo(self._fiber_shift_terms(x, 1, f)
+                                + [(B * s0, a) for B, a in row]))
+                    for x in pts]).T[:, :, None]
                 u = stride * t
-                out[pos:pos + t.size, col] = frac(bg0 + u * bg1
-                                                  + (u * (u - 1.0) / 2.0) * abf)
-        return out
+                out[rows, cols, col] = frac(bg0 + u * bg1
+                                            + (u * (u - 1.0) / 2.0) * abf)
 
     def character_action(self, k: tuple[int, ...]) -> tuple[tuple[int, ...], list, list]:
         """For k = (p, q): the fiber moves by B y + c and by C(t,2) B alpha,
@@ -491,24 +505,23 @@ class ToralAutomorphism(DynamicalSystem):
             return frac(p @ m.T)
         return np.stack([self._apply_exact(mat, q) for q in p])
 
-    def orbit_points(self, x, stride: int, n0: int, count: int,
-                     coords: str = "state") -> np.ndarray:
+    orbit_points = DynamicalSystem.orbit_points
+
+    def _orbits(self, starts, stride, n0, count, coords, out):
         # Hyperbolicity amplifies float rounding by |lambda| per step, so a
         # plain float stream is garbage after ~30 steps.  Positions are
-        # computed from exact integer matrix powers instead.  The start is an
+        # computed from exact integer matrix powers instead.  A start is an
         # integer vector over 2**K (K its largest dyadic exponent), so
         # A^n x mod 1 only needs A^n mod 2**K: the entries stay below 2**K
         # for every n, and `step` keeps the unreduced powers as a reference.
-        x = self.check_point(x)
-        out = np.empty((count, self.dim))
-        mod = 1 << max(float(v).as_integer_ratio()[1].bit_length() - 1
-                       for v in x)
-        mstride = _int_mat_pow(self.matrix, stride, mod)
-        mat = _int_mat_pow(self.matrix, stride * n0, mod)
-        for t in range(count):
-            out[t] = self._apply_exact(mat, x)
-            mat = _int_mat_mul(mstride, mat, mod)
-        return out
+        for s, x in enumerate(starts):
+            mod = 1 << max(float(v).as_integer_ratio()[1].bit_length() - 1
+                           for v in x)
+            mstride = _int_mat_pow(self.matrix, stride, mod)
+            mat = _int_mat_pow(self.matrix, stride * n0, mod)
+            for t in range(count):
+                out[s, t] = self._apply_exact(mat, x)
+                mat = _int_mat_mul(mstride, mat, mod)
 
     def compose_term(self, k: tuple[int, ...], n: int) -> tuple[tuple[int, ...], complex]:
         from .errors import FrequencyOverflowError
@@ -608,50 +621,44 @@ class HeisenbergTranslation(DynamicalSystem):
                          frac_combo([(1, z), (binom2(s), a, b), (s, a, y),
                                      (-fl, x), (-fl * s, a)])])
 
-    def orbit_points(self, x, stride: int, n0: int, count: int,
-                     coords: str = "state") -> np.ndarray:
-        x = self.check_point(x)
-        ncols = 2 if coords == "obs" else 3
-        out = np.empty((count, ncols))
+    orbit_points = DynamicalSystem.orbit_points
+
+    def _orbits(self, starts, stride, n0, count, coords, out):
         a, b = self.alpha, self.beta
-        x0, y0, z0 = (float(v) for v in x)
         # The base coordinates are plain rotation orbits and use the standard
         # chunking, so obs- and state-coordinate requests emit identical
         # floats (integration against stored clouds relies on this).
-        stepa = frac_combo([(stride, a)])
-        stepb = frac_combo([(stride, b)])
-
-        def x_at(anchor):
-            return frac_combo([(1, x0), (stride * anchor, a)])
-        progression(x_at, stepa, n0, count, out=out[:, 0])
-        progression(lambda anchor: frac_combo([(1, y0), (stride * anchor, b)]),
-                    stepb, n0, count, out=out[:, 1])
-        if ncols == 3:
-            # z(s0+u) reduced: frac(raw_z - raw_x * floor(raw_y)), split so
-            # every floating product stays small (u = stride * t <= ~1024).
-            chunk = _quad_chunk(stride)
-            abf = frac_combo([(1, a, b)])
-            for pos, anchor, t in anchored_chunks(n0, count, chunk):
-                s0 = stride * anchor
-                u = stride * t
-                # x re-derived at this finer anchoring: differs from the
-                # stored column only by float noise, and the tighter in-chunk
-                # products keep the xs*gt error ~1e-10 even at large n
-                xs = progression(x_at, stepa, n0 + pos, t.size, chunk)
+        _rotate(starts, (a, b), stride, n0, count, out[:, :, :2])
+        if coords == "obs":
+            return
+        # z(s0+u) reduced: frac(raw_z - raw_x * floor(raw_y)), split so
+        # every floating product stays small (u = stride * t <= ~1024).  x
+        # is first re-derived into the z column at this finer anchoring, so
+        # the xs*gt error stays ~1e-10 even at large n.
+        chunk = _quad_chunk(stride)
+        _rotate(starts, (a,), stride, n0, count, out[:, :, 2:], chunk)
+        abf = frac_combo([(1, a, b)])
+        for rows, cols, anchor, t, pts in _slabs(starts, n0, count, chunk):
+            s0 = stride * anchor
+            u = stride * t
+            anchors = []                  # reduced exactly, per start
+            for x0, y0, z0 in pts:
                 num, shift = dyadic_combo([(1, y0), (s0, b)])
                 bigF0 = num >> shift
-                yf0 = frac_combo([(1, y0), (s0, b)])
-                gt = np.floor(yf0 + u * self.beta)
-                bz0 = frac_combo([(1, z0), (binom2(s0), a, b), (s0, a, y0)])
-                bz1 = frac_combo([(s0, a, b), (1, a, y0)])
-                bx0 = frac_combo([(bigF0, x0), (s0 * bigF0, a)])
-                bx1 = frac_combo([(bigF0, a)])
-                # xs differs from raw_x by an integer, and gt is an integer,
-                # so xs * gt matches raw_x * gt mod 1
-                zraw = (bz0 + u * bz1 + (u * (u - 1.0) / 2.0) * abf
-                        - bx0 - u * bx1 - xs * gt)
-                out[pos:pos + t.size, 2] = frac(zraw)
-        return out
+                anchors.append((
+                    frac_combo([(1, y0), (s0, b)]),
+                    frac_combo([(1, z0), (binom2(s0), a, b), (s0, a, y0)]),
+                    frac_combo([(s0, a, b), (1, a, y0)]),
+                    frac_combo([(bigF0, x0), (s0 * bigF0, a)]),
+                    frac_combo([(bigF0, a)])))
+            yf0, bz0, bz1, bx0, bx1 = np.array(anchors).T[:, :, None]
+            gt = np.floor(yf0 + u * b)
+            xs = out[rows, cols, 2]
+            # xs differs from raw_x by an integer, and gt is an integer, so
+            # xs * gt matches raw_x * gt mod 1
+            out[rows, cols, 2] = frac(bz0 + u * bz1
+                                      + (u * (u - 1.0) / 2.0) * abf
+                                      - bx0 - u * bx1 - xs * gt)
 
     def phase_basis(self) -> tuple[float, float]:
         return (self.alpha, self.beta)

@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -297,6 +298,26 @@ def test_dump_load_roundtrip(tmp_path):
     assert np.array_equal(pts, m.points.reshape(120, 2, 3))
     raw = path.read_bytes()
     assert len(raw) == 32 + 120 * 2 * 3 * 8
+
+
+@pytest.mark.parametrize("data", [
+    struct.pack("<4Q", 2, 3, 3, 0),                      # header, no body
+    struct.pack("<4Q", 0, 3, 3, 0) + bytes(48),          # d = 0
+    struct.pack("<3Q", 2, 3, 3),                         # short header
+    struct.pack("<4Q", 2, 3, 3, 0) + bytes(48 + 4),      # partial double
+    struct.pack("<4Q", 2, 3, 3, 0) + bytes(40),          # dim not whole
+    struct.pack("<4Q", 2, 3, 0, 0) + bytes(48),          # count = 0
+], ids=["no-body", "d-zero", "short-header", "partial-double",
+        "ragged-dim", "count-zero"])
+def test_load_cloud_rejects_corrupt_dumps(tmp_path, data):
+    path = tmp_path / "cloud.bin"
+    path.write_bytes(data)
+    with pytest.raises(ValidationError, match="corrupt cloud dump"):
+        load_cloud(path)
+    # the same header with a whole body loads
+    good = tmp_path / "good.bin"
+    good.write_bytes(struct.pack("<4Q", 2, 3, 3, 0) + bytes(48))
+    assert load_cloud(good)[0].shape == (3, 2, 1)
 
 
 # ---------------------------------------------------------------------------

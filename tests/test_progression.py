@@ -273,35 +273,39 @@ def test_progression_one_chunk_and_many_chunks_agree():
 
 
 # ---------------------------------------------------------------------------
-# The batched rotation kernel against the per-start loop it replaced
+# The batched orbit blocks against the per-start loops they replaced
 
 
-def ref_rotation_progression(system, x, stride, n0, count):
-    """Rotation.orbit_points before orbit_block: one progression per
-    coordinate, both phases reduced per call."""
-    out = np.empty((count, system.dim))
-    for c, (xc, ac) in enumerate(zip(x, system.alpha)):
-        progression(lambda a: frac_combo([(1, xc), (stride * a, ac)]),
-                    frac_combo([(stride, ac)]), n0, count, out=out[:, c])
-    return out
-
-
-def ref_orbit_tuples(system, starts, d, n0, count):
+def ref_orbit_tuples(system, starts, d, n0, count, coords):
     """joinings._orbit_tuples before orbit_block: one orbit per start and
     stride."""
-    pts = np.empty((starts.shape[0], count, d, system.dim))
+    cols = system.dim if coords == "state" else system.obs_dim
+    pts = np.empty((starts.shape[0], count, d, cols))
     for s in range(starts.shape[0]):
         for j in range(1, d + 1):
-            pts[s, :, j - 1, :] = ref_rotation_progression(system, starts[s],
-                                                           j, n0, count)
+            pts[s, :, j - 1, :] = _reference(system, starts[s], j, n0, count,
+                                             coords)
     return pts
 
 
-ROTATIONS = {"1-D": golden_rotation(), "2-D": Rotation((GOLDEN, SQRT2_M1))}
-# (n0, count, starts): from zero, past CHUNK, across a CHUNK anchor, and one
-# long request; 400 starts span three slabs of 100-point rows
-BLOCK_WINDOWS = ((0, 1, 400), (0, 100, 400), (CHUNK + 5, 60, 400),
-                 (CHUNK - 50, 120, 400), (3, CHUNK + 10, 3))
+BLOCK_SYSTEMS = {"1-D": golden_rotation(), "2-D": Rotation((GOLDEN, SQRT2_M1)),
+                 "skew-standard": SYSTEMS["skew-standard"],
+                 "skew-2x2": SYSTEMS["skew-2x2"],
+                 "heisenberg": SYSTEMS["heisenberg"]}
+BLOCK_KINDS = ([(name, coords) for coords in ("obs", "state")
+                for name in ("1-D", "2-D")]
+               + [("skew-standard", "state"), ("skew-2x2", "state"),
+                  ("heisenberg", "state"), ("heisenberg", "obs")])
+# (n0, count, starts, strides): from zero, past CHUNK, across a CHUNK
+# anchor, across a quadratic-phase anchor (1024 at stride 1, 1023 at stride
+# -3), near 10**12, one point per quadratic chunk (stride 1025) and one long
+# request; 400 starts of 100 or 120 points span three slabs
+BLOCK_WINDOWS = ((0, 1, 400, (1, 2, 3)), (0, 100, 400, (1, 2, 3, -3)),
+                 (CHUNK + 5, 60, 400, (1, 2, 3)),
+                 (CHUNK - 50, 120, 400, (1, 2, 3)),
+                 (1000, 100, 40, (1, -3)),
+                 (10 ** 12 - 40, 100, 40, (1, 3, -3)),
+                 (-37, 30, 40, (1025,)), (3, CHUNK + 10, 3, (1, 2, 3)))
 
 
 def _block_starts(dim, count):
@@ -311,22 +315,23 @@ def _block_starts(dim, count):
     return starts
 
 
-@pytest.mark.parametrize("name", ROTATIONS)
-@pytest.mark.parametrize("coords", ["state", "obs"])
+@pytest.mark.parametrize("name,coords", BLOCK_KINDS,
+                         ids=[f"{c}-{n}" for n, c in BLOCK_KINDS])
 def test_orbit_block_bits_match_frozen_per_start_loop(name, coords):
     from ergolab.joinings import _orbit_tuples
-    system = ROTATIONS[name]
-    for n0, count, rows in BLOCK_WINDOWS:
+    system = BLOCK_SYSTEMS[name]
+    for n0, count, rows, strides in BLOCK_WINDOWS:
         starts = _block_starts(system.dim, rows)
-        for stride in (1, 2, 3):
-            ref = np.stack([ref_rotation_progression(system, x, stride, n0,
-                                                     count) for x in starts])
+        for stride in strides:
+            ref = np.stack([_reference(system, x, stride, n0, count, coords)
+                            for x in starts])
             _same_bits(system.orbit_block(starts, stride, n0, count, coords),
                        ref)
             _same_bits(system.orbit_points(starts[2], stride, n0, count,
                                            coords), ref[2])
+        # three strides written into strided views of one block
         _same_bits(_orbit_tuples(system, starts, 3, n0, count, coords),
-                   ref_orbit_tuples(system, starts, 3, n0, count))
+                   ref_orbit_tuples(system, starts, 3, n0, count, coords))
 
 
 def ref_frac_combo(terms):

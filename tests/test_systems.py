@@ -386,14 +386,18 @@ def _automorphism_starts(system):
 
 @pytest.mark.parametrize("name", AUTOMORPHISMS)
 def test_automorphism_orbit_bits_match_unreduced_step(name):
+    # every start's orbit_points and its row of one orbit_block call
     system = AUTOMORPHISMS[name]
-    for x in _automorphism_starts(system):
-        for stride in (1, -1, 3, -3):
-            for n0 in (0, 7, -25, 10 ** 4):
-                pts = system.orbit_points(x, stride, n0, 6)
+    starts = np.stack(_automorphism_starts(system))
+    for stride in (1, -1, 3, -3):
+        for n0 in (0, 7, -25, 10 ** 4):
+            block = system.orbit_block(starts, stride, n0, 6)
+            for x, row in zip(starts, block):
                 ref = np.stack([system.step(x, stride * n)
                                 for n in range(n0, n0 + 6)])
-                assert pts.tobytes() == ref.tobytes()
+                assert row.tobytes() == ref.tobytes()
+                assert system.orbit_points(x, stride, n0, 6).tobytes() \
+                    == ref.tobytes()
 
 
 @pytest.mark.parametrize("name", AUTOMORPHISMS)
