@@ -27,7 +27,9 @@ Orbits have one entry point, `DynamicalSystem.orbit_block`: a kind
 implements `_orbits`, which fills the rows of all starts at once, and
 `orbit_points` is the one-start case (each kind binds it in its class body,
 where perfbench's tracer wraps it per kind).  `_rotate` builds every
-rotation-type column.
+rotation-type column, and `_power_rows` every automorphism row: a start with
+denominator 2**K only needs A^n mod 2**K, read from one table of powers in
+uint64 (exact mod 2**64) for K <= 64, in Python ints for finer starts.
 """
 
 from __future__ import annotations
@@ -472,6 +474,51 @@ def _int_mat_inverse(a):
     return tuple(tuple(det * x for x in row) for row in cof)
 
 
+def _power_rows(matrix, ratios, exps, stride: int, n0: int, count: int,
+                out, rows) -> None:
+    """out[rows[s], i] = frac(A^(stride (n0 + i)) x_s) for the starts with
+    `as_integer_ratio` pairs ratios[s] and largest dyadic exponents exps[s].
+
+    x_s = X_s / 2**K (K = exps[s]) with X_s an integer vector reduced mod
+    2**K, so a row is (A^n X_s mod 2**K) / 2**K and needs A^n only mod 2**K.
+    When every K <= 64 the integers are uint64, whose wrapping arithmetic is
+    exact mod 2**64 (a multiple of 2**K); otherwise Python ints mod 2**max K.
+    One table of A^(stride u), built by doubling, and one power per
+    anchored piece, moving the starts to its first index, give all rows;
+    integer arithmetic is exact, so the bits do not depend on the split.
+    A residue r is rounded once to r / 2**K: a uint64 cast rounds to nearest
+    even and the division by 2**K is exact, and int division rounds
+    correctly; as in frac_combo, a result of 1.0 becomes 0.0."""
+    dim = len(matrix)
+    top = max(64, *exps)
+    dtype = np.uint64 if top == 64 else object
+    wrap = np.array((1 << top) - 1, dtype)[()]
+
+    def power(n):
+        return np.array(_int_mat_pow(matrix, n, 1 << top), dtype)
+
+    X = np.array([[(m << k - d.bit_length() + 1) & ((1 << k) - 1)
+                   for m, d in r] for r, k in zip(ratios, exps)], dtype)
+    masks = np.array([(1 << k) - 1 for k in exps], dtype)[:, None]
+    scale = (np.ldexp(1.0, exps) if top == 64
+             else np.array([1 << k for k in exps], object))[:, None]
+    span = min(count, CHUNK)
+    table = np.empty((span, dim, dim), dtype)
+    table[:1] = power(0)
+    n = 1
+    while n < span:
+        m = min(n, span - n)
+        table[n:n + m] = (power(stride * n) @ table[:m]) & wrap
+        n += m
+    table = table.reshape(-1, dim).T      # column u*dim + i: row i of A^(stride u)
+    for sl, cols, _, t, _ in _slabs(X, n0, count, CHUNK):
+        y = (X[sl] @ power(stride * (n0 + cols.start)).T) & wrap
+        r = (y @ table[:, :t.size * dim]) & masks[sl]
+        v = (r / scale[sl]).astype(np.float64).reshape(len(y), t.size, dim)
+        v[v >= 1.0] = 0.0
+        out[rows[sl], cols] = v
+
+
 @dataclass(frozen=True)
 class ToralAutomorphism(DynamicalSystem):
     """x |-> A x mod 1 with A integer and |det A| = 1 (Haar-preserving)."""
@@ -509,32 +556,36 @@ class ToralAutomorphism(DynamicalSystem):
 
     def _orbits(self, starts, stride, n0, count, coords, out):
         # Hyperbolicity amplifies float rounding by |lambda| per step, so a
-        # plain float stream is garbage after ~30 steps.  Positions are
-        # computed from exact integer matrix powers instead.  A start is an
-        # integer vector over 2**K (K its largest dyadic exponent), so
-        # A^n x mod 1 only needs A^n mod 2**K: the entries stay below 2**K
-        # for every n, and `step` keeps the unreduced powers as a reference.
-        for s, x in enumerate(starts):
-            mod = 1 << max(float(v).as_integer_ratio()[1].bit_length() - 1
-                           for v in x)
-            mstride = _int_mat_pow(self.matrix, stride, mod)
-            mat = _int_mat_pow(self.matrix, stride * n0, mod)
-            for t in range(count):
-                out[s, t] = self._apply_exact(mat, x)
-                mat = _int_mat_mul(mstride, mat, mod)
+        # plain float stream is garbage after ~30 steps.  Positions come from
+        # exact integer matrix powers instead, reduced mod 2**64 in one uint64
+        # kernel for every start with K <= 64 (all Haar starts: K <= 53), and
+        # mod 2**K in Python ints for finer ones (see _power_rows).  `step`
+        # keeps the unreduced powers as a reference.
+        ratios = [[v.as_integer_ratio() for v in x] for x in starts.tolist()]
+        exps = np.array([max(d.bit_length() for _, d in r) - 1
+                         for r in ratios], dtype=np.int64)
+        for rows in (np.flatnonzero(exps <= 64), np.flatnonzero(exps > 64)):
+            if rows.size:
+                _power_rows(self.matrix, [ratios[s] for s in rows],
+                            exps[rows].tolist(), stride, n0, count, out, rows)
 
     def compose_term(self, k: tuple[int, ...], n: int) -> tuple[tuple[int, ...], complex]:
         from .errors import FrequencyOverflowError
-        mat = _int_mat_pow(self.matrix, n)
-        # frequency transforms by the transpose power
-        new_k = tuple(sum(mat[i][j] * k[i] for i in range(self.dim))
-                      for j in range(self.dim))
+        # The frequency transforms by the transpose power.  A frequency within
+        # 63 bits equals its signed residue mod 2**128, so a wider residue
+        # proves overflow without building A^n, whose entries have O(n) bits;
+        # the exact power is built only when every residue fits.
         limit = (1 << 63) - 1
-        if any(abs(v) > limit for v in new_k):
-            raise FrequencyOverflowError(
-                f"character frequency overflow composing with T^{n}: {k} -> "
-                f"a frequency of {max(abs(v) for v in new_k).bit_length()} "
-                "bits exceeds the 63-bit range", n)
+        for mod in (1 << 128, 0):
+            mat = _int_mat_pow(self.matrix, n, mod)
+            new_k = tuple(sum(mat[i][j] * k[i] for i in range(self.dim))
+                          for j in range(self.dim))
+            if mod:
+                new_k = tuple((v + (mod >> 1)) % mod - (mod >> 1) for v in new_k)
+            if any(abs(v) > limit for v in new_k):
+                raise FrequencyOverflowError(
+                    f"character frequency overflow composing with T^{n}: {k} "
+                    "-> a frequency beyond the 63-bit range", n)
         return new_k, 1.0 + 0.0j
 
     def kv_items(self):

@@ -93,18 +93,6 @@ def _factors(d, dim):
     return out
 
 
-def _cases(name, d):
-    """(checkpoint sets, lengths) run for one kind and arity.  Exact cat-map
-    orbits cost about 20 us per point in Python integers, so the automorphism
-    runs orbits past a few points at d = 1 only, crossing one CHUNK anchor
-    (the 10**5 set and two of the lengths left out)."""
-    if name != "automorphism":
-        return CHECKPOINT_SETS, LENGTHS
-    if d > 1:
-        return CHECKPOINT_SETS[:1], LENGTHS[:1]
-    return CHECKPOINT_SETS[:2], (1, CHUNK + 1)
-
-
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 @pytest.mark.parametrize("name", KINDS)
 def test_streams_match_frozen_loop_bitwise(name, d):
@@ -112,14 +100,13 @@ def test_streams_match_frozen_loop_bitwise(name, d):
     x = system.haar_block(SplitMix64(40 + d), 1)[0]
     fs = _factors(d, system.obs_dim)
     strides = list(range(1, d + 1))
-    sets, lengths = _cases(name, d)
-    for cps in sets:
+    for cps in CHECKPOINT_SETS:
         traj = linear_trajectory(system, fs, x, cps)
         ref = ref_streamed_means(system, fs, strides, x, cps)
         assert [n for n, _ in traj.checkpoints] == list(cps)
         assert [_hex(v) for _, v in traj.checkpoints] == \
             [_hex(v) for _, v in ref]
-    for N in lengths:
+    for N in LENGTHS:
         want = _hex(ref_streamed_means(system, fs, strides, x, [N])[0][1])
         assert _hex(multilinear_average_linear(system, fs, x, N)) == want
         if d == 1:

@@ -8,8 +8,7 @@ from ergolab.averaging import multilinear_average_linear
 from ergolab.errors import (DimensionMismatchError, ResourceCapError,
                             ValidationError)
 from ergolab import joinings
-from ergolab.joinings import (CloudProvenance, DiagonalAction,
-                              EmpiricalMeasure, ap_fiber_integral,
+from ergolab.joinings import (DiagonalAction, ap_fiber_integral,
                               ap_subtorus_integral,
                               decomposition_consistency, dump_cloud,
                               empirical_self_joining, fiber_integrals,
@@ -21,8 +20,7 @@ from ergolab.phases import (CHUNK, MeanAccumulator, chunk_ranges, e,
                             exact_sum)
 from ergolab.rng import SplitMix64
 from ergolab.systems import (GOLDEN, cat_map, default_heisenberg,
-                             golden_rotation, orbit_points, standard_skew,
-                             system_to_kv)
+                             golden_rotation, orbit_points, standard_skew)
 
 G = golden_rotation()
 
@@ -70,10 +68,9 @@ def test_fiber_integral_equals_streamed_average_bitwise(system):
     fs = [Observable.character((2,) + (0,) * (dim - 1)),
           Observable.character((-1,) * dim)]
     x = system.haar_block(SplitMix64(12), 1)[0]
-    n = 700 if type(system).__name__ == "ToralAutomorphism" else 3000
-    m = fiber_measure(system, x, 2, n)
+    m = fiber_measure(system, x, 2, 3000)
     assert integrate_tensor(m, fs) == \
-        multilinear_average_linear(system, fs, x, n)
+        multilinear_average_linear(system, fs, x, 3000)
 
 
 def test_integrate_all_ones():
@@ -371,22 +368,9 @@ _SLAB_SYSTEMS = [G, standard_skew(), cat_map(), default_heisenberg()]
 def test_slab_integration_matches_per_start_reference(system, d, S, N):
     fs = _tensor_factors(d, system.obs_dim)
     seed = 1000 * S + 10 * d + system.obs_dim
-    streamed = True
-    if type(system).__name__ == "ToralAutomorphism" and S * N > 1000:
-        # Exact cat-map orbits cost tens of microseconds per point and more
-        # as n grows; the slab kernel only sees the point array, so Haar
-        # points exercise the multi-row and full-chunk paths on this
-        # system's frequency dimension just as well.
-        rng = SplitMix64(seed)
-        pts = system.haar_block(rng, S * N * d).reshape(S, N, d, system.dim)
-        cloud = EmpiricalMeasure(pts, CloudProvenance(
-            "haar-points", system_to_kv(system), d, N, seed, S))
-        streamed = False
-    else:
-        cloud = empirical_self_joining(system, d, S, N, SplitMix64(seed))
+    cloud = empirical_self_joining(system, d, S, N, SplitMix64(seed))
     ref = _reference_cloud_means(cloud.points, fs)
     assert fiber_integrals(cloud, fs) == ref
     assert integrate_tensor(cloud, fs) == _mean_of(ref)
-    if streamed:
-        assert self_joining_tensor_integral(system, d, S, N, SplitMix64(seed),
-                                            fs) == _mean_of(ref)
+    assert self_joining_tensor_integral(system, d, S, N, SplitMix64(seed),
+                                        fs) == _mean_of(ref)

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -12,8 +13,8 @@ from ergolab.observables import (Observable, compose_with_power, conjugate,
                                  multiply, parse_observable)
 from ergolab.phases import CHUNK, TWO_PI, e, frac_combo
 from ergolab.rng import SplitMix64
-from ergolab.systems import (cat_map, default_heisenberg, golden_rotation,
-                             standard_skew, step)
+from ergolab.systems import (ToralAutomorphism, cat_map, default_heisenberg,
+                             golden_rotation, standard_skew, step)
 
 coeffs = st.complex_numbers(max_magnitude=2.0, allow_nan=False,
                             allow_infinity=False)
@@ -187,11 +188,33 @@ def test_automorphism_overflow_names_power():
 
 def test_automorphism_overflow_far_past_int_str_limit():
     # the frequency has about 1.4e5 bits (over 4e4 decimal digits): the
-    # message gives its bit length, not its digits
+    # message names the power, not the frequency's digits
     with pytest.raises(FrequencyOverflowError) as info:
         compose_with_power(Observable.character((1, 0)), cat_map(), 10 ** 5)
     assert info.value.power == 10 ** 5
     assert "T^100000" in str(info.value) and len(str(info.value)) < 200
+
+
+def test_automorphism_overflow_decided_without_the_power():
+    # A^n has ~1.4e9-bit entries at n = 10**9 + 7; the residue mod 2**128
+    # already proves the overflow
+    n = 10 ** 9 + 7
+    t0 = time.perf_counter()
+    with pytest.raises(FrequencyOverflowError) as info:
+        cat_map().compose_term((1, 0), n)
+    assert time.perf_counter() - t0 < 1.0
+    assert info.value.power == n
+
+
+def test_automorphism_compose_exact_where_the_residue_fits():
+    # the fixed third coordinate keeps k = (0, 0, 1) while A^1000 has
+    # ~1,400-bit entries: the residue fits, and the exact power decides
+    system = ToralAutomorphism(((2, 1, 0), (1, 1, 0), (0, 0, 1)))
+    assert system.compose_term((0, 0, 1), 10 ** 3) == ((0, 0, 1), 1.0 + 0.0j)
+    k45, _ = cat_map().compose_term((1, 0), 45)
+    assert system.compose_term((1, 0, 1), 45) == (k45 + (1,), 1.0 + 0.0j)
+    with pytest.raises(FrequencyOverflowError):
+        system.compose_term((1, 0, 1), 46)
 
 
 def test_monte_carlo_integral_consistency():

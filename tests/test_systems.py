@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ergolab import systems
 from ergolab.errors import DimensionMismatchError, ValidationError
 from ergolab.rng import SplitMix64
 from ergolab.systems import (GOLDEN, SQRT2_M1, HeisenbergTranslation,
@@ -375,12 +376,17 @@ def test_system_from_kv_rejects_bad_entries():
 # Automorphism orbits on A^n mod 2**K against unreduced powers
 
 AUTOMORPHISMS = {"cat": cat_map(),
-                 "3x3": ToralAutomorphism(((2, 1, 1), (1, 1, 0), (1, 0, 0)))}
+                 "3x3": ToralAutomorphism(((2, 1, 1), (1, 1, 0), (1, 0, 0))),
+                 "det-1": ToralAutomorphism(((1, 1), (1, 0)))}
 
 
 def _automorphism_starts(system):
+    # denominators 2**K with K = 0, 1074, 12, 53, 2 (negative), 1 (above
+    # 1), 64, 65 and a Haar start
     return [np.full(system.dim, v) for v in (0.0, 5e-324, 2.0 ** -12,
-                                              1 - 2.0 ** -53)] \
+                                              1 - 2.0 ** -53, -0.25, 1.5,
+                                              (2.0 ** 53 - 1) * 2.0 ** -64,
+                                              2.0 ** -65)] \
         + [rand_point(system, seed=9)]
 
 
@@ -403,22 +409,24 @@ def test_automorphism_orbit_bits_match_unreduced_step(name):
 @pytest.mark.parametrize("name", AUTOMORPHISMS)
 def test_automorphism_orbit_windows_agree_far_out(monkeypatch, name):
     # at n0 = 10**6 the unreduced powers have ~700,000-bit entries; the
-    # orbit carries A^n mod 2**K, whose entries stay below 2**K
+    # orbit multiplies only powers reduced mod 2**64 (uint64 tables, K <= 64)
+    # or mod 2**K (Python ints, K > 64), O(log count) of them per window
     system = AUTOMORPHISMS[name]
     seen = []
-    apply_exact = ToralAutomorphism._apply_exact
-    monkeypatch.setattr(ToralAutomorphism, "_apply_exact",
-                        lambda self, mat, p: seen.append(mat)
-                        or apply_exact(self, mat, p))
+    int_mat_pow = systems._int_mat_pow
+    monkeypatch.setattr(systems, "_int_mat_pow",
+                        lambda a, n, mod=0: seen.append(
+                            (mod, int_mat_pow(a, n, mod))) or seen[-1][1])
     for x in _automorphism_starts(system)[1:]:
         K = max(float(v).as_integer_ratio()[1].bit_length() - 1 for v in x)
         for stride in (1, -3):
             a = system.orbit_points(x, stride, 10 ** 6, 100)
             b = system.orbit_points(x, stride, 10 ** 6 + 37, 100)
             assert a[37:].tobytes() == b[:63].tobytes()
-        assert len(seen) == 400
-        assert all(0 <= v < 1 << K for mat in seen for row in mat
-                   for v in row)
+        mod = 1 << max(K, 64)
+        assert 0 < len(seen) <= 4 * 2 * (2 + (100).bit_length())
+        assert all(m == mod and 0 <= v < mod for m, mat in seen
+                   for row in mat for v in row)
         seen.clear()
     monkeypatch.undo()
     # the unreduced reference, as far out as it stays cheap
