@@ -12,8 +12,7 @@ from .averaging import (AverageTrajectory, FolnerBox, IteratedMap,
                         cube_average, cube_eps_index, folner_average,
                         geometric_checkpoints, is_tempered, linear_trajectory,
                         multilinear_average_linear, multilinear_average_square,
-                        product_difference_bound, square_trajectory,
-                        temperedness_margins)
+                        square_trajectory, temperedness_margins)
 from .config import ExperimentConfig, format_config, parse_config
 from .errors import (CommutationError, DimensionMismatchError,
                      FrequencyOverflowError, ResourceCapError, ValidationError)
@@ -21,7 +20,7 @@ from .joinings import (DiagonalAction, EmpiricalMeasure, ap_fiber_integral,
                        ap_subtorus_integral, character_box,
                        decomposition_consistency, dump_cloud,
                        empirical_self_joining, fiber_measure, fiber_integrals,
-                       integrate_tensor, load_cloud, marginal, shift_cloud)
+                       integrate_tensor, load_cloud, shift_cloud)
 from .observables import (Observable, compose_with_power, conjugate, evaluate,
                           format_observable, integral_haar, multiply,
                           parse_observable)
@@ -34,10 +33,8 @@ from .systems import (GOLDEN, SQRT2_M1, SQRT3_M1, DynamicalSystem,
                       ErgodicityCertificate, HeisenbergTranslation, Rotation,
                       SkewProduct, ToralAutomorphism, cat_map,
                       default_heisenberg, ergodicity_certificate,
-                      golden_rotation, heisenberg_inv,
-                      heisenberg_mul, orbit_points, reduce_mod_lattice,
-                      standard_skew, step, system_from_kv,
-                      system_to_kv)
+                      golden_rotation, orbit_points, reduce_mod_lattice,
+                      standard_skew, step, system_from_kv, system_to_kv)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -17,12 +17,15 @@ a stored fiber cloud reproduces the streamed average bit for bit.  Where a
 term tuple's pattern phase (exact.pattern_phase) is linear, the square and
 cube grids factorize exactly into one-dimensional geometric sums, and the
 factorized path then streams those geometric sums through the same kernel;
-a literal grid walk (row by row, with phases.MeanAccumulator) is kept for
-every system below a cost cap and cross-checked against the factorized
-path in the test suite.  The factorized path shares the pattern phase with
-exact.py and streams the geometric sums that exact.py evaluates in closed
-form; the orbit streams and the grid walk share no arithmetic with
-exact.py.
+a literal grid walk is kept for every system below a cost cap and
+cross-checked against the factorized path in the test suite.  It reads one
+orbit_block over every grid index, gathers each row from one evaluate per
+factor and sums the rows with phases.exact_row_sums (math.fsum's bits per
+row, folded by one more exact sum); Folner boxes sum their rows the same
+way, from one orbit_block per slab of row starts.  The factorized path
+shares the pattern phase with exact.py and streams the geometric sums that
+exact.py evaluates in closed form; the orbit streams and the grid walk
+share no arithmetic with exact.py.
 """
 
 from __future__ import annotations
@@ -37,9 +40,10 @@ from .errors import (CommutationError, ResourceCapError, ValidationError)
 from .exact import character_at, obs_coords, pattern_phase, term_tuples
 from .observables import Observable, evaluate
 from .joinings import _streamed_start_means
-from .phases import MeanAccumulator, PhaseForm, chunk_means, progression
+from .phases import (CHUNK, PhaseForm, chunk_means, exact_row_sums, exact_sum,
+                     progression)
 from .rng import SplitMix64
-from .systems import DynamicalSystem, orbit_points
+from .systems import DynamicalSystem
 
 GRID_CAP = 1 << 24        # direct grid walks refuse beyond this many terms
 MAX_CUBE_ORDER = 4
@@ -112,33 +116,6 @@ def convergence_diagnostic(traj: AverageTrajectory,
     return Diagnostic(osc, tail[-1], len(tail), osc == 0.0)
 
 
-def product_difference_bound(a: Sequence[complex],
-                             b: Sequence[complex]) -> tuple[complex, complex]:
-    """(prod a - prod b, telescoped sum); the two agree up to rounding.
-
-    Telescoping: sum_i a_1..a_{i-1} (a_i - b_i) b_{i+1}..b_k."""
-    if len(a) != len(b):
-        raise ValidationError("lists must have equal length")
-    if not a:
-        raise ValidationError("lists must be nonempty")
-    pa = 1.0 + 0.0j
-    for v in a:
-        pa *= v
-    pb = 1.0 + 0.0j
-    for v in b:
-        pb *= v
-    tele = 0.0 + 0.0j
-    prefix = 1.0 + 0.0j
-    suffixes = [1.0 + 0.0j]
-    for v in reversed(b[1:]):
-        suffixes.append(suffixes[-1] * v)
-    suffixes.reverse()
-    for i, (ai, bi) in enumerate(zip(a, b)):
-        tele += prefix * (ai - bi) * suffixes[i]
-        prefix *= ai
-    return pa - pb, tele
-
-
 # ---------------------------------------------------------------------------
 # Streamed products of orbits (birkhoff / linear)
 
@@ -146,7 +123,7 @@ def product_difference_bound(a: Sequence[complex],
 def _streamed_means(system, fs, x, checkpoints) -> list[tuple[int, complex]]:
     """Partial means of prod_j f_j(T^{jn} x) at each checkpoint: the
     one-start streaming self-joining."""
-    starts = system.check_point(x)[None]
+    starts = system.check_point(x)[None, None]
     means = _streamed_start_means(system, starts, list(fs), checkpoints)[:, 0]
     return list(zip(checkpoints, means.tolist()))
 
@@ -204,23 +181,54 @@ def geometric_mean_streamed(form: PhaseForm, checkpoints: Sequence[int]) -> dict
 # average is [0,N)^k with c_eps = eps.  Every c_j[0] is 0 or 1.
 
 
-def _grid_direct(system, fs, coeffs, x, N) -> complex:
-    """Literal grid walk: one row of the first coordinate per outer index,
-    streamed when c_j[0] = 1 and a single point when c_j[0] = 0."""
-    k = len(coeffs[0])
-    acc = MeanAccumulator()
-    for outer in np.ndindex((N,) * (k - 1)):
-        row = np.ones(N, dtype=np.complex128)
-        for f, c in zip(fs, coeffs):
-            offset = sum(o * ci for o, ci in zip(outer, c[1:]))
-            if c[0]:
-                row *= evaluate(f, orbit_points(system, x, 1, offset, N,
-                                                coords="obs"))
-            else:
-                row *= evaluate(f, orbit_points(system, x, 1, offset, 1,
-                                                coords="obs"))[0]
-        acc.add(row)
-    return acc.mean()
+def _rows_mean(rows_at, rows: int, width: int) -> complex:
+    """Mean of a (rows, width) grid whose rows r0:r1 rows_at(r0, r1)
+    returns: exact_row_sums over slabs of fewer than CHUNK values (or one
+    row), one exact_sum over the row sums, each part divided by the count,
+    i.e. math.fsum over the rows' math.fsum, per part."""
+    slab = max(1, (CHUNK - 1) // width)
+    total = exact_sum(np.concatenate([
+        exact_row_sums(rows_at(r0, min(rows, r0 + slab)))
+        for r0 in range(0, rows, slab)]))
+    return complex(total.real / (rows * width), total.imag / (rows * width))
+
+
+def _grid_direct(system, fs, coeffs, x, checkpoints) -> list[complex]:
+    """Literal grid walk at each checkpoint N: one row of the first
+    coordinate per outer index, read when c_j[0] = 1 and a single point
+    when c_j[0] = 0.  Every grid index c_j . n is an absolute orbit index,
+    and orbit bits depend only on it, so one orbit_block over [0, max c_j .
+    n] at the largest checkpoint, one evaluate per factor and a gather give
+    every row."""
+    k, top = len(coeffs[0]), max(checkpoints, default=1)
+    length = max(map(sum, coeffs)) * (top - 1) + 1
+    orbit = system.orbit_block(system.check_point(x)[None], 1, 0, length,
+                               "obs")[0]
+    # evaluate's bits depend on the side of CHUNK a call lies on (see its
+    # docstring) and a row holds N values: spans of fewer than CHUNK values
+    # match rows of N < CHUNK, and N >= CHUNK only occurs for a single
+    # order-1 cube, whose one row is the whole orbit
+    span = length if top >= CHUNK else CHUNK - 1
+    vals = [np.concatenate([evaluate(f, orbit[i:i + span])
+                            for i in range(0, length, span)]) for f in fs]
+    out = []
+    for N in checkpoints:
+        offsets = []
+        for c in coeffs:                  # outer indices in np.ndindex order
+            off = np.zeros(1, dtype=np.int64)
+            for ci in c[1:]:
+                off = (off[:, None] + ci * np.arange(N)).ravel()
+            offsets.append(off)
+        cols = np.arange(N)
+
+        def rows_at(r0, r1):
+            row = np.ones((r1 - r0, N), dtype=np.complex128)
+            for v, c, off in zip(vals, coeffs, offsets):
+                o = off[r0:r1, None]
+                row *= v[o + cols] if c[0] else v[o]
+            return row
+        out.append(_rows_mean(rows_at, N ** (k - 1), N))
+    return out
 
 
 def _grid_factorized(system, fs, coeffs, x, checkpoints) -> list[tuple[int, complex]]:
@@ -257,11 +265,10 @@ def _grid_means(system, fs, coeffs, x, checkpoints, mode, check_cap):
     if mode == "factorized" or (mode == "auto"
                                 and system.phase_basis() is not None):
         return _grid_factorized(system, fs, coeffs, x, checkpoints), "factorized"
-    out = []
     for cp in checkpoints:
         check_cap(cp)
-        out.append((cp, _grid_direct(system, fs, coeffs, x, cp)))
-    return out, "direct"
+    return list(zip(checkpoints, _grid_direct(system, fs, coeffs, x,
+                                              checkpoints))), "direct"
 
 
 def _square_grid(system, fs, x, checkpoints, mode):
@@ -367,9 +374,6 @@ class IteratedMap:
     def step(self, p, n: int = 1):
         return self.system.step(p, n * self.power)
 
-    def orbit(self, x, n0: int, count: int):
-        return orbit_points(self.system, x, self.power, n0, count, coords="obs")
-
 
 def _as_map(m) -> IteratedMap:
     if isinstance(m, IteratedMap):
@@ -398,10 +402,12 @@ def folner_average(action, f: Observable, x, box: FolnerBox) -> complex:
     if box.size > GRID_CAP:
         raise ResourceCapError(f"box of {box.size} points exceeds the cost cap")
     x = m1.system.check_point(np.asarray(x, dtype=np.float64))
-    acc = MeanAccumulator()
-    for m in range(box.n2):
-        acc.add(evaluate(f, m1.orbit(m2.step(x, m), 0, box.n1)))
-    return acc.mean()
+    starts = np.array([m2.step(x, m) for m in range(box.n2)])
+
+    def rows_at(r0, r1):
+        return evaluate(f, m1.system.orbit_block(starts[r0:r1], m1.power, 0,
+                                                 box.n1, "obs"))
+    return _rows_mean(rows_at, box.n2, box.n1)
 
 
 # ---------------------------------------------------------------------------

@@ -80,12 +80,15 @@ class EmpiricalMeasure:
 
 def _orbit_tuples(system, starts: np.ndarray, d: int, n0: int, count: int,
                   coords: str = "state") -> np.ndarray:
-    """(S, count, d, dim) array of T^{jn} x_s for n in [n0, n0+count): one
-    `orbit_block` per stride j."""
+    """(S, count, d, dim) array of T^{jn} x_{s,j} for n in [n0, n0+count):
+    one `orbit_block` per stride j.  starts is (S, d, dim), factor j
+    starting at starts[:, j - 1]; diagonal tuples pass (S, 1, dim)."""
     dim = system.dim if coords == "state" else system.obs_dim
+    starts = np.broadcast_to(starts, (starts.shape[0], d, starts.shape[-1]))
     pts = np.empty((starts.shape[0], count, d, dim))
     for j in range(1, d + 1):
-        system.orbit_block(starts, j, n0, count, coords, out=pts[:, :, j - 1])
+        system.orbit_block(starts[:, j - 1], j, n0, count, coords,
+                           out=pts[:, :, j - 1])
     return pts
 
 
@@ -96,7 +99,7 @@ def _build_cloud(system, starts: np.ndarray, d: int, N: int,
         raise ResourceCapError(
             f"cloud of {S * N} tuples exceeds the {CLOUD_CAP} cap; "
             "use self_joining_tensor_integral for streaming integration")
-    pts = _orbit_tuples(system, starts, d, 0, N)
+    pts = _orbit_tuples(system, starts[:, None], d, 0, N)
     prov = CloudProvenance(scheme, system_to_kv(system), d, N, seed, S)
     return EmpiricalMeasure(pts, prov)
 
@@ -131,9 +134,9 @@ def _tensor_values(fs: Sequence[Observable], pts: np.ndarray) -> np.ndarray:
 
 def _streamed_start_means(system, starts: np.ndarray, fs: Sequence[Observable],
                           checkpoints: Sequence[int]) -> np.ndarray:
-    """(checkpoints, S) means over n < N of prod_j f_j(T^{jn} x_s): the
-    streaming self-joining, whose slabs are built on demand, so memory
-    stays within CHUNK tuples."""
+    """(checkpoints, S) means over n < N of prod_j f_j(T^{jn} x_{s,j}),
+    starts as in _orbit_tuples: the streaming self-joining, whose slabs are
+    built on demand, so memory stays within CHUNK tuples."""
     d = len(fs)
 
     def values_at(s0, s1, n0, cnt):
@@ -183,18 +186,8 @@ def self_joining_tensor_integral(system: DynamicalSystem, d: int,
     cloud in memory; for tuple counts beyond the cap."""
     if len(fs) != d:
         raise DimensionMismatchError(f"{len(fs)} observables for arity {d}")
-    starts = system.haar_block(rng, x_sample_count)
+    starts = system.haar_block(rng, x_sample_count)[:, None]
     return _mean(_streamed_start_means(system, starts, fs, [N])[0])
-
-
-def marginal(m: EmpiricalMeasure, j: int) -> EmpiricalMeasure:
-    """Projection of the cloud to coordinate j (1-based), arity 1."""
-    if not 1 <= j <= m.arity:
-        raise ValidationError(f"coordinate {j} out of range 1..{m.arity}")
-    prov = CloudProvenance(m.provenance.scheme + f"-marginal-{j}",
-                           m.provenance.system, 1, m.provenance.n,
-                           m.provenance.seed, m.provenance.starts)
-    return EmpiricalMeasure(m.points[:, :, j - 1:j, :], prov)
 
 
 # ---------------------------------------------------------------------------

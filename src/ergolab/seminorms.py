@@ -29,10 +29,11 @@ import numpy as np
 from .errors import ResourceCapError, ValidationError
 from .observables import (Observable, compose_with_power, conjugate,
                           evaluate, integral_haar, multiply)
-from .phases import (MeanAccumulator, anchored_chunks, chunk_ranges,
-                     exact_sum, frac, frac_combo, CHUNK)
+from .joinings import _streamed_start_means
+from .phases import (anchored_chunks, chunk_ranges, exact_sum, frac,
+                     frac_combo, CHUNK)
 from .rng import SplitMix64
-from .systems import GOLDEN, DynamicalSystem, orbit_points
+from .systems import GOLDEN, DynamicalSystem
 
 DEFAULT_OUTER_H = 30
 
@@ -62,13 +63,11 @@ def _raised_exact(system, f: Observable, order: int, H: int) -> float:
 
 
 def _orbit_values(system, f: Observable, x, length: int) -> np.ndarray:
-    out = np.empty(length, dtype=np.complex128)
-    pos = 0
-    for n0, cnt in chunk_ranges(0, length, CHUNK):
-        pts = orbit_points(system, x, 1, n0, cnt, coords="obs")
-        out[pos:pos + cnt] = evaluate(f, pts)
-        pos += cnt
-    return out
+    """f along the first `length` orbit points of x: one orbit_block,
+    evaluated per CHUNK span."""
+    orbit = system.orbit_block(x[None], 1, 0, length, "obs")[0]
+    return np.concatenate([evaluate(f, orbit[n0:n0 + cnt])
+                           for n0, cnt in chunk_ranges(0, length, CHUNK)])
 
 
 def _raised_mc(shifts: list[tuple[int, bool]], orbit: np.ndarray,
@@ -83,9 +82,8 @@ def _raised_mc(shifts: list[tuple[int, bool]], orbit: np.ndarray,
         for s, c in shifts:
             seg = orbit[s:s + N]
             vals = vals * (np.conj(seg) if c else seg)
-        acc = MeanAccumulator()
-        acc.add(vals)
-        return abs(acc.mean()) ** 2
+        total = exact_sum(vals)
+        return abs(complex(total.real / N, total.imag / N)) ** 2
     vals = []
     for h in range(1, H + 1):
         nxt = shifts + [(s + h, not c) for s, c in shifts]
@@ -239,31 +237,19 @@ def multilinear_norm_bound_check(system: DynamicalSystem,
     against the seminorm bound min_l { l * |||f_l|||_d }.
 
     The left side averages |(1/N) sum_n prod_j f_j(T^{j n} x_j)|^2 over
-    sample_count independent d-tuples of Haar starts (a valid self-joining).
-    The pointwise stream is vectorized across samples; on hyperbolic systems
-    it follows float pseudo-orbits, which shadowing makes statistically
-    faithful.
+    sample_count independent d-tuples of Haar starts (a valid self-joining),
+    each average streamed on exact orbit_block rows through
+    phases.chunk_means, as the streaming self-joining streams its diagonal
+    starts.
     """
     d = len(fs)
     if d < 1:
         raise ValidationError("need at least one observable")
     if sample_count < 1 or N < 1:
         raise ValidationError("sample_count and N must be >= 1")
-    starts = [system.haar_block(rng, sample_count) for _ in range(d)]
-    cursors = [s.copy() for s in starts]
-    sums = np.zeros(sample_count, dtype=np.complex128)
-    comp = np.zeros(sample_count, dtype=np.complex128)  # Kahan compensation
-    for n in range(N):
-        term = np.ones(sample_count, dtype=np.complex128)
-        for j in range(d):
-            term = term * evaluate(fs[j], cursors[j])
-        y = term - comp
-        t = sums + y
-        comp = (t - sums) - y
-        sums = t
-        for j in range(d):
-            cursors[j] = system.step(cursors[j], j + 1)
-    avg = sums / N
+    starts = np.stack([system.haar_block(rng, sample_count)
+                       for _ in range(d)], axis=1)
+    avg = _streamed_start_means(system, starts, list(fs), [N])[0]
     lhs = math.sqrt(exact_sum(np.abs(avg) ** 2) / sample_count)
     sem = tuple(hk_seminorm(system, f, d, outer_h).value for f in fs)
     rhs = min((l + 1) * s for l, s in enumerate(sem))

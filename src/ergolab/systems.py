@@ -97,15 +97,6 @@ def binom2(n: int) -> int:
 # Heisenberg group primitives
 
 
-def heisenberg_mul(g, h):
-    """Group law (x,y,z)*(x',y',z') = (x+x', y+y', z+z'+x*y'), unreduced."""
-    return (g[0] + h[0], g[1] + h[1], g[2] + h[2] + g[0] * h[1])
-
-
-def heisenberg_inv(g):
-    return (-g[0], -g[1], -g[2] + g[0] * g[1])
-
-
 def reduce_mod_lattice(g) -> np.ndarray:
     """Canonical representative of g*Gamma in [0,1)^3.
 
@@ -124,15 +115,6 @@ def reduce_mod_lattice(g) -> np.ndarray:
     # y + b can round to 1.0 when y is barely below an integer
     out[..., 1] = frac(out[..., 1])
     return out
-
-
-def lattice_translate_witness(raw) -> tuple[int, int, int]:
-    """The integer (a, b, c) the canonical reduction multiplies raw by."""
-    x, y, z = float(raw[0]), float(raw[1]), float(raw[2])
-    a = -math.floor(x)
-    b = -math.floor(y)
-    c = -math.floor(z + x * b)
-    return (a, b, c)
 
 
 # ---------------------------------------------------------------------------
@@ -483,8 +465,9 @@ def _power_rows(matrix, ratios, exps, stride: int, n0: int, count: int,
     2**K, so a row is (A^n X_s mod 2**K) / 2**K and needs A^n only mod 2**K.
     When every K <= 64 the integers are uint64, whose wrapping arithmetic is
     exact mod 2**64 (a multiple of 2**K); otherwise Python ints mod 2**max K.
-    One table of A^(stride u), built by doubling, and one power per
-    anchored piece, moving the starts to its first index, give all rows;
+    One table of A^(stride u), built by doubling (each doubling's
+    A^(stride n) is the table's last entry times A^stride), and one power
+    per anchored piece, moving the starts to its first index, give all rows;
     integer arithmetic is exact, so the bits do not depend on the split.
     A residue r is rounded once to r / 2**K: a uint64 cast rounds to nearest
     even and the division by 2**K is exact, and int division rounds
@@ -505,10 +488,11 @@ def _power_rows(matrix, ratios, exps, stride: int, n0: int, count: int,
     span = min(count, CHUNK)
     table = np.empty((span, dim, dim), dtype)
     table[:1] = power(0)
+    step = power(stride)
     n = 1
     while n < span:
         m = min(n, span - n)
-        table[n:n + m] = (power(stride * n) @ table[:m]) & wrap
+        table[n:n + m] = (table[n - 1] @ step @ table[:m]) & wrap
         n += m
     table = table.reshape(-1, dim).T      # column u*dim + i: row i of A^(stride u)
     for sl, cols, _, t, _ in _slabs(X, n0, count, CHUNK):

@@ -12,15 +12,14 @@ from ergolab.averaging import (AverageTrajectory, FolnerBox, IteratedMap,
                                cube_eps_index, folner_average,
                                geometric_checkpoints, is_tempered,
                                linear_trajectory, multilinear_average_linear,
-                               multilinear_average_square,
-                               product_difference_bound, square_trajectory,
+                               multilinear_average_square, square_trajectory,
                                temperedness_margins, union_of_difference_sets)
 from ergolab.errors import (CommutationError, ResourceCapError,
                             ValidationError)
 from ergolab.observables import Observable, compose_with_power, evaluate
-from ergolab.phases import e, exact_sum
+from ergolab.phases import CHUNK, e, exact_sum
 from ergolab.rng import SplitMix64
-from ergolab.systems import (GOLDEN, Rotation, SkewProduct, cat_map,
+from ergolab.systems import (GOLDEN, SQRT2_M1, Rotation, SkewProduct, cat_map,
                              default_heisenberg, golden_rotation,
                              orbit_points, standard_skew, step)
 
@@ -305,25 +304,56 @@ def _pinning_observables(count, seed):
     return out
 
 
-@pytest.mark.parametrize("system", [cat_map(),
-                                    SkewProduct((0.3,), ((2,),), (0.125,))],
-                         ids=["cat_map", "skew"])
-def test_grid_direct_bits_match_frozen_walks(system):
+GRID_SYSTEMS = {"cat_map": cat_map(),
+                "skew": SkewProduct((0.3,), ((2,),), (0.125,)),
+                "rotation": Rotation((GOLDEN, SQRT2_M1)),
+                "heisenberg": default_heisenberg()}
+
+
+@pytest.mark.parametrize("name", list(GRID_SYSTEMS))
+def test_grid_direct_bits_match_frozen_walks(name):
+    system = GRID_SYSTEMS[name]
     x = system.haar_block(SplitMix64(17), 1)[0]
     for d in (1, 2, 3):
         fs = _pinning_observables(d, 100 + d)
         coeffs = [(1, j) for j in range(d)]
-        for n in (1, 2, 5, 17, 33):
-            assert _bits(_grid_direct(system, fs, coeffs, x, n)) == \
+        for n in (1, 2, 5, 17, 33, 64, 150):
+            assert _bits(_grid_direct(system, fs, coeffs, x, [n])[0]) == \
                 _bits(_frozen_square_direct(system, fs, x, n))
-    for k in (1, 2, 3):
+    for k, ns in ((1, (1, 3, CHUNK - 1, CHUNK, CHUNK + 1)), (2, (1, 3, 8, 13)),
+                  (3, (1, 3, 8, 13))):
         eps_list = cube_eps_index(k)
         fs_by_eps = dict(zip(eps_list,
                              _pinning_observables(len(eps_list), 200 + k)))
-        for n in (1, 3, 8, 13):
+        for n in ns:
             assert _bits(_grid_direct(system, [fs_by_eps[eps] for eps in eps_list],
-                                      eps_list, x, n)) == \
+                                      eps_list, x, [n])[0]) == \
                 _bits(_frozen_cube_direct(system, fs_by_eps, x, n))
+
+
+def test_grid_direct_bits_match_frozen_walk_past_chunk():
+    # 110 factors at N = 151 read an orbit of 16,501 points; it is
+    # evaluated in spans of fewer than CHUNK values, as each row of 151 was
+    system = GRID_SYSTEMS["rotation"]
+    x = system.haar_block(SplitMix64(17), 1)[0]
+    fs = _pinning_observables(110, 500)
+    assert _bits(_grid_direct(system, fs, [(1, j) for j in range(110)], x,
+                              [151])[0]) == \
+        _bits(_frozen_square_direct(system, fs, x, 151))
+
+
+def test_direct_square_trajectory_checkpoints_match_single_averages():
+    # a trajectory reads one orbit up to its last checkpoint; each
+    # checkpoint must carry the bits of the single average at that N
+    for system in GRID_SYSTEMS.values():
+        x = system.haar_block(SplitMix64(23), 1)[0]
+        for d in (1, 3):
+            fs = _pinning_observables(d, 300 + d)
+            traj = square_trajectory(system, fs, x, [1, 4, 17, 64, 150],
+                                     mode="direct")
+            for n, v in traj.checkpoints:
+                assert _bits(v) == _bits(multilinear_average_square(
+                    system, fs, x, n, mode="direct"))
 
 
 # ---------------------------------------------------------------------------
@@ -387,6 +417,47 @@ def test_folner_double_geometric():
     v = folner_average((IteratedMap(G, 1), IteratedMap(G, 1)), f, X, box)
     closed = exact.box_closed(((1, G.alpha), (1, G.alpha)), f, X, 200, 300)
     assert abs(v - closed) <= 1e-11
+
+
+def _frozen_folner(action, f, x, box):
+    """folner_average's former walk: one orbit and one exact sum per row."""
+    (s1, p1), (s2, p2) = action
+    sums_re, sums_im = [], []
+    for m in range(box.n2):
+        vals = evaluate(f, orbit_points(s1, s2.step(x, m * p2), p1, 0, box.n1,
+                                        coords="obs"))
+        sums_re.append(exact_sum(vals.real))
+        sums_im.append(exact_sum(vals.imag))
+    return complex(math.fsum(sums_re) / box.size,
+                   math.fsum(sums_im) / box.size)
+
+
+R2 = GRID_SYSTEMS["rotation"]
+FOLNER_CASES = (
+    # criterion 9's boxes
+    [(G, 1, 2, Observable.character(k), np.array([0.37]), FolnerBox(1024, 512))
+     for k in (1, -2, 3)]
+    + [(R2, 1, 3, Observable.character(k), np.array([0.2, 0.6]),
+        FolnerBox(700, 300)) for k in ((1, 0), (2, -1))]
+    # rows on both sides of CHUNK, a skew pair and a cat-map pair
+    + [(G, 3, 2, Observable.from_dict(1, {(1,): 0.3 - 0.7j, (-3,): 0.6j}),
+        np.array([0.11]), FolnerBox(n1, 3)) for n1 in (CHUNK - 1, CHUNK,
+                                                        CHUNK + 1)]
+    + [(standard_skew(), 1, 2, Observable.from_dict(
+        2, {(1, 1): 0.8 + 0.1j, (0, -1): 0.3 - 0.45j}),
+        np.array([0.3, 0.7]), FolnerBox(300, 40))]
+    + [(cat_map(), 2, 1, Observable.from_dict(
+        2, {(1, 0): 0.7 - 0.2j, (1, -2): 0.35j}),
+        np.array([0.3, 0.7]), FolnerBox(400, 60))])
+
+
+@pytest.mark.parametrize("case", range(len(FOLNER_CASES)))
+def test_folner_bits_match_frozen_row_walk(case):
+    system, p1, p2, f, x, box = FOLNER_CASES[case]
+    got = folner_average((IteratedMap(system, p1), IteratedMap(system, p2)),
+                         f, x, box)
+    assert _bits(got) == _bits(_frozen_folner(((system, p1), (system, p2)),
+                                              f, x, box))
 
 
 def test_folner_commutation_guard():
@@ -493,36 +564,6 @@ def test_periodic_rational_rotation_is_averaged_normally():
     # exactly periodic: every full-period average is identical
     diag = convergence_diagnostic(traj, 1.0)
     assert diag.constant_tail or diag.oscillation <= 1e-15
-
-
-# ---------------------------------------------------------------------------
-# Telescoping product identity
-
-
-def test_product_difference_examples():
-    d, t = product_difference_bound([1 + 0j], [0.5 + 0j])
-    assert d == t == 0.5
-    d, t = product_difference_bound([2, 3], [1, 1])
-    assert d == 5 and t == 5
-    d, t = product_difference_bound([0.3j, 1.2], [0.3j, 1.2])
-    assert d == 0 and t == 0
-
-
-@given(st.lists(st.complex_numbers(max_magnitude=1.0, allow_nan=False,
-                                   allow_infinity=False),
-                min_size=1, max_size=6),
-       st.data())
-def test_product_difference_telescopes(a, data):
-    b = [data.draw(st.complex_numbers(max_magnitude=1.0, allow_nan=False,
-                                      allow_infinity=False))
-         for _ in a]
-    diff, tele = product_difference_bound(a, b)
-    assert abs(diff - tele) <= 1e-12
-
-
-def test_product_difference_length_mismatch():
-    with pytest.raises(ValidationError):
-        product_difference_bound([1], [1, 2])
 
 
 def test_closed_forms_follow_streams_when_a_rate_rounds_to_an_integer():

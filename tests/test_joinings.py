@@ -13,8 +13,7 @@ from ergolab.joinings import (DiagonalAction, ap_fiber_integral,
                               decomposition_consistency, dump_cloud,
                               empirical_self_joining, fiber_integrals,
                               fiber_measure, integrate_tensor, load_cloud,
-                              marginal, self_joining_tensor_integral,
-                              shift_cloud)
+                              self_joining_tensor_integral, shift_cloud)
 from ergolab.observables import Observable, evaluate
 from ergolab.phases import (CHUNK, MeanAccumulator, chunk_ranges, e,
                             exact_sum)
@@ -156,36 +155,21 @@ def test_self_joining_d1_collapses_to_orbit_segments():
                           orbit_points(G, starts[7], 1, 0, 50))
 
 
-def test_marginal_d1_is_identity():
-    m = fiber_measure(G, np.array([0.2]), 1, 30)
-    m1 = marginal(m, 1)
-    assert np.array_equal(m1.points, m.points)
-
-
-def test_marginal_projects():
-    m = empirical_self_joining(G, 4, 6, 9, SplitMix64(2))
-    for j in (1, 3):
-        mj = marginal(m, j)
-        assert mj.arity == 1
-        assert np.array_equal(mj.points[:, :, 0, :], m.points[:, :, j - 1, :])
-    with pytest.raises(ValidationError):
-        marginal(m, 5)
-
-
 def test_marginal_close_to_haar():
     cloud = empirical_self_joining(G, 3, 500, 100, SplitMix64(20251007))
-    for j in (1, 2, 3):
-        mj = marginal(cloud, j)
+    for j in range(3):
         for k in (1, 2, 3):
-            v = integrate_tensor(mj, [Observable.character(k)])
+            v = exact_sum(evaluate(Observable.character(k),
+                                   cloud.points[:, :, j])) / cloud.tuple_count
             assert abs(v) <= 0.05
 
 
 def test_fiber_marginal_is_orbit():
     x = np.array([0.41])
     m = fiber_measure(G, x, 3, 64)
-    m1 = marginal(m, 1)
-    assert np.array_equal(m1.points[0, :, 0, :], orbit_points(G, x, 1, 0, 64))
+    for j in (1, 2, 3):
+        assert np.array_equal(m.points[0, :, j - 1, :],
+                              orbit_points(G, x, j, 0, 64))
 
 
 # ---------------------------------------------------------------------------

@@ -330,7 +330,8 @@ def test_orbit_block_bits_match_frozen_per_start_loop(name, coords):
             _same_bits(system.orbit_points(starts[2], stride, n0, count,
                                            coords), ref[2])
         # three strides written into strided views of one block
-        _same_bits(_orbit_tuples(system, starts, 3, n0, count, coords),
+        _same_bits(_orbit_tuples(system, starts[:, None], 3, n0, count,
+                                 coords),
                    ref_orbit_tuples(system, starts, 3, n0, count, coords))
 
 

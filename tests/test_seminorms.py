@@ -4,14 +4,15 @@ import numpy as np
 import pytest
 
 from ergolab.errors import (FrequencyOverflowError, ValidationError)
-from ergolab.observables import Observable, integral_haar
-from ergolab.phases import e
+from ergolab.observables import Observable, evaluate, integral_haar
+from ergolab.phases import e, exact_sum
 from ergolab.rng import SplitMix64
 from ergolab.seminorms import (hk_seminorm, multilinear_norm_bound_check,
                                quadratic_phase_block, seminorm_ladder,
                                van_der_corput_check, vdc_family)
-from ergolab.systems import (GOLDEN, cat_map, default_heisenberg,
-                             golden_rotation, standard_skew)
+from ergolab.systems import (GOLDEN, ToralAutomorphism, cat_map,
+                             default_heisenberg, golden_rotation, orbit_points,
+                             standard_skew)
 
 G = golden_rotation()
 CM = cat_map()
@@ -199,3 +200,31 @@ def test_bound_check_rotation_characters_trivial_bound():
                                       outer_h=20)
     assert bc.rhs == 1.0      # order-2 seminorm of a character is 1
     assert bc.lhs <= bc.rhs + 0.05
+
+
+def _reference_bound_lhs(system, fs, sample_count, N, seed):
+    """The left side from one orbit per sample and factor (factor j from its
+    own Haar start at stride j + 1) and one exact sum per sample."""
+    rng = SplitMix64(seed)
+    starts = [system.haar_block(rng, sample_count) for _ in fs]
+    squares = []
+    for s in range(sample_count):
+        vals = np.ones(N, dtype=np.complex128)
+        for j, f in enumerate(fs):
+            vals = vals * evaluate(f, orbit_points(system, starts[j][s], j + 1,
+                                                   0, N, coords="obs"))
+        total = exact_sum(vals)
+        squares.append((total.real / N) ** 2 + (total.imag / N) ** 2)
+    return math.sqrt(math.fsum(squares) / sample_count)
+
+
+def test_bound_check_streams_exact_orbits(monkeypatch):
+    fs = [Observable.character((1, 0)), Observable.from_dict(
+        2, {(0, 1): 1.0, (2, -1): 0.5j})]
+    ref = _reference_bound_lhs(CM, fs, 20, 300, 11)
+
+    def no_step(self, p, n=1):
+        raise AssertionError("the bound check stepped a float pseudo-orbit")
+    monkeypatch.setattr(ToralAutomorphism, "step", no_step)
+    bc = multilinear_norm_bound_check(CM, fs, 20, 300, SplitMix64(11))
+    assert abs(bc.lhs - ref) <= 1e-14 * ref
