@@ -44,7 +44,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load(path: str, mode: str, seed_override):
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"cannot read config {path}: {exc}") from None
     cfg = parse_config(text)
     if cfg.mode != mode:
         raise ValidationError(

@@ -139,20 +139,44 @@ def conjugate(f: Observable) -> Observable:
         f.dim, {tuple(-v for v in k): c.conjugate() for k, c in f.terms})
 
 
-def multiply(f: Observable, g: Observable, term_cap: int = TERM_CAP) -> Observable:
-    """Exact product: convolution of the frequency lists."""
-    if f.dim != g.dim:
-        raise DimensionMismatchError("observable dimension mismatch")
+def _check_term_pairs(f: Observable, g: Observable,
+                     term_cap: int = TERM_CAP) -> None:
+    """The cost guard of the product f g: ResourceCapError when it would
+    touch more than term_cap term pairs."""
     if f.term_count * g.term_count > term_cap:
         raise ResourceCapError(
             f"product would touch {f.term_count * g.term_count} term pairs "
             f"(cap {term_cap})")
+
+
+def multiply(f: Observable, g: Observable, term_cap: int = TERM_CAP) -> Observable:
+    """Exact product: convolution of the frequency lists."""
+    if f.dim != g.dim:
+        raise DimensionMismatchError("observable dimension mismatch")
+    _check_term_pairs(f, g, term_cap)
     acc: dict[tuple[int, ...], complex] = {}
     for kf, cf in f.terms:
         for kg, cg in g.terms:
             k = tuple(a + b for a, b in zip(kf, kg))
             acc[k] = acc.get(k, 0.0) + cf * cg
     return Observable.from_dict(f.dim, acc)
+
+
+def product_integral(f: Observable, g: Observable,
+                     term_cap: int = TERM_CAP) -> complex:
+    """integral_haar(multiply(f, g)) without the product: the sum of
+    c_f(k) c_g(-k) over the terms of f, in multiply's pair order, after
+    multiply's checks, so its bits and errors are the product's."""
+    if f.dim != g.dim:
+        raise DimensionMismatchError("observable dimension mismatch")
+    _check_term_pairs(f, g, term_cap)
+    coeffs = dict(g.terms)
+    acc = 0.0
+    for k, c in f.terms:
+        cg = coeffs.get(tuple(-v for v in k))
+        if cg is not None:
+            acc = acc + c * cg
+    return complex(acc)
 
 
 def compose_with_power(f: Observable, system, n: int) -> Observable:

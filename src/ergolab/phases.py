@@ -15,10 +15,12 @@ all precision once the product outgrows the mantissa.  The strategy here:
   products (offset * step, offset <= chunk) occur, so the worst-case phase
   error stays ~1e-12 over arbitrarily long orbits.  Because bases are
   recomputed from absolute indices, the emitted floats are a pure function of
-  the index, independent of how callers slice their requests.  One kernel
-  does the anchoring: `anchored_chunks` yields each chunk's anchor and float
-  offsets, and every orbit and phase stream in the library is built on it
-  (`progression` is frac(base(anchor) + offset * step) for one stream).
+  the index, independent of how callers slice their requests.
+  `anchored_chunks` yields each chunk's anchor and float offsets for the
+  phase streams (`progression` is frac(base(anchor) + offset * step) for
+  one stream); orbits walk the same anchors a window of up to CHUNK
+  indices at a time (systems._slabs), with each anchor's base an exact
+  integer over a power of two rounded by `frac_dyadic`.
 * One kernel sums exactly: `exact_row_sums`, Rump-Ogita-Oishi error-free
   extraction over column blocks of CHUNK, certifies math.fsum's bits for
   every row of a 2-D array (each part of each complex row) in numpy, at one
@@ -103,13 +105,31 @@ def dyadic_combo(terms: Iterable[tuple]) -> tuple[int, int]:
     return num, shift
 
 
-def frac_combo(terms: Iterable[tuple]) -> float:
-    """Exact frac of the dyadic_combo sum, rounded once to double in [0, 1):
+def frac_dyadic(num: int, shift: int) -> float:
+    """Exact frac of num / 2**shift, rounded once to double in [0, 1):
     frac_fraction of the same rational, bit for bit (its residue mod 1 is
     one mask, and int true division rounds it correctly)."""
-    num, shift = dyadic_combo(terms)
     out = (num & ((1 << shift) - 1)) / (1 << shift)
     return 0.0 if out >= 1.0 else out
+
+
+def frac_combo(terms: Iterable[tuple]) -> float:
+    """Exact frac of the dyadic_combo sum, rounded once to double in [0, 1)."""
+    return frac_dyadic(*dyadic_combo(terms))
+
+
+def dyadic(x: float) -> tuple[int, int]:
+    """The double x as (num, shift), x = num / 2**shift."""
+    num, den = x.as_integer_ratio()
+    return num, den.bit_length() - 1
+
+
+def dyadic_align(*sums: tuple[int, int]) -> tuple[list[int], int]:
+    """(num, shift) pairs, as from dyadic or dyadic_combo, as numerators
+    over their largest shift, so that integer combinations of them stay
+    exact."""
+    top = max([shift for _, shift in sums])
+    return [num << top - shift for num, shift in sums], top
 
 
 class PhaseForm:
@@ -165,7 +185,7 @@ def anchored_chunks(n0: int, count: int, chunk: int = CHUNK
                     ) -> Iterator[tuple[int, int, np.ndarray]]:
     """Split [n0, n0+count) at absolute multiples of `chunk` and yield
     (pos, anchor, t): request position pos + i holds index anchor + t[i],
-    with t the float64 in-chunk offsets.  The only place anchors are set."""
+    with t the float64 in-chunk offsets."""
     for start, cnt in chunk_ranges(n0, count, chunk):
         anchor = (start // chunk) * chunk
         yield start - n0, anchor, np.arange(start - anchor, start - anchor + cnt,

@@ -11,8 +11,11 @@ the estimate).  The sum starts at h = 1, matching the van der Corput lemma
 the recursion comes from; starting at h = 0 would pollute finite truncations
 with the constant |f|^2 term that the Cesaro limit kills.
 
-On character sums the inner integrals resolve exactly (the "exact" path);
-when the symbolic product algebra would blow past its term cap the estimate
+On character sums the inner integrals resolve exactly (the "exact" path).
+The last level needs only the Haar integral of f . T^h conj(f), the sum of
+c_f(k) c_g(-k) with g = conj(f) o T^h, so it reads that coefficient without
+building the product.  When the symbolic product algebra would blow past
+its term cap (the last level keeps the product's cap check) the estimate
 falls back to Monte Carlo: inner integrals become length-N Birkhoff averages
 from a seeded Haar start, with products expanded as shift/conjugation lists
 evaluated pointwise along one orbit.
@@ -28,7 +31,7 @@ import numpy as np
 
 from .errors import ResourceCapError, ValidationError
 from .observables import (Observable, compose_with_power, conjugate,
-                          evaluate, integral_haar, multiply)
+                          evaluate, integral_haar, multiply, product_integral)
 from .joinings import _streamed_start_means
 from .phases import (anchored_chunks, chunk_ranges, exact_sum, frac,
                      frac_combo, CHUNK)
@@ -52,13 +55,18 @@ class SeminormEstimate:
 
 
 def _raised_exact(system, f: Observable, order: int, H: int) -> float:
-    """|||f|||_order ^ (2^order) along the exact character algebra."""
+    """|||f|||_order ^ (2^order) along the exact character algebra; the
+    order-2 level takes each product's Haar integral by product_integral."""
     if order == 1:
         return abs(integral_haar(f)) ** 2
+    fc = conjugate(f)
     vals = []
     for h in range(1, H + 1):
-        g = multiply(f, compose_with_power(conjugate(f), system, h))
-        vals.append(_raised_exact(system, g, order - 1, H))
+        g = compose_with_power(fc, system, h)
+        if order == 2:
+            vals.append(abs(product_integral(f, g)) ** 2)
+        else:
+            vals.append(_raised_exact(system, multiply(f, g), order - 1, H))
     return math.fsum(vals) / H
 
 

@@ -21,7 +21,11 @@ reduced exactly by phases.dyadic_combo (a double is an integer over a power
 of two) so that arbitrarily large n loses no precision.  Orbit segments are
 generated in chunks anchored at absolute indices (see phases.py), which
 makes the emitted floats a pure function of the orbit index -- two callers
-asking for overlapping ranges get bit-equal points.
+asking for overlapping ranges get bit-equal points.  `_slabs` walks a
+request in windows of at most CHUNK indices and slabs of starts: each
+anchor is one exact integer polynomial in the anchor over one power of two
+per start, and each float expression is evaluated once over a (starts,
+anchors, offsets) grid per window.
 
 Orbits have one entry point, `DynamicalSystem.orbit_block`: a kind
 implements `_orbits`, which fills the rows of all starts at once, and
@@ -29,19 +33,21 @@ implements `_orbits`, which fills the rows of all starts at once, and
 where perfbench's tracer wraps it per kind).  `_rotate` builds every
 rotation-type column, and `_power_rows` every automorphism row: a start with
 denominator 2**K only needs A^n mod 2**K, read from one table of powers in
-uint64 (exact mod 2**64) for K <= 64, in Python ints for finer starts.
+uint64 (exact mod 2**64) for K <= 64, in Python ints for finer starts; the
+last few tables are kept for the next calls.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionMismatchError, ValidationError
-from .phases import (CHUNK, anchored_chunks, dyadic_combo, e, format_real,
-                     frac, frac_combo)
+from .phases import (CHUNK, chunk_ranges, dyadic, dyadic_align, dyadic_combo,
+                     e, format_real, frac, frac_combo, frac_dyadic)
 from .rng import SplitMix64
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -199,29 +205,55 @@ class DynamicalSystem:
                                 coords)[0]
 
 
-def _slabs(starts, n0: int, count: int, chunk: int):
-    """(rows, cols, anchor, t, pts) for each slab of start rows and each
-    anchored chunk of [n0, n0+count): out[rows, cols] is the part to fill
-    and pts the slab's starts.  Slabs keep temporaries within CHUNK values."""
-    rows = CHUNK // min(max(count, 1), chunk)
-    for r0 in range(0, len(starts), rows):
-        pts = starts[r0:r0 + rows].tolist()
-        for pos, anchor, t in anchored_chunks(n0, count, chunk):
-            yield (slice(r0, r0 + rows), slice(pos, pos + t.size), anchor, t,
-                   pts)
+def _slabs(nstarts: int, n0: int, count: int, chunk: int):
+    """(rows, cols, anchors, t, sel) for each window of [n0, n0+count)
+    between consecutive multiples of CHUNK and each slab of start rows:
+    out[rows, cols] is the part to fill.  Index anchors[j] + t[i] of the
+    window sits at (j, i) of a (rows, anchors, t) grid, anchors being
+    consecutive multiples of `chunk`, and `sel` cuts the window out of each
+    row of the flattened grid.  A window inside one chunk has its own
+    offsets as t; a longer one has t = 0..chunk-1, the same offsets on every
+    anchor.  Slabs keep each grid within CHUNK values or one row."""
+    for start, cnt in chunk_ranges(n0, count, CHUNK):
+        first, last = start // chunk, (start + cnt - 1) // chunk
+        off = start - first * chunk
+        if first == last:
+            t, sel = np.arange(off, off + cnt, dtype=np.float64), slice(0, cnt)
+        else:
+            t, sel = np.arange(chunk, dtype=np.float64), slice(off, off + cnt)
+        anchors = range(first * chunk, (last + 1) * chunk, chunk)
+        rows = max(1, CHUNK // (len(anchors) * t.size))
+        cols = slice(start - n0, start - n0 + cnt)
+        for r0 in range(0, nstarts, rows):
+            yield slice(r0, r0 + rows), cols, anchors, t, sel
+
+
+def _window(grid, sel):
+    """The window `sel` of each row of a (rows, anchors, t) grid."""
+    return grid.reshape(len(grid), -1)[:, sel]
 
 
 def _rotate(starts, alpha, stride: int, n0: int, count: int, out,
             chunk: int = CHUNK) -> None:
     """Rotation-type columns, out[:, i, c] = frac(starts[:, c] + (n0 + i)
     * stride * alpha[c]): the stride phase is reduced once per coordinate
-    and each chunk base once per (start, anchor, coordinate), so a row's
-    bits do not depend on the other starts."""
-    steps = [frac_combo([(stride, a)]) for a in alpha]
-    for rows, cols, anchor, t, pts in _slabs(starts, n0, count, chunk):
-        for c, (a, step) in enumerate(zip(alpha, steps)):
-            base = [frac_combo([(1, x[c]), (stride * anchor, a)]) for x in pts]
-            out[rows, cols, c] = frac(np.array(base)[:, None] + t * step)
+    and each chunk base once per (start, anchor, coordinate), as the exact
+    integer X + anchor * stride * A over one power of two per start, so a
+    row's bits do not depend on the other starts."""
+    for c, a in enumerate(alpha):
+        ra, ka = dyadic_combo([(stride, a)])
+        step = frac_dyadic(ra, ka)
+        for rows, cols, anchors, t, sel in _slabs(len(starts), n0, count,
+                                                  chunk):
+            # x = m / 2**k and the rate stride * a over one power of two,
+            # aligned inline: this runs once per start of every cloud slab
+            coefs = [(m, ra << k - ka, k) if (k := d.bit_length() - 1) >= ka
+                     else (m << ka - k, ra, ka) for m, d in
+                     map(float.as_integer_ratio, starts[rows, c].tolist())]
+            base = np.array([frac_dyadic(x + s * sa, k)
+                             for x, sa, k in coefs for s in anchors])
+            out[rows, cols, c] = _window(
+                frac(base.reshape(-1, len(anchors), 1) + t * step), sel)
 
 
 @dataclass(frozen=True)
@@ -338,21 +370,27 @@ class SkewProduct(DynamicalSystem):
                 out[:, :, :self.base_dim], chunk)
         for f in range(self.fiber_dim):
             col = self.base_dim + f
-            row = [(B, a) for B, a in zip(self.linear[f], self.base_alpha)]
-            abf = frac_combo(row)
-            for rows, cols, anchor, t, pts in _slabs(starts, n0, count, chunk):
-                s0 = stride * anchor
-                # g_f(s0 + u) = Bg0 + u*Bg1 + C(u,2)*ab  (mod 1), u = stride*t,
-                # with Bg0 and Bg1 exact per start
-                bg0, bg1 = np.array([
-                    (frac_combo([(1, x[col])]
-                                + self._fiber_shift_terms(x, s0, f)),
-                     frac_combo(self._fiber_shift_terms(x, 1, f)
-                                + [(B * s0, a) for B, a in row]))
-                    for x in pts]).T[:, :, None]
+            row = list(zip(self.linear[f], self.base_alpha))
+            ab = dyadic_combo(row)
+            abf = frac_dyadic(*ab)
+            # g_f(s0 + u) = bg0 + u*bg1 + C(u,2)*abf (mod 1), u = stride*t,
+            # with bg0 = g + s0 (B y + c) + C(s0,2) B alpha and bg1 =
+            # B y + c + s0 B alpha exact per (start, anchor s0)
+            for rows, cols, anchors, t, sel in _slabs(len(starts), n0, count,
+                                                      chunk):
+                s0s = [stride * a for a in anchors]
+                bg = []
+                for x in starts[rows].tolist():
+                    (c0, c1, c2), k = dyadic_align(
+                        dyadic(x[col]),
+                        dyadic_combo(self._fiber_shift_terms(x, 1, f)), ab)
+                    bg += [(frac_dyadic(c0 + s * c1 + binom2(s) * c2, k),
+                            frac_dyadic(c1 + s * c2, k)) for s in s0s]
+                bg = np.array(bg).reshape(-1, len(s0s), 2)
                 u = stride * t
-                out[rows, cols, col] = frac(bg0 + u * bg1
-                                            + (u * (u - 1.0) / 2.0) * abf)
+                out[rows, cols, col] = _window(
+                    frac(bg[..., :1] + u * bg[..., 1:]
+                         + (u * (u - 1.0) / 2.0) * abf), sel)
 
     def character_action(self, k: tuple[int, ...]) -> tuple[tuple[int, ...], list, list]:
         """For k = (p, q): the fiber moves by B y + c and by C(t,2) B alpha,
@@ -456,6 +494,35 @@ def _int_mat_inverse(a):
     return tuple(tuple(det * x for x in row) for row in cof)
 
 
+def _reduced_power(matrix, n: int, top: int) -> np.ndarray:
+    """A^n mod 2**top: uint64 when top is 64, Python ints otherwise."""
+    return np.array(_int_mat_pow(matrix, n, 1 << top),
+                    np.uint64 if top == 64 else object)
+
+
+@functools.lru_cache(maxsize=4)
+def _power_table(matrix, stride: int, span: int, top: int) -> np.ndarray:
+    """A^(stride u) mod 2**top for u < span, read-only, as a (dim, span*dim)
+    array whose column u*dim + i is row i of A^(stride u); uint64 when top
+    is 64, Python ints otherwise.  Built by doubling: each doubling's
+    A^(stride n) is the table's last entry times A^stride.  The last four
+    tables are kept, so a d-fold product joining asking for one start at a
+    time (criterion 5: strides 1 and 2 in turn) builds each once."""
+    dim = len(matrix)
+    step = _reduced_power(matrix, stride, top)
+    wrap = np.array((1 << top) - 1, step.dtype)[()]
+    table = np.empty((span, dim, dim), step.dtype)
+    table[:1] = _reduced_power(matrix, 0, top)
+    n = 1
+    while n < span:
+        m = min(n, span - n)
+        table[n:n + m] = (table[n - 1] @ step @ table[:m]) & wrap
+        n += m
+    table = table.reshape(-1, dim).T
+    table.flags.writeable = False
+    return table
+
+
 def _power_rows(matrix, ratios, exps, stride: int, n0: int, count: int,
                 out, rows) -> None:
     """out[rows[s], i] = frac(A^(stride (n0 + i)) x_s) for the starts with
@@ -465,10 +532,9 @@ def _power_rows(matrix, ratios, exps, stride: int, n0: int, count: int,
     2**K, so a row is (A^n X_s mod 2**K) / 2**K and needs A^n only mod 2**K.
     When every K <= 64 the integers are uint64, whose wrapping arithmetic is
     exact mod 2**64 (a multiple of 2**K); otherwise Python ints mod 2**max K.
-    One table of A^(stride u), built by doubling (each doubling's
-    A^(stride n) is the table's last entry times A^stride), and one power
-    per anchored piece, moving the starts to its first index, give all rows;
-    integer arithmetic is exact, so the bits do not depend on the split.
+    One table of A^(stride u) (`_power_table`) and one power per window of
+    `_slabs`, moving the starts to its first index, give all rows; integer
+    arithmetic is exact, so the bits do not depend on the split.
     A residue r is rounded once to r / 2**K: a uint64 cast rounds to nearest
     even and the division by 2**K is exact, and int division rounds
     correctly; as in frac_combo, a result of 1.0 becomes 0.0."""
@@ -476,27 +542,15 @@ def _power_rows(matrix, ratios, exps, stride: int, n0: int, count: int,
     top = max(64, *exps)
     dtype = np.uint64 if top == 64 else object
     wrap = np.array((1 << top) - 1, dtype)[()]
-
-    def power(n):
-        return np.array(_int_mat_pow(matrix, n, 1 << top), dtype)
-
     X = np.array([[(m << k - d.bit_length() + 1) & ((1 << k) - 1)
                    for m, d in r] for r, k in zip(ratios, exps)], dtype)
     masks = np.array([(1 << k) - 1 for k in exps], dtype)[:, None]
     scale = (np.ldexp(1.0, exps) if top == 64
              else np.array([1 << k for k in exps], object))[:, None]
-    span = min(count, CHUNK)
-    table = np.empty((span, dim, dim), dtype)
-    table[:1] = power(0)
-    step = power(stride)
-    n = 1
-    while n < span:
-        m = min(n, span - n)
-        table[n:n + m] = (table[n - 1] @ step @ table[:m]) & wrap
-        n += m
-    table = table.reshape(-1, dim).T      # column u*dim + i: row i of A^(stride u)
-    for sl, cols, _, t, _ in _slabs(X, n0, count, CHUNK):
-        y = (X[sl] @ power(stride * (n0 + cols.start)).T) & wrap
+    table = _power_table(matrix, stride, min(count, CHUNK), top)
+    for sl, cols, _, t, _ in _slabs(len(X), n0, count, CHUNK):
+        y = (X[sl] @ _reduced_power(matrix, stride * (n0 + cols.start),
+                                    top).T) & wrap
         r = (y @ table[:, :t.size * dim]) & masks[sl]
         v = (r / scale[sl]).astype(np.float64).reshape(len(y), t.size, dim)
         v[v >= 1.0] = 0.0
@@ -672,28 +726,36 @@ class HeisenbergTranslation(DynamicalSystem):
         # the xs*gt error stays ~1e-10 even at large n.
         chunk = _quad_chunk(stride)
         _rotate(starts, (a,), stride, n0, count, out[:, :, 2:], chunk)
-        abf = frac_combo([(1, a, b)])
-        for rows, cols, anchor, t, pts in _slabs(starts, n0, count, chunk):
-            s0 = stride * anchor
+        (na, ka), nb, nab = dyadic(a), dyadic(b), dyadic_combo([(1, a, b)])
+        abf = frac_dyadic(*nab)
+        for rows, cols, anchors, t, sel in _slabs(len(starts), n0, count,
+                                                  chunk):
+            s0s = [stride * v for v in anchors]
+            anch = []                     # reduced exactly, per start
+            for x0, y0, z0 in starts[rows].tolist():
+                ny, ky = dyadic(y0)
+                # y0, b, z0, ab, a y0, x0 and a over one power of two 2**k
+                (Y, B, Z, AB, AY, X, A), k = dyadic_align(
+                    (ny, ky), nb, dyadic(z0), nab, (na * ny, ka + ky),
+                    dyadic(x0), (na, ka))
+                for s0 in s0s:
+                    yn = Y + s0 * B       # y0 + s0 b, and F0 its floor
+                    bigF0 = yn >> k
+                    anch.append((frac_dyadic(yn, k),
+                                 frac_dyadic(Z + binom2(s0) * AB + s0 * AY, k),
+                                 frac_dyadic(s0 * AB + AY, k),
+                                 frac_dyadic(bigF0 * (X + s0 * A), k),
+                                 frac_dyadic(bigF0 * A, k)))
+            yf0, bz0, bz1, bx0, bx1 = np.array(anch).reshape(
+                -1, len(s0s), 5).transpose(2, 0, 1)[..., None]
             u = stride * t
-            anchors = []                  # reduced exactly, per start
-            for x0, y0, z0 in pts:
-                num, shift = dyadic_combo([(1, y0), (s0, b)])
-                bigF0 = num >> shift
-                anchors.append((
-                    frac_combo([(1, y0), (s0, b)]),
-                    frac_combo([(1, z0), (binom2(s0), a, b), (s0, a, y0)]),
-                    frac_combo([(s0, a, b), (1, a, y0)]),
-                    frac_combo([(bigF0, x0), (s0 * bigF0, a)]),
-                    frac_combo([(bigF0, a)])))
-            yf0, bz0, bz1, bx0, bx1 = np.array(anchors).T[:, :, None]
-            gt = np.floor(yf0 + u * b)
+            gt = _window(np.floor(yf0 + u * b), sel)
             xs = out[rows, cols, 2]
             # xs differs from raw_x by an integer, and gt is an integer, so
             # xs * gt matches raw_x * gt mod 1
-            out[rows, cols, 2] = frac(bz0 + u * bz1
-                                      + (u * (u - 1.0) / 2.0) * abf
-                                      - bx0 - u * bx1 - xs * gt)
+            out[rows, cols, 2] = frac(
+                _window(bz0 + u * bz1 + (u * (u - 1.0) / 2.0) * abf
+                        - bx0 - u * bx1, sel) - xs * gt)
 
     def phase_basis(self) -> tuple[float, float]:
         return (self.alpha, self.beta)

@@ -291,6 +291,20 @@ def test_cli_validation_exit_code(tmp_path):
     assert "seed" in proc.stderr
 
 
+@pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8"])
+def test_cli_unreadable_config_is_validation_error(tmp_path, capsys, kind):
+    cfg = tmp_path / "bad.cfg"
+    if kind == "directory":
+        cfg.mkdir()
+    elif kind == "not-utf8":
+        cfg.write_bytes(BASE_CFG.encode() + b"# \xff\xfe\n")
+    out = tmp_path / "out"
+    assert cli.main(["average", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: ") and str(cfg) in err
+    assert not out.exists()
+
+
 def test_cli_rejects_tol_keys(tmp_path):
     # tol_* keys are unknown run keys like any other: exit 2, nothing written
     cfg = tmp_path / "tol.cfg"

@@ -10,7 +10,7 @@ from ergolab.errors import (DimensionMismatchError, FrequencyOverflowError,
                             ResourceCapError, ValidationError)
 from ergolab.observables import (Observable, compose_with_power, conjugate,
                                  evaluate, format_observable, integral_haar,
-                                 multiply, parse_observable)
+                                 multiply, parse_observable, product_integral)
 from ergolab.phases import CHUNK, TWO_PI, e, frac_combo
 from ergolab.rng import SplitMix64
 from ergolab.systems import (ToralAutomorphism, cat_map, default_heisenberg,
@@ -96,6 +96,25 @@ def test_multiply_term_cap():
     f = Observable.from_dict(1, {(k,): 1.0 for k in range(40)})
     with pytest.raises(ResourceCapError):
         multiply(f, f, term_cap=100)
+    with pytest.raises(ResourceCapError, match="1600 term pairs"):
+        product_integral(f, f, term_cap=100)
+    with pytest.raises(DimensionMismatchError):
+        product_integral(f, Observable.character((1, 0)))
+
+
+@given(observables(dim=2, max_terms=5, kmax=2),
+       observables(dim=2, max_terms=5, kmax=2))
+def test_product_integral_bits_match_the_product(f, g):
+    want = integral_haar(multiply(f, g))
+    got = product_integral(f, g)
+    assert type(got) is complex
+    assert (got.real.hex(), got.imag.hex()) == \
+        (want.real.hex(), want.imag.hex())
+    # an exactly cancelling pair: the product drops its zero constant term
+    h = Observable.from_dict(2, {(1, 0): 1.0, (0, 1): -1.0})
+    hc = Observable.from_dict(2, {(-1, 0): 1.0, (0, -1): 1.0})
+    assert product_integral(h, hc).imag.hex() == \
+        integral_haar(multiply(h, hc)).imag.hex() == (0.0).hex()
 
 
 # ---------------------------------------------------------------------------

@@ -335,6 +335,52 @@ def test_orbit_block_bits_match_frozen_per_start_loop(name, coords):
                    ref_orbit_tuples(system, starts, 3, n0, count, coords))
 
 
+# (n0, count) windows as a stream or a cloud slab asks for them: CHUNK values
+# starting off an anchor (at stride 1 they cross 16 quadratic-phase anchors),
+# exactly one CHUNK, exactly one quadratic chunk at strides 1 and +-3 (341
+# values, which do not divide CHUNK), a window holding the CHUNK anchor
+# inside a stride-3 quadratic chunk, and CHUNK values from 10**12 - 40
+ORBIT_WINDOWS = ((CHUNK + 100, CHUNK), (CHUNK, CHUNK), (1024, 1024),
+                 (0, 341), (CHUNK - 30, 341), (10 ** 12 - 40, CHUNK))
+# every coordinate 2**-65, and 5e-324 beside 2**-65 and a Haar value: the
+# dyadic exponents exceed 64, so the anchors need more than 64-bit integers
+FINE_STARTS = (2.0 ** -65, (5e-324, 2.0 ** -65, 0.8374))
+
+
+@pytest.mark.parametrize("name,coords", [(name, "state") for name in SYSTEMS]
+                         + [("heisenberg", "obs")])
+def test_orbit_windows_match_frozen_loops(name, coords):
+    system = SYSTEMS[name]
+    starts = np.array([np.resize(v, system.dim) for v in FINE_STARTS]
+                      + [_block_starts(system.dim, 3)[2]])
+    for stride in (1, 2, 3, -3):
+        for n0, count in ORBIT_WINDOWS:
+            got = system.orbit_block(starts, stride, n0, count, coords)
+            for x, row in zip(starts, got):
+                _same_bits(row, _reference(system, x, stride, n0, count,
+                                           coords))
+
+
+@pytest.mark.parametrize("system", [Rotation((GOLDEN, SQRT2_M1)),
+                                    standard_skew()],
+                         ids=["rotation", "skew"])
+def test_cloud_build_peak_memory_is_bounded(system):
+    # a 5,000 x 100 cloud at d = 3 holds 22.9 MB of points; each slab of
+    # 163 starts may add temporaries of a few CHUNK-sized arrays and the
+    # slab's exact anchors, not a grid padded to whole chunks
+    # (163 x 16,384 doubles would be 21 MB)
+    import tracemalloc
+    from ergolab.joinings import empirical_self_joining
+    from ergolab.rng import SplitMix64
+    tracemalloc.start()
+    try:
+        cloud = empirical_self_joining(system, 3, 5000, 100, SplitMix64(3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - cloud.points.nbytes < 2 ** 20
+
+
 def ref_frac_combo(terms):
     """frac_combo before it summed in integers: one Fraction per term."""
     acc = Fraction(0)

@@ -3,11 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from ergolab.errors import (FrequencyOverflowError, ValidationError)
-from ergolab.observables import Observable, evaluate, integral_haar
+from ergolab.errors import (FrequencyOverflowError, ResourceCapError,
+                            ValidationError)
+from ergolab.observables import (Observable, compose_with_power, conjugate,
+                                 evaluate, integral_haar, multiply)
 from ergolab.phases import e, exact_sum
 from ergolab.rng import SplitMix64
-from ergolab.seminorms import (hk_seminorm, multilinear_norm_bound_check,
+from ergolab.seminorms import (_raised_exact, hk_seminorm,
+                               multilinear_norm_bound_check,
                                quadratic_phase_block, seminorm_ladder,
                                van_der_corput_check, vdc_family)
 from ergolab.systems import (GOLDEN, ToralAutomorphism, cat_map,
@@ -80,6 +83,69 @@ def test_overflow_propagates_from_composition():
     with pytest.raises(FrequencyOverflowError):
         hk_seminorm(CM, Observable.character((1, 0)), 2, outer_h=500,
                     method="exact")
+
+
+def ref_raised_exact(system, f, order, H):
+    """_raised_exact as it stood with the full product at every level."""
+    if order == 1:
+        return abs(integral_haar(f)) ** 2
+    vals = []
+    for h in range(1, H + 1):
+        g = multiply(f, compose_with_power(conjugate(f), system, h))
+        vals.append(ref_raised_exact(system, g, order - 1, H))
+    return math.fsum(vals) / H
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args).hex()
+    except ResourceCapError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _seminorm_observables(dim):
+    rng = np.random.default_rng(17)
+    zero = (0,) * dim
+    out = [Observable.character((1,) + zero[1:]),
+           Observable.from_dict(dim, {zero: 0.5, (1,) + zero[1:]: 0.5}),
+           # a real-valued f, whose conjugate has the same frequencies
+           Observable.from_dict(dim, {(1,) + zero[1:]: 0.5 - 0.25j,
+                                      (-1,) + zero[1:]: 0.5 + 0.25j})]
+    for n in (3, 4):
+        coeffs = {}
+        while len(coeffs) < n:
+            k = tuple(int(v) for v in rng.integers(-2, 3, dim))
+            coeffs[k] = complex(*rng.normal(size=2))
+        out.append(Observable.from_dict(dim, coeffs))
+    return out
+
+
+@pytest.mark.parametrize("system", [G, standard_skew(), default_heisenberg(),
+                                    CM],
+                         ids=lambda s: type(s).__name__)
+def test_raised_exact_bits_match_full_product_recursion(system):
+    # the last level reads only the Haar coefficient of each product; its
+    # values, overflows and caps are those of the full product
+    for order, H in ((2, 30), (3, 6), (4, 2)):
+        for f in _seminorm_observables(system.obs_dim):
+            assert _outcome(_raised_exact, system, f, order, H) == \
+                _outcome(ref_raised_exact, system, f, order, H)
+    # a product past TERM_CAP (1,001 x 1,001 term pairs)
+    wide = Observable.from_dict(system.obs_dim, {
+        (k,) + (0,) * (system.obs_dim - 1): 1.0 for k in range(-500, 501)})
+    got = _outcome(_raised_exact, system, wide, 2, 3)
+    assert got[0] == "ResourceCapError"
+    assert got == _outcome(ref_raised_exact, system, wide, 2, 3)
+
+
+def test_cat_map_h60_still_falls_back_to_monte_carlo():
+    f = Observable.character((1, 0), coeff=0.75)
+    assert _outcome(_raised_exact, CM, f, 2, 60) == \
+        _outcome(ref_raised_exact, CM, f, 2, 60)
+    with pytest.raises(FrequencyOverflowError):
+        hk_seminorm(CM, f, 2, outer_h=60, method="exact")
+    est = hk_seminorm(CM, f, 2, outer_h=60, inner_n=2000, rng=SplitMix64(9))
+    assert not est.exact and est.inner_n == 2000 and est.outer_h == 60
 
 
 def test_validation():
