@@ -162,14 +162,13 @@ def multiply(f: Observable, g: Observable, term_cap: int = TERM_CAP) -> Observab
     return Observable.from_dict(f.dim, acc)
 
 
-def product_integral(f: Observable, g: Observable,
-                     term_cap: int = TERM_CAP) -> complex:
+def product_integral(f: Observable, g: Observable) -> complex:
     """integral_haar(multiply(f, g)) without the product: the sum of
     c_f(k) c_g(-k) over the terms of f, in multiply's pair order, after
     multiply's checks, so its bits and errors are the product's."""
     if f.dim != g.dim:
         raise DimensionMismatchError("observable dimension mismatch")
-    _check_term_pairs(f, g, term_cap)
+    _check_term_pairs(f, g)
     coeffs = dict(g.terms)
     acc = 0.0
     for k, c in f.terms:

@@ -118,14 +118,8 @@ def frac_combo(terms: Iterable[tuple]) -> float:
     return frac_dyadic(*dyadic_combo(terms))
 
 
-def dyadic(x: float) -> tuple[int, int]:
-    """The double x as (num, shift), x = num / 2**shift."""
-    num, den = x.as_integer_ratio()
-    return num, den.bit_length() - 1
-
-
 def dyadic_align(*sums: tuple[int, int]) -> tuple[list[int], int]:
-    """(num, shift) pairs, as from dyadic or dyadic_combo, as numerators
+    """(num, shift) pairs, as from dyadic_combo, as numerators
     over their largest shift, so that integer combinations of them stay
     exact."""
     top = max([shift for _, shift in sums])

@@ -34,7 +34,7 @@ where perfbench's tracer wraps it per kind).  `_rotate` builds every
 rotation-type column, and `_power_rows` every automorphism row: a start with
 denominator 2**K only needs A^n mod 2**K, read from one table of powers in
 uint64 (exact mod 2**64) for K <= 64, in Python ints for finer starts; the
-last few tables are kept for the next calls.
+last four uint64 tables are kept for the next calls.
 """
 
 from __future__ import annotations
@@ -46,8 +46,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, ValidationError
-from .phases import (CHUNK, chunk_ranges, dyadic, dyadic_align, dyadic_combo,
-                     e, format_real, frac, frac_combo, frac_dyadic)
+from .phases import (CHUNK, chunk_ranges, dyadic_align, dyadic_combo, e,
+                     format_real, frac, frac_combo, frac_dyadic)
 from .rng import SplitMix64
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -213,7 +213,10 @@ def _slabs(nstarts: int, n0: int, count: int, chunk: int):
     consecutive multiples of `chunk`, and `sel` cuts the window out of each
     row of the flattened grid.  A window inside one chunk has its own
     offsets as t; a longer one has t = 0..chunk-1, the same offsets on every
-    anchor.  Slabs keep each grid within CHUNK values or one row."""
+    anchor.  Slabs keep each grid within CHUNK values or one row.  (Laying
+    per-anchor values over the window by np.repeat instead, with no padding,
+    made one-start CHUNK windows 1.5-2x slower: numpy pays per element for
+    the repeat and the offsets, not for the padded grid's broadcast.)"""
     for start, cnt in chunk_ranges(n0, count, CHUNK):
         first, last = start // chunk, (start + cnt - 1) // chunk
         off = start - first * chunk
@@ -246,7 +249,9 @@ def _rotate(starts, alpha, stride: int, n0: int, count: int, out,
         for rows, cols, anchors, t, sel in _slabs(len(starts), n0, count,
                                                   chunk):
             # x = m / 2**k and the rate stride * a over one power of two,
-            # aligned inline: this runs once per start of every cloud slab
+            # aligned inline: this runs once per start of every cloud slab,
+            # and dyadic_combo + dyadic_align here took a 5,000 x 100 golden
+            # rotation cloud at strides 1-3 from 24-26 to 61-74 ms
             coefs = [(m, ra << k - ka, k) if (k := d.bit_length() - 1) >= ka
                      else (m << ka - k, ra, ka) for m, d in
                      map(float.as_integer_ratio, starts[rows, c].tolist())]
@@ -382,7 +387,7 @@ class SkewProduct(DynamicalSystem):
                 bg = []
                 for x in starts[rows].tolist():
                     (c0, c1, c2), k = dyadic_align(
-                        dyadic(x[col]),
+                        dyadic_combo([(1, x[col])]),
                         dyadic_combo(self._fiber_shift_terms(x, 1, f)), ab)
                     bg += [(frac_dyadic(c0 + s * c1 + binom2(s) * c2, k),
                             frac_dyadic(c1 + s * c2, k)) for s in s0s]
@@ -500,14 +505,11 @@ def _reduced_power(matrix, n: int, top: int) -> np.ndarray:
                     np.uint64 if top == 64 else object)
 
 
-@functools.lru_cache(maxsize=4)
 def _power_table(matrix, stride: int, span: int, top: int) -> np.ndarray:
-    """A^(stride u) mod 2**top for u < span, read-only, as a (dim, span*dim)
-    array whose column u*dim + i is row i of A^(stride u); uint64 when top
-    is 64, Python ints otherwise.  Built by doubling: each doubling's
-    A^(stride n) is the table's last entry times A^stride.  The last four
-    tables are kept, so a d-fold product joining asking for one start at a
-    time (criterion 5: strides 1 and 2 in turn) builds each once."""
+    """A^(stride u) mod 2**top for u < span, as a (dim, span*dim) array
+    whose column u*dim + i is row i of A^(stride u); uint64 when top is 64,
+    Python ints otherwise.  Built by doubling: each doubling's A^(stride n)
+    is the table's last entry times A^stride."""
     dim = len(matrix)
     step = _reduced_power(matrix, stride, top)
     wrap = np.array((1 << top) - 1, step.dtype)[()]
@@ -518,7 +520,17 @@ def _power_table(matrix, stride: int, span: int, top: int) -> np.ndarray:
         m = min(n, span - n)
         table[n:n + m] = (table[n - 1] @ step @ table[:m]) & wrap
         n += m
-    table = table.reshape(-1, dim).T
+    return table.reshape(-1, dim).T
+
+
+@functools.lru_cache(maxsize=4)
+def _uint64_power_table(matrix, stride: int, span: int) -> np.ndarray:
+    """_power_table at top = 64, read-only and kept: the last four tables
+    (one of CHUNK 3 x 3 powers holds 1.2 MB), so a product joining of up to
+    d = 4 strides that asks for one start at a time (criterion 5: strides 1
+    and 2 in turn) builds each stride's table once.  Tables of Python ints,
+    for starts finer than 2**-64, are built per call."""
+    table = _power_table(matrix, stride, span, 64)
     table.flags.writeable = False
     return table
 
@@ -532,7 +544,8 @@ def _power_rows(matrix, ratios, exps, stride: int, n0: int, count: int,
     2**K, so a row is (A^n X_s mod 2**K) / 2**K and needs A^n only mod 2**K.
     When every K <= 64 the integers are uint64, whose wrapping arithmetic is
     exact mod 2**64 (a multiple of 2**K); otherwise Python ints mod 2**max K.
-    One table of A^(stride u) (`_power_table`) and one power per window of
+    One table of A^(stride u) (`_power_table`, kept by
+    `_uint64_power_table` when every K <= 64) and one power per window of
     `_slabs`, moving the starts to its first index, give all rows; integer
     arithmetic is exact, so the bits do not depend on the split.
     A residue r is rounded once to r / 2**K: a uint64 cast rounds to nearest
@@ -547,7 +560,9 @@ def _power_rows(matrix, ratios, exps, stride: int, n0: int, count: int,
     masks = np.array([(1 << k) - 1 for k in exps], dtype)[:, None]
     scale = (np.ldexp(1.0, exps) if top == 64
              else np.array([1 << k for k in exps], object))[:, None]
-    table = _power_table(matrix, stride, min(count, CHUNK), top)
+    span = min(count, CHUNK)
+    table = (_uint64_power_table(matrix, stride, span) if top == 64
+             else _power_table(matrix, stride, span, top))
     for sl, cols, _, t, _ in _slabs(len(X), n0, count, CHUNK):
         y = (X[sl] @ _reduced_power(matrix, stride * (n0 + cols.start),
                                     top).T) & wrap
@@ -726,18 +741,18 @@ class HeisenbergTranslation(DynamicalSystem):
         # the xs*gt error stays ~1e-10 even at large n.
         chunk = _quad_chunk(stride)
         _rotate(starts, (a,), stride, n0, count, out[:, :, 2:], chunk)
-        (na, ka), nb, nab = dyadic(a), dyadic(b), dyadic_combo([(1, a, b)])
+        na, nb, nab = (dyadic_combo([(1, a)]), dyadic_combo([(1, b)]),
+                       dyadic_combo([(1, a, b)]))
         abf = frac_dyadic(*nab)
         for rows, cols, anchors, t, sel in _slabs(len(starts), n0, count,
                                                   chunk):
             s0s = [stride * v for v in anchors]
             anch = []                     # reduced exactly, per start
             for x0, y0, z0 in starts[rows].tolist():
-                ny, ky = dyadic(y0)
                 # y0, b, z0, ab, a y0, x0 and a over one power of two 2**k
                 (Y, B, Z, AB, AY, X, A), k = dyadic_align(
-                    (ny, ky), nb, dyadic(z0), nab, (na * ny, ka + ky),
-                    dyadic(x0), (na, ka))
+                    dyadic_combo([(1, y0)]), nb, dyadic_combo([(1, z0)]), nab,
+                    dyadic_combo([(1, a, y0)]), dyadic_combo([(1, x0)]), na)
                 for s0 in s0s:
                     yn = Y + s0 * B       # y0 + s0 b, and F0 its floor
                     bigF0 = yn >> k

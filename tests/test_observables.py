@@ -96,10 +96,18 @@ def test_multiply_term_cap():
     f = Observable.from_dict(1, {(k,): 1.0 for k in range(40)})
     with pytest.raises(ResourceCapError):
         multiply(f, f, term_cap=100)
-    with pytest.raises(ResourceCapError, match="1600 term pairs"):
-        product_integral(f, f, term_cap=100)
     with pytest.raises(DimensionMismatchError):
         product_integral(f, Observable.character((1, 0)))
+    # 1,001 x 1,000 term pairs pass TERM_CAP = 10**6 by 1,000
+    f = Observable.from_dict(1, {(k,): 1.0 for k in range(-500, 501)})
+    g = Observable.from_dict(1, {(k,): 1.0 for k in range(1000)})
+    for product in (multiply, product_integral):
+        with pytest.raises(ResourceCapError, match="1001000 term pairs"):
+            product(f, g)
+    # at 1,001 x 999 pairs, under the cap, it goes through: k = 0..500 of
+    # f meet -k in g
+    assert product_integral(f, Observable.from_dict(
+        1, {(k,): 1.0 for k in range(-998, 1)})) == 501
 
 
 @given(observables(dim=2, max_terms=5, kmax=2),
