@@ -123,7 +123,16 @@ def evaluate(f: Observable, points) -> np.ndarray | complex:
         else:
             phase = (pts[..., 0] * float(k[0]) if f.dim == 1
                      else pts @ np.asarray(k, dtype=np.float64))
-        out = c * np.exp((TWO_PI * 1j) * phase) + out
+        arg = (TWO_PI * 1j) * phase
+        if any(k):
+            out = c * np.exp(arg) + out
+        else:
+            # a zero frequency's phase is a signed zero, whose exp keeps
+            # the argument's imaginary part and sets the real part to 1.0;
+            # c times that unit is exact, in either operand order
+            unit = np.asarray(arg)
+            unit.real = 1.0
+            out = c * unit + out
     if scalar or f.terms:
         return complex(out) if scalar else out
     return np.zeros(pts.shape[:-1], dtype=np.complex128)
@@ -178,14 +187,37 @@ def product_integral(f: Observable, g: Observable) -> complex:
     return complex(acc)
 
 
-def compose_with_power(f: Observable, system, n: int) -> Observable:
-    """The exact pullback f o T^n as a character sum on the same space."""
+class CompositionRow(dict):
+    """compose_term(k, n) of one system at one n, keyed by k: each entry is
+    built on its first lookup, through the kind's `composer(n)`, and kept.
+    A caller that composes many observables at one n (the Host-Kra
+    recursion) holds one row per n and so composes each distinct (k, n)
+    once; lookups happen in the order of the uncached calls, so an error
+    surfaces at the same (k, n)."""
+
+    __slots__ = ("compose",)
+
+    def __init__(self, system, n: int):
+        super().__init__()
+        self.compose = system.composer(n)
+
+    def __missing__(self, k):
+        self[k] = out = self.compose(k)
+        return out
+
+
+def compose_with_power(f: Observable, system, n: int,
+                       row: CompositionRow | None = None) -> Observable:
+    """The exact pullback f o T^n as a character sum on the same space;
+    `row`, when given, is the caller's CompositionRow for (system, n)."""
     if f.dim != system.obs_dim:
         raise DimensionMismatchError(
             f"observable dim {f.dim} != system frequency dim {system.obs_dim}")
+    if row is None:
+        row = CompositionRow(system, n)
     acc: dict[tuple[int, ...], complex] = {}
     for k, c in f.terms:
-        nk, mult = system.compose_term(k, n)
+        nk, mult = row[k]
         acc[nk] = acc.get(nk, 0.0) + c * mult
     return Observable.from_dict(f.dim, acc)
 

@@ -58,7 +58,12 @@ def format_real(x: float) -> str:
 
 def frac(x):
     """x - floor(x), elementwise, post-corrected so the result is always in
-    [0, 1).  (For tiny negative x the raw difference rounds to exactly 1.0.)"""
+    [0, 1).  (For tiny negative x the raw difference rounds to exactly 1.0.)
+    A float (float64 scalars included) takes x % 1.0, which is x - floor(x)
+    rounded once as well, and +0.0 at every integer, -0.0 included."""
+    if isinstance(x, float):
+        out = x % 1.0
+        return out - 1.0 if out >= 1.0 else out
     out = np.floor(x)
     if isinstance(out, np.ndarray):
         np.subtract(x, out, out=out)      # x - floor(x) with one allocation

@@ -14,11 +14,18 @@ with the constant |f|^2 term that the Cesaro limit kills.
 On character sums the inner integrals resolve exactly (the "exact" path).
 The last level needs only the Haar integral of f . T^h conj(f), the sum of
 c_f(k) c_g(-k) with g = conj(f) o T^h, so it reads that coefficient without
-building the product.  When the symbolic product algebra would blow past
-its term cap (the last level keeps the product's cap check) the estimate
-falls back to Monte Carlo: inner integrals become length-N Birkhoff averages
-from a seeded Haar start, with products expanded as shift/conjugation lists
-evaluated pointwise along one orbit.
+building the product.  The levels of one recursion compose the same
+frequencies with the same powers over and over, so each call holds one
+observables.CompositionRow per h and composes each distinct (k, h) once
+(on the automorphism, each matrix power A^h is built once).  When the
+symbolic product algebra would blow past its term cap (the last level
+keeps the product's cap check) the estimate falls back to Monte Carlo:
+inner integrals become length-N Birkhoff averages from a seeded Haar start,
+with products expanded as shift/conjugation lists evaluated pointwise along
+one orbit.
+
+The van der Corput check writes every lag's products into one buffer, in
+the operand order the plain expression had (see van_der_corput_check).
 """
 
 from __future__ import annotations
@@ -30,8 +37,9 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ResourceCapError, ValidationError
-from .observables import (Observable, compose_with_power, conjugate,
-                          evaluate, integral_haar, multiply, product_integral)
+from .observables import (CompositionRow, Observable, compose_with_power,
+                          conjugate, evaluate, integral_haar, multiply,
+                          product_integral)
 from .joinings import _streamed_start_means
 from .phases import (anchored_chunks, chunk_ranges, exact_sum, frac,
                      frac_combo, CHUNK)
@@ -54,19 +62,25 @@ class SeminormEstimate:
             raise ValidationError("seminorm value cannot be negative")
 
 
-def _raised_exact(system, f: Observable, order: int, H: int) -> float:
+def _raised_exact(system, f: Observable, order: int, H: int,
+                  rows: list[CompositionRow] | None = None) -> float:
     """|||f|||_order ^ (2^order) along the exact character algebra; the
-    order-2 level takes each product's Haar integral by product_integral."""
+    order-2 level takes each product's Haar integral by product_integral.
+    Every level composes through one CompositionRow per h, so each distinct
+    (k, h) of the recursion is composed once."""
     if order == 1:
         return abs(integral_haar(f)) ** 2
+    if rows is None:
+        rows = [CompositionRow(system, h) for h in range(1, H + 1)]
     fc = conjugate(f)
     vals = []
-    for h in range(1, H + 1):
-        g = compose_with_power(fc, system, h)
+    for h, row in enumerate(rows, 1):
+        g = compose_with_power(fc, system, h, row)
         if order == 2:
             vals.append(abs(product_integral(f, g)) ** 2)
         else:
-            vals.append(_raised_exact(system, multiply(f, g), order - 1, H))
+            vals.append(_raised_exact(system, multiply(f, g), order - 1, H,
+                                      rows))
     return math.fsum(vals) / H
 
 
@@ -118,6 +132,8 @@ def hk_seminorm(system: DynamicalSystem, f: Observable, order: int,
         raise ValidationError("seminorm order must be >= 1")
     if outer_h < 1:
         raise ValidationError("outer truncation H must be >= 1")
+    if inner_n is not None and inner_n < 1:
+        raise ValidationError("inner Birkhoff length N must be >= 1")
     if method not in ("auto", "exact", "monte_carlo"):
         raise ValidationError(f"unknown method {method!r}")
     if method in ("auto", "exact"):
@@ -192,11 +208,27 @@ def van_der_corput_check(seq, H: int) -> VdcReport:
         t = exact_sum(v)
         return complex(t.real / N, t.imag / N)
 
-    means = np.array([mean(xs[:N, c]) for c in range(xs.shape[1])])
+    m = xs.shape[1]
+    means = np.array([mean(xs[:N, c]) for c in range(m)])
     lhs = float(np.sum(np.abs(means) ** 2))
-    rhs = math.fsum(abs(mean(np.sum(xs[:N] * np.conj(xs[h:h + N]), axis=1)))
-                    for h in range(1, H + 1)) / H
-    return VdcReport(lhs, rhs, N, H)
+    # Every lag's products x_n conj(x_{n+h}) go to one buffer, summed over
+    # the vector components into one row (the buffer itself when m = 1).
+    # The operands are taken in the order numpy used for the expression
+    # x * conj(...): from 256 KiB up it elides the temporary conj(...) and
+    # multiplies in place as conj(...) * x, and complex multiplication is
+    # not bitwise commutative.
+    xc = np.conj(xs)
+    prod = np.empty((N, m), dtype=np.complex128)
+    swap = prod.nbytes >= 256 * 1024
+    row = prod[:, 0] if m == 1 else np.empty(N, dtype=np.complex128)
+    terms = []
+    for h in range(1, H + 1):
+        a, b = xs[:N], xc[h:h + N]
+        np.multiply(*((b, a) if swap else (a, b)), out=prod)
+        if m > 1:
+            np.sum(prod, axis=1, out=row)
+        terms.append(abs(mean(row)))
+    return VdcReport(lhs, math.fsum(terms) / H, N, H)
 
 
 def quadratic_phase_block(a: float, length: int, chunk: int = 256) -> np.ndarray:

@@ -70,7 +70,10 @@ def _as_int_matrix(m) -> tuple[tuple[int, ...], ...]:
 
 
 def _check_finite(arr, what: str = "coordinate") -> None:
-    if not np.all(np.isfinite(arr)):
+    """arr is an array, or a list or tuple of floats (checked in Python,
+    several times faster than np.isfinite on a few values)."""
+    if not (all(map(math.isfinite, arr)) if isinstance(arr, (list, tuple))
+            else np.all(np.isfinite(arr))):
         raise ValidationError(f"non-finite {what}")
 
 
@@ -139,7 +142,7 @@ class DynamicalSystem:
     Adding a kind takes one subclass and one `_KINDS` entry.  A polynomial
     kind states its character action once, in `character_action`, which
     `compose_term` and the closed forms and factorized grids read; the
-    automorphism overrides `compose_term` instead.
+    automorphism overrides `composer` (compose_term at one n) instead.
     """
 
     kind: str
@@ -155,7 +158,7 @@ class DynamicalSystem:
         if p.shape[-1:] != (self.dim,):
             raise DimensionMismatchError(
                 f"point dim {p.shape[-1:]} != {self.kind} dim {self.dim}")
-        _check_finite(p)
+        _check_finite(p.tolist() if p.ndim == 1 else p)
         return p
 
     def haar_block(self, rng: SplitMix64, count: int) -> np.ndarray:
@@ -184,6 +187,11 @@ class DynamicalSystem:
         phase = frac_combo([(n * m, b) for m, b in theta]
                            + [(binom2(n) * m, b) for m, b in kappa])
         return tuple(ki + n * fi for ki, fi in zip(k, f)), e(phase)
+
+    def composer(self, n: int):
+        """k -> compose_term(k, n) at one n; a kind whose composition needs
+        work per n (the automorphism's matrix powers) does it once here."""
+        return functools.partial(self.compose_term, n=n)
 
     def orbit_block(self, starts, stride: int, n0: int, count: int,
                     coords: str = "state", out: np.ndarray | None = None
@@ -359,12 +367,14 @@ class SkewProduct(DynamicalSystem):
     def step(self, p, n: int = 1) -> np.ndarray:
         p = self.check_point(p)
         if p.ndim == 1:
-            y, g = p[:self.base_dim], p[self.base_dim:]
-            ny = frac(y + np.array([frac_combo([(n, a)]) for a in self.base_alpha]))
-            ng = np.array([
-                frac(g[f] + frac_combo(self._fiber_shift_terms(y, n, f)))
-                for f in range(self.fiber_dim)])
-            return np.concatenate([ny, ng])
+            # one point in Python floats: the same IEEE sums and frac
+            x = p.tolist()
+            y, g = x[:self.base_dim], x[self.base_dim:]
+            return np.array(
+                [frac(v + frac_combo([(n, a)]))
+                 for v, a in zip(y, self.base_alpha)]
+                + [frac(gf + frac_combo(self._fiber_shift_terms(y, n, f)))
+                   for f, gf in enumerate(g)])
         return np.stack([self.step(q, n) for q in p])
 
     orbit_points = DynamicalSystem.orbit_points
@@ -623,23 +633,35 @@ class ToralAutomorphism(DynamicalSystem):
                             exps[rows].tolist(), stride, n0, count, out, rows)
 
     def compose_term(self, k: tuple[int, ...], n: int) -> tuple[tuple[int, ...], complex]:
+        return self.composer(n)(k)
+
+    def composer(self, n: int):
+        """k -> compose_term(k, n), with A^n mod 2**128 and the exact A^n
+        each built once, on first need, for every k."""
         from .errors import FrequencyOverflowError
         # The frequency transforms by the transpose power.  A frequency within
         # 63 bits equals its signed residue mod 2**128, so a wider residue
         # proves overflow without building A^n, whose entries have O(n) bits;
         # the exact power is built only when every residue fits.
         limit = (1 << 63) - 1
-        for mod in (1 << 128, 0):
-            mat = _int_mat_pow(self.matrix, n, mod)
-            new_k = tuple(sum(mat[i][j] * k[i] for i in range(self.dim))
-                          for j in range(self.dim))
-            if mod:
-                new_k = tuple((v + (mod >> 1)) % mod - (mod >> 1) for v in new_k)
-            if any(abs(v) > limit for v in new_k):
-                raise FrequencyOverflowError(
-                    f"character frequency overflow composing with T^{n}: {k} "
-                    "-> a frequency beyond the 63-bit range", n)
-        return new_k, 1.0 + 0.0j
+        powers = {}
+
+        def compose(k):
+            for mod in (1 << 128, 0):
+                mat = powers.get(mod)
+                if mat is None:
+                    mat = powers[mod] = _int_mat_pow(self.matrix, n, mod)
+                new_k = tuple(sum(mat[i][j] * k[i] for i in range(self.dim))
+                              for j in range(self.dim))
+                if mod:
+                    new_k = tuple((v + (mod >> 1)) % mod - (mod >> 1)
+                                  for v in new_k)
+                if any(abs(v) > limit for v in new_k):
+                    raise FrequencyOverflowError(
+                        f"character frequency overflow composing with T^{n}: "
+                        f"{k} -> a frequency beyond the 63-bit range", n)
+            return new_k, 1.0 + 0.0j
+        return compose
 
     def kv_items(self):
         return [("matrix", " ".join(str(x) for row in self.matrix for x in row))]
