@@ -14,7 +14,7 @@ from pathlib import Path
 from ergolab import (Observable, SplitMix64, ap_subtorus_integral,
                      character_box, decomposition_consistency,
                      empirical_self_joining, golden_rotation,
-                     integrate_tensor)
+                     integrate_tensors)
 
 
 def main():
@@ -32,8 +32,10 @@ def main():
                                    SplitMix64(args.seed))
     rows = []
     worst = 0.0
-    for ks in character_box(args.d, args.kmax):
-        v = integrate_tensor(cloud, [Observable.character(k) for k in ks])
+    box = character_box(args.d, args.kmax)
+    values = integrate_tensors(
+        cloud, [[Observable.character(k) for k in ks] for ks in box])
+    for ks, v in zip(box, values):
         o = ap_subtorus_integral(ks)
         err = abs(v - o)
         worst = max(worst, err)

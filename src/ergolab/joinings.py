@@ -12,7 +12,11 @@ construction with one start.  Clouds are stored as explicit point arrays
 
 One kernel integrates: `phases.chunk_means` walks CHUNK-anchored spans of
 orbit indices and asks for slabs of starts, each factor costing one
-`evaluate` call per slab rather than one per start.  Each start's span sum
+`evaluate` call per slab rather than one per start.  `integrate_tensors`
+walks a cloud once for a batch of tuples (a character box): each slab
+evaluates every distinct non-unit (position, observable) once, builds each
+tuple's product from those tables and skips unit factors (`_TensorPlan`),
+and `integrate_tensor` is its one-tuple case.  Each start's span sum
 is its row's `math.fsum` (per part), one more `exact_row_sums` call folds
 the span sums, and each part is divided by N.  A stored cloud reads its
 slabs from the point array; the streaming integral builds them on demand
@@ -35,6 +39,7 @@ from __future__ import annotations
 
 import math
 import struct
+from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -42,7 +47,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, ResourceCapError, ValidationError
 from .observables import Observable, evaluate
-from .phases import chunk_means, e, exact_sum
+from .phases import CHUNK, chunk_means, e, exact_sum
 from .rng import SplitMix64
 from .systems import DynamicalSystem, system_to_kv
 
@@ -123,13 +128,82 @@ def fiber_measure(system: DynamicalSystem, x, d: int, N: int) -> EmpiricalMeasur
     return _build_cloud(system, x[None, :], d, N, "fiber-orbit", None)
 
 
+def _is_unit(f: Observable) -> bool:
+    """f is e(0 . x) with coefficient == 1 (1 - 0j included)."""
+    return len(f.terms) == 1 and f.terms[0][1] == 1 and not any(f.terms[0][0])
+
+
+def _finite(vals: np.ndarray) -> bool:
+    """Every part of vals is finite (an overflowing sum reads as not)."""
+    return math.isfinite(np.add.reduce(vals.reshape(-1).view(np.float64)))
+
+
+class _TensorPlan:
+    """The products prod_j f_j(x_j) of a batch of tuples fs over tuple
+    blocks, each distinct non-unit (position, observable) evaluated once per
+    block, on first use, and dropped after its last.
+
+    A unit factor, e(0 . x) with coefficient == 1, is skipped: with finite
+    values, z * (1 + 0j) differs from z only in the sign of a zero part,
+    which no exact sum sees.  The other factors are multiplied in factor
+    order, into the first one's array when no other tuple of the batch reads
+    it; only an all-unit tuple gets a ones buffer.  A product that is not
+    all finite, or a block whose coordinates under a skipped unit are not
+    all finite, is built as ones * f_1 * ... * f_d with every factor, since
+    (inf + 0j) * (1 + 0j) = inf + nanj."""
+
+    def __init__(self, fs_list: Sequence[Sequence[Observable]]):
+        index: dict = {}
+        self.fs_list = fs_list
+        self.tuples = [[index.setdefault((j, f), len(index))
+                        for j, f in enumerate(fs) if not _is_unit(f)]
+                       for fs in fs_list]
+        self.factors = list(index)
+        self.last = {i: t for t, idx in enumerate(self.tuples) for i in idx}
+        shared = Counter(i for idx in self.tuples for i in idx)
+        self.own = [bool(idx) and shared[idx[0]] == 1 for idx in self.tuples]
+        self.units: dict[int, int] = {}      # position -> widest unit dim
+        for fs in fs_list:
+            for j, f in enumerate(fs):
+                if _is_unit(f):
+                    self.units[j] = max(self.units.get(j, 0), f.dim)
+
+    def products(self, pts: np.ndarray):
+        """Yield each tuple's products over an (S, count, d, dim) block."""
+        for dim in self.units.values():
+            if dim > pts.shape[-1]:
+                raise DimensionMismatchError(
+                    f"point dim {pts.shape[-1]} < observable dim {dim}")
+        skip_units = all(np.isfinite(pts[:, :, j, :dim]).all()
+                         for j, dim in self.units.items())
+        tables: dict[int, np.ndarray] = {}
+        for t, (fs, idx) in enumerate(zip(self.fs_list, self.tuples)):
+            vals = None
+            if skip_units and not idx:          # every factor a unit
+                vals = np.ones(pts.shape[:2], dtype=np.complex128)
+            elif skip_units:
+                for k, i in enumerate(idx):
+                    if i not in tables:
+                        j, f = self.factors[i]
+                        tables[i] = evaluate(f, pts[:, :, j])
+                    vals = tables[i] if k == 0 else np.multiply(
+                        vals, tables[i], out=vals if self.own[t] or k > 1
+                        else None)
+                    if self.last[i] == t:
+                        del tables[i]
+                if not _finite(vals):
+                    vals = None
+            if vals is None:
+                vals = np.ones(pts.shape[:2], dtype=np.complex128)
+                for j, f in enumerate(fs):
+                    vals *= evaluate(f, pts[:, :, j])
+            yield vals
+
+
 def _tensor_values(fs: Sequence[Observable], pts: np.ndarray) -> np.ndarray:
-    """prod_j f_j(x_j) over an (S, count, d, dim) tuple block, factor by
-    factor."""
-    vals = np.ones(pts.shape[:2], dtype=np.complex128)
-    for j, f in enumerate(fs):
-        vals *= evaluate(f, pts[:, :, j])
-    return vals
+    """prod_j f_j(x_j) over an (S, count, d, dim) tuple block: the one-tuple
+    case of _TensorPlan."""
+    return next(_TensorPlan([fs]).products(pts))
 
 
 def _streamed_start_means(system, starts: np.ndarray, fs: Sequence[Observable],
@@ -150,32 +224,72 @@ def _mean(values: np.ndarray) -> complex:
                    math.fsum(values.imag.tolist()) / len(values))
 
 
+# A batch's row sums (16 bytes per start, tuple and span) and slab tables
+# (at most CHUNK values of 16 bytes per distinct non-unit factor) together
+# stay within this many bytes; a batch holds at least one tuple.
+_BATCH_BYTES = 1 << 24
+
+
+def _batches(fs_list, row_bytes: int):
+    """Consecutive slices of fs_list whose row sums (row_bytes per tuple)
+    and slab tables fit in _BATCH_BYTES."""
+    lo, used, seen = 0, 0, set()
+    for t, fs in enumerate(fs_list):
+        keys = {(j, f) for j, f in enumerate(fs) if not _is_unit(f)}
+        if t > lo and used + row_bytes + 16 * CHUNK * len(keys - seen) \
+                > _BATCH_BYTES:
+            yield slice(lo, t)
+            lo, used, seen = t, 0, set()
+        used += row_bytes + 16 * CHUNK * len(keys - seen)
+        seen |= keys
+    if fs_list:
+        yield slice(lo, len(fs_list))
+
+
+def integrate_tensors(m: EmpiricalMeasure,
+                      fs_list: Sequence[Sequence[Observable]]) -> list[complex]:
+    """integrate_tensor(m, fs) for every tuple fs of fs_list, bit for bit,
+    in one walk over the cloud per batch of tuples: each slab evaluates each
+    distinct non-unit (position, observable) once (see _TensorPlan).  Batches
+    keep the row sums and slab tables within _BATCH_BYTES (16 MiB); nothing
+    is kept across calls."""
+    S, N = m.points.shape[:2]
+    out: list[complex] = []
+    for batch in _batches(fs_list, 16 * S * -(-N // CHUNK)):
+        out += map(_mean, _cloud_means(m, fs_list[batch]))
+    return out
+
+
 def integrate_tensor(m: EmpiricalMeasure, fs: Sequence[Observable]) -> complex:
     """Integral of f_1(x_1)...f_d(x_d) against the cloud: the mean over
     starts of the per-start orbit means."""
-    return _mean(_cloud_means(m, fs))
+    return integrate_tensors(m, [fs])[0]
 
 
 def fiber_integrals(m: EmpiricalMeasure, fs: Sequence[Observable]) -> list[complex]:
     """Per-start tensor integrals (the fiber values behind the barycenter)."""
-    return _cloud_means(m, fs).tolist()
+    return _cloud_means(m, [fs])[0].tolist()
 
 
-def _cloud_means(m: EmpiricalMeasure, fs: Sequence[Observable],
+def _cloud_means(m: EmpiricalMeasure, fs_list,
                  products: np.ndarray | None = None) -> np.ndarray:
-    """Per-start means, as an (S,) complex array; if given, `products`
-    (shape (S, N)) receives every tuple's product."""
-    if len(fs) != m.arity:
-        raise DimensionMismatchError(
-            f"{len(fs)} observables for arity-{m.arity} cloud")
+    """Per-start means of each tuple of fs_list, as a (tuples, S) complex
+    array, from one chunk_means walk over the cloud; if given, `products`
+    (shape (tuples, S, N)) receives every tuple's products."""
+    for fs in fs_list:
+        if len(fs) != m.arity:
+            raise DimensionMismatchError(
+                f"{len(fs)} observables for arity-{m.arity} cloud")
     S, N = m.points.shape[:2]
+    plan = _TensorPlan(fs_list)
 
     def values_at(s0, s1, n0, cnt):
-        vals = _tensor_values(fs, m.points[s0:s1, n0:n0 + cnt])
-        if products is not None:
-            products[s0:s1, n0:n0 + cnt] = vals
-        return vals
-    return chunk_means(values_at, S, [N])[0]
+        vals = plan.products(m.points[s0:s1, n0:n0 + cnt])
+        for t, v in enumerate(vals):
+            if products is not None:
+                products[t, s0:s1, n0:n0 + cnt] = v
+            yield v
+    return chunk_means(values_at, S, [N], len(fs_list))[0]
 
 
 def self_joining_tensor_integral(system: DynamicalSystem, d: int,
@@ -345,7 +459,7 @@ def decompose_cloud(cloud: EmpiricalMeasure,
     rounding of mean|v| itself."""
     S, N = cloud.points.shape[:2]
     products = np.zeros((S, N), dtype=np.complex128)
-    means = _cloud_means(cloud, fs, products)
+    means = _cloud_means(cloud, [fs], products[None])[0]
     bary = _mean(means)
     pooled = exact_sum(products)
     joint = complex(pooled.real / (S * N), pooled.imag / (S * N))

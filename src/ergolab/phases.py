@@ -297,6 +297,8 @@ def exact_row_sums(x) -> np.ndarray:
     g = 2**(2L + E - 106), so are the r1, and their partial sums stay below
     n u sigma1 < 2**53 g.  s is then T rounded half-even, ties included, as
     fsum rounds it (T = 0 gives +0.0 from both: tau1 starts at +0.0).
+    Rows longer than one CHUNK block take that least nonzero |v| in the
+    pass that finds max |v|; shorter ones read it from their one block.
     Level two: T = tau1 + tau2 + sum r2 = s + e + rho + delta, with
     s = fl(tau1 + tau2), rho = fl(sum r2), |delta| < 1.001 * 2**(3L - 158)
     sigma1 = B/2; if every r2 is zero, T = tau1 + tau2 and s rounds it.
@@ -337,10 +339,16 @@ def exact_row_sums(x) -> np.ndarray:
             yield (block(i) if one is None else one)[sel]
 
     s, top = np.zeros(R), np.zeros(R)
+    low = np.full(R, np.inf) if n > CHUNK else None
     L = (n + 1).bit_length()               # ceil(log2(n + 2))
     with np.errstate(invalid="ignore", over="ignore"):
         for v in blocks():
-            np.maximum(top, np.abs(v).max(axis=1), out=top)
+            a = np.abs(v)
+            np.maximum(top, a.max(axis=1), out=top)
+            if low is not None:            # long rows: the least nonzero |v|
+                a[a == 0] = np.inf         # in the same pass
+                np.minimum(low, a.min(axis=1), out=low)
+            del a
         fine = top == 0                    # all-zero rows: fsum's +0.0
         ok = (top >= _ROW_FLOOR) & (top < _ROW_LIMIT)
         if ok.any():
@@ -350,9 +358,10 @@ def exact_row_sums(x) -> np.ndarray:
             fine |= ok & cert
             sel = (ok & ~fine).nonzero()[0]
             if sel.size:       # is every nonzero |v| at least 2**(2L+E-54)?
-                low = np.min([np.where(v != 0, abs(v), np.inf).min(axis=1)
-                              for v in blocks(sel)], axis=0)
-                fine[sel] = low >= sig1[sel] * 2.0 ** (L - 54)
+                least = low[sel] if low is not None else np.min(
+                    [np.where(v != 0, abs(v), np.inf).min(axis=1)
+                     for v in blocks(sel)], axis=0)
+                fine[sel] = least >= sig1[sel] * 2.0 ** (L - 54)
                 sel = sel[~fine[sel]]
             if sel.size:
                 sig = sig1[sel, None]
@@ -371,20 +380,24 @@ def exact_row_sums(x) -> np.ndarray:
 
 
 def chunk_means(values_at: Callable[[int, int, int, int], np.ndarray],
-                rows: int, checkpoints: Sequence[int]) -> np.ndarray:
+                rows: int, checkpoints: Sequence[int],
+                tuples: int | None = None) -> np.ndarray:
     """The means (1/N) sum_{n<N} v[r, n] of `rows` value streams at each
     checkpoint N, as a (checkpoints, rows) complex array; values_at(r0, r1,
-    n0, cnt) returns v[r0:r1, n0:n0 + cnt].
+    n0, cnt) returns v[r0:r1, n0:n0 + cnt].  With `tuples` given, values_at
+    yields that many such row blocks, one per tuple, and the means are a
+    (checkpoints, tuples, rows) array.
 
     Spans are anchored at multiples of CHUNK and split at every checkpoint.
     A span of cnt values is requested in slabs of max(1, (CHUNK - 1) // cnt)
     rows, so each block holds fewer than CHUNK values or is one row of a full
     chunk: `evaluate`'s bits depend on which side of CHUNK a block lies (see
     its docstring), and this keeps a slab on the side one row takes.  Each
-    slab's rows are summed by one `exact_row_sums` call into a (rows, spans)
-    array; at each checkpoint one more call folds the spans so far, and each
-    part is divided by N.  A mean is thus math.fsum over math.fsum'd spans,
-    per part, divided by N.  Non-increasing checkpoints raise."""
+    slab's rows are summed by one `exact_row_sums` call per tuple into a
+    (tuples, rows, spans) array; at each checkpoint one more call per tuple
+    folds the spans so far, and each part is divided by N.  A mean is thus
+    math.fsum over math.fsum'd spans, per part, divided by N.
+    Non-increasing checkpoints raise."""
     spans, ends, prev = [], [], 0
     for cp in checkpoints:
         if cp <= prev:
@@ -392,17 +405,23 @@ def chunk_means(values_at: Callable[[int, int, int, int], np.ndarray],
         spans += chunk_ranges(prev, cp - prev)
         ends.append(len(spans))
         prev = cp
-    sums = np.empty((rows, len(spans)), dtype=np.complex128)
+    one = tuples is None
+    blocks_at = (lambda *span: (values_at(*span),)) if one else values_at
+    sums = np.empty((1 if one else tuples, rows, len(spans)),
+                    dtype=np.complex128)
     for c, (n0, cnt) in enumerate(spans):
         slab = max(1, (CHUNK - 1) // cnt)
         for r0 in range(0, rows, slab):
             r1 = min(rows, r0 + slab)
-            sums[r0:r1, c] = exact_row_sums(values_at(r0, r1, n0, cnt))
-    means = np.empty((len(ends), rows), dtype=np.complex128)
+            # no block outlives its sum
+            sums[:, r0:r1, c] = [exact_row_sums(v)
+                                 for v in blocks_at(r0, r1, n0, cnt)]
+    means = np.empty((len(ends), len(sums), rows), dtype=np.complex128)
     for m, cp, end in zip(means, checkpoints, ends):
-        folded = exact_row_sums(sums[:, :end])
-        m.real, m.imag = folded.real / cp, folded.imag / cp
-    return means
+        for mt, st in zip(m, sums):
+            folded = exact_row_sums(st[:, :end])
+            mt.real, mt.imag = folded.real / cp, folded.imag / cp
+    return means[:, 0] if one else means
 
 
 class MeanAccumulator:

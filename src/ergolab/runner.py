@@ -19,7 +19,7 @@ from .averaging import (AverageTrajectory, FolnerBox, IteratedMap,
 from .config import ExperimentConfig
 from .errors import ValidationError
 from .joinings import (ap_subtorus_integral, character_box, decompose_cloud,
-                       dump_cloud, empirical_self_joining, integrate_tensor)
+                       dump_cloud, empirical_self_joining, integrate_tensors)
 from .observables import Observable, format_observable
 from .rng import SplitMix64
 from .seminorms import hk_seminorm, van_der_corput_check, vdc_family
@@ -155,9 +155,10 @@ def _run_joining(cfg, rng, bin_path=None):
     cloud = empirical_self_joining(cfg.system, cfg.d, cfg.sample_count, n, rng)
     has_oracle = _has_subtorus_oracle(cfg)
     rows = []
-    for ks in character_box(cfg.d, cfg.freq_box, dim=cfg.system.obs_dim):
-        fs = [Observable.character(k) for k in ks]
-        v = integrate_tensor(cloud, fs)
+    box = character_box(cfg.d, cfg.freq_box, dim=cfg.system.obs_dim)
+    values = integrate_tensors(
+        cloud, [[Observable.character(k) for k in ks] for ks in box])
+    for ks, v in zip(box, values):
         row = {"k": [list(k) if hasattr(k, "__len__") else k for k in ks],
                "value_re": v.real, "value_im": v.imag}
         if has_oracle:

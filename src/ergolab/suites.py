@@ -26,7 +26,7 @@ from .averaging import (FolnerBox, IteratedMap, birkhoff_average,
                         union_of_difference_sets)
 from .joinings import (ap_fiber_integral, ap_subtorus_integral, character_box,
                        decomposition_consistency, empirical_self_joining,
-                       fiber_measure, integrate_tensor)
+                       fiber_measure, integrate_tensor, integrate_tensors)
 from .observables import Observable, integral_haar
 from .phases import PhaseForm, e
 from .rng import SplitMix64
@@ -270,8 +270,10 @@ def criterion_joining_oracle(starts: int = 1000, n: int = 100,
     for d in (2, 3):
         cloud = empirical_self_joining(system, d, starts, n,
                                        SplitMix64(SEED_JOINING))
-        for ks in character_box(d, kmax):
-            v = integrate_tensor(cloud, [Observable.character(k) for k in ks])
+        box = character_box(d, kmax)
+        values = integrate_tensors(
+            cloud, [[Observable.character(k) for k in ks] for ks in box])
+        for ks, v in zip(box, values):
             worst = max(worst, abs(v - ap_subtorus_integral(ks)))
     out.append(_check(f"joining vs oracle, box {kmax}, {starts * n} tuples",
                       worst, 0.05, f"max err {worst:.4f}"))

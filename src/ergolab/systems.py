@@ -545,6 +545,16 @@ def _uint64_power_table(matrix, stride: int, span: int) -> np.ndarray:
     return table
 
 
+def _mul_add(y, m):
+    """y @ m for integer arrays, as one broadcast multiply-add per row of m:
+    the same wrapping uint64 (or Python int) sums, without the matmul's
+    per-call cost on (starts, dim) x (dim, span * dim) shapes."""
+    out = y[:, :1] * m[0]
+    for i in range(1, len(m)):
+        out += y[:, i:i + 1] * m[i]
+    return out
+
+
 def _power_rows(matrix, ratios, exps, stride: int, n0: int, count: int,
                 out, rows) -> None:
     """out[rows[s], i] = frac(A^(stride (n0 + i)) x_s) for the starts with
@@ -574,9 +584,9 @@ def _power_rows(matrix, ratios, exps, stride: int, n0: int, count: int,
     table = (_uint64_power_table(matrix, stride, span) if top == 64
              else _power_table(matrix, stride, span, top))
     for sl, cols, _, t, _ in _slabs(len(X), n0, count, CHUNK):
-        y = (X[sl] @ _reduced_power(matrix, stride * (n0 + cols.start),
-                                    top).T) & wrap
-        r = (y @ table[:, :t.size * dim]) & masks[sl]
+        y = _mul_add(X[sl], _reduced_power(matrix, stride * (n0 + cols.start),
+                                           top).T) & wrap
+        r = _mul_add(y, table[:, :t.size * dim]) & masks[sl]
         v = (r / scale[sl]).astype(np.float64).reshape(len(y), t.size, dim)
         v[v >= 1.0] = 0.0
         out[rows[sl], cols] = v

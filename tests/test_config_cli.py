@@ -477,6 +477,12 @@ def test_cli_suite_command():
     assert "PASS" in proc.stdout and "FAIL" not in proc.stdout
 
 
+def test_cli_unknown_suite_exits_2():
+    proc = run_cli("suite", "no-such-suite")
+    assert proc.returncode == 2
+    assert "invalid choice: 'no-such-suite'" in proc.stderr
+
+
 def test_cli_batch_rejects_shared_artifact(tmp_path):
     paths = []
     for i, k in enumerate((1, 2, 3, 4)):

@@ -176,6 +176,58 @@ def row_blocks(draw):
     return rng.permuted(x, axis=1)
 
 
+def _tie_row(rng, n):
+    """n >= 2 values whose exact sum is a rounding tie: a 1/8 grid in
+    [1/2, 1) (sums exact) and a last value 3/4 + half a spacing of the sum."""
+    x = rng.integers(4, 8, n) / 8
+    base = math.fsum(x[:-1]) + 0.75
+    x[-1] = 0.75 + np.spacing(base) / 2
+    return x
+
+
+@st.composite
+def chunk_block_rows(draw):
+    """1 to 4 rows of 1 to 3 CHUNK column blocks.  Each row is a rounding
+    tie, optionally beside a cancelling pair of tiny values or nudged off
+    the tie by a tiny one (either way its least nonzero |v| fails level
+    one's exactness bound, and the nudge is lost in a float sum of the
+    level-one remainders), or random values over
+    2**+-30; it is scaled to near 1, 2**900 or 2**-900 (either side of the
+    extraction range) and holds a drawn share of zeros and -0.0."""
+    blocks = draw(st.integers(1, 3))
+    n = draw(st.integers(max(4, (blocks - 1) * CHUNK + 1), blocks * CHUNK))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        if draw(st.booleans()):
+            row = _tie_row(rng, n)
+            row[:2] = draw(st.sampled_from([row[:2].tolist(),
+                                            [2.0 ** -70, -2.0 ** -70],
+                                            [row[0], 2.0 ** -100]]))
+        else:
+            row = rng.standard_normal(n) * 2.0 ** rng.integers(-30, 30, n)
+        row *= draw(st.sampled_from([1.0, 2.0 ** 899, 2.0 ** 900,
+                                     2.0 ** -900, 2.0 ** -901]))
+        zeros = rng.random(n) < draw(st.sampled_from([0.0, 0.25, 1.0]))
+        row[zeros] = rng.choice([0.0, -0.0], int(zeros.sum()))
+        rows.append(rng.permutation(row))
+    return np.array(rows)
+
+
+@settings(max_examples=40, deadline=None)
+@given(chunk_block_rows(), st.booleans())
+def test_exact_row_sums_match_fsum_over_chunk_blocks(x, as_complex):
+    # guards the long-row path that takes each row's least nonzero |v| in
+    # the same pass as its max
+    if not as_complex or len(x) < 2:
+        _same_rows_as_fsum(x)
+        return
+    z = np.empty((len(x) // 2, x.shape[1]), dtype=np.complex128)
+    z.real, z.imag = x[0:2 * len(z):2], x[1::2][:len(z)]
+    assert [_hex(v) for v in exact_row_sums(z).tolist()] == \
+        [_fsum_hex(r) for r in z]
+
+
 def _near_midpoint_rows(rng, rows, n, span):
     """Rows (n >= 3) whose exact sum lies at, or 2**-k of a spacing either
     side of, the midpoint above a short-mantissa s, under cancelling pairs of
