@@ -8,6 +8,7 @@ family.  Exit codes: 0 success, 2 validation error, 3 resource-cap error.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
@@ -23,7 +24,9 @@ EXIT_VALIDATION = 2
 EXIT_RESOURCE = 3
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process (parse_args leaves it unchanged)."""
     parser = argparse.ArgumentParser(
         prog="ergolab",
         description="Ergodic-average experiments with exact character oracles")

@@ -106,7 +106,11 @@ def evaluate(f: Observable, points) -> np.ndarray | complex:
     that size (see joinings.py).
 
     Adding the terms to 0.0 gives a zeros buffer's bits; a 1-D phase x * k
-    is the dot product x @ (k,), up to a zero's sign, which exp loses."""
+    is the dot product x @ (k,), up to a zero's sign, which exp loses.  A
+    first term whose coefficient is 1 is exp(arg) itself: (1+0j) v + 0.0
+    has v's bits unless a part of v is -0.0, and exp(arg) has no such part
+    (arg's real part is a zero or NaN, and 2 pi i * phase adds +0.0 to its
+    imaginary part, so sin never sees -0.0)."""
     pts = np.asarray(points, dtype=np.float64)
     scalar = pts.ndim == 1
     if pts.shape[-1] < f.dim:
@@ -114,7 +118,7 @@ def evaluate(f: Observable, points) -> np.ndarray | complex:
             f"point dim {pts.shape[-1]} < observable dim {f.dim}")
     pts = pts[..., :f.dim]
     out = 0.0
-    for k, c in f.terms:
+    for i, (k, c) in enumerate(f.terms):
         if max((abs(v) for v in k), default=0) > _FLOAT_FREQ_LIMIT:
             flat = pts.reshape(-1, f.dim)
             phase = np.fromiter(
@@ -124,7 +128,9 @@ def evaluate(f: Observable, points) -> np.ndarray | complex:
             phase = (pts[..., 0] * float(k[0]) if f.dim == 1
                      else pts @ np.asarray(k, dtype=np.float64))
         arg = (TWO_PI * 1j) * phase
-        if any(k):
+        if any(k) and c == 1 and i == 0:
+            out = np.exp(arg)       # 1 * v + 0.0 is v: no multiply, no add
+        elif any(k):
             out = c * np.exp(arg) + out
         else:
             # a zero frequency's phase is a signed zero, whose exp keeps

@@ -23,9 +23,11 @@ all precision once the product outgrows the mantissa.  The strategy here:
   integer over a power of two rounded by `frac_dyadic`.
 * One kernel sums exactly: `exact_row_sums`, Rump-Ogita-Oishi error-free
   extraction over column blocks of CHUNK, certifies math.fsum's bits for
-  every row of a 2-D array (each part of each complex row) in numpy, at one
-  extraction level where it can and two where it must, and hands the rows
-  it cannot certify to math.fsum.  `exact_sum` is its one-row case
+  every row of a 2-D array (each part of each complex row) in numpy: first
+  at one extraction level whose one sigma serves the whole block (the
+  proof only asks sigma >= 2**L max|v| of each row), then at two levels at
+  each leftover row's own scale, and hands the rows it cannot certify to
+  math.fsum.  `exact_sum` is its one-row case
   (math.fsum itself on short inputs).
 * One kernel turns streamed values into means: `chunk_means` sums each
   CHUNK-anchored span of many rows (cloud starts; one row for a stream) with
@@ -236,11 +238,33 @@ def exact_sum(x):
 
 _ROW_LIMIT = 2.0 ** 900      # rows with max |v| outside [2**-900, 2**900)
 _ROW_FLOOR = 2.0 ** -900     # go to math.fsum
+_ABS = np.uint64(0x7FFF_FFFF_FFFF_FFFF)     # a float64's bits but its sign
+_INF = np.float64(np.inf).view(np.uint64)  # inf's bits
+
+
+def _magnitudes(blocks, axis=None):
+    """The largest |v| and the least nonzero |v| (inf where there is none)
+    of float64 blocks, over each row (axis=1) or over all of them, read from
+    the bit patterns with the sign cleared: those order as the magnitudes do
+    (NaN above inf), and subtracting one wraps a zero above them all."""
+    top = low = None
+    for v in blocks:
+        m = v.view(np.uint64) & _ABS
+        t = m.max(axis=axis)
+        m -= 1
+        top = t if top is None else np.maximum(top, t)
+        low = m.min(axis=axis) if low is None else \
+            np.minimum(low, m.min(axis=axis))
+        del m
+    return top.view(np.float64), (np.minimum(low, _INF - 1) + 1).view(
+        np.float64)
 
 
 def _extract(blocks, sigs):
-    """Extraction at one level per per-row sigma column in sigs: each level's
-    exact q sums, the float remainder sums, and (two levels) if r2 is zero."""
+    """Extraction at one level per sigma in sigs (a per-row column, or one
+    scalar for the whole block; sigma + i sigma extracts each part of a
+    complex block on its own): each level's exact q sums, the float
+    remainder sums, and (two levels) whether r2 is zero."""
     taus, rho, zero = [0.0] * len(sigs), 0.0, True
     for v in blocks:
         r = v
@@ -269,12 +293,11 @@ def _round_test(hi, lo, rest, bound):
 def exact_row_sums(x) -> np.ndarray:
     """math.fsum of every row of a 2-D float64 array, bit for bit; for a
     complex array, complex sums whose parts carry math.fsum's bits (its real
-    and imaginary rows are summed as one (2 * rows, CHUNK) block).
+    rows, then its imaginary rows, are the stacked rows below).
 
     Error-free extraction (Rump, Ogita and Oishi, "Accurate floating-point
-    summation I/II", SIAM J. Sci. Comput. 31, 2008), one level first and a
-    second only for the rows the first leaves.  For a row v of length n with
-    max|v| < 2**E (np.frexp), take L = ceil(log2(n+2)), sigma1 = 2**(L + E),
+    summation I/II", SIAM J. Sci. Comput. 31, 2008).  For a row v of length
+    n, take L = ceil(log2(n+2)), a power of two sigma1 >= 2**L max|v|,
     sigma2 = sigma1 * 2**(L - 52), and split
 
         q1 = (sigma1 + v) - sigma1,  r1 = v - q1,
@@ -289,19 +312,33 @@ def exact_row_sums(x) -> np.ndarray:
     tau2 = sum q2 are exact in any summation order, column blocks of CHUNK
     included (they cap every temporary at rows * CHUNK elements).
 
-    Level one: T = tau1 + sum r1 = s + e + delta, with rho = fl(sum r1),
-    s = fl(tau1 + rho), e its TwoSum error (exact) and, in any order,
-    |delta| <= gamma_(n-1) n u sigma1 < 1.001 * 2**(2L - 106) sigma1 = B/2.
-    If every nonzero |v| (zeros are left out explicitly) is at least
-    2**(2L + E - 54), delta = 0: those v and the q1 are multiples of
-    g = 2**(2L + E - 106), so are the r1, and their partial sums stay below
-    n u sigma1 < 2**53 g.  s is then T rounded half-even, ties included, as
-    fsum rounds it (T = 0 gives +0.0 from both: tau1 starts at +0.0).
-    Rows longer than one CHUNK block take that least nonzero |v| in the
-    pass that finds max |v|; shorter ones read it from their one block.
-    Level two: T = tau1 + tau2 + sum r2 = s + e + rho + delta, with
-    s = fl(tau1 + tau2), rho = fl(sum r2), |delta| < 1.001 * 2**(3L - 158)
-    sigma1 = B/2; if every r2 is zero, T = tau1 + tau2 and s rounds it.
+    Nothing here needs sigma1 to be the least such power of two, so level
+    one runs at one sigma1 = 2**(L + E) for the whole block, with the
+    block's max|v| < 2**E (np.frexp): every row's max is at most the
+    block's.  It runs on x itself, both parts of a complex x at once
+    (complex adds act on each part alone), and needs no copy and no
+    per-row max: the block's max and least nonzero |v| come from one pass
+    over the bit patterns (_magnitudes).  Rows longer than one CHUNK block,
+    which are few, take their own max and least in that pass instead.
+    Each row then has, with rho = fl(sum r1),
+    T = tau1 + sum r1 = s + e + delta, s = fl(tau1 + rho), e its TwoSum
+    error (exact) and, in any order, |delta| <= gamma_(n-1) n u sigma1 <
+    1.001 * 2**(2L - 106) sigma1 = B/2.  If every nonzero |v| (zeros are
+    left out explicitly) is at least 2**(2L + E - 54), delta = 0: those v
+    and the q1 are multiples of g = 2**(2L + E - 106), so are the r1, and
+    their partial sums stay below n u sigma1 < 2**53 g.  s is then T
+    rounded half-even, ties included, as fsum rounds it (T = 0 gives +0.0
+    from both: every q1 is a difference, so never -0.0, and tau1 starts at
+    +0.0; an all-zero row is such a row).  When the block's least nonzero
+    |v| meets that bound, every row is certified so; otherwise each row
+    takes the rounding test below, and the rows it leaves take their own
+    least nonzero |v| (one pass over those rows only) for this one.
+    The rows level one leaves, and every row of a block whose max is
+    non-finite or outside [2**-900, 2**900), take their own max (sigma1
+    now at the row's E) and go to level two:
+    T = tau1 + tau2 + sum r2 = s + e + rho + delta, with s = fl(tau1 +
+    tau2), rho = fl(sum r2), |delta| < 1.001 * 2**(3L - 158) sigma1 = B/2;
+    if every r2 is zero, T = tau1 + tau2 and s rounds it.
 
     Otherwise let w = e (level one) or fl(e + rho) (level two), so that
     |T - s| <= |w| (1 + 2u) + |delta|.  The row is accepted when, summed in
@@ -313,9 +350,7 @@ def exact_row_sums(x) -> np.ndarray:
     rounding.  Ties (|T - s| = h) and s = 0 (spacing 0) never pass.
 
     Rows whose max |v| is zero, empty rows included, are +0.0: fsum's
-    partials skip zeros (-0.0 too), so that is its value for all of them,
-    and their level-one s is +0.0 (every q1 is +0.0, and tau1 and rho start
-    at +0.0).
+    partials skip zeros (-0.0 too), so that is its value for all of them.
     Every other row goes to math.fsum itself: rows that are non-finite
     (fsum's inf, nan or ValueError), whose max is at least 2**900 (fsum's
     intermediate overflow) or below 2**-900 (where u sigma2 would leave the
@@ -327,49 +362,66 @@ def exact_row_sums(x) -> np.ndarray:
     rows, n = x.shape
     R = len(parts) * rows
 
-    def block(i):
-        """Columns i to i + CHUNK of the stacked rows: real, then imaginary."""
-        return parts[0][:, i:i + CHUNK] if len(parts) == 1 else \
-            np.concatenate([p[:, i:i + CHUNK] for p in parts])
+    def cols(a):
+        return (a[:, i:i + CHUNK] for i in range(0, n, CHUNK))
 
-    one = block(0) if 0 < n <= CHUNK else None     # built once for all passes
-
-    def blocks(sel=slice(None)):
+    def blocks(sel):
+        """Columns i to i + CHUNK of the stacked rows sel (ascending), as a
+        copy of those rows only."""
+        cut = np.searchsorted(sel, rows)
+        picks = list(zip(parts, (sel[:cut], sel[cut:] - rows)))
         for i in range(0, n, CHUNK):
-            yield (block(i) if one is None else one)[sel]
+            yield np.concatenate([p[r, i:i + CHUNK] for p, r in picks])
 
-    s, top = np.zeros(R), np.zeros(R)
-    low = np.full(R, np.inf) if n > CHUNK else None
+    if not x.size:                         # empty rows: fsum's +0.0
+        return np.zeros(rows, dtype=x.dtype)
+    s, fine = np.zeros(R), np.zeros(R, dtype=bool)
     L = (n + 1).bit_length()               # ceil(log2(n + 2))
+    sig = tops = None
     with np.errstate(invalid="ignore", over="ignore"):
-        for v in blocks():
-            a = np.abs(v)
-            np.maximum(top, a.max(axis=1), out=top)
-            if low is not None:            # long rows: the least nonzero |v|
-                a[a == 0] = np.inf         # in the same pass
-                np.minimum(low, a.min(axis=1), out=low)
-            del a
-        fine = top == 0                    # all-zero rows: fsum's +0.0
-        ok = (top >= _ROW_FLOOR) & (top < _ROW_LIMIT)
-        if ok.any():
-            sig1 = np.ldexp(1.0, np.frexp(np.where(ok, top, 1.0))[1] + L)
-            (tau1,), rho, _ = _extract(blocks(), [sig1[:, None]])
-            s, cert = _round_test(tau1, rho, 0.0, sig1 * 2.0 ** (2 * L - 105))
-            fine |= ok & cert
-            sel = (ok & ~fine).nonzero()[0]
-            if sel.size:       # is every nonzero |v| at least 2**(2L+E-54)?
-                least = low[sel] if low is not None else np.min(
-                    [np.where(v != 0, abs(v), np.inf).min(axis=1)
-                     for v in blocks(sel)], axis=0)
-                fine[sel] = least >= sig1[sel] * 2.0 ** (L - 54)
-                sel = sel[~fine[sel]]
-            if sel.size:
-                sig = sig1[sel, None]
-                (tau1, tau2), rho, zero = _extract(
-                    blocks(sel), [sig, sig * 2.0 ** (L - 52)])
-                s[sel], cert = _round_test(tau1, tau2, rho,
-                                           sig[:, 0] * 2.0 ** (3 * L - 157))
-                fine[sel] = zero | cert
+        if n > CHUNK:                      # few long rows: each row's max
+            tops, lows = map(np.concatenate, zip(*[    # and least here
+                _magnitudes(cols(p), axis=1) for p in parts]))
+            top, least = tops.max(), lows.min()
+        else:                              # the block's, in one reduction
+            try:
+                views = (x.view(np.float64),)
+            except ValueError:             # complex, last axis strided
+                views = parts
+            top, least = _magnitudes(views)
+        if _ROW_FLOOR <= top < _ROW_LIMIT:
+            # level one, at one sigma for the whole block, on x itself
+            sig = 2.0 ** (np.frexp(top)[1] + L)
+            exact = sig * 2.0 ** (L - 54)  # least |v| for exact remainders
+            (tau1,), rho, _ = _extract(
+                cols(x), [sig if len(parts) == 1 else complex(sig, sig)])
+            if len(parts) == 2:
+                tau1, rho = (np.concatenate([a.real, a.imag])
+                             for a in (tau1, rho))
+            if least >= exact:             # every row is exact
+                s, fine = tau1 + rho, np.ones(R, dtype=bool)
+            else:
+                s, fine = _round_test(tau1, rho, 0.0,
+                                      sig * 2.0 ** (2 * L - 105))
+        sel = (~fine).nonzero()[0]
+        if sel.size:                       # the rows' own max and least
+            if tops is None:
+                top, least = _magnitudes(blocks(sel), axis=1)
+            else:
+                top, least = tops[sel], lows[sel]
+            # level one's exactness case (all-zero rows too), or, with no
+            # level one, an all-zero row: fsum's +0.0
+            done = top == 0 if sig is None else least >= exact
+            fine[sel[done]] = True
+            ok = ~done & (top >= _ROW_FLOOR) & (top < _ROW_LIMIT)
+            sel, top = sel[ok], top[ok]
+        if sel.size:                       # level two at each row's sigma
+            sig1 = np.ldexp(1.0, np.frexp(top)[1] + L)[:, None]
+            (tau1, tau2), rho, zero = _extract(
+                blocks(sel), [sig1, sig1 * 2.0 ** (L - 52)])
+            s[sel], cert = _round_test(tau1, tau2, rho,
+                                       sig1[:, 0] * 2.0 ** (3 * L - 157))
+            fine[sel] = zero | cert
     for i in (~fine).nonzero()[0].tolist():
         s[i] = math.fsum(parts[i // rows][i % rows].tolist())
     if len(parts) == 1:

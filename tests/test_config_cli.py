@@ -808,6 +808,28 @@ def test_one_mode_list():
         assert parser.parse_args([mode, "--config", "c"]).command == mode
 
 
+def test_cli_main_twice_in_one_process(tmp_path):
+    # main builds its parser once per process; a certify run and then an
+    # orbit run through it exit 0 and write what separate processes write
+    cfgs = {"certify": (_certify("kind = automorphism\nmatrix = 2 1 1 1"),
+                        "cert.json"),
+            "orbit": (_orbit(checkpoints="5 40", seed="3"), "orbit.csv")}
+    for mode, (text, _) in cfgs.items():
+        (tmp_path / f"{mode}.cfg").write_text(text)
+        (tmp_path / "one" / mode).mkdir(parents=True)
+        (tmp_path / "own" / mode).mkdir(parents=True)
+    for mode in cfgs:
+        assert cli.main([mode, "--config", str(tmp_path / f"{mode}.cfg"),
+                         "--out", str(tmp_path / "one" / mode)]) == 0
+    for mode, (_, name) in cfgs.items():
+        proc = run_cli(mode, "--config", str(tmp_path / f"{mode}.cfg"),
+                       "--out", str(tmp_path / "own" / mode))
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "one" / mode / name).read_bytes() == \
+            (tmp_path / "own" / mode / name).read_bytes()
+    assert cli._build_parser() is cli._build_parser()
+
+
 def _doc_line(key, row):
     default = config._DEFAULTS[key]
     line = key

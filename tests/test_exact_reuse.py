@@ -4,8 +4,9 @@ they replaced, bit for bit.
 The references below are the functions as they stood before reuse came in:
 the Host-Kra recursion composing every (k, h) afresh (and the automorphism
 building both matrix powers per term), the van der Corput check building
-fresh temporaries per lag, `evaluate` taking exp of every phase, and the
-single-point `SkewProduct.step` on numpy arrays.  Each compares raw float64
+fresh temporaries per lag, `evaluate` taking exp of every phase (and, as
+`ref_evaluate_scaled`, multiplying every term by its coefficient and adding
+it to 0.0), and the single-point `SkewProduct.step` on numpy arrays.  Each compares raw float64
 bits (or the exact exception), so a change of operation order that moves
 one rounding fails here.
 """
@@ -17,8 +18,9 @@ import pytest
 
 from ergolab.errors import (DimensionMismatchError, FrequencyOverflowError,
                             ResourceCapError, ValidationError)
-from ergolab.observables import (Observable, conjugate, evaluate,
-                                 integral_haar, multiply, product_integral)
+from ergolab.observables import (_FLOAT_FREQ_LIMIT, Observable, conjugate,
+                                 evaluate, integral_haar, multiply,
+                                 product_integral)
 from ergolab.phases import CHUNK, TWO_PI, exact_sum, frac, frac_combo
 from ergolab.rng import SplitMix64
 from ergolab.seminorms import hk_seminorm, van_der_corput_check
@@ -98,6 +100,34 @@ def ref_evaluate(f, points):
         phase = (pts[..., 0] * float(k[0]) if f.dim == 1
                  else pts @ np.asarray(k, dtype=np.float64))
         out = c * np.exp((TWO_PI * 1j) * phase) + out
+    if scalar or f.terms:
+        return complex(out) if scalar else out
+    return np.zeros(pts.shape[:-1], dtype=np.complex128)
+
+
+def ref_evaluate_scaled(f, points):
+    pts = np.asarray(points, dtype=np.float64)
+    scalar = pts.ndim == 1
+    if pts.shape[-1] < f.dim:
+        raise DimensionMismatchError("point dim")
+    pts = pts[..., :f.dim]
+    out = 0.0
+    for k, c in f.terms:
+        if max((abs(v) for v in k), default=0) > _FLOAT_FREQ_LIMIT:
+            flat = pts.reshape(-1, f.dim)
+            phase = np.fromiter(
+                (frac_combo(zip(k, row)) for row in flat),
+                dtype=np.float64, count=flat.shape[0]).reshape(pts.shape[:-1])
+        else:
+            phase = (pts[..., 0] * float(k[0]) if f.dim == 1
+                     else pts @ np.asarray(k, dtype=np.float64))
+        arg = (TWO_PI * 1j) * phase
+        if any(k):
+            out = c * np.exp(arg) + out
+        else:
+            unit = np.asarray(arg)
+            unit.real = 1.0
+            out = c * unit + out
     if scalar or f.terms:
         return complex(out) if scalar else out
     return np.zeros(pts.shape[:-1], dtype=np.complex128)
@@ -257,6 +287,50 @@ def test_zero_frequency_evaluate_bits(f, size):
         assert type(got) is complex
         assert (got.real.hex(), got.imag.hex()) == \
             (want.real.hex(), want.imag.hex())
+
+
+# ---------------------------------------------------------------------------
+# evaluate: a first term with coefficient 1 is exp itself
+
+
+UNIT_FIRST = {
+    "int1": Observable(1, (((3,), 1),)),
+    "one": Observable.character(-7),
+    "one-0j": Observable(1, (((2,), complex(1.0, -0.0)),)),
+    "huge": Observable.character(_FLOAT_FREQ_LIMIT + 3),
+    "near1": Observable.character(5, 1.0 + 2.0 ** -52),     # not 1
+    "unit+c": Observable.from_dict(1, {(1,): 1.0, (4,): 0.3 - 0.7j}),
+    "c+unit": Observable.from_dict(1, {(-3,): 0.5 + 0.25j, (2,): 1.0}),
+    "zero+unit": Observable.from_dict(1, {(0,): 1.0, (1,): 1.0}),
+    "unit2": Observable.character((1, -2)),
+    "unit+c2": Observable.from_dict(2, {(-1, 2): 1.0, (3, 0): 0.2 + 0.9j}),
+}
+POINTS = [0.0, -0.0, 5e-324, -5e-324, 1 - 2.0 ** -53, 1e300, -1e300,
+          math.inf, -math.inf, math.nan]
+
+
+@pytest.mark.parametrize("f", UNIT_FIRST.values(), ids=UNIT_FIRST.keys())
+@pytest.mark.parametrize("shape", [(CHUNK - 1,), (CHUNK,), (CHUNK + 1,),
+                                   (163, 100)])
+def test_unit_coefficient_evaluate_bits(f, shape):
+    rng = np.random.default_rng(len(shape) + f.dim)
+    points = POINTS
+    if f is UNIT_FIRST["huge"]:     # exact phases take finite points only
+        points = [x for x in POINTS if math.isfinite(x)]
+    size = (*shape, f.dim)
+    blocks = [rng.random(size), -rng.random(size) * 1e3,
+              rng.choice(points, size=size),
+              rng.normal(size=(*shape, f.dim + 1)) * 1e-12]
+    with np.errstate(invalid="ignore"):
+        for pts in blocks:
+            assert evaluate(f, pts).tobytes() == \
+                ref_evaluate_scaled(f, pts).tobytes()
+        for x in points:
+            got, want = evaluate(f, [x] * f.dim), \
+                ref_evaluate_scaled(f, [x] * f.dim)
+            assert type(got) is complex
+            assert np.complex128(got).tobytes() == \
+                np.complex128(want).tobytes()
 
 
 # ---------------------------------------------------------------------------

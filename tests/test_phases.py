@@ -158,21 +158,40 @@ def _same_rows_as_fsum(x):
     assert got == want
 
 
+def _unit_products(rng, rows, n, factors=2):
+    """A (rows, n) block of products of unit characters e(k_j t_j) at random
+    points, k_j in [-3, 3]: a cloud slab's tensor values (all k_j = 0 gives
+    the constant tuple's block, whose imaginary rows are all zero)."""
+    z = np.ones((rows, n), dtype=np.complex128)
+    for k in rng.integers(-3, 4, factors):
+        z = z * np.exp(2j * np.pi * k * rng.random((rows, n)))
+    return z
+
+
 @st.composite
 def row_blocks(draw):
     """A 2-D array of drawn row length, filled from a small drawn pool; each
     row optionally cancels exactly (its second half negates its first) and
-    one row is optionally all -0.0."""
+    one row is optionally all -0.0.  A "mixed" block then scales each row
+    by 1 or 2**-40, so that row maxima differ by 2**+-40 and one sigma for
+    the block leaves the small rows; a "units" block is instead one part of
+    a 163 x 100 block of unit-character products."""
+    kind = draw(st.sampled_from(["pool", "pool", "mixed", "units"]))
     n = draw(st.sampled_from(ROW_LENGTHS))
     rows = draw(st.integers(1, 2 if n >= CHUNK - 1 else 8))
     pool = np.array(draw(st.lists(row_values, min_size=1, max_size=40)))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if kind == "units":
+        z = _unit_products(rng, 163, 100, draw(st.integers(1, 3)))
+        return z.imag if draw(st.booleans()) else z.real
     x = pool[rng.integers(0, pool.size, size=(rows, n))]
     if draw(st.booleans()):
         half = n // 2
         x[:, half:2 * half] = -x[:, :half]
     if draw(st.booleans()):
         x[rng.integers(0, rows)] = -0.0
+    if kind == "mixed":
+        x *= 2.0 ** (-40 * rng.integers(0, 2, (rows, 1)))
     return rng.permuted(x, axis=1)
 
 
@@ -350,6 +369,22 @@ def test_exact_row_sums_all_zero_rows_are_plus_zero_without_fsum(
     assert seen == {"level2": 0, "fsum": 0}
 
 
+def test_exact_row_sums_zero_rows_beside_a_fine_value(monkeypatch):
+    # 2**-60 lies below level one's exactness bound, so the block is not
+    # certified whole; its first row passes the rounding test, and its
+    # all-zero rows (-0.0 too) must still be +0.0 without fsum
+    x = np.zeros((4, 3))
+    x[0] = [1.0, 2.0 ** -60, 0.25]
+    x[2, 1] = -0.0
+    z = x + 1j * x[::-1]
+    want_x = [math.fsum(r).hex() for r in x]
+    want_z = [_fsum_hex(r) for r in z]
+    seen = _count_levels(monkeypatch)
+    assert [v.hex() for v in exact_row_sums(x).tolist()] == want_x
+    assert [_hex(v) for v in exact_row_sums(z).tolist()] == want_z
+    assert seen == {"level2": 0, "fsum": 0}
+
+
 def _hex(v):
     """float.hex of a float, or of both parts of a complex."""
     v = complex(v) if isinstance(v, (complex, np.complexfloating)) else v
@@ -393,15 +428,28 @@ def test_exact_sum_complex_parts_match_fsum(n):
     assert _hex(exact_sum(z[::-2])) == _fsum_hex(z[::-2])
 
 
+LAYOUTS = {
+    "contiguous": lambda z: z,
+    "reversed": lambda z: z[:, ::-1],
+    "every other column": lambda z: np.repeat(z, 2, axis=1)[:, ::2],
+    "column-major": np.asfortranarray,
+    "every other row": lambda z: np.repeat(z, 2, axis=0)[::2],
+}
+
+
 @settings(max_examples=150)
-@given(row_blocks(), row_blocks(), st.booleans())
-def test_exact_row_sums_complex_parts_match_fsum(x, y, strided):
+@given(row_blocks(), row_blocks(), st.sampled_from(sorted(LAYOUTS)),
+       st.one_of(st.none(), st.integers(0, 2 ** 32 - 1)))
+def test_exact_row_sums_complex_parts_match_fsum(x, y, layout, units):
+    # units: a seed for a 163 x 100 block of unit-character products
     rows = min(x.shape[0], y.shape[0])
     n = min(x.shape[1], y.shape[1])
     z = np.empty((rows, n), dtype=np.complex128)
     z.real, z.imag = x[:rows, :n], y[:rows, :n]
-    if strided:
-        z = z[:, ::-1]
+    if units is not None:
+        z = _unit_products(np.random.default_rng(units), 163, 100)
+        rows = len(z)
+    z = LAYOUTS[layout](z)
     # real rows first, then imaginary rows: the first to raise decides
     raised = [kind for outcome, kind in (_outcome(math.fsum, r)
                                          for r in [*z.real, *z.imag])
@@ -476,6 +524,29 @@ def test_exact_row_sums_certify_coarse_ties_at_level_one(monkeypatch, n):
     assert seen == {"level2": 0, "fsum": 0}
 
 
+def test_exact_row_sums_long_rows_judge_each_row_by_its_own_least(
+        monkeypatch):
+    # Long rows take each row's least nonzero |v| in the pass that finds the
+    # block's max.  Coarse ties (least exactly at the bound) are certified at
+    # level one; ties nudged by 2**-100 (least far below it) share their
+    # sigma but must go on to level two.
+    rng = np.random.default_rng(17)
+    n = CHUNK + 1
+    nudged = []
+    while len(nudged) < 3:
+        row = _tie_row(rng, n)
+        row[1] = 2.0 ** -100
+        # keep rows whose tie, without the nudge, rounds down to even
+        if float(sum(map(Fraction, row)) - Fraction(2.0 ** -100)) \
+                != math.fsum(row):
+            nudged.append(row)
+    x = np.concatenate([_coarse_tie_rows(rng, 2, n), nudged])
+    want = [math.fsum(r).hex() for r in x]
+    seen = _count_levels(monkeypatch)
+    assert [v.hex() for v in exact_row_sums(x).tolist()] == want
+    assert seen["level2"] == 3
+
+
 def test_exact_row_sums_fine_remainders_go_past_level_one(monkeypatch):
     # n = 6, so L = 3; the max lies in [1/2, 1), so E = 0 and the exactness
     # bound is 2**-48.  The last value, 2**-49 + 2**-101, sits below it: its
@@ -513,6 +584,21 @@ def test_cloud_slab_rows_certify_at_level_one(monkeypatch):
         [_hex(v) for v in want]
     assert want[1] == 1.0
     assert len(calls) > 60 and seen == {"level2": 0, "fsum": 0}
+
+
+def test_unit_product_slabs_certify_at_the_block_level(monkeypatch):
+    # 163 x 100 slabs of unit-character products, as a cloud's 100-point
+    # spans give, are certified by the block's one sigma: no row reaches
+    # level two or math.fsum, whatever the layout
+    slabs = [_unit_products(np.random.default_rng(seed), 163, 100, factors)
+             for seed, factors in [(1, 1), (2, 2), (3, 3), (4, 2)]]
+    slabs += [np.ones((163, 100), dtype=np.complex128),
+              slabs[1][:, ::-1], np.asfortranarray(slabs[2])]
+    want = [[_fsum_hex(r) for r in z] for z in slabs]
+    seen = _count_levels(monkeypatch)
+    assert [[_hex(v) for v in exact_row_sums(z).tolist()] for z in slabs] \
+        == want
+    assert seen == {"level2": 0, "fsum": 0}
 
 
 @pytest.mark.parametrize("row", [
