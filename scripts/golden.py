@@ -134,13 +134,12 @@ def digests() -> dict[str, str]:
         for name, (_, mode, systems, obs, run) in CASES.items():
             work = Path(tmp) / name
             work.mkdir()
+            systems = systems if isinstance(systems, list) else [systems]
             paths = []
-            for i, system in enumerate(
-                    systems if isinstance(systems, list) else [systems]):
+            for i, system in enumerate(systems):      # a batch: one file each
+                own = f"\nout_json = {i}.json" if len(systems) > 1 else ""
                 cfg = work / f"{i}.cfg"
-                cfg.write_text(_config(system, obs, run + (
-                    f"\nout_json = {i}.json" if mode == "certify" else ""),
-                    mode))
+                cfg.write_text(_config(system, obs, run + own, mode))
                 paths += ["--config", str(cfg)]
             with redirect_stdout(io.StringIO()):
                 code = cli.main([mode, *paths, "--out", str(work / "out")])

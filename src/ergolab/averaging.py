@@ -40,10 +40,10 @@ from .errors import (CommutationError, ResourceCapError, ValidationError)
 from .exact import character_at, obs_coords, pattern_phase, term_tuples
 from .observables import Observable, evaluate
 from .joinings import _streamed_start_means
-from .phases import (CHUNK, PhaseForm, chunk_means, exact_row_sums, exact_sum,
-                     progression)
+from .phases import (CHUNK, PhaseForm, chunk_means, dyadic_combo,
+                     exact_row_sums, exact_sum)
 from .rng import SplitMix64
-from .systems import DynamicalSystem
+from .systems import DynamicalSystem, _rotate
 
 GRID_CAP = 1 << 24        # direct grid walks refuse beyond this many terms
 MAX_CUBE_ORDER = 4
@@ -166,11 +166,16 @@ def linear_trajectory(system, fs, x, checkpoints, params=None) -> AverageTraject
 
 def geometric_mean_streamed(form: PhaseForm, checkpoints: Sequence[int]) -> dict[int, complex]:
     """(1/N) sum_{n<N} e(n*theta) by literal summation, emitted at each
-    checkpoint.  Chunk bases are reduced exactly, so no drift at any N."""
-    stepf = form.frac()
-    means = chunk_means(lambda r0, r1, n0, cnt: np.exp(
-        (2j * np.pi) * progression(form.frac_times, stepf, n0, cnt))[None],
-        1, checkpoints)
+    checkpoint: the rotation from 0 at theta's exact rate (systems._rotate),
+    whose chunk bases are reduced exactly, so no drift at any N."""
+    rate = [dyadic_combo(zip(form.coeffs, form.basis))]
+    start = np.zeros((1, 1))
+
+    def values_at(r0, r1, n0, cnt):
+        phase = np.empty((1, cnt, 1))
+        _rotate(start, rate, 1, n0, cnt, phase)
+        return np.exp((2j * np.pi) * phase[:, :, 0])
+    means = chunk_means(values_at, 1, checkpoints)
     return dict(zip(checkpoints, means[:, 0].tolist()))
 
 

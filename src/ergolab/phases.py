@@ -1,4 +1,4 @@
-"""Exact mod-1 phase arithmetic, anchored chunks and exact chunked means.
+"""Exact mod-1 phase arithmetic, chunk anchors and exact chunked means.
 
 Every coordinate in this library lives on the half-open unit interval, and
 long orbits need phases like frac(n * alpha) for n up to 1e8.  Accumulating
@@ -16,11 +16,11 @@ all precision once the product outgrows the mantissa.  The strategy here:
   error stays ~1e-12 over arbitrarily long orbits.  Because bases are
   recomputed from absolute indices, the emitted floats are a pure function of
   the index, independent of how callers slice their requests.
-  `anchored_chunks` yields each chunk's anchor and float offsets for the
-  phase streams (`progression` is frac(base(anchor) + offset * step) for
-  one stream); orbits walk the same anchors a window of up to CHUNK
-  indices at a time (systems._slabs), with each anchor's base an exact
-  integer over a power of two rounded by `frac_dyadic`.
+  `chunk_ranges` splits a request at those anchors.  One walker,
+  systems._slabs, lays them over every orbit and every streamed geometric
+  sum (the one-start rotation at a PhaseForm's exact rate) a window of up
+  to CHUNK indices at a time, with each anchor's base an exact integer
+  over a power of two rounded by `frac_dyadic`.
 * One kernel sums exactly: `exact_row_sums`, Rump-Ogita-Oishi error-free
   extraction over column blocks of CHUNK, certifies math.fsum's bits for
   every row of a 2-D array (each part of each complex row) in numpy: first
@@ -180,37 +180,6 @@ def chunk_ranges(n0: int, count: int, chunk: int = CHUNK) -> Iterator[tuple[int,
         stop = min(end, (n // chunk + 1) * chunk)
         yield n, stop - n
         n = stop
-
-
-def anchored_chunks(n0: int, count: int, chunk: int = CHUNK
-                    ) -> Iterator[tuple[int, int, np.ndarray]]:
-    """Split [n0, n0+count) at absolute multiples of `chunk` and yield
-    (pos, anchor, t): request position pos + i holds index anchor + t[i],
-    with t the float64 in-chunk offsets."""
-    for start, cnt in chunk_ranges(n0, count, chunk):
-        anchor = (start // chunk) * chunk
-        yield start - n0, anchor, np.arange(start - anchor, start - anchor + cnt,
-                                            dtype=np.float64)
-
-
-def progression(base_at, step: float, n0: int, count: int, chunk: int = CHUNK,
-                out: np.ndarray | None = None) -> np.ndarray:
-    """frac(base_at(anchor) + t * step) over [n0, n0+count), chunk by chunk
-    (see anchored_chunks); base_at(anchor) is the exactly reduced phase at
-    the anchor.  Writes into `out` when given and returns it."""
-    off = n0 % chunk
-    if 0 < count <= chunk - off:      # one chunk: no generator per call
-        vals = frac(base_at(n0 - off)
-                    + np.arange(off, off + count, dtype=np.float64) * step)
-        if out is None:
-            return vals
-        out[...] = vals
-        return out
-    if out is None:
-        out = np.empty(count)
-    for pos, anchor, t in anchored_chunks(n0, count, chunk):
-        out[pos:pos + t.size] = frac(base_at(anchor) + t * step)
-    return out
 
 
 # exact_sum: math.fsum below this many float64 values, a complex one counting

@@ -13,11 +13,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .averaging import (AverageTrajectory, FolnerBox, IteratedMap,
+from .averaging import (GRID_CAP, AverageTrajectory, FolnerBox, IteratedMap,
                         cube_average, cube_eps_index, folner_average,
                         linear_trajectory, square_trajectory, tail_oscillation)
 from .config import ExperimentConfig
-from .errors import ValidationError
+from .errors import ResourceCapError, ValidationError
 from .joinings import (ap_subtorus_integral, character_box, decompose_cloud,
                        dump_cloud, empirical_self_joining, integrate_tensors)
 from .observables import Observable, format_observable
@@ -71,8 +71,11 @@ def run_experiment(cfg: ExperimentConfig, outdir: Path) -> dict:
 
 
 def _run_orbit(cfg, rng):
-    x = _resolve_start(cfg, rng)
     n = cfg.checkpoints[-1]
+    if n * cfg.system.dim > GRID_CAP:     # held whole: guard before allocating
+        raise ResourceCapError(f"an orbit of {n} rows exceeds GRID_CAP = "
+                               f"{GRID_CAP} values")
+    x = _resolve_start(cfg, rng)
     pts = orbit_points(cfg.system, x, 1, 0, n, coords="state")
     row = "%d" + ",%.17g" * pts.shape[1]       # _fmt's digits, one template
     rows = ["n," + ",".join(f"x{i+1}" for i in range(pts.shape[1]))]
@@ -127,6 +130,9 @@ def _run_vdc(cfg, rng):
     basis = cfg.system.phase_basis()
     if basis is None:
         raise ValidationError("vdc families are built from a rotation number")
+    if cfg.inner_n + cfg.outer_h > GRID_CAP:
+        raise ResourceCapError(f"a vdc sequence of inner_n + outer_h terms "
+                               f"exceeds GRID_CAP = {GRID_CAP} values")
     seq = vdc_family(cfg.vdc_family, cfg.inner_n, cfg.outer_h, basis[0])
     rep = van_der_corput_check(seq, cfg.outer_h)
     payload = {"family": cfg.vdc_family, "lhs": rep.lhs, "rhs": rep.rhs,

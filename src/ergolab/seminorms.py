@@ -41,12 +41,12 @@ from .observables import (CompositionRow, Observable, compose_with_power,
                           conjugate, evaluate, integral_haar, multiply,
                           product_integral)
 from .joinings import _streamed_start_means
-from .phases import (anchored_chunks, chunk_ranges, exact_sum, frac,
-                     frac_combo, CHUNK)
+from .phases import chunk_ranges, exact_sum, frac, frac_combo, CHUNK
 from .rng import SplitMix64
 from .systems import GOLDEN, DynamicalSystem
 
 DEFAULT_OUTER_H = 30
+QUADRATIC_CHUNK = 256     # quadratic_phase_block's anchor spacing
 
 
 @dataclass(frozen=True)
@@ -231,13 +231,15 @@ def van_der_corput_check(seq, H: int) -> VdcReport:
     return VdcReport(lhs, math.fsum(terms) / H, N, H)
 
 
-def quadratic_phase_block(a: float, length: int, chunk: int = 256) -> np.ndarray:
-    """frac(n^2 a) for n < length, chunk-exact (no drift)."""
+def quadratic_phase_block(a: float, length: int) -> np.ndarray:
+    """frac(n^2 a) for n < length, chunk-exact (no drift): frac(s^2 a) +
+    t frac(2 s a) + t^2 a from each anchor s, bases reduced exactly."""
     out = np.empty(length)
-    for pos, anchor, t in anchored_chunks(0, length, chunk):
-        b0 = frac_combo([(anchor * anchor, a)])
-        b1 = frac_combo([(2 * anchor, a)])
-        out[pos:pos + t.size] = frac(b0 + t * b1 + (t * t) * a)
+    for s, cnt in chunk_ranges(0, length, QUADRATIC_CHUNK):
+        b0 = frac_combo([(s * s, a)])
+        b1 = frac_combo([(2 * s, a)])
+        t = np.arange(cnt, dtype=np.float64)
+        out[s:s + cnt] = frac(b0 + t * b1 + (t * t) * a)
     return out
 
 

@@ -333,13 +333,15 @@ def criterion_nilsystem(n_pow: int = 10 ** 4, n_avg: int = 10 ** 6,
     for k in ((1, 0), (0, 1), (1, 1)):
         f = Observable.character(k)
         finals = []
-        budget = 0.0
+        budget = oracle = 0.0
         for _ in range(starts):
             x = system.haar_block(rng, 1)[0]
             traj = linear_trajectory(system, [f], x, cps)
             diag = convergence_diagnostic(traj, 0.5)
             budget = max(budget, diag.oscillation)
             finals.append(traj.final)
+            oracle = max(oracle, abs(
+                traj.final - exact.birkhoff_closed(system, f, x, n_avg)))
         budget *= 10.0
         pairwise = max(abs(a - b) for i, a in enumerate(finals)
                        for b in finals[i:])
@@ -348,6 +350,9 @@ def criterion_nilsystem(n_pow: int = 10 ** 4, n_avg: int = 10 ** 6,
             f"heisenberg start-independence k={k}", max(pairwise, vs_int),
             budget if budget > 0 else 1e-15,
             f"spread {pairwise:.2e} vs budget {budget:.2e}"))
+        # the same streams against the closed form at each start
+        out.append(_check(f"heisenberg stream vs birkhoff_closed k={k}",
+                          oracle, 1e-9))
     # certificate verdicts on hand-built parameter sets
     cases = [
         (HeisenbergTranslation(math.sqrt(2) - 1, math.sqrt(3) - 1), "ergodic"),

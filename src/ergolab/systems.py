@@ -25,16 +25,18 @@ asking for overlapping ranges get bit-equal points.  `_slabs` walks a
 request in windows of at most CHUNK indices and slabs of starts: each
 anchor is one exact integer polynomial in the anchor over one power of two
 per start, and each float expression is evaluated once over a (starts,
-anchors, offsets) grid per window.
+anchors, offsets) grid per window.  It is the one anchor walker: streamed
+geometric sums are one-start `_rotate` calls at a PhaseForm's exact rate.
 
 Orbits have one entry point, `DynamicalSystem.orbit_block`: a kind
 implements `_orbits`, which fills the rows of all starts at once, and
 `orbit_points` is the one-start case (each kind binds it in its class body,
 where perfbench's tracer wraps it per kind).  `_rotate` builds every
-rotation-type column, and `_power_rows` every automorphism row: a start with
-denominator 2**K only needs A^n mod 2**K, read from one table of powers in
-uint64 (exact mod 2**64) for K <= 64, in Python ints for finer starts; the
-last four uint64 tables are kept for the next calls.
+rotation-type column from exact dyadic rates, and `_power_rows` every
+automorphism row: a start with denominator 2**K only needs A^n mod 2**K,
+read from one table of powers in uint64 (exact mod 2**64) for K <= 64, in
+Python ints for finer starts; the last four uint64 tables are kept for the
+next calls.
 """
 
 from __future__ import annotations
@@ -244,19 +246,20 @@ def _window(grid, sel):
     return grid.reshape(len(grid), -1)[:, sel]
 
 
-def _rotate(starts, alpha, stride: int, n0: int, count: int, out,
+def _rotate(starts, rates, stride: int, n0: int, count: int, out,
             chunk: int = CHUNK) -> None:
     """Rotation-type columns, out[:, i, c] = frac(starts[:, c] + (n0 + i)
-    * stride * alpha[c]): the stride phase is reduced once per coordinate
-    and each chunk base once per (start, anchor, coordinate), as the exact
-    integer X + anchor * stride * A over one power of two per start, so a
-    row's bits do not depend on the other starts."""
-    for c, a in enumerate(alpha):
-        ra, ka = dyadic_combo([(stride, a)])
+    * stride * rate[c]), each rate an exact (num, shift) from dyadic_combo:
+    the stride phase is reduced once per coordinate and each chunk base once
+    per (start, anchor, coordinate), as the exact integer X + anchor *
+    stride * num over one power of two per start, so a row's bits do not
+    depend on the other starts."""
+    for c, (num, ka) in enumerate(rates):
+        ra = stride * num
         step = frac_dyadic(ra, ka)
         for rows, cols, anchors, t, sel in _slabs(len(starts), n0, count,
                                                   chunk):
-            # x = m / 2**k and the rate stride * a over one power of two,
+            # x = m / 2**k and the rate stride * num over one power of two,
             # aligned inline: this runs once per start of every cloud slab,
             # and dyadic_combo + dyadic_align here took a 5,000 x 100 golden
             # rotation cloud at strides 1-3 from 24-26 to 61-74 ms
@@ -292,7 +295,8 @@ class Rotation(DynamicalSystem):
     orbit_points = DynamicalSystem.orbit_points
 
     def _orbits(self, starts, stride, n0, count, coords, out):
-        _rotate(starts, self.alpha, stride, n0, count, out)
+        _rotate(starts, [dyadic_combo([(1, a)]) for a in self.alpha], stride,
+                n0, count, out)
 
     def phase_basis(self) -> tuple[float, ...]:
         return self.alpha
@@ -381,8 +385,8 @@ class SkewProduct(DynamicalSystem):
 
     def _orbits(self, starts, stride, n0, count, coords, out):
         chunk = _quad_chunk(stride)
-        _rotate(starts, self.base_alpha, stride, n0, count,
-                out[:, :, :self.base_dim], chunk)
+        _rotate(starts, [dyadic_combo([(1, a)]) for a in self.base_alpha],
+                stride, n0, count, out[:, :, :self.base_dim], chunk)
         for f in range(self.fiber_dim):
             col = self.base_dim + f
             row = list(zip(self.linear[f], self.base_alpha))
@@ -761,10 +765,11 @@ class HeisenbergTranslation(DynamicalSystem):
 
     def _orbits(self, starts, stride, n0, count, coords, out):
         a, b = self.alpha, self.beta
+        na, nb = dyadic_combo([(1, a)]), dyadic_combo([(1, b)])
         # The base coordinates are plain rotation orbits and use the standard
         # chunking, so obs- and state-coordinate requests emit identical
         # floats (integration against stored clouds relies on this).
-        _rotate(starts, (a, b), stride, n0, count, out[:, :, :2])
+        _rotate(starts, (na, nb), stride, n0, count, out[:, :, :2])
         if coords == "obs":
             return
         # z(s0+u) reduced: frac(raw_z - raw_x * floor(raw_y)), split so
@@ -772,9 +777,8 @@ class HeisenbergTranslation(DynamicalSystem):
         # is first re-derived into the z column at this finer anchoring, so
         # the xs*gt error stays ~1e-10 even at large n.
         chunk = _quad_chunk(stride)
-        _rotate(starts, (a,), stride, n0, count, out[:, :, 2:], chunk)
-        na, nb, nab = (dyadic_combo([(1, a)]), dyadic_combo([(1, b)]),
-                       dyadic_combo([(1, a, b)]))
+        _rotate(starts, (na,), stride, n0, count, out[:, :, 2:], chunk)
+        nab = dyadic_combo([(1, a, b)])
         abf = frac_dyadic(*nab)
         for rows, cols, anchors, t, sel in _slabs(len(starts), n0, count,
                                                   chunk):

@@ -67,8 +67,9 @@ def test_criterion_7_joining_decomposition():
 
 def test_criterion_8_nilsystem():
     """Heisenberg closed-form powers vs the iterated group law to 1e-9 for
-    n<=1e4; start-independence of base-character averages at N=1e6; six
-    certificate verdicts against rational-independence ground truth."""
+    n<=1e4; start-independence of base-character averages at N=1e6, and
+    each of those streams against birkhoff_closed to 1e-9; six certificate
+    verdicts against rational-independence ground truth."""
     _drive(8)
 
 

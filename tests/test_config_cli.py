@@ -11,7 +11,7 @@ import pytest
 
 import ergolab
 from ergolab import cli, config, runner
-from ergolab.averaging import square_trajectory
+from ergolab.averaging import GRID_CAP, square_trajectory
 from ergolab.config import MODES, format_config, parse_config
 from ergolab.errors import ValidationError
 from ergolab.joinings import empirical_self_joining, fiber_integrals
@@ -798,6 +798,41 @@ def test_cli_seed_bounds_accepted(tmp_path, seed):
     assert cli.main(["orbit", "--config", str(cfg), "--out", str(tmp_path),
                      "--seed", seed]) == 0
     assert len((tmp_path / "orbit.csv").read_text().splitlines()) == 6
+
+
+HEIS_ORBIT = ORBIT_CFG.replace(
+    "kind = rotation\nalpha = 0.61803398874989479",
+    "kind = heisenberg\nalpha = 0.41421356237309515\n"
+    "beta = 0.73205080756887719")
+# (command, config, exit code): orbits and vdc sequences are held whole, so
+# one value over GRID_CAP (orbit rows x coordinates, inner_n + outer_h
+# terms) exits 3 before anything is allocated; 10**13 once failed in numpy
+VALUE_CAP_CASES = {
+    "orbit small": ("orbit", _orbit(checkpoints="5"), 0),
+    "orbit over cap": ("orbit", _orbit(checkpoints=str(GRID_CAP + 1)), 3),
+    "heisenberg orbit over cap": (
+        "orbit", HEIS_ORBIT.format(checkpoints=GRID_CAP // 3 + 1, seed=1), 3),
+    "orbit 10**13": ("orbit", _orbit(checkpoints=str(10 ** 13)), 3),
+    "vdc small": ("vdc", _vdc(family="quadratic"), 0),
+    "vdc over cap": ("vdc", _vdc(family="quadratic",
+                                 inner_n=str(GRID_CAP - 4)), 3),
+    "vdc 10**13": ("vdc", _vdc(family="quadratic", inner_n=str(10 ** 13)), 3),
+}
+
+
+@pytest.mark.parametrize("command,text,code", VALUE_CAP_CASES.values(),
+                         ids=VALUE_CAP_CASES.keys())
+def test_cli_orbit_and_vdc_value_cap(tmp_path, capsys, command, text, code):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    if code:
+        assert "GRID_CAP" in err and "Traceback" not in err
+        assert not out.exists()
+    else:
+        assert len(list(out.iterdir())) == 1
 
 
 def test_one_mode_list():

@@ -1,11 +1,12 @@
-"""The anchored progression kernel against frozen copies of the hand-written
-chunk loops it replaced, bit for bit.
+"""The anchored orbit walker, systems._slabs, against frozen copies of the
+hand-written chunk loops it replaced, bit for bit.
 
-The references below are the loops as they stood before `phases.progression`
-and `phases.anchored_chunks` took over: Rotation, the skew-product base and
-fiber columns, the Heisenberg x/y and z columns, the streamed geometric sum
-and the quadratic phase block.  Each compares raw float64 bytes, so a change
-of operation order that moves one rounding fails here.
+The references below are the per-chunk loops as they stood before one
+walker took over: Rotation, the skew-product base and fiber columns, the
+Heisenberg x/y and z columns, the streamed geometric sum (now the one-start
+rotation at a PhaseForm's exact rate) and the quadratic phase block.  Each
+compares raw float64 bytes, so a change of operation order that moves one
+rounding fails here.
 """
 
 import math
@@ -16,9 +17,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ergolab.averaging import geometric_mean_streamed
-from ergolab.phases import (CHUNK, MeanAccumulator, PhaseForm,
-                            anchored_chunks, chunk_ranges, dyadic_combo, frac,
-                            frac_combo, frac_fraction, progression)
+from ergolab.phases import (CHUNK, MeanAccumulator, PhaseForm, chunk_ranges,
+                            dyadic_combo, frac, frac_combo, frac_fraction)
 from ergolab.seminorms import quadratic_phase_block
 from ergolab.systems import (GOLDEN, SQRT2_M1, SQRT3_M1, Rotation,
                              SkewProduct, _quad_chunk, binom2,
@@ -214,12 +214,20 @@ def test_orbit_points_bits_match_frozen_loops(name, coords):
                                            coords))
 
 
+# checkpoint sets, then single lengths N = 1 and around CHUNK
+GEOMETRIC_CHECKPOINTS = ((100, 5000), (CHUNK, CHUNK + 1, 3 * CHUNK + 17),
+                         (1, 2, 3), (1000, CHUNK, CHUNK + 5, 2 * CHUNK + 1),
+                         (17, 5000, 40000, 100000),
+                         (1,), (CHUNK - 1,), (CHUNK,), (CHUNK + 1,))
+
+
 @pytest.mark.parametrize("form", [PhaseForm((1,), (GOLDEN,)),
                                   PhaseForm((3, -2), (GOLDEN, SQRT2_M1)),
-                                  PhaseForm((7,), (5e-324,))],
-                         ids=["golden", "combo", "subnormal"])
+                                  PhaseForm((7,), (5e-324,)),
+                                  PhaseForm((2,), (0.5,))],
+                         ids=["golden", "combo", "subnormal", "resonant"])
 def test_geometric_mean_streamed_bits_match_frozen_loop(form):
-    for cps in ((1,), (100, 5000), (CHUNK, CHUNK + 1, 3 * CHUNK + 17)):
+    for cps in GEOMETRIC_CHECKPOINTS:
         got = geometric_mean_streamed(form, cps)
         ref = ref_geometric(form, cps)
         assert list(got) == list(ref)
@@ -228,48 +236,11 @@ def test_geometric_mean_streamed_bits_match_frozen_loop(form):
                 (ref[cp].real.hex(), ref[cp].imag.hex())
 
 
-@pytest.mark.parametrize("chunk", [1, 3, 256])
-def test_quadratic_phase_block_bits_match_frozen_loop(chunk):
+def test_quadratic_phase_block_bits_match_frozen_loop():
     for a in (GOLDEN, SQRT3_M1, 0.0, 5e-324):
-        for length in (0, 1, 2, 255, 257, 3000):
-            _same_bits(quadratic_phase_block(a, length, chunk),
-                       ref_quadratic(a, length, chunk))
-
-
-# ---------------------------------------------------------------------------
-# The kernel itself
-
-
-@pytest.mark.parametrize("chunk", [1, 3, 1024, CHUNK])
-def test_anchored_chunks_cover_request_at_absolute_anchors(chunk):
-    for n0, count in ((0, 0), (0, 5), (-7, 40), (chunk - 1, 2 * chunk + 3),
-                      (10 ** 12 + 1, 9)):
-        idx = []
-        for pos, anchor, t in anchored_chunks(n0, count, chunk):
-            assert anchor % chunk == 0
-            assert pos == len(idx)
-            assert t.dtype == np.float64
-            assert 0 <= t[0] and t[-1] < chunk
-            idx += [anchor + int(v) for v in t]
-        assert idx == list(range(n0, n0 + count))
-
-
-def test_progression_one_chunk_and_many_chunks_agree():
-    # the one-chunk branch and the chunk loop give the same floats for any
-    # slicing of a request, and `out` receives them in place
-    alpha = GOLDEN
-
-    def base_at(a):
-        return frac_combo([(1, 0.3), (3 * a, alpha)])
-    step = frac_combo([(3, alpha)])
-    whole = progression(base_at, step, 10, 300, chunk=64)
-    for n0 in range(10, 300, 37):
-        part = progression(base_at, step, n0, 20, chunk=64)
-        _same_bits(part, whole[n0 - 10:n0 + 10])
-    out = np.full((300, 2), math.nan)
-    progression(base_at, step, 10, 300, chunk=64, out=out[:, 1])
-    _same_bits(np.ascontiguousarray(out[:, 1]), whole)
-    assert np.isnan(out[:, 0]).all()
+        for length in (0, 1, 2, 255, 256, 257, 3000):
+            _same_bits(quadratic_phase_block(a, length),
+                       ref_quadratic(a, length, 256))
 
 
 # ---------------------------------------------------------------------------
