@@ -130,9 +130,9 @@ def _run_vdc(cfg, rng):
     basis = cfg.system.phase_basis()
     if basis is None:
         raise ValidationError("vdc families are built from a rotation number")
-    if cfg.inner_n + cfg.outer_h > GRID_CAP:
-        raise ResourceCapError(f"a vdc sequence of inner_n + outer_h terms "
-                               f"exceeds GRID_CAP = {GRID_CAP} values")
+    if (terms := cfg.inner_n + cfg.outer_h) > GRID_CAP:
+        raise ResourceCapError(f"a vdc sequence of {terms} terms exceeds "
+                               f"GRID_CAP = {GRID_CAP} values")
     seq = vdc_family(cfg.vdc_family, cfg.inner_n, cfg.outer_h, basis[0])
     rep = van_der_corput_check(seq, cfg.outer_h)
     payload = {"family": cfg.vdc_family, "lhs": rep.lhs, "rhs": rep.rhs,
