@@ -34,6 +34,9 @@ from pathlib import Path
 
 import numpy as np
 
+from ergolab import cli
+from ergolab.suites import criterion_vdc_families
+
 GOLDEN_JSON = Path(__file__).resolve().parents[1] / "tests" / "golden.json"
 
 ROTATION = "kind = rotation\nalpha = 0.61803398874989479 0.41421356237309503"
@@ -121,14 +124,12 @@ def _config(system: str, observables: str, run: str, mode: str) -> str:
 
 
 def _suite_vdc() -> str:
-    from ergolab.suites import criterion_vdc_families
     return "".join(f"{r.name} {r.passed} {r.margin.hex()}\n"
                    for r in criterion_vdc_families())
 
 
 def digests() -> dict[str, str]:
     """The digest of every case, plus criterion 6's rows."""
-    from ergolab import cli
     out = {}
     with tempfile.TemporaryDirectory() as tmp:
         for name, (_, mode, systems, obs, run) in CASES.items():
