@@ -3,9 +3,8 @@ against frozen copies of the chunk loops it replaced, bit for bit.
 
 The references below are the loops as they stood before `chunk_means` took
 over: the streamed product of orbits (`_product_block` and `_streamed_means`,
-a MeanAccumulator over checkpoint-split anchored chunks).  The streamed
-geometric sum is checked against its frozen loop in test_progression.py.
-Means are compared by float.hex of each part.
+a MeanAccumulator over checkpoint-split anchored chunks) and the streamed
+geometric sum.  Means are compared by float.hex of each part.
 """
 
 import math
@@ -13,11 +12,13 @@ import math
 import numpy as np
 import pytest
 
-from ergolab.averaging import (birkhoff_average, linear_trajectory,
-                               multilinear_average_linear, square_trajectory)
+from ergolab.averaging import (birkhoff_average, geometric_mean_streamed,
+                               linear_trajectory, multilinear_average_linear,
+                               square_trajectory)
 from ergolab.errors import ValidationError
 from ergolab.observables import Observable, evaluate
-from ergolab.phases import CHUNK, MeanAccumulator, chunk_means, chunk_ranges
+from ergolab.phases import (CHUNK, MeanAccumulator, PhaseForm, chunk_means,
+                            chunk_ranges, frac)
 from ergolab.rng import SplitMix64
 from ergolab.systems import (GOLDEN, SQRT2_M1, Rotation, cat_map,
                              default_heisenberg, golden_rotation, orbit_points,
@@ -46,6 +47,25 @@ def ref_streamed_means(system, fs, strides, x, checkpoints):
         for n0, cnt in chunk_ranges(prev, cp - prev, CHUNK):
             acc.add(ref_product_block(system, fs, strides, x, n0, cnt))
         out.append((cp, acc.mean()))
+        prev = cp
+    return out
+
+
+def ref_geometric_mean_streamed(form, checkpoints):
+    """e(n * form) summed per anchored chunk: the base is the form's exact
+    fraction at the chunk's CHUNK-multiple anchor, plus offsets times the
+    rounded step."""
+    acc = MeanAccumulator()
+    out = {}
+    stepf = form.frac()
+    prev = 0
+    for cp in checkpoints:
+        for n0, cnt in chunk_ranges(prev, cp - prev, CHUNK):
+            anchor = (n0 // CHUNK) * CHUNK
+            offs = np.arange(n0 - anchor, n0 - anchor + cnt, dtype=np.float64)
+            acc.add(np.exp((2j * np.pi)
+                           * frac(form.frac_times(anchor) + offs * stepf)))
+        out[cp] = acc.mean()
         prev = cp
     return out
 
@@ -96,6 +116,19 @@ def test_streams_match_frozen_loop_bitwise(name, d):
         assert _hex(multilinear_average_linear(system, fs, x, N)) == want
         if d == 1:
             assert _hex(birkhoff_average(system, fs[0], x, N)) == want
+
+
+@pytest.mark.parametrize("form", [PhaseForm((1,), (GOLDEN,)),
+                                  PhaseForm((3, -2), (GOLDEN, SQRT2_M1)),
+                                  PhaseForm((7,), (5e-324,)),
+                                  PhaseForm((2,), (0.5,))],
+                         ids=["golden", "combo", "subnormal", "resonant"])
+def test_geometric_mean_streamed_matches_frozen_loop_bitwise(form):
+    for cps in CHECKPOINT_SETS + [(N,) for N in LENGTHS]:
+        got = geometric_mean_streamed(form, cps)
+        ref = ref_geometric_mean_streamed(form, cps)
+        assert list(got) == list(ref)
+        assert [_hex(got[cp]) for cp in cps] == [_hex(ref[cp]) for cp in cps]
 
 
 # ---------------------------------------------------------------------------

