@@ -58,6 +58,10 @@ CASES = {
     "orbit-heisenberg": (
         "Heisenberg x/y (_rotate) and z columns on _slabs", "orbit",
         HEISENBERG, "", "checkpoints = 3000\nstart = haar\nseed = 6"),
+    "orbit-heisenberg-batches": (
+        "runner CSV writer over three batches, row indices to 5 digits",
+        "orbit", HEISENBERG, "", "checkpoints = 40000\nstart = haar\n"
+        "seed = 15"),
     "orbit-automorphism": (
         "_power_rows, the uint64 power table", "orbit", CAT, "",
         "checkpoints = 3000\nstart = haar\nseed = 7"),
