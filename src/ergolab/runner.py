@@ -4,12 +4,24 @@ The CLI subcommands are thin wrappers over `run_experiment`; every numerical
 decision lives in the library modules.  Output files are written with fixed
 float formatting (17 significant digits) and sorted JSON keys, so re-running
 an identical config reproduces identical bytes.
+
+Orbit CSVs hold the bytes of f"{v:.17g}" for every value, but no Python
+string is built per value or per row: `_orbit_csv` computes the digits of
+up to CHUNK rows at a time in integer and float arrays (exactly, see the
+note above `_fill_values`), lays the row indices, values, commas and
+newlines out in one NUL-padded buffer per batch, drops the NUL bytes, and
+the run streams each batch to the file.  Values outside [1e-4, 1) other
+than +0.0 are formatted one at a time.  Beyond the orbit itself, an orbit
+run holds about one batch's buffers.
 """
 
 from __future__ import annotations
 
 import json
+import math
+from fractions import Fraction
 from pathlib import Path
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -21,6 +33,7 @@ from .errors import ResourceCapError, ValidationError
 from .joinings import (ap_subtorus_integral, character_box, decompose_cloud,
                        dump_cloud, empirical_self_joining, integrate_tensors)
 from .observables import Observable, format_observable
+from .phases import CHUNK, chunk_ranges
 from .rng import SplitMix64
 from .seminorms import hk_seminorm, van_der_corput_check, vdc_family
 from .systems import (Rotation, ergodicity_certificate, orbit_points,
@@ -37,9 +50,13 @@ def _resolve_start(cfg: ExperimentConfig, rng: SplitMix64 | None) -> np.ndarray:
     return cfg.system.check_point(np.asarray(cfg.start, dtype=np.float64))
 
 
-def _write(path: Path, text: str) -> Path:
+def _write(path: Path, data: str | Iterable[bytes]) -> Path:
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text)
+    if isinstance(data, str):
+        path.write_text(data)
+    else:                                   # the orbit CSV's batches
+        with path.open("wb") as fh:
+            fh.writelines(data)
     return path
 
 
@@ -59,8 +76,9 @@ def artifact_paths(cfg: ExperimentConfig, outdir: Path) -> list[Path]:
 def run_experiment(cfg: ExperimentConfig, outdir: Path) -> dict:
     """Run one experiment; returns a summary dict with artifact paths.
 
-    The mode's writer returns the main artifact's text and its summary
-    entries; extra artifacts (the joining cloud dump) it writes itself."""
+    The mode's writer returns the main artifact's text (for an orbit, an
+    iterator of byte batches) and its summary entries; extra artifacts (the
+    joining cloud dump) it writes itself."""
     cfg.validate()
     rng = SplitMix64(cfg.seed) if cfg.seed is not None else None
     writer, field, _ = _MODES[cfg.mode]
@@ -77,10 +95,114 @@ def _run_orbit(cfg, rng):
                                f"{GRID_CAP} values")
     x = _resolve_start(cfg, rng)
     pts = orbit_points(cfg.system, x, 1, 0, n, coords="state")
-    row = "%d" + ",%.17g" * pts.shape[1]       # _fmt's digits, one template
-    rows = ["n," + ",".join(f"x{i+1}" for i in range(pts.shape[1]))]
-    rows += [row % (i, *p) for i, p in enumerate(pts.tolist())]
-    return "\n".join(rows) + "\n", {"rows": n}
+    return _orbit_csv(pts), {"rows": n}
+
+
+# %.17g without a string per value.  A double x in [1e-4, 1) prints as "0.",
+# -e-1 zeros and the 17 digits of D = round_half_even(x * 10**(16 - e)) less
+# their trailing zeros, where 10**e <= x < 10**(e + 1).  e is exact:
+# x >= 10**-k iff x >= the least double >= 10**-k (`_DECADES`, k = 4..1).
+# 10**p is exact for p <= 22, and Dekker's product splits x * 10**p into
+# hi + lo exactly; hi >= 10**16 > 2**53 is an even integer, so hi + rint(lo)
+# rounds half to even.  D < 10**17: the doubles closest below 1, 0.1, 0.01
+# and 0.001 lie more than half a unit of the 17th digit away
+# (x * 10**(16 - e) <= 10**17 - 11).
+def _least_double_at_least(q: Fraction) -> float:
+    x = float(q)
+    return x if Fraction(x) >= q else math.nextafter(x, math.inf)
+
+
+_DECADES = np.array([_least_double_at_least(Fraction(1, 10 ** k))
+                     for k in (4, 3, 2, 1)])
+# 10**(21 - s) and its Veltkamp halves, s = the number of decades <= x
+_SCALE = np.array([0.0] + [float(10 ** (21 - s)) for s in (1, 2, 3, 4)])
+_SPLIT = 134217729.0                                   # 2**27 + 1
+_SCALE_HI = _SCALE * _SPLIT - (_SCALE * _SPLIT - _SCALE)
+_SCALE_LO = _SCALE - _SCALE_HI
+
+
+def _words(text: bytes) -> np.ndarray:
+    return np.frombuffer(text, np.uint32)
+
+
+# uint32 words of four ASCII bytes: "0000".."9999"; and at 10 (s - 1) + d,
+# the 4 - s zeros after "0." of a value with s decades <= x, then D's first
+# digit d, NUL in front (NUL bytes are dropped on output)
+_DIGITS4 = _words(b"".join(b"%04d" % i for i in range(10000)))
+_HEAD = _words(b"".join(b"\0" * (s - 1) + b"0" * (4 - s) + b"%d" % d
+                        for s in (1, 2, 3, 4) for d in range(10)))
+_COMMA_POINT, _COMMA_ZERO, _NEWLINE = _words(b",0.\0,0\0\0\n\0\0\0")
+# words per value: "," and the longest %.17g, "-2.2250738585072014e-308"
+_FIELD = 7
+
+
+def _digit_words(d: np.ndarray, out: np.ndarray) -> None:
+    """Write the zero-padded ASCII digits of integers d >= 0 into the words
+    of out's last axis, four digits each, most significant first."""
+    for j in range(out.shape[-1] - 1, 0, -1):
+        d, r = np.divmod(d, 10000)
+        out[..., j] = _DIGITS4[r]
+    out[..., 0] = _DIGITS4[d]
+
+
+def _fill_values(x: np.ndarray, out: np.ndarray) -> None:
+    """Write "," and f"{v:.17g}" of each value of x, NUL-padded, into the
+    _FIELD words of out's last axis.  Values outside [1e-4, 1) other than
+    +0.0 (-0.0, tiny, negative, >= 1, non-finite) go through the f-string
+    one at a time."""
+    ok = (x >= _DECADES[0]) & (x < 1.0)
+    v = np.where(ok, x, 0.5)
+    s = np.searchsorted(_DECADES, v, side="right")
+    hi = v * _SCALE[s]                         # Dekker: v * c = hi + lo
+    t = v * _SPLIT
+    vh = t - (t - v)
+    vl = v - vh
+    ch, cl = _SCALE_HI[s], _SCALE_LO[s]
+    lo = vl * cl - (((hi - vh * ch) - vl * ch) - vh * cl)
+    first, rest = np.divmod(hi.astype(np.int64) + np.rint(lo).astype(np.int64),
+                            10 ** 16)
+    out[..., 0] = _COMMA_POINT
+    out[..., 1] = _HEAD[10 * s + first - 10]
+    _digit_words(rest, out[..., 2:6])
+    out[..., 6] = 0
+    b = out.view(np.uint8)
+    i, j = np.nonzero(b[..., 23] == 48)                # trailing zeros -> NUL
+    col = 23                                           # (byte 7, D's first
+    while i.size:                                      # digit, is not "0")
+        b[i, j, col] = 0
+        col -= 1
+        keep = b[i, j, col] == 48
+        i, j = i[keep], j[keep]
+    zero = (x == 0.0) & ~np.signbit(x)
+    out[zero] = 0
+    out[zero, 0] = _COMMA_ZERO
+    other = ~(ok | zero)
+    texts = [f",{v:.17g}".encode().ljust(4 * _FIELD, b"\0")
+             for v in x[other].tolist()]
+    b[other] = np.frombuffer(b"".join(texts), np.uint8).reshape(-1, 4 * _FIELD)
+
+
+def _orbit_csv(pts: np.ndarray) -> Iterator[bytes]:
+    """The orbit CSV: the header `n,x1,..`, then per row its index and
+    f"{v:.17g}" of each coordinate, in batches of at most CHUNK rows.  Each
+    batch is one buffer of uint32 words whose NUL bytes are dropped."""
+    n, dim = pts.shape
+    yield ("n," + ",".join(f"x{i + 1}" for i in range(dim)) + "\n").encode()
+    groups = -(-len(str(n - 1)) // 4)
+    for lo, m in chunk_ranges(0, n):
+        buf = np.empty((m, groups + dim * _FIELD + 1), np.uint32)
+        _digit_words(np.arange(lo, lo + m), buf[:, :groups])
+        index = buf[:, :groups].view(np.uint8)
+        top = lo                                       # leading zeros -> NUL
+        while top < lo + m:
+            digits = len(str(top))
+            end = min(lo + m, 10 ** digits)
+            index[top - lo:end - lo, :4 * groups - digits] = 0
+            top = end
+        _fill_values(pts[lo:lo + m], buf[:, groups:-1].reshape(m, dim, _FIELD))
+        buf[:, -1] = _NEWLINE
+        b = buf.view(np.uint8)
+        yield b[b != 0].tobytes()
 
 
 def _run_average(cfg, rng):

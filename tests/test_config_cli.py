@@ -4,10 +4,12 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import ergolab
 from ergolab import cli, config, runner
@@ -16,6 +18,7 @@ from ergolab.config import MODES, format_config, parse_config
 from ergolab.errors import ValidationError
 from ergolab.joinings import empirical_self_joining, fiber_integrals
 from ergolab.observables import Observable
+from ergolab.phases import CHUNK
 from ergolab.rng import SplitMix64
 from ergolab.runner import run_experiment
 from ergolab.seminorms import hk_seminorm
@@ -241,34 +244,94 @@ ORBIT_KINDS = [
      "beta = 0.73205080756887719", "0 0.5 0.125"),
     ("kind = automorphism\nmatrix = 2 1 1 1", "0.3 0.7"),
 ]
-ORBIT_SPECIAL = [0.0, -0.0, 5e-324, 1.0 - 2.0 ** -53]
+# 26217 / 2**18 * 10**17 is a half-integer with an even floor: half to even
+# and half up round it apart
+ORBIT_SPECIAL = [0.0, -0.0, 5e-324, 1e-5, math.nextafter(1e-4, 0.0), 1e-4,
+                 1.0 - 2.0 ** -53, 26217 / 2.0 ** 18] + [
+    v for k in (1, 2, 3, 4) for t in (10.0 ** -k,)
+    for v in (math.nextafter(t, 0.0), t, math.nextafter(t, 1.0))]
+# one, two and three CHUNK batches of rows
+ORBIT_ROWS = (300, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 5)
+
+
+def _csv_by_value(pts):
+    """The orbit CSV with f"{v:.17g}" applied to each value."""
+    want = ["n," + ",".join(f"x{i + 1}" for i in range(pts.shape[1]))]
+    want += [str(i) + "," + ",".join(f"{v:.17g}" for v in row)
+             for i, row in enumerate(pts.tolist())]
+    return ("\n".join(want) + "\n").encode()
 
 
 @pytest.mark.parametrize("system,start", ORBIT_KINDS)
 def test_orbit_csv_bytes_match_per_value_formatting(tmp_path, monkeypatch,
                                                     system, start):
-    """The orbit CSV's one row template gives the bytes of formatting each
-    value with f"{v:.17g}", on the orbit and on special values."""
-    cfg = parse_config(f"[system]\n{system}\n[run]\nmode = orbit\n"
-                       f"checkpoints = 300\nstart = {start}\n")
+    """The orbit CSV writer gives the bytes of formatting each value with
+    f"{v:.17g}", on the orbit and on special values planted in whole rows
+    and in every batch, at one to three batches of rows."""
     orbit = runner.orbit_points
 
     def special(*args, **kwargs):
         pts = orbit(*args, **kwargs).copy()
+        step = (len(pts) - len(ORBIT_SPECIAL)) // len(ORBIT_SPECIAL)
         for i, v in enumerate(ORBIT_SPECIAL):
             pts[i] = v
-            pts[len(ORBIT_SPECIAL) + i, i % pts.shape[1]] = v
+            pts[len(ORBIT_SPECIAL) + i * step, i % pts.shape[1]] = v
         return pts
 
-    for name, fn in (("orbit", orbit), ("special", special)):
-        monkeypatch.setattr(runner, "orbit_points", fn)
-        run_experiment(cfg, tmp_path / name)
-        pts = fn(cfg.system, np.asarray(cfg.start), 1, 0, 300, coords="state")
-        want = ["n," + ",".join(f"x{i + 1}" for i in range(pts.shape[1]))]
-        want += [str(i) + "," + ",".join(f"{v:.17g}" for v in pts[i])
-                 for i in range(300)]
-        assert (tmp_path / name / "orbit.csv").read_bytes() == \
-            ("\n".join(want) + "\n").encode()
+    for rows in ORBIT_ROWS:
+        cfg = parse_config(f"[system]\n{system}\n[run]\nmode = orbit\n"
+                           f"checkpoints = {rows}\nstart = {start}\n")
+        for name, fn in (("orbit", orbit), ("special", special)):
+            monkeypatch.setattr(runner, "orbit_points", fn)
+            run_experiment(cfg, tmp_path / f"{name}{rows}")
+            pts = fn(cfg.system, np.asarray(cfg.start), 1, 0, rows,
+                     coords="state")
+            assert (tmp_path / f"{name}{rows}" / "orbit.csv").read_bytes() \
+                == _csv_by_value(pts)
+
+
+def test_orbit_csv_row_indices_across_widths():
+    """Row indices keep their digits across 9 -> 10, 9999 -> 10000 and
+    99999 -> 100000 and across batches, with values that fall back to
+    per-value formatting next to the width changes."""
+    pts = np.random.default_rng(3).random((100_001, 1))
+    pts[[9, 10, 9999, 10000, 99_999, 100_000], 0] = \
+        [-0.0, 1e-5, 2.5, 0.0, float("nan"), -1e300]
+    for rows in (10, 11, 10_000, 10_001, 100_000, 100_001):
+        assert b"".join(runner._orbit_csv(pts[:rows])) == \
+            _csv_by_value(pts[:rows])
+
+
+def _float_of_bits(bits):
+    return float(np.uint64(bits).view(np.float64))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.one_of(
+    # uniform bit patterns below 1.0: every binade of [0, 1), subnormals too
+    st.integers(0, 0x3FEFFFFFFFFFFFFF).map(_float_of_bits),
+    # odd / 2**18 in [0.1, 1): x * 10**17 is an exact half-integer
+    st.integers(13107, 131071).map(lambda k: (2 * k + 1) / 2.0 ** 18)),
+    min_size=1, max_size=40))
+def test_orbit_csv_formatter_matches_fstring(values):
+    pts = np.array(values).reshape(-1, 1)
+    assert b"".join(runner._orbit_csv(pts)) == _csv_by_value(pts)
+
+
+def test_orbit_run_memory_is_bounded_by_its_batches(tmp_path):
+    """A 2**18-row Heisenberg orbit run peaks below twice its CSV's size:
+    the rows are written one batch at a time, not held as strings."""
+    cfg = parse_config(
+        "[system]\nkind = heisenberg\nalpha = 0.41421356237309515\n"
+        "beta = 0.73205080756887719\n[run]\nmode = orbit\n"
+        f"checkpoints = {2 ** 18}\nstart = 0 0.5 0.125\n")
+    tracemalloc.start()
+    try:
+        run_experiment(cfg, tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * (tmp_path / "orbit.csv").stat().st_size
 
 
 # ---------------------------------------------------------------------------
