@@ -17,9 +17,9 @@ run holds about one batch's buffers.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
-from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -107,42 +107,52 @@ def _run_orbit(cfg, rng):
 # rounds half to even.  D < 10**17: the doubles closest below 1, 0.1, 0.01
 # and 0.001 lie more than half a unit of the 17th digit away
 # (x * 10**(16 - e) <= 10**17 - 11).
-def _least_double_at_least(q: Fraction) -> float:
-    x = float(q)
-    return x if Fraction(x) >= q else math.nextafter(x, math.inf)
+def _least_double_at_least_tenth_power(k: int) -> float:
+    """The least double >= 10**-k, for k >= 0."""
+    x = 10.0 ** -k
+    num, den = x.as_integer_ratio()
+    return x if num * 10 ** k >= den else math.nextafter(x, math.inf)
 
 
-_DECADES = np.array([_least_double_at_least(Fraction(1, 10 ** k))
+_DECADES = np.array([_least_double_at_least_tenth_power(k)
                      for k in (4, 3, 2, 1)])
 # 10**(21 - s) and its Veltkamp halves, s = the number of decades <= x
-_SCALE = np.array([0.0] + [float(10 ** (21 - s)) for s in (1, 2, 3, 4)])
 _SPLIT = 134217729.0                                   # 2**27 + 1
-_SCALE_HI = _SCALE * _SPLIT - (_SCALE * _SPLIT - _SCALE)
-_SCALE_LO = _SCALE - _SCALE_HI
+_SCALE = [0.0] + [float(10 ** (21 - s)) for s in (1, 2, 3, 4)]
+_SCALE_HI = [c * _SPLIT - (c * _SPLIT - c) for c in _SCALE]
+_SCALE_LO = np.array([c - h for c, h in zip(_SCALE, _SCALE_HI)])
+_SCALE, _SCALE_HI = np.array(_SCALE), np.array(_SCALE_HI)
 
 
 def _words(text: bytes) -> np.ndarray:
     return np.frombuffer(text, np.uint32)
 
 
-# uint32 words of four ASCII bytes: "0000".."9999"; and at 10 (s - 1) + d,
-# the 4 - s zeros after "0." of a value with s decades <= x, then D's first
-# digit d, NUL in front (NUL bytes are dropped on output)
-_DIGITS4 = _words(b"".join(b"%04d" % i for i in range(10000)))
-_HEAD = _words(b"".join(b"\0" * (s - 1) + b"0" * (4 - s) + b"%d" % d
-                        for s in (1, 2, 3, 4) for d in range(10)))
 _COMMA_POINT, _COMMA_ZERO, _NEWLINE = _words(b",0.\0,0\0\0\n\0\0\0")
 # words per value: "," and the longest %.17g, "-2.2250738585072014e-308"
 _FIELD = 7
 
 
+@functools.cache
+def _digit_tables() -> tuple[np.ndarray, np.ndarray]:
+    """uint32 words of four ASCII bytes: "0000".."9999"; and at 10 (s - 1) + d,
+    the 4 - s zeros after "0." of a value with s decades <= x, then D's first
+    digit d, NUL in front (NUL bytes are dropped on output).  Built on the
+    first orbit written, so runs that write none do not hold them."""
+    digits4 = _words(b"".join(b"%04d" % i for i in range(10000)))
+    head = _words(b"".join(b"\0" * (s - 1) + b"0" * (4 - s) + b"%d" % d
+                           for s in (1, 2, 3, 4) for d in range(10)))
+    return digits4, head
+
+
 def _digit_words(d: np.ndarray, out: np.ndarray) -> None:
     """Write the zero-padded ASCII digits of integers d >= 0 into the words
     of out's last axis, four digits each, most significant first."""
+    digits4 = _digit_tables()[0]
     for j in range(out.shape[-1] - 1, 0, -1):
         d, r = np.divmod(d, 10000)
-        out[..., j] = _DIGITS4[r]
-    out[..., 0] = _DIGITS4[d]
+        out[..., j] = digits4[r]
+    out[..., 0] = digits4[d]
 
 
 def _fill_values(x: np.ndarray, out: np.ndarray) -> None:
@@ -162,7 +172,7 @@ def _fill_values(x: np.ndarray, out: np.ndarray) -> None:
     first, rest = np.divmod(hi.astype(np.int64) + np.rint(lo).astype(np.int64),
                             10 ** 16)
     out[..., 0] = _COMMA_POINT
-    out[..., 1] = _HEAD[10 * s + first - 10]
+    out[..., 1] = _digit_tables()[1][10 * s + first - 10]
     _digit_words(rest, out[..., 2:6])
     out[..., 6] = 0
     b = out.view(np.uint8)
@@ -177,8 +187,8 @@ def _fill_values(x: np.ndarray, out: np.ndarray) -> None:
     out[zero] = 0
     out[zero, 0] = _COMMA_ZERO
     other = ~(ok | zero)
-    texts = [f",{v:.17g}".encode().ljust(4 * _FIELD, b"\0")
-             for v in x[other].tolist()]
+    texts = [f",{y:.17g}".encode().ljust(4 * _FIELD, b"\0")
+             for y in x[other].tolist()]
     b[other] = np.frombuffer(b"".join(texts), np.uint8).reshape(-1, 4 * _FIELD)
 
 
