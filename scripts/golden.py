@@ -86,6 +86,11 @@ CASES = {
         "exact seminorm recursion (CompositionRow, product_integral)",
         "seminorm", GOLDEN_ROTATION, "f1 = 1:1;0.5,-0.5:2;0.25:-3",
         "order = 3\nouter_h = 20\nseed = 14"),
+    "seminorm-heisenberg": (
+        "exact seminorm recursion on the Heisenberg base characters",
+        "seminorm", HEISENBERG,
+        "f1 = 1:1,0;0.5,-0.5:0,1;0.25:-1,2\nf2 = 0.75,0.25:1,1;-0.5:2,-1",
+        "order = 3\nouter_h = 20\nseed = 16"),
     "seminorm-cat-fallback": (
         "Monte Carlo seminorm (_raised_mc) after frequency overflow",
         "seminorm", CAT, "f1 = 1:1,0", "order = 2\nouter_h = 60\n"
