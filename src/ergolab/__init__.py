@@ -16,12 +16,11 @@ from .averaging import (AverageTrajectory, FolnerBox, IteratedMap,
 from .config import ExperimentConfig, format_config, parse_config
 from .errors import (CommutationError, DimensionMismatchError,
                      FrequencyOverflowError, ResourceCapError, ValidationError)
-from .joinings import (DiagonalAction, EmpiricalMeasure, ap_fiber_integral,
+from .joinings import (EmpiricalMeasure, ap_fiber_integral,
                        ap_subtorus_integral, character_box,
                        decomposition_consistency, dump_cloud,
                        empirical_self_joining, fiber_measure, fiber_integrals,
-                       integrate_tensor, integrate_tensors, load_cloud,
-                       shift_cloud)
+                       integrate_tensor, integrate_tensors, load_cloud)
 from .observables import (Observable, compose_with_power, conjugate, evaluate,
                           format_observable, integral_haar, multiply,
                           parse_observable)

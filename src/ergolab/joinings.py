@@ -305,51 +305,6 @@ def self_joining_tensor_integral(system: DynamicalSystem, d: int,
 
 
 # ---------------------------------------------------------------------------
-# The diagonal actions
-
-
-@dataclass(frozen=True)
-class DiagonalAction:
-    """tau_d = T x ... x T and sigma_d = T x T^2 x ... x T^d on X^d."""
-
-    system: DynamicalSystem
-    d: int
-
-    def apply_sigma(self, tuples: np.ndarray, n: int = 1) -> np.ndarray:
-        out = np.empty_like(tuples)
-        for j in range(1, self.d + 1):
-            out[..., j - 1, :] = self.system.step(tuples[..., j - 1, :],
-                                                  j * n)
-        return out
-
-    def apply_tau(self, tuples: np.ndarray, n: int = 1) -> np.ndarray:
-        out = np.empty_like(tuples)
-        for j in range(self.d):
-            out[..., j, :] = self.system.step(tuples[..., j, :], n)
-        return out
-
-
-def shift_cloud(m: EmpiricalMeasure, which: str = "sigma",
-                n: int = 1) -> EmpiricalMeasure:
-    """Apply tau_d or sigma_d to every tuple of the cloud."""
-    system = _system_of(m)
-    action = DiagonalAction(system, m.arity)
-    fn = action.apply_sigma if which == "sigma" else action.apply_tau
-    S, N = m.points.shape[0], m.points.shape[1]
-    flat = m.points.reshape(S * N, m.arity, -1)
-    moved = fn(flat, n).reshape(m.points.shape)
-    prov = CloudProvenance(m.provenance.scheme + f"-{which}^{n}",
-                           m.provenance.system, m.arity, m.provenance.n,
-                           m.provenance.seed, m.provenance.starts)
-    return EmpiricalMeasure(moved, prov)
-
-
-def _system_of(m: EmpiricalMeasure) -> DynamicalSystem:
-    from .systems import system_from_kv
-    return system_from_kv(m.provenance.system)
-
-
-# ---------------------------------------------------------------------------
 # Progression-subtorus oracle (ergodic rotations)
 
 

@@ -154,21 +154,19 @@ def conjugate(f: Observable) -> Observable:
         f.dim, {tuple(-v for v in k): c.conjugate() for k, c in f.terms})
 
 
-def _check_term_pairs(f: Observable, g: Observable,
-                     term_cap: int = TERM_CAP) -> None:
-    """The cost guard of the product f g: ResourceCapError when it would
-    touch more than term_cap term pairs."""
-    if f.term_count * g.term_count > term_cap:
+def _check_term_pairs(nf: int, ng: int, term_cap: int = TERM_CAP) -> None:
+    """The cost guard of a product of nf and ng terms: ResourceCapError when
+    it would touch more than term_cap term pairs."""
+    if nf * ng > term_cap:
         raise ResourceCapError(
-            f"product would touch {f.term_count * g.term_count} term pairs "
-            f"(cap {term_cap})")
+            f"product would touch {nf * ng} term pairs (cap {term_cap})")
 
 
 def multiply(f: Observable, g: Observable, term_cap: int = TERM_CAP) -> Observable:
     """Exact product: convolution of the frequency lists."""
     if f.dim != g.dim:
         raise DimensionMismatchError("observable dimension mismatch")
-    _check_term_pairs(f, g, term_cap)
+    _check_term_pairs(f.term_count, g.term_count, term_cap)
     acc: dict[tuple[int, ...], complex] = {}
     for kf, cf in f.terms:
         for kg, cg in g.terms:
@@ -183,7 +181,7 @@ def product_integral(f: Observable, g: Observable) -> complex:
     multiply's checks, so its bits and errors are the product's."""
     if f.dim != g.dim:
         raise DimensionMismatchError("observable dimension mismatch")
-    _check_term_pairs(f, g)
+    _check_term_pairs(f.term_count, g.term_count)
     coeffs = dict(g.terms)
     acc = 0.0
     for k, c in f.terms:
@@ -212,13 +210,17 @@ class CompositionRow(dict):
         return out
 
 
+def _check_obs_dim(f: Observable, system) -> None:
+    if f.dim != system.obs_dim:
+        raise DimensionMismatchError(
+            f"observable dim {f.dim} != system frequency dim {system.obs_dim}")
+
+
 def compose_with_power(f: Observable, system, n: int,
                        row: CompositionRow | None = None) -> Observable:
     """The exact pullback f o T^n as a character sum on the same space;
     `row`, when given, is the caller's CompositionRow for (system, n)."""
-    if f.dim != system.obs_dim:
-        raise DimensionMismatchError(
-            f"observable dim {f.dim} != system frequency dim {system.obs_dim}")
+    _check_obs_dim(f, system)
     if row is None:
         row = CompositionRow(system, n)
     acc: dict[tuple[int, ...], complex] = {}
@@ -226,6 +228,43 @@ def compose_with_power(f: Observable, system, n: int,
         nk, mult = row[k]
         acc[nk] = acc.get(nk, 0.0) + c * mult
     return Observable.from_dict(f.dim, acc)
+
+
+def phase_correlations(f: Observable, system,
+                       rows: list[CompositionRow]) -> list[complex]:
+    """product_integral(f, compose_with_power(conjugate(f), system, n, row))
+    for every row, bit for bit and with the same errors, on a system with a
+    phase basis, all n at once.
+
+    There T^n keeps each frequency, so the term -k of conj(f) o T^n is
+    0.0 + conj(c_k) e_n (e_n = row[-k]'s multiplier), dropped when zero,
+    and the integral sums c_k times it over f's terms in order.  Both
+    complex products run as separate float64 multiplies and adds, as
+    Python's do (numpy's complex multiply fuses them), on a (terms, rows)
+    grid; the sum over terms is sequential from 0.0, as
+    product_integral's is, and dropped terms add +0.0, which leaves a sum
+    started at +0.0 unchanged."""
+    _check_obs_dim(f, system)
+    # conj(f)'s frequencies are f's negated, so in reverse order: look them
+    # up in that order, row by row, then lay them out as (terms, rows) in
+    # f's order.  Every lookup precedes the first term-pair check, which the
+    # per-n path interleaves; only an error that depends on n could tell,
+    # and a phase-basis compose_term has none.
+    negs = [tuple(-v for v in k) for k, _ in reversed(f.terms)]
+    mult = np.array([row[k][1] for row in rows for k in negs],
+                    dtype=np.complex128).reshape(len(rows), -1)[:, ::-1].T
+    c = np.array([c for _, c in f.terms], dtype=np.complex128)[:, None]
+    cr, ci, mr, mi = c.real, c.imag, mult.real, mult.imag
+    dr = 0.0 + (cr * mr + ci * mi)      # (cr - i ci)(mr + i mi)
+    di = 0.0 + (cr * mi - ci * mr)
+    kept = (dr != 0) | (di != 0)
+    for ng in np.count_nonzero(kept, axis=0).tolist():
+        _check_term_pairs(f.term_count, ng)
+    sums = np.zeros((f.term_count + 1, 2, len(rows)))
+    sums[1:, 0] = np.where(kept, cr * dr - ci * di, 0.0)
+    sums[1:, 1] = np.where(kept, cr * di + ci * dr, 0.0)
+    re, im = np.add.accumulate(sums)[-1].tolist()
+    return [complex(a, b) for a, b in zip(re, im)]
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,9 @@ up to CHUNK rows at a time in integer and float arrays (exactly, see the
 note above `_fill_values`), lays the row indices, values, commas and
 newlines out in one NUL-padded buffer per batch, drops the NUL bytes, and
 the run streams each batch to the file.  Values outside [1e-4, 1) other
-than +0.0 are formatted one at a time.  Beyond the orbit itself, an orbit
-run holds about one batch's buffers.
+than +0.0 are formatted one at a time.  Each batch's rows are generated
+when the batch is written, so an orbit run holds about one batch's orbit
+and buffers, whatever its length.
 """
 
 from __future__ import annotations
@@ -90,12 +91,13 @@ def run_experiment(cfg: ExperimentConfig, outdir: Path) -> dict:
 
 def _run_orbit(cfg, rng):
     n = cfg.checkpoints[-1]
-    if n * cfg.system.dim > GRID_CAP:     # held whole: guard before allocating
+    if n * cfg.system.dim > GRID_CAP:     # the size guard of every grid
         raise ResourceCapError(f"an orbit of {n} rows exceeds GRID_CAP = "
                                f"{GRID_CAP} values")
     x = _resolve_start(cfg, rng)
-    pts = orbit_points(cfg.system, x, 1, 0, n, coords="state")
-    return _orbit_csv(pts), {"rows": n}
+    # orbit bits depend only on the index, so each batch is its own block
+    rows = functools.partial(orbit_points, cfg.system, x, 1)
+    return _orbit_csv(n, cfg.system.dim, rows), {"rows": n}
 
 
 # %.17g without a string per value.  A double x in [1e-4, 1) prints as "0.",
@@ -192,11 +194,11 @@ def _fill_values(x: np.ndarray, out: np.ndarray) -> None:
     b[other] = np.frombuffer(b"".join(texts), np.uint8).reshape(-1, 4 * _FIELD)
 
 
-def _orbit_csv(pts: np.ndarray) -> Iterator[bytes]:
-    """The orbit CSV: the header `n,x1,..`, then per row its index and
-    f"{v:.17g}" of each coordinate, in batches of at most CHUNK rows.  Each
-    batch is one buffer of uint32 words whose NUL bytes are dropped."""
-    n, dim = pts.shape
+def _orbit_csv(n: int, dim: int, rows) -> Iterator[bytes]:
+    """The CSV of n rows of dim values: the header `n,x1,..`, then per row
+    its index and f"{v:.17g}" of each value, in batches of at most CHUNK
+    rows, `rows(lo, m)` giving rows lo..lo+m-1 of a batch.  Each batch is
+    one buffer of uint32 words whose NUL bytes are dropped."""
     yield ("n," + ",".join(f"x{i + 1}" for i in range(dim)) + "\n").encode()
     groups = -(-len(str(n - 1)) // 4)
     for lo, m in chunk_ranges(0, n):
@@ -209,7 +211,7 @@ def _orbit_csv(pts: np.ndarray) -> Iterator[bytes]:
             end = min(lo + m, 10 ** digits)
             index[top - lo:end - lo, :4 * groups - digits] = 0
             top = end
-        _fill_values(pts[lo:lo + m], buf[:, groups:-1].reshape(m, dim, _FIELD))
+        _fill_values(rows(lo, m), buf[:, groups:-1].reshape(m, dim, _FIELD))
         buf[:, -1] = _NEWLINE
         b = buf.view(np.uint8)
         yield b[b != 0].tobytes()

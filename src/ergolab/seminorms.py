@@ -14,7 +14,11 @@ with the constant |f|^2 term that the Cesaro limit kills.
 On character sums the inner integrals resolve exactly (the "exact" path).
 The last level needs only the Haar integral of f . T^h conj(f), the sum of
 c_f(k) c_g(-k) with g = conj(f) o T^h, so it reads that coefficient without
-building the product.  The levels of one recursion compose the same
+building the product.  On a system with a phase basis (rotations, the
+Heisenberg base) T^h keeps every frequency, so it takes that coefficient
+for every h at once, in float64 arrays with the per-h bits
+(observables.phase_correlations); skew products and automorphisms move
+frequencies and go one h at a time through product_integral.  The levels of one recursion compose the same
 frequencies with the same powers over and over, so each call holds one
 observables.CompositionRow per h and composes each distinct (k, h) once
 (on the automorphism, each matrix power A^h is built once).  When the
@@ -39,7 +43,7 @@ import numpy as np
 from .errors import ResourceCapError, ValidationError
 from .observables import (CompositionRow, Observable, compose_with_power,
                           conjugate, evaluate, integral_haar, multiply,
-                          product_integral)
+                          phase_correlations, product_integral)
 from .joinings import _streamed_start_means
 from .phases import chunk_ranges, exact_sum, frac, frac_combo, CHUNK
 from .rng import SplitMix64
@@ -72,6 +76,9 @@ def _raised_exact(system, f: Observable, order: int, H: int,
         return abs(integral_haar(f)) ** 2
     if rows is None:
         rows = [CompositionRow(system, h) for h in range(1, H + 1)]
+    if order == 2 and system.phase_basis() is not None:
+        return math.fsum(abs(v) ** 2
+                         for v in phase_correlations(f, system, rows)) / H
     fc = conjugate(f)
     vals = []
     for h, row in enumerate(rows, 1):

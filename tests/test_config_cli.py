@@ -254,6 +254,11 @@ ORBIT_SPECIAL = [0.0, -0.0, 5e-324, 1e-5, math.nextafter(1e-4, 0.0), 1e-4,
 ORBIT_ROWS = (300, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 5)
 
 
+def _csv_of(pts):
+    """runner._orbit_csv's bytes for the rows of pts."""
+    return b"".join(runner._orbit_csv(*pts.shape, lambda lo, m: pts[lo:lo + m]))
+
+
 def _csv_by_value(pts):
     """The orbit CSV with f"{v:.17g}" applied to each value."""
     want = ["n," + ",".join(f"x{i + 1}" for i in range(pts.shape[1]))]
@@ -270,12 +275,16 @@ def test_orbit_csv_bytes_match_per_value_formatting(tmp_path, monkeypatch,
     and in every batch, at one to three batches of rows."""
     orbit = runner.orbit_points
 
-    def special(*args, **kwargs):
-        pts = orbit(*args, **kwargs).copy()
-        step = (len(pts) - len(ORBIT_SPECIAL)) // len(ORBIT_SPECIAL)
+    def special(system, x, stride, n0, count, **kwargs):
+        # the same rows of the whole orbit, whichever batch asks for them
+        pts = orbit(system, x, stride, n0, count, **kwargs).copy()
+        step = (rows - len(ORBIT_SPECIAL)) // len(ORBIT_SPECIAL)
         for i, v in enumerate(ORBIT_SPECIAL):
-            pts[i] = v
-            pts[len(ORBIT_SPECIAL) + i * step, i % pts.shape[1]] = v
+            for row, col in ((i, slice(None)),
+                             (len(ORBIT_SPECIAL) + i * step,
+                              i % pts.shape[1])):
+                if n0 <= row < n0 + count:
+                    pts[row - n0, col] = v
         return pts
 
     for rows in ORBIT_ROWS:
@@ -298,8 +307,7 @@ def test_orbit_csv_row_indices_across_widths():
     pts[[9, 10, 9999, 10000, 99_999, 100_000], 0] = \
         [-0.0, 1e-5, 2.5, 0.0, float("nan"), -1e300]
     for rows in (10, 11, 10_000, 10_001, 100_000, 100_001):
-        assert b"".join(runner._orbit_csv(pts[:rows])) == \
-            _csv_by_value(pts[:rows])
+        assert _csv_of(pts[:rows]) == _csv_by_value(pts[:rows])
 
 
 def _float_of_bits(bits):
@@ -315,23 +323,36 @@ def _float_of_bits(bits):
     min_size=1, max_size=40))
 def test_orbit_csv_formatter_matches_fstring(values):
     pts = np.array(values).reshape(-1, 1)
-    assert b"".join(runner._orbit_csv(pts)) == _csv_by_value(pts)
+    assert _csv_of(pts) == _csv_by_value(pts)
+
+
+def _heisenberg_orbit_peak(rows, outdir):
+    cfg = parse_config(
+        "[system]\nkind = heisenberg\nalpha = 0.41421356237309515\n"
+        "beta = 0.73205080756887719\n[run]\nmode = orbit\n"
+        f"checkpoints = {rows}\nstart = 0 0.5 0.125\n")
+    tracemalloc.start()
+    try:
+        run_experiment(cfg, outdir)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def test_orbit_run_memory_is_bounded_by_its_batches(tmp_path):
     """A 2**18-row Heisenberg orbit run peaks below twice its CSV's size:
     the rows are written one batch at a time, not held as strings."""
-    cfg = parse_config(
-        "[system]\nkind = heisenberg\nalpha = 0.41421356237309515\n"
-        "beta = 0.73205080756887719\n[run]\nmode = orbit\n"
-        f"checkpoints = {2 ** 18}\nstart = 0 0.5 0.125\n")
-    tracemalloc.start()
-    try:
-        run_experiment(cfg, tmp_path)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = _heisenberg_orbit_peak(2 ** 18, tmp_path)
     assert peak < 2 * (tmp_path / "orbit.csv").stat().st_size
+
+
+def test_orbit_run_peak_does_not_grow_with_its_rows(tmp_path):
+    """Each batch's rows are generated when the batch is written, so four
+    times the rows (2**16 -> 2**18, 1.5 -> 6.3 MB of orbit) add less than
+    1 MB to the peak; holding the whole orbit first added 4.5 MB."""
+    small = _heisenberg_orbit_peak(2 ** 16, tmp_path / "small")
+    large = _heisenberg_orbit_peak(2 ** 18, tmp_path / "large")
+    assert large - small < 2 ** 20
 
 
 # ---------------------------------------------------------------------------

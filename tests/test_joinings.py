@@ -8,12 +8,11 @@ from ergolab.averaging import multilinear_average_linear
 from ergolab.errors import (DimensionMismatchError, ResourceCapError,
                             ValidationError)
 from ergolab import joinings
-from ergolab.joinings import (DiagonalAction, ap_fiber_integral,
-                              ap_subtorus_integral,
+from ergolab.joinings import (ap_fiber_integral, ap_subtorus_integral,
                               decomposition_consistency, dump_cloud,
                               empirical_self_joining, fiber_integrals,
                               fiber_measure, integrate_tensor, load_cloud,
-                              self_joining_tensor_integral, shift_cloud)
+                              self_joining_tensor_integral)
 from ergolab.observables import Observable, evaluate
 from ergolab.phases import (CHUNK, MeanAccumulator, chunk_ranges, e,
                             exact_sum)
@@ -231,39 +230,6 @@ def test_d1_dispersion_is_monte_carlo_small():
     # Birkhoff limits are start-independent; finite-N fibers differ by the
     # geometric tail only
     assert rep.dispersion <= 4 / (50_000 * abs(1 - e(GOLDEN)))
-
-
-# ---------------------------------------------------------------------------
-# Diagonal actions
-
-
-def test_sigma_shift_moves_integral_by_boundary_terms():
-    fs = [Observable.character(1), Observable.character(-1)]
-    n = 400
-    cloud = empirical_self_joining(G, 2, 15, n, SplitMix64(6))
-    v0 = integrate_tensor(cloud, fs)
-    v1 = integrate_tensor(shift_cloud(cloud, "sigma"), fs)
-    assert abs(v1 - v0) <= 2 * 2 / n     # 2 * prod sup * d / N envelope
-
-
-def test_tau_and_sigma_commute_on_tuples():
-    act = DiagonalAction(G, 3)
-    cloud = empirical_self_joining(G, 3, 4, 5, SplitMix64(7))
-    flat = cloud.points.reshape(-1, 3, 1)
-    ab = act.apply_tau(act.apply_sigma(flat))
-    ba = act.apply_sigma(act.apply_tau(flat))
-    d = np.abs(ab - ba)
-    assert np.max(np.minimum(d, 1 - d)) <= 1e-12
-
-
-def test_sigma_maps_orbit_index():
-    x = np.array([0.3])
-    m = fiber_measure(G, x, 2, 10)
-    act = DiagonalAction(G, 2)
-    moved = act.apply_sigma(m.points[0])
-    for n in range(9):
-        d = np.abs(moved[n] - m.points[0, n + 1])
-        assert np.max(np.minimum(d, 1 - d)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -8,13 +8,16 @@ from hypothesis import strategies as st
 
 from ergolab.errors import (DimensionMismatchError, FrequencyOverflowError,
                             ResourceCapError, ValidationError)
-from ergolab.observables import (Observable, compose_with_power, conjugate,
-                                 evaluate, format_observable, integral_haar,
-                                 multiply, parse_observable, product_integral)
+from ergolab.observables import (CompositionRow, Observable,
+                                 compose_with_power, conjugate, evaluate,
+                                 format_observable, integral_haar, multiply,
+                                 parse_observable, phase_correlations,
+                                 product_integral)
 from ergolab.phases import CHUNK, TWO_PI, e, frac_combo
 from ergolab.rng import SplitMix64
-from ergolab.systems import (ToralAutomorphism, cat_map, default_heisenberg,
-                             golden_rotation, standard_skew, step)
+from ergolab.systems import (Rotation, ToralAutomorphism, cat_map,
+                             default_heisenberg, golden_rotation,
+                             standard_skew, step)
 
 coeffs = st.complex_numbers(max_magnitude=2.0, allow_nan=False,
                             allow_infinity=False)
@@ -123,6 +126,64 @@ def test_product_integral_bits_match_the_product(f, g):
     hc = Observable.from_dict(2, {(-1, 0): 1.0, (0, -1): 1.0})
     assert product_integral(h, hc).imag.hex() == \
         integral_haar(multiply(h, hc)).imag.hex() == (0.0).hex()
+
+
+def _composed_integrals(f, system, rows):
+    """product_integral of f and each composed conj(f), one row at a time."""
+    return [product_integral(f, compose_with_power(conjugate(f), system, h,
+                                                   row))
+            for h, row in enumerate(rows, 1)]
+
+
+def _bits(values):
+    return [(v.real.hex(), v.imag.hex()) for v in values]
+
+
+@pytest.mark.parametrize("system", [golden_rotation(), Rotation((0.3, 0.7)),
+                                    default_heisenberg()],
+                         ids=lambda s: f"{type(s).__name__}-{s.obs_dim}")
+def test_phase_correlations_bits_match_product_integral(system):
+    """All lags at once give product_integral's bits through the same rows,
+    also where multipliers planted in the rows (0 and 5e-324) make composed
+    terms exact zeros, which drop out of the composed observable."""
+    rng = np.random.default_rng(5)
+    dim, dropped = system.obs_dim, 0
+    for _ in range(20):
+        f = Observable.from_dict(dim, {
+            tuple(rng.integers(-3, 4, dim).tolist()):
+            complex(*rng.normal(size=2)) for _ in range(5)})
+        rows = [CompositionRow(system, h) for h in range(1, 8)]
+        for row in rows[::2]:
+            for k, _ in f.terms[::2]:
+                nk = tuple(-v for v in k)
+                row[nk] = (nk, complex(*rng.choice([0.0, 5e-324, -5e-324],
+                                                   size=2)))
+        want = _composed_integrals(f, system, rows)
+        assert _bits(phase_correlations(f, system, rows)) == _bits(want)
+        dropped += sum(f.term_count - compose_with_power(
+            conjugate(f), system, h, row).term_count
+            for h, row in enumerate(rows, 1))
+    assert dropped > 0
+
+
+def test_phase_correlations_checks_each_lag_in_order():
+    g = golden_rotation()
+    with pytest.raises(DimensionMismatchError,
+                       match="observable dim 2 != system frequency dim 1"):
+        phase_correlations(Observable.character((1, 0)), g,
+                           [CompositionRow(g, 1)])
+    # 1,001 terms: two exact zeros at h = 1 leave 1,001 x 999 term pairs,
+    # under TERM_CAP; h = 2 has all 1,001
+    wide = Observable.from_dict(1, {(k,): 1.0 for k in range(-500, 501)})
+    rows = [CompositionRow(g, h) for h in (1, 2)]
+    for k in ((7,), (-9,)):
+        rows[0][k] = (k, 0j)
+    assert _bits(phase_correlations(wide, g, rows[:1])) == \
+        _bits(_composed_integrals(wide, g, rows[:1]))
+    with pytest.raises(ResourceCapError, match="1002001 term pairs"):
+        phase_correlations(wide, g, rows)
+    assert phase_correlations(Observable.from_dict(1, {}), g, rows) == \
+        _composed_integrals(Observable.from_dict(1, {}), g, rows) == [0j, 0j]
 
 
 # ---------------------------------------------------------------------------

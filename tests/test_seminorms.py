@@ -5,17 +5,18 @@ import pytest
 
 from ergolab.errors import (FrequencyOverflowError, ResourceCapError,
                             ValidationError)
-from ergolab.observables import (Observable, compose_with_power, conjugate,
-                                 evaluate, integral_haar, multiply)
+from ergolab.observables import (CompositionRow, Observable,
+                                 compose_with_power, conjugate, evaluate,
+                                 integral_haar, multiply, phase_correlations)
 from ergolab.phases import e, exact_sum
 from ergolab.rng import SplitMix64
 from ergolab.seminorms import (_raised_exact, hk_seminorm,
                                multilinear_norm_bound_check,
                                quadratic_phase_block, seminorm_ladder,
                                van_der_corput_check, vdc_family)
-from ergolab.systems import (GOLDEN, ToralAutomorphism, cat_map,
-                             default_heisenberg, golden_rotation, orbit_points,
-                             standard_skew)
+from ergolab.systems import (GOLDEN, SQRT2_M1, Rotation, ToralAutomorphism,
+                             cat_map, default_heisenberg, golden_rotation,
+                             orbit_points, standard_skew)
 
 G = golden_rotation()
 CM = cat_map()
@@ -103,14 +104,26 @@ def _outcome(fn, *args):
         return type(exc).__name__, str(exc)
 
 
+# e(k h / 2) is -1 + 1.2e-16i at odd k h: the rotation on which TINY_PAIR's
+# last level cancels
+HALF = Rotation((0.5,))
+TINY = 2.0 ** -512        # TINY**2 is subnormal and 1.2e-16 TINY**2 is 0
+
+
 def _seminorm_observables(dim):
     rng = np.random.default_rng(17)
     zero = (0,) * dim
-    out = [Observable.character((1,) + zero[1:]),
-           Observable.from_dict(dim, {zero: 0.5, (1,) + zero[1:]: 0.5}),
+    one, two = (1,) + zero[1:], (2,) + zero[1:]
+    out = [Observable.character(one),
+           Observable.from_dict(dim, {zero: 0.5, one: 0.5}),
            # a real-valued f, whose conjugate has the same frequencies
-           Observable.from_dict(dim, {(1,) + zero[1:]: 0.5 - 0.25j,
-                                      (-1,) + zero[1:]: 0.5 + 0.25j})]
+           Observable.from_dict(dim, {one: 0.5 - 0.25j, (-1,) + zero[1:]:
+                                      0.5 + 0.25j}),
+           # 5e-324 times 0.25 underflows: those terms of f (conj(f) o T^h)
+           # are dropped from the product
+           Observable.from_dict(dim, {one: 0.25, two: 5e-324}),
+           # on HALF, the last-level sum at odd h is TINY**2 - TINY**2 = 0
+           Observable.from_dict(dim, {zero: TINY, one: TINY})]
     for n in (3, 4):
         coeffs = {}
         while len(coeffs) < n:
@@ -120,16 +133,26 @@ def _seminorm_observables(dim):
     return out
 
 
-@pytest.mark.parametrize("system", [G, standard_skew(), default_heisenberg(),
-                                    CM],
-                         ids=lambda s: type(s).__name__)
+@pytest.mark.parametrize("system", [
+    G, standard_skew(), default_heisenberg(), CM,
+    pytest.param(Rotation((GOLDEN, SQRT2_M1)), id="Rotation2d"),
+    pytest.param(HALF, id="RotationHalf")], ids=lambda s: type(s).__name__)
 def test_raised_exact_bits_match_full_product_recursion(system):
-    # the last level reads only the Haar coefficient of each product; its
-    # values, overflows and caps are those of the full product
+    # the last level reads only the Haar coefficient of each product (on a
+    # phase basis, for every h at once); its values, overflows and caps are
+    # those of the full product
     for order, H in ((2, 30), (3, 6), (4, 2)):
         for f in _seminorm_observables(system.obs_dim):
             assert _outcome(_raised_exact, system, f, order, H) == \
                 _outcome(ref_raised_exact, system, f, order, H)
+    tiny = _seminorm_observables(system.obs_dim)[3]
+    product = multiply(tiny, compose_with_power(conjugate(tiny), system, 1))
+    assert product.term_count < 3
+    if system is HALF:
+        pair = _seminorm_observables(1)[4]
+        sums = phase_correlations(pair, HALF, [CompositionRow(HALF, h)
+                                               for h in (1, 2)])
+        assert sums[0] == 0 and sums[1] != 0
     # a product past TERM_CAP (1,001 x 1,001 term pairs)
     wide = Observable.from_dict(system.obs_dim, {
         (k,) + (0,) * (system.obs_dim - 1): 1.0 for k in range(-500, 501)})
