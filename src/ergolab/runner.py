@@ -91,7 +91,7 @@ def run_experiment(cfg: ExperimentConfig, outdir: Path) -> dict:
 
 def _run_orbit(cfg, rng):
     n = cfg.checkpoints[-1]
-    if n * cfg.system.dim > GRID_CAP:     # the size guard of every grid
+    if n * cfg.system.dim > GRID_CAP:     # a run's cap, as on grid walks
         raise ResourceCapError(f"an orbit of {n} rows exceeds GRID_CAP = "
                                f"{GRID_CAP} values")
     x = _resolve_start(cfg, rng)

@@ -18,15 +18,15 @@ building the product.  On a system with a phase basis (rotations, the
 Heisenberg base) T^h keeps every frequency, so it takes that coefficient
 for every h at once, in float64 arrays with the per-h bits
 (observables.phase_correlations); skew products and automorphisms move
-frequencies and go one h at a time through product_integral.  The levels of one recursion compose the same
-frequencies with the same powers over and over, so each call holds one
-observables.CompositionRow per h and composes each distinct (k, h) once
-(on the automorphism, each matrix power A^h is built once).  When the
-symbolic product algebra would blow past its term cap (the last level
-keeps the product's cap check) the estimate falls back to Monte Carlo:
-inner integrals become length-N Birkhoff averages from a seeded Haar start,
-with products expanded as shift/conjugation lists evaluated pointwise along
-one orbit.
+frequencies and go one h at a time through product_integral.  The levels
+of one recursion compose the same frequencies with the same powers over
+and over, so each call holds one observables.CompositionRow per h and
+composes each distinct (k, h) once (on the automorphism, each matrix
+power A^h is built once).  When the symbolic product algebra would blow
+past its term cap (the last level keeps the product's cap check) the
+estimate falls back to Monte Carlo: inner integrals become length-N
+Birkhoff averages from a seeded Haar start, with products expanded as
+shift/conjugation lists evaluated pointwise along one orbit.
 
 The van der Corput check writes every lag's products into one buffer, in
 the operand order the plain expression had (see van_der_corput_check).

@@ -256,7 +256,8 @@ ORBIT_ROWS = (300, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 5)
 
 def _csv_of(pts):
     """runner._orbit_csv's bytes for the rows of pts."""
-    return b"".join(runner._orbit_csv(*pts.shape, lambda lo, m: pts[lo:lo + m]))
+    return b"".join(runner._orbit_csv(*pts.shape,
+                                      lambda lo, m: pts[lo:lo + m]))
 
 
 def _csv_by_value(pts):
