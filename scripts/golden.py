@@ -91,6 +91,11 @@ CASES = {
         "seminorm", HEISENBERG,
         "f1 = 1:1,0;0.5,-0.5:0,1;0.25:-1,2\nf2 = 0.75,0.25:1,1;-0.5:2,-1",
         "order = 3\nouter_h = 20\nseed = 16"),
+    "seminorm-cat-exact": (
+        "exact seminorm on the automorphism (composer, matrix powers A^h); "
+        "A^T (1,0) = (2,1), so the value is nonzero",
+        "seminorm", CAT, "f1 = 1:1,0;0.5:2,1", "order = 2\nouter_h = 30\n"
+        "seed = 17"),
     "seminorm-cat-fallback": (
         "Monte Carlo seminorm (_raised_mc) after frequency overflow",
         "seminorm", CAT, "f1 = 1:1,0", "order = 2\nouter_h = 60\n"
