@@ -19,7 +19,7 @@ from .errors import (CommutationError, DimensionMismatchError,
 from .joinings import (EmpiricalMeasure, ap_fiber_integral,
                        ap_subtorus_integral, character_box,
                        decomposition_consistency, dump_cloud,
-                       empirical_self_joining, fiber_measure, fiber_integrals,
+                       empirical_self_joining, fiber_measure,
                        integrate_tensor, integrate_tensors, load_cloud)
 from .observables import (Observable, compose_with_power, conjugate, evaluate,
                           format_observable, integral_haar, multiply,

@@ -266,11 +266,6 @@ def integrate_tensor(m: EmpiricalMeasure, fs: Sequence[Observable]) -> complex:
     return integrate_tensors(m, [fs])[0]
 
 
-def fiber_integrals(m: EmpiricalMeasure, fs: Sequence[Observable]) -> list[complex]:
-    """Per-start tensor integrals (the fiber values behind the barycenter)."""
-    return _cloud_means(m, [fs])[0].tolist()
-
-
 def _cloud_means(m: EmpiricalMeasure, fs_list,
                  products: np.ndarray | None = None) -> np.ndarray:
     """Per-start means of each tuple of fs_list, as a (tuples, S) complex

@@ -16,7 +16,7 @@ from ergolab import cli, config, runner
 from ergolab.averaging import GRID_CAP, square_trajectory
 from ergolab.config import MODES, format_config, parse_config
 from ergolab.errors import ValidationError
-from ergolab.joinings import empirical_self_joining, fiber_integrals
+from ergolab.joinings import _cloud_means, empirical_self_joining
 from ergolab.observables import Observable
 from ergolab.phases import CHUNK
 from ergolab.rng import SplitMix64
@@ -655,7 +655,7 @@ freq_box = 1
     run_experiment(cfg, tmp_path)
     bary = json.loads((tmp_path / "joining.json").read_text())["barycenter"]
     cloud = empirical_self_joining(cfg.system, 2, 30, 80, SplitMix64(19))
-    fibers = fiber_integrals(cloud, list(cfg.observables))
+    fibers = _cloud_means(cloud, [list(cfg.observables)])[0].tolist()
     expect = complex(math.fsum(v.real for v in fibers) / len(fibers),
                      math.fsum(v.imag for v in fibers) / len(fibers))
     assert (bary["re"], bary["im"]) == (expect.real, expect.imag)
