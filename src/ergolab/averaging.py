@@ -31,6 +31,7 @@ share no arithmetic with exact.py.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -40,8 +41,8 @@ from .errors import (CommutationError, ResourceCapError, ValidationError)
 from .exact import character_at, obs_coords, pattern_phase, term_tuples
 from .observables import Observable, evaluate
 from .joinings import _streamed_start_means
-from .phases import (CHUNK, PhaseForm, chunk_means, dyadic_combo,
-                     exact_row_sums, exact_sum)
+from .phases import (CHUNK, PhaseForm, chunk_means, exact_row_sums,
+                     exact_sum)
 from .rng import SplitMix64
 from .systems import DynamicalSystem, _rotate
 
@@ -168,12 +169,11 @@ def geometric_mean_streamed(form: PhaseForm, checkpoints: Sequence[int]) -> dict
     """(1/N) sum_{n<N} e(n*theta) by literal summation, emitted at each
     checkpoint: the rotation from 0 at theta's exact rate (systems._rotate),
     whose chunk bases are reduced exactly, so no drift at any N."""
-    rate = [dyadic_combo(zip(form.coeffs, form.basis))]
     start = np.zeros((1, 1))
 
     def values_at(r0, r1, n0, cnt):
         phase = np.empty((1, cnt, 1))
-        _rotate(start, rate, 1, n0, cnt, phase)
+        _rotate(start, (form.num,), form.shift, 1, n0, cnt, phase)
         return np.exp((2j * np.pi) * phase[:, :, 0])
     means = chunk_means(values_at, 1, checkpoints)
     return dict(zip(checkpoints, means[:, 0].tolist()))
@@ -242,13 +242,13 @@ def _grid_factorized(system, fs, coeffs, x, checkpoints) -> list[tuple[int, comp
     pattern phase (exact.pattern_phase); tuples with equal rates share a
     stream."""
     xo = obs_coords(system, x)
-    stream = functools.cache(
-        lambda key: geometric_mean_streamed(PhaseForm(*key), checkpoints))
+    stream = functools.cache(lambda num, shift: geometric_mean_streamed(
+        PhaseForm((num,), (math.ldexp(1.0, -shift),)), checkpoints))
     pieces = []  # (coeff * e(K.x), per-axis streams)
     for coeff, ks in term_tuples(list(fs)):
         K, forms = pattern_phase(system, ks, coeffs, xo)
         pieces.append((coeff * character_at(K, xo),
-                       [stream((form.coeffs, form.basis)) for form in forms]))
+                       [stream(form.num, form.shift) for form in forms]))
     out = []
     for cp in checkpoints:
         total = 0.0 + 0.0j

@@ -21,13 +21,15 @@ they are the independent side.  The automorphism has no closed form here.
 
 from __future__ import annotations
 
+import math
 from itertools import product as iter_product
+from operator import mul
 
 import numpy as np
 
 from .errors import ResourceCapError, ValidationError
 from .observables import Observable
-from .phases import PhaseForm, e
+from .phases import PhaseForm, dyadic_align, dyadic_combo, e
 from .systems import DynamicalSystem, binom2
 
 TUPLE_CAP = 10 ** 6
@@ -80,17 +82,6 @@ def obs_coords(system: DynamicalSystem, x) -> np.ndarray:
     return x[: system.obs_dim]
 
 
-def _add(acc: dict, w: int, terms) -> None:
-    for m, b in terms:
-        acc[b] = acc.get(b, 0) + w * m
-
-
-def _form(acc: dict) -> PhaseForm:
-    """A {double: int} sum as a PhaseForm, nonzero terms sorted by double."""
-    items = sorted((b, m) for b, m in acc.items() if m)
-    return PhaseForm([m for _, m in items], [b for b, _ in items])
-
-
 def pattern_phase(system: DynamicalSystem, ks, coeffs, x
                   ) -> tuple[tuple[int, ...], list[PhaseForm]]:
     """(K, forms) for prod_j chi_{k_j}(T^{c_j . n} x), n in Z^r, x in
@@ -98,20 +89,22 @@ def pattern_phase(system: DynamicalSystem, ks, coeffs, x
     axis i, so the phase is K.x + sum_i n_i forms[i].  As C(c.n, 2) =
     sum_i (c_i^2 C(n_i,2) + C(c_i,2) n_i) + sum_{i<l} c_i c_l n_i n_l, that
     holds when every coefficient of C(n_i,2) and n_i n_l is an integer;
-    otherwise this raises ValidationError."""
+    otherwise this raises ValidationError.  All sums are of integers."""
     r = len(coeffs[0])
-    rates, quad = [{} for _ in range(r)], {}
-    for k, c in zip(ks, coeffs):
-        f, theta, kappa = system.character_action(k)
-        moved = list(zip(f, map(float, x))) + theta
+    acts = [system.character_action(k) for k in ks]
+    xs = [dyadic_combo([(1, v)]) for v in map(float, x)]
+    (*xs, unit), top = dyadic_align(*xs, (1, system.shift))
+    rates, quad = [0] * r, {}
+    for (f, theta, kappa), c in zip(acts, coeffs):
+        moved = sum(map(mul, f, xs)) + theta * unit
         for i, ci in enumerate(c):
-            _add(rates[i], ci, moved)
-            _add(rates[i], binom2(ci), kappa)
+            rates[i] += ci * moved + binom2(ci) * kappa * unit
             for l in range(i, r):
-                _add(quad.setdefault((i, l), {}), ci * c[l], kappa)
-    if not all(_form(acc).is_integral() for acc in quad.values()):
+                quad[i, l] = quad.get((i, l), 0) + ci * c[l] * kappa
+    if any(q & ((1 << system.shift) - 1) for q in quad.values()):
         raise ValidationError("quadratic pattern phase: no closed form")
-    return tuple(map(sum, zip(*ks))), [_form(acc) for acc in rates]
+    ulp = math.ldexp(1.0, -top)           # a double: top <= 1074
+    return tuple(map(sum, zip(*ks))), [PhaseForm((v,), (ulp,)) for v in rates]
 
 
 def _grid_closed(system: DynamicalSystem, fs: list[Observable], coeffs, x,

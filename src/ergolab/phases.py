@@ -129,47 +129,46 @@ def dyadic_align(*sums: tuple[int, int]) -> tuple[list[int], int]:
     """(num, shift) pairs, as from dyadic_combo, as numerators
     over their largest shift, so that integer combinations of them stay
     exact."""
-    top = max([shift for _, shift in sums])
+    top = max([shift for _, shift in sums], default=0)
     return [num << top - shift for num, shift in sums], top
 
 
 class PhaseForm:
     """An integer combination of fixed real numbers, reduced exactly.
 
-    Represents theta = sum_i coeffs[i] * basis[i]; used for rotation rates
-    where e(n * theta) must be evaluated without drift for large n.
+    Represents theta = sum_i coeffs[i] * basis[i] as dyadic_combo's num /
+    2**shift; used for rotation rates where e(n * theta) must be evaluated
+    without drift for large n.
     """
 
-    __slots__ = ("coeffs", "basis")
+    __slots__ = ("num", "shift")
 
     def __init__(self, coeffs: Sequence[int], basis: Sequence[float]):
         if len(coeffs) != len(basis):
             raise ValueError("coefficient/basis length mismatch")
-        self.coeffs = tuple(int(c) for c in coeffs)
-        self.basis = tuple(float(b) for b in basis)
+        self.num, self.shift = dyadic_combo(zip(coeffs, map(float, basis)))
 
     def frac(self) -> float:
         """theta mod 1 as a double."""
-        return frac_combo(zip(self.coeffs, self.basis))
+        return frac_dyadic(self.num, self.shift)
 
     def frac_times(self, n: int) -> float:
         """(n * theta) mod 1, exactly reduced."""
-        return frac_combo((n * c, b) for c, b in zip(self.coeffs, self.basis))
+        return frac_dyadic(n * self.num, self.shift)
 
     def is_integral(self) -> bool:
         """True iff theta is exactly an integer: its exact residue is zero
         (frac() can round a residue just below 1 to 0.0)."""
-        num, shift = dyadic_combo(zip(self.coeffs, self.basis))
-        return (num & ((1 << shift) - 1)) == 0
+        return (self.num & ((1 << self.shift) - 1)) == 0
 
     def nearest_residue_times(self, n: int) -> float:
         """n * theta minus its nearest integer, in [-1/2, 1/2], rounded once."""
-        num, shift = dyadic_combo((n * c, b) for c, b in zip(self.coeffs, self.basis))
-        r = num & ((1 << shift) - 1)
-        return (r - (1 << shift) if 2 * r > 1 << shift else r) / (1 << shift)
+        r = n * self.num & ((1 << self.shift) - 1)
+        return (r - (1 << self.shift) if 2 * r > 1 << self.shift
+                else r) / (1 << self.shift)
 
     def __repr__(self):
-        return f"PhaseForm({self.coeffs}, {self.basis})"
+        return f"PhaseForm(({self.num},), ({math.ldexp(1.0, -self.shift)!r},))"
 
 
 def chunk_ranges(n0: int, count: int, chunk: int = CHUNK) -> Iterator[tuple[int, int]]:

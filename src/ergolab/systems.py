@@ -17,26 +17,23 @@ coordinates stored as doubles in [0, 1):
 Every map reduces back into the fundamental domain after each arithmetic
 step.  Powers T^n use closed forms (rotation: x + n*alpha; automorphism:
 exact integer matrix powers; Heisenberg: t^n = (n a, n b, C(n,2) a b)),
-reduced exactly by phases.dyadic_combo (a double is an integer over a power
-of two) so that arbitrarily large n loses no precision.  Orbit segments are
-generated in chunks anchored at absolute indices (see phases.py), which
-makes the emitted floats a pure function of the orbit index -- two callers
-asking for overlapping ranges get bit-equal points.  `_slabs` walks a
-request in windows of at most CHUNK indices and slabs of starts: each
-anchor is one exact integer polynomial in the anchor over one power of two
-per start, and each float expression is evaluated once over a (starts,
-anchors, offsets) grid per window.  It is the one anchor walker: streamed
-geometric sums are one-start `_rotate` calls at a PhaseForm's exact rate.
+reduced exactly (a double is an integer over a power of two; a kind's rate
+table holds its parameters so), so arbitrarily large n loses no precision.
+Orbit segments are generated in chunks anchored at absolute indices (see
+phases.py), so the emitted floats are a pure function of the orbit index.
+`_slabs`, the one anchor walker, takes a request in windows of at most
+CHUNK indices and slabs of starts: each anchor is one exact integer over
+one power of two per start, and each float expression is evaluated once
+over a (starts, anchors, offsets) grid per window.
 
 Orbits have one entry point, `DynamicalSystem.orbit_block`: a kind
-implements `_orbits`, which fills the rows of all starts at once, and
-`orbit_points` is the one-start case (each kind binds it in its class body,
-where perfbench's tracer wraps it per kind).  `_rotate` builds every
-rotation-type column from exact dyadic rates, and `_power_rows` every
-automorphism row: a start with denominator 2**K only needs A^n mod 2**K,
-read from one table of powers in uint64 (exact mod 2**64) for K <= 64, in
-Python ints for finer starts; the last four uint64 tables are kept for the
-next calls.
+implements `_orbits` for all starts at once, and `orbit_points` is the
+one-start case (bound in each class body, where perfbench's tracer wraps it
+per kind).  `_rotate` builds every rotation-type column (and streamed
+geometric sums) from exact rates, and `_power_rows` every automorphism row:
+a start with denominator 2**K only needs A^n mod 2**K, read from one table
+of powers in uint64 (exact mod 2**64) for K <= 64, in Python ints for finer
+starts; the last four uint64 tables are kept for the next calls.
 """
 
 from __future__ import annotations
@@ -44,10 +41,12 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from operator import mul
 
 import numpy as np
 
-from .errors import DimensionMismatchError, ValidationError
+from .errors import (DimensionMismatchError, FrequencyOverflowError,
+                     ValidationError)
 from .phases import (CHUNK, chunk_ranges, dyadic_align, dyadic_combo, e,
                      format_real, frac, frac_combo, frac_dyadic)
 from .rng import SplitMix64
@@ -142,10 +141,10 @@ class DynamicalSystem:
     kind), its action on one character, `kv_items` / `from_kv` (its config
     keys, all listed in `keys`) and `certify` (its ergodicity decision).
     Adding a kind takes one subclass and one `_KINDS` entry.  A polynomial
-    kind states its character action once, in `character_action`, which
-    `compose_term` and the closed forms and factorized grids read; the
-    automorphism overrides `composer` (compose_term at one n) instead.
-    """
+    kind builds its rate table once (`_set_rates`) and states its action
+    over it once, in `character_action`, which `composer`, the closed forms
+    and factorized grids read; the automorphism composes by its ladder of
+    exact matrix powers (`ToralAutomorphism.power`) instead."""
 
     kind: str
     keys: tuple[str, ...]
@@ -172,28 +171,38 @@ class DynamicalSystem:
         the frequency and multiplies by a phase linear in n; None otherwise."""
         return None
 
-    def character_action(self, k: tuple[int, ...]) -> tuple[tuple[int, ...], list, list]:
-        """(f, theta, kappa) with chi_k(T^t x) = e(k.x + t (f.x + theta)
-        + C(t,2) kappa) for every integer t: f an integer vector, theta and
-        kappa dyadic_combo term lists.  Here f = 0 and kappa = [], from
-        phase_basis; a kind without a polynomial action raises."""
-        basis = self.phase_basis()
-        if basis is None:
+    def _set_rates(self, values) -> None:
+        """The rate table: the doubles `values` as `rates` / 2**`shift`."""
+        rates, shift = dyadic_align(*(dyadic_combo([(1, v)]) for v in values))
+        object.__setattr__(self, "rates", tuple(rates))
+        object.__setattr__(self, "shift", shift)
+
+    def character_action(self, k: tuple[int, ...]) -> tuple[tuple[int, ...], int, int]:
+        """(f, theta, kappa) with chi_k(T^t x) = e(k.x + t (f.x + theta / 2**s)
+        + C(t,2) kappa / 2**s) for every integer t, s = self.shift, f an
+        integer vector: here f = 0, kappa = 0 and theta = k . rates, the
+        table being the phase_basis; a kind without a polynomial action
+        raises."""
+        if self.phase_basis() is None:
             raise ValidationError(
                 f"the {self.kind} system has no polynomial character action")
-        return (0,) * self.obs_dim, list(zip(k, basis)), []
+        return (0,) * self.obs_dim, sum(map(mul, k, self.rates)), 0
 
     def compose_term(self, k: tuple[int, ...], n: int) -> tuple[tuple[int, ...], complex]:
         """chi_k o T^n = e(phase) chi_{k + n f}, as (k + n f, e(phase))."""
-        f, theta, kappa = self.character_action(k)
-        phase = frac_combo([(n * m, b) for m, b in theta]
-                           + [(binom2(n) * m, b) for m, b in kappa])
-        return tuple(ki + n * fi for ki, fi in zip(k, f)), e(phase)
+        return self.composer(n)(k)
 
     def composer(self, n: int):
         """k -> compose_term(k, n) at one n; a kind whose composition needs
         work per n (the automorphism's matrix powers) does it once here."""
-        return functools.partial(self.compose_term, n=n)
+        c2 = binom2(n)
+
+        def compose(k):
+            f, theta, kappa = self.character_action(k)
+            return (tuple(ki + n * fi for ki, fi in zip(k, f)) if any(f)
+                    else tuple(k),
+                    e(frac_dyadic(n * theta + c2 * kappa, self.shift)))
+        return compose
 
     def orbit_block(self, starts, stride: int, n0: int, count: int,
                     coords: str = "state", out: np.ndarray | None = None
@@ -246,23 +255,21 @@ def _window(grid, sel):
     return grid.reshape(len(grid), -1)[:, sel]
 
 
-def _rotate(starts, rates, stride: int, n0: int, count: int, out,
+def _rotate(starts, rates, ka: int, stride: int, n0: int, count: int, out,
             chunk: int = CHUNK) -> None:
     """Rotation-type columns, out[:, i, c] = frac(starts[:, c] + (n0 + i)
-    * stride * rate[c]), each rate an exact (num, shift) from dyadic_combo:
-    the stride phase is reduced once per coordinate and each chunk base once
-    per (start, anchor, coordinate), as the exact integer X + anchor *
-    stride * num over one power of two per start, so a row's bits do not
-    depend on the other starts."""
-    for c, (num, ka) in enumerate(rates):
+    * stride * rates[c] / 2**ka) for integer rates (a rate table's): the
+    stride phase is reduced once per coordinate and each chunk base once per
+    (start, anchor, coordinate), as the exact integer X + anchor * stride *
+    num over one power of two per start, so a row's bits do not depend on
+    the other starts."""
+    for c, num in enumerate(rates):
         ra = stride * num
         step = frac_dyadic(ra, ka)
         for rows, cols, anchors, t, sel in _slabs(len(starts), n0, count,
                                                   chunk):
-            # x = m / 2**k and the rate stride * num over one power of two,
-            # aligned inline: this runs once per start of every cloud slab,
-            # and dyadic_combo + dyadic_align here took a 5,000 x 100 golden
-            # rotation cloud at strides 1-3 from 24-26 to 61-74 ms
+            # x = m / 2**k and the rate aligned inline, once per start of
+            # every cloud slab (dyadic_align here was 2.5x slower on clouds)
             coefs = [(m, ra << k - ka, k) if (k := d.bit_length() - 1) >= ka
                      else (m << ka - k, ra, ka) for m, d in
                      map(float.as_integer_ratio, starts[rows, c].tolist())]
@@ -282,6 +289,7 @@ class Rotation(DynamicalSystem):
 
     def __init__(self, alpha):
         object.__setattr__(self, "alpha", _as_float_tuple(alpha))
+        self._set_rates(self.alpha)
 
     @property
     def dim(self) -> int:
@@ -289,14 +297,13 @@ class Rotation(DynamicalSystem):
 
     def step(self, p, n: int = 1) -> np.ndarray:
         p = self.check_point(p)
-        shift = np.array([frac_combo([(n, a)]) for a in self.alpha])
-        return frac(p + shift)
+        return frac(p + np.array([frac_dyadic(n * a, self.shift)
+                                  for a in self.rates]))
 
     orbit_points = DynamicalSystem.orbit_points
 
     def _orbits(self, starts, stride, n0, count, coords, out):
-        _rotate(starts, [dyadic_combo([(1, a)]) for a in self.alpha], stride,
-                n0, count, out)
+        _rotate(starts, self.rates, self.shift, stride, n0, count, out)
 
     def phase_basis(self) -> tuple[float, ...]:
         return self.alpha
@@ -343,6 +350,7 @@ class SkewProduct(DynamicalSystem):
             raise ValidationError("cocycle linear part has ragged rows")
         if len(self.const) != self.fiber_dim:
             raise ValidationError("cocycle constant length != fiber dim")
+        self._set_rates(self.base_alpha + self.const)
 
     @property
     def base_dim(self) -> int:
@@ -356,17 +364,13 @@ class SkewProduct(DynamicalSystem):
     def dim(self) -> int:
         return self.base_dim + self.fiber_dim
 
-    def _fiber_shift_terms(self, y, n: int, f: int):
-        """The frac_combo terms of the f-th fiber coordinate shift for T^n:
-        sum_b B[f][b] (n y_b + C(n,2) alpha_b) + n c_f."""
-        terms = []
-        for b in range(self.base_dim):
-            B = self.linear[f][b]
-            if B:
-                terms.append((B * n, float(y[b])))
-                terms.append((B * binom2(n), self.base_alpha[b]))
-        terms.append((n, self.const[f]))
-        return terms
+    def _fiber_shift(self, y, n: int, f: int) -> tuple[int, int]:
+        """The f-th fiber shift under T^n, sum_b B[f][b] (n y_b + C(n,2)
+        alpha_b) + n c_f, as dyadic_combo's exact (num, shift)."""
+        rate = (binom2(n) * sum(map(mul, self.linear[f], self.rates))
+                + n * self.rates[self.base_dim + f])
+        return dyadic_combo([*zip([n * B for B in self.linear[f]], y),
+                             (rate, math.ldexp(1.0, -self.shift))])
 
     def step(self, p, n: int = 1) -> np.ndarray:
         p = self.check_point(p)
@@ -375,9 +379,9 @@ class SkewProduct(DynamicalSystem):
             x = p.tolist()
             y, g = x[:self.base_dim], x[self.base_dim:]
             return np.array(
-                [frac(v + frac_combo([(n, a)]))
-                 for v, a in zip(y, self.base_alpha)]
-                + [frac(gf + frac_combo(self._fiber_shift_terms(y, n, f)))
+                [frac(v + frac_dyadic(n * a, self.shift))
+                 for v, a in zip(y, self.rates)]
+                + [frac(gf + frac_dyadic(*self._fiber_shift(y, n, f)))
                    for f, gf in enumerate(g)])
         return np.stack([self.step(q, n) for q in p])
 
@@ -385,12 +389,11 @@ class SkewProduct(DynamicalSystem):
 
     def _orbits(self, starts, stride, n0, count, coords, out):
         chunk = _quad_chunk(stride)
-        _rotate(starts, [dyadic_combo([(1, a)]) for a in self.base_alpha],
-                stride, n0, count, out[:, :, :self.base_dim], chunk)
+        _rotate(starts, self.rates[:self.base_dim], self.shift, stride, n0,
+                count, out[:, :, :self.base_dim], chunk)
         for f in range(self.fiber_dim):
             col = self.base_dim + f
-            row = list(zip(self.linear[f], self.base_alpha))
-            ab = dyadic_combo(row)
+            ab = sum(map(mul, self.linear[f], self.rates)), self.shift
             abf = frac_dyadic(*ab)
             # g_f(s0 + u) = bg0 + u*bg1 + C(u,2)*abf (mod 1), u = stride*t,
             # with bg0 = g + s0 (B y + c) + C(s0,2) B alpha and bg1 =
@@ -401,8 +404,8 @@ class SkewProduct(DynamicalSystem):
                 bg = []
                 for x in starts[rows].tolist():
                     (c0, c1, c2), k = dyadic_align(
-                        dyadic_combo([(1, x[col])]),
-                        dyadic_combo(self._fiber_shift_terms(x, 1, f)), ab)
+                        dyadic_combo([(1, x[col])]), self._fiber_shift(x, 1, f),
+                        ab)
                     bg += [(frac_dyadic(c0 + s * c1 + binom2(s) * c2, k),
                             frac_dyadic(c1 + s * c2, k)) for s in s0s]
                 bg = np.array(bg).reshape(-1, len(s0s), 2)
@@ -411,15 +414,15 @@ class SkewProduct(DynamicalSystem):
                     frac(bg[..., :1] + u * bg[..., 1:]
                          + (u * (u - 1.0) / 2.0) * abf), sel)
 
-    def character_action(self, k: tuple[int, ...]) -> tuple[tuple[int, ...], list, list]:
+    def character_action(self, k: tuple[int, ...]) -> tuple[tuple[int, ...], int, int]:
         """For k = (p, q): the fiber moves by B y + c and by C(t,2) B alpha,
-        so f = (B^T q, 0), theta = p.alpha + q.c and kappa = (B^T q).alpha."""
-        p, q = k[:self.base_dim], k[self.base_dim:]
-        btq = tuple(sum(row[b] * qf for row, qf in zip(self.linear, q))
+        so f = (B^T q, 0), theta = p.alpha + q.c = k . rates (the table is
+        alpha then c) and kappa = (B^T q).alpha."""
+        btq = tuple(sum(row[b] * qf for row, qf in zip(self.linear,
+                                                        k[self.base_dim:]))
                     for b in range(self.base_dim))
-        return (btq + (0,) * self.fiber_dim,
-                list(zip(p, self.base_alpha)) + list(zip(q, self.const)),
-                list(zip(btq, self.base_alpha)))
+        return (btq + (0,) * self.fiber_dim, sum(map(mul, k, self.rates)),
+                sum(map(mul, btq, self.rates)))
 
     def kv_items(self):
         return [("base_alpha", " ".join(format_real(a) for a in self.base_alpha)),
@@ -462,25 +465,28 @@ class SkewProduct(DynamicalSystem):
 
 def _int_mat_mul(a, b, mod: int = 0):
     """a b, every entry reduced into [0, mod) when mod is nonzero."""
-    n, k, m = len(a), len(b), len(b[0])
-    out = tuple(tuple(sum(a[i][t] * b[t][j] for t in range(k))
-                      for j in range(m)) for i in range(n))
+    cols = tuple(zip(*b))
+    out = tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
     return tuple(tuple(v % mod for v in row) for row in out) if mod else out
 
 
+def _times_power(out, squares: dict, d: int, mod: int = 0):
+    """out A^d from squares[i] = A^(2^i), each missing one built from the
+    one below and set once: callers sharing them can only repeat work."""
+    for i in range(d.bit_length()):
+        if i not in squares:
+            squares.setdefault(i, _int_mat_mul(squares[i - 1],
+                                               squares[i - 1], mod))
+        if d >> i & 1:
+            out = _int_mat_mul(out, squares[i], mod)
+    return out
+
+
 def _int_mat_pow(a, n: int, mod: int = 0):
-    dim = len(a)
     if n < 0:
         return _int_mat_pow(_int_mat_inverse(a), -n, mod)
-    result = tuple(tuple(1 if i == j else 0 for j in range(dim))
-                   for i in range(dim))
-    base = a
-    while n:
-        if n & 1:
-            result = _int_mat_mul(result, base, mod)
-        base = _int_mat_mul(base, base, mod)
-        n >>= 1
-    return result
+    return _times_power(tuple(tuple(int(i == j) for j in range(len(a)))
+                              for i in range(len(a))), {0: a}, n, mod)
 
 
 def _int_det(a) -> int:
@@ -497,20 +503,14 @@ def _int_det(a) -> int:
 
 
 def _int_mat_inverse(a):
-    """Exact inverse of a unimodular integer matrix (adjugate * det)."""
-    dim = len(a)
-    det = _int_det(a)
+    """Exact inverse of a unimodular integer matrix (adjugate * det): entry
+    (i, j) is det times the cofactor of a[j][i]."""
+    dim, det = len(a), _int_det(a)
     if det not in (1, -1):
         raise ValidationError("matrix is not unimodular")
-    cof = []
-    for i in range(dim):
-        row = []
-        for j in range(dim):
-            minor = tuple(r[:i] + r[i + 1:]
-                          for k, r in enumerate(a) if k != j)
-            row.append((-1) ** (i + j) * (_int_det(minor) if dim > 1 else 1))
-        cof.append(tuple(row))
-    return tuple(tuple(det * x for x in row) for row in cof)
+    return tuple(tuple(det * (-1) ** (i + j) * (_int_det(tuple(
+        r[:i] + r[i + 1:] for k, r in enumerate(a) if k != j)) if dim > 1
+        else 1) for j in range(dim)) for i in range(dim))
 
 
 def _reduced_power(matrix, n: int, top: int) -> np.ndarray:
@@ -596,6 +596,9 @@ def _power_rows(matrix, ratios, exps, stride: int, n0: int, count: int,
         out[rows[sl], cols] = v
 
 
+_LADDER_BITS = 1 << 14   # ToralAutomorphism.power keeps entries below 2**this
+
+
 @dataclass(frozen=True)
 class ToralAutomorphism(DynamicalSystem):
     """x |-> A x mod 1 with A integer and |det A| = 1 (Haar-preserving)."""
@@ -611,22 +614,38 @@ class ToralAutomorphism(DynamicalSystem):
             raise ValidationError("automorphism matrix must be square")
         if _int_det(m) not in (1, -1):
             raise ValidationError("automorphism matrix must have det +-1")
+        # power's squares and last (n, A^n); ||A||inf < 2**b: A^n < 2**(b n)
+        object.__setattr__(self, "_ladder", ({0: m}, (0, _int_mat_pow(m, 0))))
+        object.__setattr__(self, "_ladder_top", _LADDER_BITS // max(
+            sum(map(abs, row)) for row in m).bit_length())
 
     @property
     def dim(self) -> int:
         return len(self.matrix)
+
+    def power(self, n: int, mod: int = 0):
+        """A^n, reduced into [0, mod) when mod is nonzero.  The exact A^n for
+        0 <= n <= _ladder_top is the last one built (the identity when n is
+        below it) times kept squares: n - 1 to n is one product."""
+        if mod or not 0 <= n <= self._ladder_top:
+            return _int_mat_pow(self.matrix, n, mod)
+        squares, (m, out) = self._ladder
+        if m > n:
+            m, out = 0, _int_mat_pow(self.matrix, 0)
+        out = _times_power(out, squares, n - m)
+        object.__setattr__(self, "_ladder", (squares, (n, out)))
+        return out
 
     def _apply_exact(self, mat, p: np.ndarray) -> np.ndarray:
         return np.array([frac_combo(zip(row, p.tolist())) for row in mat])
 
     def step(self, p, n: int = 1) -> np.ndarray:
         p = self.check_point(p)
-        mat = _int_mat_pow(self.matrix, n)
+        mat = self.power(n)
         if p.ndim == 1:
             return self._apply_exact(mat, p)
         if max(abs(x) for row in mat for x in row) < (1 << 20):
-            m = np.array(mat, dtype=np.float64)
-            return frac(p @ m.T)
+            return frac(p @ np.array(mat, dtype=np.float64).T)
         return np.stack([self._apply_exact(mat, q) for q in p])
 
     orbit_points = DynamicalSystem.orbit_points
@@ -646,27 +665,20 @@ class ToralAutomorphism(DynamicalSystem):
                 _power_rows(self.matrix, [ratios[s] for s in rows],
                             exps[rows].tolist(), stride, n0, count, out, rows)
 
-    def compose_term(self, k: tuple[int, ...], n: int) -> tuple[tuple[int, ...], complex]:
-        return self.composer(n)(k)
-
     def composer(self, n: int):
-        """k -> compose_term(k, n), with A^n mod 2**128 and the exact A^n
-        each built once, on first need, for every k."""
-        from .errors import FrequencyOverflowError
-        # The frequency transforms by the transpose power.  A frequency within
-        # 63 bits equals its signed residue mod 2**128, so a wider residue
-        # proves overflow without building A^n, whose entries have O(n) bits;
-        # the exact power is built only when every residue fits.
+        """k -> compose_term(k, n): k moves by the transpose power, each
+        built once, on first need.  Past the ladder a frequency within 63
+        bits equals its signed residue mod 2**128, so a wider one proves
+        overflow before the exact A^n (O(n)-bit entries) is built."""
         limit = (1 << 63) - 1
-        powers = {}
+        mods = (0,) if 0 <= n <= self._ladder_top else (1 << 128, 0)
+        columns = {}
 
         def compose(k):
-            for mod in (1 << 128, 0):
-                mat = powers.get(mod)
-                if mat is None:
-                    mat = powers[mod] = _int_mat_pow(self.matrix, n, mod)
-                new_k = tuple(sum(mat[i][j] * k[i] for i in range(self.dim))
-                              for j in range(self.dim))
+            for mod in mods:
+                if mod not in columns:
+                    columns[mod] = tuple(zip(*self.power(n, mod)))
+                new_k = tuple(sum(map(mul, col, k)) for col in columns[mod])
                 if mod:
                     new_k = tuple((v + (mod >> 1)) % mod - (mod >> 1)
                                   for v in new_k)
@@ -727,6 +739,7 @@ class HeisenbergTranslation(DynamicalSystem):
         alpha, beta = _as_float_tuple((alpha, beta))
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "beta", beta)
+        self._set_rates((alpha, beta))
 
     @property
     def dim(self) -> int:
@@ -740,10 +753,9 @@ class HeisenbergTranslation(DynamicalSystem):
         p = self.check_point(p)
         if p.ndim > 1:
             if abs(n) <= 8:
-                gx = n * self.alpha
-                gy = n * self.beta
-                num, shift = dyadic_combo([(binom2(n), self.alpha, self.beta)])
-                gz = num / (1 << shift)
+                gx, gy = n * self.alpha, n * self.beta
+                gz = (binom2(n) * self.rates[0] * self.rates[1]
+                      / (1 << 2 * self.shift))
                 raw = np.stack([gx + p[..., 0], gy + p[..., 1],
                                 gz + p[..., 2] + gx * p[..., 1]], axis=-1)
                 return reduce_mod_lattice(raw)
@@ -765,11 +777,11 @@ class HeisenbergTranslation(DynamicalSystem):
 
     def _orbits(self, starts, stride, n0, count, coords, out):
         a, b = self.alpha, self.beta
-        na, nb = dyadic_combo([(1, a)]), dyadic_combo([(1, b)])
+        (na, nb), ka = ((r, self.shift) for r in self.rates), self.shift
         # The base coordinates are plain rotation orbits and use the standard
         # chunking, so obs- and state-coordinate requests emit identical
         # floats (integration against stored clouds relies on this).
-        _rotate(starts, (na, nb), stride, n0, count, out[:, :, :2])
+        _rotate(starts, self.rates, ka, stride, n0, count, out[:, :, :2])
         if coords == "obs":
             return
         # z(s0+u) reduced: frac(raw_z - raw_x * floor(raw_y)), split so
@@ -777,8 +789,9 @@ class HeisenbergTranslation(DynamicalSystem):
         # is first re-derived into the z column at this finer anchoring, so
         # the xs*gt error stays ~1e-10 even at large n.
         chunk = _quad_chunk(stride)
-        _rotate(starts, (na,), stride, n0, count, out[:, :, 2:], chunk)
-        nab = dyadic_combo([(1, a, b)])
+        _rotate(starts, self.rates[:1], ka, stride, n0, count, out[:, :, 2:],
+                chunk)
+        nab = na[0] * nb[0], 2 * ka
         abf = frac_dyadic(*nab)
         for rows, cols, anchors, t, sel in _slabs(len(starts), n0, count,
                                                   chunk):

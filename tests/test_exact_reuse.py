@@ -26,7 +26,7 @@ from ergolab.rng import SplitMix64
 from ergolab.seminorms import hk_seminorm, van_der_corput_check
 from ergolab.systems import (GOLDEN, SQRT2_M1, SQRT3_M1, Rotation,
                              SkewProduct, ToralAutomorphism, _int_mat_pow,
-                             cat_map, default_heisenberg,
+                             binom2, cat_map, default_heisenberg,
                              golden_rotation, standard_skew)
 
 # ---------------------------------------------------------------------------
@@ -153,9 +153,21 @@ def ref_skew_step(system, p, n):
     ny = ref_frac(y + np.array([frac_combo([(n, a)])
                                 for a in system.base_alpha]))
     ng = np.array([
-        ref_frac(g[f] + frac_combo(system._fiber_shift_terms(y, n, f)))
+        ref_frac(g[f] + frac_combo(ref_fiber_shift_terms(system, y, n, f)))
         for f in range(system.fiber_dim)])
     return np.concatenate([ny, ng])
+
+
+def ref_fiber_shift_terms(system, y, n, f):
+    # sum_b B[f][b] (n y_b + C(n,2) alpha_b) + n c_f, as frac_combo terms
+    terms = []
+    for b in range(system.base_dim):
+        B = system.linear[f][b]
+        if B:
+            terms.append((B * n, float(y[b])))
+            terms.append((B * binom2(n), system.base_alpha[b]))
+    terms.append((n, system.const[f]))
+    return terms
 
 
 # ---------------------------------------------------------------------------
