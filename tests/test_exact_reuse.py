@@ -34,8 +34,9 @@ from ergolab.systems import (GOLDEN, SQRT2_M1, SQRT3_M1, Rotation,
 
 
 def ref_compose_term(system, k, n):
-    # the polynomial kinds' compose_term body is unchanged; the
-    # automorphism's below builds both powers on every call
+    # the polynomial kinds' compose_term is pinned against its frac_combo
+    # form in test_rate_table.py; the automorphism's below builds both
+    # powers on every call
     if not isinstance(system, ToralAutomorphism):
         return system.compose_term(k, n)
     limit = (1 << 63) - 1

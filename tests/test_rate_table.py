@@ -1,0 +1,248 @@
+"""Rate tables and matrix-power ladders against the code they replaced.
+
+A polynomial kind keeps its real parameters as integers over one power of
+two and composes a character with one dot product.  The frozen references
+below are the composition and the pattern phase as they were written
+before, as term lists of doubles reduced by `frac_combo` on every call; the
+bits (and the exact rates) must agree.  The automorphism's ladder of exact
+powers is checked against square-and-multiply and plain repeated products,
+for the number of products it makes, and under threads sharing one instance.
+"""
+
+import random
+import sys
+import threading
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from ergolab import exact, systems
+from ergolab.errors import FrequencyOverflowError, ValidationError
+from ergolab.observables import CompositionRow
+from ergolab.phases import PhaseForm, e, frac_combo
+from ergolab.rng import SplitMix64
+from ergolab.systems import (GOLDEN, SQRT2_M1, SQRT3_M1, Rotation,
+                             SkewProduct, ToralAutomorphism, binom2, cat_map,
+                             default_heisenberg, standard_skew)
+
+SYSTEMS = {
+    "rot1": Rotation((GOLDEN,)),
+    "rot2": Rotation((GOLDEN, SQRT2_M1)),
+    "half": Rotation((0.5,)),
+    "tiny": Rotation((5e-324,)),
+    "below-one": Rotation((1 - 2.0 ** -53,)),
+    # 2**-1074 and 2**-53 in one table: the shifts differ by 1,021
+    "tiny-and-below-one": Rotation((5e-324, 1 - 2.0 ** -53)),
+    "heisenberg": default_heisenberg(),
+    "skew": standard_skew(),
+    "skew22": SkewProduct((GOLDEN, SQRT3_M1), ((1, -2), (3, 1)),
+                          (SQRT2_M1, 0.125)),
+}
+
+# ---------------------------------------------------------------------------
+# Frozen references: the frac_combo form
+
+
+def frozen_character_action(system, k):
+    if isinstance(system, SkewProduct):
+        p, q = k[:system.base_dim], k[system.base_dim:]
+        btq = tuple(sum(row[b] * qf for row, qf in zip(system.linear, q))
+                    for b in range(system.base_dim))
+        return (btq + (0,) * system.fiber_dim,
+                list(zip(p, system.base_alpha)) + list(zip(q, system.const)),
+                list(zip(btq, system.base_alpha)))
+    return (0,) * system.obs_dim, list(zip(k, system.phase_basis())), []
+
+
+def frozen_compose_term(system, k, n):
+    f, theta, kappa = frozen_character_action(system, k)
+    phase = frac_combo([(n * m, b) for m, b in theta]
+                       + [(binom2(n) * m, b) for m, b in kappa])
+    return tuple(ki + n * fi for ki, fi in zip(k, f)), e(phase)
+
+
+def frozen_pattern_phase(system, ks, coeffs, x):
+    def add(acc, w, terms):
+        for m, b in terms:
+            acc[b] = acc.get(b, 0) + w * m
+
+    def form(acc):
+        items = sorted((b, m) for b, m in acc.items() if m)
+        return PhaseForm([m for _, m in items], [b for b, _ in items])
+    r = len(coeffs[0])
+    rates, quad = [{} for _ in range(r)], {}
+    for k, c in zip(ks, coeffs):
+        f, theta, kappa = frozen_character_action(system, k)
+        moved = list(zip(f, map(float, x))) + theta
+        for i, ci in enumerate(c):
+            add(rates[i], ci, moved)
+            add(rates[i], binom2(ci), kappa)
+            for l in range(i, r):
+                add(quad.setdefault((i, l), {}), ci * c[l], kappa)
+    if not all(form(acc).is_integral() for acc in quad.values()):
+        raise ValidationError("quadratic pattern phase: no closed form")
+    return tuple(map(sum, zip(*ks))), [form(acc) for acc in rates]
+
+
+def _value(form):
+    return Fraction(form.num, 1 << form.shift)
+
+
+# ---------------------------------------------------------------------------
+# The rate table and compose_term
+
+
+@pytest.mark.parametrize("name", SYSTEMS)
+def test_rate_table_is_the_parameters_exactly(name):
+    system = SYSTEMS[name]
+    params = (system.base_alpha + system.const
+              if isinstance(system, SkewProduct) else system.phase_basis())
+    assert [Fraction(r, 1 << system.shift) for r in system.rates] == \
+        [Fraction(v) for v in params]
+
+
+@pytest.mark.parametrize("name", SYSTEMS)
+@settings(max_examples=150)
+@given(data=st.data())
+def test_compose_term_bits_match_frozen_frac_combo_form(name, data):
+    system = SYSTEMS[name]
+    k = tuple(data.draw(st.lists(st.one_of(st.integers(-3, 3),
+                                           st.integers(-2 ** 62, 2 ** 62)),
+                                 min_size=system.obs_dim,
+                                 max_size=system.obs_dim)))
+    n = data.draw(st.one_of(st.integers(-3, 3),
+                            st.integers(-10 ** 12, 10 ** 12)))
+    got_k, got = system.compose_term(k, n)
+    want_k, want = frozen_compose_term(system, k, n)
+    assert got_k == want_k
+    assert (got.real.hex(), got.imag.hex()) == \
+        (want.real.hex(), want.imag.hex())
+
+
+@pytest.mark.parametrize("name", SYSTEMS)
+def test_pattern_phase_matches_frozen_form(name):
+    system = SYSTEMS[name]
+    rng = np.random.default_rng(11)
+    patterns = ([(1,)], [(1,), (2,)], [(1, 0), (1, 1), (1, 2)],
+                [(0, 0), (1, 0), (0, 1), (1, 1)])
+    # on a skew product, a tuple is linear when its fiber frequencies
+    # vanish (every kappa is 0); other tuples are mostly quadratic
+    fiber = system.obs_dim - getattr(system, "base_dim", system.obs_dim)
+    checked = 0
+    for seed in range(30):
+        x = system.haar_block(SplitMix64(seed), 1)[0][:system.obs_dim]
+        coeffs = patterns[seed % len(patterns)]
+        ks = [tuple(rng.integers(-3, 4, system.obs_dim).tolist())
+              for _ in coeffs]
+        if seed % 3 and fiber:
+            ks = [k[:-fiber] + (0,) * fiber for k in ks]
+        try:
+            want = frozen_pattern_phase(system, ks, coeffs, x)
+        except ValidationError:
+            with pytest.raises(ValidationError, match="quadratic"):
+                exact.pattern_phase(system, ks, coeffs, x)
+            continue
+        K, forms = exact.pattern_phase(system, ks, coeffs, x)
+        assert K == want[0]
+        assert [_value(f) for f in forms] == [_value(f) for f in want[1]]
+        checked += 1
+    assert checked >= 15
+
+
+# ---------------------------------------------------------------------------
+# The automorphism's ladder
+
+MATRICES = {"cat": ((2, 1), (1, 1)), "det-1": ((1, 1), (1, 0)),
+            "3x3": ((1, 1, 0), (1, 2, 1), (0, 1, 2))}
+
+
+def frozen_mul(x, y, mod=0):
+    out = tuple(tuple(sum(x[i][t] * y[t][j] for t in range(len(y)))
+                      for j in range(len(y[0]))) for i in range(len(x)))
+    return tuple(tuple(v % mod for v in r) for r in out) if mod else out
+
+
+def frozen_int_mat_pow(a, n, mod=0):
+    # square and multiply for n >= 0, as _int_mat_pow was written before
+    result = tuple(tuple(int(i == j) for j in range(len(a)))
+                   for i in range(len(a)))
+    base = a
+    while n:
+        if n & 1:
+            result = frozen_mul(result, base, mod)
+        base = frozen_mul(base, base, mod)
+        n >>= 1
+    return result
+
+
+@pytest.mark.parametrize("name", MATRICES)
+def test_ladder_powers_match_references(name):
+    m = MATRICES[name]
+    A = ToralAutomorphism(m)
+    identity = frozen_int_mat_pow(m, 0)
+    step_by_step = identity
+    for n in range(301):
+        assert A.power(n) == step_by_step
+        step_by_step = frozen_mul(step_by_step, m)
+    rng = random.Random(3)
+    # random order, so the ladder both moves up from its last power and
+    # restarts below it; n < 10**5 reaches past its bit bound too
+    ns = [rng.randrange(10 ** 5) for _ in range(25)] + \
+        [rng.randrange(A._ladder_top) for _ in range(25)]
+    for n in ns:
+        assert A.power(n) == frozen_int_mat_pow(m, n)
+        assert A.power(n, 1 << 64) == frozen_int_mat_pow(m, n, 1 << 64)
+    # negative powers: exact inverses of the positive ones
+    for n in (1, 2, 7, 300, rng.randrange(10 ** 4)):
+        assert frozen_mul(A.power(-n), frozen_int_mat_pow(m, n)) == identity
+        assert A.power(-n, 1 << 64) == tuple(
+            tuple(v % (1 << 64) for v in row) for row in A.power(-n))
+
+
+def test_composers_for_h_up_to_H_make_one_product_each(monkeypatch):
+    calls = []
+    mul = systems._int_mat_mul
+    monkeypatch.setattr(systems, "_int_mat_mul",
+                        lambda a, b, mod=0: calls.append(mod) or mul(a, b, mod))
+    A, H = cat_map(), 40
+    rows = [CompositionRow(A, h) for h in range(1, H + 1)]
+    got = [row[(1, 0)] for row in rows]
+    assert len(calls) <= H and not any(calls)
+    monkeypatch.undo()
+    for h, (k, mult) in enumerate(got, 1):
+        assert k == tuple(frozen_int_mat_pow(MATRICES["cat"], h)[0])
+        assert mult == 1.0 + 0.0j
+
+
+def test_overflow_past_the_ladder_keeps_nothing():
+    A = cat_map()
+    with pytest.raises(FrequencyOverflowError):
+        A.compose_term((1, 0), 10 ** 9 + 7)
+    squares, (n, _) = A._ladder
+    assert n == 0 and list(squares) == [0]
+
+
+def test_threads_sharing_one_ladder_get_exact_powers():
+    A = ToralAutomorphism(MATRICES["3x3"])
+    ns = list(range(0, 700, 9))
+    want = {n: frozen_int_mat_pow(A.matrix, n) for n in ns}
+    wrong = []
+
+    def work(seed):
+        for n in random.Random(seed).sample(ns, len(ns)):
+            if A.power(n) != want[n]:
+                wrong.append(n)
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(s,)) for s in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert not wrong
