@@ -269,7 +269,7 @@ def _rotate(starts, rates, ka: int, stride: int, n0: int, count: int, out,
         for rows, cols, anchors, t, sel in _slabs(len(starts), n0, count,
                                                   chunk):
             # x = m / 2**k and the rate aligned inline, once per start of
-            # every cloud slab (dyadic_align here was 2.5x slower on clouds)
+            # every cloud slab (dyadic_combo + dyadic_align: 2.5x slower)
             coefs = [(m, ra << k - ka, k) if (k := d.bit_length() - 1) >= ka
                      else (m << ka - k, ra, ka) for m, d in
                      map(float.as_integer_ratio, starts[rows, c].tolist())]
@@ -403,9 +403,8 @@ class SkewProduct(DynamicalSystem):
                 s0s = [stride * a for a in anchors]
                 bg = []
                 for x in starts[rows].tolist():
-                    (c0, c1, c2), k = dyadic_align(
-                        dyadic_combo([(1, x[col])]), self._fiber_shift(x, 1, f),
-                        ab)
+                    (c0, c1, c2), k = dyadic_align(dyadic_combo(
+                        [(1, x[col])]), self._fiber_shift(x, 1, f), ab)
                     bg += [(frac_dyadic(c0 + s * c1 + binom2(s) * c2, k),
                             frac_dyadic(c1 + s * c2, k)) for s in s0s]
                 bg = np.array(bg).reshape(-1, len(s0s), 2)
@@ -614,7 +613,7 @@ class ToralAutomorphism(DynamicalSystem):
             raise ValidationError("automorphism matrix must be square")
         if _int_det(m) not in (1, -1):
             raise ValidationError("automorphism matrix must have det +-1")
-        # power's squares and last (n, A^n); ||A||inf < 2**b: A^n < 2**(b n)
+        # power's ladder; ||A||inf < 2**b bounds A^n's entries by 2**(b n)
         object.__setattr__(self, "_ladder", ({0: m}, (0, _int_mat_pow(m, 0))))
         object.__setattr__(self, "_ladder_top", _LADDER_BITS // max(
             sum(map(abs, row)) for row in m).bit_length())
