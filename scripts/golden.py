@@ -82,6 +82,11 @@ CASES = {
         "folner_average on exact cat-map rows", "average", CAT,
         "f1 = 1:1,0;0.5:1,1", "scheme = folner\nbox = 30 40\npowers = 1 2\n"
         "checkpoints = 1\nstart = haar\nseed = 10"),
+    "average-folner-heisenberg": (
+        "folner_average on Heisenberg rows: HeisenbergTranslation.step for "
+        "the S2 starts and the commutation check", "average", HEISENBERG,
+        "f1 = 1:1,0;0.5,-0.5:1,1", "scheme = folner\nbox = 30 40\n"
+        "powers = 1 2\ncheckpoints = 1\nstart = haar\nseed = 18"),
     "seminorm-rotation": (
         "exact seminorm recursion (CompositionRow, product_integral)",
         "seminorm", GOLDEN_ROTATION, "f1 = 1:1;0.5,-0.5:2;0.25:-3",
