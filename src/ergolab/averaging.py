@@ -380,12 +380,6 @@ class IteratedMap:
         return self.system.step(p, n * self.power)
 
 
-def _as_map(m) -> IteratedMap:
-    if isinstance(m, IteratedMap):
-        return m
-    return IteratedMap(m, 1)
-
-
 def check_commutation(m1: IteratedMap, m2: IteratedMap, tol: float = 1e-10) -> None:
     """Verify S1 S2 = S2 S1 on deterministic sample points."""
     if m1.system.dim != m2.system.dim:
@@ -402,7 +396,7 @@ def check_commutation(m1: IteratedMap, m2: IteratedMap, tol: float = 1e-10) -> N
 
 def folner_average(action, f: Observable, x, box: FolnerBox) -> complex:
     """(1/|box|) sum_{(n,m) in box} f(S1^n S2^m x) for a commuting pair."""
-    m1, m2 = (_as_map(a) for a in action)
+    m1, m2 = action
     check_commutation(m1, m2)
     if box.size > GRID_CAP:
         raise ResourceCapError(f"box of {box.size} points exceeds the cost cap")

@@ -60,14 +60,14 @@ def character_at(k: tuple[int, ...], x) -> complex:
     return e(acc - np.floor(acc))
 
 
-def term_tuples(fs: list[Observable], cap: int = TUPLE_CAP):
+def term_tuples(fs: list[Observable]):
     """All ways of picking one term from each observable: (coeff, [k_j])."""
     total = 1
     for f in fs:
         total *= max(1, f.term_count)
-        if total > cap:
+        if total > TUPLE_CAP:
             raise ResourceCapError(
-                f"term-tuple expansion exceeds cap {cap}")
+                f"term-tuple expansion exceeds cap {TUPLE_CAP}")
     for combo in iter_product(*[f.terms for f in fs]):
         coeff = 1.0 + 0.0j
         ks = []

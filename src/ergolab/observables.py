@@ -154,19 +154,19 @@ def conjugate(f: Observable) -> Observable:
         f.dim, {tuple(-v for v in k): c.conjugate() for k, c in f.terms})
 
 
-def _check_term_pairs(nf: int, ng: int, term_cap: int = TERM_CAP) -> None:
+def _check_term_pairs(nf: int, ng: int) -> None:
     """The cost guard of a product of nf and ng terms: ResourceCapError when
-    it would touch more than term_cap term pairs."""
-    if nf * ng > term_cap:
+    it would touch more than TERM_CAP term pairs."""
+    if nf * ng > TERM_CAP:
         raise ResourceCapError(
-            f"product would touch {nf * ng} term pairs (cap {term_cap})")
+            f"product would touch {nf * ng} term pairs (cap {TERM_CAP})")
 
 
-def multiply(f: Observable, g: Observable, term_cap: int = TERM_CAP) -> Observable:
+def multiply(f: Observable, g: Observable) -> Observable:
     """Exact product: convolution of the frequency lists."""
     if f.dim != g.dim:
         raise DimensionMismatchError("observable dimension mismatch")
-    _check_term_pairs(f.term_count, g.term_count, term_cap)
+    _check_term_pairs(f.term_count, g.term_count)
     acc: dict[tuple[int, ...], complex] = {}
     for kf, cf in f.terms:
         for kg, cg in g.terms:

@@ -19,6 +19,10 @@ step.  Powers T^n use closed forms (rotation: x + n*alpha; automorphism:
 exact integer matrix powers; Heisenberg: t^n = (n a, n b, C(n,2) a b)),
 reduced exactly (a double is an integer over a power of two; a kind's rate
 table holds its parameters so), so arbitrarily large n loses no precision.
+`step` is exact for a point and for every row of a batch, by one path per
+kind: a batch is the stack of its rows' steps, bit for bit.  The Heisenberg
+step and orbit anchors read the rate table (the point and the rates over
+one power of two), not alpha and beta as doubles.
 Orbit segments are generated in chunks anchored at absolute indices (see
 phases.py), so the emitted floats are a pure function of the orbit index.
 `_slabs`, the one anchor walker, takes a request in windows of at most
@@ -635,17 +639,12 @@ class ToralAutomorphism(DynamicalSystem):
         object.__setattr__(self, "_ladder", (squares, (n, out)))
         return out
 
-    def _apply_exact(self, mat, p: np.ndarray) -> np.ndarray:
-        return np.array([frac_combo(zip(row, p.tolist())) for row in mat])
-
     def step(self, p, n: int = 1) -> np.ndarray:
         p = self.check_point(p)
         mat = self.power(n)
-        if p.ndim == 1:
-            return self._apply_exact(mat, p)
-        if max(abs(x) for row in mat for x in row) < (1 << 20):
-            return frac(p @ np.array(mat, dtype=np.float64).T)
-        return np.stack([self._apply_exact(mat, q) for q in p])
+        return np.array([[frac_combo(zip(row, q)) for row in mat]
+                         for q in p.reshape(-1, self.dim).tolist()]
+                        ).reshape(p.shape)
 
     orbit_points = DynamicalSystem.orbit_points
 
@@ -706,15 +705,11 @@ class ToralAutomorphism(DynamicalSystem):
         eigs = np.linalg.eigvals(np.array(self.matrix, dtype=np.float64))
         if not np.any(np.abs(np.abs(eigs) - 1.0) < 1e-9):
             return "ergodic", "no eigenvalue on the unit circle (hyperbolic)"
-        power = self.matrix
         for n in range(1, bound + 1):
-            shifted = tuple(tuple(power[i][j] - (1 if i == j else 0)
-                                  for j in range(self.dim))
-                            for i in range(self.dim))
-            if _int_det(shifted) == 0:
+            if _int_det(tuple(tuple(v - (i == j) for j, v in enumerate(row))
+                              for i, row in enumerate(self.power(n)))) == 0:
                 return ("non-ergodic",
                         f"A^{n} has eigenvalue 1 (root-of-unity spectrum)")
-            power = _int_mat_mul(power, self.matrix)
         return ("undetermined",
                 f"unit-modulus eigenvalue but no root of unity of order <= {bound}")
 
@@ -748,35 +743,29 @@ class HeisenbergTranslation(DynamicalSystem):
     def obs_dim(self) -> int:
         return 2
 
-    def step(self, p, n: int = 1) -> np.ndarray:
-        p = self.check_point(p)
-        if p.ndim > 1:
-            if abs(n) <= 8:
-                gx, gy = n * self.alpha, n * self.beta
-                gz = (binom2(n) * self.rates[0] * self.rates[1]
-                      / (1 << 2 * self.shift))
-                raw = np.stack([gx + p[..., 0], gy + p[..., 1],
-                                gz + p[..., 2] + gx * p[..., 1]], axis=-1)
-                return reduce_mod_lattice(raw)
-            return np.stack([self.step(q, n) for q in p])
-        return self._power_point(p, n)
+    def _over_table(self, q):
+        """((X, Y, Z, A, B), k): the point q = (x, y, z) and the rates a, b
+        as integers over one power of two 2**k."""
+        return dyadic_align(*(dyadic_combo([(1, v)]) for v in q),
+                            *((r, self.shift) for r in self.rates))
 
-    def _power_point(self, p: np.ndarray, s: int) -> np.ndarray:
-        """Exact T^s p (any integer s): frac of rx, ry and rz - rx floor(ry)."""
-        x, y, z = (float(v) for v in p)
-        a, b = self.alpha, self.beta
-        num, shift = dyadic_combo([(1, y), (s, b)])
-        fl = num >> shift
-        return np.array([frac_combo([(1, x), (s, a)]),
-                         frac_combo([(1, y), (s, b)]),
-                         frac_combo([(1, z), (binom2(s), a, b), (s, a, y),
-                                     (-fl, x), (-fl * s, a)])])
+    def step(self, p, n: int = 1) -> np.ndarray:
+        """x' = x + n a, y' = y + n b and z' = z - floor(y') x' + C(n,2) a b
+        + n a y (the raw triple reduced), each exact over the rate table."""
+        p = self.check_point(p)
+        rows = []
+        for q in p.reshape(-1, 3).tolist():
+            (X, Y, Z, A, B), k = self._over_table(q)
+            xn, yn = X + n * A, Y + n * B
+            rows.append((frac_dyadic(xn, k), frac_dyadic(yn, k), frac_dyadic(
+                ((Z - (yn >> k) * xn) << k) + binom2(n) * A * B + n * A * Y,
+                2 * k)))
+        return np.array(rows).reshape(p.shape)
 
     orbit_points = DynamicalSystem.orbit_points
 
     def _orbits(self, starts, stride, n0, count, coords, out):
-        a, b = self.alpha, self.beta
-        (na, nb), ka = ((r, self.shift) for r in self.rates), self.shift
+        ka = self.shift
         # The base coordinates are plain rotation orbits and use the standard
         # chunking, so obs- and state-coordinate requests emit identical
         # floats (integration against stored clouds relies on this).
@@ -790,29 +779,28 @@ class HeisenbergTranslation(DynamicalSystem):
         chunk = _quad_chunk(stride)
         _rotate(starts, self.rates[:1], ka, stride, n0, count, out[:, :, 2:],
                 chunk)
-        nab = na[0] * nb[0], 2 * ka
-        abf = frac_dyadic(*nab)
+        abf = frac_dyadic(self.rates[0] * self.rates[1], 2 * ka)
         for rows, cols, anchors, t, sel in _slabs(len(starts), n0, count,
                                                   chunk):
             s0s = [stride * v for v in anchors]
             anch = []                     # reduced exactly, per start
-            for x0, y0, z0 in starts[rows].tolist():
-                # y0, b, z0, ab, a y0, x0 and a over one power of two 2**k
-                (Y, B, Z, AB, AY, X, A), k = dyadic_align(
-                    dyadic_combo([(1, y0)]), nb, dyadic_combo([(1, z0)]), nab,
-                    dyadic_combo([(1, a, y0)]), dyadic_combo([(1, x0)]), na)
+            for q in starts[rows].tolist():
+                # over 2**k; the products AB, AY and Z << k over 2**(2k)
+                (X, Y, Z, A, B), k = self._over_table(q)
+                AB, AY, Zk = A * B, A * Y, Z << k
                 for s0 in s0s:
                     yn = Y + s0 * B       # y0 + s0 b, and F0 its floor
                     bigF0 = yn >> k
                     anch.append((frac_dyadic(yn, k),
-                                 frac_dyadic(Z + binom2(s0) * AB + s0 * AY, k),
-                                 frac_dyadic(s0 * AB + AY, k),
+                                 frac_dyadic(Zk + binom2(s0) * AB + s0 * AY,
+                                             2 * k),
+                                 frac_dyadic(s0 * AB + AY, 2 * k),
                                  frac_dyadic(bigF0 * (X + s0 * A), k),
                                  frac_dyadic(bigF0 * A, k)))
             yf0, bz0, bz1, bx0, bx1 = np.array(anch).reshape(
                 -1, len(s0s), 5).transpose(2, 0, 1)[..., None]
             u = stride * t
-            gt = _window(np.floor(yf0 + u * b), sel)
+            gt = _window(np.floor(yf0 + u * self.beta), sel)
             xs = out[rows, cols, 2]
             # xs differs from raw_x by an integer, and gt is an integer, so
             # xs * gt matches raw_x * gt mod 1
@@ -844,7 +832,8 @@ _KINDS = {cls.kind: cls for cls in (Rotation, SkewProduct, ToralAutomorphism,
 
 def step(system: DynamicalSystem, p, n: int = 1) -> np.ndarray:
     """T^n applied to p (default one forward step), reduced; a closed form
-    for every integer n, equal to n-fold composition of one step."""
+    for every integer n, equal to n-fold composition of one step.  p is a
+    point or a batch of rows, each row stepped as that point would be."""
     return system.step(p, n)
 
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from ergolab.errors import (DimensionMismatchError, FrequencyOverflowError,
                             ResourceCapError, ValidationError)
+from ergolab.exact import term_tuples
 from ergolab.observables import (CompositionRow, Observable,
                                  compose_with_power, conjugate, evaluate,
                                  format_observable, integral_haar, multiply,
@@ -97,8 +98,6 @@ def test_parseval_on_finite_sums(f):
 
 def test_multiply_term_cap():
     f = Observable.from_dict(1, {(k,): 1.0 for k in range(40)})
-    with pytest.raises(ResourceCapError):
-        multiply(f, f, term_cap=100)
     with pytest.raises(DimensionMismatchError):
         product_integral(f, Observable.character((1, 0)))
     # 1,001 x 1,000 term pairs pass TERM_CAP = 10**6 by 1,000
@@ -111,6 +110,17 @@ def test_multiply_term_cap():
     # f meet -k in g
     assert product_integral(f, Observable.from_dict(
         1, {(k,): 1.0 for k in range(-998, 1)})) == 501
+
+
+def test_term_tuples_cap():
+    # TUPLE_CAP = 10**6: 32**4 = 1,048,576 tuples raise on the first draw,
+    # 31**4 = 923,521 go through
+    def four(n):
+        return [Observable.from_dict(1, {(k,): 1.0 for k in range(n)})] * 4
+    with pytest.raises(ResourceCapError, match="term-tuple expansion"):
+        next(term_tuples(four(32)))
+    coeff, ks = next(term_tuples(four(31)))
+    assert coeff == 1.0 and len(ks) == 4
 
 
 @given(observables(dim=2, max_terms=5, kmax=2),

@@ -2,11 +2,12 @@
 
 A polynomial kind keeps its real parameters as integers over one power of
 two and composes a character with one dot product.  The frozen references
-below are the composition and the pattern phase as they were written
-before, as term lists of doubles reduced by `frac_combo` on every call; the
-bits (and the exact rates) must agree.  The automorphism's ladder of exact
-powers is checked against square-and-multiply and plain repeated products,
-for the number of products it makes, and under threads sharing one instance.
+below are the composition, the pattern phase and the Heisenberg point step
+as they were written before, as term lists of doubles reduced by
+`frac_combo` on every call; the bits (and the exact rates) must agree.  The
+automorphism's ladder of exact powers is checked against square-and-multiply
+and plain repeated products, for the number of products it makes, and under
+threads sharing one instance.
 """
 
 import random
@@ -21,10 +22,11 @@ from hypothesis import given, settings, strategies as st
 from ergolab import exact, systems
 from ergolab.errors import FrequencyOverflowError, ValidationError
 from ergolab.observables import CompositionRow
-from ergolab.phases import PhaseForm, e, frac_combo
+from ergolab.phases import PhaseForm, dyadic_combo, e, frac_combo
 from ergolab.rng import SplitMix64
-from ergolab.systems import (GOLDEN, SQRT2_M1, SQRT3_M1, Rotation,
-                             SkewProduct, ToralAutomorphism, binom2, cat_map,
+from ergolab.systems import (GOLDEN, SQRT2_M1, SQRT3_M1,
+                             HeisenbergTranslation, Rotation, SkewProduct,
+                             ToralAutomorphism, binom2, cat_map,
                              default_heisenberg, standard_skew)
 
 SYSTEMS = {
@@ -84,6 +86,18 @@ def frozen_pattern_phase(system, ks, coeffs, x):
     if not all(form(acc).is_integral() for acc in quad.values()):
         raise ValidationError("quadratic pattern phase: no closed form")
     return tuple(map(sum, zip(*ks))), [form(acc) for acc in rates]
+
+
+def frozen_power_point(system, p, s):
+    # HeisenbergTranslation's exact point step, with alpha and beta as doubles
+    x, y, z = (float(v) for v in p)
+    a, b = system.alpha, system.beta
+    num, shift = dyadic_combo([(1, y), (s, b)])
+    fl = num >> shift
+    return np.array([frac_combo([(1, x), (s, a)]),
+                     frac_combo([(1, y), (s, b)]),
+                     frac_combo([(1, z), (binom2(s), a, b), (s, a, y),
+                                 (-fl, x), (-fl * s, a)])])
 
 
 def _value(form):
@@ -149,6 +163,25 @@ def test_pattern_phase_matches_frozen_form(name):
         assert [_value(f) for f in forms] == [_value(f) for f in want[1]]
         checked += 1
     assert checked >= 15
+
+
+HEISENBERGS = {"default": default_heisenberg(),
+               "tiny-and-below-one": HeisenbergTranslation(5e-324,
+                                                           1 - 2.0 ** -53)}
+coordinate = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, 1 - 2.0 ** -53, 0.5]),
+    st.integers(0, 2 ** 53 - 1).map(lambda m: m / 2.0 ** 53),
+    st.floats(0.0, 1.0, exclude_max=True))
+
+
+@pytest.mark.parametrize("name", HEISENBERGS)
+@settings(max_examples=200)
+@given(p=st.tuples(coordinate, coordinate, coordinate),
+       n=st.one_of(st.integers(-3, 3), st.integers(-2 ** 62, 2 ** 62)))
+def test_heisenberg_step_bits_match_frozen_power_point(name, p, n):
+    system = HEISENBERGS[name]
+    assert system.step(p, n).tobytes() == \
+        frozen_power_point(system, p, n).tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import functools
 import math
 from fractions import Fraction
 
@@ -103,6 +104,26 @@ def test_step_pow_consistency_and_inverse(system):
         rhs = step(system, step(system, p, n))
         assert circle_dist(lhs, rhs) <= 1e-12
     assert circle_dist(step(system, step(system, p, -1)), p) <= 1e-12
+
+
+@pytest.mark.parametrize("system", all_systems(),
+                         ids=lambda s: type(s).__name__)
+def test_batch_step_is_the_stack_of_row_steps(monkeypatch, system):
+    """A batch steps each row exactly as a point, bit for bit.  The exact
+    A^n is built once per n (past the ladder `power` keeps nothing, and
+    A^(10**6) takes about a second)."""
+    monkeypatch.setattr(ToralAutomorphism, "power",
+                        functools.cache(ToralAutomorphism.power))
+    special = [0.0, -0.0, 5e-324, 1 - 2.0 ** -53]
+    rows = np.vstack([system.haar_block(SplitMix64(21), 16),
+                      [[v] * system.dim for v in special],
+                      [(special * system.dim)[i:i + system.dim]
+                       for i in range(1, 4)]])
+    for n in (-3, 0, 1, 2, 8, 9, 10, 28, 10 ** 6):
+        got = system.step(rows, n)
+        assert got.shape == rows.shape
+        assert got.tobytes() == \
+            np.stack([system.step(q, n) for q in rows]).tobytes(), n
 
 
 @pytest.mark.parametrize("system", all_systems(),
