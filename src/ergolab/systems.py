@@ -378,16 +378,15 @@ class SkewProduct(DynamicalSystem):
 
     def step(self, p, n: int = 1) -> np.ndarray:
         p = self.check_point(p)
-        if p.ndim == 1:
+        rows = []
+        for x in p.reshape(-1, self.dim).tolist():
             # one point in Python floats: the same IEEE sums and frac
-            x = p.tolist()
             y, g = x[:self.base_dim], x[self.base_dim:]
-            return np.array(
-                [frac(v + frac_dyadic(n * a, self.shift))
-                 for v, a in zip(y, self.rates)]
-                + [frac(gf + frac_dyadic(*self._fiber_shift(y, n, f)))
-                   for f, gf in enumerate(g)])
-        return np.stack([self.step(q, n) for q in p])
+            rows.append([frac(v + frac_dyadic(n * a, self.shift))
+                         for v, a in zip(y, self.rates)]
+                        + [frac(gf + frac_dyadic(*self._fiber_shift(y, n, f)))
+                           for f, gf in enumerate(g)])
+        return np.array(rows).reshape(p.shape)
 
     orbit_points = DynamicalSystem.orbit_points
 

@@ -124,6 +124,7 @@ def test_batch_step_is_the_stack_of_row_steps(monkeypatch, system):
         assert got.shape == rows.shape
         assert got.tobytes() == \
             np.stack([system.step(q, n) for q in rows]).tobytes(), n
+    assert system.step(rows[:0], 5).shape == (0, system.dim)
 
 
 @pytest.mark.parametrize("system", all_systems(),
