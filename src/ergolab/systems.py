@@ -380,7 +380,7 @@ class SkewProduct(DynamicalSystem):
         p = self.check_point(p)
         rows = []
         for x in p.reshape(-1, self.dim).tolist():
-            # one point in Python floats: the same IEEE sums and frac
+            # each row in Python floats: the same IEEE sums and frac
             y, g = x[:self.base_dim], x[self.base_dim:]
             rows.append([frac(v + frac_dyadic(n * a, self.shift))
                          for v, a in zip(y, self.rates)]
