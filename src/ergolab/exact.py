@@ -13,7 +13,8 @@ per grid axis
                = 1                                   if theta is an integer
                = (1 - e(N*theta)) / (N * (1 - e(theta)))  otherwise,
 
-with N*theta reduced mod 1 exactly.  The factorized grid path in
+evaluated from the signed residues of theta and N*theta, reduced exactly
+(geometric_mean_closed).  The factorized grid path in
 averaging.py reads the same pattern phase and streams G_N; here G_N is the
 closed form.  The orbit streams and the direct grid walk share neither, so
 they are the independent side.  The automorphism has no closed form here.
@@ -36,17 +37,19 @@ TUPLE_CAP = 10 ** 6
 
 
 def geometric_mean_closed(form: PhaseForm, N: int) -> complex:
-    """(1/N) sum_{n<N} e(n*theta) in closed form, exact integral detection."""
+    """(1/N) sum_{n<N} e(n*theta) in closed form, exact integral detection.
+    With r_1 and r_N the signed residues of theta and N*theta (exact, each
+    rounded once), 1 - e(r) = -2i sin(pi r) e(r/2) gives
+    sin(pi r_N) / (N sin(pi r_1)) e((r_N - r_1)/2): no difference of nearly
+    equal numbers, so the relative error stays near rounding at every
+    residue."""
     if N < 1:
         raise ValidationError("N must be >= 1")
     if form.is_integral():
         return 1.0 + 0.0j
-    theta, theta_n = form.frac(), form.frac_times(N)
-    if theta == 0.0:      # a residue just below 1 rounded up: take it signed
-        theta, theta_n = (form.nearest_residue_times(n) for n in (1, N))
-    num = 1.0 - e(theta_n)
-    den = N * (1.0 - e(theta))
-    return num / den
+    r1, rn = form.nearest_residue_times(1), form.nearest_residue_times(N)
+    return math.sin(math.pi * rn) / (N * math.sin(math.pi * r1)) \
+        * e((rn - r1) / 2)
 
 
 def character_at(k: tuple[int, ...], x) -> complex:

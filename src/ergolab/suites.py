@@ -158,8 +158,11 @@ def criterion_square_limits(n_mod: int = 10 ** 5) -> list[CheckResult]:
         x = system.haar_block(rng, 1)[0]
         fs = [Observable.character(k) for k in ks]
         v = multilinear_average_square(system, fs, x, n_mod)
+        # |G_N(theta)| <= 2 / (N |1 - e(theta)|) = 1 / (N |sin(pi r)|), r
+        # theta's signed residue
         bound = min(
-            2.0 / (n_mod * abs(1 - e(PhaseForm((r,), (GOLDEN,)).frac())))
+            1.0 / (n_mod * abs(math.sin(
+                math.pi * PhaseForm((r,), (GOLDEN,)).nearest_residue_times(1))))
             for r in (K, M) if r != 0)
         worst = max(worst, abs(v) - bound)
     out.append(_check(f"square geometric bound N={n_mod}", worst, 1e-12,
