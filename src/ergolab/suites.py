@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import exact
-from .averaging import (FolnerBox, IteratedMap, birkhoff_average,
+from .averaging import (GRID_CAP, FolnerBox, IteratedMap, birkhoff_average,
                         convergence_diagnostic, cube_average, cube_eps_index,
                         folner_average, is_tempered, linear_trajectory,
                         multilinear_average_linear,
@@ -62,16 +62,18 @@ def _check(name: str, err: float, tol: float, detail: str = "") -> CheckResult:
                        detail or f"err {err:.3e} tol {tol:.1e}")
 
 
-def _random_char(rng: SplitMix64, kmax: int = 6) -> Observable:
-    k = 0
-    while k == 0:
-        k = int(rng.next_u64() % (2 * kmax + 1)) - kmax
+def _random_char(rng: SplitMix64, kmax: int = 6, dim: int = 1) -> Observable:
+    k = (0,) * dim
+    while not any(k):
+        k = tuple(int(rng.next_u64() % (2 * kmax + 1)) - kmax
+                  for _ in range(dim))
     mod = 0.3 + 0.7 * rng.next_unit()
     return Observable.character(k, mod * e(rng.next_unit()))
 
 
 # ---------------------------------------------------------------------------
-# Criterion 1: streamed averages match closed forms on the golden rotation
+# Criterion 1: streamed averages match closed forms on the golden rotation,
+# and the direct grid walk matches them on it and the default Heisenberg
 
 
 def criterion_oracle_agreement(configs_per_scheme: int = 20,
@@ -81,6 +83,7 @@ def criterion_oracle_agreement(configs_per_scheme: int = 20,
     tol = 1e-9
     out = []
     worst = {"birkhoff": 0.0, "linear": 0.0, "square": 0.0, "cube": 0.0}
+    squares, cubes = [], []
     for i in range(configs_per_scheme):
         x = system.haar_block(rng, 1)[0]
         f = _random_char(rng)
@@ -98,14 +101,54 @@ def criterion_oracle_agreement(configs_per_scheme: int = 20,
         err = abs(multilinear_average_square(system, fs, x, n_big)
                   - exact.square_closed(system, fs, x, n_big))
         worst["square"] = max(worst["square"], err)
+        squares.append((fs, x))
 
         k = 1 + int(rng.next_u64() % 3)
         fs_eps = {eps: _random_char(rng) for eps in cube_eps_index(k)}
         err = abs(cube_average(system, fs_eps, x, n_big)
                   - exact.cube_closed(system, fs_eps, x, n_big))
         worst["cube"] = max(worst["cube"], err)
+        cubes.append((fs_eps, x))
     for scheme, err in worst.items():
         out.append(_check(f"oracle-agreement {scheme} N={n_big}", err, tol))
+    out += _direct_rows("golden rotation", system, squares, cubes)
+    heis = default_heisenberg()
+    squares, cubes = [], []
+    for _ in range(4):
+        x = heis.haar_block(rng, 1)[0]
+        squares.append(([_random_char(rng, 3, 2)
+                         for _ in range(1 + int(rng.next_u64() % 4))], x))
+        k = 1 + int(rng.next_u64() % 3)
+        cubes.append(({eps: _random_char(rng, 3, 2)
+                       for eps in cube_eps_index(k)}, x))
+    out += _direct_rows("heisenberg", heis, squares, cubes)
+    return out
+
+
+def _direct_rows(label, system, squares, cubes, tol=1e-12) -> list[CheckResult]:
+    """The literal grid walk (mode="direct") against the closed form, each at
+    the largest N <= sqrt(GRID_CAP) the walk's cost check accepts (an
+    order-1 cube is accepted up to 2**24, where its walk holds a 1.4 GB
+    orbit).  The walk reads orbits, evaluate and exact sums, and shares
+    neither the phase table nor G_N with the closed form; tol is fixed
+    before the run."""
+    out = []
+    for scheme, configs, walk, closed, cost in (
+            ("square", squares, multilinear_average_square,
+             exact.square_closed, lambda fs, n: len(fs) * n * n),
+            ("cube", cubes, cube_average, exact.cube_closed,
+             lambda fs, n: n ** len(next(iter(fs))))):
+        worst, sizes = 0.0, []
+        for fs, x in configs:
+            n = math.isqrt(GRID_CAP)
+            while cost(fs, n) > GRID_CAP:
+                n -= 1
+            worst = max(worst, abs(walk(system, fs, x, n, mode="direct")
+                                   - closed(system, fs, x, n)))
+            sizes.append(n)
+        out.append(_check(
+            f"oracle-agreement {scheme} direct, {label}", worst, tol,
+            f"err {worst:.3e} tol {tol:.1e}, N in {min(sizes)}..{max(sizes)}"))
     return out
 
 

@@ -23,7 +23,9 @@ def _drive(cid: int):
 def test_criterion_1_oracle_agreement():
     """Streamed averages match symbolic closed forms at N=1e6, 20 random
     frequency configurations per scheme, within 1e-9, on the golden
-    rotation."""
+    rotation; the direct grid walk at the largest N its cost cap accepts
+    matches the square and cube closed forms within 1e-12, on those configs
+    and on four of base characters on the default Heisenberg."""
     _drive(1)
 
 
