@@ -70,7 +70,7 @@ CASES = {
         "average", HEISENBERG, "f1 = 1:1,0\nf2 = 0.5,-1:1,1;0.25:0,-2",
         "scheme = linear\ncheckpoints = 100 20000\nstart = haar\nseed = 8"),
     "average-square-rotation": (
-        "factorized path: pattern_phase, geometric_mean_streamed",
+        "factorized path: phase_table, geometric_mean_streamed",
         "average", GOLDEN_ROTATION, "f1 = 1:1;0.5,0.5:2\nf2 = 1:-1;1:3",
         "scheme = square\ncheckpoints = 1000 20000\nstart = 0.25"),
     "average-cube-skew": (

@@ -13,17 +13,17 @@ anchored chunks, products evaluated pointwise, and means taken by the one
 chunked-mean kernel, phases.chunk_means (math.fsum's correctly rounded bits
 per chunk and across chunks).  The birkhoff and linear streams are the
 one-start case of the streaming self-joining in joinings.py, so integrating
-a stored fiber cloud reproduces the streamed average bit for bit.  Where a
-term tuple's pattern phase (exact.pattern_phase) is linear, the square and
-cube grids factorize exactly into one-dimensional geometric sums, and the
-factorized path then streams those geometric sums through the same kernel;
-a literal grid walk is kept for every system below a cost cap and
-cross-checked against the factorized path in the test suite.  It reads one
-orbit_block over every grid index, gathers each row from one evaluate per
-factor and sums the rows with phases.exact_row_sums (math.fsum's bits per
-row, folded by one more exact sum); Folner boxes sum their rows the same
-way, from one orbit_block per slab of row starts.  The factorized path
-shares the pattern phase with exact.py and streams the geometric sums that
+a stored fiber cloud reproduces the streamed average bit for bit.  Where
+the term tuples' phases are linear, exact.phase_table groups them by phase,
+the square and cube grids factorize exactly into one-dimensional geometric
+sums per table entry, and the factorized path streams those sums through
+the same kernel; a literal grid walk is kept for every system below a cost
+cap and cross-checked against the closed forms in criterion 1.  It reads
+one orbit_block over every grid index, gathers each row from one evaluate
+per factor and sums the rows with phases.exact_row_sums (math.fsum's bits
+per row, folded by one more exact sum); Folner boxes sum their rows the
+same way, from one orbit_block per slab of row starts.  The factorized path
+shares the phase table with exact.py and streams the geometric sums that
 exact.py evaluates in closed form; the orbit streams and the grid walk
 share no arithmetic with exact.py.
 """
@@ -38,7 +38,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (CommutationError, ResourceCapError, ValidationError)
-from .exact import character_at, obs_coords, pattern_phase, term_tuples
+from .exact import grid_mean, obs_coords, phase_table
 from .observables import Observable, evaluate
 from .joinings import _streamed_start_means
 from .phases import (CHUNK, PhaseForm, chunk_means, exact_row_sums,
@@ -237,28 +237,15 @@ def _grid_direct(system, fs, coeffs, x, checkpoints) -> list[complex]:
 
 
 def _grid_factorized(system, fs, coeffs, x, checkpoints) -> list[tuple[int, complex]]:
-    """The grid mean of one term tuple (coeff, ks) is coeff e(K.x) times one
-    streamed geometric mean per grid axis, at that axis's rate in the
-    pattern phase (exact.pattern_phase); tuples with equal rates share a
-    stream."""
+    """exact.grid_mean of the phase table with each axis's geometric mean
+    streamed at its exact rate; entries with equal rates share a stream."""
     xo = obs_coords(system, x)
+    entries = phase_table(system, list(fs), coeffs, xo)
     stream = functools.cache(lambda num, shift: geometric_mean_streamed(
         PhaseForm((num,), (math.ldexp(1.0, -shift),)), checkpoints))
-    pieces = []  # (coeff * e(K.x), per-axis streams)
-    for coeff, ks in term_tuples(list(fs)):
-        K, forms = pattern_phase(system, ks, coeffs, xo)
-        pieces.append((coeff * character_at(K, xo),
-                       [stream(form.num, form.shift) for form in forms]))
-    out = []
-    for cp in checkpoints:
-        total = 0.0 + 0.0j
-        for amp, gs in pieces:
-            val = amp
-            for g in gs:
-                val *= g[cp]
-            total += val
-        out.append((cp, total))
-    return out
+    return [(cp, grid_mean(entries, xo,
+                           lambda form: stream(form.num, form.shift)[cp]))
+            for cp in checkpoints]
 
 
 def _grid_means(system, fs, coeffs, x, checkpoints, mode, check_cap):
@@ -293,7 +280,7 @@ def multilinear_average_square(system: DynamicalSystem, fs: Sequence[Observable]
     """(1/N^2) sum_{n,m in [0,N)} prod_j f_j(T^{n+(j-1)m} x).
 
     mode="direct" walks the grid (any system, cost-capped); mode="factorized"
-    streams the per-term geometric sums (any N) where exact.pattern_phase is
+    streams the geometric sums of exact.phase_table (any N) where it is
     linear: every rotation and Heisenberg tuple, and skew tuples whose
     C(t,2) fiber terms sum to integers; it raises ValidationError otherwise.
     "auto" is factorized when the system has a phase_basis, else direct.
@@ -315,10 +302,8 @@ def square_trajectory(system, fs, x, checkpoints, mode="auto",
 
 def cube_eps_index(k: int) -> list[tuple[int, ...]]:
     """{0,1}^k minus the origin, sorted."""
-    out = []
-    for mask in range(1, 1 << k):
-        out.append(tuple((mask >> i) & 1 for i in range(k)))
-    return sorted(out)
+    return sorted(tuple((mask >> i) & 1 for i in range(k))
+                  for mask in range(1, 1 << k))
 
 
 def cube_average(system: DynamicalSystem,

@@ -5,26 +5,26 @@ by a polynomial phase (DynamicalSystem.character_action), so along a grid
 pattern a character tuple has phase K.x + sum_i n_i theta_i whenever its
 quadratic part has integer coefficients: on every rotation and Heisenberg
 tuple, and on the skew tuples whose C(t,2) fiber terms sum to integers.
-`pattern_phase` builds that phase with exact rates, and each average
-collapses, tuple by tuple, into e(K.x) times one normalized geometric sum
-per grid axis
+`phase_table` groups the tuples by that phase, with exact rates, in one
+convolution over the factors, and each average collapses, entry by entry,
+into e(K.x) times one normalized geometric sum per grid axis
 
     G_N(theta) = (1/N) sum_{n<N} e(n*theta)
                = 1                                   if theta is an integer
                = (1 - e(N*theta)) / (N * (1 - e(theta)))  otherwise,
 
 evaluated from the signed residues of theta and N*theta, reduced exactly
-(geometric_mean_closed).  The factorized grid path in
-averaging.py reads the same pattern phase and streams G_N; here G_N is the
-closed form.  The orbit streams and the direct grid walk share neither, so
-they are the independent side.  The automorphism has no closed form here.
+(geometric_mean_closed).  The factorized grid path in averaging.py reads the
+same table and streams G_N; here G_N is the closed form.  The orbit streams
+and the direct grid walk share neither, so they are the independent side.
+The automorphism has no closed form here.
 """
 
 from __future__ import annotations
 
 import math
 from itertools import product as iter_product
-from operator import mul
+from operator import add, mul
 
 import numpy as np
 
@@ -54,30 +54,20 @@ def geometric_mean_closed(form: PhaseForm, N: int) -> complex:
 
 def character_at(k: tuple[int, ...], x) -> complex:
     """e(k . x) for a point given in [0,1) coordinates (obs coordinates)."""
-    x = np.asarray(x, dtype=np.float64)
-    acc = 0.0
-    for ki, xi in zip(k, x):
-        acc += ki * float(xi)
-    if acc == 0.0:
-        return 1.0 + 0.0j
-    return e(acc - np.floor(acc))
+    acc = sum(ki * float(xi) for ki, xi in zip(k, np.asarray(x, np.float64)))
+    return e(acc - math.floor(acc)) if acc else 1.0 + 0.0j
 
 
 def term_tuples(fs: list[Observable]):
-    """All ways of picking one term from each observable: (coeff, [k_j])."""
-    total = 1
-    for f in fs:
-        total *= max(1, f.term_count)
-        if total > TUPLE_CAP:
-            raise ResourceCapError(
-                f"term-tuple expansion exceeds cap {TUPLE_CAP}")
+    """All ways of picking one term from each observable, (coeff, [k_j]), up
+    to TUPLE_CAP of them: the per-tuple expansion phase_table convolves."""
+    if math.prod(max(1, f.term_count) for f in fs) > TUPLE_CAP:
+        raise ResourceCapError(f"term-tuple expansion exceeds cap {TUPLE_CAP}")
     for combo in iter_product(*[f.terms for f in fs]):
         coeff = 1.0 + 0.0j
-        ks = []
-        for k, c in combo:
+        for _, c in combo:
             coeff *= c
-            ks.append(k)
-        yield coeff, ks
+        yield coeff, [k for k, _ in combo]
 
 
 def obs_coords(system: DynamicalSystem, x) -> np.ndarray:
@@ -85,43 +75,70 @@ def obs_coords(system: DynamicalSystem, x) -> np.ndarray:
     return x[: system.obs_dim]
 
 
-def pattern_phase(system: DynamicalSystem, ks, coeffs, x
-                  ) -> tuple[tuple[int, ...], list[PhaseForm]]:
-    """(K, forms) for prod_j chi_{k_j}(T^{c_j . n} x), n in Z^r, x in
-    observable coordinates: K = sum_j k_j and forms[i] the exact rate of
-    axis i, so the phase is K.x + sum_i n_i forms[i].  As C(c.n, 2) =
-    sum_i (c_i^2 C(n_i,2) + C(c_i,2) n_i) + sum_{i<l} c_i c_l n_i n_l, that
-    holds when every coefficient of C(n_i,2) and n_i n_l is an integer;
-    otherwise this raises ValidationError.  All sums are of integers."""
-    r = len(coeffs[0])
-    acts = [system.character_action(k) for k in ks]
+def phase_table(system: DynamicalSystem, fs: list[Observable], coeffs, x
+                ) -> list[tuple[complex, tuple[int, ...], list[PhaseForm]]]:
+    """prod_j f_j(T^{c_j . n} x), n in Z^r, x in observable coordinates, as
+    sum coeff e(K.x + sum_i n_i forms[i]) over entries (coeff, K, forms).  A
+    term tuple has K = sum_j k_j and axis rates sum_j c_ji (f_j.x + theta_j)
+    + C(c_ji,2) kappa_j, exact (character_action), when its quadratic parts
+    sum_j c_ji c_jl kappa_j (C(c.n,2) expanded over the axes) are integers;
+    else this raises ValidationError.  The table is their convolution over
+    j: from {0: 1+0j}, each factor's terms multiply every entry in
+    term_tuples' order, and tuples whose keys (K then the rate numerators,
+    quadratic parts mod 2**shift) meet add up, so without meetings the
+    coefficients and their order are term_tuples', bit for bit.
+    ResourceCapError past TUPLE_CAP (entry, term) pairs in one step."""
+    if not all(f.terms for f in fs):
+        return []
+    acts = [[(k, c, system.character_action(k)) for k, c in f.terms]
+            for f in fs]
     xs = [dyadic_combo([(1, v)]) for v in map(float, x)]
     (*xs, unit), top = dyadic_align(*xs, (1, system.shift))
-    rates, quad = [0] * r, {}
-    for (f, theta, kappa), c in zip(acts, coeffs):
-        moved = sum(map(mul, f, xs)) + theta * unit
-        for i, ci in enumerate(c):
-            rates[i] += ci * moved + binom2(ci) * kappa * unit
-            for l in range(i, r):
-                quad[i, l] = quad.get((i, l), 0) + ci * c[l] * kappa
-    if any(q & ((1 << system.shift) - 1) for q in quad.values()):
+    mask, r, dim = (1 << system.shift) - 1, len(coeffs[0]), len(xs)
+    table = {((0,) * (dim + r), (0,) * (r * (r + 1) // 2)): 1 + 0j}
+    for terms, c in zip(acts, coeffs):
+        if len(table) * len(terms) > TUPLE_CAP:
+            raise ResourceCapError(f"phase table step of {len(table)} x "
+                                   f"{len(terms)} pairs exceeds cap {TUPLE_CAP}")
+        pieces = []
+        for k, coeff, (f, theta, kappa) in terms:
+            moved = sum(map(mul, f, xs)) + theta * unit
+            quad = tuple(ci * cl * kappa & mask
+                         for i, ci in enumerate(c) for cl in c[i:])
+            pieces.append((k + tuple(ci * moved + binom2(ci) * kappa * unit
+                                     for ci in c), any(quad) and quad, coeff))
+        table, old = {}, table
+        for (sums, quad), v in old.items():
+            for piece, dq, coeff in pieces:
+                key = (tuple(map(add, sums, piece)), tuple(
+                    (a + b) & mask for a, b in zip(quad, dq)) if dq else quad)
+                table[key] = table[key] + v * coeff if key in table \
+                    else v * coeff
+    if any(any(quad) for _, quad in table):
         raise ValidationError("quadratic pattern phase: no closed form")
     ulp = math.ldexp(1.0, -top)           # a double: top <= 1074
-    return tuple(map(sum, zip(*ks))), [PhaseForm((v,), (ulp,)) for v in rates]
+    return [(v, sums[:dim], [PhaseForm((num,), (ulp,)) for num in sums[dim:]])
+            for (sums, _), v in table.items()]
+
+
+def grid_mean(entries, x, axis_mean) -> complex:
+    """sum over phase_table entries of coeff e(K.x) prod_i axis_mean(forms[i]),
+    summed in entry order."""
+    total = 0.0 + 0.0j
+    for coeff, K, forms in entries:
+        val = coeff * character_at(K, x)
+        for form in forms:
+            val *= axis_mean(form)
+        total += val
+    return total
 
 
 def _grid_closed(system: DynamicalSystem, fs: list[Observable], coeffs, x,
                  N: int) -> complex:
     """(1/N^r) sum_{n in [0,N)^r} prod_j f_j(T^{c_j . n} x) in closed form."""
     xo = obs_coords(system, x)
-    total = 0.0 + 0.0j
-    for coeff, ks in term_tuples(fs):
-        K, forms = pattern_phase(system, ks, coeffs, xo)
-        val = coeff * character_at(K, xo)
-        for form in forms:
-            val *= geometric_mean_closed(form, N)
-        total += val
-    return total
+    return grid_mean(phase_table(system, fs, coeffs, xo), xo,
+                     lambda form: geometric_mean_closed(form, N))
 
 
 def birkhoff_closed(system: DynamicalSystem, f: Observable, x, N: int) -> complex:

@@ -18,7 +18,7 @@ from ergolab.averaging import (GRID_CAP, cube_average, cube_eps_index,
                                multilinear_average_linear,
                                multilinear_average_square,
                                square_trajectory)
-from ergolab.errors import ValidationError
+from ergolab.errors import ResourceCapError, ValidationError
 from ergolab.observables import Observable, compose_with_power
 from ergolab.phases import PhaseForm, e, frac_combo
 from ergolab.rng import SplitMix64
@@ -379,8 +379,9 @@ def test_pattern_phase_is_the_composed_phase():
     x = SKEW22.haar_block(SplitMix64(9), 1)[0]
     ks = [(0, 2, 0, 1), (1, 0, 0, -2), (0, 0, 0, 1)]
     coeffs = [(1, 0), (1, 1), (1, 2)]
-    K, forms = exact.pattern_phase(SKEW22, ks, coeffs, x)
-    assert K == (1, 2, 0, 0)
+    [(coeff, K, forms)] = exact.phase_table(
+        SKEW22, [Observable.character(k) for k in ks], coeffs, x)
+    assert coeff == 1 and K == (1, 2, 0, 0)
     for n in ((0, 0), (3, 5), (1001, 7)):
         lhs = exact.character_at(K, x) * np.prod(
             [e(form.frac_times(ni)) for form, ni in zip(forms, n)])
@@ -390,3 +391,98 @@ def test_pattern_phase_is_the_composed_phase():
                                    c[0] * n[0] + c[1] * n[1])
             rhs *= sum(cf * exact.character_at(kk, x) for kk, cf in g.terms)
         assert abs(lhs - rhs) <= 1e-9
+
+
+# ---------------------------------------------------------------------------
+# The phase table where term tuples meet on one key
+#
+# exact.phase_table adds the coefficients of tuples with equal (K, rates)
+# before it multiplies by the geometric means, so on such inputs its sums
+# are in another order than the per-tuple loops': the closed forms are held
+# to TABLE_BUDGET relative to prod_j sum_k |c_jk|, which bounds every partial
+# sum, and the factorized grids to GRID_BUDGET against the direct walk.
+
+TABLE_BUDGET = 4e-15
+GRID_BUDGET = 1e-12
+
+
+def _dense(dim, count, nterms, box, seed):
+    """count observables of nterms terms each, frequencies in [-box, box]."""
+    rng = SplitMix64(seed)
+    out = []
+    for _ in range(count):
+        terms = {}
+        while len(terms) < nterms:
+            k = tuple(int(rng.next_u64() % (2 * box + 1)) - box
+                      for _ in range(dim))
+            terms[k] = complex(rng.unit_block(1)[0] - 0.5,
+                               rng.unit_block(1)[0] - 0.5)
+        out.append(Observable.from_dict(dim, terms))
+    return out
+
+
+def _scale(fs):
+    return float(np.prod([sum(abs(c) for _, c in f.terms) for f in fs]))
+
+
+def _tuples_and_keys(system, fs, coeffs, x):
+    return (int(np.prod([f.term_count for f in fs])),
+            len(exact.phase_table(system, fs, coeffs,
+                                  exact.obs_coords(system, x))))
+
+
+def test_colliding_square_matches_the_per_tuple_loop():
+    system = golden_rotation()
+    fs = _dense(1, 3, 5, 2, 101)
+    x = system.haar_block(SplitMix64(5), 1)[0]
+    tuples, keys = _tuples_and_keys(system, fs, [(1, j) for j in range(3)], x)
+    assert tuples == 125 and keys < tuples
+    for N in (7, 1000, 10 ** 6):
+        err = abs(exact.square_closed(system, fs, x, N)
+                  - _frozen_square(system, fs, x, N))
+        assert err <= TABLE_BUDGET * _scale(fs)
+    for N in (7, 60):
+        direct = multilinear_average_square(system, fs, x, N, mode="direct")
+        got = multilinear_average_square(system, fs, x, N, mode="factorized")
+        assert abs(got - direct) <= GRID_BUDGET
+
+
+def test_colliding_heisenberg_cube_matches_the_per_tuple_loop():
+    # order 3: at order 2 the key (K and two axis sums) fixes all three k_eps
+    system = default_heisenberg()
+    eps = cube_eps_index(3)
+    fs_by_eps = dict(zip(eps, _dense(2, 7, 3, 1, 103)))
+    x = system.haar_block(SplitMix64(6), 1)[0]
+    fs = [fs_by_eps[ep] for ep in eps]
+    tuples, keys = _tuples_and_keys(system, fs, eps, x)
+    assert tuples == 2187 and keys < tuples
+    for N in (7, 1000, 10 ** 6):
+        err = abs(exact.cube_closed(system, fs_by_eps, x, N)
+                  - _frozen_cube(system, fs_by_eps, x, N))
+        assert err <= TABLE_BUDGET * _scale(fs)
+    for N in (7, 60):
+        direct = cube_average(system, fs_by_eps, x, N, mode="direct")
+        got = cube_average(system, fs_by_eps, x, N, mode="factorized")
+        assert abs(got - direct) <= GRID_BUDGET
+
+
+def test_a_million_tuples_collapse_onto_the_table():
+    # 32**4 = 1,048,576 tuples, past the per-tuple expansion's TUPLE_CAP;
+    # the table never holds more than 32 x (its entries) pairs in a step
+    system = golden_rotation()
+    fs = [Observable.from_dict(1, {(k,): 1.0 for k in range(32)})] * 4
+    x = np.array([0.3])
+    with pytest.raises(ResourceCapError, match="term-tuple expansion"):
+        next(exact.term_tuples(fs))
+    for N in (1, 7):
+        direct = multilinear_average_square(system, fs, x, N, mode="direct")
+        assert abs(exact.square_closed(system, fs, x, N) - direct) \
+            <= TABLE_BUDGET * _scale(fs)
+
+
+def test_phase_table_pair_cap():
+    # 1,001 entries after the first factor, times 1,001 terms: past TUPLE_CAP
+    # = 10**6 pairs, refused before the step
+    f = Observable.from_dict(1, {(k,): 1.0 for k in range(1001)})
+    with pytest.raises(ResourceCapError, match="1001 x 1001 pairs"):
+        exact.linear_closed(golden_rotation(), [f, f], np.array([0.3]), 10)

@@ -2,7 +2,8 @@
 
 A polynomial kind keeps its real parameters as integers over one power of
 two and composes a character with one dot product.  The frozen references
-below are the composition, the pattern phase and the Heisenberg point step
+below are the composition, the pattern phase (now one-term entries of
+`exact.phase_table`) and the Heisenberg point step
 as they were written before, as term lists of doubles reduced by
 `frac_combo` on every call; the bits (and the exact rates) must agree.  The
 automorphism's ladder of exact powers is checked against square-and-multiply
@@ -21,7 +22,7 @@ from hypothesis import given, settings, strategies as st
 
 from ergolab import exact, systems
 from ergolab.errors import FrequencyOverflowError, ValidationError
-from ergolab.observables import CompositionRow
+from ergolab.observables import CompositionRow, Observable
 from ergolab.phases import PhaseForm, dyadic_combo, e, frac_combo
 from ergolab.rng import SplitMix64
 from ergolab.systems import (GOLDEN, SQRT2_M1, SQRT3_M1,
@@ -152,13 +153,16 @@ def test_pattern_phase_matches_frozen_form(name):
               for _ in coeffs]
         if seed % 3 and fiber:
             ks = [k[:-fiber] + (0,) * fiber for k in ks]
+        chars = [Observable.character(k) for k in ks]
         try:
             want = frozen_pattern_phase(system, ks, coeffs, x)
         except ValidationError:
             with pytest.raises(ValidationError, match="quadratic"):
-                exact.pattern_phase(system, ks, coeffs, x)
+                exact.phase_table(system, chars, coeffs, x)
             continue
-        K, forms = exact.pattern_phase(system, ks, coeffs, x)
+        # one character per factor: one entry, coefficient 1
+        [(coeff, K, forms)] = exact.phase_table(system, chars, coeffs, x)
+        assert coeff == 1
         assert K == want[0]
         assert [_value(f) for f in forms] == [_value(f) for f in want[1]]
         checked += 1
