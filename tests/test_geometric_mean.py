@@ -114,10 +114,13 @@ SKEW = SkewProduct((0.5,), ((2,),), (1 - 2.0 ** -40,))
 SKEW_F = _terms(2, [((0, 1), 0.5), ((2, -1), 0.25j), ((2, 2), -0.5)])
 
 CASES = ([(s, ROT_F, np.array([0.3])) for s in ROTATIONS]
+         # e((1, 1)) moves at 0.5 + 0.49999999999999994 = 1 - 2**-53
+         + [(Rotation((0.5, 0.49999999999999994)), Observable.character((1, 1)),
+             np.array([0.1, 0.2]))]
          + [(HEISENBERG, HEIS_F, np.array([0.3, 0.7, 0.1]))]
          + [(SKEW, SKEW_F, np.array([y, 0.3])) for y in (0.5, 0.25)])
-IDS = ["rot-2^-40", "rot-1-2^-40", "rot-1-2^-53", "heisenberg-1e-9",
-       "skew-c-near-1-y-half", "skew-c-near-1-y-quarter"]
+IDS = ["rot-2^-40", "rot-1-2^-40", "rot-1-2^-53", "rot-near-half",
+       "heisenberg-1e-9", "skew-c-near-1-y-half", "skew-c-near-1-y-quarter"]
 
 
 def _partner(f):
