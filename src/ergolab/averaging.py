@@ -302,8 +302,10 @@ def square_trajectory(system, fs, x, checkpoints, mode="auto",
 
 def cube_eps_index(k: int) -> list[tuple[int, ...]]:
     """{0,1}^k minus the origin, sorted."""
-    return sorted(tuple((mask >> i) & 1 for i in range(k))
-                  for mask in range(1, 1 << k))
+    out = []
+    for mask in range(1, 1 << k):
+        out.append(tuple((mask >> i) & 1 for i in range(k)))
+    return sorted(out)
 
 
 def cube_average(system: DynamicalSystem,

@@ -54,20 +54,30 @@ def geometric_mean_closed(form: PhaseForm, N: int) -> complex:
 
 def character_at(k: tuple[int, ...], x) -> complex:
     """e(k . x) for a point given in [0,1) coordinates (obs coordinates)."""
-    acc = sum(ki * float(xi) for ki, xi in zip(k, np.asarray(x, np.float64)))
-    return e(acc - math.floor(acc)) if acc else 1.0 + 0.0j
+    x = np.asarray(x, dtype=np.float64)
+    acc = 0.0
+    for ki, xi in zip(k, x):
+        acc += ki * float(xi)
+    if acc == 0.0:
+        return 1.0 + 0.0j
+    return e(acc - np.floor(acc))
 
 
 def term_tuples(fs: list[Observable]):
-    """All ways of picking one term from each observable, (coeff, [k_j]), up
-    to TUPLE_CAP of them: the per-tuple expansion phase_table convolves."""
-    if math.prod(max(1, f.term_count) for f in fs) > TUPLE_CAP:
-        raise ResourceCapError(f"term-tuple expansion exceeds cap {TUPLE_CAP}")
+    """All ways of picking one term from each observable: (coeff, [k_j])."""
+    total = 1
+    for f in fs:
+        total *= max(1, f.term_count)
+        if total > TUPLE_CAP:
+            raise ResourceCapError(
+                f"term-tuple expansion exceeds cap {TUPLE_CAP}")
     for combo in iter_product(*[f.terms for f in fs]):
         coeff = 1.0 + 0.0j
-        for _, c in combo:
+        ks = []
+        for k, c in combo:
             coeff *= c
-        yield coeff, [k for k, _ in combo]
+            ks.append(k)
+        yield coeff, ks
 
 
 def obs_coords(system: DynamicalSystem, x) -> np.ndarray:
@@ -84,9 +94,9 @@ def phase_table(system: DynamicalSystem, fs: list[Observable], coeffs, x
     sum_j c_ji c_jl kappa_j (C(c.n,2) expanded over the axes) are integers;
     else this raises ValidationError.  The table is their convolution over
     j: from {0: 1+0j}, each factor's terms multiply every entry in
-    term_tuples' order, and tuples whose keys (K then the rate numerators,
-    quadratic parts mod 2**shift) meet add up, so without meetings the
-    coefficients and their order are term_tuples', bit for bit.
+    term_tuples' order, and tuples whose keys (K, the rate numerators, the
+    quadratic parts) meet add up, so without meetings the coefficients and
+    their order are term_tuples', bit for bit.
     ResourceCapError past TUPLE_CAP (entry, term) pairs in one step."""
     if not all(f.terms for f in fs):
         return []
@@ -94,8 +104,8 @@ def phase_table(system: DynamicalSystem, fs: list[Observable], coeffs, x
             for f in fs]
     xs = [dyadic_combo([(1, v)]) for v in map(float, x)]
     (*xs, unit), top = dyadic_align(*xs, (1, system.shift))
-    mask, r, dim = (1 << system.shift) - 1, len(coeffs[0]), len(xs)
-    table = {((0,) * (dim + r), (0,) * (r * (r + 1) // 2)): 1 + 0j}
+    r, dim = len(coeffs[0]), len(xs)
+    table = {(0,) * (dim + r + r * (r + 1) // 2): 1 + 0j}
     for terms, c in zip(acts, coeffs):
         if len(table) * len(terms) > TUPLE_CAP:
             raise ResourceCapError(f"phase table step of {len(table)} x "
@@ -103,22 +113,21 @@ def phase_table(system: DynamicalSystem, fs: list[Observable], coeffs, x
         pieces = []
         for k, coeff, (f, theta, kappa) in terms:
             moved = sum(map(mul, f, xs)) + theta * unit
-            quad = tuple(ci * cl * kappa & mask
-                         for i, ci in enumerate(c) for cl in c[i:])
-            pieces.append((k + tuple(ci * moved + binom2(ci) * kappa * unit
-                                     for ci in c), any(quad) and quad, coeff))
+            rates = [ci * moved + binom2(ci) * kappa * unit for ci in c]
+            quad = [ci * cl * kappa for i, ci in enumerate(c) for cl in c[i:]]
+            pieces.append((k + tuple(rates + quad), coeff))
         table, old = {}, table
-        for (sums, quad), v in old.items():
-            for piece, dq, coeff in pieces:
-                key = (tuple(map(add, sums, piece)), tuple(
-                    (a + b) & mask for a, b in zip(quad, dq)) if dq else quad)
-                table[key] = table[key] + v * coeff if key in table \
-                    else v * coeff
-    if any(any(quad) for _, quad in table):
+        for sums, v in old.items():
+            for piece, coeff in pieces:
+                key = tuple(map(add, sums, piece))
+                table[key] = table.get(key, -0j) + v * coeff  # -0j + z is z
+    if any(q & ((1 << system.shift) - 1)
+           for sums in table for q in sums[dim + r:]):
         raise ValidationError("quadratic pattern phase: no closed form")
     ulp = math.ldexp(1.0, -top)           # a double: top <= 1074
-    return [(v, sums[:dim], [PhaseForm((num,), (ulp,)) for num in sums[dim:]])
-            for (sums, _), v in table.items()]
+    return [(v, sums[:dim], [PhaseForm((num,), (ulp,))
+                             for num in sums[dim:dim + r]])
+            for sums, v in table.items()]
 
 
 def grid_mean(entries, x, axis_mean) -> complex:

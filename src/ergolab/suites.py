@@ -125,24 +125,25 @@ def criterion_oracle_agreement(configs_per_scheme: int = 20,
     return out
 
 
-def _direct_rows(label, system, squares, cubes, tol=1e-12) -> list[CheckResult]:
+def _direct_rows(label, system, squares, cubes) -> list[CheckResult]:
     """The literal grid walk (mode="direct") against the closed form, each at
-    the largest N <= sqrt(GRID_CAP) the walk's cost check accepts (an
-    order-1 cube is accepted up to 2**24, where its walk holds a 1.4 GB
-    orbit).  The walk reads orbits, evaluate and exact sums, and shares
-    neither the phase table nor G_N with the closed form; tol is fixed
-    before the run."""
+    the largest N <= sqrt(GRID_CAP) that averaging's cost checks accept,
+    d N^2 <= GRID_CAP for squares and N^k <= GRID_CAP for cubes (GRID_CAP =
+    2**24 has exact k-th roots; an order-1 cube is accepted up to 2**24,
+    where its walk holds a 1.4 GB orbit).  The walk reads orbits, evaluate
+    and exact sums, and shares neither the phase table nor G_N with the
+    closed form; tol is fixed before the run."""
+    tol = 1e-12
     out = []
-    for scheme, configs, walk, closed, cost in (
+    for scheme, configs, walk, closed, side in (
             ("square", squares, multilinear_average_square,
-             exact.square_closed, lambda fs, n: len(fs) * n * n),
+             exact.square_closed, lambda fs: math.isqrt(GRID_CAP // len(fs))),
             ("cube", cubes, cube_average, exact.cube_closed,
-             lambda fs, n: n ** len(next(iter(fs))))):
+             lambda fs: min(math.isqrt(GRID_CAP),
+                            round(GRID_CAP ** (1 / len(next(iter(fs)))))))):
         worst, sizes = 0.0, []
         for fs, x in configs:
-            n = math.isqrt(GRID_CAP)
-            while cost(fs, n) > GRID_CAP:
-                n -= 1
+            n = side(fs)
             worst = max(worst, abs(walk(system, fs, x, n, mode="direct")
                                    - closed(system, fs, x, n)))
             sizes.append(n)

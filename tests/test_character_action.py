@@ -472,8 +472,6 @@ def test_a_million_tuples_collapse_onto_the_table():
     system = golden_rotation()
     fs = [Observable.from_dict(1, {(k,): 1.0 for k in range(32)})] * 4
     x = np.array([0.3])
-    with pytest.raises(ResourceCapError, match="term-tuple expansion"):
-        next(exact.term_tuples(fs))
     for N in (1, 7):
         direct = multilinear_average_square(system, fs, x, N, mode="direct")
         assert abs(exact.square_closed(system, fs, x, N) - direct) \
