@@ -292,12 +292,14 @@ def _bits(v: complex) -> bytes:
 
 
 def _pinning_observables(count, seed):
+    # |k| <= 4, so that products x * k round: with |k| <= 2 every product
+    # is exact and a walk's bits cannot show the phase's summation order
     rng = SplitMix64(seed)
     out = []
     for _ in range(count):
         terms = {}
         for _ in range(2):
-            k = tuple(int(rng.next_u64() % 5) - 2 for _ in range(2))
+            k = tuple(int(rng.next_u64() % 9) - 4 for _ in range(2))
             terms[k] = complex(rng.unit_block(1)[0] - 0.5,
                                rng.unit_block(1)[0] - 0.5)
         out.append(Observable.from_dict(2, terms))
