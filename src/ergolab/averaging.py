@@ -209,13 +209,7 @@ def _grid_direct(system, fs, coeffs, x, checkpoints) -> list[complex]:
     length = max(map(sum, coeffs)) * (top - 1) + 1
     orbit = system.orbit_block(system.check_point(x)[None], 1, 0, length,
                                "obs")[0]
-    # evaluate's bits depend on the side of CHUNK a call lies on (see its
-    # docstring) and a row holds N values: spans of fewer than CHUNK values
-    # match rows of N < CHUNK, and N >= CHUNK only occurs for a single
-    # order-1 cube, whose one row is the whole orbit
-    span = length if top >= CHUNK else CHUNK - 1
-    vals = [np.concatenate([evaluate(f, orbit[i:i + span])
-                            for i in range(0, length, span)]) for f in fs]
+    vals = [evaluate(f, orbit) for f in fs]
     out = []
     for N in checkpoints:
         offsets = []

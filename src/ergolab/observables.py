@@ -98,50 +98,47 @@ def evaluate(f: Observable, points) -> np.ndarray | complex:
     Extra trailing coordinates (the Heisenberg central coordinate) are
     ignored; characters only read the first f.dim coordinates.
 
-    The last bit of each value can depend on the batch size: numpy reuses
-    a temporary of at least 256 KiB (16,384 complex values, one CHUNK) as
-    the output of `c * exp(...)`, which then runs as exp(...) * c, and
-    numpy's complex multiply is not bitwise commutative.  Callers that must
-    reproduce another path's bits keep their batches on the same side of
-    that size (see joinings.py).
-
-    Adding the terms to 0.0 gives a zeros buffer's bits; a 1-D phase x * k
-    is the dot product x @ (k,), up to a zero's sign, which exp loses.  A
-    first term whose coefficient is 1 is exp(arg) itself: (1+0j) v + 0.0
-    has v's bits unless a part of v is -0.0, and exp(arg) has no such part
-    (arg's real part is a zero or NaN, and 2 pi i * phase adds +0.0 to its
-    imaginary part, so sin never sees -0.0)."""
+    A value's bits depend only on its point: evaluate(f, batch)[i] is
+    evaluate(f, batch[i]) for every batch size, split and memory layout.
+    Each phase is the left-to-right sum x_0 k_0 + x_1 k_1 + ... of float64
+    products, and each term is c * exp(2 pi i phase) as numpy's complex
+    multiply loop rounds it, written over the exp in place except for a
+    one-element batch, where numpy's in-place multiply rounds differently;
+    a point is a batch of one.  Terms are added in order to 0.0, which
+    gives a zeros buffer's bits.  A first term whose coefficient is 1 is
+    exp(arg) itself: (1+0j) v + 0.0 has v's bits unless a part of v is
+    -0.0, and exp(arg) has no such part (arg's real part is a zero or NaN,
+    and 2 pi i * phase adds +0.0 to its imaginary part, so sin never sees
+    -0.0)."""
     pts = np.asarray(points, dtype=np.float64)
-    scalar = pts.ndim == 1
     if pts.shape[-1] < f.dim:
         raise DimensionMismatchError(
             f"point dim {pts.shape[-1]} < observable dim {f.dim}")
-    pts = pts[..., :f.dim]
-    out = 0.0
+    batch = (pts[None] if pts.ndim == 1 else pts)[..., :f.dim]
+    out = 0.0 if f.terms else np.zeros(batch.shape[:-1], dtype=np.complex128)
     for i, (k, c) in enumerate(f.terms):
         if max((abs(v) for v in k), default=0) > _FLOAT_FREQ_LIMIT:
-            flat = pts.reshape(-1, f.dim)
+            flat = batch.reshape(-1, f.dim)
             phase = np.fromiter(
-                (frac_combo(zip(k, row)) for row in flat),
-                dtype=np.float64, count=flat.shape[0]).reshape(pts.shape[:-1])
+                (frac_combo(zip(k, row)) for row in flat), dtype=np.float64,
+                count=flat.shape[0]).reshape(batch.shape[:-1])
         else:
-            phase = (pts[..., 0] * float(k[0]) if f.dim == 1
-                     else pts @ np.asarray(k, dtype=np.float64))
+            phase = batch[..., 0] * float(k[0])
+            for j in range(1, f.dim):
+                phase += batch[..., j] * float(k[j])
         arg = (TWO_PI * 1j) * phase
-        if any(k) and c == 1 and i == 0:
-            out = np.exp(arg)       # 1 * v + 0.0 is v: no multiply, no add
-        elif any(k):
-            out = c * np.exp(arg) + out
+        if any(k):
+            np.exp(arg, out=arg)
         else:
             # a zero frequency's phase is a signed zero, whose exp keeps
-            # the argument's imaginary part and sets the real part to 1.0;
-            # c times that unit is exact, in either operand order
-            unit = np.asarray(arg)
-            unit.real = 1.0
-            out = c * unit + out
-    if scalar or f.terms:
-        return complex(out) if scalar else out
-    return np.zeros(pts.shape[:-1], dtype=np.complex128)
+            # the argument's imaginary part and sets the real part to 1.0
+            arg.real = 1.0
+        if any(k) and c == 1 and i == 0:
+            out = arg               # 1 * v + 0.0 is v: no multiply, no add
+        else:
+            term = np.multiply(c, arg, out=arg if arg.size > 1 else None)
+            out = np.add(term, out, out=term)
+    return complex(out[0]) if pts.ndim == 1 else out
 
 
 def integral_haar(f: Observable) -> complex:

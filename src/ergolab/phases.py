@@ -411,12 +411,11 @@ def chunk_means(values_at: Callable[[int, int, int, int], np.ndarray],
     Spans are anchored at multiples of CHUNK and split at every checkpoint.
     A span of cnt values is requested in slabs of max(1, (CHUNK - 1) // cnt)
     rows, so each block holds fewer than CHUNK values or is one row of a full
-    chunk: `evaluate`'s bits depend on which side of CHUNK a block lies (see
-    its docstring), and this keeps a slab on the side one row takes.  Each
-    slab's rows are summed by one `exact_row_sums` call per tuple into a
-    (tuples, rows, spans) array; at each checkpoint one more call per tuple
-    folds the spans so far, and each part is divided by N.  A mean is thus
-    math.fsum over math.fsum'd spans, per part, divided by N.
+    chunk, which bounds the memory a block takes.  Each slab's rows are
+    summed by one `exact_row_sums` call per tuple into a (tuples, rows,
+    spans) array; at each checkpoint one more call per tuple folds the
+    spans so far, and each part is divided by N.  A mean is thus math.fsum
+    over math.fsum'd spans, per part, divided by N.
     Non-increasing checkpoints raise."""
     spans, ends, prev = [], [], 0
     for cp in checkpoints:

@@ -28,8 +28,8 @@ estimate falls back to Monte Carlo: inner integrals become length-N
 Birkhoff averages from a seeded Haar start, with products expanded as
 shift/conjugation lists evaluated pointwise along one orbit.
 
-The van der Corput check writes every lag's products into one buffer, in
-the operand order the plain expression had (see van_der_corput_check).
+The van der Corput check writes every lag's products into one buffer (see
+van_der_corput_check).
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from .observables import (CompositionRow, Observable, compose_with_power,
                           conjugate, evaluate, integral_haar, multiply,
                           phase_correlations, product_integral)
 from .joinings import _streamed_start_means
-from .phases import chunk_ranges, exact_sum, frac, frac_combo, CHUNK
+from .phases import chunk_ranges, exact_sum, frac, frac_combo
 from .rng import SplitMix64
 from .systems import GOLDEN, DynamicalSystem
 
@@ -92,11 +92,9 @@ def _raised_exact(system, f: Observable, order: int, H: int,
 
 
 def _orbit_values(system, f: Observable, x, length: int) -> np.ndarray:
-    """f along the first `length` orbit points of x: one orbit_block,
-    evaluated per CHUNK span."""
-    orbit = system.orbit_block(x[None], 1, 0, length, "obs")[0]
-    return np.concatenate([evaluate(f, orbit[n0:n0 + cnt])
-                           for n0, cnt in chunk_ranges(0, length, CHUNK)])
+    """f along the first `length` orbit points of x: one orbit_block, one
+    evaluate."""
+    return evaluate(f, system.orbit_block(x[None], 1, 0, length, "obs")[0])
 
 
 def _raised_mc(shifts: list[tuple[int, bool]], orbit: np.ndarray,
@@ -220,18 +218,12 @@ def van_der_corput_check(seq, H: int) -> VdcReport:
     lhs = float(np.sum(np.abs(means) ** 2))
     # Every lag's products x_n conj(x_{n+h}) go to one buffer, summed over
     # the vector components into one row (the buffer itself when m = 1).
-    # The operands are taken in the order numpy used for the expression
-    # x * conj(...): from 256 KiB up it elides the temporary conj(...) and
-    # multiplies in place as conj(...) * x, and complex multiplication is
-    # not bitwise commutative.
     xc = np.conj(xs)
     prod = np.empty((N, m), dtype=np.complex128)
-    swap = prod.nbytes >= 256 * 1024
     row = prod[:, 0] if m == 1 else np.empty(N, dtype=np.complex128)
     terms = []
     for h in range(1, H + 1):
-        a, b = xs[:N], xc[h:h + N]
-        np.multiply(*((b, a) if swap else (a, b)), out=prod)
+        np.multiply(xs[:N], xc[h:h + N], out=prod)
         if m > 1:
             np.sum(prod, axis=1, out=row)
         terms.append(abs(mean(row)))

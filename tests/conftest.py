@@ -2,6 +2,9 @@ import hypothesis
 import numpy as np
 import pytest
 
+from ergolab.observables import _FLOAT_FREQ_LIMIT
+from ergolab.phases import TWO_PI, frac_combo
+
 hypothesis.settings.register_profile(
     "default", max_examples=40, deadline=None, derandomize=True,
     suppress_health_check=[hypothesis.HealthCheck.too_slow])
@@ -19,3 +22,32 @@ def assert_on_circle():
     def inner(a, b, tol):
         assert circle_dist(a, b) <= tol, (a, b, circle_dist(a, b))
     return inner
+
+
+def ref_evaluate(f, points):
+    """`evaluate` written plainly, the reference for its bits.  Over every
+    point at once, each step a numpy ufunc with a fresh output: a term's
+    phase is x_0 k_0 + x_1 k_1 + ... from the left in float64 (reduced
+    exactly past _FLOAT_FREQ_LIMIT), its unit is exp(2 pi i phase) (for a
+    zero frequency, the argument with its real part set to 1.0), and the
+    terms are added in order, c * unit + sum, to a zeros buffer."""
+    pts = np.asarray(points, dtype=np.float64)
+    flat = pts.reshape(-1, pts.shape[-1])[:, :f.dim]
+    out = np.zeros(len(flat), dtype=np.complex128)
+    for k, c in f.terms:
+        if max(abs(v) for v in k) > _FLOAT_FREQ_LIMIT:
+            phase = np.array([frac_combo(zip(k, row)) for row in flat],
+                             dtype=np.float64)
+        else:
+            phase = np.multiply(flat[:, 0], float(k[0]))
+            for j in range(1, f.dim):
+                phase = np.add(phase, np.multiply(flat[:, j], float(k[j])))
+        arg = np.multiply(TWO_PI * 1j, phase)
+        if any(k):
+            unit = np.exp(arg)
+        else:
+            unit = arg
+            unit.real = 1.0
+        out = np.add(np.multiply(c, unit), out)
+    out = out.reshape(pts.shape[:-1])
+    return complex(out) if pts.ndim == 1 else out

@@ -4,11 +4,12 @@ they replaced, bit for bit.
 The references below are the functions as they stood before reuse came in:
 the Host-Kra recursion composing every (k, h) afresh (and the automorphism
 building both matrix powers per term), the van der Corput check building
-fresh temporaries per lag, `evaluate` taking exp of every phase (and, as
-`ref_evaluate_scaled`, multiplying every term by its coefficient and adding
-it to 0.0), and the single-point `SkewProduct.step` on numpy arrays.  Each compares raw float64
-bits (or the exact exception), so a change of operation order that moves
-one rounding fails here.
+fresh temporaries per lag, and the single-point `SkewProduct.step` on numpy
+arrays; `evaluate` is checked against conftest's plain `ref_evaluate`,
+which takes exp of every phase, multiplies every term by its coefficient
+and adds it to 0.0.  Each compares raw float64 bits (or the exact
+exception), so a change of operation order that moves one rounding fails
+here.
 """
 
 import math
@@ -16,12 +17,13 @@ import math
 import numpy as np
 import pytest
 
+from conftest import ref_evaluate
 from ergolab.errors import (DimensionMismatchError, FrequencyOverflowError,
                             ResourceCapError, ValidationError)
 from ergolab.observables import (_FLOAT_FREQ_LIMIT, Observable, conjugate,
                                  evaluate, integral_haar, multiply,
                                  product_integral)
-from ergolab.phases import CHUNK, TWO_PI, exact_sum, frac, frac_combo
+from ergolab.phases import CHUNK, exact_sum, frac, frac_combo
 from ergolab.rng import SplitMix64
 from ergolab.seminorms import hk_seminorm, van_der_corput_check
 from ergolab.systems import (GOLDEN, SQRT2_M1, SQRT3_M1, Rotation,
@@ -87,51 +89,10 @@ def ref_van_der_corput(seq, H):
 
     means = np.array([mean(xs[:N, c]) for c in range(xs.shape[1])])
     lhs = float(np.sum(np.abs(means) ** 2))
-    rhs = math.fsum(abs(mean(np.sum(xs[:N] * np.conj(xs[h:h + N]), axis=1)))
+    rhs = math.fsum(abs(mean(np.sum(np.multiply(xs[:N], np.conj(xs[h:h + N])),
+                                    axis=1)))
                     for h in range(1, H + 1)) / H
     return lhs, rhs
-
-
-def ref_evaluate(f, points):
-    pts = np.asarray(points, dtype=np.float64)
-    scalar = pts.ndim == 1
-    pts = pts[..., :f.dim]
-    out = 0.0
-    for k, c in f.terms:
-        phase = (pts[..., 0] * float(k[0]) if f.dim == 1
-                 else pts @ np.asarray(k, dtype=np.float64))
-        out = c * np.exp((TWO_PI * 1j) * phase) + out
-    if scalar or f.terms:
-        return complex(out) if scalar else out
-    return np.zeros(pts.shape[:-1], dtype=np.complex128)
-
-
-def ref_evaluate_scaled(f, points):
-    pts = np.asarray(points, dtype=np.float64)
-    scalar = pts.ndim == 1
-    if pts.shape[-1] < f.dim:
-        raise DimensionMismatchError("point dim")
-    pts = pts[..., :f.dim]
-    out = 0.0
-    for k, c in f.terms:
-        if max((abs(v) for v in k), default=0) > _FLOAT_FREQ_LIMIT:
-            flat = pts.reshape(-1, f.dim)
-            phase = np.fromiter(
-                (frac_combo(zip(k, row)) for row in flat),
-                dtype=np.float64, count=flat.shape[0]).reshape(pts.shape[:-1])
-        else:
-            phase = (pts[..., 0] * float(k[0]) if f.dim == 1
-                     else pts @ np.asarray(k, dtype=np.float64))
-        arg = (TWO_PI * 1j) * phase
-        if any(k):
-            out = c * np.exp(arg) + out
-        else:
-            unit = np.asarray(arg)
-            unit.real = 1.0
-            out = c * unit + out
-    if scalar or f.terms:
-        return complex(out) if scalar else out
-    return np.zeros(pts.shape[:-1], dtype=np.complex128)
 
 
 def ref_frac(x):
@@ -254,10 +215,12 @@ def test_inner_n_below_one_is_rejected(inner_n, method):
                                  (2, CHUNK // 2 - 1), (2, CHUNK // 2),
                                  (2, CHUNK // 2 + 1), (1, 500), (3, 6000)])
 def test_vdc_bits_match_fresh_temporaries(m, N):
-    # N * m at and around 16,384 values, where numpy's elision of the
-    # conj(...) temporary flips the operand order.  A lag's mean moves with
-    # a last-bit change of its products about half the time, so each size
-    # runs several short checks
+    # N * m at and around 16,384 values (256 KiB of products), from where
+    # numpy would elide the temporary conj(...) of the plain expression
+    # x * conj(...) and multiply as conj(...) * x; the products are
+    # x * conj(...) at every size.  A lag's mean moves with a last-bit
+    # change of its products about half the time, so each size runs
+    # several short checks
     rng = np.random.default_rng(N + m)
     for H in (1, 1, 2, 2, 3, 3):
         z = rng.normal(size=(N + H, m)) + 1j * rng.normal(size=(N + H, m))
@@ -273,7 +236,7 @@ def test_vdc_bits_match_fresh_temporaries(m, N):
 
 
 # general complex coefficients: numpy's c * v and v * c differ in the last
-# bit, and evaluate must keep the order the former expression had
+# bit, and evaluate multiplies as c * v
 ZERO_FREQ = [Observable.constant(0.3 - 0.7j, 1),
              Observable.from_dict(1, {(0,): -0.5 + 1e-300j, (2,): 0.3 - 0.7j,
                                       (-1,): -0.45 + 0.8j}),
@@ -337,10 +300,10 @@ def test_unit_coefficient_evaluate_bits(f, shape):
     with np.errstate(invalid="ignore"):
         for pts in blocks:
             assert evaluate(f, pts).tobytes() == \
-                ref_evaluate_scaled(f, pts).tobytes()
+                ref_evaluate(f, pts).tobytes()
         for x in points:
             got, want = evaluate(f, [x] * f.dim), \
-                ref_evaluate_scaled(f, [x] * f.dim)
+                ref_evaluate(f, [x] * f.dim)
             assert type(got) is complex
             assert np.complex128(got).tobytes() == \
                 np.complex128(want).tobytes()

@@ -6,15 +6,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import ref_evaluate
 from ergolab.errors import (DimensionMismatchError, FrequencyOverflowError,
                             ResourceCapError, ValidationError)
 from ergolab.exact import term_tuples
-from ergolab.observables import (CompositionRow, Observable,
-                                 compose_with_power, conjugate, evaluate,
-                                 format_observable, integral_haar, multiply,
-                                 parse_observable, phase_correlations,
-                                 product_integral)
-from ergolab.phases import CHUNK, TWO_PI, e, frac_combo
+from ergolab.observables import (_FLOAT_FREQ_LIMIT, CompositionRow,
+                                 Observable, compose_with_power, conjugate,
+                                 evaluate, format_observable, integral_haar,
+                                 multiply, parse_observable,
+                                 phase_correlations, product_integral)
+from ergolab.phases import CHUNK, e
 from ergolab.rng import SplitMix64
 from ergolab.systems import (Rotation, ToralAutomorphism, cat_map,
                              default_heisenberg, golden_rotation,
@@ -350,26 +351,7 @@ def test_parse_rejects_bad_terms():
 
 
 # ---------------------------------------------------------------------------
-# evaluate against its zeros-buffer, matmul-phase formulation, bit for bit
-
-
-def _evaluate_reference(f, points):
-    """evaluate written with a zeros buffer that every term is added to and
-    every phase a matmul: the reference for its bits."""
-    pts = np.asarray(points, dtype=np.float64)
-    scalar = pts.ndim == 1
-    pts = pts[..., :f.dim]
-    out = np.zeros(pts.shape[:-1], dtype=np.complex128)
-    for k, c in f.terms:
-        if max(abs(v) for v in k) <= 1 << 16:
-            phase = pts @ np.asarray(k, dtype=np.float64)
-        else:
-            flat = pts.reshape(-1, f.dim)
-            phase = np.fromiter(
-                (frac_combo(zip(k, row)) for row in flat),
-                dtype=np.float64, count=flat.shape[0]).reshape(pts.shape[:-1])
-        out += c * np.exp((TWO_PI * 1j) * phase)
-    return complex(out) if scalar else out
+# evaluate against its plain zeros-buffer formulation, bit for bit
 
 
 # with a -0.0 part, a coefficient can leave a -0.0 in a product at phase 0,
@@ -400,10 +382,78 @@ def test_evaluate_bits_match_zeros_buffer_matmul(dim, shape):
         flat[i, :] = special[i % 3]
         flat[i, i % dim] = special[(i // 3) % 3]
     for f in _eval_observables(dim):
-        got, want = evaluate(f, pts), _evaluate_reference(f, pts)
+        got, want = evaluate(f, pts), ref_evaluate(f, pts)
         if not shape:
             assert isinstance(got, complex)
             got, want = np.array([got]), np.array([want])
         assert got.shape == want.shape
         assert got.real.tobytes() == want.real.tobytes()
         assert got.imag.tobytes() == want.imag.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# evaluate: a value's bits depend only on its point
+
+
+SPECIAL_POINTS = [0.0, -0.0, 5e-324, -5e-324, 1 - 2.0 ** -53, 1e300, -1e300,
+                  math.inf, -math.inf, math.nan]
+SPECIAL_COEFFS = [1.0, complex(1.0, -0.0), complex(-0.0, 0.75),
+                  complex(-0.5, -0.0), complex(-0.0, -1.0)]
+
+
+@st.composite
+def evaluate_cases(draw, size):
+    """An observable of dim 1-3 with |k| <= 9 (and, on small batches, maybe
+    one term past _FLOAT_FREQ_LIMIT), and `size` points with special values
+    planted (finite ones only under an exactly reduced term) and maybe one
+    ignored trailing coordinate."""
+    dim = draw(st.integers(1, 3))
+    coeff = st.one_of(st.sampled_from(SPECIAL_COEFFS), coeffs)
+    terms = draw(st.dictionaries(st.tuples(*[st.integers(-9, 9)] * dim),
+                                 coeff, min_size=1, max_size=4))
+    huge = size <= 100 and draw(st.booleans())
+    if huge:
+        big = _FLOAT_FREQ_LIMIT + draw(st.integers(1, 9))
+        terms[(big,) + (-1,) * (dim - 1)] = draw(coeff)
+    f = Observable.from_dict(dim, terms)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    scale = draw(st.sampled_from([1.0, -1e3, 1e-12]))
+    pts = rng.random((size, dim + draw(st.integers(0, 1)))) * scale
+    specials = [x for x in SPECIAL_POINTS if math.isfinite(x) or not huge]
+    planted = draw(st.lists(st.tuples(st.integers(0, size - 1),
+                                      st.integers(0, dim - 1),
+                                      st.sampled_from(specials)),
+                            max_size=12))
+    for i, j, x in planted:
+        pts[i, j] = x
+    cuts = sorted(draw(st.lists(st.integers(0, size), max_size=4)))
+    return f, pts, cuts, sorted({i for i, _, _ in planted} | {0, size - 1})
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 100, CHUNK - 1, CHUNK, CHUNK + 1])
+@given(data=st.data())
+def test_evaluate_bits_depend_only_on_the_point(size, data):
+    # against the plain reference, under any split, in strided, reversed,
+    # Fortran and stacked layouts, and a point against its batch of one
+    f, pts, cuts, probes = data.draw(evaluate_cases(size))
+    with np.errstate(invalid="ignore", over="ignore"):
+        want = ref_evaluate(f, pts).tobytes()
+        assert evaluate(f, pts).tobytes() == want
+        parts = [evaluate(f, pts[a:b])
+                 for a, b in zip([0] + cuts, cuts + [len(pts)])]
+        assert np.concatenate(parts).tobytes() == want
+        wide = np.full((2 * len(pts), pts.shape[1] + 1), np.nan)
+        wide[::2, :-1] = pts
+        for layout, back in ((wide[::2, :-1], slice(None)),
+                             (pts[::-1], slice(None, None, -1)),
+                             (np.asfortranarray(pts), slice(None))):
+            assert evaluate(f, layout)[back].tobytes() == want
+        if len(pts) % 2 == 0:
+            stacked = evaluate(f, pts.reshape(2, len(pts) // 2, -1))
+            assert stacked.tobytes() == want
+        for i in probes:
+            one = evaluate(f, pts[i])
+            assert type(one) is complex
+            assert np.complex128(one).tobytes() == want[16 * i:16 * i + 16]
+            assert evaluate(f, pts[i:i + 1]).tobytes() == \
+                want[16 * i:16 * i + 16]
