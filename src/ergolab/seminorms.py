@@ -91,12 +91,6 @@ def _raised_exact(system, f: Observable, order: int, H: int,
     return math.fsum(vals) / H
 
 
-def _orbit_values(system, f: Observable, x, length: int) -> np.ndarray:
-    """f along the first `length` orbit points of x: one orbit_block, one
-    evaluate."""
-    return evaluate(f, system.orbit_block(x[None], 1, 0, length, "obs")[0])
-
-
 def _raised_mc(shifts: list[tuple[int, bool]], orbit: np.ndarray,
                order: int, H: int, N: int) -> float:
     """Monte Carlo recursion on shift/conjugation lists.
@@ -152,9 +146,9 @@ def hk_seminorm(system: DynamicalSystem, f: Observable, order: int,
     if rng is None or inner_n is None:
         raise ValidationError(
             "monte_carlo seminorm path needs an explicit rng and inner_n")
-    x0 = system.haar_block(rng, 1)[0]
-    orbit = _orbit_values(system, f,
-                          x0, _mc_orbit_length(order, outer_h, inner_n))
+    x0 = system.haar_block(rng, 1)
+    length = _mc_orbit_length(order, outer_h, inner_n)
+    orbit = evaluate(f, system.orbit_block(x0, 1, 0, length, "obs")[0])
     raised = _raised_mc([(0, False)], orbit, order, outer_h, inner_n)
     return SeminormEstimate(order, raised ** (1.0 / (1 << order)),
                             outer_h, inner_n, False)
