@@ -405,8 +405,8 @@ SPECIAL_COEFFS = [1.0, complex(1.0, -0.0), complex(-0.0, 0.75),
 def evaluate_cases(draw, size):
     """An observable of dim 1-3 with |k| <= 9 (and, on small batches, maybe
     one term past _FLOAT_FREQ_LIMIT), and `size` points with special values
-    planted (finite ones only under an exactly reduced term) and maybe one
-    ignored trailing coordinate."""
+    planted in coordinates or whole points (finite ones only under an
+    exactly reduced term) and maybe one ignored trailing coordinate."""
     dim = draw(st.integers(1, 3))
     coeff = st.one_of(st.sampled_from(SPECIAL_COEFFS), coeffs)
     terms = draw(st.dictionaries(st.tuples(*[st.integers(-9, 9)] * dim),
@@ -421,11 +421,11 @@ def evaluate_cases(draw, size):
     pts = rng.random((size, dim + draw(st.integers(0, 1)))) * scale
     specials = [x for x in SPECIAL_POINTS if math.isfinite(x) or not huge]
     planted = draw(st.lists(st.tuples(st.integers(0, size - 1),
-                                      st.integers(0, dim - 1),
+                                      st.integers(-1, dim - 1),
                                       st.sampled_from(specials)),
                             max_size=12))
-    for i, j, x in planted:
-        pts[i, j] = x
+    for i, j, x in planted:         # j = -1: the whole point
+        pts[i, j if j >= 0 else slice(None)] = x
     cuts = sorted(draw(st.lists(st.integers(0, size), max_size=4)))
     return f, pts, cuts, sorted({i for i, _, _ in planted} | {0, size - 1})
 
