@@ -406,7 +406,8 @@ def evaluate_cases(draw, size):
     """An observable of dim 1-3 with |k| <= 9 (and, on small batches, maybe
     one term past _FLOAT_FREQ_LIMIT), and `size` points with special values
     planted in coordinates or whole points (finite ones only under an
-    exactly reduced term) and maybe one ignored trailing coordinate."""
+    exactly reduced term or a zero frequency, whose exp the reference
+    takes) and maybe one ignored trailing coordinate."""
     dim = draw(st.integers(1, 3))
     coeff = st.one_of(st.sampled_from(SPECIAL_COEFFS), coeffs)
     terms = draw(st.dictionaries(st.tuples(*[st.integers(-9, 9)] * dim),
@@ -419,7 +420,8 @@ def evaluate_cases(draw, size):
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     scale = draw(st.sampled_from([1.0, -1e3, 1e-12]))
     pts = rng.random((size, dim + draw(st.integers(0, 1)))) * scale
-    specials = [x for x in SPECIAL_POINTS if math.isfinite(x) or not huge]
+    finite = huge or (0,) * dim in terms
+    specials = [x for x in SPECIAL_POINTS if math.isfinite(x) or not finite]
     planted = draw(st.lists(st.tuples(st.integers(0, size - 1),
                                       st.integers(-1, dim - 1),
                                       st.sampled_from(specials)),
