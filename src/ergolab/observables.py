@@ -17,12 +17,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import sub
 from typing import Mapping
 
 import numpy as np
 
 from .errors import DimensionMismatchError, ResourceCapError, ValidationError
-from .phases import TWO_PI, format_real, frac_combo
+from .phases import CHUNK, TWO_PI, format_real, frac_combo
 
 TERM_CAP = 10 ** 6
 
@@ -151,19 +152,19 @@ def conjugate(f: Observable) -> Observable:
         f.dim, {tuple(-v for v in k): c.conjugate() for k, c in f.terms})
 
 
-def _check_term_pairs(nf: int, ng: int) -> None:
-    """The cost guard of a product of nf and ng terms: ResourceCapError when
-    it would touch more than TERM_CAP term pairs."""
-    if nf * ng > TERM_CAP:
+def _check_term_pairs(pairs: int) -> None:
+    """The cost guard of a product: ResourceCapError when it would touch
+    more than TERM_CAP term pairs."""
+    if pairs > TERM_CAP:
         raise ResourceCapError(
-            f"product would touch {nf * ng} term pairs (cap {TERM_CAP})")
+            f"product would touch {pairs} term pairs (cap {TERM_CAP})")
 
 
 def multiply(f: Observable, g: Observable) -> Observable:
     """Exact product: convolution of the frequency lists."""
     if f.dim != g.dim:
         raise DimensionMismatchError("observable dimension mismatch")
-    _check_term_pairs(f.term_count, g.term_count)
+    _check_term_pairs(f.term_count * g.term_count)
     acc: dict[tuple[int, ...], complex] = {}
     for kf, cf in f.terms:
         for kg, cg in g.terms:
@@ -178,7 +179,7 @@ def product_integral(f: Observable, g: Observable) -> complex:
     multiply's checks, so its bits and errors are the product's."""
     if f.dim != g.dim:
         raise DimensionMismatchError("observable dimension mismatch")
-    _check_term_pairs(f.term_count, g.term_count)
+    _check_term_pairs(f.term_count * g.term_count)
     coeffs = dict(g.terms)
     acc = 0.0
     for k, c in f.terms:
@@ -207,17 +208,17 @@ class CompositionRow(dict):
         return out
 
 
-def _check_obs_dim(f: Observable, system) -> None:
-    if f.dim != system.obs_dim:
+def _check_obs_dim(dim: int, system) -> None:
+    if dim != system.obs_dim:
         raise DimensionMismatchError(
-            f"observable dim {f.dim} != system frequency dim {system.obs_dim}")
+            f"observable dim {dim} != system frequency dim {system.obs_dim}")
 
 
 def compose_with_power(f: Observable, system, n: int,
                        row: CompositionRow | None = None) -> Observable:
     """The exact pullback f o T^n as a character sum on the same space;
     `row`, when given, is the caller's CompositionRow for (system, n)."""
-    _check_obs_dim(f, system)
+    _check_obs_dim(f.dim, system)
     if row is None:
         row = CompositionRow(system, n)
     acc: dict[tuple[int, ...], complex] = {}
@@ -227,42 +228,110 @@ def compose_with_power(f: Observable, system, n: int,
     return Observable.from_dict(f.dim, acc)
 
 
-def phase_correlations(f: Observable, system,
-                       rows: list[CompositionRow]) -> list[complex]:
-    """product_integral(f, compose_with_power(conjugate(f), system, n, row))
-    for every row, bit for bit and with the same errors, on a system with a
-    phase basis, all n at once.
+def _python_product(ar, ai, br, bi):
+    """The parts of the complex product a * b as Python rounds it: float64
+    products, then one subtract and one add (numpy's complex multiply fuses
+    them and can differ in the last bit)."""
+    return ar * br - ai * bi, ar * bi + ai * br
 
-    There T^n keeps each frequency, so the term -k of conj(f) o T^n is
-    0.0 + conj(c_k) e_n (e_n = row[-k]'s multiplier), dropped when zero,
-    and the integral sums c_k times it over f's terms in order.  Both
-    complex products run as separate float64 multiplies and adds, as
-    Python's do (numpy's complex multiply fuses them), on a (terms, rows)
-    grid; the sum over terms is sequential from 0.0, as
-    product_integral's is, and dropped terms add +0.0, which leaves a sum
-    started at +0.0 unchanged."""
-    _check_obs_dim(f, system)
-    # conj(f)'s frequencies are f's negated, so in reverse order: look them
-    # up in that order, row by row, then lay them out as (terms, rows) in
-    # f's order.  Every lookup precedes the first term-pair check, which the
-    # per-n path interleaves; only an error that depends on n could tell,
-    # and a phase-basis compose_term has none.
-    negs = [tuple(-v for v in k) for k, _ in reversed(f.terms)]
+
+def _multipliers(keys, rows) -> np.ndarray:
+    """(K, rows) array: row[-k]'s multiplier for each frequency k of the
+    sorted `keys` and each row.  conj(p)'s frequencies are p's negated, so in
+    reverse order: they are looked up in that order, row by row, as
+    compose_with_power(conjugate(p), ...) looks them up."""
+    negs = [tuple(-v for v in k) for k in reversed(keys)]
     mult = np.array([row[k][1] for row in rows for k in negs],
-                    dtype=np.complex128).reshape(len(rows), -1)[:, ::-1].T
-    c = np.array([c for _, c in f.terms], dtype=np.complex128)[:, None]
-    cr, ci, mr, mi = c.real, c.imag, mult.real, mult.imag
-    dr = 0.0 + (cr * mr + ci * mi)      # (cr - i ci)(mr + i mi)
-    di = 0.0 + (cr * mi - ci * mr)
-    kept = (dr != 0) | (di != 0)
-    for ng in np.count_nonzero(kept, axis=0).tolist():
-        _check_term_pairs(f.term_count, ng)
-    sums = np.zeros((f.term_count + 1, 2, len(rows)))
-    sums[1:, 0] = np.where(kept, cr * dr - ci * di, 0.0)
-    sums[1:, 1] = np.where(kept, cr * di + ci * dr, 0.0)
-    re, im = np.add.accumulate(sums)[-1].tolist()
-    return [complex(a, b) for a, b in zip(re, im)]
+                    dtype=np.complex128).reshape(len(rows), len(keys))
+    return mult[:, ::-1].T
 
+
+def _composed_conjugates(coeffs, mult):
+    """(real, imag, kept), each (P, K, n): the term -k of conj(p) o T^n,
+    conj(c_k) mult[k, n], for each row p of a (P, K) coefficient table and
+    column n of a (K, n) multiplier table; kept marks the nonzero terms,
+    which from_dict keeps.  compose_with_power's 0.0 + can only flip a zero
+    part's sign, which no product or sum started at 0.0 can see; an absent
+    term (c_k = 0) gives 0, multipliers being finite."""
+    c = coeffs[:, :, None]
+    dr, di = _python_product(c.real, -c.imag, mult.real, mult.imag)
+    return dr, di, (dr != 0) | (di != 0)
+
+
+def phase_products(f: Observable, system, rows: list[CompositionRow]):
+    """multiply(f, compose_with_power(conjugate(f), system, n, row)) for
+    every row, bit for bit and with the same errors, on a system with a
+    phase basis, as phase_correlations' (keys, coeffs, pairs): keys are the
+    sorted frequencies k_a - k_j of f's term pairs, coeffs[n] the product's
+    coefficients over them (0 where from_dict drops one) and pairs[n] the
+    term pairs multiply checks.  The coefficient at k_a - k_j sums c_a times
+    the term -k_j of conj(f) o T^n from 0.0 over multiply's pairs (a, b) in
+    order, as Python complex products, and skips the dropped terms (masked,
+    never multiplied in as zeros, which would turn inf into NaN); the pairs
+    of one a meet distinct frequencies, so each a is one masked add.  The
+    first row's check runs before any product is built, as multiply's does;
+    phase_correlations runs the others in row order."""
+    _check_obs_dim(f.dim, system)
+    fk = [k for k, _ in f.terms]
+    c = np.array([c for _, c in f.terms], dtype=np.complex128)
+    gr, gi, kept = (a[0].T for a in _composed_conjugates(
+        c[None], _multipliers(fk, rows)))
+    pairs = len(fk) * np.count_nonzero(kept, axis=1)
+    _check_term_pairs(int(pairs[0]))
+    keys = sorted({tuple(map(sub, ka, kb)) for ka in fk for kb in fk})
+    pos = {k: i for i, k in enumerate(keys)}
+    out = np.zeros((len(rows), len(keys)), dtype=np.complex128)
+    acc_r, acc_i = out.real, out.imag
+    for ka, ar, ai in zip(fk, c.real.tolist(), c.imag.tolist()):
+        cols = [pos[tuple(map(sub, ka, kb))] for kb in fk]
+        pr, pi = _python_product(ar, ai, gr, gi)
+        acc_r[:, cols] = np.where(kept, acc_r[:, cols] + pr, acc_r[:, cols])
+        acc_i[:, cols] = np.where(kept, acc_i[:, cols] + pi, acc_i[:, cols])
+    return keys, out, pairs
+
+
+def phase_correlations(dim: int, keys, coeffs: np.ndarray, system,
+                       rows: list[CompositionRow],
+                       pairs: np.ndarray | None = None) -> np.ndarray:
+    """product_integral(p, compose_with_power(conjugate(p), system, n, row))
+    for every row p of a (P, K) coefficient table and every row n, as a
+    (P, len(rows)) complex array, bit for bit and with the same errors, on a
+    system with a phase basis.  Row p is the observable of dimension `dim`
+    with coefficient coeffs[p, i] at keys[i] (sorted; 0 is an absent term).
+    One observable is the case P = 1; phase_products gives a recursion
+    level's rows, with pairs[p], the term pairs of the multiply that made
+    row p, checked before the row's own checks.
+
+    There T^n keeps each frequency, so the term -k of conj(p) o T^n is
+    conj(c_k) e_n (e_n = row[-k]'s multiplier), and the integral sums c_k
+    times it as Python complex products over p's terms in order, from 0.0
+    by np.add.accumulate; dropped terms add +0.0, which leaves a sum started
+    at +0.0 unchanged.  Every lookup precedes the first term-pair check,
+    which the per-n path interleaves; only an error that depends on n could
+    tell, and a phase-basis compose_term has none.  The checks run in row
+    order, then n order; rows go in slabs of at most CHUNK (row, term, n)
+    values, or one row."""
+    _check_obs_dim(dim, system)
+    mult = _multipliers(keys, rows)
+    counts = np.count_nonzero(coeffs, axis=1)
+    out = np.empty((len(coeffs), len(rows)), dtype=np.complex128)
+    slab = max(1, CHUNK // max(1, len(keys) * len(rows)))
+    for p0 in range(0, len(coeffs), slab):
+        sl = slice(p0, p0 + slab)
+        c = coeffs[sl, :, None]
+        dr, di, kept = _composed_conjugates(coeffs[sl], mult)
+        checks = counts[sl, None] * np.count_nonzero(kept, axis=1)
+        if pairs is not None:
+            checks = np.column_stack([pairs[sl], checks])
+        over = checks[checks > TERM_CAP]        # row-major: the first fails
+        if over.size:
+            _check_term_pairs(int(over[0]))
+        terms = np.zeros((2, len(c), len(keys) + 1, len(rows)))
+        tr, ti = _python_product(c.real, c.imag, dr, di)
+        terms[0, :, 1:] = np.where(kept, tr, 0.0)
+        terms[1, :, 1:] = np.where(kept, ti, 0.0)
+        out.real[sl], out.imag[sl] = np.add.accumulate(terms, axis=2)[:, :, -1]
+    return out
 
 # ---------------------------------------------------------------------------
 # CLI literal syntax:  "re,im:k1,k2[;re,im:k1,k2...]"

@@ -15,18 +15,27 @@ On character sums the inner integrals resolve exactly (the "exact" path).
 The last level needs only the Haar integral of f . T^h conj(f), the sum of
 c_f(k) c_g(-k) with g = conj(f) o T^h, so it reads that coefficient without
 building the product.  On a system with a phase basis (rotations, the
-Heisenberg base) T^h keeps every frequency, so it takes that coefficient
-for every h at once, in float64 arrays with the per-h bits
-(observables.phase_correlations); skew products and automorphisms move
-frequencies and go one h at a time through product_integral.  The levels
-of one recursion compose the same frequencies with the same powers over
-and over, so each call holds one observables.CompositionRow per h and
-composes each distinct (k, h) once (on the automorphism, each matrix
-power A^h is built once).  When the symbolic product algebra would blow
-past its term cap (the last level keeps the product's cap check) the
-estimate falls back to Monte Carlo: inner integrals become length-N
-Birkhoff averages from a seeded Haar start, with products expanded as
-shift/conjugation lists evaluated pointwise along one orbit.
+Heisenberg base) T^h keeps every frequency, so the last two levels run for
+every h at once, in float64 arrays with the per-h bits and errors: order 3
+builds its H products f . T^h conj(f) as one (H, terms) coefficient table
+over one sorted frequency list (observables.phase_products), and the last
+level takes every product's coefficient for every h in one call
+(observables.phase_correlations), an order-2 estimate being its one-row
+case; higher orders reach order 3 through multiply.  Skew products and
+automorphisms move frequencies and go one h at a time through multiply
+and product_integral.  The levels of one recursion compose the same
+frequencies with the same powers over and over, so each call holds one
+observables.CompositionRow per h and composes each distinct (k, h) once
+(on the automorphism, each matrix power A^h is built once).  When the
+symbolic product algebra would blow past its term cap (the stacked levels
+keep the products' cap checks, in the per-h order) the estimate falls back
+to Monte Carlo: inner integrals become length-N Birkhoff averages from a
+seeded Haar start, with products expanded as shift/conjugation lists
+evaluated pointwise along one orbit.  Its order-2 level also runs for
+every h at once: each lag's factors are rows of one sliding_window_view of
+the orbit values, multiplied in slabs of max(1, (CHUNK - 1) // N) lags (the
+rule of phases.chunk_means and averaging._rows_mean) and summed by one
+exact_row_sums per slab.
 
 The van der Corput check writes every lag's products into one buffer (see
 van_der_corput_check).
@@ -39,13 +48,16 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ResourceCapError, ValidationError
 from .observables import (CompositionRow, Observable, compose_with_power,
                           conjugate, evaluate, integral_haar, multiply,
-                          phase_correlations, product_integral)
+                          phase_correlations, phase_products,
+                          product_integral)
 from .joinings import _streamed_start_means
-from .phases import chunk_ranges, exact_sum, frac, frac_combo
+from .phases import (CHUNK, chunk_ranges, exact_row_sums, exact_sum,
+                     frac, frac_combo)
 from .rng import SplitMix64
 from .systems import GOLDEN, DynamicalSystem
 
@@ -71,14 +83,23 @@ def _raised_exact(system, f: Observable, order: int, H: int,
     """|||f|||_order ^ (2^order) along the exact character algebra; the
     order-2 level takes each product's Haar integral by product_integral.
     Every level composes through one CompositionRow per h, so each distinct
-    (k, h) of the recursion is composed once."""
+    (k, h) of the recursion is composed once.  On a phase basis the last two
+    levels run for every h at once: order 2 is one coefficient row of
+    phase_correlations, order 3 the H rows of phase_products."""
     if order == 1:
         return abs(integral_haar(f)) ** 2
     if rows is None:
         rows = [CompositionRow(system, h) for h in range(1, H + 1)]
-    if order == 2 and system.phase_basis() is not None:
-        return math.fsum(abs(v) ** 2
-                         for v in phase_correlations(f, system, rows)) / H
+    if order <= 3 and system.phase_basis() is not None:
+        if order == 3:
+            keys, coeffs, pairs = phase_products(f, system, rows)
+        else:                           # f's own terms, one coefficient row
+            keys, pairs = [k for k, _ in f.terms], None
+            coeffs = np.array([[c for _, c in f.terms]], dtype=np.complex128)
+        vals = [math.fsum(abs(v) ** 2 for v in row) / H for row in
+                phase_correlations(f.dim, keys, coeffs, system, rows,
+                                   pairs).tolist()]
+        return vals[0] if order == 2 else math.fsum(vals) / H
     fc = conjugate(f)
     vals = []
     for h, row in enumerate(rows, 1):
@@ -97,19 +118,34 @@ def _raised_mc(shifts: list[tuple[int, bool]], orbit: np.ndarray,
 
     A list [(s, c), ...] denotes prod of f(T^{s} .) conjugated when c; its
     inner integral is estimated by the length-N Birkhoff mean along the
-    precomputed orbit values of f."""
+    precomputed orbit values of f, the factors multiplied into ones(N) in
+    list order, each by np.multiply(product, factor).  The order-2 level
+    runs for every h at once: lag h appends the factors (s + h, not c),
+    rows of one sliding_window_view per factor."""
+    if order > 2:
+        vals = [_raised_mc(shifts + [(s + h, not c) for s, c in shifts],
+                           orbit, order - 1, H, N) for h in range(1, H + 1)]
+        return math.fsum(vals) / H
+    vals = np.ones(N, dtype=np.complex128)
+    for s, c in shifts:
+        seg = orbit[s:s + N]
+        vals = np.multiply(vals, np.conj(seg) if c else seg)
     if order == 1:
-        vals = np.ones(N, dtype=np.complex128)
-        for s, c in shifts:
-            seg = orbit[s:s + N]
-            vals = vals * (np.conj(seg) if c else seg)
-        total = exact_sum(vals)
-        return abs(complex(total.real / N, total.imag / N)) ** 2
-    vals = []
-    for h in range(1, H + 1):
-        nxt = shifts + [(s + h, not c) for s, c in shifts]
-        vals.append(_raised_mc(nxt, orbit, order - 1, H, N))
-    return math.fsum(vals) / H
+        sums = [exact_sum(vals)]
+    else:
+        lagged = [sliding_window_view(orbit if c else np.conj(orbit), N)
+                  [s + 1:s + H + 1] for s, c in shifts]
+        slab, sums = max(1, (CHUNK - 1) // N), []
+        for h0 in range(0, H, slab):
+            # a copy of vals per lag, not a broadcast: numpy multiplies a
+            # one-element broadcast (N = 1, a slab of one lag) in another
+            # loop, unfused, which differs in the last bit
+            v = np.repeat(vals[None], min(slab, H - h0), axis=0)
+            for w in lagged:
+                v = np.multiply(v, w[h0:h0 + slab])
+            sums += exact_row_sums(v).tolist()
+    return math.fsum(abs(complex(t.real / N, t.imag / N)) ** 2
+                     for t in sums) / len(sums)
 
 
 def _mc_orbit_length(order: int, H: int, N: int) -> int:

@@ -618,6 +618,7 @@ class ToralAutomorphism(DynamicalSystem):
             raise ValidationError("automorphism matrix must have det +-1")
         # power's ladder; ||A||inf < 2**b bounds A^n's entries by 2**(b n)
         object.__setattr__(self, "_ladder", ({0: m}, (0, _int_mat_pow(m, 0))))
+        object.__setattr__(self, "_far", (0, None))  # n = 0 is on the ladder
         object.__setattr__(self, "_ladder_top", _LADDER_BITS // max(
             sum(map(abs, row)) for row in m).bit_length())
 
@@ -628,9 +629,17 @@ class ToralAutomorphism(DynamicalSystem):
     def power(self, n: int, mod: int = 0):
         """A^n, reduced into [0, mod) when mod is nonzero.  The exact A^n for
         0 <= n <= _ladder_top is the last one built (the identity when n is
-        below it) times kept squares: n - 1 to n is one product."""
-        if mod or not 0 <= n <= self._ladder_top:
+        below it) times kept squares: n - 1 to n is one product.  Past the
+        ladder the last exact power built is kept, so repeated calls at one
+        n (a point at a time) build it once."""
+        if mod:
             return _int_mat_pow(self.matrix, n, mod)
+        if not 0 <= n <= self._ladder_top:
+            far = self._far
+            if far[0] != n:
+                far = (n, _int_mat_pow(self.matrix, n))
+                object.__setattr__(self, "_far", far)
+            return far[1]
         squares, (m, out) = self._ladder
         if m > n:
             m, out = 0, _int_mat_pow(self.matrix, 0)

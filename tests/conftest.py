@@ -2,7 +2,7 @@ import hypothesis
 import numpy as np
 import pytest
 
-from ergolab.observables import _FLOAT_FREQ_LIMIT
+from ergolab.observables import _FLOAT_FREQ_LIMIT, phase_correlations
 from ergolab.phases import TWO_PI, frac_combo
 
 hypothesis.settings.register_profile(
@@ -49,3 +49,11 @@ def ref_evaluate(f, points):
         out = np.add(np.multiply(c, unit), out)
     out = out.reshape(pts.shape[:-1])
     return complex(out) if pts.ndim == 1 else out
+
+
+def one_correlations(f, system, rows) -> list[complex]:
+    """phase_correlations of one observable: its terms as one coefficient
+    row."""
+    coeffs = np.array([[c for _, c in f.terms]], dtype=np.complex128)
+    return phase_correlations(f.dim, [k for k, _ in f.terms], coeffs, system,
+                              rows)[0].tolist()

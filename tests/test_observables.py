@@ -6,15 +6,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import ref_evaluate
+from conftest import one_correlations, ref_evaluate
 from ergolab.errors import (DimensionMismatchError, FrequencyOverflowError,
                             ResourceCapError, ValidationError)
 from ergolab.exact import term_tuples
 from ergolab.observables import (_FLOAT_FREQ_LIMIT, CompositionRow,
                                  Observable, compose_with_power, conjugate,
                                  evaluate, format_observable, integral_haar,
-                                 multiply, parse_observable,
-                                 phase_correlations, product_integral)
+                                 multiply, parse_observable, product_integral)
 from ergolab.phases import CHUNK, e
 from ergolab.rng import SplitMix64
 from ergolab.systems import (Rotation, ToralAutomorphism, cat_map,
@@ -170,30 +169,39 @@ def test_phase_correlations_bits_match_product_integral(system):
                 row[nk] = (nk, complex(*rng.choice([0.0, 5e-324, -5e-324],
                                                    size=2)))
         want = _composed_integrals(f, system, rows)
-        assert _bits(phase_correlations(f, system, rows)) == _bits(want)
+        assert _bits(one_correlations(f, system, rows)) == _bits(want)
         dropped += sum(f.term_count - compose_with_power(
             conjugate(f), system, h, row).term_count
             for h, row in enumerate(rows, 1))
     assert dropped > 0
+    # a sum whose one term underflows to -0.0 is +0.0, as 0.0 + (-0.0)
+    k = (1,) + (0,) * (dim - 1)
+    nk = tuple(-v for v in k)
+    f = Observable.character(k, 1e-170)
+    rows = [CompositionRow(system, 1)]
+    rows[0][nk] = (nk, complex(-1e-150, 0.0))
+    got = one_correlations(f, system, rows)
+    assert _bits(got) == _bits(_composed_integrals(f, system, rows))
+    assert got[0].real.hex() == "0x0.0p+0"
 
 
 def test_phase_correlations_checks_each_lag_in_order():
     g = golden_rotation()
     with pytest.raises(DimensionMismatchError,
                        match="observable dim 2 != system frequency dim 1"):
-        phase_correlations(Observable.character((1, 0)), g,
-                           [CompositionRow(g, 1)])
+        one_correlations(Observable.character((1, 0)), g,
+                         [CompositionRow(g, 1)])
     # 1,001 terms: two exact zeros at h = 1 leave 1,001 x 999 term pairs,
     # under TERM_CAP; h = 2 has all 1,001
     wide = Observable.from_dict(1, {(k,): 1.0 for k in range(-500, 501)})
     rows = [CompositionRow(g, h) for h in (1, 2)]
     for k in ((7,), (-9,)):
         rows[0][k] = (k, 0j)
-    assert _bits(phase_correlations(wide, g, rows[:1])) == \
+    assert _bits(one_correlations(wide, g, rows[:1])) == \
         _bits(_composed_integrals(wide, g, rows[:1]))
     with pytest.raises(ResourceCapError, match="1002001 term pairs"):
-        phase_correlations(wide, g, rows)
-    assert phase_correlations(Observable.from_dict(1, {}), g, rows) == \
+        one_correlations(wide, g, rows)
+    assert one_correlations(Observable.from_dict(1, {}), g, rows) == \
         _composed_integrals(Observable.from_dict(1, {}), g, rows) == [0j, 0j]
 
 

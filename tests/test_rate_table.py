@@ -253,6 +253,22 @@ def test_composers_for_h_up_to_H_make_one_product_each(monkeypatch):
         assert mult == 1.0 + 0.0j
 
 
+def test_power_past_the_ladder_is_built_once(monkeypatch):
+    """Stepping a point at a time at one n past the ladder builds A^n once:
+    `power` keeps the last exact power built there."""
+    A, n, x = cat_map(), 10 ** 5, [0.3, 0.7]
+    assert n > A._ladder_top
+    calls = []
+    build = systems._int_mat_pow
+    monkeypatch.setattr(systems, "_int_mat_pow", lambda a, n, mod=0: (
+        calls.append((n, mod)), build(a, n, mod))[1])
+    first = A.step(x, n)
+    assert A.step(x, n).tobytes() == first.tobytes()
+    assert calls == [(n, 0)]
+    monkeypatch.undo()
+    assert A.power(n) == frozen_int_mat_pow(A.matrix, n)
+
+
 def test_overflow_past_the_ladder_keeps_nothing():
     A = cat_map()
     with pytest.raises(FrequencyOverflowError):

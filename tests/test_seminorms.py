@@ -1,16 +1,20 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
+from conftest import one_correlations
 from ergolab.errors import (FrequencyOverflowError, ResourceCapError,
                             ValidationError)
+from ergolab import observables
 from ergolab.observables import (CompositionRow, Observable,
                                  compose_with_power, conjugate, evaluate,
-                                 integral_haar, multiply, phase_correlations)
-from ergolab.phases import e, exact_sum
+                                 integral_haar, multiply, phase_products)
+from ergolab.phases import CHUNK, e, exact_sum
 from ergolab.rng import SplitMix64
-from ergolab.seminorms import (_raised_exact, hk_seminorm,
+from ergolab.seminorms import (_mc_orbit_length, _raised_exact, _raised_mc,
+                               hk_seminorm,
                                multilinear_norm_bound_check,
                                quadratic_phase_block, seminorm_ladder,
                                van_der_corput_check, vdc_family)
@@ -150,8 +154,8 @@ def test_raised_exact_bits_match_full_product_recursion(system):
     assert product.term_count < 3
     if system is HALF:
         pair = _seminorm_observables(1)[4]
-        sums = phase_correlations(pair, HALF, [CompositionRow(HALF, h)
-                                               for h in (1, 2)])
+        sums = one_correlations(pair, HALF, [CompositionRow(HALF, h)
+                                             for h in (1, 2)])
         assert sums[0] == 0 and sums[1] != 0
     # a product past TERM_CAP (1,001 x 1,001 term pairs)
     wide = Observable.from_dict(system.obs_dim, {
@@ -169,6 +173,120 @@ def test_cat_map_h60_still_falls_back_to_monte_carlo():
         hk_seminorm(CM, f, 2, outer_h=60, method="exact")
     est = hk_seminorm(CM, f, 2, outer_h=60, inner_n=2000, rng=SplitMix64(9))
     assert not est.exact and est.inner_n == 2000 and est.outer_h == 60
+
+
+def ref_phase_levels(system, f, order, H, rows=None):
+    """_raised_exact on a phase basis as it stood with one Observable per h
+    at its last two levels: compose_with_power, multiply, then
+    phase_correlations of the one product."""
+    if rows is None:
+        rows = [CompositionRow(system, h) for h in range(1, H + 1)]
+    if order == 2:
+        return math.fsum(abs(v) ** 2
+                         for v in one_correlations(f, system, rows)) / H
+    fc = conjugate(f)
+    return math.fsum(ref_phase_levels(
+        system, multiply(f, compose_with_power(fc, system, h, row)),
+        order - 1, H, rows) for h, row in enumerate(rows, 1)) / H
+
+
+def _level_cases(system, rng, count):
+    """(f, rows) pairs: `count` observables of 1-6 terms with coefficients
+    of 1 and -1, underflowing ones and Gaussian ones, at a random H <= 25,
+    the last of them again at H = 200, then three at H = 25: terms of 1, 1,
+    -1 at 0, 1, 2 (on HALF the product's coefficient at 1 is exactly 0 at
+    even h), and two whose rows have zero multipliers planted at h = 1, 2,
+    which drop composed terms there.  Terms of 0.25, 5e-324, 5e-324 at 0,
+    1, 2 with 1 and 2 dropped, whose products with the dropped terms
+    underflow, so that under some caps a product's pair check (at h = 3)
+    fails first; terms of inf, 0.5 - 0.25i, 1 at 0, 1, 3 with 3 dropped,
+    whose inf must not meet the dropped term, and whose first row fails a
+    late lag's check under caps where a later row fails an early lag's."""
+    dim = system.obs_dim
+    zero = (0,) * dim
+    pool = [1.0, -1.0, 1j, 5e-324, TINY, None, None, None]
+    out = []
+    for _ in range(count):
+        coeffs = {}
+        for _ in range(rng.integers(1, 7)):
+            c = pool[rng.integers(len(pool))]
+            coeffs[tuple(rng.integers(-3, 4, dim).tolist())] = \
+                complex(*rng.normal(size=2)) if c is None else c
+        out.append((Observable.from_dict(dim, coeffs), [
+            CompositionRow(system, h)
+            for h in range(1, rng.integers(1, 26) + 1)]))
+    # at H = 200 phase_correlations takes a few coefficient rows per slab
+    out.append((out[-1][0], [CompositionRow(system, h)
+                             for h in range(1, 201)]))
+    for ks, cs, dropped in (((0, 1, 2), (1.0, 1.0, -1.0), ()),
+                            ((0, 1, 2), (0.25, 5e-324, 5e-324), (1, 2)),
+                            ((0, 1, 3), (math.inf, 0.5 - 0.25j, 1.0), (3,))):
+        rows = [CompositionRow(system, h) for h in range(1, 26)]
+        for row in rows[:2]:
+            for k in dropped:
+                row[(-k,) + zero[1:]] = ((-k,) + zero[1:], 0j)
+        out.append((Observable.from_dict(
+            dim, {(k,) + zero[1:]: c for k, c in zip(ks, cs)}), rows))
+    return out
+
+
+def _terms_bits(terms):
+    return [(k, c.real.hex(), c.imag.hex()) for k, c in terms]
+
+
+@pytest.mark.parametrize("system", [
+    G, pytest.param(Rotation((GOLDEN, SQRT2_M1)), id="Rotation2d"),
+    pytest.param(HALF, id="RotationHalf"), default_heisenberg()],
+    ids=lambda s: type(s).__name__)
+def test_stacked_levels_match_per_h_products(monkeypatch, system):
+    """The last two exact levels, run for every h at once, give the per-h
+    products' bits, pair counts and errors: phase_products' rows are
+    multiply's products, orders 3 and 4 are ref_phase_levels' values, and
+    under a low TERM_CAP `exact` raises the reference's error at the same
+    h while `auto` falls back to Monte Carlo."""
+    rng = np.random.default_rng(34)
+    cases = _level_cases(system, rng, 30)
+    cancelled = 0
+    for f, rows in cases:
+        keys, coeffs, pairs = phase_products(f, system, rows)
+        for h, (row, got) in enumerate(zip(rows, coeffs.tolist()), 1):
+            g = compose_with_power(conjugate(f), system, h, row)
+            assert pairs[h - 1] == f.term_count * g.term_count
+            want = multiply(f, g)
+            assert _terms_bits(want.terms) == _terms_bits(
+                (k, c) for k, c in zip(keys, got) if c != 0)
+            cancelled += want.term_count < len(
+                {tuple(np.subtract(a, b)) for a, _ in f.terms
+                 for b, _ in g.terms})
+        order = int(rng.integers(3, 5))
+        if order == 4:
+            rows = rows[:8]
+        assert _outcome(_raised_exact, system, f, order, len(rows), rows) \
+            == _outcome(ref_phase_levels, system, f, order, len(rows), rows)
+    assert cancelled
+    tiny_f, tiny_rows = cases[-2]
+    pairs = phase_products(tiny_f, system, tiny_rows)[2]
+    assert pairs[0] < pairs.max()
+    raised = set()
+    for cap in (1, 2, 3, 4, 6, 8, 15, 24, 80, 400):
+        monkeypatch.setattr(observables, "TERM_CAP", cap)
+        for f, rows in cases[:6] + cases[-3:]:
+            want = _outcome(ref_phase_levels, system, f, 3, len(rows), rows)
+            assert _outcome(_raised_exact, system, f, 3, len(rows), rows) \
+                == want
+            if isinstance(want, tuple):
+                raised.add(want[1])
+        # hk_seminorm composes its own rows: the cases without planted ones
+        for f, rows in cases[:6] + cases[-3:-2]:
+            got = _outcome(lambda: hk_seminorm(system, f, 3, len(rows),
+                                               method="exact").value)
+            assert got == _outcome(lambda: ref_phase_levels(
+                system, f, 3, len(rows)) ** (1.0 / 8))
+            if isinstance(got, tuple):
+                est = hk_seminorm(system, f, 3, len(rows), inner_n=50,
+                                  rng=SplitMix64(1))
+                assert not est.exact and est.inner_n == 50
+    assert len(raised) > 3
 
 
 def test_validation():
@@ -198,6 +316,53 @@ def test_mc_h_consistency_noise_scale():
     v1000 = hk_seminorm(G, f, 2, outer_h=1000, inner_n=2000,
                         method="monte_carlo", rng=SplitMix64(8)).value
     assert abs(v100 - v1000) <= 3 / math.sqrt(100)
+
+
+def ref_raised_mc(shifts, orbit, order, H, N, product=np.multiply):
+    """_raised_mc with one Birkhoff mean per lag: `product(vals, factor)`
+    folds each factor into ones(N) in list order."""
+    if order == 1:
+        vals = np.ones(N, dtype=np.complex128)
+        for s, c in shifts:
+            seg = orbit[s:s + N]
+            vals = product(vals, np.conj(seg) if c else seg)
+        total = exact_sum(vals)
+        return abs(complex(total.real / N, total.imag / N)) ** 2
+    return math.fsum(ref_raised_mc(
+        shifts + [(s + h, not c) for s, c in shifts], orbit, order - 1, H, N,
+        product) for h in range(1, H + 1)) / H
+
+
+def _literal_product(vals, factor):
+    return vals * factor
+
+
+@pytest.mark.parametrize("system", [CM, G, standard_skew()],
+                         ids=lambda s: type(s).__name__)
+def test_mc_lags_match_per_h_means(system):
+    """The order-2 Monte Carlo level, run for every h at once in slabs of
+    (CHUNK - 1) // N lags, gives the per-h means' bits at orders 2 and 3,
+    and below CHUNK those of `vals * factor` as well (from CHUNK values
+    numpy may reuse the conjugate's temporary and swap the operands)."""
+    dim = system.obs_dim
+    f = Observable.from_dict(dim, {(1,) + (0,) * (dim - 1): 0.75 - 0.5j,
+                                   (-2,) + (1,) * (dim - 1): 0.25,
+                                   (0,) * dim: 0.125j})
+    rng = np.random.default_rng(7)
+    for N in (1, 2, 7, 2000, CHUNK - 1, CHUNK, 20000):
+        for order in (2, 3):
+            top = 70 if order == 2 or N <= 7 else 12 if N <= 2000 else 4
+            for H in (1, int(rng.integers(2, top)), top):
+                x0 = system.haar_block(SplitMix64(N + H), 1)
+                orbit = evaluate(f, system.orbit_block(
+                    x0, 1, 0, _mc_orbit_length(order, H, N), "obs")[0])
+                got = _raised_mc([(0, False)], orbit, order, H, N)
+                assert got.hex() == ref_raised_mc(
+                    [(0, False)], orbit, order, H, N).hex(), (N, order, H)
+                if N < CHUNK:
+                    assert got.hex() == ref_raised_mc(
+                        [(0, False)], orbit, order, H, N,
+                        _literal_product).hex(), (N, order, H)
 
 
 def test_ladder_reports_monotonicity_slack():
