@@ -274,19 +274,24 @@ def phase_products(f: Observable, system, rows: list[CompositionRow]):
     _check_obs_dim(f.dim, system)
     fk = [k for k, _ in f.terms]
     c = np.array([c for _, c in f.terms], dtype=np.complex128)
-    gr, gi, kept = (a[0].T for a in _composed_conjugates(
-        c[None], _multipliers(fk, rows)))
-    pairs = len(fk) * np.count_nonzero(kept, axis=1)
-    _check_term_pairs(int(pairs[0]))
-    keys = sorted({tuple(map(sub, ka, kb)) for ka in fk for kb in fk})
-    pos = {k: i for i, k in enumerate(keys)}
-    out = np.zeros((len(rows), len(keys)), dtype=np.complex128)
-    acc_r, acc_i = out.real, out.imag
-    for ka, ar, ai in zip(fk, c.real.tolist(), c.imag.tolist()):
-        cols = [pos[tuple(map(sub, ka, kb))] for kb in fk]
-        pr, pi = _python_product(ar, ai, gr, gi)
-        acc_r[:, cols] = np.where(kept, acc_r[:, cols] + pr, acc_r[:, cols])
-        acc_i[:, cols] = np.where(kept, acc_i[:, cols] + pi, acc_i[:, cols])
+    mult = _multipliers(fk, rows)
+    # Python floats overflow to inf and make NaN silently, so the stacked
+    # arithmetic warns no more than the per-h path it reproduces
+    with np.errstate(invalid="ignore", over="ignore"):
+        gr, gi, kept = (a[0].T for a in _composed_conjugates(c[None], mult))
+        pairs = len(fk) * np.count_nonzero(kept, axis=1)
+        _check_term_pairs(int(pairs[0]))
+        keys = sorted({tuple(map(sub, ka, kb)) for ka in fk for kb in fk})
+        pos = {k: i for i, k in enumerate(keys)}
+        out = np.zeros((len(rows), len(keys)), dtype=np.complex128)
+        acc_r, acc_i = out.real, out.imag
+        for ka, ar, ai in zip(fk, c.real.tolist(), c.imag.tolist()):
+            cols = [pos[tuple(map(sub, ka, kb))] for kb in fk]
+            pr, pi = _python_product(ar, ai, gr, gi)
+            acc_r[:, cols] = np.where(kept, acc_r[:, cols] + pr,
+                                      acc_r[:, cols])
+            acc_i[:, cols] = np.where(kept, acc_i[:, cols] + pi,
+                                      acc_i[:, cols])
     return keys, out, pairs
 
 
@@ -319,18 +324,21 @@ def phase_correlations(dim: int, keys, coeffs: np.ndarray, system,
     for p0 in range(0, len(coeffs), slab):
         sl = slice(p0, p0 + slab)
         c = coeffs[sl, :, None]
-        dr, di, kept = _composed_conjugates(coeffs[sl], mult)
-        checks = counts[sl, None] * np.count_nonzero(kept, axis=1)
-        if pairs is not None:
-            checks = np.column_stack([pairs[sl], checks])
-        over = checks[checks > TERM_CAP]        # row-major: the first fails
-        if over.size:
-            _check_term_pairs(int(over[0]))
-        terms = np.zeros((2, len(c), len(keys) + 1, len(rows)))
-        tr, ti = _python_product(c.real, c.imag, dr, di)
-        terms[0, :, 1:] = np.where(kept, tr, 0.0)
-        terms[1, :, 1:] = np.where(kept, ti, 0.0)
-        out.real[sl], out.imag[sl] = np.add.accumulate(terms, axis=2)[:, :, -1]
+        # silent as Python floats are, like phase_products
+        with np.errstate(invalid="ignore", over="ignore"):
+            dr, di, kept = _composed_conjugates(coeffs[sl], mult)
+            checks = counts[sl, None] * np.count_nonzero(kept, axis=1)
+            if pairs is not None:
+                checks = np.column_stack([pairs[sl], checks])
+            over = checks[checks > TERM_CAP]    # row-major: the first fails
+            if over.size:
+                _check_term_pairs(int(over[0]))
+            terms = np.zeros((2, len(c), len(keys) + 1, len(rows)))
+            tr, ti = _python_product(c.real, c.imag, dr, di)
+            terms[0, :, 1:] = np.where(kept, tr, 0.0)
+            terms[1, :, 1:] = np.where(kept, ti, 0.0)
+            out.real[sl], out.imag[sl] = \
+                np.add.accumulate(terms, axis=2)[:, :, -1]
     return out
 
 # ---------------------------------------------------------------------------

@@ -887,13 +887,13 @@ def _rotation_resonance(alpha: tuple[float, ...], bound: int):
     ks = np.stack([g.ravel() for g in grids], axis=1)
     ks = ks[np.any(ks != 0, axis=1)]
     vals = ks @ np.asarray(alpha)
-    d = np.abs(frac(vals + 0.5) - 0.5)
-    order = np.lexsort((np.abs(ks).sum(axis=1), np.abs(ks).max(axis=1)))
-    for idx in order:
-        if d[idx] <= 1e-9:
-            kk = tuple(int(v) for v in ks[idx])
-            if abs(frac_combo([*zip(kk, alpha), (1, 0.5)]) - 0.5) <= _RESONANCE_TOL:
-                return kk
+    ks = ks[np.abs(frac(vals + 0.5) - 0.5) <= 1e-9]
+    # a stable sort of the near-resonant vectors alone keeps the order the
+    # whole lexsorted grid would give them
+    for idx in np.lexsort((np.abs(ks).sum(axis=1), np.abs(ks).max(axis=1))):
+        kk = tuple(int(v) for v in ks[idx])
+        if abs(frac_combo([*zip(kk, alpha), (1, 0.5)]) - 0.5) <= _RESONANCE_TOL:
+            return kk
     return None
 
 

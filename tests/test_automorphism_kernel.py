@@ -3,11 +3,11 @@
 `ToralAutomorphism._orbits` holds a start x = X / 2**K as the integer vector
 X and reads A^n X mod 2**K from one table of powers per call: in uint64
 (exact mod 2**64) when K <= 64, in Python ints mod 2**K otherwise.  These
-tests compare its rows, by raw float64 bytes, with a frozen copy of the
-per-point loop it replaced (one `frac_combo` per coordinate and one reduced
-matrix product per point); test_systems.py compares them with the unreduced
-powers of `step`.  The last test is a Birkhoff average at N = 10**6, which
-the per-point loop made too slow to run.
+tests compare its rows, by raw float64 bytes, with the per-point reference
+(`ref_orbit`: the exact residue of each row of A^n mod 2**K times x);
+test_systems.py compares them with the unreduced powers of `step`.  The
+last test is a Birkhoff average at N = 10**6, which a per-point loop makes
+too slow to run.
 """
 
 import time
@@ -19,8 +19,8 @@ from ergolab.averaging import birkhoff_average
 from ergolab.observables import Observable
 from ergolab.phases import CHUNK, frac_combo
 from ergolab.rng import SplitMix64
-from ergolab.systems import (ToralAutomorphism, _int_mat_mul, _int_mat_pow,
-                             cat_map)
+from ergolab.systems import ToralAutomorphism, _int_mat_pow, cat_map
+from reference import ref_orbit
 
 MATRICES = {"cat": cat_map(),
             "3x3": ToralAutomorphism(((2, 1, 1), (1, 1, 0), (1, 0, 0))),
@@ -31,21 +31,6 @@ MATRICES = {"cat": cat_map(),
 START_VALUES = (0.0, 2.0 ** -12, 1 - 2.0 ** -53, -0.25, 1.5,
                 (2.0 ** 53 - 1) * 2.0 ** -64, 2.0 ** -65, 5e-324)
 N0S = (0, CHUNK - 7, 10 ** 6, 10 ** 12 + 5, (10 ** 12 // CHUNK) * CHUNK - 3)
-
-
-def ref_orbit(system, x, stride, n0, count):
-    """The per-point loop as it stood before the kernel: A^(stride n) mod
-    2**K advanced by one reduced product per point, each row one frac_combo
-    per coordinate."""
-    out = np.empty((count, system.dim))
-    mod = 1 << max(float(v).as_integer_ratio()[1].bit_length() - 1
-                   for v in x)
-    mstride = _int_mat_pow(system.matrix, stride, mod)
-    mat = _int_mat_pow(system.matrix, stride * n0, mod)
-    for t in range(count):
-        out[t] = [frac_combo(zip(row, x.tolist())) for row in mat]
-        mat = _int_mat_mul(mstride, mat, mod)
-    return out
 
 
 def _starts(system):

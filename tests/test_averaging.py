@@ -17,11 +17,12 @@ from ergolab.averaging import (AverageTrajectory, FolnerBox, IteratedMap,
 from ergolab.errors import (CommutationError, ResourceCapError,
                             ValidationError)
 from ergolab.observables import Observable, compose_with_power, evaluate
-from ergolab.phases import CHUNK, e, exact_sum
+from ergolab.phases import CHUNK, e
 from ergolab.rng import SplitMix64
 from ergolab.systems import (GOLDEN, SQRT2_M1, Rotation, SkewProduct, cat_map,
                              default_heisenberg, golden_rotation,
-                             orbit_points, standard_skew, step)
+                             standard_skew, step)
+from reference import ref_folner, ref_grid_mean
 
 G = golden_rotation()
 X = np.array([0.3])
@@ -251,40 +252,7 @@ def test_square_trajectory_rejects_unknown_mode():
                           np.array([0.1, 0.2]), [4, 8], mode="bogus")
 
 
-# Frozen copies of the separate square and cube grid walks that _grid_direct
-# replaced; the shared walk must reproduce their bits.
-
-
-def _frozen_square_direct(system, fs, x, N):
-    row_sums_re, row_sums_im = [], []
-    for m in range(N):
-        vals = np.ones(N, dtype=np.complex128)
-        for j, f in enumerate(fs):
-            pts = orbit_points(system, x, 1, j * m, N, coords="obs")
-            vals *= evaluate(f, pts)
-        row_sums_re.append(exact_sum(vals.real))
-        row_sums_im.append(exact_sum(vals.imag))
-    return complex(math.fsum(row_sums_re) / (N * N),
-                   math.fsum(row_sums_im) / (N * N))
-
-
-def _frozen_cube_direct(system, fs_by_eps, x, N):
-    eps_list = sorted(fs_by_eps)
-    k = len(eps_list[0])
-    sums_re, sums_im = [], []
-    for outer in np.ndindex((N,) * (k - 1)):
-        vals = np.ones(N, dtype=np.complex128)
-        for eps in eps_list:
-            offset = sum(o * e_i for o, e_i in zip(outer, eps[1:]))
-            if eps[0]:
-                pts = orbit_points(system, x, 1, offset, N, coords="obs")
-                vals *= evaluate(fs_by_eps[eps], pts)
-            else:
-                pt = orbit_points(system, x, 1, offset, 1, coords="obs")
-                vals *= evaluate(fs_by_eps[eps], pt)[0]
-        sums_re.append(exact_sum(vals.real))
-        sums_im.append(exact_sum(vals.imag))
-    return complex(math.fsum(sums_re), math.fsum(sums_im)) / float(N ** k)
+# _grid_direct's shared walk against the plain grid mean of reference.py.
 
 
 def _bits(v: complex) -> bytes:
@@ -321,16 +289,14 @@ def test_grid_direct_bits_match_frozen_walks(name):
         coeffs = [(1, j) for j in range(d)]
         for n in (1, 2, 5, 17, 33, 64, 150):
             assert _bits(_grid_direct(system, fs, coeffs, x, [n])[0]) == \
-                _bits(_frozen_square_direct(system, fs, x, n))
+                _bits(ref_grid_mean(system, fs, coeffs, x, n))
     for k, ns in ((1, (1, 3, CHUNK - 1, CHUNK, CHUNK + 1)), (2, (1, 3, 8, 13)),
                   (3, (1, 3, 8, 13))):
         eps_list = cube_eps_index(k)
-        fs_by_eps = dict(zip(eps_list,
-                             _pinning_observables(len(eps_list), 200 + k)))
+        fs = _pinning_observables(len(eps_list), 200 + k)
         for n in ns:
-            assert _bits(_grid_direct(system, [fs_by_eps[eps] for eps in eps_list],
-                                      eps_list, x, [n])[0]) == \
-                _bits(_frozen_cube_direct(system, fs_by_eps, x, n))
+            assert _bits(_grid_direct(system, fs, eps_list, x, [n])[0]) == \
+                _bits(ref_grid_mean(system, fs, eps_list, x, n))
 
 
 def test_grid_direct_bits_match_frozen_walk_past_chunk():
@@ -339,9 +305,9 @@ def test_grid_direct_bits_match_frozen_walk_past_chunk():
     system = GRID_SYSTEMS["rotation"]
     x = system.haar_block(SplitMix64(17), 1)[0]
     fs = _pinning_observables(110, 500)
-    assert _bits(_grid_direct(system, fs, [(1, j) for j in range(110)], x,
-                              [151])[0]) == \
-        _bits(_frozen_square_direct(system, fs, x, 151))
+    coeffs = [(1, j) for j in range(110)]
+    assert _bits(_grid_direct(system, fs, coeffs, x, [151])[0]) == \
+        _bits(ref_grid_mean(system, fs, coeffs, x, 151))
 
 
 def test_direct_square_trajectory_checkpoints_match_single_averages():
@@ -421,19 +387,6 @@ def test_folner_double_geometric():
     assert abs(v - closed) <= 1e-11
 
 
-def _frozen_folner(action, f, x, box):
-    """folner_average's former walk: one orbit and one exact sum per row."""
-    (s1, p1), (s2, p2) = action
-    sums_re, sums_im = [], []
-    for m in range(box.n2):
-        vals = evaluate(f, orbit_points(s1, s2.step(x, m * p2), p1, 0, box.n1,
-                                        coords="obs"))
-        sums_re.append(exact_sum(vals.real))
-        sums_im.append(exact_sum(vals.imag))
-    return complex(math.fsum(sums_re) / box.size,
-                   math.fsum(sums_im) / box.size)
-
-
 R2 = GRID_SYSTEMS["rotation"]
 FOLNER_CASES = (
     # criterion 9's boxes
@@ -458,8 +411,8 @@ def test_folner_bits_match_frozen_row_walk(case):
     system, p1, p2, f, x, box = FOLNER_CASES[case]
     got = folner_average((IteratedMap(system, p1), IteratedMap(system, p2)),
                          f, x, box)
-    assert _bits(got) == _bits(_frozen_folner(((system, p1), (system, p2)),
-                                              f, x, box))
+    assert _bits(got) == _bits(ref_folner(((system, p1), (system, p2)),
+                                          f, x, box))
 
 
 def test_folner_commutation_guard():

@@ -2,30 +2,34 @@
 
 Each polynomial kind states once how T moves a character
 (`character_action`); `compose_term`, the closed forms in `exact` and the
-factorized grid path read it.  Frozen copies of the per-kind code that this
-replaced pin the bits on the kinds it covered (rotations, Heisenberg base
-characters, skew `compose_term`).  On skew products, where the closed forms
-are new, they are checked against the orbit streams and the direct grid
-walk, which share no arithmetic with the pattern phase.
+factorized grid path read it.  `compose_with_power` is pinned against the
+exact composition of reference.py, and the closed forms and factorized
+grids on a phase basis against `ref_pattern_average`, the sum over term
+tuples with closed or streamed (`ref_geometric_mean`) geometric means.  On
+skew products, where the closed forms are new, they are checked against
+the orbit streams and the direct grid walk, which share no arithmetic with
+the pattern phase.
 """
+
+import functools
 
 import numpy as np
 import pytest
 
 from ergolab import exact
 from ergolab.averaging import (GRID_CAP, cube_average, cube_eps_index,
-                               geometric_mean_streamed,
                                multilinear_average_linear,
                                multilinear_average_square,
                                square_trajectory)
 from ergolab.errors import ResourceCapError, ValidationError
 from ergolab.observables import Observable, compose_with_power
-from ergolab.phases import PhaseForm, e, frac_combo
+from ergolab.phases import PhaseForm, e
 from ergolab.rng import SplitMix64
-from ergolab.systems import (GOLDEN, SQRT2_M1, SQRT3_M1,
-                             HeisenbergTranslation, Rotation, SkewProduct,
-                             binom2, cat_map, default_heisenberg,
+from ergolab.systems import (GOLDEN, SQRT2_M1, SQRT3_M1, Rotation,
+                             SkewProduct, cat_map, default_heisenberg,
                              golden_rotation, standard_skew)
+from reference import (ref_compose_with_power, ref_geometric_mean,
+                       ref_pattern_average)
 
 ROT3 = Rotation((GOLDEN, SQRT2_M1, SQRT3_M1))
 # fiber 1 is the golden skew; fiber 2 rides on the base rotation by 1/2 with
@@ -53,36 +57,7 @@ def _observables(dim, count, seed, box=2, nterms=2):
 
 
 # ---------------------------------------------------------------------------
-# compose_term against the per-kind bodies it replaced
-
-
-def _frozen_compose_term(system, k, n):
-    if isinstance(system, Rotation):
-        ph = frac_combo((n * ki, a) for ki, a in zip(k, system.alpha))
-        return k, e(ph)
-    if isinstance(system, HeisenbergTranslation):
-        ph = frac_combo([(n * k[0], system.alpha), (n * k[1], system.beta)])
-        return k, e(ph)
-    p = k[:system.base_dim]
-    q = k[system.base_dim:]
-    btq = tuple(sum(system.linear[f][b] * q[f] for f in range(system.fiber_dim))
-                for b in range(system.base_dim))
-    new_p = tuple(pi + n * bi for pi, bi in zip(p, btq))
-    terms = []
-    for b in range(system.base_dim):
-        terms.append((n * p[b], system.base_alpha[b]))
-        terms.append((binom2(n) * btq[b], system.base_alpha[b]))
-    for f in range(system.fiber_dim):
-        terms.append((n * q[f], system.const[f]))
-    return new_p + q, e(frac_combo(terms))
-
-
-def _frozen_compose_with_power(f, system, n):
-    acc = {}
-    for k, c in f.terms:
-        nk, mult = _frozen_compose_term(system, k, n)
-        acc[nk] = acc.get(nk, 0.0) + c * mult
-    return Observable.from_dict(f.dim, acc)
+# compose_with_power against the exact composition
 
 
 @pytest.mark.parametrize("system", [golden_rotation(), ROT3, default_heisenberg(),
@@ -92,93 +67,23 @@ def test_compose_with_power_bits_match_frozen_bodies(system):
     for f in _observables(system.obs_dim, 4, 41, box=3, nterms=3):
         for n in POWERS:
             got = compose_with_power(f, system, n)
-            want = _frozen_compose_with_power(f, system, n)
+            want = ref_compose_with_power(f, system, n)
             assert [(k, _hex(c)) for k, c in got.terms] == \
                 [(k, _hex(c)) for k, c in want.terms]
 
 
 # ---------------------------------------------------------------------------
-# Closed forms and factorized grids against the loops they replaced
+# Closed forms and factorized grids against the per-tuple sum
 
 
-def _vec_sum(ks, weights):
-    return tuple(sum(w * k[c] for w, k in zip(weights, ks))
-                 for c in range(len(ks[0])))
+def _closed(system, N):
+    """rate -> geometric_mean_closed at N, on the system's phase basis."""
+    return lambda r: exact.geometric_mean_closed(
+        PhaseForm(r, system.phase_basis()), N)
 
 
-def _rate(system, k):
-    return PhaseForm(k, system.phase_basis())
-
-
-def _frozen_birkhoff(system, f, x, N):
-    xo = exact.obs_coords(system, x)
-    total = 0.0 + 0.0j
-    for k, c in f.terms:
-        total += c * exact.character_at(k, xo) * exact.geometric_mean_closed(
-            _rate(system, k), N)
-    return total
-
-
-def _frozen_linear(system, fs, x, N):
-    xo = exact.obs_coords(system, x)
-    total = 0.0 + 0.0j
-    for coeff, ks in exact.term_tuples(fs):
-        K = _vec_sum(ks, [1] * len(ks))
-        rate = _vec_sum(ks, list(range(1, len(ks) + 1)))
-        total += coeff * exact.character_at(K, xo) * exact.geometric_mean_closed(
-            _rate(system, rate), N)
-    return total
-
-
-def _frozen_square(system, fs, x, N):
-    xo = exact.obs_coords(system, x)
-    total = 0.0 + 0.0j
-    for coeff, ks in exact.term_tuples(fs):
-        K = _vec_sum(ks, [1] * len(ks))
-        M = _vec_sum(ks, list(range(len(ks))))
-        total += (coeff * exact.character_at(K, xo)
-                  * exact.geometric_mean_closed(_rate(system, K), N)
-                  * exact.geometric_mean_closed(_rate(system, M), N))
-    return total
-
-
-def _frozen_cube(system, fs_by_eps, x, N):
-    xo = exact.obs_coords(system, x)
-    eps_list = sorted(fs_by_eps)
-    k = len(eps_list[0])
-    total = 0.0 + 0.0j
-    for coeff, ks in exact.term_tuples([fs_by_eps[eps] for eps in eps_list]):
-        K = _vec_sum(ks, [1] * len(ks))
-        val = coeff * exact.character_at(K, xo)
-        for i in range(k):
-            rate = _vec_sum(ks, [eps[i] for eps in eps_list])
-            val *= exact.geometric_mean_closed(_rate(system, rate), N)
-        total += val
-    return total
-
-
-def _frozen_grid_factorized(system, fs, coeffs, x, checkpoints):
-    xo = exact.obs_coords(system, x)
-    cache = {}
-    pieces = []
-    for coeff, ks in exact.term_tuples(list(fs)):
-        K = _vec_sum(ks, [1] * len(ks))
-        rates = [_vec_sum(ks, [c[i] for c in coeffs])
-                 for i in range(len(coeffs[0]))]
-        pieces.append((coeff * exact.character_at(K, xo), rates))
-    out = []
-    for cp in checkpoints:
-        total = 0.0 + 0.0j
-        for amp, rates in pieces:
-            val = amp
-            for r in rates:
-                if r not in cache:
-                    cache[r] = geometric_mean_streamed(_rate(system, r),
-                                                       checkpoints)
-                val *= cache[r][cp]
-            total += val
-        out.append((cp, total))
-    return out
+def _square(d):
+    return [(1, j) for j in range(d)]
 
 
 PINNED = [golden_rotation(), ROT3, Rotation((0.5,)),
@@ -194,43 +99,48 @@ def test_closed_forms_bits_match_frozen_loops(system):
     singles = [Observable.character(ones, 0.5 - 0.25j),
                Observable.constant(-0.75j, dim)] + _observables(dim, 2, 51)
     for N in (1, 7, 1000, 10 ** 6, 10 ** 12 + 3):
+        mean = _closed(system, N)
         for f in singles:
             assert _hex(exact.birkhoff_closed(system, f, x, N)) == \
-                _hex(_frozen_birkhoff(system, f, x, N))
+                _hex(ref_pattern_average(system, [f], [(1,)], x, mean))
         for d in (1, 2, 3, 4):
             fs = _observables(dim, d, 60 + d)
             if d == 2:
                 fs = [Observable.character(ones), Observable.character(ones)]
+            linear = [(j,) for j in range(1, d + 1)]
             assert _hex(exact.linear_closed(system, fs, x, N)) == \
-                _hex(_frozen_linear(system, fs, x, N))
+                _hex(ref_pattern_average(system, fs, linear, x, mean))
             assert _hex(exact.square_closed(system, fs, x, N)) == \
-                _hex(_frozen_square(system, fs, x, N))
+                _hex(ref_pattern_average(system, fs, _square(d), x, mean))
         for k in (1, 2, 3):
             eps = cube_eps_index(k)
-            fs_by_eps = dict(zip(eps, _observables(dim, len(eps), 70 + k)))
-            assert _hex(exact.cube_closed(system, fs_by_eps, x, N)) == \
-                _hex(_frozen_cube(system, fs_by_eps, x, N))
+            fs = _observables(dim, len(eps), 70 + k)
+            assert _hex(exact.cube_closed(system, dict(zip(eps, fs)), x, N)) \
+                == _hex(ref_pattern_average(system, fs, eps, x, mean))
 
 
 @pytest.mark.parametrize("system", PINNED, ids=PINNED_IDS)
 def test_factorized_grids_bits_match_frozen_loop(system):
     dim = system.obs_dim
     x = system.haar_block(SplitMix64(31), 1)[0]
-    checkpoints = [1, 7, 300]
+    checkpoints = (1, 7, 300)
+    streamed = functools.cache(lambda r, cps: ref_geometric_mean(
+        r, system.phase_basis(), cps))
+
+    def want(fs, coeffs, cps, cp):
+        return _hex(ref_pattern_average(system, fs, coeffs, x,
+                                        lambda r: streamed(r, cps)[cp]))
     for d in (1, 2, 3):
         fs = _observables(dim, d, 80 + d, nterms=3)
         got = square_trajectory(system, fs, x, checkpoints, mode="factorized")
-        want = _frozen_grid_factorized(system, fs, [(1, j) for j in range(d)],
-                                       x, checkpoints)
         assert [(n, _hex(v)) for n, v in got.checkpoints] == \
-            [(n, _hex(v)) for n, v in want]
+            [(cp, want(fs, _square(d), checkpoints, cp)) for cp in checkpoints]
     for k in (1, 2, 3):
         eps = cube_eps_index(k)
         fs = _observables(dim, len(eps), 90 + k)
         for N in checkpoints:
             got = cube_average(system, dict(zip(eps, fs)), x, N, mode="factorized")
-            assert _hex(got) == \
-                _hex(_frozen_grid_factorized(system, fs, eps, x, [N])[0][1])
+            assert _hex(got) == want(fs, eps, (N,), N)
 
 
 # ---------------------------------------------------------------------------
@@ -439,7 +349,8 @@ def test_colliding_square_matches_the_per_tuple_loop():
     assert tuples == 125 and keys < tuples
     for N in (7, 1000, 10 ** 6):
         err = abs(exact.square_closed(system, fs, x, N)
-                  - _frozen_square(system, fs, x, N))
+                  - ref_pattern_average(system, fs, _square(3), x,
+                                        _closed(system, N)))
         assert err <= TABLE_BUDGET * _scale(fs)
     for N in (7, 60):
         direct = multilinear_average_square(system, fs, x, N, mode="direct")
@@ -458,7 +369,8 @@ def test_colliding_heisenberg_cube_matches_the_per_tuple_loop():
     assert tuples == 2187 and keys < tuples
     for N in (7, 1000, 10 ** 6):
         err = abs(exact.cube_closed(system, fs_by_eps, x, N)
-                  - _frozen_cube(system, fs_by_eps, x, N))
+                  - ref_pattern_average(system, fs, eps, x,
+                                        _closed(system, N)))
         assert err <= TABLE_BUDGET * _scale(fs)
     for N in (7, 60):
         direct = cube_average(system, fs_by_eps, x, N, mode="direct")

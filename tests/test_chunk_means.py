@@ -1,13 +1,11 @@
 """phases.chunk_means, the one kernel that turns streamed values into means,
-against frozen copies of the chunk loops it replaced, bit for bit.
+against the plain references in reference.py, bit for bit.
 
-The references below are the loops as they stood before `chunk_means` took
-over: the streamed product of orbits (`_product_block` and `_streamed_means`,
-a MeanAccumulator over checkpoint-split anchored chunks) and the streamed
-geometric sum.  Means are compared by float.hex of each part.
+A stream's mean is `ref_means` of its values (math.fsum per
+CHUNK-anchored span, math.fsum over the spans), the values being the
+product of `evaluate` over each factor's orbit; the streamed geometric sum
+is `ref_geometric_mean`.  Means are compared by float.hex of each part.
 """
-
-import math
 
 import numpy as np
 import pytest
@@ -16,58 +14,21 @@ from ergolab.averaging import (birkhoff_average, geometric_mean_streamed,
                                linear_trajectory, multilinear_average_linear,
                                square_trajectory)
 from ergolab.errors import ValidationError
-from ergolab.observables import Observable, evaluate
-from ergolab.phases import (CHUNK, MeanAccumulator, PhaseForm, chunk_means,
-                            chunk_ranges, frac)
+from ergolab.observables import Observable
+from ergolab.phases import CHUNK, PhaseForm, chunk_means
 from ergolab.rng import SplitMix64
 from ergolab.systems import (GOLDEN, SQRT2_M1, Rotation, cat_map,
                              default_heisenberg, golden_rotation, orbit_points,
                              standard_skew)
-
-# ---------------------------------------------------------------------------
-# Frozen reference loops
+from reference import ref_geometric_mean, ref_means, ref_tensor_values
 
 
-def ref_product_block(system, fs, strides, x, n0, count) -> np.ndarray:
-    vals = np.ones(count, dtype=np.complex128)
-    for f, j in zip(fs, strides):
-        pts = orbit_points(system, x, j, n0, count, coords="obs")
-        vals *= evaluate(f, pts)
-    return vals
-
-
-def ref_streamed_means(system, fs, strides, x, checkpoints):
-    """Partial means of prod_j f_j(T^{strides_j * n} x) at each checkpoint."""
-    acc = MeanAccumulator()
-    out = []
-    prev = 0
-    for cp in checkpoints:
-        if cp <= prev:
-            raise ValidationError("checkpoints must be strictly increasing")
-        for n0, cnt in chunk_ranges(prev, cp - prev, CHUNK):
-            acc.add(ref_product_block(system, fs, strides, x, n0, cnt))
-        out.append((cp, acc.mean()))
-        prev = cp
-    return out
-
-
-def ref_geometric_mean_streamed(form, checkpoints):
-    """e(n * form) summed per anchored chunk: the base is the form's exact
-    fraction at the chunk's CHUNK-multiple anchor, plus offsets times the
-    rounded step."""
-    acc = MeanAccumulator()
-    out = {}
-    stepf = form.frac()
-    prev = 0
-    for cp in checkpoints:
-        for n0, cnt in chunk_ranges(prev, cp - prev, CHUNK):
-            anchor = (n0 // CHUNK) * CHUNK
-            offs = np.arange(n0 - anchor, n0 - anchor + cnt, dtype=np.float64)
-            acc.add(np.exp((2j * np.pi)
-                           * frac(form.frac_times(anchor) + offs * stepf)))
-        out[cp] = acc.mean()
-        prev = cp
-    return out
+def _stream_means(system, fs, x, checkpoints):
+    """ref_means of prod_j f_j(T^{j n} x), the product taken per span."""
+    pts = np.stack([orbit_points(system, x, j, 0, checkpoints[-1], "obs")
+                    for j in range(1, len(fs) + 1)], axis=1)
+    return ref_means(lambda a, b: ref_tensor_values(fs, pts[a:b]), 1,
+                     checkpoints)[:, 0]
 
 
 def _hex(v: complex) -> tuple[str, str]:
@@ -76,7 +37,7 @@ def _hex(v: complex) -> tuple[str, str]:
 
 
 # ---------------------------------------------------------------------------
-# Streams of every kind against the frozen loop
+# Streams of every kind against the plain mean walk
 
 KINDS = {"rotation": golden_rotation(), "rotation-2d": Rotation((GOLDEN, SQRT2_M1)),
          "skew": standard_skew(), "automorphism": cat_map(),
@@ -104,29 +65,28 @@ def test_streams_match_frozen_loop_bitwise(name, d):
     system = KINDS[name]
     x = system.haar_block(SplitMix64(40 + d), 1)[0]
     fs = _factors(d, system.obs_dim)
-    strides = list(range(1, d + 1))
     for cps in CHECKPOINT_SETS:
         traj = linear_trajectory(system, fs, x, cps)
-        ref = ref_streamed_means(system, fs, strides, x, cps)
+        ref = _stream_means(system, fs, x, cps)
         assert [n for n, _ in traj.checkpoints] == list(cps)
-        assert [_hex(v) for _, v in traj.checkpoints] == \
-            [_hex(v) for _, v in ref]
+        assert [_hex(v) for _, v in traj.checkpoints] == [_hex(v) for v in ref]
     for N in LENGTHS:
-        want = _hex(ref_streamed_means(system, fs, strides, x, [N])[0][1])
+        want = _hex(_stream_means(system, fs, x, [N])[0])
         assert _hex(multilinear_average_linear(system, fs, x, N)) == want
         if d == 1:
             assert _hex(birkhoff_average(system, fs[0], x, N)) == want
 
 
-@pytest.mark.parametrize("form", [PhaseForm((1,), (GOLDEN,)),
-                                  PhaseForm((3, -2), (GOLDEN, SQRT2_M1)),
-                                  PhaseForm((7,), (5e-324,)),
-                                  PhaseForm((2,), (0.5,))],
+@pytest.mark.parametrize("coeffs,basis", [((1,), (GOLDEN,)),
+                                          ((3, -2), (GOLDEN, SQRT2_M1)),
+                                          ((7,), (5e-324,)), ((2,), (0.5,))],
                          ids=["golden", "combo", "subnormal", "resonant"])
-def test_geometric_mean_streamed_matches_frozen_loop_bitwise(form):
-    for cps in CHECKPOINT_SETS + [(N,) for N in LENGTHS]:
+def test_geometric_mean_streamed_matches_frozen_loop_bitwise(coeffs, basis):
+    form = PhaseForm(coeffs, basis)
+    for cps in CHECKPOINT_SETS + [(N,) for N in LENGTHS] + [
+            (100, 5000), (CHUNK, CHUNK + 1, 3 * CHUNK + 17)]:
         got = geometric_mean_streamed(form, cps)
-        ref = ref_geometric_mean_streamed(form, cps)
+        ref = ref_geometric_mean(coeffs, basis, cps)
         assert list(got) == list(ref)
         assert [_hex(got[cp]) for cp in cps] == [_hex(ref[cp]) for cp in cps]
 
@@ -160,17 +120,8 @@ def test_chunk_means_slabs_spans_and_bits(rows, checkpoints):
         assert not any(n0 < cp < n0 + cnt for cp in checkpoints)
         seen[r0:r1, n0:n0 + cnt] += 1
     assert (seen == 1).all()
-    # fsum per span, fsum across spans, divided by N, per part
-    spans = [s for a, b in zip((0,) + checkpoints, checkpoints)
-             for s in chunk_ranges(a, b - a)]
-    for m, cp in zip(means, checkpoints):
-        for r in range(rows):
-            sums = [complex(math.fsum(v[r, n0:n0 + cnt].real),
-                            math.fsum(v[r, n0:n0 + cnt].imag))
-                    for n0, cnt in spans if n0 < cp]
-            want = (math.fsum(s.real for s in sums) / cp,
-                    math.fsum(s.imag for s in sums) / cp)
-            assert _hex(m[r]) == (want[0].hex(), want[1].hex())
+    want = ref_means(lambda a, b: v[:, a:b], rows, checkpoints)
+    assert [_hex(m) for m in means.ravel()] == [_hex(m) for m in want.ravel()]
 
 
 @pytest.mark.parametrize("checkpoints", [(5, 5), (10, 3), (0, 4), (-1,)])

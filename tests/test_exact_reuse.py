@@ -1,15 +1,15 @@
-"""The reuse paths of the exact diagnostics against frozen copies of the code
-they replaced, bit for bit.
+"""The reuse paths of the exact diagnostics against the plain references in
+reference.py, bit for bit.
 
-The references below are the functions as they stood before reuse came in:
-the Host-Kra recursion composing every (k, h) afresh (and the automorphism
-building both matrix powers per term), the van der Corput check building
-fresh temporaries per lag, and the single-point `SkewProduct.step` on numpy
-arrays; `evaluate` is checked against conftest's plain `ref_evaluate`,
-which takes exp of every phase, multiplies every term by its coefficient
-and adds it to 0.0.  Each compares raw float64 bits (or the exact
-exception), so a change of operation order that moves one rounding fails
-here.
+The Host-Kra recursion (composing through one table per h, and the
+automorphism's ladder of matrix powers) is checked against
+`ref_raised_exact`, which composes every (k, h) afresh by exact arithmetic
+and sums each last product's Haar coefficient directly; the van der Corput
+check against math.fsum means of fresh products per lag; `evaluate` against `ref_evaluate`, which
+takes exp of every phase, multiplies every term by its coefficient and adds
+it to 0.0; the single-point `SkewProduct.step` and `frac` against exact
+residues.  Each compares raw float64 bits (or the exact exception), so a
+change of operation order that moves one rounding fails here.
 """
 
 import math
@@ -17,120 +17,18 @@ import math
 import numpy as np
 import pytest
 
-from conftest import ref_evaluate
-from ergolab.errors import (DimensionMismatchError, FrequencyOverflowError,
-                            ResourceCapError, ValidationError)
-from ergolab.observables import (_FLOAT_FREQ_LIMIT, Observable, conjugate,
-                                 evaluate, integral_haar, multiply,
-                                 product_integral)
-from ergolab.phases import CHUNK, exact_sum, frac, frac_combo
+from ergolab.errors import (DimensionMismatchError, ResourceCapError,
+                            ValidationError)
+from ergolab.observables import _FLOAT_FREQ_LIMIT, Observable, evaluate
+from ergolab.phases import CHUNK, frac
 from ergolab.rng import SplitMix64
 from ergolab.seminorms import hk_seminorm, van_der_corput_check
 from ergolab.systems import (GOLDEN, SQRT2_M1, SQRT3_M1, Rotation,
-                             SkewProduct, ToralAutomorphism, _int_mat_pow,
-                             binom2, cat_map, default_heisenberg,
-                             golden_rotation, standard_skew)
-
-# ---------------------------------------------------------------------------
-# Frozen references
-
-
-def ref_compose_term(system, k, n):
-    # the polynomial kinds' compose_term is pinned against its frac_combo
-    # form in test_rate_table.py; the automorphism's below builds both
-    # powers on every call
-    if not isinstance(system, ToralAutomorphism):
-        return system.compose_term(k, n)
-    limit = (1 << 63) - 1
-    for mod in (1 << 128, 0):
-        mat = _int_mat_pow(system.matrix, n, mod)
-        new_k = tuple(sum(mat[i][j] * k[i] for i in range(system.dim))
-                      for j in range(system.dim))
-        if mod:
-            new_k = tuple((v + (mod >> 1)) % mod - (mod >> 1) for v in new_k)
-        if any(abs(v) > limit for v in new_k):
-            raise FrequencyOverflowError(
-                f"character frequency overflow composing with T^{n}: {k} "
-                "-> a frequency beyond the 63-bit range", n)
-    return new_k, 1.0 + 0.0j
-
-
-def ref_compose_with_power(f, system, n):
-    acc = {}
-    for k, c in f.terms:
-        nk, mult = ref_compose_term(system, k, n)
-        acc[nk] = acc.get(nk, 0.0) + c * mult
-    return Observable.from_dict(f.dim, acc)
-
-
-def ref_raised_exact(system, f, order, H):
-    if order == 1:
-        return abs(integral_haar(f)) ** 2
-    fc = conjugate(f)
-    vals = []
-    for h in range(1, H + 1):
-        g = ref_compose_with_power(fc, system, h)
-        if order == 2:
-            vals.append(abs(product_integral(f, g)) ** 2)
-        else:
-            vals.append(ref_raised_exact(system, multiply(f, g), order - 1, H))
-    return math.fsum(vals) / H
-
-
-def ref_van_der_corput(seq, H):
-    xs = np.asarray(seq, dtype=np.complex128)
-    if xs.ndim == 1:
-        xs = xs[:, None]
-    N = xs.shape[0] - H
-
-    def mean(v):
-        t = exact_sum(v)
-        return complex(t.real / N, t.imag / N)
-
-    means = np.array([mean(xs[:N, c]) for c in range(xs.shape[1])])
-    lhs = float(np.sum(np.abs(means) ** 2))
-    rhs = math.fsum(abs(mean(np.sum(np.multiply(xs[:N], np.conj(xs[h:h + N])),
-                                    axis=1)))
-                    for h in range(1, H + 1)) / H
-    return lhs, rhs
-
-
-def ref_frac(x):
-    out = np.floor(x)
-    if isinstance(out, np.ndarray):
-        np.subtract(x, out, out=out)
-        out[out >= 1.0] -= 1.0
-        return out
-    out = x - out
-    return out - 1.0 if out >= 1.0 else out
-
-
-def ref_skew_step(system, p, n):
-    p = np.asarray(p, dtype=np.float64)
-    if p.shape[-1:] != (system.dim,):
-        raise DimensionMismatchError("point dim")
-    if not np.all(np.isfinite(p)):
-        raise ValidationError("non-finite coordinate")
-    y, g = p[:system.base_dim], p[system.base_dim:]
-    ny = ref_frac(y + np.array([frac_combo([(n, a)])
-                                for a in system.base_alpha]))
-    ng = np.array([
-        ref_frac(g[f] + frac_combo(ref_fiber_shift_terms(system, y, n, f)))
-        for f in range(system.fiber_dim)])
-    return np.concatenate([ny, ng])
-
-
-def ref_fiber_shift_terms(system, y, n, f):
-    # sum_b B[f][b] (n y_b + C(n,2) alpha_b) + n c_f, as frac_combo terms
-    terms = []
-    for b in range(system.base_dim):
-        B = system.linear[f][b]
-        if B:
-            terms.append((B * n, float(y[b])))
-            terms.append((B * binom2(n), system.base_alpha[b]))
-    terms.append((n, system.const[f]))
-    return terms
-
+                             SkewProduct, ToralAutomorphism, cat_map,
+                             default_heisenberg, golden_rotation,
+                             standard_skew)
+from reference import (ref_compose_term, ref_evaluate, ref_raised_exact,
+                       ref_residue, ref_skew_step, ref_van_der_corput)
 
 # ---------------------------------------------------------------------------
 # The Host-Kra recursion: one composition table per call
@@ -226,9 +124,9 @@ def test_vdc_bits_match_fresh_temporaries(m, N):
         z = rng.normal(size=(N + H, m)) + 1j * rng.normal(size=(N + H, m))
         seq = z[:, 0] if m == 1 else z
         rep = van_der_corput_check(seq, H)
-        lhs, rhs = ref_van_der_corput(seq, H)
+        ref = ref_van_der_corput(seq, H)
         assert (rep.lhs.hex(), rep.rhs.hex(), rep.n_used) == \
-            (lhs.hex(), rhs.hex(), N)
+            (ref.lhs.hex(), ref.rhs.hex(), N)
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +245,10 @@ def test_frac_of_a_float_matches_floor_difference():
           -1e300, math.inf, math.nan] + (rng.normal(size=500) * 1e3).tolist()
     for x in xs:
         with np.errstate(invalid="ignore"):
-            want = np.float64(ref_frac(np.float64(x))).tobytes()
+            # x - floor(x) is the exact residue rounded once; inf - inf and
+            # nan - nan give the non-finite inputs' NaN
+            want = np.float64(ref_residue(x) if math.isfinite(x) else
+                              np.subtract(x, np.floor(x))).tobytes()
             got = np.float64(frac(np.float64(x))).tobytes()
         assert np.float64(frac(x)).tobytes() == want
         assert got == want

@@ -1,4 +1,3 @@
-import math
 import struct
 
 import numpy as np
@@ -15,11 +14,11 @@ from ergolab.joinings import (_cloud_means, ap_fiber_integral,
                               integrate_tensor, load_cloud,
                               self_joining_tensor_integral)
 from ergolab.observables import Observable, evaluate
-from ergolab.phases import (CHUNK, MeanAccumulator, chunk_ranges, e,
-                            exact_sum)
+from ergolab.phases import CHUNK, e, exact_sum
 from ergolab.rng import SplitMix64
 from ergolab.systems import (GOLDEN, cat_map, default_heisenberg,
                              golden_rotation, orbit_points, standard_skew)
+from reference import ref_integrate_tensor, ref_means, ref_tensor_values
 
 G = golden_rotation()
 
@@ -269,29 +268,7 @@ def test_load_cloud_rejects_corrupt_dumps(tmp_path, data):
 
 
 # ---------------------------------------------------------------------------
-# Slab integration against the per-start reference
-
-
-def _reference_start_mean(block, fs):
-    """The per-start mean as the streamed average takes it: d `evaluate`
-    calls per anchored chunk, fsum per chunk, fsum across chunks."""
-    acc = MeanAccumulator()
-    for n0, cnt in chunk_ranges(0, block.shape[0], CHUNK):
-        vals = np.ones(cnt, dtype=np.complex128)
-        for j, f in enumerate(fs):
-            vals *= evaluate(f, block[n0:n0 + cnt, j])
-        acc.add(vals)
-    return acc.mean()
-
-
-def _reference_cloud_means(points, fs):
-    return [_reference_start_mean(points[s], fs)
-            for s in range(points.shape[0])]
-
-
-def _mean_of(values):
-    return complex(math.fsum(v.real for v in values) / len(values),
-                   math.fsum(v.imag for v in values) / len(values))
+# Slab integration against the plain mean walk
 
 
 def _tensor_factors(d, dim):
@@ -320,8 +297,10 @@ def test_slab_integration_matches_per_start_reference(system, d, S, N):
     fs = _tensor_factors(d, system.obs_dim)
     seed = 1000 * S + 10 * d + system.obs_dim
     cloud = empirical_self_joining(system, d, S, N, SplitMix64(seed))
-    ref = _reference_cloud_means(cloud.points, fs)
-    assert _cloud_means(cloud, [fs])[0].tolist() == ref
-    assert integrate_tensor(cloud, fs) == _mean_of(ref)
+    ref = ref_means(lambda a, b: ref_tensor_values(fs, cloud.points[:, a:b]),
+                    S, [N])[0]
+    assert _cloud_means(cloud, [fs])[0].tolist() == ref.tolist()
+    want = ref_integrate_tensor(cloud.points, fs)
+    assert integrate_tensor(cloud, fs) == want
     assert self_joining_tensor_integral(system, d, S, N, SplitMix64(seed),
-                                        fs) == _mean_of(ref)
+                                        fs) == want

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import one_correlations, ref_evaluate
+from conftest import one_correlations
 from ergolab.errors import (DimensionMismatchError, FrequencyOverflowError,
                             ResourceCapError, ValidationError)
 from ergolab.exact import term_tuples
@@ -19,6 +19,7 @@ from ergolab.rng import SplitMix64
 from ergolab.systems import (Rotation, ToralAutomorphism, cat_map,
                              default_heisenberg, golden_rotation,
                              standard_skew, step)
+from reference import ref_evaluate
 
 coeffs = st.complex_numbers(max_magnitude=2.0, allow_nan=False,
                             allow_infinity=False)

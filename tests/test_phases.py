@@ -16,8 +16,9 @@ from ergolab.phases import (CHUNK, MeanAccumulator, _SUM_CUTOFF, exact_row_sums,
 from ergolab.joinings import empirical_self_joining, integrate_tensor
 from ergolab.observables import Observable
 from ergolab.rng import SplitMix64
-from ergolab.seminorms import VdcReport, van_der_corput_check
+from ergolab.seminorms import van_der_corput_check
 from ergolab.systems import golden_rotation
+from reference import ref_van_der_corput
 
 TINY = 2.2250738585072014e-308          # smallest normal double
 # 1023-1025 straddle the earlier 1 << 10 crossover; they stay as lengths the
@@ -642,30 +643,12 @@ def test_mean_accumulator_bits_match_fsum_reference(name, n):
         (expect.real.hex(), expect.imag.hex())
 
 
-def _vdc_reference(xs, H):
-    """van_der_corput_check with every sum a plain math.fsum."""
-    xs = np.asarray(xs, dtype=np.complex128)
-    if xs.ndim == 1:
-        xs = xs[:, None]
-    N = xs.shape[0] - H
-    mean = np.array([complex(math.fsum(xs[:N, c].real) / N,
-                             math.fsum(xs[:N, c].imag) / N)
-                     for c in range(xs.shape[1])])
-    lhs = float(np.sum(np.abs(mean) ** 2))
-    terms = []
-    for h in range(1, H + 1):
-        inner = np.sum(xs[:N] * np.conj(xs[h:h + N]), axis=1)
-        terms.append(abs(complex(math.fsum(inner.real) / N,
-                                 math.fsum(inner.imag) / N)))
-    return VdcReport(lhs, math.fsum(terms) / H, N, H)
-
-
 @pytest.mark.parametrize("name,n", BLOCKS)
 @pytest.mark.parametrize("cols", [1, 2])
 def test_vdc_report_bits_match_fsum_reference(name, n, cols):
     H = 7
     seq = _unit_values((n + H) * cols, 4).reshape(n + H, cols)
     seq = seq[:, 0] if cols == 1 else seq
-    got, ref = van_der_corput_check(seq, H), _vdc_reference(seq, H)
+    got, ref = van_der_corput_check(seq, H), ref_van_der_corput(seq, H)
     assert got == ref
     assert (got.lhs.hex(), got.rhs.hex()) == (ref.lhs.hex(), ref.rhs.hex())

@@ -1,12 +1,12 @@
-"""The anchored orbit walker, systems._slabs, against frozen copies of the
-hand-written chunk loops it replaced, bit for bit.
+"""The anchored orbit walker, systems._slabs, against the plain orbit
+references in reference.py, bit for bit, and the exact mod-1 reductions
+against Fraction sums.
 
-The references below are the per-chunk loops as they stood before one
-walker took over: Rotation, the skew-product base and fiber columns, the
-Heisenberg x/y and z columns, the streamed geometric sum (now the one-start
-rotation at a PhaseForm's exact rate) and the quadratic phase block.  Each
-compares raw float64 bytes, so a change of operation order that moves one
-rounding fails here.
+The orbit references take each window's exact chunk bases one anchor at a
+time and write out the float expression of every kind (Rotation, the
+skew-product base and fiber columns, the Heisenberg x/y and z columns, the
+quadratic phase block).  Each compares raw float64 bytes, so a change of
+operation order that moves one rounding fails here.
 """
 
 import math
@@ -16,150 +16,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ergolab.averaging import geometric_mean_streamed
-from ergolab.phases import (CHUNK, MeanAccumulator, PhaseForm, chunk_ranges,
-                            dyadic_combo, frac, frac_combo, frac_fraction)
+from ergolab.phases import (CHUNK, PhaseForm, dyadic_combo, frac_combo,
+                            frac_fraction)
 from ergolab.seminorms import quadratic_phase_block
 from ergolab.systems import (GOLDEN, SQRT2_M1, SQRT3_M1, Rotation,
-                             SkewProduct, _quad_chunk, binom2,
-                             default_heisenberg, golden_rotation, standard_skew)
-
-# ---------------------------------------------------------------------------
-# Frozen reference loops
-
-
-def ref_rotation(system, x, stride, n0, count):
-    out = np.empty((count, system.dim))
-    for c, (xc, ac) in enumerate(zip(x, system.alpha)):
-        stepf = frac_combo([(stride, ac)])
-        pos = 0
-        for start, cnt in chunk_ranges(n0, count, CHUNK):
-            anchor = (start // CHUNK) * CHUNK
-            base = frac_combo([(1, xc), (stride * anchor, ac)])
-            offs = np.arange(start - anchor, start - anchor + cnt,
-                             dtype=np.float64)
-            out[pos:pos + cnt, c] = frac(base + offs * stepf)
-            pos += cnt
-    return out
-
-
-def ref_skew(system, x, stride, n0, count):
-    y, g = x[:system.base_dim], x[system.base_dim:]
-    out = np.empty((count, system.dim))
-    chunk = _quad_chunk(stride)
-    for c, (yc, ac) in enumerate(zip(y, system.base_alpha)):
-        stepf = frac_combo([(stride, ac)])
-        pos = 0
-        for start, cnt in chunk_ranges(n0, count, chunk):
-            anchor = (start // chunk) * chunk
-            base = frac_combo([(1, yc), (stride * anchor, ac)])
-            offs = np.arange(start - anchor, start - anchor + cnt,
-                             dtype=np.float64)
-            out[pos:pos + cnt, c] = frac(base + offs * stepf)
-            pos += cnt
-    for f in range(system.fiber_dim):
-        col = system.base_dim + f
-        pos = 0
-        for start, cnt in chunk_ranges(n0, count, chunk):
-            anchor = (start // chunk) * chunk
-            s0 = stride * anchor
-            fr0 = Fraction(float(g[f]))
-            fr1 = Fraction(system.const[f])
-            frab = Fraction(0)
-            for b in range(system.base_dim):
-                B = system.linear[f][b]
-                if B:
-                    fa = Fraction(system.base_alpha[b])
-                    fy = Fraction(float(y[b]))
-                    fr0 += B * (s0 * fy + binom2(s0) * fa)
-                    fr1 += B * (fy + s0 * fa)
-                    frab += B * fa
-            fr0 += s0 * Fraction(system.const[f])
-            bg0 = frac_fraction(fr0)
-            bg1 = frac_fraction(fr1)
-            abf = frac_fraction(frab)
-            t = np.arange(start - anchor, start - anchor + cnt,
-                          dtype=np.float64)
-            u = stride * t
-            out[pos:pos + cnt, col] = frac(bg0 + u * bg1
-                                           + (u * (u - 1.0) / 2.0) * abf)
-            pos += cnt
-    return out
-
-
-def ref_heisenberg(system, x, stride, n0, count, coords):
-    ncols = 2 if coords == "obs" else 3
-    out = np.empty((count, ncols))
-    fa, fb = Fraction(system.alpha), Fraction(system.beta)
-    fx, fy, fz = (Fraction(float(x[0])), Fraction(float(x[1])),
-                  Fraction(float(x[2])))
-    stepa = frac_combo([(stride, system.alpha)])
-    stepb = frac_combo([(stride, system.beta)])
-    pos = 0
-    for start, cnt in chunk_ranges(n0, count, CHUNK):
-        anchor = (start // CHUNK) * CHUNK
-        s0 = stride * anchor
-        basea = frac_fraction(fx + s0 * fa)
-        baseb = frac_fraction(fy + s0 * fb)
-        t = np.arange(start - anchor, start - anchor + cnt, dtype=np.float64)
-        out[pos:pos + cnt, 0] = frac(basea + t * stepa)
-        out[pos:pos + cnt, 1] = frac(baseb + t * stepb)
-        pos += cnt
-    if ncols == 3:
-        chunk = _quad_chunk(stride)
-        pos = 0
-        for start, cnt in chunk_ranges(n0, count, chunk):
-            anchor = (start // chunk) * chunk
-            s0 = stride * anchor
-            t = np.arange(start - anchor, start - anchor + cnt,
-                          dtype=np.float64)
-            u = stride * t
-            xs = frac(frac_fraction(fx + s0 * fa) + t * stepa)
-            f0 = fy + s0 * fb
-            bigF0 = f0.numerator // f0.denominator
-            yf0 = frac_fraction(f0)
-            gt = np.floor(yf0 + u * system.beta)
-            bz0 = frac_fraction(fz + binom2(s0) * fa * fb + s0 * fa * fy)
-            bz1 = frac_fraction(s0 * fa * fb + fa * fy)
-            abf = frac_fraction(fa * fb)
-            bx0 = frac_fraction((fx + s0 * fa) * bigF0)
-            bx1 = frac_fraction(fa * bigF0)
-            zraw = (bz0 + u * bz1 + (u * (u - 1.0) / 2.0) * abf
-                    - bx0 - u * bx1 - xs * gt)
-            out[pos:pos + cnt, 2] = frac(zraw)
-            pos += cnt
-    return out
-
-
-def ref_geometric(form, checkpoints):
-    acc = MeanAccumulator()
-    out = {}
-    stepf = form.frac()
-    prev = 0
-    for cp in checkpoints:
-        for n0, cnt in chunk_ranges(prev, cp - prev, CHUNK):
-            anchor = (n0 // CHUNK) * CHUNK
-            base = form.frac_times(anchor)
-            offs = np.arange(n0 - anchor, n0 - anchor + cnt, dtype=np.float64)
-            acc.add(np.exp((2j * np.pi) * frac(base + offs * stepf)))
-        out[cp] = acc.mean()
-        prev = cp
-    return out
-
-
-def ref_quadratic(a, length, chunk):
-    out = np.empty(length)
-    fa = Fraction(a)
-    pos = 0
-    for n0, cnt in chunk_ranges(0, length, chunk):
-        anchor = (n0 // chunk) * chunk
-        b0 = frac_fraction(anchor * anchor * fa)
-        b1 = frac_fraction(2 * anchor * fa)
-        t = np.arange(n0 - anchor, n0 - anchor + cnt, dtype=np.float64)
-        out[pos:pos + cnt] = frac(b0 + t * b1 + (t * t) * a)
-        pos += cnt
-    return out
-
+                             SkewProduct, default_heisenberg, golden_rotation,
+                             standard_skew)
+from reference import ref_combo, ref_orbit, ref_quadratic, ref_residue
 
 # ---------------------------------------------------------------------------
 # Cases
@@ -186,14 +49,6 @@ def _starts(system):
             rng.random(system.dim)]
 
 
-def _reference(system, x, stride, n0, count, coords):
-    if isinstance(system, Rotation):
-        return ref_rotation(system, x, stride, n0, count)
-    if isinstance(system, SkewProduct):
-        return ref_skew(system, x, stride, n0, count)
-    return ref_heisenberg(system, x, stride, n0, count, coords)
-
-
 def _same_bits(got, ref):
     assert got.shape == ref.shape and got.dtype == ref.dtype
     assert got.tobytes() == ref.tobytes()
@@ -210,22 +65,8 @@ def test_orbit_points_bits_match_frozen_loops(name, coords):
                 if abs(stride) > 1000:
                     count = min(count, 120)    # one Fraction base per point
                 got = system.orbit_points(x, stride, n0, count, coords=coords)
-                _same_bits(got, _reference(system, x, stride, n0, count,
+                _same_bits(got, ref_orbit(system, x, stride, n0, count,
                                            coords))
-
-
-@pytest.mark.parametrize("form", [PhaseForm((1,), (GOLDEN,)),
-                                  PhaseForm((3, -2), (GOLDEN, SQRT2_M1)),
-                                  PhaseForm((7,), (5e-324,))],
-                         ids=["golden", "combo", "subnormal"])
-def test_geometric_mean_streamed_bits_match_frozen_loop(form):
-    for cps in ((1,), (100, 5000), (CHUNK, CHUNK + 1, 3 * CHUNK + 17)):
-        got = geometric_mean_streamed(form, cps)
-        ref = ref_geometric(form, cps)
-        assert list(got) == list(ref)
-        for cp in cps:
-            assert (got[cp].real.hex(), got[cp].imag.hex()) == \
-                (ref[cp].real.hex(), ref[cp].imag.hex())
 
 
 def test_quadratic_phase_block_bits_match_frozen_loop():
@@ -236,19 +77,7 @@ def test_quadratic_phase_block_bits_match_frozen_loop():
 
 
 # ---------------------------------------------------------------------------
-# The batched orbit blocks against the per-start loops they replaced
-
-
-def ref_orbit_tuples(system, starts, d, n0, count, coords):
-    """joinings._orbit_tuples before orbit_block: one orbit per start and
-    stride."""
-    cols = system.dim if coords == "state" else system.obs_dim
-    pts = np.empty((starts.shape[0], count, d, cols))
-    for s in range(starts.shape[0]):
-        for j in range(1, d + 1):
-            pts[s, :, j - 1, :] = _reference(system, starts[s], j, n0, count,
-                                             coords)
-    return pts
+# The batched orbit blocks against the per-start reference
 
 
 BLOCK_SYSTEMS = {"1-D": golden_rotation(), "2-D": Rotation((GOLDEN, SQRT2_M1)),
@@ -285,9 +114,11 @@ def test_orbit_block_bits_match_frozen_per_start_loop(name, coords):
     system = BLOCK_SYSTEMS[name]
     for n0, count, rows, strides in BLOCK_WINDOWS:
         starts = _block_starts(system.dim, rows)
+        refs = {stride: np.stack([ref_orbit(system, x, stride, n0, count,
+                                            coords) for x in starts])
+                for stride in {*strides, 1, 2, 3}}
         for stride in strides:
-            ref = np.stack([_reference(system, x, stride, n0, count, coords)
-                            for x in starts])
+            ref = refs[stride]
             _same_bits(system.orbit_block(starts, stride, n0, count, coords),
                        ref)
             _same_bits(system.orbit_points(starts[2], stride, n0, count,
@@ -295,7 +126,7 @@ def test_orbit_block_bits_match_frozen_per_start_loop(name, coords):
         # three strides written into strided views of one block
         _same_bits(_orbit_tuples(system, starts[:, None], 3, n0, count,
                                  coords),
-                   ref_orbit_tuples(system, starts, 3, n0, count, coords))
+                   np.stack([refs[j] for j in (1, 2, 3)], axis=2))
 
 
 # (n0, count) windows as a stream or a cloud slab asks for them: CHUNK values
@@ -320,7 +151,7 @@ def test_orbit_windows_match_frozen_loops(name, coords):
         for n0, count in ORBIT_WINDOWS:
             got = system.orbit_block(starts, stride, n0, count, coords)
             for x, row in zip(starts, got):
-                _same_bits(row, _reference(system, x, stride, n0, count,
+                _same_bits(row, ref_orbit(system, x, stride, n0, count,
                                            coords))
 
 
@@ -344,15 +175,6 @@ def test_cloud_build_peak_memory_is_bounded(system):
     assert peak - cloud.points.nbytes < 2 ** 20
 
 
-def ref_frac_combo(terms):
-    """frac_combo before it summed in integers: one Fraction per term."""
-    acc = Fraction(0)
-    for n, x in terms:
-        if n:
-            acc += n * Fraction(x)
-    return frac_fraction(acc)
-
-
 combo_reals = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
     st.floats(-1.0, 1.0),
@@ -367,18 +189,7 @@ combo_ints = st.one_of(st.integers(-10, 10), st.integers(-2 ** 80, 2 ** 80),
 def test_frac_combo_bits_match_fraction_reference(terms):
     got = frac_combo(terms)
     assert type(got) is float
-    assert got.hex() == ref_frac_combo(terms).hex()
-
-
-def ref_dyadic(terms):
-    """The exact sum of n * x and n * x * y terms, one Fraction per term."""
-    acc = Fraction(0)
-    for n, *xs in terms:
-        q = Fraction(int(n))
-        for x in xs:
-            q *= Fraction(x)
-        acc += q
-    return acc
+    assert got.hex() == ref_residue(ref_combo(terms)).hex()
 
 
 combo_terms = st.one_of(st.tuples(combo_ints, combo_reals),
@@ -388,13 +199,13 @@ combo_terms = st.one_of(st.tuples(combo_ints, combo_reals),
 @settings(max_examples=500)
 @given(st.lists(combo_terms, max_size=4))
 def test_dyadic_combo_product_terms_match_fraction_reference(terms):
-    ref = ref_dyadic(terms)
+    ref = ref_combo(terms)
     num, shift = dyadic_combo(terms)
     assert Fraction(num, 1 << shift) == ref
     assert num >> shift == math.floor(ref)
     got = frac_combo(terms)
     assert type(got) is float
-    assert got.hex() == frac_fraction(ref).hex()
+    assert got.hex() == ref_residue(ref).hex() == frac_fraction(ref).hex()
 
 
 def test_phase_form_integrality_reads_the_exact_residue():

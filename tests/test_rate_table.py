@@ -1,14 +1,13 @@
-"""Rate tables and matrix-power ladders against the code they replaced.
+"""Rate tables and matrix-power ladders against exact references.
 
 A polynomial kind keeps its real parameters as integers over one power of
-two and composes a character with one dot product.  The frozen references
-below are the composition, the pattern phase (now one-term entries of
-`exact.phase_table`) and the Heisenberg point step
-as they were written before, as term lists of doubles reduced by
-`frac_combo` on every call; the bits (and the exact rates) must agree.  The
-automorphism's ladder of exact powers is checked against square-and-multiply
-and plain repeated products, for the number of products it makes, and under
-threads sharing one instance.
+two and composes a character with one dot product.  The composition, the
+pattern phase (one-term entries of `exact.phase_table`) and the Heisenberg
+point step are checked against reference.py's Fraction forms of the same
+arithmetic; the bits (and the exact rates) must agree.  The automorphism's
+ladder of exact powers is checked against square-and-multiply and plain
+repeated products, for the number of products it makes, and under threads
+sharing one instance.
 """
 
 import random
@@ -23,12 +22,13 @@ from hypothesis import given, settings, strategies as st
 from ergolab import exact, systems
 from ergolab.errors import FrequencyOverflowError, ValidationError
 from ergolab.observables import CompositionRow, Observable
-from ergolab.phases import PhaseForm, dyadic_combo, e, frac_combo
 from ergolab.rng import SplitMix64
 from ergolab.systems import (GOLDEN, SQRT2_M1, SQRT3_M1,
                              HeisenbergTranslation, Rotation, SkewProduct,
-                             ToralAutomorphism, binom2, cat_map,
-                             default_heisenberg, standard_skew)
+                             ToralAutomorphism, cat_map, default_heisenberg,
+                             standard_skew)
+from reference import (ref_compose_term, ref_heisenberg_step, ref_mat_mul,
+                       ref_mat_pow, ref_pattern_phase)
 
 SYSTEMS = {
     "rot1": Rotation((GOLDEN,)),
@@ -43,63 +43,6 @@ SYSTEMS = {
     "skew22": SkewProduct((GOLDEN, SQRT3_M1), ((1, -2), (3, 1)),
                           (SQRT2_M1, 0.125)),
 }
-
-# ---------------------------------------------------------------------------
-# Frozen references: the frac_combo form
-
-
-def frozen_character_action(system, k):
-    if isinstance(system, SkewProduct):
-        p, q = k[:system.base_dim], k[system.base_dim:]
-        btq = tuple(sum(row[b] * qf for row, qf in zip(system.linear, q))
-                    for b in range(system.base_dim))
-        return (btq + (0,) * system.fiber_dim,
-                list(zip(p, system.base_alpha)) + list(zip(q, system.const)),
-                list(zip(btq, system.base_alpha)))
-    return (0,) * system.obs_dim, list(zip(k, system.phase_basis())), []
-
-
-def frozen_compose_term(system, k, n):
-    f, theta, kappa = frozen_character_action(system, k)
-    phase = frac_combo([(n * m, b) for m, b in theta]
-                       + [(binom2(n) * m, b) for m, b in kappa])
-    return tuple(ki + n * fi for ki, fi in zip(k, f)), e(phase)
-
-
-def frozen_pattern_phase(system, ks, coeffs, x):
-    def add(acc, w, terms):
-        for m, b in terms:
-            acc[b] = acc.get(b, 0) + w * m
-
-    def form(acc):
-        items = sorted((b, m) for b, m in acc.items() if m)
-        return PhaseForm([m for _, m in items], [b for b, _ in items])
-    r = len(coeffs[0])
-    rates, quad = [{} for _ in range(r)], {}
-    for k, c in zip(ks, coeffs):
-        f, theta, kappa = frozen_character_action(system, k)
-        moved = list(zip(f, map(float, x))) + theta
-        for i, ci in enumerate(c):
-            add(rates[i], ci, moved)
-            add(rates[i], binom2(ci), kappa)
-            for l in range(i, r):
-                add(quad.setdefault((i, l), {}), ci * c[l], kappa)
-    if not all(form(acc).is_integral() for acc in quad.values()):
-        raise ValidationError("quadratic pattern phase: no closed form")
-    return tuple(map(sum, zip(*ks))), [form(acc) for acc in rates]
-
-
-def frozen_power_point(system, p, s):
-    # HeisenbergTranslation's exact point step, with alpha and beta as doubles
-    x, y, z = (float(v) for v in p)
-    a, b = system.alpha, system.beta
-    num, shift = dyadic_combo([(1, y), (s, b)])
-    fl = num >> shift
-    return np.array([frac_combo([(1, x), (s, a)]),
-                     frac_combo([(1, y), (s, b)]),
-                     frac_combo([(1, z), (binom2(s), a, b), (s, a, y),
-                                 (-fl, x), (-fl * s, a)])])
-
 
 def _value(form):
     return Fraction(form.num, 1 << form.shift)
@@ -130,7 +73,7 @@ def test_compose_term_bits_match_frozen_frac_combo_form(name, data):
     n = data.draw(st.one_of(st.integers(-3, 3),
                             st.integers(-10 ** 12, 10 ** 12)))
     got_k, got = system.compose_term(k, n)
-    want_k, want = frozen_compose_term(system, k, n)
+    want_k, want = ref_compose_term(system, k, n)
     assert got_k == want_k
     assert (got.real.hex(), got.imag.hex()) == \
         (want.real.hex(), want.imag.hex())
@@ -155,7 +98,7 @@ def test_pattern_phase_matches_frozen_form(name):
             ks = [k[:-fiber] + (0,) * fiber for k in ks]
         chars = [Observable.character(k) for k in ks]
         try:
-            want = frozen_pattern_phase(system, ks, coeffs, x)
+            want = ref_pattern_phase(system, ks, coeffs, x)
         except ValidationError:
             with pytest.raises(ValidationError, match="quadratic"):
                 exact.phase_table(system, chars, coeffs, x)
@@ -164,7 +107,7 @@ def test_pattern_phase_matches_frozen_form(name):
         [(coeff, K, forms)] = exact.phase_table(system, chars, coeffs, x)
         assert coeff == 1
         assert K == want[0]
-        assert [_value(f) for f in forms] == [_value(f) for f in want[1]]
+        assert [_value(f) for f in forms] == want[1]
         checked += 1
     assert checked >= 15
 
@@ -185,7 +128,7 @@ coordinate = st.one_of(
 def test_heisenberg_step_bits_match_frozen_power_point(name, p, n):
     system = HEISENBERGS[name]
     assert system.step(p, n).tobytes() == \
-        frozen_power_point(system, p, n).tobytes()
+        ref_heisenberg_step(system, p, n).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -195,47 +138,26 @@ MATRICES = {"cat": ((2, 1), (1, 1)), "det-1": ((1, 1), (1, 0)),
             "3x3": ((1, 1, 0), (1, 2, 1), (0, 1, 2))}
 
 
-def frozen_mul(x, y, mod=0):
-    out = tuple(tuple(sum(x[i][t] * y[t][j] for t in range(len(y)))
-                      for j in range(len(y[0]))) for i in range(len(x)))
-    return tuple(tuple(v % mod for v in r) for r in out) if mod else out
-
-
-def frozen_int_mat_pow(a, n, mod=0):
-    # square and multiply for n >= 0, as _int_mat_pow was written before
-    result = tuple(tuple(int(i == j) for j in range(len(a)))
-                   for i in range(len(a)))
-    base = a
-    while n:
-        if n & 1:
-            result = frozen_mul(result, base, mod)
-        base = frozen_mul(base, base, mod)
-        n >>= 1
-    return result
-
-
 @pytest.mark.parametrize("name", MATRICES)
 def test_ladder_powers_match_references(name):
     m = MATRICES[name]
     A = ToralAutomorphism(m)
-    identity = frozen_int_mat_pow(m, 0)
-    step_by_step = identity
+    step_by_step = ref_mat_pow(m, 0)
     for n in range(301):
         assert A.power(n) == step_by_step
-        step_by_step = frozen_mul(step_by_step, m)
+        step_by_step = ref_mat_mul(step_by_step, m)
     rng = random.Random(3)
     # random order, so the ladder both moves up from its last power and
     # restarts below it; n < 10**5 reaches past its bit bound too
     ns = [rng.randrange(10 ** 5) for _ in range(25)] + \
         [rng.randrange(A._ladder_top) for _ in range(25)]
     for n in ns:
-        assert A.power(n) == frozen_int_mat_pow(m, n)
-        assert A.power(n, 1 << 64) == frozen_int_mat_pow(m, n, 1 << 64)
-    # negative powers: exact inverses of the positive ones
+        assert A.power(n) == ref_mat_pow(m, n)
+        assert A.power(n, 1 << 64) == ref_mat_pow(m, n, 1 << 64)
+    # negative powers: exact powers of the inverse
     for n in (1, 2, 7, 300, rng.randrange(10 ** 4)):
-        assert frozen_mul(A.power(-n), frozen_int_mat_pow(m, n)) == identity
-        assert A.power(-n, 1 << 64) == tuple(
-            tuple(v % (1 << 64) for v in row) for row in A.power(-n))
+        assert A.power(-n) == ref_mat_pow(m, -n)
+        assert A.power(-n, 1 << 64) == ref_mat_pow(m, -n, 1 << 64)
 
 
 def test_composers_for_h_up_to_H_make_one_product_each(monkeypatch):
@@ -249,7 +171,7 @@ def test_composers_for_h_up_to_H_make_one_product_each(monkeypatch):
     assert len(calls) <= H and not any(calls)
     monkeypatch.undo()
     for h, (k, mult) in enumerate(got, 1):
-        assert k == tuple(frozen_int_mat_pow(MATRICES["cat"], h)[0])
+        assert k == tuple(ref_mat_pow(MATRICES["cat"], h)[0])
         assert mult == 1.0 + 0.0j
 
 
@@ -266,7 +188,7 @@ def test_power_past_the_ladder_is_built_once(monkeypatch):
     assert A.step(x, n).tobytes() == first.tobytes()
     assert calls == [(n, 0)]
     monkeypatch.undo()
-    assert A.power(n) == frozen_int_mat_pow(A.matrix, n)
+    assert A.power(n) == ref_mat_pow(A.matrix, n)
 
 
 def test_overflow_past_the_ladder_keeps_nothing():
@@ -280,7 +202,7 @@ def test_overflow_past_the_ladder_keeps_nothing():
 def test_threads_sharing_one_ladder_get_exact_powers():
     A = ToralAutomorphism(MATRICES["3x3"])
     ns = list(range(0, 700, 9))
-    want = {n: frozen_int_mat_pow(A.matrix, n) for n in ns}
+    want = {n: ref_mat_pow(A.matrix, n) for n in ns}
     wrong = []
 
     def work(seed):

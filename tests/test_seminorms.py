@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from ergolab import observables
 from ergolab.observables import (CompositionRow, Observable,
                                  compose_with_power, conjugate, evaluate,
                                  integral_haar, multiply, phase_products)
-from ergolab.phases import CHUNK, e, exact_sum
+from ergolab.phases import CHUNK, e
 from ergolab.rng import SplitMix64
 from ergolab.seminorms import (_mc_orbit_length, _raised_exact, _raised_mc,
                                hk_seminorm,
@@ -20,7 +21,8 @@ from ergolab.seminorms import (_mc_orbit_length, _raised_exact, _raised_mc,
                                van_der_corput_check, vdc_family)
 from ergolab.systems import (GOLDEN, SQRT2_M1, Rotation, ToralAutomorphism,
                              cat_map, default_heisenberg, golden_rotation,
-                             orbit_points, standard_skew)
+                             standard_skew)
+from reference import ref_bound_lhs, ref_raised_exact, ref_raised_mc
 
 G = golden_rotation()
 CM = cat_map()
@@ -88,17 +90,6 @@ def test_overflow_propagates_from_composition():
     with pytest.raises(FrequencyOverflowError):
         hk_seminorm(CM, Observable.character((1, 0)), 2, outer_h=500,
                     method="exact")
-
-
-def ref_raised_exact(system, f, order, H):
-    """_raised_exact as it stood with the full product at every level."""
-    if order == 1:
-        return abs(integral_haar(f)) ** 2
-    vals = []
-    for h in range(1, H + 1):
-        g = multiply(f, compose_with_power(conjugate(f), system, h))
-        vals.append(ref_raised_exact(system, g, order - 1, H))
-    return math.fsum(vals) / H
 
 
 def _outcome(fn, *args):
@@ -175,23 +166,8 @@ def test_cat_map_h60_still_falls_back_to_monte_carlo():
     assert not est.exact and est.inner_n == 2000 and est.outer_h == 60
 
 
-def ref_phase_levels(system, f, order, H, rows=None):
-    """_raised_exact on a phase basis as it stood with one Observable per h
-    at its last two levels: compose_with_power, multiply, then
-    phase_correlations of the one product."""
-    if rows is None:
-        rows = [CompositionRow(system, h) for h in range(1, H + 1)]
-    if order == 2:
-        return math.fsum(abs(v) ** 2
-                         for v in one_correlations(f, system, rows)) / H
-    fc = conjugate(f)
-    return math.fsum(ref_phase_levels(
-        system, multiply(f, compose_with_power(fc, system, h, row)),
-        order - 1, H, rows) for h, row in enumerate(rows, 1)) / H
-
-
 def _level_cases(system, rng, count):
-    """(f, rows) pairs: `count` observables of 1-6 terms with coefficients
+    """(f, rows, planted) triples: `count` observables of 1-6 terms with coefficients
     of 1 and -1, underflowing ones and Gaussian ones, at a random H <= 25,
     the last of them again at H = 200, then three at H = 25: terms of 1, 1,
     -1 at 0, 1, 2 (on HALF the product's coefficient at 1 is exactly 0 at
@@ -201,7 +177,8 @@ def _level_cases(system, rng, count):
     underflow, so that under some caps a product's pair check (at h = 3)
     fails first; terms of inf, 0.5 - 0.25i, 1 at 0, 1, 3 with 3 dropped,
     whose inf must not meet the dropped term, and whose first row fails a
-    late lag's check under caps where a later row fails an early lag's."""
+    late lag's check under caps where a later row fails an early lag's.
+    planted[h - 1] holds the entries planted in rows[h - 1]."""
     dim = system.obs_dim
     zero = (0,) * dim
     pool = [1.0, -1.0, 1j, 5e-324, TINY, None, None, None]
@@ -214,19 +191,20 @@ def _level_cases(system, rng, count):
                 complex(*rng.normal(size=2)) if c is None else c
         out.append((Observable.from_dict(dim, coeffs), [
             CompositionRow(system, h)
-            for h in range(1, rng.integers(1, 26) + 1)]))
+            for h in range(1, rng.integers(1, 26) + 1)], None))
     # at H = 200 phase_correlations takes a few coefficient rows per slab
     out.append((out[-1][0], [CompositionRow(system, h)
-                             for h in range(1, 201)]))
+                             for h in range(1, 201)], None))
     for ks, cs, dropped in (((0, 1, 2), (1.0, 1.0, -1.0), ()),
                             ((0, 1, 2), (0.25, 5e-324, 5e-324), (1, 2)),
                             ((0, 1, 3), (math.inf, 0.5 - 0.25j, 1.0), (3,))):
+        planted = [{(-k,) + zero[1:]: ((-k,) + zero[1:], 0j)
+                    for k in dropped} if h <= 2 else {} for h in range(1, 26)]
         rows = [CompositionRow(system, h) for h in range(1, 26)]
-        for row in rows[:2]:
-            for k in dropped:
-                row[(-k,) + zero[1:]] = ((-k,) + zero[1:], 0j)
+        for row, p in zip(rows, planted):
+            row.update(p)
         out.append((Observable.from_dict(
-            dim, {(k,) + zero[1:]: c for k, c in zip(ks, cs)}), rows))
+            dim, {(k,) + zero[1:]: c for k, c in zip(ks, cs)}), rows, planted))
     return out
 
 
@@ -241,13 +219,13 @@ def _terms_bits(terms):
 def test_stacked_levels_match_per_h_products(monkeypatch, system):
     """The last two exact levels, run for every h at once, give the per-h
     products' bits, pair counts and errors: phase_products' rows are
-    multiply's products, orders 3 and 4 are ref_phase_levels' values, and
+    multiply's products, orders 3 and 4 are ref_raised_exact's values, and
     under a low TERM_CAP `exact` raises the reference's error at the same
     h while `auto` falls back to Monte Carlo."""
     rng = np.random.default_rng(34)
     cases = _level_cases(system, rng, 30)
     cancelled = 0
-    for f, rows in cases:
+    for f, rows, planted in cases:
         keys, coeffs, pairs = phase_products(f, system, rows)
         for h, (row, got) in enumerate(zip(rows, coeffs.tolist()), 1):
             g = compose_with_power(conjugate(f), system, h, row)
@@ -262,31 +240,48 @@ def test_stacked_levels_match_per_h_products(monkeypatch, system):
         if order == 4:
             rows = rows[:8]
         assert _outcome(_raised_exact, system, f, order, len(rows), rows) \
-            == _outcome(ref_phase_levels, system, f, order, len(rows), rows)
+            == _outcome(ref_raised_exact, system, f, order, len(rows), planted)
     assert cancelled
-    tiny_f, tiny_rows = cases[-2]
+    tiny_f, tiny_rows, _ = cases[-2]
     pairs = phase_products(tiny_f, system, tiny_rows)[2]
     assert pairs[0] < pairs.max()
     raised = set()
     for cap in (1, 2, 3, 4, 6, 8, 15, 24, 80, 400):
         monkeypatch.setattr(observables, "TERM_CAP", cap)
-        for f, rows in cases[:6] + cases[-3:]:
-            want = _outcome(ref_phase_levels, system, f, 3, len(rows), rows)
+        for f, rows, planted in cases[:6] + cases[-3:]:
+            want = _outcome(ref_raised_exact, system, f, 3, len(rows), planted)
             assert _outcome(_raised_exact, system, f, 3, len(rows), rows) \
                 == want
             if isinstance(want, tuple):
                 raised.add(want[1])
         # hk_seminorm composes its own rows: the cases without planted ones
-        for f, rows in cases[:6] + cases[-3:-2]:
+        for f, rows, _ in cases[:6] + cases[-3:-2]:
             got = _outcome(lambda: hk_seminorm(system, f, 3, len(rows),
                                                method="exact").value)
-            assert got == _outcome(lambda: ref_phase_levels(
+            assert got == _outcome(lambda: ref_raised_exact(
                 system, f, 3, len(rows)) ** (1.0 / 8))
             if isinstance(got, tuple):
                 est = hk_seminorm(system, f, 3, len(rows), inner_n=50,
                                   rng=SplitMix64(1))
                 assert not est.exact and est.inner_n == 50
     assert len(raised) > 3
+
+
+@pytest.mark.parametrize("system", [G, default_heisenberg()],
+                         ids=lambda s: type(s).__name__)
+def test_inf_coefficient_warns_nothing(system):
+    """The stacked levels' products and sums overflow and make NaN silently,
+    as the per-h Python path does: with warnings as errors, orders 3 and 4
+    of an observable with an inf coefficient give the reference's bits."""
+    zero = (0,) * system.obs_dim
+    f = Observable.from_dict(system.obs_dim, {
+        zero: math.inf, (1,) + zero[1:]: 0.5 - 0.25j, (3,) + zero[1:]: 1e300})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for order, H in ((3, 25), (4, 4)):
+            got = hk_seminorm(system, f, order, H, method="exact").value
+            assert got.hex() == (ref_raised_exact(system, f, order, H)
+                                 ** (1.0 / (1 << order))).hex()
 
 
 def test_validation():
@@ -316,21 +311,6 @@ def test_mc_h_consistency_noise_scale():
     v1000 = hk_seminorm(G, f, 2, outer_h=1000, inner_n=2000,
                         method="monte_carlo", rng=SplitMix64(8)).value
     assert abs(v100 - v1000) <= 3 / math.sqrt(100)
-
-
-def ref_raised_mc(shifts, orbit, order, H, N, product=np.multiply):
-    """_raised_mc with one Birkhoff mean per lag: `product(vals, factor)`
-    folds each factor into ones(N) in list order."""
-    if order == 1:
-        vals = np.ones(N, dtype=np.complex128)
-        for s, c in shifts:
-            seg = orbit[s:s + N]
-            vals = product(vals, np.conj(seg) if c else seg)
-        total = exact_sum(vals)
-        return abs(complex(total.real / N, total.imag / N)) ** 2
-    return math.fsum(ref_raised_mc(
-        shifts + [(s + h, not c) for s, c in shifts], orbit, order - 1, H, N,
-        product) for h in range(1, H + 1)) / H
 
 
 def _literal_product(vals, factor):
@@ -456,26 +436,10 @@ def test_bound_check_rotation_characters_trivial_bound():
     assert bc.lhs <= bc.rhs + 0.05
 
 
-def _reference_bound_lhs(system, fs, sample_count, N, seed):
-    """The left side from one orbit per sample and factor (factor j from its
-    own Haar start at stride j + 1) and one exact sum per sample."""
-    rng = SplitMix64(seed)
-    starts = [system.haar_block(rng, sample_count) for _ in fs]
-    squares = []
-    for s in range(sample_count):
-        vals = np.ones(N, dtype=np.complex128)
-        for j, f in enumerate(fs):
-            vals = vals * evaluate(f, orbit_points(system, starts[j][s], j + 1,
-                                                   0, N, coords="obs"))
-        total = exact_sum(vals)
-        squares.append((total.real / N) ** 2 + (total.imag / N) ** 2)
-    return math.sqrt(math.fsum(squares) / sample_count)
-
-
 def test_bound_check_streams_exact_orbits(monkeypatch):
     fs = [Observable.character((1, 0)), Observable.from_dict(
         2, {(0, 1): 1.0, (2, -1): 0.5j})]
-    ref = _reference_bound_lhs(CM, fs, 20, 300, 11)
+    ref = ref_bound_lhs(CM, fs, 20, 300, SplitMix64(11))
 
     def no_step(self, p, n=1):
         raise AssertionError("the bound check stepped a float pseudo-orbit")

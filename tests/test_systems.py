@@ -9,13 +9,14 @@ from hypothesis import strategies as st
 from ergolab import systems
 from ergolab.errors import DimensionMismatchError, ValidationError
 from ergolab.rng import SplitMix64
-from ergolab.systems import (GOLDEN, SQRT2_M1, HeisenbergTranslation,
-                             Rotation, SkewProduct, ToralAutomorphism,
-                             cat_map, default_heisenberg,
+from ergolab.systems import (GOLDEN, SQRT2_M1, SQRT3_M1,
+                             HeisenbergTranslation, Rotation, SkewProduct,
+                             ToralAutomorphism, cat_map, default_heisenberg,
                              ergodicity_certificate, golden_rotation,
                              orbit_points, reduce_mod_lattice, standard_skew,
                              step, system_from_kv, system_to_kv)
 from conftest import circle_dist
+from reference import ref_rotation_resonance
 
 unit = st.floats(min_value=0.0, max_value=1.0, exclude_max=True,
                  allow_nan=False, width=64)
@@ -362,6 +363,34 @@ def test_certificate_golden(system, bound, verdict, witness):
 def test_certificate_rejects_bound_below_one():
     with pytest.raises(ValidationError):
         ergodicity_certificate(golden_rotation(), 0)
+
+
+# (alpha, bound, witness): the scan sorts only its float candidates; the
+# reference walks the whole grid in (sup norm, l1 norm, grid) order.  Ties:
+# k and -k (and other vectors) share both norms; near misses: (1, -1) is a
+# float candidate at distance 1e-10 that the exact check rejects
+RESONANCE_CASES = {
+    "resonant-2": ((0.5, 0.25), 6, (-2, 0)),
+    "tie-2": ((0.5, 0.5), 5, (-1, -1)),
+    "near-miss-2": ((GOLDEN, GOLDEN + 1e-10), 4, None),
+    "ergodic-2": ((GOLDEN, SQRT2_M1), 20, None),
+    "resonant-3": ((0.5, GOLDEN, SQRT2_M1), 4, (-2, 0, 0)),
+    "tie-3": ((0.25, 0.5, 0.75), 3, (-1, 0, -1)),
+    "near-miss-3": ((GOLDEN, GOLDEN + 1e-10, 0.5), 3, (0, 0, -2)),
+    "ergodic-3": ((GOLDEN, SQRT2_M1, SQRT3_M1), 6, None),
+}
+
+
+@pytest.mark.parametrize("alpha,bound,witness", RESONANCE_CASES.values(),
+                         ids=RESONANCE_CASES.keys())
+def test_resonance_scan_matches_the_whole_grid(alpha, bound, witness):
+    assert ref_rotation_resonance(alpha, bound) == witness
+    assert systems._rotation_resonance(alpha, bound) == witness
+    cert = ergodicity_certificate(Rotation(alpha), bound)
+    assert (cert.verdict, cert.witness) == (
+        ("ergodic", "no integer relation k.alpha in Z with ||k||inf <= "
+         f"{bound}") if witness is None else
+        ("non-ergodic", f"resonant frequency k={witness}"))
 
 
 def test_unimodularity_enforced():

@@ -1,14 +1,14 @@
-"""The cloud tensor kernel against frozen copies of the code it replaced.
+"""The cloud tensor kernel against the plain references in reference.py.
 
 `joinings._TensorPlan` builds the products prod_j f_j(x_j) of a batch of
 tuples from one table per distinct non-unit (position, observable) and
 slab, skips unit factors (e(0 . x) with coefficient == 1), and multiplies
 in place; `integrate_tensors` walks a cloud once per batch of tuples.  The
-references below are the one-tuple product as it stood before (a ones
-buffer times every factor in turn) and the chunk walk it fed.  Finite
-products may differ from the reference only in the sign of a zero part,
-which no exact sum sees; integrals, and products that are not all finite,
-must match bit for bit (or raise the same exception).
+references are the one-tuple product (a ones buffer times every factor in
+turn) and the plain mean walk over it.  Finite products may differ from
+the reference only in the sign of a zero part, which no exact sum sees;
+integrals, and products that are not all finite, must match bit for bit
+(or raise the same exception).
 """
 
 import math
@@ -23,48 +23,11 @@ from ergolab.joinings import (EmpiricalMeasure, _tensor_values,
                               empirical_self_joining, integrate_tensor,
                               integrate_tensors)
 from ergolab.observables import Observable, evaluate
-from ergolab.phases import CHUNK, chunk_ranges, exact_row_sums
+from ergolab.phases import CHUNK
 from ergolab.rng import SplitMix64
 from ergolab.suites import SEED_JOINING
 from ergolab.systems import default_heisenberg, golden_rotation, standard_skew
-
-# ---------------------------------------------------------------------------
-# Frozen references
-
-
-def ref_tensor_values(fs, pts):
-    vals = np.ones(pts.shape[:2], dtype=np.complex128)
-    for j, f in enumerate(fs):
-        vals *= evaluate(f, pts[:, :, j])
-    return vals
-
-
-def ref_chunk_means(values_at, rows, checkpoints):
-    spans, ends, prev = [], [], 0
-    for cp in checkpoints:
-        spans += chunk_ranges(prev, cp - prev)
-        ends.append(len(spans))
-        prev = cp
-    sums = np.empty((rows, len(spans)), dtype=np.complex128)
-    for c, (n0, cnt) in enumerate(spans):
-        slab = max(1, (CHUNK - 1) // cnt)
-        for r0 in range(0, rows, slab):
-            r1 = min(rows, r0 + slab)
-            sums[r0:r1, c] = exact_row_sums(values_at(r0, r1, n0, cnt))
-    means = np.empty((len(ends), rows), dtype=np.complex128)
-    for m, cp, end in zip(means, checkpoints, ends):
-        folded = exact_row_sums(sums[:, :end])
-        m.real, m.imag = folded.real / cp, folded.imag / cp
-    return means
-
-
-def ref_integrate_tensor(m, fs):
-    S, N = m.points.shape[:2]
-    means = ref_chunk_means(
-        lambda s0, s1, n0, cnt: ref_tensor_values(
-            fs, m.points[s0:s1, n0:n0 + cnt]), S, [N])[0]
-    return complex(math.fsum(means.real.tolist()) / S,
-                   math.fsum(means.imag.tolist()) / S)
+from reference import ref_integrate_tensor, ref_means, ref_tensor_values
 
 
 def _bits(v, zero_sign=False):
@@ -162,7 +125,7 @@ def test_integrals_match_frozen_reference(name):
     fs = {**FINITE_TUPLES, **NONFINITE_TUPLES}[name]
     cloud = empirical_self_joining(golden_rotation(), 3, 300, 70,
                                    SplitMix64(11))
-    want = _outcome(ref_integrate_tensor, cloud, fs)
+    want = _outcome(ref_integrate_tensor, cloud.points, fs)
     assert _outcome(integrate_tensor, cloud, fs) == want
     assert _outcome(lambda: integrate_tensors(cloud, [fs, fs])[1]) == want
 
@@ -175,7 +138,7 @@ def test_integral_with_nonfinite_coordinates_matches_frozen_reference():
     m = EmpiricalMeasure(pts, cloud.provenance)
     for fs in ([E1, UNIT, E2], [E1, E2, E3]):
         assert _outcome(integrate_tensor, m, fs) == \
-            _outcome(ref_integrate_tensor, m, fs)
+            _outcome(ref_integrate_tensor, m.points, fs)
 
 
 # ---------------------------------------------------------------------------
@@ -204,9 +167,9 @@ def test_criterion_7_boxes_match_per_tuple_integrals(d):
     assert peak < joinings._BATCH_BYTES + (2 << 20)
     assert [_hex(v) for v in got] == \
         [_hex(integrate_tensor(cloud, fs)) for fs in box]
-    step = 7 if d == 3 else 1             # the frozen walk is slower
+    step = 7 if d == 3 else 1             # the plain walk is slower
     assert [_hex(v) for v in got[::step]] == \
-        [_hex(ref_integrate_tensor(cloud, fs)) for fs in box[::step]]
+        [_hex(ref_integrate_tensor(cloud.points, fs)) for fs in box[::step]]
 
 
 @pytest.mark.parametrize("system", [default_heisenberg(), standard_skew()],
@@ -216,7 +179,7 @@ def test_dim2_box_matches_frozen_reference(system):
     box = _box(2, 1, dim=system.obs_dim)
     assert len(box) == 81
     assert [_hex(v) for v in integrate_tensors(cloud, box)] == \
-        [_hex(ref_integrate_tensor(cloud, fs)) for fs in box]
+        [_hex(ref_integrate_tensor(cloud.points, fs)) for fs in box]
 
 
 def test_each_distinct_factor_is_evaluated_once_per_slab(monkeypatch):
@@ -256,8 +219,8 @@ def test_fiber_integrals_and_arity_check():
     cloud = empirical_self_joining(golden_rotation(), 2, 30, 50,
                                    SplitMix64(2))
     fs = [E1, UNIT]
-    assert _cloud_means(cloud, [fs])[0].tolist() == ref_chunk_means(
-        lambda s0, s1, n0, cnt: ref_tensor_values(
-            fs, cloud.points[s0:s1, n0:n0 + cnt]), 30, [50])[0].tolist()
+    assert _cloud_means(cloud, [fs])[0].tolist() == ref_means(
+        lambda a, b: ref_tensor_values(fs, cloud.points[:, a:b]), 30,
+        [50])[0].tolist()
     with pytest.raises(joinings.DimensionMismatchError):
         integrate_tensors(cloud, [[E1, E2], [E1]])
