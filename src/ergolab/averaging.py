@@ -41,7 +41,7 @@ from .errors import (CommutationError, ResourceCapError, ValidationError)
 from .exact import grid_mean, obs_coords, phase_table
 from .observables import Observable, evaluate
 from .joinings import _streamed_start_means
-from .phases import (CHUNK, PhaseForm, chunk_means, exact_row_sums,
+from .phases import (CHUNK, PhaseForm, chunk_means, e, exact_row_sums,
                      exact_sum)
 from .rng import SplitMix64
 from .systems import DynamicalSystem, _rotate
@@ -174,7 +174,7 @@ def geometric_mean_streamed(form: PhaseForm, checkpoints: Sequence[int]) -> dict
     def values_at(r0, r1, n0, cnt):
         phase = np.empty((1, cnt, 1))
         _rotate(start, (form.num,), form.shift, 1, n0, cnt, phase)
-        return np.exp((2j * np.pi) * phase[:, :, 0])
+        return e(phase[:, :, 0])
     means = chunk_means(values_at, 1, checkpoints)
     return dict(zip(checkpoints, means[:, 0].tolist()))
 

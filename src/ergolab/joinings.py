@@ -147,10 +147,12 @@ class _TensorPlan:
     values, z * (1 + 0j) differs from z only in the sign of a zero part,
     which no exact sum sees.  The other factors are multiplied in factor
     order, into the first one's array when no other tuple of the batch reads
-    it; only an all-unit tuple gets a ones buffer.  A product that is not
-    all finite, or a block whose coordinates under a skipped unit are not
-    all finite, is built as ones * f_1 * ... * f_d with every factor, since
-    (inf + 0j) * (1 + 0j) = inf + nanj."""
+    it and the block holds more than one value (numpy rounds a one-value
+    product in place its own way; evaluate's rule), so a product's bits
+    depend on its index alone.  Only an all-unit tuple gets a ones buffer.
+    A product that is not all finite, or a block whose coordinates under a
+    skipped unit are not all finite, is built as ones * f_1 * ... * f_d
+    with every factor, since (inf + 0j) * (1 + 0j) = inf + nanj."""
 
     def __init__(self, fs_list: Sequence[Sequence[Observable]]):
         index: dict = {}
@@ -187,8 +189,8 @@ class _TensorPlan:
                         j, f = self.factors[i]
                         tables[i] = evaluate(f, pts[:, :, j])
                     vals = tables[i] if k == 0 else np.multiply(
-                        vals, tables[i], out=vals if self.own[t] or k > 1
-                        else None)
+                        vals, tables[i], out=vals if vals.size > 1 and (
+                            self.own[t] or k > 1) else None)
                     if self.last[i] == t:
                         del tables[i]
                 if not _finite(vals):
@@ -196,7 +198,8 @@ class _TensorPlan:
             if vals is None:
                 vals = np.ones(pts.shape[:2], dtype=np.complex128)
                 for j, f in enumerate(fs):
-                    vals *= evaluate(f, pts[:, :, j])
+                    vals = np.multiply(vals, evaluate(f, pts[:, :, j]),
+                                       out=vals if vals.size > 1 else None)
             yield vals
 
 

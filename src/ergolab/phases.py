@@ -30,10 +30,11 @@ all precision once the product outgrows the mantissa.  The strategy here:
   math.fsum.  `exact_sum` is its one-row case
   (math.fsum itself on short inputs).
 * One kernel turns streamed values into means: `chunk_means` sums each
-  CHUNK-anchored span of many rows (cloud starts; one row for a stream) with
-  `exact_row_sums`, folds the chunk sums with one more call per checkpoint
-  and divides by N.  Every streamed average, geometric stream and cloud
-  integral goes through it, so a stream is bit for bit the one-start cloud.
+  CHUNK-anchored span of many rows (cloud starts; one row for a stream),
+  and its prefix up to each checkpoint in it, with `exact_row_sums`; the
+  mean at N folds the spans before N's and that prefix, so it depends on N
+  alone.  Every streamed average, geometric stream and cloud integral goes
+  through it, so a stream is bit for bit the one-start cloud.
 """
 
 from __future__ import annotations
@@ -408,37 +409,43 @@ def chunk_means(values_at: Callable[[int, int, int, int], np.ndarray],
     yields that many such row blocks, one per tuple, and the means are a
     (checkpoints, tuples, rows) array.
 
-    Spans are anchored at multiples of CHUNK and split at every checkpoint.
-    A span of cnt values is requested in slabs of max(1, (CHUNK - 1) // cnt)
-    rows, so each block holds fewer than CHUNK values or is one row of a full
-    chunk, which bounds the memory a block takes.  Each slab's rows are
-    summed by one `exact_row_sums` call per tuple into a (tuples, rows,
-    spans) array; at each checkpoint one more call per tuple folds the
-    spans so far, and each part is divided by N.  A mean is thus math.fsum
-    over math.fsum'd spans, per part, divided by N.
+    The spans are chunk_ranges(0, N_last) for any checkpoints.  A span of
+    cnt values is requested in slabs of max(1, (CHUNK - 1) // cnt) rows, so
+    each block holds fewer than CHUNK values or is one row of a full chunk,
+    which bounds the memory a block takes.  One `exact_row_sums` call per
+    tuple sums a block's rows, and one more their prefix up to each
+    checkpoint in its span.  The mean at N is math.fsum over the sums of
+    the spans before N's span and of N's prefix, per part, divided by N:
+    it depends on N alone.
     Non-increasing checkpoints raise."""
-    spans, ends, prev = [], [], 0
-    for cp in checkpoints:
+    inside, prev = {}, 0    # span -> (checkpoint, its prefix length) in it
+    for k, cp in enumerate(checkpoints):
         if cp <= prev:
             raise ValidationError("checkpoints must be strictly increasing")
-        spans += chunk_ranges(prev, cp - prev)
-        ends.append(len(spans))
+        c, cut = divmod(cp - 1, CHUNK)
+        inside.setdefault(c, []).append((k, cut + 1))
         prev = cp
+    spans = list(chunk_ranges(0, prev))
     one = tuples is None
     blocks_at = (lambda *span: (values_at(*span),)) if one else values_at
     sums = np.empty((1 if one else tuples, rows, len(spans)),
                     dtype=np.complex128)
+    heads = np.empty((len(checkpoints),) + sums.shape[:2], dtype=np.complex128)
     for c, (n0, cnt) in enumerate(spans):
         slab = max(1, (CHUNK - 1) // cnt)
         for r0 in range(0, rows, slab):
             r1 = min(rows, r0 + slab)
-            # no block outlives its sum
-            sums[:, r0:r1, c] = [exact_row_sums(v)
-                                 for v in blocks_at(r0, r1, n0, cnt)]
-    means = np.empty((len(ends), len(sums), rows), dtype=np.complex128)
-    for m, cp, end in zip(means, checkpoints, ends):
-        for mt, st in zip(m, sums):
-            folded = exact_row_sums(st[:, :end])
+            for t, v in enumerate(blocks_at(r0, r1, n0, cnt)):
+                sums[t, r0:r1, c] = exact_row_sums(v)
+                for k, cut in inside.get(c, ()):
+                    heads[k, t, r0:r1] = sums[t, r0:r1, c] if cut == cnt \
+                        else exact_row_sums(v[:, :cut])
+                del v             # no block outlives its sums
+    means = np.empty_like(heads)
+    for m, cp, head in zip(means, checkpoints, heads):
+        for mt, st, h in zip(m, sums, head):
+            folded = exact_row_sums(
+                np.column_stack((st[:, :(cp - 1) // CHUNK], h)))
             mt.real, mt.imag = folded.real / cp, folded.imag / cp
     return means[:, 0] if one else means
 

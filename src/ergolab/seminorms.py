@@ -56,7 +56,7 @@ from .observables import (CompositionRow, Observable, compose_with_power,
                           phase_correlations, phase_products,
                           product_integral)
 from .joinings import _streamed_start_means
-from .phases import (CHUNK, chunk_ranges, exact_row_sums, exact_sum,
+from .phases import (CHUNK, chunk_ranges, e, exact_row_sums, exact_sum,
                      frac, frac_combo)
 from .rng import SplitMix64
 from .systems import GOLDEN, DynamicalSystem
@@ -279,10 +279,9 @@ def vdc_family(name: str, n: int, h: int, alpha: float = GOLDEN) -> np.ndarray:
     if name == "constant":
         return np.ones(length, dtype=np.complex128)
     if name == "linear":
-        idx = np.arange(length, dtype=np.float64)
-        return np.exp(2j * np.pi * frac(idx * alpha))
+        return e(frac(np.arange(length, dtype=np.float64) * alpha))
     if name == "quadratic":
-        return np.exp(2j * np.pi * quadratic_phase_block(alpha, length))
+        return e(quadratic_phase_block(alpha, length))
     raise ValueError(f"unknown family {name!r}")
 
 

@@ -336,33 +336,36 @@ def ref_quadratic(a, length, chunk=256):
 # Means
 
 
-def ref_means(values_at, rows, checkpoints):
-    """The means (1/N) sum_{n<N} v[r, n] of `rows` value streams at each
-    checkpoint N, as a (checkpoints, rows) array, values_at(a, b) giving
-    v[:, a:b] (or, for one row, v[0, a:b]) for each span [a, b) between
-    consecutive CHUNK multiples and checkpoints: per part, math.fsum over
-    each span, math.fsum over the spans, divided by N."""
-    cuts = sorted({0, *checkpoints, *range(CHUNK, checkpoints[-1], CHUNK)})
-    spans = [np.reshape(values_at(a, b), (rows, b - a))
-             for a, b in zip(cuts, cuts[1:])]
-    out = np.empty((len(checkpoints), rows), dtype=np.complex128)
-    for r in range(rows):
-        re = [math.fsum(v[r].real.tolist()) for v in spans]
-        im = [math.fsum(v[r].imag.tolist()) for v in spans]
-        for i, cp in enumerate(checkpoints):
-            end = cuts.index(cp)
-            out[i, r] = complex(math.fsum(re[:end]) / cp,
-                                math.fsum(im[:end]) / cp)
+def ref_means(v, checkpoints):
+    """The means (1/N) sum_{n<N} v[r, n] of the rows of v (one row for a
+    1-D v) at each checkpoint N, as a (checkpoints, rows) array: per part,
+    math.fsum over the pieces of [0, N) cut at the multiples of CHUNK (the
+    whole chunks before N's chunk, then N's prefix of its own), each summed
+    by math.fsum, divided by N.  No other checkpoint enters."""
+    v = np.atleast_2d(v)
+    out = np.empty((len(checkpoints), len(v)), dtype=np.complex128)
+    for r, row in enumerate(v):
+        for part, x in ((out.real, row.real), (out.imag, row.imag)):
+            whole = [math.fsum(x[a:a + CHUNK].tolist())
+                     for a in range(0, checkpoints[-1], CHUNK)]
+            for i, cp in enumerate(checkpoints):
+                c = (cp - 1) // CHUNK
+                part[i, r] = math.fsum(
+                    whole[:c] + [math.fsum(x[c * CHUNK:cp].tolist())]) / cp
     return out
 
 
 def ref_tensor_values(fs, pts):
     """prod_j f_j(pts[..., j, :]): a ones buffer times each factor in turn,
-    in place (numpy rounds a one-element product in place as Python does,
-    and a longer one otherwise, so a stream's product is taken per span)."""
+    each product a fresh np.multiply(product so far, factor).  numpy rounds
+    a fresh complex product the same at every length (in place, one value
+    rounds its own way), so one product can cover a whole stream.  The
+    operand order is kept: numpy's complex multiply is not commutative bit
+    for bit, and `vals * evaluate(...)` of 16,384 values or more lets numpy
+    reuse the temporary factor as the output, with the operands swapped."""
     vals = np.ones(pts.shape[:-2], dtype=np.complex128)
     for j, f in enumerate(fs):
-        vals *= evaluate(f, pts[..., j, :])
+        vals = np.multiply(vals, evaluate(f, pts[..., j, :]))
     return vals
 
 
@@ -371,8 +374,7 @@ def ref_integrate_tensor(points, fs):
     start's ref_means at N, then math.fsum over the starts divided by S,
     per part."""
     S, N = points.shape[:2]
-    means = ref_means(lambda a, b: ref_tensor_values(fs, points[:, a:b]),
-                      S, [N])[0]
+    means = ref_means(ref_tensor_values(fs, points), [N])[0]
     return complex(math.fsum(means.real.tolist()) / S,
                    math.fsum(means.imag.tolist()) / S)
 
@@ -384,7 +386,7 @@ def ref_geometric_mean(coeffs, basis, checkpoints):
     theta = sum(c * Fraction(b) for c, b in zip(coeffs, basis))
     phase = _rotation([theta], [0.0], 1, 0, checkpoints[-1])[:, 0]
     values = np.exp(2j * np.pi * phase)
-    means = ref_means(lambda a, b: values[a:b], 1, checkpoints)[:, 0]
+    means = ref_means(values, checkpoints)[:, 0]
     return dict(zip(checkpoints, means.tolist()))
 
 

@@ -1,9 +1,9 @@
 """phases.chunk_means, the one kernel that turns streamed values into means,
 against the plain references in reference.py, bit for bit.
 
-A stream's mean is `ref_means` of its values (math.fsum per
-CHUNK-anchored span, math.fsum over the spans), the values being the
-product of `evaluate` over each factor's orbit; the streamed geometric sum
+A stream's mean at N is `ref_means` of its values (math.fsum per
+CHUNK-anchored piece of [0, N), math.fsum over the pieces), the values
+being the product of `evaluate` over each factor's orbit; the streamed geometric sum
 is `ref_geometric_mean`.  Means are compared by float.hex of each part.
 """
 
@@ -12,10 +12,11 @@ import pytest
 
 from ergolab.averaging import (birkhoff_average, geometric_mean_streamed,
                                linear_trajectory, multilinear_average_linear,
-                               square_trajectory)
+                               multilinear_average_square, square_trajectory)
 from ergolab.errors import ValidationError
+from ergolab.joinings import _streamed_start_means
 from ergolab.observables import Observable
-from ergolab.phases import CHUNK, PhaseForm, chunk_means
+from ergolab.phases import CHUNK, PhaseForm, chunk_means, chunk_ranges
 from ergolab.rng import SplitMix64
 from ergolab.systems import (GOLDEN, SQRT2_M1, Rotation, cat_map,
                              default_heisenberg, golden_rotation, orbit_points,
@@ -24,11 +25,10 @@ from reference import ref_geometric_mean, ref_means, ref_tensor_values
 
 
 def _stream_means(system, fs, x, checkpoints):
-    """ref_means of prod_j f_j(T^{j n} x), the product taken per span."""
+    """ref_means of prod_j f_j(T^{j n} x)."""
     pts = np.stack([orbit_points(system, x, j, 0, checkpoints[-1], "obs")
                     for j in range(1, len(fs) + 1)], axis=1)
-    return ref_means(lambda a, b: ref_tensor_values(fs, pts[a:b]), 1,
-                     checkpoints)[:, 0]
+    return ref_means(ref_tensor_values(fs, pts), checkpoints)[:, 0]
 
 
 def _hex(v: complex) -> tuple[str, str]:
@@ -92,6 +92,48 @@ def test_geometric_mean_streamed_matches_frozen_loop_bitwise(coeffs, basis):
 
 
 # ---------------------------------------------------------------------------
+# One number per N: no checkpoint moves another's value
+
+def test_a_mean_at_n_is_the_one_checkpoint_run_whatever_else_is_asked():
+    # random checkpoint sets around the first two anchors: every value, of
+    # streams, clouds, geometric streams and the factorized square average
+    # they feed, is the run asked for its N alone, bit for bit
+    rng = np.random.default_rng(36)
+    anchors = {CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK, 2 * CHUNK + 1}
+
+    def draw():
+        extra = rng.integers(1, 2 * CHUNK + 40, 3).tolist()
+        return sorted(anchors | set(extra))
+
+    for name in ("rotation", "skew", "heisenberg"):
+        system = KINDS[name]
+        x = system.haar_block(SplitMix64(7), 1)[0]
+        for d in (1, 2, 3):
+            fs = _factors(d, system.obs_dim)
+            cps = draw()
+            traj = linear_trajectory(system, fs, x, cps)
+            assert [_hex(v) for _, v in traj.checkpoints] == [
+                _hex(multilinear_average_linear(system, fs, x, n))
+                for n in cps]
+        starts = system.haar_block(SplitMix64(8), 3)[:, None]
+        fs, cps = _factors(2, system.obs_dim), draw()
+        got = _streamed_start_means(system, starts, fs, cps)
+        for n, row in zip(cps, got):
+            one = _streamed_start_means(system, starts, fs, [n])[0]
+            assert row.tobytes() == one.tobytes()
+    form, cps = PhaseForm((3, -2), (GOLDEN, SQRT2_M1)), draw()
+    got = geometric_mean_streamed(form, cps)
+    assert [_hex(got[n]) for n in cps] == [
+        _hex(geometric_mean_streamed(form, [n])[n]) for n in cps]
+    G, x = golden_rotation(), np.array([0.25])
+    fs, cps = [Observable.character(1), Observable.character(-1)], draw()
+    traj = square_trajectory(G, fs, x, cps, mode="factorized")
+    assert [_hex(v) for _, v in traj.checkpoints] == [
+        _hex(multilinear_average_square(G, fs, x, n, mode="factorized"))
+        for n in cps]
+
+
+# ---------------------------------------------------------------------------
 # The kernel itself
 
 
@@ -115,12 +157,11 @@ def test_chunk_means_slabs_spans_and_bits(rows, checkpoints):
     seen = np.zeros((rows, N), dtype=int)
     for r0, r1, n0, cnt in calls:
         assert 1 <= r1 - r0 <= max(1, (CHUNK - 1) // cnt)
-        # a span lies in one CHUNK-anchored chunk and between checkpoints
-        assert n0 // CHUNK == (n0 + cnt - 1) // CHUNK
-        assert not any(n0 < cp < n0 + cnt for cp in checkpoints)
         seen[r0:r1, n0:n0 + cnt] += 1
     assert (seen == 1).all()
-    want = ref_means(lambda a, b: v[:, a:b], rows, checkpoints)
+    # the spans are the CHUNK-anchored chunks, whatever the checkpoints
+    assert sorted({call[2:] for call in calls}) == list(chunk_ranges(0, N))
+    want = ref_means(v, checkpoints)
     assert [_hex(m) for m in means.ravel()] == [_hex(m) for m in want.ravel()]
 
 

@@ -156,6 +156,20 @@ def test_csv_matches_direct_library_call(tmp_path):
         assert float(re) == v.real and float(im) == v.imag
 
 
+def test_other_checkpoints_leave_a_row_s_bytes(tmp_path):
+    # the N = 100,000 row reads the same bytes, value and oscillation, with
+    # or without the checkpoints before it
+    rows = []
+    for cps in ("1000 10000 100000", "100000"):
+        cfg = tmp_path / f"{len(cps)}.cfg"
+        cfg.write_text(BASE_CFG.replace("1000 10000 100000", cps))
+        out = tmp_path / f"out{len(cps)}"
+        assert cli.main(["average", "--config", str(cfg), "--out",
+                         str(out)]) == 0
+        rows.append((out / "sq.csv").read_bytes().splitlines()[-1])
+    assert rows[0] == rows[1] and rows[0].startswith(b"square,100000,")
+
+
 @pytest.mark.parametrize("checkpoints,tail_fraction", [
     ("1000", "0.5"), ("1000 2000", "0.5"), ("1000 2000", "0.25")])
 def test_average_csv_oscillation_column(tmp_path, checkpoints, tail_fraction):

@@ -243,6 +243,7 @@ def test_frac_of_a_float_matches_floor_difference():
     xs = [0.0, -0.0, 5e-324, -5e-324, 1e-17, -1e-17, 1.0, -1.0, -3.0, 0.5,
           -0.5, 1 - 2 ** -53, -(1 - 2 ** -53), 2.0 ** 60, -2.0 ** 60, 1e300,
           -1e300, math.inf, math.nan] + (rng.normal(size=500) * 1e3).tolist()
+    wants = []
     for x in xs:
         with np.errstate(invalid="ignore"):
             # x - floor(x) is the exact residue rounded once; inf - inf and
@@ -252,3 +253,6 @@ def test_frac_of_a_float_matches_floor_difference():
             got = np.float64(frac(np.float64(x))).tobytes()
         assert np.float64(frac(x)).tobytes() == want
         assert got == want
+        wants.append(want)
+    with np.errstate(invalid="ignore"):      # the array branch, all at once
+        assert [v.tobytes() for v in frac(np.array(xs))] == wants

@@ -3,9 +3,10 @@
 `joinings._TensorPlan` builds the products prod_j f_j(x_j) of a batch of
 tuples from one table per distinct non-unit (position, observable) and
 slab, skips unit factors (e(0 . x) with coefficient == 1), and multiplies
-in place; `integrate_tensors` walks a cloud once per batch of tuples.  The
-references are the one-tuple product (a ones buffer times every factor in
-turn) and the plain mean walk over it.  Finite products may differ from
+in place where a slab holds more than one value; `integrate_tensors` walks
+a cloud once per batch of tuples.  The references are the one-tuple
+product (a ones buffer times every factor in turn, each product fresh) and
+the plain mean over it.  Finite products may differ from
 the reference only in the sign of a zero part, which no exact sum sees;
 integrals, and products that are not all finite, must match bit for bit
 (or raise the same exception).
@@ -220,7 +221,6 @@ def test_fiber_integrals_and_arity_check():
                                    SplitMix64(2))
     fs = [E1, UNIT]
     assert _cloud_means(cloud, [fs])[0].tolist() == ref_means(
-        lambda a, b: ref_tensor_values(fs, cloud.points[:, a:b]), 30,
-        [50])[0].tolist()
+        ref_tensor_values(fs, cloud.points), [50])[0].tolist()
     with pytest.raises(joinings.DimensionMismatchError):
         integrate_tensors(cloud, [[E1, E2], [E1]])
