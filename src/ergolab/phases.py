@@ -414,9 +414,9 @@ def chunk_means(values_at: Callable[[int, int, int, int], np.ndarray],
     each block holds fewer than CHUNK values or is one row of a full chunk,
     which bounds the memory a block takes.  One `exact_row_sums` call per
     tuple sums a block's rows, and one more their prefix up to each
-    checkpoint in its span.  The mean at N is math.fsum over the sums of
-    the spans before N's span and of N's prefix, per part, divided by N:
-    it depends on N alone.
+    checkpoint inside the span, short of its end.  The mean at N is
+    math.fsum over the sums of the spans before N's span and of N's prefix,
+    per part, divided by N: it depends on N alone.
     Non-increasing checkpoints raise."""
     inside, prev = {}, 0    # span -> (checkpoint, its prefix length) in it
     for k, cp in enumerate(checkpoints):

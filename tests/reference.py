@@ -517,8 +517,8 @@ def ref_bound_lhs(system, fs, sample_count, N, seed_rng):
     for s in range(sample_count):
         vals = np.ones(N, dtype=np.complex128)
         for j, f in enumerate(fs):
-            vals = vals * evaluate(f, orbit_points(system, starts[j][s], j + 1,
-                                                   0, N, coords="obs"))
+            vals = np.multiply(vals, evaluate(f, orbit_points(
+                system, starts[j][s], j + 1, 0, N, coords="obs")))
         re, im = math.fsum(vals.real.tolist()), math.fsum(vals.imag.tolist())
         squares.append((re / N) ** 2 + (im / N) ** 2)
     return math.sqrt(math.fsum(squares) / sample_count)
