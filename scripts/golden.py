@@ -53,10 +53,10 @@ CASES = {
         "systems._rotate over a CHUNK anchor, runner CSV", "orbit",
         ROTATION, "", "checkpoints = 20000\nstart = 0.25 0.5"),
     "orbit-skew": (
-        "skew base (_rotate at the quadratic chunk) and fiber on _slabs",
+        "skew base (_rotate) and fiber from exact pieces on _slabs",
         "orbit", SKEW, "", "checkpoints = 3000\nstart = haar\nseed = 5"),
     "orbit-heisenberg": (
-        "Heisenberg x/y (_rotate) and z columns on _slabs", "orbit",
+        "Heisenberg x/y (_rotate) and z from exact pieces on _slabs", "orbit",
         HEISENBERG, "", "checkpoints = 3000\nstart = haar\nseed = 6"),
     "orbit-heisenberg-batches": (
         "runner CSV writer over three batches, row indices to 5 digits",
@@ -106,7 +106,8 @@ CASES = {
         "seminorm", CAT, "f1 = 1:1,0", "order = 2\nouter_h = 60\n"
         "inner_n = 500\nstart = haar\nseed = 11"),
     "vdc-quadratic": (
-        "quadratic_phase_block, the van der Corput lag buffer", "vdc",
+        "vdc_family's skew-product orbit, the van der Corput lag buffer",
+        "vdc",
         GOLDEN_ROTATION, "", "vdc_family = quadratic\ninner_n = 20000\n"
         "outer_h = 20"),
     "joining-rotation": (

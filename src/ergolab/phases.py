@@ -10,17 +10,17 @@ all precision once the product outgrows the mantissa.  The strategy here:
   are reduced mod 1 *exactly*, then rounded once to a double: `dyadic_combo`
   sums them as one integer over a power of two, the library's one exact
   reducer, and `frac_combo` rounds that sum's residue.
-* Orbits are generated in chunks anchored at absolute multiples of a fixed
-  chunk size.  The chunk base is reduced exactly; within a chunk only small
-  products (offset * step, offset <= chunk) occur, so the worst-case phase
-  error stays ~1e-12 over arbitrarily long orbits.  Because bases are
-  recomputed from absolute indices, the emitted floats are a pure function of
-  the index, independent of how callers slice their requests.
+* Orbits are generated in chunks anchored at absolute multiples of CHUNK.
+  The coefficients at the anchor are reduced exactly; within a chunk only
+  products with the offset t < CHUNK and C(t,2) occur, so a linear column
+  stays within 1.8e-12 over arbitrarily long orbits, and a quadratic one,
+  whose products are exact (systems._pieces), within about 1e-16.  Since
+  they come from absolute indices, the emitted floats are a pure function
+  of the index, independent of how callers slice their requests.
   `chunk_ranges` splits a request at those anchors.  One walker,
   systems._slabs, lays them over every orbit and every streamed geometric
-  sum (the one-start rotation at a PhaseForm's exact rate) a window of up
-  to CHUNK indices at a time, with each anchor's base an exact integer
-  over a power of two rounded by `frac_dyadic`.
+  sum (the one-start rotation at a PhaseForm's exact rate) a window at a
+  time, each anchor's base an exact integer rounded by `frac_dyadic`.
 * One kernel sums exactly: `exact_row_sums`, Rump-Ogita-Oishi error-free
   extraction over column blocks of CHUNK, certifies math.fsum's bits for
   every row of a 2-D array (each part of each complex row) in numpy: first
@@ -48,9 +48,8 @@ from .errors import ValidationError
 
 TWO_PI = 2.0 * math.pi
 
-# Absolute anchor spacing for chunked orbit generation.  Systems whose phase
-# expressions are quadratic in the index shrink this by the stride so that
-# in-chunk products stay below ~2**20 (see systems.py).
+# The one anchor spacing of every orbit column: offsets t < 2**14 keep the
+# products of t and C(t,2) with the grid pieces of systems._pieces exact.
 CHUNK = 1 << 14
 
 
@@ -172,12 +171,12 @@ class PhaseForm:
         return f"PhaseForm(({self.num},), ({math.ldexp(1.0, -self.shift)!r},))"
 
 
-def chunk_ranges(n0: int, count: int, chunk: int = CHUNK) -> Iterator[tuple[int, int]]:
-    """Split [n0, n0+count) at absolute multiples of `chunk`."""
+def chunk_ranges(n0: int, count: int) -> Iterator[tuple[int, int]]:
+    """Split [n0, n0+count) at absolute multiples of CHUNK."""
     n = n0
     end = n0 + count
     while n < end:
-        stop = min(end, (n // chunk + 1) * chunk)
+        stop = min(end, (n // CHUNK + 1) * CHUNK)
         yield n, stop - n
         n = stop
 

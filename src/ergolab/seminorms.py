@@ -56,13 +56,11 @@ from .observables import (CompositionRow, Observable, compose_with_power,
                           phase_correlations, phase_products,
                           product_integral)
 from .joinings import _streamed_start_means
-from .phases import (CHUNK, chunk_ranges, e, exact_row_sums, exact_sum,
-                     frac, frac_combo)
+from .phases import CHUNK, e, exact_row_sums, exact_sum
 from .rng import SplitMix64
-from .systems import GOLDEN, DynamicalSystem
+from .systems import GOLDEN, DynamicalSystem, SkewProduct
 
 DEFAULT_OUTER_H = 30
-QUADRATIC_CHUNK = 256     # quadratic_phase_block's anchor spacing
 
 
 @dataclass(frozen=True)
@@ -260,29 +258,18 @@ def van_der_corput_check(seq, H: int) -> VdcReport:
     return VdcReport(lhs, math.fsum(terms) / H, N, H)
 
 
-def quadratic_phase_block(a: float, length: int) -> np.ndarray:
-    """frac(n^2 a) for n < length, chunk-exact (no drift): frac(s^2 a) +
-    t frac(2 s a) + t^2 a from each anchor s, bases reduced exactly."""
-    out = np.empty(length)
-    for s, cnt in chunk_ranges(0, length, QUADRATIC_CHUNK):
-        b0 = frac_combo([(s * s, a)])
-        b1 = frac_combo([(2 * s, a)])
-        t = np.arange(cnt, dtype=np.float64)
-        out[s:s + cnt] = frac(b0 + t * b1 + (t * t) * a)
-    return out
-
-
 def vdc_family(name: str, n: int, h: int, alpha: float = GOLDEN) -> np.ndarray:
     """The n + h terms of a van der Corput test sequence: constant,
-    e(n alpha) or e(n^2 alpha)."""
+    e(n alpha) or e(n^2 alpha), the phases (n alpha, n^2 alpha) mod 1 being
+    the orbit of (0, 0) under SkewProduct((alpha,), ((2,),), (alpha,))."""
     length = n + h
     if name == "constant":
         return np.ones(length, dtype=np.complex128)
-    if name == "linear":
-        return e(frac(np.arange(length, dtype=np.float64) * alpha))
-    if name == "quadratic":
-        return e(quadratic_phase_block(alpha, length))
-    raise ValueError(f"unknown family {name!r}")
+    if name not in ("linear", "quadratic"):
+        raise ValueError(f"unknown family {name!r}")
+    orbit = SkewProduct((alpha,), ((2,),), (alpha,)).orbit_points(
+        np.zeros(2), 1, 0, length)
+    return e(orbit[:, int(name == "quadratic")])
 
 
 # ---------------------------------------------------------------------------

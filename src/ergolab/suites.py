@@ -28,7 +28,7 @@ from .joinings import (ap_fiber_integral, ap_subtorus_integral, character_box,
                        decomposition_consistency, empirical_self_joining,
                        fiber_measure, integrate_tensor, integrate_tensors)
 from .observables import Observable, integral_haar
-from .phases import PhaseForm, e
+from .phases import CHUNK, PhaseForm, e
 from .rng import SplitMix64
 from .seminorms import (hk_seminorm, multilinear_norm_bound_check,
                         van_der_corput_check, vdc_family)
@@ -374,6 +374,12 @@ def criterion_nilsystem(n_pow: int = 10 ** 4, n_avg: int = 10 ** 6,
         worst = max(worst, float(np.minimum(d, 1 - d).max()))
     out.append(_check(f"heisenberg closed form vs iterated law n<={n_pow}",
                       worst, 1e-9))
+    worst = 0.0           # the z column against the exact step to 10**8
+    for n0 in (0, CHUNK - 20, 10 ** 6 + 7, 10 ** 8 - 40):
+        d = np.abs(orbit_points(system, x0, 1, n0, 40)[:, 2] - [
+            system.step(x0, n)[2] for n in range(n0, n0 + 40)])
+        worst = max(worst, float(np.minimum(d, 1 - d).max()))
+    out.append(_check("heisenberg z vs exact step, n<=10^8", worst, 1e-15))
     # unique ergodicity: start independence of base-character averages
     rng = SplitMix64(SEED_NIL)
     cps = (n_avg // 2, int(0.63 * n_avg), int(0.8 * n_avg), n_avg)

@@ -23,12 +23,13 @@ table holds its parameters so), so arbitrarily large n loses no precision.
 kind: a batch is the stack of its rows' steps, bit for bit.  The Heisenberg
 step and orbit anchors read the rate table (the point and the rates over
 one power of two), not alpha and beta as doubles.
-Orbit segments are generated in chunks anchored at absolute indices (see
-phases.py), so the emitted floats are a pure function of the orbit index.
-`_slabs`, the one anchor walker, takes a request in windows of at most
-CHUNK indices and slabs of starts: each anchor is one exact integer over
-one power of two per start, and each float expression is evaluated once
-over a (starts, anchors, offsets) grid per window.
+Orbit segments are generated in windows between absolute multiples of
+CHUNK (see phases.py), by `_slabs`, the one anchor walker, so the emitted
+floats are a pure function of the orbit index: each window's coefficients
+are exact integers over one power of two per start.  A linear column,
+frac(base + t * step), rounds near the offset t < CHUNK (up to 1.8e-12);
+the quadratic ones (skew fiber, Heisenberg z) split their coefficients on
+dyadic grids (`_pieces`) so that only a small rest rounds (about 1e-16).
 
 Orbits have one entry point, `DynamicalSystem.orbit_block`: a kind
 implements `_orbits` for all starts at once, and `orbit_points` is the
@@ -44,6 +45,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from operator import mul
 
@@ -58,10 +60,6 @@ from .rng import SplitMix64
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 SQRT2_M1 = math.sqrt(2.0) - 1.0
 SQRT3_M1 = math.sqrt(3.0) - 1.0
-
-# In-chunk index products for quadratic-phase systems stay below this bound
-# so the float error per position remains ~1e-11.
-_QUAD_CHUNK_SPAN = 1024
 
 
 def _as_float_tuple(v) -> tuple[float, ...]:
@@ -96,10 +94,6 @@ def parse_numbers(key: str, text: str, conv=float) -> list:
     if not text.split():
         raise ValidationError(f"{key}: empty number list")
     return [parse_number(key, v, conv) for v in text.split()]
-
-
-def _quad_chunk(stride: int) -> int:
-    return max(1, _QUAD_CHUNK_SPAN // max(1, abs(stride)))
 
 
 def binom2(n: int) -> int:
@@ -213,8 +207,10 @@ class DynamicalSystem:
                     ) -> np.ndarray:
         """T^{stride*n} x for n in [n0, n0+count) and each start row x, as an
         (S, count, columns) array filled by the kind's `_orbits`; writes
-        into `out` when given and returns it."""
+        into `out` when given and returns it.  Integer arguments pass
+        through operator.index, so NumPy integers act as Python ints."""
         starts = self.check_point(starts)
+        stride, n0, count = map(operator.index, (stride, n0, count))
         if out is None:
             cols = self.dim if coords == "state" else self.obs_dim
             out = np.empty((starts.shape[0], count, cols))
@@ -228,59 +224,71 @@ class DynamicalSystem:
                                 coords)[0]
 
 
-def _slabs(nstarts: int, n0: int, count: int, chunk: int):
-    """(rows, cols, anchors, t, sel) for each window of [n0, n0+count)
-    between consecutive multiples of CHUNK and each slab of start rows:
-    out[rows, cols] is the part to fill.  Index anchors[j] + t[i] of the
-    window sits at (j, i) of a (rows, anchors, t) grid, anchors being
-    consecutive multiples of `chunk`, and `sel` cuts the window out of each
-    row of the flattened grid.  A window inside one chunk has its own
-    offsets as t; a longer one has t = 0..chunk-1, the same offsets on every
-    anchor.  Slabs keep each grid within CHUNK values or one row.  (Laying
-    per-anchor values over the window by np.repeat instead, with no padding,
-    made one-start CHUNK windows 1.5-2x slower: numpy pays per element for
-    the repeat and the offsets, not for the padded grid's broadcast.)"""
-    for start, cnt in chunk_ranges(n0, count, CHUNK):
-        first, last = start // chunk, (start + cnt - 1) // chunk
-        off = start - first * chunk
-        if first == last:
-            t, sel = np.arange(off, off + cnt, dtype=np.float64), slice(0, cnt)
-        else:
-            t, sel = np.arange(chunk, dtype=np.float64), slice(off, off + cnt)
-        anchors = range(first * chunk, (last + 1) * chunk, chunk)
-        rows = max(1, CHUNK // (len(anchors) * t.size))
+_OFFSETS = np.arange(CHUNK, dtype=np.float64)   # the offsets t of a window
+_SQUARES = _OFFSETS * (_OFFSETS - 1.0) / 2.0      # and C(t,2) < 2**27
+_OFFSETS.flags.writeable = _SQUARES.flags.writeable = False
+
+
+def _slabs(nstarts: int, n0: int, count: int):
+    """(rows, cols, anchor, span) for each window of [n0, n0+count)
+    between consecutive multiples of CHUNK (anchor the first) and each slab
+    of max(1, CHUNK // cnt) start rows: out[rows, cols] is the part to
+    fill, and _OFFSETS[span] are the window's offsets from the anchor."""
+    for start, cnt in chunk_ranges(n0, count):
+        anchor = start // CHUNK * CHUNK
         cols = slice(start - n0, start - n0 + cnt)
+        rows = max(1, CHUNK // cnt)
         for r0 in range(0, nstarts, rows):
-            yield slice(r0, r0 + rows), cols, anchors, t, sel
+            yield (slice(r0, r0 + rows), cols, anchor,
+                   slice(start - anchor, start - anchor + cnt))
 
 
-def _window(grid, sel):
-    """The window `sel` of each row of a (rows, anchors, t) grid."""
-    return grid.reshape(len(grid), -1)[:, sel]
-
-
-def _rotate(starts, rates, ka: int, stride: int, n0: int, count: int, out,
-            chunk: int = CHUNK) -> None:
+def _rotate(starts, rates, ka: int, stride: int, n0: int, count: int,
+            out) -> None:
     """Rotation-type columns, out[:, i, c] = frac(starts[:, c] + (n0 + i)
-    * stride * rates[c] / 2**ka) for integer rates (a rate table's): the
-    stride phase is reduced once per coordinate and each chunk base once per
-    (start, anchor, coordinate), as the exact integer X + anchor * stride *
-    num over one power of two per start, so a row's bits do not depend on
-    the other starts."""
+    * stride * rates[c] / 2**ka) for integer rates (a rate table's), as
+    frac(base + t * step): the stride phase is reduced once per coordinate
+    and each window's base once per (start, coordinate), as the exact
+    integer X + anchor * stride * num over one power of two per start, so a
+    row's bits do not depend on the other starts."""
     for c, num in enumerate(rates):
         ra = stride * num
         step = frac_dyadic(ra, ka)
-        for rows, cols, anchors, t, sel in _slabs(len(starts), n0, count,
-                                                  chunk):
+        for rows, cols, anchor, span in _slabs(len(starts), n0, count):
             # x = m / 2**k and the rate aligned inline, once per start of
             # every cloud slab (dyadic_combo + dyadic_align: 2.5x slower)
             coefs = [(m, ra << k - ka, k) if (k := d.bit_length() - 1) >= ka
                      else (m << ka - k, ra, ka) for m, d in
                      map(float.as_integer_ratio, starts[rows, c].tolist())]
-            base = np.array([frac_dyadic(x + s * sa, k)
-                             for x, sa, k in coefs for s in anchors])
-            out[rows, cols, c] = _window(
-                frac(base.reshape(-1, len(anchors), 1) + t * step), sel)
+            base = np.array([frac_dyadic(x + anchor * sa, k)
+                             for x, sa, k in coefs])
+            out[rows, cols, c] = frac(base[:, None] + _OFFSETS[span] * step)
+
+
+def _pieces(num: int, k: int, bits: int) -> list[float]:
+    """num / 2**k mod 1 as doubles h_1, ..., h_j, r summing to it, r
+    rounded once: h_i holds the residue's bits from 2**-((i-1) g) down to
+    2**-(i g), g = 52 - bits, up to the first i g >= bits + 10.  So n h_i
+    and its frac are exact for every integer 0 <= n < 2**bits, and
+    |n r| < 2**-10."""
+    r, out = num & ((1 << k) - 1), []
+    for top in range(52 - bits, 62, 52 - bits):
+        cut = max(k - top, 0)
+        out.append(math.ldexp(r >> cut, cut - k))
+        r &= (1 << cut) - 1
+    return out + [r / (1 << k)]
+
+
+def _quadratic(c0, c1, c2, span):
+    """(exact, rest) for c0 + t c1 + C(t,2) c2 mod 1 at the offsets t of
+    span, from the _pieces of c0, c1 and c2 at 2, 14 and 27 bits (c0 and
+    c1 per start, as columns): exact = h0 + frac(t h1) + frac(C(t,2) h2)
+    + C(t,2) h2', below 7 and on the 2**-50 grid, so exact, and rest =
+    (r0 + t r1) + C(t,2) r2."""
+    (h0, r0), (h1, r1), (h2, h2b, r2) = c0, c1, c2
+    t, ct = _OFFSETS[span], _SQUARES[span]
+    return (h0 + frac(t * h1) + frac(ct * h2) + ct * h2b,
+            r0 + t * r1 + ct * r2)
 
 
 @dataclass(frozen=True)
@@ -300,7 +308,7 @@ class Rotation(DynamicalSystem):
         return len(self.alpha)
 
     def step(self, p, n: int = 1) -> np.ndarray:
-        p = self.check_point(p)
+        p, n = self.check_point(p), operator.index(n)
         return frac(p + np.array([frac_dyadic(n * a, self.shift)
                                   for a in self.rates]))
 
@@ -377,7 +385,7 @@ class SkewProduct(DynamicalSystem):
                              (rate, math.ldexp(1.0, -self.shift))])
 
     def step(self, p, n: int = 1) -> np.ndarray:
-        p = self.check_point(p)
+        p, n = self.check_point(p), operator.index(n)
         rows = []
         for x in p.reshape(-1, self.dim).tolist():
             # each row in Python floats: the same IEEE sums and frac
@@ -391,30 +399,27 @@ class SkewProduct(DynamicalSystem):
     orbit_points = DynamicalSystem.orbit_points
 
     def _orbits(self, starts, stride, n0, count, coords, out):
-        chunk = _quad_chunk(stride)
         _rotate(starts, self.rates[:self.base_dim], self.shift, stride, n0,
-                count, out[:, :, :self.base_dim], chunk)
+                count, out[:, :, :self.base_dim])
+        s = stride
         for f in range(self.fiber_dim):
             col = self.base_dim + f
-            ab = sum(map(mul, self.linear[f], self.rates)), self.shift
-            abf = frac_dyadic(*ab)
-            # g_f(s0 + u) = bg0 + u*bg1 + C(u,2)*abf (mod 1), u = stride*t,
-            # with bg0 = g + s0 (B y + c) + C(s0,2) B alpha and bg1 =
-            # B y + c + s0 B alpha exact per (start, anchor s0)
-            for rows, cols, anchors, t, sel in _slabs(len(starts), n0, count,
-                                                      chunk):
-                s0s = [stride * a for a in anchors]
-                bg = []
+            kappa = sum(map(mul, self.linear[f], self.rates)), self.shift
+            # g_f(m0 + s t) = c0 + t c1 + C(t,2) c2 (mod 1) with c0 = g +
+            # m0 P + C(m0,2) K, c1 = s (P + m0 K) + C(s,2) K and c2 = s^2 K,
+            # P = B y + c and K = B alpha, exact per (start, anchor m0)
+            c2 = _pieces(s * s * kappa[0], self.shift, 27)
+            for rows, cols, anchor, span in _slabs(len(starts), n0, count):
+                m0, pieces = s * anchor, []
                 for x in starts[rows].tolist():
-                    (c0, c1, c2), k = dyadic_align(dyadic_combo(
-                        [(1, x[col])]), self._fiber_shift(x, 1, f), ab)
-                    bg += [(frac_dyadic(c0 + s * c1 + binom2(s) * c2, k),
-                            frac_dyadic(c1 + s * c2, k)) for s in s0s]
-                bg = np.array(bg).reshape(-1, len(s0s), 2)
-                u = stride * t
-                out[rows, cols, col] = _window(
-                    frac(bg[..., :1] + u * bg[..., 1:]
-                         + (u * (u - 1.0) / 2.0) * abf), sel)
+                    (g, P, K), k = dyadic_align(dyadic_combo(
+                        [(1, x[col])]), self._fiber_shift(x, 1, f), kappa)
+                    pieces.append(
+                        _pieces(g + m0 * P + binom2(m0) * K, k, 2)
+                        + _pieces(s * (P + m0 * K) + binom2(s) * K, k, 14))
+                h0, r0, h1, r1 = np.array(pieces).T[..., None]
+                exact, rest = _quadratic((h0, r0), (h1, r1), c2, span)
+                out[rows, cols, col] = frac(frac(exact) + rest)
 
     def character_action(self, k: tuple[int, ...]) -> tuple[tuple[int, ...], int, int]:
         """For k = (p, q): the fiber moves by B y + c and by C(t,2) B alpha,
@@ -589,11 +594,12 @@ def _power_rows(matrix, ratios, exps, stride: int, n0: int, count: int,
     span = min(count, CHUNK)
     table = (_uint64_power_table(matrix, stride, span) if top == 64
              else _power_table(matrix, stride, span, top))
-    for sl, cols, _, t, _ in _slabs(len(X), n0, count, CHUNK):
+    for sl, cols, _, _ in _slabs(len(X), n0, count):
         y = _mul_add(X[sl], _reduced_power(matrix, stride * (n0 + cols.start),
                                            top).T) & wrap
-        r = _mul_add(y, table[:, :t.size * dim]) & masks[sl]
-        v = (r / scale[sl]).astype(np.float64).reshape(len(y), t.size, dim)
+        width = cols.stop - cols.start
+        r = _mul_add(y, table[:, :width * dim]) & masks[sl]
+        v = (r / scale[sl]).astype(np.float64).reshape(len(y), width, dim)
         v[v >= 1.0] = 0.0
         out[rows[sl], cols] = v
 
@@ -648,7 +654,7 @@ class ToralAutomorphism(DynamicalSystem):
         return out
 
     def step(self, p, n: int = 1) -> np.ndarray:
-        p = self.check_point(p)
+        p, n = self.check_point(p), operator.index(n)
         mat = self.power(n)
         return np.array([[frac_combo(zip(row, q)) for row in mat]
                          for q in p.reshape(-1, self.dim).tolist()]
@@ -760,7 +766,7 @@ class HeisenbergTranslation(DynamicalSystem):
     def step(self, p, n: int = 1) -> np.ndarray:
         """x' = x + n a, y' = y + n b and z' = z - floor(y') x' + C(n,2) a b
         + n a y (the raw triple reduced), each exact over the rate table."""
-        p = self.check_point(p)
+        p, n = self.check_point(p), operator.index(n)
         rows = []
         for q in p.reshape(-1, 3).tolist():
             (X, Y, Z, A, B), k = self._over_table(q)
@@ -773,48 +779,48 @@ class HeisenbergTranslation(DynamicalSystem):
     orbit_points = DynamicalSystem.orbit_points
 
     def _orbits(self, starts, stride, n0, count, coords, out):
+        """z at m = m0 + s t, m0 = s * anchor: x' = x0 + t sa and y' = F0 +
+        yf0 + t q + t phi (x0 = x + m0 a, F0 + yf0 = y + m0 b, q + phi =
+        s b), so floor(y') = F0 + t q + g, g = floor(yf0 + t phi) <= t, and
+        z' = c0 + t c1 + C(t,2) c2 - g (x0 + t sa) (mod 1), c0 = z + C(m0,2)
+        a b + m0 a y - F0 x0, c1 = (s m0 + C(s,2)) a b + s a y - (F0 + q) sa
+        - q x0, c2 = s^2 a b - 2 q sa.  x and y are rotation columns, so obs
+        and state requests emit identical floats (stored clouds need it)."""
         ka = self.shift
-        # The base coordinates are plain rotation orbits and use the standard
-        # chunking, so obs- and state-coordinate requests emit identical
-        # floats (integration against stored clouds relies on this).
         _rotate(starts, self.rates, ka, stride, n0, count, out[:, :, :2])
         if coords == "obs":
             return
-        # z(s0+u) reduced: frac(raw_z - raw_x * floor(raw_y)), split so
-        # every floating product stays small (u = stride * t <= ~1024).  x
-        # is first re-derived into the z column at this finer anchoring, so
-        # the xs*gt error stays ~1e-10 even at large n.
-        chunk = _quad_chunk(stride)
-        _rotate(starts, self.rates[:1], ka, stride, n0, count, out[:, :, 2:],
-                chunk)
-        abf = frac_dyadic(self.rates[0] * self.rates[1], 2 * ka)
-        for rows, cols, anchors, t, sel in _slabs(len(starts), n0, count,
-                                                  chunk):
-            s0s = [stride * v for v in anchors]
-            anch = []                     # reduced exactly, per start
-            for q in starts[rows].tolist():
+        s, (ra, rb) = stride, self.rates
+        q = s * rb >> ka
+        c2 = _pieces(s * s * ra * rb - (2 * q * s * ra << ka), 2 * ka, 27)
+        (phi1, phi2), (sa1, sa2) = (_pieces(s * rb, ka, 14),
+                                    _pieces(s * ra, ka, 14))
+        for rows, cols, anchor, span in _slabs(len(starts), n0, count):
+            m0, pieces = s * anchor, []
+            for p in starts[rows].tolist():
                 # over 2**k; the products AB, AY and Z << k over 2**(2k)
-                (X, Y, Z, A, B), k = self._over_table(q)
-                AB, AY, Zk = A * B, A * Y, Z << k
-                for s0 in s0s:
-                    yn = Y + s0 * B       # y0 + s0 b, and F0 its floor
-                    bigF0 = yn >> k
-                    anch.append((frac_dyadic(yn, k),
-                                 frac_dyadic(Zk + binom2(s0) * AB + s0 * AY,
-                                             2 * k),
-                                 frac_dyadic(s0 * AB + AY, 2 * k),
-                                 frac_dyadic(bigF0 * (X + s0 * A), k),
-                                 frac_dyadic(bigF0 * A, k)))
-            yf0, bz0, bz1, bx0, bx1 = np.array(anch).reshape(
-                -1, len(s0s), 5).transpose(2, 0, 1)[..., None]
-            u = stride * t
-            gt = _window(np.floor(yf0 + u * self.beta), sel)
-            xs = out[rows, cols, 2]
-            # xs differs from raw_x by an integer, and gt is an integer, so
-            # xs * gt matches raw_x * gt mod 1
-            out[rows, cols, 2] = frac(
-                _window(bz0 + u * bz1 + (u * (u - 1.0) / 2.0) * abf
-                        - bx0 - u * bx1, sel) - xs * gt)
+                (X, Y, Z, A, B), k = self._over_table(p)
+                x0, y0 = X + m0 * A, Y + m0 * B
+                big = y0 >> k                                  # F0
+                pieces.append(
+                    _pieces(((Z - big * x0) << k) + binom2(m0) * A * B
+                            + m0 * A * Y, 2 * k, 2)
+                    + _pieces((s * m0 + binom2(s)) * A * B + s * A * Y
+                              - ((big + q) * s * A + q * x0 << k), 2 * k, 14)
+                    + _pieces(x0, k, 14) + _pieces(y0, k, 14))
+            h0, r0, h1, r1, hx, rx, hy, ry = np.array(pieces).T[..., None]
+            exact, rest = _quadratic((h0, r0), (h1, r1), c2, span)
+            t = _OFFSETS[span]
+            # yf0 + t phi = u + (ry + t phi2), u exact and the rest in [0, 1)
+            # and exact for denominators up to 2**77 (else within 2**-75 of
+            # an integer): one comparison finds g; g times x0 + t sa's grid
+            # part (t sa1 + hx, exact) is exact too
+            u = t * phi1 + hy
+            g = np.floor(u)
+            g += ry + t * phi2 >= 1.0 - (u - g)
+            exact -= frac(g * frac(t * sa1 + hx))
+            rest -= g * (rx + t * sa2)
+            out[rows, cols, 2] = frac(frac(exact) + rest)
 
     def phase_basis(self) -> tuple[float, float]:
         return (self.alpha, self.beta)

@@ -21,7 +21,7 @@ from ergolab.observables import (_FLOAT_FREQ_LIMIT, Observable, conjugate,
 from ergolab.phases import CHUNK, TWO_PI, frac, frac_combo
 from ergolab.seminorms import VdcReport
 from ergolab.systems import (HeisenbergTranslation, Rotation, SkewProduct,
-                             ToralAutomorphism, _quad_chunk, orbit_points)
+                             ToralAutomorphism, orbit_points)
 
 # ---------------------------------------------------------------------------
 # Exact residues and integer matrices
@@ -181,21 +181,21 @@ def ref_pattern_phase(system, ks, coeffs, x):
 # Orbits
 
 
-def _anchors(n0, count, chunk):
-    """(anchors, which, t) for n in [n0, n0 + count): the distinct chunk
-    multiples at or below each n, the index of n's anchor among them, and
+def _anchors(n0, count):
+    """(anchors, which, t) for n in [n0, n0 + count): the distinct multiples
+    of CHUNK at or below each n, the index of n's anchor among them, and
     t = n minus its anchor as float64."""
     n = np.arange(n0, n0 + count, dtype=np.int64)
-    anchors, which = np.unique(n // chunk * chunk, return_inverse=True)
+    anchors, which = np.unique(n // CHUNK * CHUNK, return_inverse=True)
     return anchors.tolist(), which, (n - anchors[which]).astype(np.float64)
 
 
-def _rotation(alphas, x, stride, n0, count, chunk=CHUNK):
+def _rotation(alphas, x, stride, n0, count):
     """T^{stride n} x of a rotation by `alphas` (doubles or exact
-    rationals): per chunk-anchored chunk frac(base + t * step), base the
+    rationals): per CHUNK-anchored chunk frac(base + t * step), base the
     exact residue of x + stride * anchor * alpha and step that of stride *
     alpha."""
-    anchors, which, t = _anchors(n0, count, chunk)
+    anchors, which, t = _anchors(n0, count)
     cols = []
     for xc, a in zip(map(Fraction, map(float, x)), map(Fraction, alphas)):
         base = [ref_residue(xc + stride * s * a) for s in anchors]
@@ -203,61 +203,122 @@ def _rotation(alphas, x, stride, n0, count, chunk=CHUNK):
     return np.stack(cols, axis=1)
 
 
+def _split(q, bits):
+    """The residue of the rational q mod 1 as exact pieces h_1, ..., h_j and
+    a float rest: h_i holds its bits from 2**-((i-1) g) to 2**-(i g),
+    g = 52 - bits, up to the first i g >= bits + 10, and the rest is what
+    is left, rounded once."""
+    r, g, out = Fraction(q) % 1, 52 - bits, []
+    for top in range(g, bits + 10 + g, g):
+        out.append(Fraction(math.floor(r * 2 ** top), 2 ** top))
+        r -= out[-1]
+    return out, float(r)
+
+
+def _units(values):
+    """Rationals on the 2**-50 grid as integers mod 2**64, in units of
+    2**-50."""
+    return np.array([int(v * 2 ** 50) % 2 ** 64 for v in values], np.uint64)
+
+
+def _laid(parts, which):
+    """Per-anchor _split results of one piece laid over the points: the
+    piece's _units and the rest."""
+    return (_units([h for (h,), _ in parts])[which],
+            np.array([r for _, r in parts], dtype=np.float64)[which])
+
+
+def _quadratic(terms, rest):
+    """frac(E + rest), E the exact residue mod 1 of the sum of n * h over
+    terms (n a nonnegative integer array; h in _units, either sign),
+    summed in wrapping uint64 arithmetic and reduced mod 2**50."""
+    acc = np.zeros(len(rest), dtype=np.uint64)
+    for n, units in terms:
+        acc += np.asarray(n, np.uint64) * units
+    return frac((acc & np.uint64(2 ** 50 - 1)).astype(np.float64) / 2.0 ** 50
+                + rest)
+
+
 def _skew(system, x, stride, n0, count):
-    """T^{stride n} x of a skew product per _quad_chunk-anchored chunk: the
-    base columns as a rotation's, each fiber column frac(bg0 + u bg1 + (u (u
-    - 1) / 2) ab) at u = stride * t, with exact residues bg0, bg1, ab of the
-    fiber's constant, linear and quadratic parts at the anchor."""
+    """T^{stride n} x of a skew product: the base columns as a rotation's;
+    fiber f at m = m0 + s t, m0 = s * anchor, is c0 + t c1 + C(t,2) c2 mod 1
+    with c0 = g + m0 P + C(m0,2) K, c1 = s (P + m0 K) + C(s,2) K and c2 =
+    s^2 K (P = B y + c, K = B alpha, exact).  Split at 50, 38 and (25, 50)
+    bits (_split at 2, 14 and 27), it is _quadratic of h0 + t h1 + C(t,2)
+    (h2 + h2') with the rest (r0 + t r1) + C(t,2) r2."""
     y, g = x[:system.base_dim], x[system.base_dim:]
-    chunk = _quad_chunk(stride)
-    anchors, which, t = _anchors(n0, count, chunk)
-    u = stride * t
-    cols = [_rotation(system.base_alpha, y, stride, n0, count, chunk)]
+    s = stride
+    anchors, which, t = _anchors(n0, count)
+    ti = t.astype(np.int64)
+    ones, ci = np.ones(count, np.int64), ti * (ti - 1) // 2
+    ct = t * (t - 1.0) / 2.0
+    cols = [_rotation(system.base_alpha, y, stride, n0, count)]
     alpha = [Fraction(a) for a in system.base_alpha]
     fy = [Fraction(float(v)) for v in y]
     for f in range(system.fiber_dim):
-        c = Fraction(system.const[f])
-        parts = []
-        for s0 in (stride * s for s in anchors):
-            fr0, fr1, frab = Fraction(float(g[f])) + s0 * c, c, Fraction(0)
-            for B, fa, yb in zip(system.linear[f], alpha, fy):
-                fr0 += B * (s0 * yb + s0 * (s0 - 1) // 2 * fa)
-                fr1 += B * (yb + s0 * fa)
-                frab += B * fa
-            parts.append([ref_residue(fr0), ref_residue(fr1),
-                          ref_residue(frab)])
-        bg0, bg1, ab = np.array(parts).reshape(-1, 3)[which].T
-        cols.append(frac(bg0 + u * bg1 + (u * (u - 1.0) / 2.0) * ab)[:, None])
+        P = Fraction(system.const[f]) + sum(
+            B * yb for B, yb in zip(system.linear[f], fy))
+        K = sum(B * a for B, a in zip(system.linear[f], alpha))
+        m0s = [s * a for a in anchors]
+        h0, r0 = _laid([_split(Fraction(float(g[f])) + m0 * P
+                               + m0 * (m0 - 1) // 2 * K, 2)
+                        for m0 in m0s], which)
+        h1, r1 = _laid([_split(s * (P + m0 * K) + s * (s - 1) // 2 * K, 14)
+                        for m0 in m0s], which)
+        c2, r2 = _split(s * s * K, 27)
+        cols.append(_quadratic(
+            [(ones, h0), (ti, h1), *((ci, _units([h])) for h in c2)],
+            (r0 + t * r1) + ct * r2)[:, None])
     return np.concatenate(cols, axis=1)
 
 
 def _heisenberg(system, x, stride, n0, count, coords):
     """T^{stride n} x of the Heisenberg translation: x and y as rotation
-    columns at alpha and beta, and in "state" coordinates z per
-    _quad_chunk-anchored chunk, frac(bz0 + u bz1 + (u (u - 1) / 2) ab - bx0
-    - u bx1 - x_n floor(yf0 + u beta)) at u = stride * t, from exact
-    residues at the anchor."""
+    columns at alpha and beta, and in "state" coordinates z at m = m0 +
+    s t, m0 = s * anchor: with x0 = x + m0 a, y + m0 b = F0 + yf0 (F0 its
+    floor), s b = q + phi (q its floor) and g = floor(yf0 + t phi), z is
+    c0 + t c1 + C(t,2) c2 - g x0 - g t (s a) mod 1 for c0 = z + C(m0,2) a b
+    + m0 a y - F0 x0, c1 = (s m0 + C(s,2)) a b + s a y - (F0 + q) s a - q
+    x0 and c2 = s^2 a b - 2 q s a.  c0, c1, x0, c2 and s a split at 50,
+    38, 38, (25, 50) and 38 bits, it is _quadratic of the pieces with the
+    rest ((r0 + t r1) + C(t,2) r2) - g (rx + t rs), g exact."""
     out = _rotation((system.alpha, system.beta), x[:2], stride, n0, count)
     if coords == "obs":
         return out
     fa, fb = Fraction(system.alpha), Fraction(system.beta)
     fx, fy, fz = (Fraction(float(v)) for v in x[:3])
-    anchors, which, t = _anchors(n0, count, _quad_chunk(stride))
-    u = stride * t
-    parts = []
-    for s0 in (stride * s for s in anchors):
-        big = math.floor(fy + s0 * fb)
-        parts.append([ref_residue(fx + s0 * fa), ref_residue(fy + s0 * fb),
-                      ref_residue(fz + s0 * (s0 - 1) // 2 * fa * fb
-                                  + s0 * fa * fy),
-                      ref_residue(s0 * fa * fb + fa * fy),
-                      ref_residue((fx + s0 * fa) * big),
-                      ref_residue(fa * big)])
-    bx, yf0, bz0, bz1, bx0, bx1 = np.array(parts).reshape(-1, 6)[which].T
-    xs = frac(bx + t * ref_residue(stride * fa))
-    gt = np.floor(yf0 + u * system.beta)
-    z = frac(bz0 + u * bz1 + (u * (u - 1.0) / 2.0) * ref_residue(fa * fb)
-             - bx0 - u * bx1 - xs * gt)
+    s = stride
+    q = math.floor(s * fb)
+    phi = s * fb - q
+    anchors, which, t = _anchors(n0, count)
+    ti = t.astype(np.int64)
+    ones, ci = np.ones(count, np.int64), ti * (ti - 1) // 2
+    ct = t * (t - 1.0) / 2.0
+    c0s, c1s, x0s, yfs = [], [], [], []
+    for m0 in (s * a for a in anchors):
+        x0, y0 = fx + m0 * fa, fy + m0 * fb
+        big = math.floor(y0)
+        c0s.append(_split(fz + m0 * (m0 - 1) // 2 * fa * fb + m0 * fa * fy
+                          - big * x0, 2))
+        c1s.append(_split((s * m0 + s * (s - 1) // 2) * fa * fb
+                          + s * fa * fy - (big + q) * s * fa - q * x0, 14))
+        x0s.append(_split(x0, 14))
+        yfs.append(y0 - big)
+    # g exactly, over one power of two
+    den = max(v.denominator for v in yfs + [phi])
+    g = ((np.array([v.numerator * (den // v.denominator) for v in yfs],
+                   dtype=object)[which]
+          + ti.astype(object) * (phi.numerator * (den // phi.denominator)))
+         // den).astype(np.int64)
+    h0, r0 = _laid(c0s, which)
+    h1, r1 = _laid(c1s, which)
+    hx, rx = _laid([([-h for h in p], r) for p, r in x0s], which)
+    c2, r2 = _split(s * s * fa * fb - 2 * q * s * fa, 27)
+    (sa,), rs = _split(s * fa, 14)
+    z = _quadratic(
+        [(ones, h0), (ti, h1), *((ci, _units([h])) for h in c2), (g, hx),
+         (g * ti, _units([-sa]))],
+        ((r0 + t * r1) + ct * r2) - g * (rx + t * rs))
     return np.concatenate([out, z[:, None]], axis=1)
 
 
@@ -322,14 +383,21 @@ def ref_heisenberg_step(system, p, s):
                                  - big * (x + s * a))])
 
 
-def ref_quadratic(a, length, chunk=256):
-    """n^2 a mod 1 for n < length, per chunk-anchored chunk: frac(b0 + t b1
-    + t^2 a), b0 and b1 the exact residues of anchor^2 a and 2 anchor a."""
+def ref_quadratic(a, length):
+    """n^2 a mod 1 for n < length, the vdc quadratic family's phases: at n
+    = anchor + t it is c0 + t c1 + C(t,2) c2 with c0 = anchor^2 a, c1 =
+    (2 anchor + 1) a and c2 = 2 a, split at 50, 38 and (25, 50) bits, so
+    _quadratic of h0 + t h1 + C(t,2) (h2 + h2') with the rest (r0 + t r1)
+    + C(t,2) r2, as a skew product's fiber."""
     fa = Fraction(a)
-    anchors, which, t = _anchors(0, length, chunk)
-    b0 = np.array([ref_residue(s * s * fa) for s in anchors])[which]
-    b1 = np.array([ref_residue(2 * s * fa) for s in anchors])[which]
-    return frac(b0 + t * b1 + (t * t) * a)
+    anchors, which, t = _anchors(0, length)
+    ti = t.astype(np.int64)
+    h0, r0 = _laid([_split(s * s * fa, 2) for s in anchors], which)
+    h1, r1 = _laid([_split((2 * s + 1) * fa, 14) for s in anchors], which)
+    c2, r2 = _split(2 * fa, 27)
+    return _quadratic([(np.ones(length, np.int64), h0), (ti, h1),
+                       *((ti * (ti - 1) // 2, _units([h])) for h in c2)],
+                      (r0 + t * r1) + (t * (t - 1.0) / 2.0) * r2)
 
 
 # ---------------------------------------------------------------------------

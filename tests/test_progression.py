@@ -5,8 +5,10 @@ against Fraction sums.
 The orbit references take each window's exact chunk bases one anchor at a
 time and write out the float expression of every kind (Rotation, the
 skew-product base and fiber columns, the Heisenberg x/y and z columns, the
-quadratic phase block).  Each compares raw float64 bytes, so a change of
-operation order that moves one rounding fails here.
+van der Corput phase families).  Each compares raw float64 bytes, so a
+change of operation order that moves one rounding fails here.  The orbit
+rows are also held to accuracy budgets against the exact `step`, stated
+before the run.
 """
 
 import math
@@ -16,11 +18,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ergolab.phases import (CHUNK, PhaseForm, dyadic_combo, frac_combo,
+from ergolab.phases import (CHUNK, PhaseForm, dyadic_combo, e, frac_combo,
                             frac_fraction)
-from ergolab.seminorms import quadratic_phase_block
-from ergolab.systems import (GOLDEN, SQRT2_M1, SQRT3_M1, Rotation,
-                             SkewProduct, default_heisenberg, golden_rotation,
+from ergolab.seminorms import vdc_family
+from ergolab.systems import (GOLDEN, SQRT2_M1, SQRT3_M1,
+                             HeisenbergTranslation, Rotation, SkewProduct,
+                             default_heisenberg, golden_rotation,
                              standard_skew)
 from reference import ref_combo, ref_orbit, ref_quadratic, ref_residue
 
@@ -36,8 +39,8 @@ SYSTEMS = {
     "heisenberg": default_heisenberg(),
 }
 STRIDES = (1, 2, 3, 7, -1, -3, 1025)
-# (n0, count): inside one chunk, across Heisenberg/skew anchors (1024 at
-# stride 1), across a CHUNK anchor, below zero, and near 10**12.
+# (n0, count): inside one chunk, across a CHUNK anchor, below zero, and
+# near 10**12.
 WINDOWS = ((0, 0), (0, 1), (0, 300), (1000, 100), (CHUNK - 50, 100),
            (-37, 80), (10 ** 12 - 40, 100), (10 ** 12 + 3, 7))
 LONG = (5, 2 * CHUNK + 11)       # many anchors, small strides only
@@ -69,11 +72,57 @@ def test_orbit_points_bits_match_frozen_loops(name, coords):
                                            coords))
 
 
-def test_quadratic_phase_block_bits_match_frozen_loop():
+def test_vdc_families_bits_match_frozen_loop():
+    # the linear family is a rotation from 0, the quadratic one the fiber
+    # of SkewProduct((a,), ((2,),), (a,)) from (0, 0)
     for a in (GOLDEN, SQRT3_M1, 0.0, 5e-324):
-        for length in (0, 1, 2, 255, 256, 257, 3000):
-            _same_bits(quadratic_phase_block(a, length),
-                       ref_quadratic(a, length, 256))
+        for length in (0, 1, 2, 255, CHUNK, CHUNK + 1, 3 * CHUNK + 5):
+            _same_bits(vdc_family("linear", length, 0, a),
+                       e(ref_orbit(Rotation((a,)), [0.0], 1, 0, length)[:, 0]))
+            _same_bits(vdc_family("quadratic", length, 0, a),
+                       e(ref_quadratic(a, length)))
+
+
+# ---------------------------------------------------------------------------
+# Orbit rows against the exact step, at budgets stated before the run
+
+ACCURACY_SYSTEMS = {
+    "skew-standard": standard_skew(),
+    "skew-2x2": SYSTEMS["skew-2x2"],
+    "heisenberg": default_heisenberg(),
+    "heisenberg-near-half": HeisenbergTranslation(SQRT2_M1, 0.5 + 2.0 ** -40),
+}
+# a linear column is frac(base + t * step), t < CHUNK: t * step and the sum
+# round near t, up to CHUNK * 2**-53 = 1.8e-12; a fiber or z column rounds
+# once near [0, 1), and step once or twice more
+LINEAR_BUDGET, QUADRATIC_BUDGET = 2e-12, 1e-15
+
+
+def _accuracy_starts(system):
+    starts = np.random.default_rng(11).random((3, system.dim))
+    if isinstance(system, HeisenbergTranslation):
+        # y + m beta within 2**-54 of an integer at m = 10**8 - 6
+        starts[2, 1] = ref_residue(-(10 ** 8 - 6) * Fraction(system.beta))
+    return starts
+
+
+@pytest.mark.parametrize("name", ACCURACY_SYSTEMS)
+def test_orbit_rows_match_exact_step_within_budgets(name):
+    system = ACCURACY_SYSTEMS[name]
+    starts = _accuracy_starts(system)
+    quad = np.arange(system.dim) >= (system.dim - 1 if isinstance(
+        system, HeisenbergTranslation) else system.base_dim)
+    worst = np.zeros(system.dim)
+    for stride in (-3, -1, 0, 1, 2, 3, 7):
+        far = 10 ** 8 // max(1, abs(stride))
+        for n0, count in ((0, 20), (CHUNK - 10, 20), (far - 10, 20),
+                          (-2 * CHUNK - 5, 10)):
+            got = system.orbit_block(starts, stride, n0, count)
+            for i in range(0, count, 2):
+                d = np.abs(got[:, i] - system.step(starts, stride * (n0 + i)))
+                worst = np.maximum(worst, np.minimum(d, 1.0 - d).max(axis=0))
+    assert worst[~quad].max() <= LINEAR_BUDGET, worst
+    assert worst[quad].max() <= QUADRATIC_BUDGET, worst
 
 
 # ---------------------------------------------------------------------------
@@ -89,9 +138,8 @@ BLOCK_KINDS = ([(name, coords) for coords in ("obs", "state")
                + [("skew-standard", "state"), ("skew-2x2", "state"),
                   ("heisenberg", "state"), ("heisenberg", "obs")])
 # (n0, count, starts, strides): from zero, past CHUNK, across a CHUNK
-# anchor, across a quadratic-phase anchor (1024 at stride 1, 1023 at stride
-# -3), near 10**12, one point per quadratic chunk (stride 1025) and one long
-# request; 400 starts of 100 or 120 points span three slabs
+# anchor, inside one chunk, near 10**12, a large stride (1025) and one
+# long request; 400 starts of 100 or 120 points span three slabs
 BLOCK_WINDOWS = ((0, 1, 400, (1, 2, 3)), (0, 100, 400, (1, 2, 3, -3)),
                  (CHUNK + 5, 60, 400, (1, 2, 3)),
                  (CHUNK - 50, 120, 400, (1, 2, 3)),
@@ -130,10 +178,9 @@ def test_orbit_block_bits_match_frozen_per_start_loop(name, coords):
 
 
 # (n0, count) windows as a stream or a cloud slab asks for them: CHUNK values
-# starting off an anchor (at stride 1 they cross 16 quadratic-phase anchors),
-# exactly one CHUNK, exactly one quadratic chunk at strides 1 and +-3 (341
-# values, which do not divide CHUNK), a window holding the CHUNK anchor
-# inside a stride-3 quadratic chunk, and CHUNK values from 10**12 - 40
+# starting off an anchor, exactly one CHUNK, 1024 values inside one chunk,
+# 341 values (which do not divide CHUNK) from zero and across the CHUNK
+# anchor, and CHUNK values from 10**12 - 40
 ORBIT_WINDOWS = ((CHUNK + 100, CHUNK), (CHUNK, CHUNK), (1024, 1024),
                  (0, 341), (CHUNK - 30, 341), (10 ** 12 - 40, CHUNK))
 # every coordinate 2**-65, and 5e-324 beside 2**-65 and a Haar value: the

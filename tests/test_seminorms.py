@@ -17,8 +17,8 @@ from ergolab.rng import SplitMix64
 from ergolab.seminorms import (_mc_orbit_length, _raised_exact, _raised_mc,
                                hk_seminorm,
                                multilinear_norm_bound_check,
-                               quadratic_phase_block, seminorm_ladder,
-                               van_der_corput_check, vdc_family)
+                               seminorm_ladder, van_der_corput_check,
+                               vdc_family)
 from ergolab.systems import (GOLDEN, SQRT2_M1, Rotation, ToralAutomorphism,
                              cat_map, default_heisenberg, golden_rotation,
                              standard_skew)
@@ -390,13 +390,19 @@ def test_vdc_rejects_h_out_of_range():
         van_der_corput_check(np.ones(100), 0)
 
 
-def test_quadratic_phase_block_exactness():
-    got = quadratic_phase_block(GOLDEN, 3000)
-    for n in (0, 1, 777, 2999):
-        from fractions import Fraction
-        expect = float(Fraction(n * n) * Fraction(GOLDEN) % 1)
-        d = abs(got[n] - expect)
-        assert min(d, 1 - d) <= 1e-10
+def test_vdc_families_match_exact_residues():
+    # e(n alpha) and e(n^2 alpha) at sampled n < 2**22 against e of the
+    # exact residue: the linear family rounds near t < CHUNK (frac(base + t
+    # step), 1.8e-12 in phase), the quadratic one once near [0, 1)
+    from fractions import Fraction
+    length = 1 << 22
+    n = np.random.default_rng(3).integers(0, length, 500).tolist() + [
+        0, 1, CHUNK - 1, CHUNK, length - 1]
+    for name, power, budget in (("linear", 1, 2e-11), ("quadratic", 2, 1e-14)):
+        got = vdc_family(name, length, 0)[n]
+        expect = e(np.array([float(Fraction(k ** power) * Fraction(GOLDEN)
+                                   % 1) for k in n]))
+        assert np.abs(got - expect).max() <= budget, name
 
 
 # ---------------------------------------------------------------------------

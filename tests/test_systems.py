@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -121,6 +122,29 @@ def test_batch_step_is_the_stack_of_row_steps(system):
         assert got.tobytes() == \
             np.stack([system.step(q, n) for q in rows]).tobytes(), n
     assert system.step(rows[:0], 5).shape == (0, system.dim)
+
+
+@pytest.mark.parametrize("system", all_systems() + [
+    SkewProduct((0.3,), ((1,),), (2.0 ** -70,))],
+    ids=lambda s: type(s).__name__)
+def test_numpy_integer_arguments_act_as_python_ints(system):
+    # n, stride, n0 and count go through operator.index: no int64
+    # arithmetic to wrap or warn, and the same bytes as Python ints
+    p = rand_point(system, seed=4)
+    far = 10 ** 3 if isinstance(system, ToralAutomorphism) else 3 * 10 ** 18
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for n in (0, 7, -5, far):
+            assert system.step(p, np.int64(n)).tobytes() == \
+                system.step(p, n).tobytes(), n
+        for stride, n0 in ((3, 10 ** 12), (-2, far // 7)):
+            args = (stride, n0, 40)
+            got = system.orbit_block(p[None], *map(np.int64, args))
+            want = system.orbit_block(p[None], *args)
+            assert got.tobytes() == want.tobytes()
+            assert orbit_points(system, p, np.int32(stride), np.int64(n0),
+                                np.uint16(40)).tobytes() == \
+                orbit_points(system, p, *args).tobytes()
 
 
 @pytest.mark.parametrize("system", all_systems(),
